@@ -1,0 +1,141 @@
+package dspe
+
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"slb/internal/core"
+	"slb/internal/transport"
+)
+
+// goroutinesSettle waits for the goroutine count to come back down to
+// `before` (teardown finishes asynchronously: a closed connection's
+// reader notices a moment later) and dumps the survivors if it never
+// does.
+func goroutinesSettle(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<17)
+			t.Fatalf("goroutines: %d before the run, %d five seconds after it\n%s",
+				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestTransportPlaneLeaksNoGoroutine checks runTransport's three exit
+// paths — clean, clean after riding out a chaos schedule, and a hard
+// link error — for goroutines left behind: parked waiters nobody woke,
+// or transport stages nobody stopped.
+func TestTransportPlaneLeaksNoGoroutine(t *testing.T) {
+	base := Config{
+		Workers:   6,
+		Sources:   2,
+		Algorithm: "D-C",
+		AggWindow: 400,
+		AggShards: 2,
+		Messages:  12_000,
+	}
+	for _, tc := range []struct {
+		name  string
+		sel   Transport
+		chaos *transport.ChaosConfig
+	}{
+		{"clean/memory", TransportMemory, nil},
+		{"clean/tcp", TransportTCP, nil},
+		{"chaos/memory", TransportMemory, &transport.ChaosConfig{Seed: 23, DropOneIn: 4, SeverEvery: 2}},
+		{"chaos/tcp", TransportTCP, &transport.ChaosConfig{Seed: 23, DropOneIn: 4, SeverEvery: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			cfg := base
+			cfg.Transport, cfg.Chaos = tc.sel, tc.chaos
+			res, err := Run(zipfGen(1.2, 250, 12_000), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Completed != 12_000 {
+				t.Fatalf("completed %d, want 12000", res.Completed)
+			}
+			goroutinesSettle(t, before)
+		})
+	}
+
+	// The hard-error path needs a fabric Run would never build: TCP with
+	// reconnection disabled, severed mid-run.
+	t.Run("hard-error/tcp", func(t *testing.T) {
+		before := runtime.NumGoroutine()
+		cfg, err := base.withDefaults()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Transport = TransportTCP
+		parts := make([]core.Partitioner, cfg.Sources)
+		for i := range parts {
+			srcCfg := cfg.Core
+			srcCfg.Instance = i
+			if parts[i], err = core.New(cfg.Algorithm, srcCfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tcp, err := transport.NewTCPWithConfig(nil, transport.TCPConfig{MaxReconnects: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fabric := transport.NewChaos(tcp, transport.ChaosConfig{Seed: 5, SeverEvery: 7})
+		gen := zipfGen(1.2, 250, 200_000)
+		_, err = runOnFabric(fabric, gen, cfg, parts, 200_000)
+		fabric.Close()
+		if err == nil {
+			t.Fatal("run over links severed with reconnection disabled reported no error")
+		}
+		goroutinesSettle(t, before)
+	})
+}
+
+// TestTransportPlaneCountsParks: with telemetry on, a run whose bolts
+// sleep 200 µs per message leaves every stage waiting most of the time,
+// and the waiting must be visible — parks counted per goroutine, and the
+// two stall clocks (which now time yield phase plus park) running.
+func TestTransportPlaneCountsParks(t *testing.T) {
+	cfg := telemetryCfg("D-C", DataplaneChannel)
+	cfg.Transport = TransportMemory
+	cfg.ServiceTime = 200 * time.Microsecond
+	res, err := Run(zipfGen(1.2, 300, 2000), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed != 2000 {
+		t.Fatalf("completed %d, want 2000", res.Completed)
+	}
+	snap := cfg.Telemetry.Snapshot()
+	for _, want := range []struct {
+		name   string
+		series int
+	}{
+		{"spout_parks_total", cfg.Sources},
+		{"bolt_parks_total", cfg.Workers},
+		{"shard_parks_total", cfg.AggShards},
+		{"spout_ack_wait_ns_total", cfg.Sources},
+		{"acquire_stall_ns_total", cfg.Workers},
+	} {
+		v, n := sumSeries(snap, want.name)
+		if n != want.series {
+			t.Errorf("%s: %d series, want %d", want.name, n, want.series)
+		}
+		if v <= 0 {
+			t.Errorf("%s = %v on a run that waits most of the time", want.name, v)
+		}
+	}
+	// The direct planes never park, so they register no park series.
+	direct := telemetryCfg("D-C", DataplaneRing)
+	if _, err := Run(zipfGen(1.2, 300, 2000), direct); err != nil {
+		t.Fatal(err)
+	}
+	if _, n := sumSeries(direct.Telemetry.Snapshot(), "bolt_parks_total"); n != 0 {
+		t.Errorf("ring plane registered %d bolt_parks_total series", n)
+	}
+}

@@ -10,24 +10,40 @@ package dspe
 // so the engines carry one field and never branch on configuration
 // beyond `pt != nil` where a time.Now pair would otherwise be paid.
 //
-// Series registered per run (labels: engine=dspe-channel|dspe-ring,
-// algo, plus spout/worker/shard where noted):
+// Series registered per run (labels: engine=dspe-channel|dspe-ring —
+// the transport plane reports under whichever Config.Dataplane names —
+// algo, plus spout/worker/shard where noted). "Waiting" below means the
+// poll-and-sleep backoff on the ring plane and, on the transport plane,
+// one wait episode of the goroutine's Parker: the yield phase plus the
+// park.
 //
 //	route_*                      per spout — see core.NewRouteRecorder
-//	spout_ack_wait_ns_total      per spout: blocked acquiring in-flight
-//	                             window slots (ack backpressure)
+//	spout_ack_wait_ns_total      per spout, all planes: waiting for
+//	                             in-flight window slots (ack
+//	                             backpressure; on the transport plane it
+//	                             includes flushing the links first)
 //	spout_ack_window             per spout gauge, transport plane: the
 //	                             current in-flight ack window (grows
 //	                             adaptively over TCP when Config.Window
 //	                             was left at its default)
+//	spout_parks_total            per spout, transport plane: times the
+//	                             spout parked (ack window or a full
+//	                             in-process link)
 //	publish_stall_ns_total       per spout, ring plane: blocked
 //	                             publishing into a full tuple ring
+//	                             (registered but never written on the
+//	                             transport plane)
 //	queue_depth                  per worker gauge: channel plane in tuple
 //	                             SLABS (len of the bolt's channel), ring
 //	                             plane in TUPLES (sum of its rings' Len)
 //	bolt_msgs_total              per worker: tuples processed
-//	acquire_stall_ns_total       per worker, ring plane: fruitless-poll
-//	                             backoff time (input starvation)
+//	acquire_stall_ns_total       per worker, ring and transport planes:
+//	                             waiting with every input empty (input
+//	                             starvation)
+//	bolt_parks_total             per worker, transport plane: times the
+//	                             bolt parked on its empty source links
+//	shard_parks_total            per shard, transport plane: times the
+//	                             reducer shard parked on its bolt links
 //	bolt_partials_total          partials flushed by all bolts
 //	reduce_partials_total        per shard: partials the reducer merged —
 //	                             reduce_partials/bolt_partials is the
@@ -67,9 +83,12 @@ type planeTelemetry struct {
 	recs         []*core.RouteRecorder // per spout
 	ackWait      []*telemetry.Counter  // per spout
 	ackWindow    []*telemetry.Gauge    // per spout (transport plane)
+	spoutParks   []*telemetry.Counter  // per spout (transport plane)
 	publishStall []*telemetry.Counter  // per spout (ring plane)
 	boltMsgs     []*telemetry.Counter  // per worker
-	acquireStall []*telemetry.Counter  // per worker (ring plane)
+	acquireStall []*telemetry.Counter  // per worker (ring and transport planes)
+	boltParks    []*telemetry.Counter  // per worker (transport plane)
+	shardParks   []*telemetry.Counter  // per shard (transport plane)
 	boltPartials *telemetry.Counter
 	reduceParts  []*telemetry.Counter // per shard
 	reduceBusy   []*telemetry.Counter // per shard
@@ -89,20 +108,24 @@ func newPlaneTelemetry(cfg Config) *planeTelemetry {
 			telemetry.L("algo", cfg.Algorithm),
 		},
 	}
-	// The transport plane polls its receive endpoints the way the ring
-	// plane polls its rings, so it reports the same stall series
-	// whatever Dataplane says.
-	ringish := cfg.Dataplane == DataplaneRing || cfg.Transport != TransportDirect
+	// The transport plane's receivers wait on empty inputs as the ring
+	// plane's do (parked rather than polling), so it reports the same
+	// stall series whatever Dataplane says — plus how often each
+	// goroutine parked.
+	parking := cfg.Transport != TransportDirect
+	ringish := cfg.Dataplane == DataplaneRing || parking
 	pt.recs = make([]*core.RouteRecorder, cfg.Sources)
 	pt.ackWait = make([]*telemetry.Counter, cfg.Sources)
 	pt.ackWindow = make([]*telemetry.Gauge, cfg.Sources)
+	pt.spoutParks = make([]*telemetry.Counter, cfg.Sources)
 	pt.publishStall = make([]*telemetry.Counter, cfg.Sources)
 	for s := range pt.recs {
 		ls := pt.with("spout", s)
 		pt.recs[s] = core.NewRouteRecorder(reg, ls...)
 		pt.ackWait[s] = reg.Counter("spout_ack_wait_ns_total", ls...)
-		if cfg.Transport != TransportDirect {
+		if parking {
 			pt.ackWindow[s] = reg.Gauge("spout_ack_window", ls...)
+			pt.spoutParks[s] = reg.Counter("spout_parks_total", ls...)
 		}
 		if ringish {
 			pt.publishStall[s] = reg.Counter("publish_stall_ns_total", ls...)
@@ -110,19 +133,27 @@ func newPlaneTelemetry(cfg Config) *planeTelemetry {
 	}
 	pt.boltMsgs = make([]*telemetry.Counter, cfg.Workers)
 	pt.acquireStall = make([]*telemetry.Counter, cfg.Workers)
+	pt.boltParks = make([]*telemetry.Counter, cfg.Workers)
 	for w := range pt.boltMsgs {
 		ls := pt.with("worker", w)
 		pt.boltMsgs[w] = reg.Counter("bolt_msgs_total", ls...)
 		if ringish {
 			pt.acquireStall[w] = reg.Counter("acquire_stall_ns_total", ls...)
 		}
+		if parking {
+			pt.boltParks[w] = reg.Counter("bolt_parks_total", ls...)
+		}
 	}
 	if cfg.AggWindow > 0 {
 		pt.boltPartials = reg.Counter("bolt_partials_total", pt.base...)
 		pt.reduceParts = make([]*telemetry.Counter, cfg.AggShards)
 		pt.reduceBusy = make([]*telemetry.Counter, cfg.AggShards)
+		pt.shardParks = make([]*telemetry.Counter, cfg.AggShards)
 		for r := range pt.reduceBusy {
 			ls := pt.with("shard", r)
+			if parking {
+				pt.shardParks[r] = reg.Counter("shard_parks_total", ls...)
+			}
 			pt.reduceParts[r] = reg.Counter("reduce_partials_total", ls...)
 			pt.reduceBusy[r] = reg.Counter("reduce_busy_ns_total", ls...)
 		}
@@ -173,6 +204,27 @@ func (pt *planeTelemetry) addBoltMsgs(w, n int) {
 func (pt *planeTelemetry) addAcquireStall(w int, d time.Duration) {
 	if pt != nil && d > 0 {
 		pt.acquireStall[w].Add(d.Nanoseconds())
+	}
+}
+
+// The park counters below exist on the transport plane only, whose
+// goroutines are the only callers.
+
+func (pt *planeTelemetry) addSpoutPark(s int) {
+	if pt != nil {
+		pt.spoutParks[s].Inc()
+	}
+}
+
+func (pt *planeTelemetry) addBoltPark(w int) {
+	if pt != nil {
+		pt.boltParks[w].Inc()
+	}
+}
+
+func (pt *planeTelemetry) addShardPark(r int) {
+	if pt != nil {
+		pt.shardParks[r].Inc()
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"slb/internal/aggregation"
 	"slb/internal/core"
 	"slb/internal/metrics"
+	"slb/internal/ring"
 	"slb/internal/stream"
 	"slb/internal/transport"
 )
@@ -17,7 +18,7 @@ import (
 // fabric: every spout→bolt and bolt→reducer hop is a named transport
 // link instead of an in-process channel or ring. With the memory
 // backend this is the ring dataplane's data path behind the Transport
-// interface (one SPSC ring per edge, slab sends, polling consumers);
+// interface (one SPSC ring per edge, slab sends, round-robin consumers);
 // with the TCP backend every hop additionally crosses a loopback
 // socket through the varint frame codec, which is what makes the
 // network's cost measurable against the in-process planes.
@@ -29,8 +30,16 @@ import (
 // therefore bit-equal to both in-process planes at Sources=1 — pinned
 // by TestTransportPlaneParity.
 //
+// Nothing in this plane polls. Every spout, bolt and reducer shard owns
+// one ring.Parker, registered on each link it reads (and each in-process
+// link it fills): a goroutine that finds no input, no ack-window room or
+// no ring space yields a few times and then parks, and the link — or the
+// ack counter crossing the level the spout asked for, or fail — wakes
+// it. An idle topology costs no CPU, and a busy one does not queue its
+// workers behind a dozen pollers.
+//
 // Control stays in-process by design: the per-source in-flight window
-// (ack semantics) is the ring plane's padded atomic counter, and
+// (ack semantics) is a padded atomic counter, and
 // window-completeness thresholds are counted at the spouts
 // (ObserveEmits) exactly as in both other planes. The transport
 // models the DATA hops — the paper's serialization/framing/link cost —
@@ -53,6 +62,29 @@ import (
 // depth a loopback link is bandwidth- not latency-bound and deeper
 // windows only add buffer bloat.
 const adaptiveWindowMax = 8192
+
+// ackWindow is one source's in-flight count plus the level its spout is
+// waiting for it to fall to. A bolt acks with n.Add(-k) and wakes the
+// spout only if the new value is at or below wakeAt — not on every ack
+// batch, most of which would find the window still too full and send the
+// spout straight back to sleep. The spout stores wakeAt before it arms,
+// so (atomics being sequentially consistent) an ack either sees the new
+// level or is seen by the spout's re-check. Padded so the counters of
+// different sources never share a cache line.
+type ackWindow struct {
+	n      atomic.Int64
+	wakeAt atomic.Int64
+	_      [48]byte
+}
+
+// parkers returns n fresh wait primitives, one per goroutine of a stage.
+func parkers(n int) []*ring.Parker {
+	ps := make([]*ring.Parker, n)
+	for i := range ps {
+		ps[i] = ring.NewParker()
+	}
+	return ps
+}
 
 // msgOf packs one in-flight tuple into the wire shape. emit is the
 // spout timestamp in ns for latency-sampled tuples, 0 otherwise.
@@ -84,15 +116,18 @@ func partialMsg(p *aggregation.Partial) transport.Msg {
 // transport backend. cfg has defaults applied; parts are the
 // per-source partitioners; limit is the message cap.
 func runTransport(gen stream.Generator, cfg Config, parts []core.Partitioner, limit int64) (Result, error) {
-	shards := cfg.AggShards
-	agg := cfg.AggWindow > 0
-	pt := newPlaneTelemetry(cfg)
+	fabric, err := openFabric(cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	defer fabric.Close()
+	return runOnFabric(fabric, gen, cfg, parts, limit)
+}
 
-	var (
-		fabric transport.Transport
-		tcp    *transport.TCP
-		err    error
-	)
+// openFabric builds the edge fabric cfg selects, wrapped in the chaos
+// schedule when one is set.
+func openFabric(cfg Config) (transport.Transport, error) {
+	var fabric transport.Transport
 	switch cfg.Transport {
 	case TransportMemory:
 		fabric = transport.NewMemory()
@@ -109,20 +144,28 @@ func runTransport(gen stream.Generator, cfg Config, parts []core.Partitioner, li
 				MaxReconnects: 1 << 20,
 			}
 		}
-		tcp, err = transport.NewTCPWithConfig(cfg.Telemetry, tcpCfg)
+		tcp, err := transport.NewTCPWithConfig(cfg.Telemetry, tcpCfg)
 		if err != nil {
-			return Result{}, err
+			return nil, err
 		}
 		fabric = tcp
 	default:
-		return Result{}, fmt.Errorf("dspe: unknown transport %d", cfg.Transport)
+		return nil, fmt.Errorf("dspe: unknown transport %d", cfg.Transport)
 	}
-	var chaos *transport.Chaos
 	if cfg.Chaos != nil {
-		chaos = transport.NewChaos(fabric, *cfg.Chaos)
-		fabric = chaos
+		fabric = transport.NewChaos(fabric, *cfg.Chaos)
 	}
-	defer fabric.Close()
+	return fabric, nil
+}
+
+// runOnFabric is runTransport on a fabric the caller opened (and
+// closes): every goroutine it starts has exited when it returns, on
+// the clean path and on a link failure alike.
+func runOnFabric(fabric transport.Transport, gen stream.Generator, cfg Config, parts []core.Partitioner, limit int64) (Result, error) {
+	shards := cfg.AggShards
+	agg := cfg.AggWindow > 0
+	pt := newPlaneTelemetry(cfg)
+	var err error
 
 	// Spout→bolt links: one per (source, bolt) pair, so each link is
 	// SPSC like the ring plane's edges. Bolt→shard links likewise.
@@ -154,14 +197,37 @@ func runTransport(gen stream.Generator, cfg Config, parts []core.Partitioner, li
 			}
 		}
 	}
-	inflight := make([]inflightCounter, cfg.Sources)
+	inflight := make([]ackWindow, cfg.Sources)
+
+	// One Parker per goroutine, registered on every link it waits on: a
+	// bolt on its source links (to read) and shard links (to fill), a
+	// shard on its bolt links, a spout on the links whose slots it fills
+	// in place. All before any goroutine starts.
+	spoutPark, boltPark, shardPark := parkers(cfg.Sources), parkers(cfg.Workers), parkers(shards)
+	for s := range in {
+		for w, l := range in[s] {
+			l.SetSendWaiter(spoutPark[s])
+			l.SetRecvWaiter(boltPark[w])
+		}
+	}
+	for w := range boltOut {
+		for r, l := range boltOut[w] {
+			l.SetSendWaiter(boltPark[w])
+			l.SetRecvWaiter(shardPark[r])
+		}
+	}
 
 	// First asynchronous link failure (TCP only); spouts and bolts stop
-	// sending when set, and Run surfaces it after the drain.
+	// sending when set, and Run surfaces it after the drain. The spouts
+	// are the goroutines whose waits test it, so fail wakes them; bolts
+	// and shards wait on their links alone, which wake them when the
+	// exiting spouts (and then bolts) close their senders.
 	var firstErr atomic.Pointer[error]
 	fail := func(e error) {
-		if e != nil {
-			firstErr.CompareAndSwap(nil, &e)
+		if e != nil && firstErr.CompareAndSwap(nil, &e) {
+			for _, p := range spoutPark {
+				p.Wake()
+			}
 		}
 	}
 	failed := func() bool { return firstErr.Load() != nil }
@@ -213,7 +279,7 @@ func runTransport(gen stream.Generator, cfg Config, parts []core.Partitioner, li
 				slab := make([]aggregation.Partial, 0, 256)
 				drained := make([]bool, cfg.Workers)
 				remaining := cfg.Workers
-				spins := 0
+				park := shardPark[r]
 				for remaining > 0 {
 					progressed := false
 					for w := 0; w < cfg.Workers; w++ {
@@ -253,9 +319,9 @@ func runTransport(gen stream.Generator, cfg Config, parts []core.Partitioner, li
 						pt.addReduce(r, len(slab), d)
 					}
 					if progressed {
-						spins = 0
-					} else {
-						backoff(&spins)
+						park.Reset()
+					} else if park.Idle() {
+						pt.addShardPark(r)
 					}
 				}
 				t0 := time.Now()
@@ -314,7 +380,7 @@ func runTransport(gen stream.Generator, cfg Config, parts []core.Partitioner, li
 			buf := make([]transport.Msg, cfg.Batch)
 			drained := make([]bool, cfg.Sources)
 			remaining := cfg.Sources
-			spins := 0
+			park := boltPark[w]
 			for remaining > 0 {
 				progressed := false
 				for s := 0; s < cfg.Sources; s++ {
@@ -359,18 +425,22 @@ func runTransport(gen stream.Generator, cfg Config, parts []core.Partitioner, li
 						acks++
 					}
 					if acks > 0 {
-						inflight[s].n.Add(int64(-acks))
+						if left := inflight[s].n.Add(int64(-acks)); left <= inflight[s].wakeAt.Load() {
+							spoutPark[s].Wake()
+						}
 						pt.addBoltMsgs(w, acks)
 					}
 				}
 				if progressed {
-					spins = 0
+					park.Reset()
 				} else if pt != nil {
 					t0 := time.Now()
-					backoff(&spins)
+					if park.Idle() {
+						pt.addBoltPark(w)
+					}
 					pt.addAcquireStall(w, time.Since(t0))
 				} else {
-					backoff(&spins)
+					park.Idle()
 				}
 			}
 			if acc != nil {
@@ -435,18 +505,18 @@ func runTransport(gen stream.Generator, cfg Config, parts []core.Partitioner, li
 			win := int64(cfg.Window)
 			adaptive := cfg.adaptiveWindow && cfg.Transport == TransportTCP
 			pt.setAckWindow(s, win)
+			park := spoutPark[s]
 			var seq int64 // per-spout emit counter for latency sampling
 			for !failed() {
 				n, base := nextSlab(keys, vals)
 				if n == 0 {
 					break
 				}
-				spins := 0
 				var t0 time.Time
 				if pt != nil {
 					t0 = time.Now()
 				}
-				if inflight[s].n.Load() > win-int64(n) {
+				if room := win - int64(n); inflight[s].n.Load() > room {
 					// About to block on acks: flush every link first, so
 					// coalesced bytes become visible work downstream (a
 					// tuple sitting in a coalescing buffer can never be
@@ -458,11 +528,17 @@ func runTransport(gen stream.Generator, cfg Config, parts []core.Partitioner, li
 							fail(err)
 						}
 					}
+					// Ask the bolts for a wake-up once their acks bring the
+					// window down to where this batch fits.
+					inflight[s].wakeAt.Store(room)
 					stalled := false
-					for inflight[s].n.Load() > win-int64(n) && !failed() {
+					for inflight[s].n.Load() > room && !failed() {
 						stalled = true
-						backoff(&spins)
+						if park.Idle() {
+							pt.addSpoutPark(s)
+						}
 					}
+					park.Reset()
 					if stalled && adaptive && win < adaptiveWindowMax {
 						win *= 2
 						if win > adaptiveWindowMax {
@@ -536,13 +612,13 @@ func runTransport(gen stream.Generator, cfg Config, parts []core.Partitioner, li
 					}
 					if used[w] == len(open[w]) {
 						// Current grant exhausted: commit it and reserve the
-						// next stretch of ring space, spinning while the
-						// link is full (same backpressure as SendSlab).
+						// next stretch of ring space, parked while the link
+						// is full until the bolt releases some (same
+						// backpressure as SendSlab).
 						if used[w] > 0 {
 							g.Publish(used[w])
 							used[w] = 0
 						}
-						gspins := 0
 						for {
 							if open[w] = g.Grant(n - i); open[w] != nil {
 								break
@@ -550,8 +626,11 @@ func runTransport(gen stream.Generator, cfg Config, parts []core.Partitioner, li
 							if failed() {
 								break
 							}
-							backoff(&gspins)
+							if park.Idle() {
+								pt.addSpoutPark(s)
+							}
 						}
+						park.Reset()
 						if open[w] == nil {
 							break
 						}
@@ -583,10 +662,10 @@ func runTransport(gen stream.Generator, cfg Config, parts []core.Partitioner, li
 		reduceWG.Wait()
 		total = time.Since(start)
 	}
-	if tcp != nil {
-		fail(tcp.Err())
+	if f, ok := fabric.(interface{ Err() error }); ok {
+		fail(f.Err()) // TCP, or Chaos forwarding its inner transport's
 	}
-	if chaos != nil && cfg.OnFaultStats != nil {
+	if chaos, ok := fabric.(*transport.Chaos); ok && cfg.OnFaultStats != nil {
 		cfg.OnFaultStats(chaos.Stats())
 	}
 	if p := firstErr.Load(); p != nil {

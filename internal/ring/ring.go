@@ -30,6 +30,15 @@
 // those slots (sync/atomic operations are sequentially consistent and
 // establish happens-before), so the race detector and every supported
 // platform see a correctly synchronized queue.
+//
+// Every operation is non-blocking. A side that finds the ring empty (or
+// full) waits on a Parker (parker.go) it registered with
+// SetConsumerWaiter (SetProducerWaiter): Publish and Close wake the
+// consumer's, Release wakes the producer's, each right after its atomic
+// store, so "arm, re-poll, park" on the waiting side cannot miss it. One
+// Parker can be registered on many rings. A ring with no waiter
+// registered pays a nil check per Publish/Release and its owner polls
+// however it likes.
 package ring
 
 import (
@@ -49,9 +58,12 @@ const cacheLine = 64
 // necessarily different — the consumer methods (TryPop, Acquire,
 // Release, Drained).
 type SPSC[T any] struct {
-	// Shared, read-only after New: no false sharing with the counters.
+	// Shared, read-mostly after set-up: no false sharing with the counters.
 	buf  []T
 	mask uint64
+	// Optional wake hooks, nil unless a side parks (see Parker).
+	consumerWaiter atomic.Pointer[Parker]
+	producerWaiter atomic.Pointer[Parker]
 
 	_ [cacheLine]byte
 	// Producer-owned line: tail is where the producer publishes, cachedHead
@@ -83,6 +95,24 @@ func New[T any](capacity int) *SPSC[T] {
 	return &SPSC[T]{buf: make([]T, c), mask: c - 1}
 }
 
+// SetConsumerWaiter registers the Parker that Publish, TryPush and Close
+// wake. It belongs to the ring's consumer, who may share it across all
+// the rings it drains.
+func (q *SPSC[T]) SetConsumerWaiter(p *Parker) { q.consumerWaiter.Store(p) }
+
+// SetProducerWaiter registers the Parker that Release, TryPop and Close
+// wake. It belongs to the ring's producer.
+func (q *SPSC[T]) SetProducerWaiter(p *Parker) { q.producerWaiter.Store(p) }
+
+// ProducerWaiter returns the registered producer Parker, or nil.
+func (q *SPSC[T]) ProducerWaiter() *Parker { return q.producerWaiter.Load() }
+
+func wake(w *atomic.Pointer[Parker]) {
+	if p := w.Load(); p != nil {
+		p.Wake()
+	}
+}
+
 // Cap returns the ring's capacity.
 func (q *SPSC[T]) Cap() int { return len(q.buf) }
 
@@ -106,6 +136,7 @@ func (q *SPSC[T]) TryPush(v T) bool {
 	}
 	q.buf[t&q.mask] = v
 	q.tail.Store(t + 1)
+	wake(&q.consumerWaiter)
 	return true
 }
 
@@ -141,13 +172,26 @@ func (q *SPSC[T]) Grant(max int) []T {
 func (q *SPSC[T]) Publish(n int) {
 	if n > 0 {
 		q.tail.Store(q.tail.Load() + uint64(n))
+		wake(&q.consumerWaiter)
 	}
 }
 
 // Close marks the producer done. The consumer drains what remains and
 // then observes Drained. Push after Close is a caller bug (slots are
-// still accepted; the consumer may or may not see them).
-func (q *SPSC[T]) Close() { q.closed.Store(true) }
+// still accepted; the consumer may or may not see them). Close wakes
+// both registered waiters, and a transport tearing a link down may call
+// it from a third goroutine: the flag is atomic, and only a Close
+// ordered after the producer's last Publish promises the consumer every
+// item.
+func (q *SPSC[T]) Close() {
+	q.closed.Store(true)
+	wake(&q.consumerWaiter)
+	wake(&q.producerWaiter)
+}
+
+// Closed reports whether Close was called: a producer waiting for space
+// uses it to give up on a ring that was torn down under it.
+func (q *SPSC[T]) Closed() bool { return q.closed.Load() }
 
 // ---------------------------------------------------------------------------
 // Consumer side
@@ -165,6 +209,7 @@ func (q *SPSC[T]) TryPop() (T, bool) {
 	}
 	v := q.buf[h&q.mask]
 	q.head.Store(h + 1)
+	wake(&q.producerWaiter)
 	return v, true
 }
 
@@ -199,6 +244,7 @@ func (q *SPSC[T]) Acquire(max int) []T {
 func (q *SPSC[T]) Release(n int) {
 	if n > 0 {
 		q.head.Store(q.head.Load() + uint64(n))
+		wake(&q.producerWaiter)
 	}
 }
 

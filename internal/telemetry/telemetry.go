@@ -228,12 +228,16 @@ func seriesID(name string, labels []Label) (string, []Label) {
 	return b.String(), ls
 }
 
+// lookup returns the series for (name, labels), creating it on first
+// use, with r.mu locked — which it leaves locked: the caller fills in
+// the series' value holder and unlocks, so a concurrent Snapshot never
+// meets a series without one.
 func (r *Registry) lookup(name string, labels []Label, kind Kind) *series {
 	id, ls := seriesID(name, labels)
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	if s, ok := r.byID[id]; ok {
 		if s.kind != kind {
+			r.mu.Unlock()
 			panic(fmt.Sprintf("telemetry: %s registered as %s, requested as %s", id, s.kind, kind))
 		}
 		return s
@@ -248,7 +252,6 @@ func (r *Registry) lookup(name string, labels []Label, kind Kind) *series {
 // use. The same arguments always return the same handle.
 func (r *Registry) Counter(name string, labels ...Label) *Counter {
 	s := r.lookup(name, labels, KindCounter)
-	r.mu.Lock()
 	defer r.mu.Unlock()
 	if s.counter == nil {
 		s.counter = &Counter{}
@@ -259,7 +262,6 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 // Gauge returns the gauge for (name, labels), creating it on first use.
 func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 	s := r.lookup(name, labels, KindGauge)
-	r.mu.Lock()
 	defer r.mu.Unlock()
 	if s.fn != nil {
 		panic("telemetry: " + name + " already registered as GaugeFunc")
@@ -280,7 +282,6 @@ func (r *Registry) GaugeFunc(name string, fn func() float64, labels ...Label) {
 		panic("telemetry: nil GaugeFunc for " + name)
 	}
 	s := r.lookup(name, labels, KindGauge)
-	r.mu.Lock()
 	defer r.mu.Unlock()
 	if s.gauge != nil {
 		panic("telemetry: " + name + " already registered as Gauge")
@@ -301,7 +302,6 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Hi
 		}
 	}
 	s := r.lookup(name, labels, KindHistogram)
-	r.mu.Lock()
 	defer r.mu.Unlock()
 	if s.hist == nil {
 		b := make([]float64, len(bounds))

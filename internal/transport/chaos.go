@@ -155,6 +155,8 @@ func (c *Chaos) Open(name string, capacity int) (*Link, error) {
 			Sender:   &chaosSender{inner: inner.Sender, st: c.st, name: name},
 			Receiver: inner.Receiver,
 			err:      inner.err,
+			recv:     inner.recv,
+			send:     inner.send,
 		}
 	}
 	c.links[name] = l

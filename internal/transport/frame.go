@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"unsafe"
 )
 
@@ -123,9 +124,9 @@ type Encoder struct {
 	// dict is keyed by the message DIGEST, not the key string: the
 	// dataplane's canonical key identity is hashing.KeyDigest (every
 	// aggregation table is keyed by it), so the codec adopting the same
-	// identity adds no new collision surface — and a uint64 map lookup
+	// identity adds no new collision surface — and a uint64 probe
 	// costs a fraction of hashing the key bytes per message.
-	dict       map[uint64]uint32
+	dict       encDict
 	epoch      uint64
 	forceReset bool
 	stats      EncoderStats
@@ -149,12 +150,9 @@ func (e *Encoder) ResetEpoch() { e.forceReset = true }
 // across calls) so the length prefix can be written first. If the
 // dictionary is at capacity the frame starts a new epoch (fReset).
 func (e *Encoder) AppendFrame(dst []byte, msgs []Msg) []byte {
-	if e.dict == nil {
-		e.dict = make(map[uint64]uint32, 1024)
-	}
 	var flags byte
-	if e.forceReset || len(e.dict) >= frameDictMax {
-		clear(e.dict)
+	if e.forceReset || e.dict.n >= frameDictMax {
+		e.dict.clear()
 		e.epoch++
 		e.stats.Resets++
 		e.forceReset = false
@@ -208,10 +206,8 @@ func (e *Encoder) AppendFrame(dst []byte, msgs []Msg) []byte {
 	numNew := 0
 	for i := range msgs {
 		m := &msgs[i]
-		id, ok := e.dict[m.Dig]
+		id, ok := e.dict.lookupOrAdd(m.Dig)
 		if !ok {
-			id = uint32(len(e.dict))
-			e.dict[m.Dig] = id
 			numNew++
 			e.stats.News++
 			nb = binary.AppendUvarint(nb, uint64(len(m.Key)))
@@ -292,6 +288,77 @@ func (e *Encoder) AppendFrame(dst []byte, msgs []Msg) []byte {
 	e.buf = b
 	dst = binary.AppendUvarint(dst, uint64(len(b)))
 	return append(dst, b...)
+}
+
+// encDict is the encoder's digest → dense-id table: open addressing
+// with linear probing over power-of-two slots, ids handed out in
+// insertion order (0, 1, 2, … — the order the decoder appends them in).
+// The digest is already a hash, so a multiply-shift spreads it; the
+// multiply keeps structured digests (tests, adversarial peers) from
+// piling onto one probe run. It grows by doubling at ¾ load, so a link
+// that carries few distinct keys stays at the 16 KiB it starts with and
+// a full epoch (frameDictMax ids plus one slab's overshoot) tops out at
+// 64 Ki slots. clear keeps the slots for the next epoch, as the map it
+// replaced kept its buckets.
+type encDict struct {
+	slots []encSlot // len is 0 or a power of two
+	shift uint      // 64 - log2(len(slots))
+	n     int       // ids handed out this epoch
+}
+
+// encSlot holds id+1 so the zero slot is empty and digest 0 is a key.
+type encSlot struct {
+	dig  uint64
+	idp1 uint32
+}
+
+const encDictMinSlots = 1024
+
+func (d *encDict) home(dig uint64) uint64 {
+	return (dig * 0x9e3779b97f4a7c15) >> d.shift
+}
+
+// lookupOrAdd returns dig's id and whether it was already present; a
+// new digest gets the next id.
+func (d *encDict) lookupOrAdd(dig uint64) (id uint32, ok bool) {
+	if 4*(d.n+1) > 3*len(d.slots) {
+		d.grow()
+	}
+	mask := uint64(len(d.slots) - 1)
+	for i := d.home(dig); ; i = (i + 1) & mask {
+		s := &d.slots[i]
+		if s.idp1 == 0 {
+			s.dig, s.idp1 = dig, uint32(d.n)+1
+			d.n++
+			return s.idp1 - 1, false
+		}
+		if s.dig == dig {
+			return s.idp1 - 1, true
+		}
+	}
+}
+
+func (d *encDict) grow() {
+	old := d.slots
+	size := max(encDictMinSlots, 2*len(old))
+	d.slots = make([]encSlot, size)
+	d.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	mask := uint64(size - 1)
+	for _, s := range old {
+		if s.idp1 == 0 {
+			continue
+		}
+		i := d.home(s.dig)
+		for d.slots[i].idp1 != 0 {
+			i = (i + 1) & mask
+		}
+		d.slots[i] = s
+	}
+}
+
+func (d *encDict) clear() {
+	clear(d.slots)
+	d.n = 0
 }
 
 type dictEntry struct {

@@ -349,3 +349,41 @@ func FuzzFrameDecode(f *testing.F) {
 		_, _ = wdec.DecodeFrame(payload, nil)
 	})
 }
+
+// TestEncDictMatchesMap checks the encoder's open-addressing dictionary
+// against the map it replaced: ids in insertion order across growth and
+// epoch clears, for mixed digests and for ones built to collide in
+// their low or high bits (digest 0 included).
+func TestEncDictMatchesMap(t *testing.T) {
+	streams := map[string]func(i int) uint64{
+		"mixed":     func(i int) uint64 { return mix64(uint64(i % 40_000)) },
+		"small":     func(i int) uint64 { return uint64(i % 40_000) },
+		"low-zero":  func(i int) uint64 { return uint64(i%40_000) << 40 },
+		"high-only": func(i int) uint64 { return uint64(i%40_000) << 52 },
+	}
+	for name, dig := range streams {
+		t.Run(name, func(t *testing.T) {
+			var d encDict
+			ref := make(map[uint64]uint32)
+			for i := 0; i < 100_000; i++ {
+				if d.n >= frameDictMax {
+					d.clear()
+					clear(ref)
+				}
+				k := dig(i)
+				want, seen := ref[k]
+				if !seen {
+					want = uint32(len(ref))
+					ref[k] = want
+				}
+				got, ok := d.lookupOrAdd(k)
+				if got != want || ok != seen {
+					t.Fatalf("step %d digest %#x: got id %d present=%v, want id %d present=%v", i, k, got, ok, want, seen)
+				}
+			}
+			if len(d.slots) > 2*frameDictMax {
+				t.Fatalf("table grew to %d slots for at most %d ids", len(d.slots), frameDictMax)
+			}
+		})
+	}
+}

@@ -1,9 +1,7 @@
 package transport
 
 import (
-	"runtime"
 	"sync"
-	"time"
 
 	"slb/internal/ring"
 )
@@ -37,18 +35,19 @@ func (t *Memory) Open(name string, capacity int) (*Link, error) {
 		capacity = 2
 	}
 	r := ring.New[Msg](capacity)
-	l := &Link{Name: name, Sender: (*memSender)(r), Receiver: (*memReceiver)(r)}
+	l := &Link{Name: name, Sender: (*memSender)(r), Receiver: (*memReceiver)(r), recv: r, send: r}
 	t.links[name] = l
 	return l, nil
 }
 
-// Close implements Transport. Any still-open senders are closed so
-// stuck receivers observe done.
+// Close implements Transport. Every ring is closed, which wakes both
+// of its waiters: a parked receiver drains and observes done, a sender
+// parked on a full link returns ErrClosed.
 func (t *Memory) Close() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, l := range t.links {
-		l.Sender.(*memSender).ring().Close()
+		l.recv.Close()
 	}
 	t.links = make(map[string]*Link)
 	return nil
@@ -58,20 +57,33 @@ type memSender ring.SPSC[Msg]
 
 func (s *memSender) ring() *ring.SPSC[Msg] { return (*ring.SPSC[Msg])(s) }
 
-// SendSlab copies msgs into the ring, spinning (Gosched, then brief
-// sleeps) while it is full — identical to the direct ring plane's
-// producer backoff, so a full link applies backpressure rather than
-// dropping or growing.
+// SendSlab copies msgs into the ring. A full link applies backpressure
+// rather than dropping or growing: the sender yields a few times, then
+// parks on the ring's producer Parker (the one Link.SetSendWaiter
+// registered, else one made here) until the receiver's Release wakes
+// it. It fails only if the ring is closed under it (Memory.Close).
 func (s *memSender) SendSlab(msgs []Msg) error {
 	r := s.ring()
-	spins := 0
+	var p *ring.Parker
 	for len(msgs) > 0 {
 		dst := r.Grant(len(msgs))
 		if dst == nil {
-			backoff(&spins)
+			if p == nil {
+				if p = r.ProducerWaiter(); p == nil {
+					p = ring.NewParker()
+					r.SetProducerWaiter(p)
+				}
+			}
+			if r.Closed() {
+				p.Reset()
+				return ErrClosed
+			}
+			p.Idle()
 			continue
 		}
-		spins = 0
+		if p != nil {
+			p.Reset()
+		}
 		copy(dst, msgs)
 		r.Publish(len(dst))
 		msgs = msgs[len(dst):]
@@ -109,17 +121,4 @@ func (c *memReceiver) RecvSlab(buf []Msg) (int, bool) {
 	n := copy(buf, src)
 	r.Release(n)
 	return n, false
-}
-
-// backoff yields politely while a link is full (producer side) — the
-// same two-phase policy as the ring dataplane: cheap Gosched first so
-// a momentarily busy peer costs almost nothing, short sleeps once the
-// stall is real.
-func backoff(spins *int) {
-	*spins++
-	if *spins < 64 {
-		runtime.Gosched()
-		return
-	}
-	time.Sleep(20 * time.Microsecond)
 }

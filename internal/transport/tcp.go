@@ -63,7 +63,9 @@ const finMarker = 0
 // retransmission timer quiet.
 //
 // The receive side still lands in an SPSC ring through a reusable key
-// arena, so the consumer polls it exactly like the memory backend.
+// arena, so the consumer reads (and waits on) it exactly like the
+// memory backend; the serving goroutine is that ring's producer and
+// parks on its own Parker while the ring is full.
 type TCP struct {
 	reg   *telemetry.Registry
 	cfg   TCPConfig
@@ -129,8 +131,9 @@ func (t *TCP) fail(err error) {
 
 // failLink records a hard, unrecoverable error against one link: the
 // link's shared error slot poisons its sender, the transport-level Err
-// aggregates it, and the receive ring closes so the consumer drains
-// and observes done instead of waiting for frames that cannot arrive.
+// aggregates it, and the receive ring closes — waking a parked consumer
+// (and a serve parked on the full ring) — so the consumer drains and
+// observes done instead of waiting for frames that cannot arrive.
 // Sibling links are untouched.
 func (t *TCP) failLink(rs *tcpRecvState, err error) {
 	rs.lerr.CompareAndSwap(nil, &err)
@@ -169,10 +172,12 @@ func (t *TCP) Open(name string, capacity int) (*Link, error) {
 		ring:    r,
 		st:      st,
 		lerr:    lerr,
+		park:    ring.NewParker(),
 		nextSeq: 1,
 		payload: make([]byte, 0, coalesceBytes),
 		slab:    make([]Msg, 0, 512),
 	}
+	r.SetProducerWaiter(rs.park)
 	t.recvs[name] = rs
 	t.mu.Unlock()
 
@@ -188,7 +193,7 @@ func (t *TCP) Open(name string, capacity int) (*Link, error) {
 	go s.ackLoop(sc)
 	go s.writeLoop(sc)
 
-	l := &Link{Name: name, Sender: s, Receiver: (*memReceiver)(r), err: lerr}
+	l := &Link{Name: name, Sender: s, Receiver: (*memReceiver)(r), err: lerr, recv: r}
 	t.mu.Lock()
 	t.links[name] = l
 	t.senders = append(t.senders, s)
@@ -196,7 +201,10 @@ func (t *TCP) Open(name string, capacity int) (*Link, error) {
 	return l, nil
 }
 
-// Close implements Transport.
+// Close implements Transport. Closing every receive ring first wakes
+// whoever is parked on one: a serve goroutine waiting for space sees
+// the closed transport and returns, and a consumer whose sender never
+// closed drains what arrived and observes done.
 func (t *TCP) Close() error {
 	if t.closed.Swap(true) {
 		return nil
@@ -206,6 +214,9 @@ func (t *TCP) Close() error {
 	conns := t.conns
 	t.conns = nil
 	senders := t.senders
+	for _, rs := range t.recvs {
+		rs.ring.Close()
+	}
 	t.mu.Unlock()
 	for _, s := range senders {
 		s.shutdown()
@@ -240,6 +251,7 @@ func (t *TCP) accept() {
 type tcpRecvState struct {
 	name   string
 	ring   *ring.SPSC[Msg]
+	park   *ring.Parker // serve's wait for ring space; the ring's producer waiter
 	st     *linkStats
 	lerr   *atomic.Pointer[error] // shared with the sender; first hard error
 	sender *tcpSender             // guarded by TCP.mu
@@ -329,6 +341,7 @@ func (t *TCP) serve(conn net.Conn) {
 	// frames the receiver already holds.
 	ackedOut = rs.nextSeq - 1
 	writeAck(ackedOut)
+	beat := t.cfg.ResendTimeout / 4
 	for connOK {
 		if br.Buffered() == 0 || sinceAck >= ackEveryBytes {
 			flushAck()
@@ -416,16 +429,17 @@ func (t *TCP) serve(conn net.Conn) {
 		// spurious resends. Acks mean "received", not "consumed".
 		rs.nextSeq++
 		rem := slab
-		spins := 0
+		stalled := false
 		var lastBeat time.Time
 		for len(rem) > 0 {
 			dst := rs.ring.Grant(len(rem))
 			if dst == nil {
-				if spins == 0 {
+				if !stalled {
+					stalled = true
 					st.addStall()
 					flushAck()
 					lastBeat = time.Now()
-				} else if connOK && time.Since(lastBeat) > t.cfg.ResendTimeout/4 {
+				} else if connOK && time.Since(lastBeat) >= beat {
 					// Keepalive re-ack while the ring backpressures:
 					// any ack record counts as liveness on the sender
 					// side, so the RTO only fires for real loss.
@@ -433,12 +447,18 @@ func (t *TCP) serve(conn net.Conn) {
 					lastBeat = time.Now()
 				}
 				if t.closed.Load() || rs.lerr.Load() != nil {
+					rs.park.Reset()
 					return
 				}
-				backoff(&spins)
+				// Parked until the consumer's Release (or a Close) wakes
+				// it, but never past the next keepalive.
+				rs.park.IdleTimeout(beat)
 				continue
 			}
-			spins = 0
+			if stalled {
+				stalled = false
+				rs.park.Reset()
+			}
 			copy(dst, rem)
 			rs.ring.Publish(len(dst))
 			rem = rem[len(dst):]

@@ -24,17 +24,22 @@
 //
 // Links are single-producer single-consumer: exactly one goroutine
 // sends on a link's Sender and exactly one receives on its Receiver.
-// SendSlab copies the slab in (possibly blocking while the link is
-// full); Flush pushes any coalesced bytes toward the peer — for the
-// TCP backend it hands them to the writer stage and returns without
+// SendSlab copies the slab in (parking the sender while the link is
+// full, until the receiver frees space); Flush pushes any coalesced
+// bytes toward the peer — for the TCP backend it hands them to the writer stage and returns without
 // waiting for the kernel (per-link ordering is preserved, and write
 // errors surface on a later SendSlab/Flush/Close); for the memory
 // backend it is a no-op, sends being immediately visible. Close marks
 // the producer side done; after the receiver drains every in-flight
 // message, RecvSlab reports done. RecvSlab is non-blocking — it
 // returns 0 when no messages are ready — because consumers multiplex
-// many links round-robin, exactly like the ring dataplane's bolts.
-// Message order is preserved per link; nothing is dropped.
+// many links round-robin. A consumer that finds all of them empty does
+// not poll: it registers one ring.Parker on every link it drains
+// (Link.SetRecvWaiter) and parks on it; a link wakes its waiter whenever
+// messages are published, the producer closes, or the link fails or is
+// torn down (Link.SetSendWaiter is the mirror for a producer that fills
+// granted slots itself). Message order is preserved per link; nothing
+// is dropped.
 //
 // # Delivery under faults
 //
@@ -67,6 +72,8 @@ package transport
 import (
 	"errors"
 	"sync/atomic"
+
+	"slb/internal/ring"
 )
 
 // Msg is the one tuple shape that crosses links. The dataplane maps
@@ -91,9 +98,10 @@ type Msg struct {
 
 // Sender is the producer end of one link.
 type Sender interface {
-	// SendSlab copies the slab onto the link, blocking while the link
-	// is full. It returns an error only when the link is broken (peer
-	// gone, connection failed); the memory backend never fails.
+	// SendSlab copies the slab onto the link. While the link is full
+	// the caller is parked, not spinning: it resumes when the receiver
+	// frees space, or with an error when the link is broken or torn
+	// down (peer gone, connection failed, transport closed).
 	SendSlab(msgs []Msg) error
 	// Flush forces any coalesced bytes out to the peer.
 	Flush() error
@@ -120,8 +128,9 @@ type SlabGranter interface {
 type Receiver interface {
 	// RecvSlab copies up to len(buf) ready messages into buf and
 	// returns how many. It never blocks: n == 0 means nothing is ready
-	// right now. done reports that the producer closed AND every
-	// message has been received; once done, n is always 0.
+	// right now (to wait for more, park on Link.SetRecvWaiter's Parker).
+	// done reports that the producer closed AND every message has been
+	// received; once done, n is always 0.
 	RecvSlab(buf []Msg) (n int, done bool)
 }
 
@@ -134,6 +143,31 @@ type Link struct {
 	// err is the link-scoped first hard error (TCP backend); nil for
 	// backends that cannot fail per-link.
 	err *atomic.Pointer[error]
+
+	// recv is the ring the Receiver drains (both backends deliver
+	// through one); send is the ring the Sender fills directly — the
+	// same ring in process, nil over TCP, whose sender waits on its
+	// buffer pool instead.
+	recv, send *ring.SPSC[Msg]
+}
+
+// SetRecvWaiter registers the receiving goroutine's Parker: the link
+// wakes it whenever RecvSlab may have something new to report —
+// messages published, producer closed, link failed or torn down. A
+// consumer multiplexing many links registers the same Parker on each,
+// polls them all, and calls Parker.Idle when none progressed. Call it
+// before the goroutines start.
+func (l *Link) SetRecvWaiter(p *ring.Parker) { l.recv.SetConsumerWaiter(p) }
+
+// SetSendWaiter registers the sending goroutine's Parker: the link wakes
+// it whenever the receiver frees space. SendSlab parks on it when the
+// link is full, and so can a SlabGranter caller whose Grant returned
+// nil. Without one, SendSlab makes its own on first need. Over TCP it is
+// a no-op: that sender never spins, it blocks on its buffer pool.
+func (l *Link) SetSendWaiter(p *ring.Parker) {
+	if l.send != nil {
+		l.send.SetProducerWaiter(p)
+	}
 }
 
 // Err reports the link's first hard delivery error, if any. Errors are

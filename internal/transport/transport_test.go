@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"slb/internal/ring"
 	"slb/internal/telemetry"
 )
 
@@ -339,16 +340,17 @@ func benchLink(b *testing.B, l *Link) {
 		l.Sender.Close()
 	}()
 	recv := make([]Msg, 512)
-	spins := 0
+	park := ring.NewParker()
+	l.SetRecvWaiter(park)
 	for {
 		n, done := l.RecvSlab(recv)
 		if done {
 			break
 		}
 		if n == 0 {
-			backoff(&spins)
+			park.Idle()
 		} else {
-			spins = 0
+			park.Reset()
 		}
 	}
 	b.StopTimer()
