@@ -74,10 +74,12 @@ type KeyDigest = hashing.KeyDigest
 // aggregation traffic from workers to the reducer. Worker identifies
 // the producing worker so the reducer can account distinct
 // (window, key, worker) state replicas exactly, independent of how
-// many flush fragments the worker emitted. Count is always the number
-// of source messages folded in (the reducer's completeness currency);
-// Val is the merger's typed state for those messages (equal to Count
-// under CountMerger).
+// many flush fragments the worker emitted: merging the partial sets the
+// worker's bit in the (window, key) slot it lands in (see Reducer).
+// Worker < 0 (CombinedWorker) marks a pre-merged partial whose worker
+// identities are gone. Count is always the number of source messages
+// folded in (the reducer's completeness currency); Val is the merger's
+// typed state for those messages (equal to Count under CountMerger).
 type Partial struct {
 	Window int64
 	Digest KeyDigest
@@ -88,8 +90,9 @@ type Partial struct {
 }
 
 // WindowKeyID condenses (window, key digest) into one 64-bit identity
-// for per-window replica accounting (metrics.DigestReplicas): two mixes
-// of independent inputs, colliding only at hash-collision rates.
+// for the map-based replica tracker (metrics.DigestReplicas, used where
+// the reducer's slot cannot count — see Driver): two mixes of
+// independent inputs, colliding only at hash-collision rates.
 func WindowKeyID(window int64, dg KeyDigest) uint64 {
 	return hashing.Mix64(dg) ^ hashing.Mix64(KeyDigest(uint64(window)*0x9e3779b97f4a7c15+1))
 }
@@ -113,12 +116,16 @@ type Final struct {
 
 // slot is one open-addressing entry; Count == 0 marks an empty slot
 // (live entries always have Count ≥ 1). val is the merger state,
-// updated by the caller after add returns the slot.
+// updated by the caller after add returns the slot. seen is the
+// reducer's replica accounting — the bitset of workers whose partials
+// merged into this (window, key) — and stays zero in worker-side and
+// combiner tables.
 type slot struct {
 	dig   KeyDigest
 	count int64
 	val   Value
 	key   string
+	seen  uint64
 }
 
 // table is a growable open-addressing digest → count map with linear
@@ -147,7 +154,7 @@ func (t *table) add(dg KeyDigest, key string, n int64) *slot {
 	for {
 		s := &t.slots[i]
 		if s.count == 0 {
-			s.dig, s.key, s.count, s.val = dg, key, n, Value{}
+			s.dig, s.key, s.count, s.val, s.seen = dg, key, n, Value{}, 0
 			t.used++
 			if 4*t.used >= 3*len(t.slots) {
 				t.grow()
@@ -396,7 +403,8 @@ type ReducerStats struct {
 	// traffic. At least one per (window, key, worker) pair that held
 	// state, plus any flush fragments (a worker re-opening an already
 	// flushed window emits a second partial for it). For the exact
-	// state-replica count use metrics.DigestReplicas (Driver.Replication).
+	// state-replica count — distinct workers per (window, key), fragments
+	// not recounted — use Driver.Replication.
 	Partials int64
 	// Merges counts partials that hit an existing entry (Partials −
 	// first-arrivals): the extra merge work replication causes.
@@ -424,7 +432,7 @@ type ReducerStats struct {
 // up to n for W-Choices); under concurrent engines it additionally
 // counts flush fragments and late corrections, so it upper-bounds the
 // state replication the engines measure exactly via
-// metrics.DigestReplicas. 0 before any window closed.
+// Driver.Replication. 0 before any window closed.
 func (s ReducerStats) ReplicationFactor() float64 {
 	if s.Finals == 0 {
 		return 0
@@ -432,22 +440,86 @@ func (s ReducerStats) ReplicationFactor() float64 {
 	return float64(s.Partials) / float64(s.Finals)
 }
 
+// closedSet records exactly which window ids a reducer has finalized: a
+// contiguous run [lo, hi) of closed ids plus the set of closed ids
+// outside it. Windows close in (nearly) id order, so the run absorbs
+// them and the set holds only out-of-order stragglers — O(open windows)
+// rather than one entry per window ever closed. An id the reducer never
+// sees is never closed, so it pins hi and its successors stay in the
+// set.
+type closedSet struct {
+	lo, hi int64 // every id in [lo, hi) is closed; empty while lo == hi
+	rest   map[int64]struct{}
+}
+
+func (c *closedSet) has(w int64) bool {
+	if w >= c.lo && w < c.hi {
+		return true
+	}
+	if len(c.rest) == 0 {
+		return false
+	}
+	_, ok := c.rest[w]
+	return ok
+}
+
+func (c *closedSet) add(w int64) {
+	switch {
+	case c.has(w): // a late partial re-opened it; closed again
+		return
+	case c.lo == c.hi:
+		c.lo, c.hi = w, w+1
+	case w == c.hi:
+		c.hi++
+	default:
+		if c.rest == nil {
+			c.rest = make(map[int64]struct{})
+		}
+		c.rest[w] = struct{}{}
+		return
+	}
+	for len(c.rest) > 0 {
+		if _, ok := c.rest[c.hi]; !ok {
+			break
+		}
+		delete(c.rest, c.hi)
+		c.hi++
+	}
+}
+
 // Reducer merges partials into finals. One instance represents the
 // aggregation stage; it is not safe for concurrent use (the engines
 // funnel partial slabs through a single reducer executor, which is the
 // paper's model of the aggregation bottleneck).
+//
+// Replica accounting rides on the merge: the slot a partial lands in
+// carries the bitset of workers seen for that (window, key), so a new
+// bit is one more (window, key, worker) state replica and a slot's
+// first bit one more replicated (window, key). Counts are cumulative;
+// the bitset goes with the window's table when the window closes, so a
+// late partial that re-opens a closed window counts as a fresh key.
 type Reducer struct {
 	m      Merger
 	pool   tablePool
-	live   int                // live entries across open windows
-	closed map[int64]struct{} // ids already finalized (windows may close out of order)
+	live   int       // live entries across open windows
+	closed closedSet // ids already finalized (windows may close out of order)
 	stats  ReducerStats
 
-	// liveA/openA mirror live and len(pool.open) into atomics, updated
+	// slotWorkers bounds the in-slot accounting: partials of workers
+	// [0, slotWorkers) are counted, at most 64 (one word per slot); 0
+	// counts nothing.
+	slotWorkers int32
+	pairs       int64   // distinct (window, key, worker) triples counted in slots
+	keys        int64   // distinct (window, key) holding at least one counted worker
+	runs        []int64 // scratch: the window of each run of the last Merge
+
+	// Atomic mirrors of live, len(pool.open), pairs and keys, updated
 	// once per Merge/close call, so a telemetry snapshot goroutine can
 	// read the reducer's occupancy while the owning goroutine merges.
-	liveA atomic.Int64
-	openA atomic.Int64
+	liveA  atomic.Int64
+	openA  atomic.Int64
+	pairsA atomic.Int64
+	keysA  atomic.Int64
 }
 
 // NewReducer returns an empty counting reducer.
@@ -462,34 +534,70 @@ func NewReducerMerger(m Merger) *Reducer {
 	if m == nil {
 		m = CountMerger
 	}
-	return &Reducer{m: m, pool: newTablePool(), closed: make(map[int64]struct{})}
+	return &Reducer{m: m, pool: newTablePool()}
 }
 
-// Merge folds a slab of partials into the reducer's open windows.
+// maxSlotWorkers is the widest worker set a slot's one-word bitset
+// counts.
+const maxSlotWorkers = 64
+
+// Merge folds a slab of partials into the reducer's open windows. The
+// window's table and closed-state are resolved once per RUN of
+// same-window partials (a flushed slab is a few long runs), not once
+// per partial.
 func (r *Reducer) Merge(ps []Partial) {
-	for i := range ps {
-		p := &ps[i]
-		if _, done := r.closed[p.Window]; done {
-			r.stats.Late++
+	r.runs = r.runs[:0]
+	for i := 0; i < len(ps); {
+		w := ps[i].Window
+		j := i + 1
+		for j < len(ps) && ps[j].Window == w {
+			j++
 		}
-		t, created := r.pool.get(p.Window)
-		if created && len(r.pool.open) > r.stats.PeakWindows {
-			r.stats.PeakWindows = len(r.pool.open)
-		}
-		before := t.used
-		r.m.Combine(&t.add(p.Digest, p.Key, p.Count).val, p.Val)
-		r.stats.Partials++
-		if t.used == before {
-			r.stats.Merges++
-		} else {
-			r.live++
-			if r.live > r.stats.PeakEntries {
-				r.stats.PeakEntries = r.live
-			}
-		}
+		r.mergeRun(w, ps[i:j])
+		r.runs = append(r.runs, w)
+		i = j
+	}
+	// live only grows inside Merge, so its value here is the slab's peak.
+	if r.live > r.stats.PeakEntries {
+		r.stats.PeakEntries = r.live
 	}
 	r.liveA.Store(int64(r.live))
 	r.openA.Store(int64(len(r.pool.open)))
+	r.pairsA.Store(r.pairs)
+	r.keysA.Store(r.keys)
+}
+
+// mergeRun folds partials that all belong to window w.
+func (r *Reducer) mergeRun(w int64, run []Partial) {
+	if r.closed.has(w) {
+		r.stats.Late += int64(len(run))
+	}
+	t, created := r.pool.get(w)
+	if created && len(r.pool.open) > r.stats.PeakWindows {
+		r.stats.PeakWindows = len(r.pool.open)
+	}
+	before := t.used
+	for i := range run {
+		p := &run[i]
+		s := t.add(p.Digest, p.Key, p.Count)
+		r.m.Combine(&s.val, p.Val)
+		if p.Worker >= 0 && r.slotWorkers > 0 {
+			if p.Worker >= r.slotWorkers {
+				panic("aggregation: partial's worker out of range")
+			}
+			if bit := uint64(1) << uint(p.Worker); s.seen&bit == 0 {
+				if s.seen == 0 {
+					r.keys++
+				}
+				s.seen |= bit
+				r.pairs++
+			}
+		}
+	}
+	added := t.used - before
+	r.stats.Partials += int64(len(run))
+	r.stats.Merges += int64(len(run) - added)
+	r.live += added
 }
 
 // WindowTotal returns the total message count merged into the given
@@ -523,7 +631,7 @@ func (r *Reducer) closeWindow(w int64, dst []Final) []Final {
 	r.stats.Finals += int64(t.used)
 	r.stats.WindowsClosed++
 	r.live -= t.used
-	r.closed[w] = struct{}{}
+	r.closed.add(w)
 	r.pool.recycle(w)
 	r.liveA.Store(int64(r.live))
 	r.openA.Store(int64(len(r.pool.open)))
@@ -576,10 +684,18 @@ func (r *Reducer) Stats() ReducerStats { return r.stats }
 // Driver
 
 // Driver is the reducer side of an engine run: it merges partial slabs,
-// accounts exact state replication (metrics.DigestReplicas keyed by
-// WindowKeyID), closes windows, and totals the finals. Both engines
-// (internal/dspe, internal/eventsim) share this policy, so it lives in
-// one place.
+// accounts exact state replication, closes windows, and totals the
+// finals. Both engines (internal/dspe, internal/eventsim) share this
+// policy, so it lives in one place.
+//
+// Replication is counted where the merge already is: with workers ≤ 64
+// a raw partial's worker bit lands in the reducer's own (window, key)
+// slot (see Reducer), at no lookup of its own. The map-based tracker
+// (metrics.DigestReplicas keyed by WindowKeyID) serves only the inputs
+// a one-word slot cannot count — workers > 64, and the combiner tree,
+// whose bolts observe (window, key, worker) triples through
+// ShardedDriver.ObserveReplica because combined partials arrive with no
+// worker left to count. Replication reports both together.
 //
 // Window close is COMPLETENESS-based, not watermark-based: every
 // tumbling window has an exactly known message count (windowSize,
@@ -596,11 +712,15 @@ func (r *Reducer) Stats() ReducerStats { return r.stats }
 type Driver struct {
 	red      *Reducer
 	reps     *metrics.DigestReplicas
-	repMu    sync.Mutex // guards reps: combiner-tree bolts observe concurrently
+	repMu    sync.Mutex  // guards reps: combiner-tree bolts observe concurrently
+	fed      atomic.Bool // reps was ever observed into; until then emit has nothing to release
 	expected func(w int64) (int64, bool)
-	total    int64
-	finals   []Final
-	ws       []int64 // scratch: distinct windows per slab
+	// retire, when set, is told each window this driver closed on
+	// completeness (the sharded stage drops the window's threshold row
+	// once every shard has).
+	retire func(w int64)
+	total  int64
+	finals []Final
 }
 
 // NewDriver returns a counting driver for an engine run of `messages`
@@ -627,11 +747,15 @@ func NewDriverMerger(workers int, windowSize, messages int64, m Merger) *Driver 
 // thresholds are counted at emission and only final once the whole
 // window has been emitted).
 func newDriverExpected(workers int, m Merger, expected func(w int64) (int64, bool)) *Driver {
-	return &Driver{
+	d := &Driver{
 		red:      NewReducerMerger(m),
 		reps:     metrics.NewDigestReplicas(workers),
 		expected: expected,
 	}
+	if workers <= maxSlotWorkers {
+		d.red.slotWorkers = int32(workers)
+	}
+	return d
 }
 
 // closedFormExpected is the unsharded threshold: every tumbling window
@@ -655,27 +779,33 @@ func (d *Driver) Merge(ps []Partial, onFinal func(Final)) {
 		return
 	}
 	d.red.Merge(ps)
-	d.ws = d.ws[:0]
-	// One lock for the whole slab: per-partial lock/unlock is measurable
-	// on planes where every partial arrives uncombined.
+	if d.red.slotWorkers == 0 {
+		d.observeRaw(ps)
+	}
+	for _, w := range d.red.runs {
+		if exp, final := d.expected(w); final && d.red.WindowTotal(w) >= exp {
+			d.emit(d.red.CloseWindow(w, d.finals[:0]), onFinal)
+			// A window closes with at least one final; none means w was not
+			// open (a second run of a window an earlier run already closed).
+			if d.retire != nil && len(d.finals) > 0 {
+				d.retire(w)
+			}
+		}
+	}
+}
+
+// observeRaw feeds the tracker the slab's raw partials: the path for
+// worker counts a slot's one-word bitset cannot hold. One lock for the
+// whole slab.
+func (d *Driver) observeRaw(ps []Partial) {
 	d.repMu.Lock()
 	for i := range ps {
-		// Combined partials (Worker < 0) merged away their worker identity;
-		// the engine already observed each constituent (window, key, worker)
-		// triple at the bolt via ShardedDriver.ObserveReplica.
 		if ps[i].Worker >= 0 {
 			d.reps.Observe(WindowKeyID(ps[i].Window, ps[i].Digest), int(ps[i].Worker))
 		}
-		if i == 0 || ps[i].Window != ps[i-1].Window {
-			d.ws = append(d.ws, ps[i].Window)
-		}
 	}
 	d.repMu.Unlock()
-	for _, w := range d.ws {
-		if exp, final := d.expected(w); final && d.red.WindowTotal(w) >= exp {
-			d.emit(d.red.CloseWindow(w, d.finals[:0]), onFinal)
-		}
-	}
+	d.fed.Store(true)
 }
 
 // Finish closes every remaining window (end of stream).
@@ -685,30 +815,38 @@ func (d *Driver) Finish(onFinal func(Final)) {
 
 func (d *Driver) emit(fs []Final, onFinal func(Final)) {
 	d.finals = fs
+	if d.fed.Load() {
+		// The windows are closed: completeness-based closing guarantees no
+		// further partial can ever arrive for these (window, key), so the
+		// tracker's bitsets for them go back to its pool — its memory
+		// follows the OPEN windows while its cumulative counts stay exact.
+		// In-slot bitsets need no release: they went with the window's
+		// table.
+		d.repMu.Lock()
+		for i := range fs {
+			d.reps.Release(WindowKeyID(fs[i].Window, fs[i].Digest))
+		}
+		d.repMu.Unlock()
+	}
 	for _, f := range fs {
 		d.total += f.Count
-		// The window is closed: completeness-based closing guarantees no
-		// further partial can ever arrive for this (window, key), so its
-		// replica bitset is released back to the pool. The accounting
-		// stays exact (Total/Keys/AvgPerKey/MaxPerKey are cumulative)
-		// while the tracker's memory follows the OPEN windows instead of
-		// the whole stream.
-		d.repMu.Lock()
-		d.reps.Release(WindowKeyID(f.Window, f.Digest))
-		d.repMu.Unlock()
 		if onFinal != nil {
 			onFinal(f)
 		}
 	}
 }
 
-// observeReplica records one (window-key id, worker) state replica.
-// Thread-safe: under the combiner tree, bolts observe the original
-// triples concurrently with the shard goroutine closing windows.
+// observeReplica records one (window-key id, worker) state replica in
+// the tracker. Thread-safe: under the combiner tree, bolts observe the
+// original triples concurrently with the shard goroutine closing
+// windows.
 func (d *Driver) observeReplica(id uint64, worker int) {
 	d.repMu.Lock()
 	d.reps.Observe(id, worker)
 	d.repMu.Unlock()
+	if !d.fed.Load() {
+		d.fed.Store(true)
+	}
 }
 
 // Stats returns the reducer's cost counters.
@@ -723,18 +861,50 @@ func (d *Driver) LiveEntries() int64 { return d.red.LiveEntries() }
 func (d *Driver) LiveWindows() int64 { return d.red.LiveWindows() }
 
 // LiveReplicas returns the number of (window, key) identities currently
-// holding a replica bitset — the replica tracker's live memory
-// footprint, which follows the open windows because completed windows
-// release their bitsets. Thread-safe (repMu).
+// holding a replica bitset. In-slot bitsets live in the reducer's own
+// entries, so this is LiveEntries; once the tracker has been fed it is
+// the tracker's live set instead. Either way it follows the open
+// windows: closing a window drops its bitsets. Thread-safe.
 func (d *Driver) LiveReplicas() int {
+	if !d.fed.Load() {
+		return int(d.red.LiveEntries())
+	}
 	d.repMu.Lock()
 	defer d.repMu.Unlock()
 	return d.reps.Live()
 }
 
+// replicas returns the cumulative replica counts, slots and tracker
+// together: distinct (window, key, worker) triples and distinct
+// (window, key). Owner-goroutine or post-join only.
+func (d *Driver) replicas() (pairs, keys int64) {
+	return d.red.pairs + d.reps.Total(), d.red.keys + int64(d.reps.Keys())
+}
+
 // Replication returns the exact measured state replication factor:
 // distinct (window, key, worker) triples per distinct (window, key).
-func (d *Driver) Replication() float64 { return d.reps.AvgPerKey() }
+func (d *Driver) Replication() float64 { return perKey(d.replicas()) }
+
+// LiveReplication is Replication as of the last Merge call, safe to
+// call concurrently with Merge (telemetry gauges poll it).
+func (d *Driver) LiveReplication() float64 {
+	pairs, keys := d.red.pairsA.Load(), d.red.keysA.Load()
+	if d.fed.Load() {
+		d.repMu.Lock()
+		pairs, keys = pairs+d.reps.Total(), keys+int64(d.reps.Keys())
+		d.repMu.Unlock()
+	}
+	return perKey(pairs, keys)
+}
+
+// perKey is the replication factor of the given counts (0 before any
+// key was observed).
+func perKey(pairs, keys int64) float64 {
+	if keys == 0 {
+		return 0
+	}
+	return float64(pairs) / float64(keys)
+}
 
 // Total returns the sum of all final counts emitted so far.
 func (d *Driver) Total() int64 { return d.total }

@@ -288,11 +288,10 @@ func BenchmarkAccumulatorWindow(b *testing.B) {
 	_ = finals
 }
 
-// TestDriverReleasesClosedWindowReplicas pins the pooled replica
-// accounting: finals carry the key digest, and the driver retires each
-// (window, key) replica bitset the moment its window closes, so the
-// tracker's live set follows the open windows while the reported
-// replication factor stays exact.
+// TestDriverReleasesClosedWindowReplicas pins the replica accounting's
+// lifetime: finals carry the key digest, and each (window, key) replica
+// bitset goes the moment its window closes, so the live set follows the
+// open windows while the reported replication factor stays exact.
 func TestDriverReleasesClosedWindowReplicas(t *testing.T) {
 	const windowSize, messages = 100, 1000
 	d := NewDriver(4, windowSize, messages)
@@ -315,7 +314,7 @@ func TestDriverReleasesClosedWindowReplicas(t *testing.T) {
 		})
 		// Every window closes on completeness, so no replica bitsets
 		// stay live after its finals are emitted.
-		if live := d.reps.Live(); live != 0 {
+		if live := d.LiveReplicas(); live != 0 {
 			t.Fatalf("window %d: %d replica bitsets still live after close", w, live)
 		}
 	}

@@ -21,11 +21,11 @@ package aggregation
 //     them, so a combined partial stands for exactly the messages of
 //     its constituents; window close thresholds are unaffected.
 //   - Replication accounting: merging erases worker identity, so a
-//     combined partial carries Worker = CombinedWorker and is skipped
-//     by the Driver's replica observation. The engines instead observe
-//     each ORIGINAL (window, key, worker) triple at the bolt, via
-//     ShardedDriver.ObserveReplica, before the partial enters the tree
-//     — same triples as the unchanged dataplane, so measured
+//     combined partial carries Worker = CombinedWorker and sets no
+//     worker bit in the reducer slot it merges into. The engines
+//     instead observe each ORIGINAL (window, key, worker) triple at the
+//     bolt, via ShardedDriver.ObserveReplica, before the partial enters
+//     the tree — same triples as the unchanged dataplane, so measured
 //     replication factors are bit-equal across dataplanes.
 //
 // CombineTable is the interior tree node (opportunistic merge, no

@@ -1,0 +1,370 @@
+package aggregation
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"slb/internal/hashing"
+	"slb/internal/metrics"
+)
+
+// replicaRun is one seeded stream of partial slabs for the differential
+// check: W tumbling windows of winSize messages each, every message
+// assigned a key and one of that key's workers, grouped into
+// (window, key, worker) partials, some split into duplicate fragments,
+// delivered in slabs that interleave a sliding set of open windows so
+// windows complete out of order.
+type replicaRun struct {
+	winSize int64
+	windows int64
+	keys    []string
+	digs    []KeyDigest
+	emits   [][]KeyDigest // per window: the digest of each emitted message
+	slabs   [][]Partial
+}
+
+func newReplicaRun(rng *rand.Rand, workers int) *replicaRun {
+	r := &replicaRun{winSize: 96, windows: 14}
+	for k := 0; k < 24; k++ {
+		key := fmt.Sprintf("key-%d", k)
+		r.keys = append(r.keys, key)
+		r.digs = append(r.digs, hashing.Digest(key))
+	}
+	type kw struct{ key, worker int }
+	queues := make([][]Partial, r.windows)
+	r.emits = make([][]KeyDigest, r.windows)
+	for w := int64(0); w < r.windows; w++ {
+		counts := map[kw]int64{}
+		var order []kw
+		for i := int64(0); i < r.winSize; i++ {
+			// Skewed key choice; each key spreads over a few workers.
+			k := int(float64(len(r.keys)) * rng.Float64() * rng.Float64())
+			spread := 1 + k%5
+			id := kw{k, (k*7 + rng.Intn(spread)*13) % workers}
+			if counts[id] == 0 {
+				order = append(order, id)
+			}
+			counts[id]++
+			r.emits[w] = append(r.emits[w], r.digs[k])
+		}
+		for _, id := range order {
+			n := counts[id]
+			// A worker that re-opens a flushed window emits fragments.
+			for n > 1 && rng.Intn(3) == 0 {
+				f := 1 + rng.Int63n(n-1)
+				queues[w] = append(queues[w], r.partial(w, id.key, id.worker, f))
+				n -= f
+			}
+			queues[w] = append(queues[w], r.partial(w, id.key, id.worker, n))
+		}
+		rng.Shuffle(len(queues[w]), func(i, j int) { queues[w][i], queues[w][j] = queues[w][j], queues[w][i] })
+	}
+	// Interleave: runs of random length from a random window among the
+	// three oldest unfinished ones, cut into slabs of random size.
+	var slab []Partial
+	lo := int64(0)
+	for lo < r.windows {
+		w := lo + rng.Int63n(3)
+		if w >= r.windows || len(queues[w]) == 0 {
+			for lo < r.windows && len(queues[lo]) == 0 {
+				lo++
+			}
+			continue
+		}
+		n := 1 + rng.Intn(9)
+		if n > len(queues[w]) {
+			n = len(queues[w])
+		}
+		slab = append(slab, queues[w][:n]...)
+		queues[w] = queues[w][n:]
+		if rng.Intn(4) == 0 {
+			r.slabs = append(r.slabs, slab)
+			slab = nil
+		}
+	}
+	if len(slab) > 0 {
+		r.slabs = append(r.slabs, slab)
+	}
+	return r
+}
+
+func (r *replicaRun) partial(w int64, key, worker int, n int64) Partial {
+	return Partial{Window: w, Digest: r.digs[key], Key: r.keys[key], Count: n, Val: Value{uint64(n)}, Worker: int32(worker)}
+}
+
+// TestReplicaAccountingMatchesTracker is the differential check of the
+// in-slot accounting: the driver, fed seeded slabs (duplicate fragments,
+// several workers per key, out-of-order window completion, a late
+// partial re-opening a closed window), must report exactly the pairs,
+// keys and Replication of a reference metrics.DigestReplicas that
+// observes every raw partial and releases every final — per shard and
+// summed, as floats with ==. Worker counts straddle the one-word slot
+// (≤ 64 counts in the slot, above it in the driver's own tracker). In
+// the mixed runs shard 0 is fed the way the combiner tree feeds it —
+// triples through ObserveReplica, partials stripped of their worker —
+// while the other shards get raw partials.
+func TestReplicaAccountingMatchesTracker(t *testing.T) {
+	for _, workers := range []int{1, 2, 63, 64, 65, 200} {
+		for _, shards := range []int{1, 3} {
+			for _, mixed := range []bool{false, true} {
+				if mixed && shards == 1 {
+					continue
+				}
+				name := fmt.Sprintf("workers=%d/shards=%d/mixed=%v", workers, shards, mixed)
+				t.Run(name, func(t *testing.T) {
+					rng := rand.New(rand.NewSource(int64(1000*workers + 10*shards)))
+					run := newReplicaRun(rng, workers)
+					sd := NewShardedDriver(workers, shards, run.winSize, run.winSize*run.windows, nil)
+					for w := range run.emits {
+						sd.ObserveEmits(int64(w)*run.winSize, run.emits[w])
+					}
+					refs := make([]*metrics.DigestReplicas, shards)
+					for r := range refs {
+						refs[r] = metrics.NewDigestReplicas(workers)
+					}
+					type slice struct {
+						window int64
+						shard  int
+					}
+					closed := map[slice]bool{} // window slices closed and not re-opened
+					var reopened, finals int64
+					onFinal := func(f Final) {
+						finals++
+						r := ShardFor(f.Digest, shards)
+						closed[slice{f.Window, r}] = true
+						refs[r].Release(WindowKeyID(f.Window, f.Digest))
+					}
+					feed := func(slab []Partial) {
+						for i := range slab {
+							p := &slab[i]
+							r := ShardFor(p.Digest, shards)
+							refs[r].Observe(WindowKeyID(p.Window, p.Digest), int(p.Worker))
+							if mixed && r == 0 {
+								sd.ObserveReplica(0, p.Window, p.Digest, p.Worker)
+								p.Worker = CombinedWorker
+							}
+						}
+						sd.Merge(slab, onFinal)
+					}
+					for _, slab := range run.slabs {
+						feed(slab)
+						// Once a key's slice of a window has closed, re-open it
+						// with a stray partial: a fresh (window, key) as far as
+						// the accounting goes, closed again at Finish.
+						if k := int(reopened); k < 2 {
+							r := ShardFor(run.digs[k], shards)
+							for w := int64(0); w < run.windows; w++ {
+								if closed[slice{w, r}] {
+									feed([]Partial{run.partial(w, k, k%workers, 1)})
+									reopened++
+									closed[slice{w, r}] = false
+									break
+								}
+							}
+						}
+					}
+					sd.Finish(onFinal)
+
+					if reopened == 0 {
+						t.Fatal("the run re-opened no closed window")
+					}
+					if st := sd.Stats(); st.Late != reopened || st.Finals != finals {
+						t.Fatalf("late %d (want %d), finals %d (want %d)", st.Late, reopened, st.Finals, finals)
+					}
+					var pairs, keys, refPairs, refKeys int64
+					for r, d := range sd.drivers {
+						p, k := d.replicas()
+						if p != refs[r].Total() || k != int64(refs[r].Keys()) {
+							t.Errorf("shard %d: pairs/keys %d/%d, reference %d/%d", r, p, k, refs[r].Total(), refs[r].Keys())
+						}
+						if got, want := d.Replication(), refs[r].AvgPerKey(); got != want {
+							t.Errorf("shard %d: Replication %v, reference %v", r, got, want)
+						}
+						if got, want := d.LiveReplication(), d.Replication(); got != want {
+							t.Errorf("shard %d: LiveReplication %v after the last merge, Replication %v", r, got, want)
+						}
+						if live := d.LiveReplicas(); live != 0 || refs[r].Live() != 0 {
+							t.Errorf("shard %d: %d live replica entries after Finish (reference %d)", r, live, refs[r].Live())
+						}
+						// Which structure counted is a property of the input.
+						tracked := workers > maxSlotWorkers || (mixed && r == 0)
+						if tracked != (d.red.pairs == 0) || tracked != (d.reps.Total() > 0) || tracked != d.fed.Load() {
+							t.Errorf("shard %d: slot pairs %d, tracker pairs %d, fed %v; want tracker=%v", r, d.red.pairs, d.reps.Total(), d.fed.Load(), tracked)
+						}
+						pairs, keys = pairs+p, keys+k
+						refPairs, refKeys = refPairs+refs[r].Total(), refKeys+int64(refs[r].Keys())
+					}
+					if keys == 0 || (workers > 1 && pairs <= keys) {
+						t.Fatalf("degenerate run: %d pairs over %d keys", pairs, keys)
+					}
+					if got, want := sd.Replication(), float64(refPairs)/float64(refKeys); got != want {
+						t.Errorf("summed Replication %v, reference %v", got, want)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestSlotAccountingLeavesTrackerIdle: with workers ≤ 64 and no
+// combiner, replication is a by-product of the merge — no
+// DigestReplicas.Observe/Release, and repMu is never taken (the test
+// holds it across the whole run; a Merge or Finish that wanted it would
+// deadlock).
+func TestSlotAccountingLeavesTrackerIdle(t *testing.T) {
+	run := newReplicaRun(rand.New(rand.NewSource(5)), 64)
+	d := NewDriver(64, run.winSize, run.winSize*run.windows)
+	d.repMu.Lock()
+	var finals int
+	for _, slab := range run.slabs {
+		d.Merge(slab, func(Final) { finals++ })
+	}
+	d.Finish(func(Final) { finals++ })
+	d.repMu.Unlock()
+	if finals == 0 || d.Replication() <= 1 {
+		t.Fatalf("degenerate run: %d finals, replication %v", finals, d.Replication())
+	}
+	if d.fed.Load() || d.reps.Keys() != 0 || d.reps.Total() != 0 || d.reps.Live() != 0 {
+		t.Fatalf("tracker touched: fed %v, keys %d, pairs %d, live %d",
+			d.fed.Load(), d.reps.Keys(), d.reps.Total(), d.reps.Live())
+	}
+}
+
+// windowCycle drives a steady two-windows-open cycle through a sharded
+// reduce stage: each step emits window w, merges its first half, then
+// the second half of window w−1 (so windows overlap and every slab
+// holds two runs), closing w−1 on completeness.
+type windowCycle struct {
+	sd     *ShardedDriver
+	digs   []KeyDigest
+	keys   []string
+	emits  []KeyDigest
+	slab   []Partial
+	w      int64
+	finals int64
+}
+
+func newWindowCycle(t *testing.T, shards int) *windowCycle {
+	c := &windowCycle{}
+	seen := make([]bool, shards)
+	for k := 0; k < 12; k++ {
+		key := fmt.Sprintf("key-%d", k)
+		dg := hashing.Digest(key)
+		c.keys, c.digs = append(c.keys, key), append(c.digs, dg)
+		c.emits = append(c.emits, dg, dg)
+		seen[ShardFor(dg, shards)] = true
+	}
+	for r, ok := range seen {
+		if !ok {
+			t.Fatalf("no key on shard %d: every shard must see every window", r)
+		}
+	}
+	c.sd = NewShardedDriver(4, shards, int64(len(c.emits)), 0, nil)
+	return c
+}
+
+func (c *windowCycle) half(w int64, worker int32) {
+	for k := range c.keys {
+		c.slab = append(c.slab, Partial{Window: w, Digest: c.digs[k], Key: c.keys[k], Count: 1, Val: Value{1}, Worker: worker})
+	}
+}
+
+func (c *windowCycle) step(onFinal func(Final)) {
+	c.sd.ObserveEmits(c.w*int64(len(c.emits)), c.emits)
+	c.slab = c.slab[:0]
+	c.half(c.w, 0)
+	if c.w > 0 {
+		c.half(c.w-1, 1)
+	}
+	c.sd.Merge(c.slab, onFinal)
+	c.w++
+}
+
+// TestPerWindowStateStaysBounded: the two per-window structures that
+// used to grow with the stream — the reducer's closed-window record and
+// the sharded stage's threshold rows — follow the open windows instead.
+func TestPerWindowStateStaysBounded(t *testing.T) {
+	const windows = 100_000
+	c := newWindowCycle(t, 3)
+	onFinal := func(Final) { c.finals++ }
+	check := func() {
+		if n := len(c.sd.counts.rows); n > 2 {
+			t.Fatalf("window %d: %d threshold rows held", c.w, n)
+		}
+		for r, d := range c.sd.drivers {
+			if n := len(d.red.closed.rest); n > 2 {
+				t.Fatalf("window %d, shard %d: %d closed ids held outside the run", c.w, r, n)
+			}
+			if n := len(d.red.pool.open); n > 2 {
+				t.Fatalf("window %d, shard %d: %d windows open", c.w, r, n)
+			}
+		}
+	}
+	for c.w < windows {
+		c.step(onFinal)
+		if c.w%1000 == 0 {
+			check()
+		}
+	}
+	check()
+	for r, d := range c.sd.drivers {
+		if !d.red.closed.has(0) || !d.red.closed.has(windows-2) || d.red.closed.has(windows-1) || d.red.closed.has(windows) {
+			t.Fatalf("shard %d: closed record [%d, %d) + %d wrong after %d windows", r, d.red.closed.lo, d.red.closed.hi, len(d.red.closed.rest), windows)
+		}
+	}
+	// A stray partial for a long-retired window finds no threshold row:
+	// not final, so it waits for Finish, and it counts as late.
+	c.sd.Merge([]Partial{{Window: 5, Digest: c.digs[0], Key: c.keys[0], Count: 1, Val: Value{1}}}, onFinal)
+	before := c.finals
+	c.sd.Finish(onFinal)
+	st := c.sd.Stats()
+	if st.Late != 1 || c.finals != before+int64(len(c.keys))+1 || st.WindowsClosed != int64(3*windows)+1 {
+		t.Fatalf("late %d, finals at Finish %d, windows closed %d", st.Late, c.finals-before, st.WindowsClosed)
+	}
+	// Two workers per key in every window but the last (one), plus the
+	// stray's fresh (window, key).
+	n := int64(len(c.keys))
+	if got, want := c.sd.Replication(), float64(n*(2*windows-1)+1)/float64(n*windows+1); got != want {
+		t.Fatalf("Replication %v, want %v", got, want)
+	}
+}
+
+// TestClosedSetOutOfOrder pins the closed-window record's exactness
+// when windows close out of order, start above zero, or close twice.
+func TestClosedSetOutOfOrder(t *testing.T) {
+	var c closedSet
+	ref := map[int64]bool{}
+	for _, w := range []int64{7, 9, 8, 12, 3, 10, 11, 8, 14, 13, 2} {
+		c.add(w)
+		ref[w] = true
+		for q := int64(0); q < 20; q++ {
+			if c.has(q) != ref[q] {
+				t.Fatalf("after closing %d: has(%d) = %v, want %v", w, q, c.has(q), ref[q])
+			}
+		}
+	}
+	if c.lo != 7 || c.hi != 15 || len(c.rest) != 2 {
+		t.Fatalf("record [%d, %d) + %v, want [7, 15) + {2, 3}", c.lo, c.hi, c.rest)
+	}
+}
+
+// TestReduceCycleZeroAllocs: once the per-window working set is
+// reached, a merge → close → recycle window cycle allocates nothing —
+// unsharded (closed-form thresholds) and sharded (counted thresholds,
+// rows recycled).
+func TestReduceCycleZeroAllocs(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		c := newWindowCycle(t, shards)
+		onFinal := func(Final) { c.finals++ }
+		for i := 0; i < 8; i++ {
+			c.step(onFinal)
+		}
+		if avg := testing.AllocsPerRun(200, func() { c.step(onFinal) }); avg != 0 {
+			t.Errorf("shards=%d: %v allocs per window cycle, want 0", shards, avg)
+		}
+		if want := int64(len(c.keys)) * (c.w - 1); c.finals != want {
+			t.Errorf("shards=%d: %d finals, want %d", shards, c.finals, want)
+		}
+	}
+}

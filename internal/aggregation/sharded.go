@@ -34,6 +34,10 @@ func ShardFor(dg KeyDigest, shards int) int {
 // for, so a reducer shard can never close a window early against a
 // still-growing count.
 //
+// A window's row lives until every shard holding a share of it has
+// closed it (retire), then goes back to a free list: the map follows
+// the windows in flight, not the stream.
+//
 // Thread-safe: engines' sources observe emissions concurrently with the
 // reducer shards reading thresholds.
 type shardCounts struct {
@@ -41,9 +45,12 @@ type shardCounts struct {
 	shards   int
 	winSize  int64
 	messages int64
-	rows     map[int64][]int64 // window → [shards] emitted counts + total in [shards]
-	lastW    int64
-	lastRow  []int64
+	// window → [shards] emitted counts, total in [shards], number of
+	// shards that closed the window in [shards+1]
+	rows    map[int64][]int64
+	free    [][]int64 // zeroed rows of retired windows
+	lastW   int64
+	lastRow []int64
 }
 
 func newShardCounts(shards int, windowSize, messages int64) *shardCounts {
@@ -56,16 +63,21 @@ func newShardCounts(shards int, windowSize, messages int64) *shardCounts {
 	}
 }
 
-// row returns window w's count row, allocating on first touch. Caller
-// holds mu. Windows are emitted (nearly) in order, so the last row is
-// cached.
+// row returns window w's count row, taking one from the free list (or
+// allocating) on first touch. Caller holds mu. Windows are emitted
+// (nearly) in order, so the last row is cached.
 func (c *shardCounts) row(w int64) []int64 {
 	if w == c.lastW {
 		return c.lastRow
 	}
 	r := c.rows[w]
 	if r == nil {
-		r = make([]int64, c.shards+1)
+		if k := len(c.free); k > 0 {
+			r = c.free[k-1]
+			c.free = c.free[:k-1]
+		} else {
+			r = make([]int64, c.shards+2)
+		}
 		c.rows[w] = r
 	}
 	c.lastW, c.lastRow = w, r
@@ -106,6 +118,37 @@ func (c *shardCounts) expected(w int64, shard int) (int64, bool) {
 		return 0, false
 	}
 	return row[shard], row[c.shards] >= full
+}
+
+// retire records that one shard closed window w on completeness and
+// drops the window's row once every shard with a share of it has — a
+// shard that was sent nothing never opens the window, so it is not
+// waited for. Only a final row can see a close, so the shares are
+// settled. A later expected for w reports not-final, as for any window
+// never emitted: a stray partial waits for Finish.
+func (c *shardCounts) retire(w int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	row := c.rows[w]
+	if row == nil {
+		return
+	}
+	row[c.shards+1]++
+	holders := int64(0)
+	for _, n := range row[:c.shards] {
+		if n > 0 {
+			holders++
+		}
+	}
+	if row[c.shards+1] < holders {
+		return
+	}
+	delete(c.rows, w)
+	if w == c.lastW {
+		c.lastW, c.lastRow = -1<<62, nil
+	}
+	clear(row)
+	c.free = append(c.free, row)
 }
 
 // ShardedDriver is the R-way reduce stage: R independent Drivers, each
@@ -160,6 +203,7 @@ func NewShardedDriver(workers, shards int, windowSize, messages int64, m Merger)
 		sd.drivers[r] = newDriverExpected(workers, m, func(w int64) (int64, bool) {
 			return sd.counts.expected(w, shard)
 		})
+		sd.drivers[r].retire = sd.counts.retire
 	}
 	return sd
 }
@@ -215,13 +259,14 @@ func (sd *ShardedDriver) expectedFor(w int64, shard int) (int64, bool) {
 }
 
 // ObserveReplica records one (window, key, worker) state triple toward
-// shard `shard`'s exact replication accounting. The combiner tree calls
-// it — at the BOLT, before a partial enters the tree and its worker
-// identity is merged away — once per flushed partial; the combined
-// partials that later reach the driver carry Worker = CombinedWorker
-// and are skipped by Merge's own observation, so each triple is counted
-// through exactly one path. Thread-safe: bolts observe concurrently
-// with the shard goroutine closing windows.
+// shard `shard`'s exact replication accounting, in the shard driver's
+// map-based tracker. The combiner tree calls it — at the BOLT, before a
+// partial enters the tree and its worker identity is merged away — once
+// per flushed partial; the combined partials that later reach the
+// driver carry Worker = CombinedWorker and set no bit in the slot they
+// merge into, so each triple is counted through exactly one path.
+// Thread-safe: bolts observe concurrently with the shard goroutine
+// closing windows.
 func (sd *ShardedDriver) ObserveReplica(shard int, window int64, dg KeyDigest, worker int32) {
 	sd.drivers[shard].observeReplica(WindowKeyID(window, dg), int(worker))
 }
@@ -285,11 +330,20 @@ func (sd *ShardedDriver) LiveEntriesShard(r int) int64 { return sd.drivers[r].Li
 func (sd *ShardedDriver) LiveWindowsShard(r int) int64 { return sd.drivers[r].LiveWindows() }
 
 // LiveReplicasShard returns the number of (window, key) identities on
-// shard r currently holding a replica bitset. Thread-safe.
+// shard r currently holding a replica bitset (see Driver.LiveReplicas).
+// Thread-safe.
 func (sd *ShardedDriver) LiveReplicasShard(r int) int { return sd.drivers[r].LiveReplicas() }
 
+// LiveReplicationShard returns shard r's replication factor so far —
+// distinct (window, key, worker) triples per distinct (window, key) on
+// that shard, as of its last MergeShard. Same concurrency contract as
+// LiveEntriesShard.
+func (sd *ShardedDriver) LiveReplicationShard(r int) float64 {
+	return sd.drivers[r].LiveReplication()
+}
+
 // LiveReplicas sums the live replica-bitset count across shards: the
-// reduce stage's replica-accounting memory footprint. Thread-safe.
+// replica accounting's live (window, key) footprint. Thread-safe.
 func (sd *ShardedDriver) LiveReplicas() int {
 	n := 0
 	for _, d := range sd.drivers {
@@ -323,16 +377,12 @@ func (sd *ShardedDriver) Stats() ReducerStats {
 // all shards: distinct (window, key, worker) triples per distinct
 // (window, key). Keys partition across shards, so the shard totals add.
 func (sd *ShardedDriver) Replication() float64 {
-	var pairs int64
-	var keys int
+	var pairs, keys int64
 	for _, d := range sd.drivers {
-		pairs += d.reps.Total()
-		keys += d.reps.Keys()
+		p, k := d.replicas()
+		pairs, keys = pairs+p, keys+k
 	}
-	if keys == 0 {
-		return 0
-	}
-	return float64(pairs) / float64(keys)
+	return perKey(pairs, keys)
 }
 
 // Total returns the sum of all final counts emitted so far.

@@ -116,8 +116,9 @@ type Config struct {
 	AggMergeCost time.Duration
 	// OnFinal, when set (and AggWindow > 0), receives every merged final
 	// from the reduce stage. Calls are serialized across reducer shards
-	// (a mutex when AggShards > 1), so the callback needs no locking of
-	// its own.
+	// (when AggShards > 1, a mutex each shard takes once per merged slab
+	// to hand over that slab's finals — see finalFanIn), so the callback
+	// needs no locking of its own.
 	OnFinal func(aggregation.Final)
 	// Dataplane selects the transport tuples and partials travel on:
 	// DataplaneChannel (the default) moves freshly allocated slabs over
@@ -243,8 +244,9 @@ type Result struct {
 	Agg aggregation.ReducerStats
 	// AggReplication is the measured state replication factor: distinct
 	// (window, key, worker) triples per distinct (window, key) pair,
-	// counted exactly (metrics.DigestReplicas). 1 for KG by construction;
-	// up to Workers for W-Choices hot keys. 0 when aggregation is off.
+	// counted exactly (aggregation.Driver: a worker bitset per reducer
+	// entry). 1 for KG by construction; up to Workers for W-Choices hot
+	// keys. 0 when aggregation is off.
 	AggReplication float64
 	// AggReducerUtil is the fraction of the run's wall clock the BUSIEST
 	// reducer shard's goroutine spent merging partial slabs: the reduce
@@ -373,23 +375,13 @@ func Run(gen stream.Generator, cfg Config) (Result, error) {
 		pt.observeReduce(sd)
 		aggCh = make([]chan []aggregation.Partial, shards)
 		reduceBusy = make([]time.Duration, shards)
-		// Finals fan back in through one callback; serialize it across
-		// shard goroutines so OnFinal needs no locking of its own.
-		onFinal := cfg.OnFinal
-		if onFinal != nil && shards > 1 {
-			var finalMu sync.Mutex
-			user := cfg.OnFinal
-			onFinal = func(f aggregation.Final) {
-				finalMu.Lock()
-				user(f)
-				finalMu.Unlock()
-			}
-		}
+		fan := &finalFanIn{user: cfg.OnFinal, shards: shards}
 		for r := 0; r < shards; r++ {
 			aggCh[r] = make(chan []aggregation.Partial, 2*cfg.Workers)
 			reduceWG.Add(1)
 			go func(r int) {
 				defer reduceWG.Done()
+				onFinal, deliver := fan.shard()
 				// The simulated merge cost is paid as a DEBT settled in
 				// ≥ 1 ms chunks, with each settlement's measured oversleep
 				// credited back: per-slab sleeps would bottom out at the
@@ -411,6 +403,7 @@ func Run(gen stream.Generator, cfg Config) (Result, error) {
 						settle(time.Millisecond)
 					}
 					sd.MergeShard(r, slab, onFinal)
+					deliver()
 					d := time.Since(t0)
 					reduceBusy[r] += d
 					pt.addReduce(r, len(slab), d)
@@ -418,6 +411,7 @@ func Run(gen stream.Generator, cfg Config) (Result, error) {
 				t0 := time.Now()
 				settle(0)
 				sd.FinishShard(r, onFinal)
+				deliver()
 				d := time.Since(t0)
 				reduceBusy[r] += d
 				pt.addReduce(r, 0, d)

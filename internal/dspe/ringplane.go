@@ -197,23 +197,13 @@ func runRing(gen stream.Generator, cfg Config, parts []core.Partitioner, limit i
 		reduceBusy []time.Duration
 		reduceWG   sync.WaitGroup
 		interWG    sync.WaitGroup
-		onFinal    func(aggregation.Final)
 	)
 	groups := 0
 	if agg {
 		sd = aggregation.NewShardedDriver(cfg.Workers, shards, cfg.AggWindow, limit, cfg.AggMerger)
 		pt.observeReduce(sd)
 		reduceBusy = make([]time.Duration, shards)
-		onFinal = cfg.OnFinal
-		if onFinal != nil && shards > 1 {
-			var finalMu sync.Mutex
-			user := cfg.OnFinal
-			onFinal = func(f aggregation.Final) {
-				finalMu.Lock()
-				user(f)
-				finalMu.Unlock()
-			}
-		}
+		fan := &finalFanIn{user: cfg.OnFinal, shards: shards}
 		boltOut = make([][]*ring.SPSC[aggregation.Partial], cfg.Workers)
 		for w := range boltOut {
 			boltOut[w] = make([]*ring.SPSC[aggregation.Partial], shards)
@@ -264,7 +254,7 @@ func runRing(gen stream.Generator, cfg Config, parts []core.Partitioner, limit i
 			reduceWG.Add(1)
 			go func(r int) {
 				defer reduceWG.Done()
-				reduceBusy[r] = shardRoot(cfg, sd, r, rootIn[r], onFinal, pt)
+				reduceBusy[r] = shardRoot(cfg, sd, r, rootIn[r], fan, pt)
 			}(r)
 		}
 	}
@@ -613,8 +603,9 @@ func combineNode(m aggregation.Merger, ins []*ring.SPSC[aggregation.Partial], ou
 // merges — the shard hop's actual traffic — using the same ≥ 1 ms
 // debt-settling discipline as the channel plane. Returns the busy time
 // (folding, flushing, merging) for the utilization report.
-func shardRoot(cfg Config, sd *aggregation.ShardedDriver, r int, ins []*ring.SPSC[aggregation.Partial], onFinal func(aggregation.Final), pt *planeTelemetry) time.Duration {
+func shardRoot(cfg Config, sd *aggregation.ShardedDriver, r int, ins []*ring.SPSC[aggregation.Partial], fan *finalFanIn, pt *planeTelemetry) time.Duration {
 	comb := aggregation.NewCombiner(sd, r)
+	onFinal, deliver := fan.shard()
 	drained := make([]bool, len(ins))
 	remaining := len(ins)
 	var busy time.Duration
@@ -667,6 +658,7 @@ func shardRoot(cfg Config, sd *aggregation.ShardedDriver, r int, ins []*ring.SPS
 		spins = 0
 		t0 := time.Now()
 		comb.FlushComplete(onFinal)
+		deliver()
 		settle(time.Millisecond)
 		d := time.Since(t0)
 		busy += d
@@ -679,6 +671,7 @@ func shardRoot(cfg Config, sd *aggregation.ShardedDriver, r int, ins []*ring.SPS
 	}
 	t0 := time.Now()
 	comb.Finish(onFinal)
+	deliver()
 	settle(0)
 	d := time.Since(t0)
 	busy += d

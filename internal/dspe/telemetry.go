@@ -52,7 +52,15 @@ package dspe
 //	reduce_busy_ns_total         per shard: reducer goroutine busy time
 //	reduce_open_windows          per shard gauge: open windows
 //	reduce_live_entries          per shard gauge: live (window, key) rows
-//	reduce_live_replicas         per shard gauge: live replica bitsets
+//	reduce_live_replicas         per shard gauge: (window, key) entries
+//	                             holding a replica bitset — the shard's
+//	                             live entries where the bitset sits in
+//	                             the reducer's slot, the tracker's live
+//	                             ids under the combiner tree or with
+//	                             more than 64 workers
+//	reduce_replication           per shard gauge: state replication so
+//	                             far, distinct (window, key, worker) per
+//	                             distinct (window, key)
 //
 // GaugeFuncs are replace-on-reregister in the registry, so repeated
 // runs against one registry (the soak harness) always read the current
@@ -276,7 +284,8 @@ func (pt *planeTelemetry) observeRingQueues(in [][]*ring.SPSC[tuple]) {
 	}
 }
 
-// observeReduce registers the per-shard reducer occupancy gauges.
+// observeReduce registers the per-shard reducer occupancy and
+// replication gauges.
 func (pt *planeTelemetry) observeReduce(sd *aggregation.ShardedDriver) {
 	if pt == nil || sd == nil {
 		return
@@ -287,5 +296,6 @@ func (pt *planeTelemetry) observeReduce(sd *aggregation.ShardedDriver) {
 		pt.reg.GaugeFunc("reduce_open_windows", func() float64 { return float64(sd.LiveWindowsShard(r)) }, ls...)
 		pt.reg.GaugeFunc("reduce_live_entries", func() float64 { return float64(sd.LiveEntriesShard(r)) }, ls...)
 		pt.reg.GaugeFunc("reduce_live_replicas", func() float64 { return float64(sd.LiveReplicasShard(r)) }, ls...)
+		pt.reg.GaugeFunc("reduce_replication", func() float64 { return sd.LiveReplicationShard(r) }, ls...)
 	}
 }

@@ -91,6 +91,11 @@ func TestTelemetryBothPlanes(t *testing.T) {
 					t.Fatalf("%s = %v after drain, want 0", gauge, v)
 				}
 			}
+			// Replication is a live per-shard series; every shard held keys,
+			// and a key is on at least one worker.
+			if v, n := sumSeries(snap, "reduce_replication"); n != cfg.AggShards || v < float64(n) {
+				t.Fatalf("reduce_replication = %v over %d series, want ≥ 1 on each of %d", v, n, cfg.AggShards)
+			}
 		})
 	}
 }

@@ -244,26 +244,17 @@ func runOnFabric(fabric transport.Transport, gen stream.Generator, cfg Config, p
 		sd         *aggregation.ShardedDriver
 		reduceBusy []time.Duration
 		reduceWG   sync.WaitGroup
-		onFinal    func(aggregation.Final)
 	)
 	if agg {
 		sd = aggregation.NewShardedDriver(cfg.Workers, shards, cfg.AggWindow, limit, cfg.AggMerger)
 		pt.observeReduce(sd)
 		reduceBusy = make([]time.Duration, shards)
-		onFinal = cfg.OnFinal
-		if onFinal != nil && shards > 1 {
-			var finalMu sync.Mutex
-			user := cfg.OnFinal
-			onFinal = func(f aggregation.Final) {
-				finalMu.Lock()
-				user(f)
-				finalMu.Unlock()
-			}
-		}
+		fan := &finalFanIn{user: cfg.OnFinal, shards: shards}
 		for r := 0; r < shards; r++ {
 			reduceWG.Add(1)
 			go func(r int) {
 				defer reduceWG.Done()
+				onFinal, deliver := fan.shard()
 				// Per-bolt receive legs of this shard; drained like the
 				// ring plane's root. The merge cost is settled as debt in
 				// ≥ 1 ms chunks (see the channel plane for why).
@@ -314,6 +305,7 @@ func runOnFabric(fabric transport.Transport, gen stream.Generator, cfg Config, p
 							settle(time.Millisecond)
 						}
 						sd.MergeShard(r, slab, onFinal)
+						deliver()
 						d := time.Since(t0)
 						reduceBusy[r] += d
 						pt.addReduce(r, len(slab), d)
@@ -327,6 +319,7 @@ func runOnFabric(fabric transport.Transport, gen stream.Generator, cfg Config, p
 				t0 := time.Now()
 				settle(0)
 				sd.FinishShard(r, onFinal)
+				deliver()
 				d := time.Since(t0)
 				reduceBusy[r] += d
 				pt.addReduce(r, 0, d)

@@ -69,6 +69,9 @@ func TestTelemetryFedBySimulation(t *testing.T) {
 			t.Fatalf("%s = %v after the run, want 0", gauge, v)
 		}
 	}
+	if v, n := sumSeries(snap, "reduce_replication"); n != cfg.AggShards || v < float64(n) {
+		t.Fatalf("reduce_replication = %v over %d series, want ≥ 1 on each of %d", v, n, cfg.AggShards)
+	}
 }
 
 // TestTelemetryDoesNotPerturbSimulation pins that attaching a registry

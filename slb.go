@@ -273,15 +273,15 @@
 // backlog on the channel plane, ring occupancy on the ring plane —
 // plus bolt_msgs_total, bolt_partials_total and (ring)
 // acquire_stall_ns_total; and per reducer shard reduce_partials_total,
-// reduce_busy_ns_total and the reduce_open_windows /
-// reduce_live_entries / reduce_live_replicas occupancy gauges. The
-// discrete-event engine (engine=eventsim) publishes the same routing
-// series plus sim_emitted_total, sim_completed_total, sim_clock_ns,
-// per-worker queue_depth and sim_peak_queue, flush_stall_ns_total, and
-// the per-shard reducer series — every duration measured in SIMULATED
-// nanoseconds, so interval rates are deterministic. The full series
-// inventory lives in internal/dspe/telemetry.go and
-// internal/eventsim/telemetry.go.
+// reduce_busy_ns_total, the reduce_open_windows /
+// reduce_live_entries / reduce_live_replicas occupancy gauges and the
+// reduce_replication gauge. The discrete-event engine (engine=eventsim)
+// publishes the same routing series plus sim_emitted_total,
+// sim_completed_total, sim_clock_ns, per-worker queue_depth and
+// sim_peak_queue, flush_stall_ns_total, and the per-shard reducer
+// series — every duration measured in SIMULATED nanoseconds, so
+// interval rates are deterministic. The full series inventory lives in
+// internal/dspe/telemetry.go and internal/eventsim/telemetry.go.
 //
 // cmd/slbsoak drives all of this as a soak harness: drifting workloads
 // (NewDriftStream) cycled across eventsim, both dspe dataplanes and
