@@ -1,9 +1,9 @@
 // Command slbsoak runs an hours-capable soak: drifting Zipf workloads
 // (workload.Drift) cycled across every engine — eventsim, the dspe
-// channel plane, the dspe ring plane and (with -tcp, on by default
-// under -short) the dspe engine over the loopback TCP transport — with
-// each run's telemetry registry sampled on a fixed interval. Interval rows stream
-// to stdout as JSONL while the soak progresses; at the end a per-engine
+// engine over its in-memory links and (with -tcp, on by default under
+// -short) over the loopback TCP transport — with each run's telemetry
+// registry sampled on a fixed interval. Interval rows stream to stdout
+// as JSONL while the soak progresses; at the end a per-engine
 // summary table prints and, optionally, is written as a BENCH_soak
 // artifact whose "meta" carries the configuration string and seed so a
 // later run can gate against it.
@@ -25,9 +25,11 @@
 //
 // With -baseline (a BENCH_soak JSON file, or a directory of
 // accumulated BENCH_soak*.json artifacts) the run exits nonzero when
-// any engine's throughput falls more than -tol below the best baseline
-// recorded under the same configuration; baselines from other
-// configurations are ignored.
+// any leg completed fewer messages than it planned, or when the
+// eventsim row — simulated time, so deterministic — falls more than
+// -tol below the best baseline recorded under the same configuration.
+// The dspe rows are wall-clock: printed and recorded, never gated.
+// Baselines from other configurations are ignored.
 package main
 
 import (
@@ -66,7 +68,7 @@ func main() {
 	snapshotPath := flag.String("snapshot", "", "write the final per-engine telemetry snapshots to this JSON file")
 	summaryPath := flag.String("summary", "", "write the summary table to this BENCH_soak JSON file")
 	baseline := flag.String("baseline", "", "gate against this BENCH_soak file or artifact directory")
-	tol := flag.Float64("tol", 0.35, "gate tolerance: allowed fractional throughput drop vs baseline")
+	tol := flag.Float64("tol", 0.35, "gate tolerance: allowed fractional drop of the eventsim throughput vs baseline")
 	meta := clirun.MetaFlag{}
 	flag.Var(meta, "meta", "key=value run metadata recorded in the summary artifact (repeatable)")
 	flag.Parse()
@@ -84,9 +86,9 @@ func main() {
 			*duration = 8 * time.Second
 		}
 		if !set["interval"] {
-			// Shorter than the fastest leg (the ring plane drains
-			// 120k messages in a few hundred ms), so every dataplane
-			// still emits in-flight interval rows, not just finals.
+			// Shorter than the fastest leg (the TCP leg drains 120k
+			// messages in well under a second), so every engine still
+			// emits in-flight interval rows, not just finals.
 			*interval = 100 * time.Millisecond
 		}
 		if !set["cycles"] {

@@ -48,36 +48,26 @@ func TestHashOnceEventsim(t *testing.T) {
 	}
 }
 
-// dataplanes names both tuple transports of the goroutine runtime; the
-// digest-carry and parity properties must hold identically on each.
-var dataplanes = map[string]slb.Dataplane{
-	"channel": slb.DataplaneChannel,
-	"ring":    slb.DataplaneRing,
-}
-
 // TestHashOnceDspeRun: the goroutine engine digests each key exactly
 // once per message with aggregation on — routing's digests flow into
 // the bolts' partial tables, the shard split, and the reducers, with
-// zero re-scans. The ring plane's combiner tree adds merge hops but no
-// re-hash: combined partials carry their constituents' digests.
+// zero re-scans.
 func TestHashOnceDspeRun(t *testing.T) {
 	const m = 10_000
-	for plane, dp := range dataplanes {
-		for _, algo := range []string{"KG", "W-C", "SG"} {
-			for _, shards := range []int{1, 4} {
-				got := countDigests(func() {
-					gen := slb.NewZipfStream(1.6, 300, m, 11)
-					if _, err := slb.RunTopology(gen, slb.EngineConfig{
-						Workers: 4, Sources: 2, Algorithm: algo,
-						Core: slb.Config{Seed: 11}, AggWindow: 500,
-						AggShards: shards, Dataplane: dp,
-					}); err != nil {
-						t.Fatal(err)
-					}
-				})
-				if got != m {
-					t.Fatalf("%s %s R=%d: dspe digested %d times for %d messages, want exactly one per message", plane, algo, shards, got, m)
+	for _, algo := range []string{"KG", "W-C", "SG"} {
+		for _, shards := range []int{1, 4} {
+			got := countDigests(func() {
+				gen := slb.NewZipfStream(1.6, 300, m, 11)
+				if _, err := slb.RunTopology(gen, slb.EngineConfig{
+					Workers: 4, Sources: 2, Algorithm: algo,
+					Core: slb.Config{Seed: 11}, AggWindow: 500,
+					AggShards: shards,
+				}); err != nil {
+					t.Fatal(err)
 				}
+			})
+			if got != m {
+				t.Fatalf("%s R=%d: dspe digested %d times for %d messages, want exactly one per message", algo, shards, got, m)
 			}
 		}
 	}
@@ -88,20 +78,18 @@ func TestHashOnceDspeRun(t *testing.T) {
 // digest — the only digests of the whole run happen at the spout.
 func TestHashOncePipeline(t *testing.T) {
 	const m = 8_000
-	for plane, dp := range dataplanes {
-		got := countDigests(func() {
-			gen := slb.NewZipfStream(1.6, 300, m, 11)
-			p := slb.NewPipeline(gen, 2).
-				AddWindowedAggregate("partials", 4, "D-C", 500).
-				AddWeightedStage("reduce", 2, "KG", 0,
-					func(key string, window, count int64, emit func(string, int64)) {})
-			if _, err := p.Run(slb.PipelineConfig{Core: slb.Config{Seed: 11}, Dataplane: dp}); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if got != m {
-			t.Fatalf("%s: pipeline digested %d times for %d messages, want exactly one per message (spout only)", plane, got, m)
+	got := countDigests(func() {
+		gen := slb.NewZipfStream(1.6, 300, m, 11)
+		p := slb.NewPipeline(gen, 2).
+			AddWindowedAggregate("partials", 4, "D-C", 500).
+			AddWeightedStage("reduce", 2, "KG", 0,
+				func(key string, window, count int64, emit func(string, int64)) {})
+		if _, err := p.Run(slb.PipelineConfig{Core: slb.Config{Seed: 11}}); err != nil {
+			t.Fatal(err)
 		}
+	})
+	if got != m {
+		t.Fatalf("pipeline digested %d times for %d messages, want exactly one per message (spout only)", got, m)
 	}
 }
 
@@ -158,31 +146,29 @@ func TestCrossEngineAggregationParity(t *testing.T) {
 			t.Errorf("%s eventsim: total %d, want %d", algo, evt.AggTotal, m)
 		}
 
-		for plane, dp := range dataplanes {
-			liveFinals, onLive := collect()
-			live, err := slb.RunTopology(slb.NewZipfStream(1.8, 400, m, 29), slb.EngineConfig{
-				Workers: 8, Sources: 1, Algorithm: algo,
-				Core: slb.Config{Seed: 29}, ServiceTime: 0,
-				AggWindow: window, OnFinal: onLive, Dataplane: dp,
-			})
-			if err != nil {
-				t.Fatal(err)
+		liveFinals, onLive := collect()
+		live, err := slb.RunTopology(slb.NewZipfStream(1.8, 400, m, 29), slb.EngineConfig{
+			Workers: 8, Sources: 1, Algorithm: algo,
+			Core: slb.Config{Seed: 29}, ServiceTime: 0,
+			AggWindow: window, OnFinal: onLive,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(liveFinals) != len(truth) {
+			t.Fatalf("%s dspe: %d finals, want %d", algo, len(liveFinals), len(truth))
+		}
+		for k, want := range truth {
+			if liveFinals[k] != want {
+				t.Fatalf("%s dspe: window %d key %q = %d, want %d", algo, k.w, k.k, liveFinals[k], want)
 			}
-			if len(liveFinals) != len(truth) {
-				t.Fatalf("%s dspe/%s: %d finals, want %d", algo, plane, len(liveFinals), len(truth))
-			}
-			for k, want := range truth {
-				if liveFinals[k] != want {
-					t.Fatalf("%s dspe/%s: window %d key %q = %d, want %d", algo, plane, k.w, k.k, liveFinals[k], want)
-				}
-			}
-			if evt.AggReplication != live.AggReplication {
-				t.Errorf("%s: replication factors diverge across engines: eventsim %v, dspe/%s %v",
-					algo, evt.AggReplication, plane, live.AggReplication)
-			}
-			if live.AggTotal != m {
-				t.Errorf("%s dspe/%s: total %d, want %d", algo, plane, live.AggTotal, m)
-			}
+		}
+		if evt.AggReplication != live.AggReplication {
+			t.Errorf("%s: replication factors diverge across engines: eventsim %v, dspe %v",
+				algo, evt.AggReplication, live.AggReplication)
+		}
+		if live.AggTotal != m {
+			t.Errorf("%s dspe: total %d, want %d", algo, live.AggTotal, m)
 		}
 	}
 }
@@ -246,31 +232,28 @@ func TestCrossEngineShardedMergerParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			engines := map[string]map[fk]slb.AggFinal{"eventsim": evtFinals}
-			for plane, dp := range dataplanes {
-				liveFinals, onLive := collect()
-				live, err := slb.RunTopology(slb.NewZipfStream(1.8, 400, m, 29), slb.EngineConfig{
-					Workers: 8, Sources: 1, Algorithm: "W-C",
-					Core: slb.Config{Seed: 29}, ServiceTime: 0,
-					AggWindow: window, AggShards: shards,
-					AggMerger: merger, AggValue: sample, OnFinal: onLive,
-					Dataplane: dp,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				engines["dspe/"+plane] = liveFinals
-				if evt.AggReplication != live.AggReplication {
-					t.Errorf("%s R=%d: replication diverges across engines: eventsim %v, dspe/%s %v",
-						merger.Name(), shards, evt.AggReplication, plane, live.AggReplication)
-				}
-				if live.AggTotal != m {
-					t.Errorf("%s R=%d dspe/%s: total %d, want %d",
-						merger.Name(), shards, plane, live.AggTotal, m)
-				}
-				if live.Agg.Late != 0 {
-					t.Errorf("%s R=%d dspe/%s: late corrections %d, want 0",
-						merger.Name(), shards, plane, live.Agg.Late)
-				}
+			liveFinals, onLive := collect()
+			live, err := slb.RunTopology(slb.NewZipfStream(1.8, 400, m, 29), slb.EngineConfig{
+				Workers: 8, Sources: 1, Algorithm: "W-C",
+				Core: slb.Config{Seed: 29}, ServiceTime: 0,
+				AggWindow: window, AggShards: shards,
+				AggMerger: merger, AggValue: sample, OnFinal: onLive,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			engines["dspe"] = liveFinals
+			if evt.AggReplication != live.AggReplication {
+				t.Errorf("%s R=%d: replication diverges across engines: eventsim %v, dspe %v",
+					merger.Name(), shards, evt.AggReplication, live.AggReplication)
+			}
+			if live.AggTotal != m {
+				t.Errorf("%s R=%d dspe: total %d, want %d",
+					merger.Name(), shards, live.AggTotal, m)
+			}
+			if live.Agg.Late != 0 {
+				t.Errorf("%s R=%d dspe: late corrections %d, want 0",
+					merger.Name(), shards, live.Agg.Late)
 			}
 
 			for engine, finals := range engines {

@@ -77,9 +77,10 @@ type KeyDigest = hashing.KeyDigest
 // many flush fragments the worker emitted: merging the partial sets the
 // worker's bit in the (window, key) slot it lands in (see Reducer).
 // Worker < 0 (CombinedWorker) marks a pre-merged partial whose worker
-// identities are gone. Count is always the number of source messages
-// folded in (the reducer's completeness currency); Val is the merger's
-// typed state for those messages (equal to Count under CountMerger).
+// identities are gone and which counts toward no replica. Count is
+// always the number of source messages folded in (the reducer's
+// completeness currency); Val is the merger's typed state for those
+// messages (equal to Count under CountMerger).
 type Partial struct {
 	Window int64
 	Digest KeyDigest
@@ -689,13 +690,12 @@ func (r *Reducer) Stats() ReducerStats { return r.stats }
 // policy, so it lives in one place.
 //
 // Replication is counted where the merge already is: with workers ≤ 64
-// a raw partial's worker bit lands in the reducer's own (window, key)
-// slot (see Reducer), at no lookup of its own. The map-based tracker
-// (metrics.DigestReplicas keyed by WindowKeyID) serves only the inputs
-// a one-word slot cannot count — workers > 64, and the combiner tree,
-// whose bolts observe (window, key, worker) triples through
-// ShardedDriver.ObserveReplica because combined partials arrive with no
-// worker left to count. Replication reports both together.
+// a partial's worker bit lands in the reducer's own (window, key) slot
+// (see Reducer), at no lookup of its own. The map-based tracker
+// (metrics.DigestReplicas keyed by WindowKeyID) serves only the one
+// input a one-word slot cannot count — workers > 64 — and is fed from
+// Merge, on the driver's own goroutine. Which of the two counts is
+// fixed at construction.
 //
 // Window close is COMPLETENESS-based, not watermark-based: every
 // tumbling window has an exactly known message count (windowSize,
@@ -712,8 +712,8 @@ func (r *Reducer) Stats() ReducerStats { return r.stats }
 type Driver struct {
 	red      *Reducer
 	reps     *metrics.DigestReplicas
-	repMu    sync.Mutex  // guards reps: combiner-tree bolts observe concurrently
-	fed      atomic.Bool // reps was ever observed into; until then emit has nothing to release
+	repMu    sync.Mutex // guards reps against the telemetry gauges reading it mid-run
+	tracked  bool       // workers > 64: reps counts, the slots do not
 	expected func(w int64) (int64, bool)
 	// retire, when set, is told each window this driver closed on
 	// completeness (the sharded stage drops the window's threshold row
@@ -750,9 +750,10 @@ func newDriverExpected(workers int, m Merger, expected func(w int64) (int64, boo
 	d := &Driver{
 		red:      NewReducerMerger(m),
 		reps:     metrics.NewDigestReplicas(workers),
+		tracked:  workers > maxSlotWorkers,
 		expected: expected,
 	}
-	if workers <= maxSlotWorkers {
+	if !d.tracked {
 		d.red.slotWorkers = int32(workers)
 	}
 	return d
@@ -779,7 +780,7 @@ func (d *Driver) Merge(ps []Partial, onFinal func(Final)) {
 		return
 	}
 	d.red.Merge(ps)
-	if d.red.slotWorkers == 0 {
+	if d.tracked {
 		d.observeRaw(ps)
 	}
 	for _, w := range d.red.runs {
@@ -805,7 +806,6 @@ func (d *Driver) observeRaw(ps []Partial) {
 		}
 	}
 	d.repMu.Unlock()
-	d.fed.Store(true)
 }
 
 // Finish closes every remaining window (end of stream).
@@ -815,7 +815,7 @@ func (d *Driver) Finish(onFinal func(Final)) {
 
 func (d *Driver) emit(fs []Final, onFinal func(Final)) {
 	d.finals = fs
-	if d.fed.Load() {
+	if d.tracked {
 		// The windows are closed: completeness-based closing guarantees no
 		// further partial can ever arrive for these (window, key), so the
 		// tracker's bitsets for them go back to its pool — its memory
@@ -836,19 +836,6 @@ func (d *Driver) emit(fs []Final, onFinal func(Final)) {
 	}
 }
 
-// observeReplica records one (window-key id, worker) state replica in
-// the tracker. Thread-safe: under the combiner tree, bolts observe the
-// original triples concurrently with the shard goroutine closing
-// windows.
-func (d *Driver) observeReplica(id uint64, worker int) {
-	d.repMu.Lock()
-	d.reps.Observe(id, worker)
-	d.repMu.Unlock()
-	if !d.fed.Load() {
-		d.fed.Store(true)
-	}
-}
-
 // Stats returns the reducer's cost counters.
 func (d *Driver) Stats() ReducerStats { return d.red.Stats() }
 
@@ -862,11 +849,11 @@ func (d *Driver) LiveWindows() int64 { return d.red.LiveWindows() }
 
 // LiveReplicas returns the number of (window, key) identities currently
 // holding a replica bitset. In-slot bitsets live in the reducer's own
-// entries, so this is LiveEntries; once the tracker has been fed it is
-// the tracker's live set instead. Either way it follows the open
+// entries, so this is LiveEntries; with more than 64 workers it is the
+// tracker's live set instead. Either way it follows the open
 // windows: closing a window drops its bitsets. Thread-safe.
 func (d *Driver) LiveReplicas() int {
-	if !d.fed.Load() {
+	if !d.tracked {
 		return int(d.red.LiveEntries())
 	}
 	d.repMu.Lock()
@@ -889,7 +876,7 @@ func (d *Driver) Replication() float64 { return perKey(d.replicas()) }
 // call concurrently with Merge (telemetry gauges poll it).
 func (d *Driver) LiveReplication() float64 {
 	pairs, keys := d.red.pairsA.Load(), d.red.keysA.Load()
-	if d.fed.Load() {
+	if d.tracked {
 		d.repMu.Lock()
 		pairs, keys = pairs+d.reps.Total(), keys+int64(d.reps.Keys())
 		d.repMu.Unlock()

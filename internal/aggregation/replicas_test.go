@@ -100,115 +100,105 @@ func (r *replicaRun) partial(w int64, key, worker int, n int64) Partial {
 // keys and Replication of a reference metrics.DigestReplicas that
 // observes every raw partial and releases every final — per shard and
 // summed, as floats with ==. Worker counts straddle the one-word slot
-// (≤ 64 counts in the slot, above it in the driver's own tracker). In
-// the mixed runs shard 0 is fed the way the combiner tree feeds it —
-// triples through ObserveReplica, partials stripped of their worker —
-// while the other shards get raw partials.
+// (≤ 64 counts in the slot, above it in the driver's own tracker).
 func TestReplicaAccountingMatchesTracker(t *testing.T) {
 	for _, workers := range []int{1, 2, 63, 64, 65, 200} {
 		for _, shards := range []int{1, 3} {
-			for _, mixed := range []bool{false, true} {
-				if mixed && shards == 1 {
-					continue
+			// mixed=false: the ids of the raw-partial matrix from when a
+			// second feeding mode existed; kept so they stay comparable.
+			name := fmt.Sprintf("workers=%d/shards=%d/mixed=false", workers, shards)
+			t.Run(name, func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(1000*workers + 10*shards)))
+				run := newReplicaRun(rng, workers)
+				sd := NewShardedDriver(workers, shards, run.winSize, run.winSize*run.windows, nil)
+				for w := range run.emits {
+					sd.ObserveEmits(int64(w)*run.winSize, run.emits[w])
 				}
-				name := fmt.Sprintf("workers=%d/shards=%d/mixed=%v", workers, shards, mixed)
-				t.Run(name, func(t *testing.T) {
-					rng := rand.New(rand.NewSource(int64(1000*workers + 10*shards)))
-					run := newReplicaRun(rng, workers)
-					sd := NewShardedDriver(workers, shards, run.winSize, run.winSize*run.windows, nil)
-					for w := range run.emits {
-						sd.ObserveEmits(int64(w)*run.winSize, run.emits[w])
+				refs := make([]*metrics.DigestReplicas, shards)
+				for r := range refs {
+					refs[r] = metrics.NewDigestReplicas(workers)
+				}
+				type slice struct {
+					window int64
+					shard  int
+				}
+				closed := map[slice]bool{} // window slices closed and not re-opened
+				var reopened, finals int64
+				onFinal := func(f Final) {
+					finals++
+					r := ShardFor(f.Digest, shards)
+					closed[slice{f.Window, r}] = true
+					refs[r].Release(WindowKeyID(f.Window, f.Digest))
+				}
+				feed := func(slab []Partial) {
+					for i := range slab {
+						p := &slab[i]
+						r := ShardFor(p.Digest, shards)
+						refs[r].Observe(WindowKeyID(p.Window, p.Digest), int(p.Worker))
 					}
-					refs := make([]*metrics.DigestReplicas, shards)
-					for r := range refs {
-						refs[r] = metrics.NewDigestReplicas(workers)
-					}
-					type slice struct {
-						window int64
-						shard  int
-					}
-					closed := map[slice]bool{} // window slices closed and not re-opened
-					var reopened, finals int64
-					onFinal := func(f Final) {
-						finals++
-						r := ShardFor(f.Digest, shards)
-						closed[slice{f.Window, r}] = true
-						refs[r].Release(WindowKeyID(f.Window, f.Digest))
-					}
-					feed := func(slab []Partial) {
-						for i := range slab {
-							p := &slab[i]
-							r := ShardFor(p.Digest, shards)
-							refs[r].Observe(WindowKeyID(p.Window, p.Digest), int(p.Worker))
-							if mixed && r == 0 {
-								sd.ObserveReplica(0, p.Window, p.Digest, p.Worker)
-								p.Worker = CombinedWorker
-							}
-						}
-						sd.Merge(slab, onFinal)
-					}
-					for _, slab := range run.slabs {
-						feed(slab)
-						// Once a key's slice of a window has closed, re-open it
-						// with a stray partial: a fresh (window, key) as far as
-						// the accounting goes, closed again at Finish.
-						if k := int(reopened); k < 2 {
-							r := ShardFor(run.digs[k], shards)
-							for w := int64(0); w < run.windows; w++ {
-								if closed[slice{w, r}] {
-									feed([]Partial{run.partial(w, k, k%workers, 1)})
-									reopened++
-									closed[slice{w, r}] = false
-									break
-								}
+					sd.Merge(slab, onFinal)
+				}
+				for _, slab := range run.slabs {
+					feed(slab)
+					// Once a key's slice of a window has closed, re-open it
+					// with a stray partial: a fresh (window, key) as far as
+					// the accounting goes, closed again at Finish.
+					if k := int(reopened); k < 2 {
+						r := ShardFor(run.digs[k], shards)
+						for w := int64(0); w < run.windows; w++ {
+							if closed[slice{w, r}] {
+								feed([]Partial{run.partial(w, k, k%workers, 1)})
+								reopened++
+								closed[slice{w, r}] = false
+								break
 							}
 						}
 					}
-					sd.Finish(onFinal)
+				}
+				sd.Finish(onFinal)
 
-					if reopened == 0 {
-						t.Fatal("the run re-opened no closed window")
+				if reopened == 0 {
+					t.Fatal("the run re-opened no closed window")
+				}
+				if st := sd.Stats(); st.Late != reopened || st.Finals != finals {
+					t.Fatalf("late %d (want %d), finals %d (want %d)", st.Late, reopened, st.Finals, finals)
+				}
+				var pairs, keys, refPairs, refKeys int64
+				for r, d := range sd.drivers {
+					p, k := d.replicas()
+					if p != refs[r].Total() || k != int64(refs[r].Keys()) {
+						t.Errorf("shard %d: pairs/keys %d/%d, reference %d/%d", r, p, k, refs[r].Total(), refs[r].Keys())
 					}
-					if st := sd.Stats(); st.Late != reopened || st.Finals != finals {
-						t.Fatalf("late %d (want %d), finals %d (want %d)", st.Late, reopened, st.Finals, finals)
+					if got, want := d.Replication(), refs[r].AvgPerKey(); got != want {
+						t.Errorf("shard %d: Replication %v, reference %v", r, got, want)
 					}
-					var pairs, keys, refPairs, refKeys int64
-					for r, d := range sd.drivers {
-						p, k := d.replicas()
-						if p != refs[r].Total() || k != int64(refs[r].Keys()) {
-							t.Errorf("shard %d: pairs/keys %d/%d, reference %d/%d", r, p, k, refs[r].Total(), refs[r].Keys())
-						}
-						if got, want := d.Replication(), refs[r].AvgPerKey(); got != want {
-							t.Errorf("shard %d: Replication %v, reference %v", r, got, want)
-						}
-						if got, want := d.LiveReplication(), d.Replication(); got != want {
-							t.Errorf("shard %d: LiveReplication %v after the last merge, Replication %v", r, got, want)
-						}
-						if live := d.LiveReplicas(); live != 0 || refs[r].Live() != 0 {
-							t.Errorf("shard %d: %d live replica entries after Finish (reference %d)", r, live, refs[r].Live())
-						}
-						// Which structure counted is a property of the input.
-						tracked := workers > maxSlotWorkers || (mixed && r == 0)
-						if tracked != (d.red.pairs == 0) || tracked != (d.reps.Total() > 0) || tracked != d.fed.Load() {
-							t.Errorf("shard %d: slot pairs %d, tracker pairs %d, fed %v; want tracker=%v", r, d.red.pairs, d.reps.Total(), d.fed.Load(), tracked)
-						}
-						pairs, keys = pairs+p, keys+k
-						refPairs, refKeys = refPairs+refs[r].Total(), refKeys+int64(refs[r].Keys())
+					if got, want := d.LiveReplication(), d.Replication(); got != want {
+						t.Errorf("shard %d: LiveReplication %v after the last merge, Replication %v", r, got, want)
 					}
-					if keys == 0 || (workers > 1 && pairs <= keys) {
-						t.Fatalf("degenerate run: %d pairs over %d keys", pairs, keys)
+					if live := d.LiveReplicas(); live != 0 || refs[r].Live() != 0 {
+						t.Errorf("shard %d: %d live replica entries after Finish (reference %d)", r, live, refs[r].Live())
 					}
-					if got, want := sd.Replication(), float64(refPairs)/float64(refKeys); got != want {
-						t.Errorf("summed Replication %v, reference %v", got, want)
+					// Which structure counted is a property of the worker count.
+					tracked := workers > maxSlotWorkers
+					if tracked != (d.red.pairs == 0) || tracked != (d.reps.Total() > 0) || tracked != d.tracked {
+						t.Errorf("shard %d: slot pairs %d, tracker pairs %d, tracked %v; want tracker=%v", r, d.red.pairs, d.reps.Total(), d.tracked, tracked)
 					}
-				})
-			}
+					pairs, keys = pairs+p, keys+k
+					refPairs, refKeys = refPairs+refs[r].Total(), refKeys+int64(refs[r].Keys())
+				}
+				if keys == 0 || (workers > 1 && pairs <= keys) {
+					t.Fatalf("degenerate run: %d pairs over %d keys", pairs, keys)
+				}
+				if got, want := sd.Replication(), float64(refPairs)/float64(refKeys); got != want {
+					t.Errorf("summed Replication %v, reference %v", got, want)
+				}
+			})
 		}
 	}
 }
 
-// TestSlotAccountingLeavesTrackerIdle: with workers ≤ 64 and no
-// combiner, replication is a by-product of the merge — no
+// TestSlotAccountingLeavesTrackerIdle: with workers ≤ 64 replication
+// is a by-product of the merge — no
 // DigestReplicas.Observe/Release, and repMu is never taken (the test
 // holds it across the whole run; a Merge or Finish that wanted it would
 // deadlock).
@@ -225,9 +215,9 @@ func TestSlotAccountingLeavesTrackerIdle(t *testing.T) {
 	if finals == 0 || d.Replication() <= 1 {
 		t.Fatalf("degenerate run: %d finals, replication %v", finals, d.Replication())
 	}
-	if d.fed.Load() || d.reps.Keys() != 0 || d.reps.Total() != 0 || d.reps.Live() != 0 {
-		t.Fatalf("tracker touched: fed %v, keys %d, pairs %d, live %d",
-			d.fed.Load(), d.reps.Keys(), d.reps.Total(), d.reps.Live())
+	if d.tracked || d.reps.Keys() != 0 || d.reps.Total() != 0 || d.reps.Live() != 0 {
+		t.Fatalf("tracker touched: tracked %v, keys %d, pairs %d, live %d",
+			d.tracked, d.reps.Keys(), d.reps.Total(), d.reps.Live())
 	}
 }
 

@@ -172,9 +172,6 @@ type ShardedDriver struct {
 	drivers []*Driver
 	counts  *shardCounts // nil when unsharded
 	bufs    [][]Partial  // per-shard scratch for Merge
-	m       Merger
-	winSize int64
-	msgs    int64
 }
 
 // NewShardedDriver returns an R-way reduce stage for an engine run of
@@ -189,14 +186,12 @@ func NewShardedDriver(workers, shards int, windowSize, messages int64, m Merger)
 		return &ShardedDriver{
 			drivers: []*Driver{NewDriverMerger(workers, windowSize, messages, m)},
 			bufs:    make([][]Partial, 1),
-			m:       m, winSize: windowSize, msgs: messages,
 		}
 	}
 	sd := &ShardedDriver{
 		drivers: make([]*Driver, shards),
 		counts:  newShardCounts(shards, windowSize, messages),
 		bufs:    make([][]Partial, shards),
-		m:       m, winSize: windowSize, msgs: messages,
 	}
 	for r := range sd.drivers {
 		shard := r
@@ -229,46 +224,6 @@ func (sd *ShardedDriver) ObserveEmits(base int64, digs []KeyDigest) {
 	if sd.counts != nil && len(digs) > 0 {
 		sd.counts.observeBatch(base, digs)
 	}
-}
-
-// merger returns the merge operator the stage was built with (never
-// nil: construction defaults to CountMerger) — combiner-tree nodes fold
-// with the same operator the reducers combine with.
-func (sd *ShardedDriver) merger() Merger {
-	if sd.m == nil {
-		return CountMerger
-	}
-	return sd.m
-}
-
-// expectedFor returns shard r's completeness threshold for window w and
-// whether it is final. Sharded stages read the emission-counted
-// thresholds; the unsharded stage uses the closed form (every window
-// holds exactly winSize messages, the last the remainder), which is
-// always final.
-func (sd *ShardedDriver) expectedFor(w int64, shard int) (int64, bool) {
-	if sd.counts != nil {
-		return sd.counts.expected(w, shard)
-	}
-	if sd.msgs > 0 {
-		if last := (sd.msgs - 1) / sd.winSize; w == last {
-			return sd.msgs - last*sd.winSize, true
-		}
-	}
-	return sd.winSize, true
-}
-
-// ObserveReplica records one (window, key, worker) state triple toward
-// shard `shard`'s exact replication accounting, in the shard driver's
-// map-based tracker. The combiner tree calls it — at the BOLT, before a
-// partial enters the tree and its worker identity is merged away — once
-// per flushed partial; the combined partials that later reach the
-// driver carry Worker = CombinedWorker and set no bit in the slot they
-// merge into, so each triple is counted through exactly one path.
-// Thread-safe: bolts observe concurrently with the shard goroutine
-// closing windows.
-func (sd *ShardedDriver) ObserveReplica(shard int, window int64, dg KeyDigest, worker int32) {
-	sd.drivers[shard].observeReplica(WindowKeyID(window, dg), int(worker))
 }
 
 // Merge splits a flushed slab by digest shard and folds each piece into

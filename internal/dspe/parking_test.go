@@ -26,7 +26,7 @@ func goroutinesSettle(t *testing.T, before int) {
 	}
 }
 
-// TestTransportPlaneLeaksNoGoroutine checks runTransport's three exit
+// TestTransportPlaneLeaksNoGoroutine checks the engine's three exit
 // paths — clean, clean after riding out a chaos schedule, and a hard
 // link error — for goroutines left behind: parked waiters nobody woke,
 // or transport stages nobody stopped.
@@ -65,7 +65,11 @@ func TestTransportPlaneLeaksNoGoroutine(t *testing.T) {
 	}
 
 	// The hard-error path needs a fabric Run would never build: TCP with
-	// reconnection disabled, severed mid-run.
+	// reconnection disabled, severed mid-run. Where the severs fall
+	// relative to the spouts' ack waits is a race, so it runs many times:
+	// a link that dies while its spout is parked on acks must still end
+	// the run (the bolt that sees the dead link reports it), and that
+	// interleaving turned up about once in thirty runs.
 	t.Run("hard-error/tcp", func(t *testing.T) {
 		before := runtime.NumGoroutine()
 		cfg, err := base.withDefaults()
@@ -73,26 +77,28 @@ func TestTransportPlaneLeaksNoGoroutine(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg.Transport = TransportTCP
-		parts := make([]core.Partitioner, cfg.Sources)
-		for i := range parts {
-			srcCfg := cfg.Core
-			srcCfg.Instance = i
-			if parts[i], err = core.New(cfg.Algorithm, srcCfg); err != nil {
+		for seed := uint64(1); seed <= 40; seed++ {
+			parts := make([]core.Partitioner, cfg.Sources)
+			for i := range parts {
+				srcCfg := cfg.Core
+				srcCfg.Instance = i
+				if parts[i], err = core.New(cfg.Algorithm, srcCfg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tcp, err := transport.NewTCPWithConfig(nil, transport.TCPConfig{MaxReconnects: -1})
+			if err != nil {
 				t.Fatal(err)
 			}
+			fabric := transport.NewChaos(tcp, transport.ChaosConfig{Seed: seed, SeverEvery: 7})
+			gen := zipfGen(1.2, 250, 200_000)
+			_, err = runOnFabric(fabric, gen, cfg, parts, 200_000)
+			fabric.Close()
+			if err == nil {
+				t.Fatal("run over links severed with reconnection disabled reported no error")
+			}
+			goroutinesSettle(t, before)
 		}
-		tcp, err := transport.NewTCPWithConfig(nil, transport.TCPConfig{MaxReconnects: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fabric := transport.NewChaos(tcp, transport.ChaosConfig{Seed: 5, SeverEvery: 7})
-		gen := zipfGen(1.2, 250, 200_000)
-		_, err = runOnFabric(fabric, gen, cfg, parts, 200_000)
-		fabric.Close()
-		if err == nil {
-			t.Fatal("run over links severed with reconnection disabled reported no error")
-		}
-		goroutinesSettle(t, before)
 	})
 }
 
@@ -101,8 +107,7 @@ func TestTransportPlaneLeaksNoGoroutine(t *testing.T) {
 // and the waiting must be visible — parks counted per goroutine, and the
 // two stall clocks (which now time yield phase plus park) running.
 func TestTransportPlaneCountsParks(t *testing.T) {
-	cfg := telemetryCfg("D-C", DataplaneChannel)
-	cfg.Transport = TransportMemory
+	cfg := telemetryCfg("D-C", TransportMemory)
 	cfg.ServiceTime = 200 * time.Microsecond
 	res, err := Run(zipfGen(1.2, 300, 2000), cfg)
 	if err != nil {
@@ -129,13 +134,5 @@ func TestTransportPlaneCountsParks(t *testing.T) {
 		if v <= 0 {
 			t.Errorf("%s = %v on a run that waits most of the time", want.name, v)
 		}
-	}
-	// The direct planes never park, so they register no park series.
-	direct := telemetryCfg("D-C", DataplaneRing)
-	if _, err := Run(zipfGen(1.2, 300, 2000), direct); err != nil {
-		t.Fatal(err)
-	}
-	if _, n := sumSeries(direct.Telemetry.Snapshot(), "bolt_parks_total"); n != 0 {
-		t.Errorf("ring plane registered %d bolt_parks_total series", n)
 	}
 }

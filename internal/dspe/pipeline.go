@@ -220,12 +220,6 @@ type PipelineConfig struct {
 	QueueLen int
 	// Messages caps the spout's emissions; 0 means the full generator.
 	Messages int64
-	// Dataplane selects the tuple transport: DataplaneChannel (default)
-	// gives every executor one bounded MPSC channel; DataplaneRing gives
-	// every (sender, receiver) pair its own lock-free SPSC ring, with
-	// executors sweeping their per-sender rings. Stage semantics and
-	// results are identical; only the transport cost differs.
-	Dataplane Dataplane
 }
 
 // pipeTuple carries the key and its KeyDigest (computed once, when the
@@ -247,9 +241,6 @@ type pipeTuple struct {
 func (p *Pipeline) Run(cfg PipelineConfig) (PipelineResult, error) {
 	if len(p.stages) == 0 {
 		return PipelineResult{}, fmt.Errorf("dspe: pipeline has no stages")
-	}
-	if cfg.Dataplane == DataplaneRing {
-		return p.runRing(cfg)
 	}
 	queueLen := cfg.QueueLen
 	if queueLen <= 0 {

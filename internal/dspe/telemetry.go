@@ -3,52 +3,42 @@ package dspe
 // telemetry.go bridges one engine run into a telemetry.Registry
 // (Config.Telemetry). The hooks follow the registry's hot-path
 // discipline: everything per-message stays in goroutine-local state the
-// engines already keep; the bridge publishes per-slab deltas (route
+// engine already keeps; the bridge publishes per-slab deltas (route
 // recorders, stall/busy counters) or registers snapshot-time collectors
 // (queue-depth and reducer-occupancy gauge funcs). A nil registry means
 // a nil *planeTelemetry, and every method on a nil receiver is a no-op,
-// so the engines carry one field and never branch on configuration
+// so the engine carries one field and never branches on configuration
 // beyond `pt != nil` where a time.Now pair would otherwise be paid.
 //
-// Series registered per run (labels: engine=dspe-channel|dspe-ring —
-// the transport plane reports under whichever Config.Dataplane names —
-// algo, plus spout/worker/shard where noted). "Waiting" below means the
-// poll-and-sleep backoff on the ring plane and, on the transport plane,
-// one wait episode of the goroutine's Parker: the yield phase plus the
-// park.
+// Series registered per run (labels: engine=dspe-memory|dspe-tcp after
+// Config.Transport, algo, plus spout/worker/shard where noted).
+// "Waiting" below is one wait episode of the goroutine's Parker: the
+// yield phase plus the park.
 //
 //	route_*                      per spout — see core.NewRouteRecorder
-//	spout_ack_wait_ns_total      per spout, all planes: waiting for
-//	                             in-flight window slots (ack
-//	                             backpressure; on the transport plane it
-//	                             includes flushing the links first)
-//	spout_ack_window             per spout gauge, transport plane: the
-//	                             current in-flight ack window (grows
-//	                             adaptively over TCP when Config.Window
-//	                             was left at its default)
-//	spout_parks_total            per spout, transport plane: times the
-//	                             spout parked (ack window or a full
-//	                             in-process link)
-//	publish_stall_ns_total       per spout, ring plane: blocked
-//	                             publishing into a full tuple ring
-//	                             (registered but never written on the
-//	                             transport plane)
-//	queue_depth                  per worker gauge: channel plane in tuple
-//	                             SLABS (len of the bolt's channel), ring
-//	                             plane in TUPLES (sum of its rings' Len)
+//	spout_ack_wait_ns_total      per spout: waiting for in-flight window
+//	                             slots (ack backpressure), including
+//	                             flushing the links first
+//	spout_ack_window             per spout gauge: the current in-flight
+//	                             ack window (grows adaptively over TCP
+//	                             when Config.Window was left at its
+//	                             default)
+//	spout_parks_total            per spout: times the spout parked (ack
+//	                             window or a full in-process link)
+//	queue_depth                  per worker gauge, in tuples: messages
+//	                             delivered to the bolt's source links and
+//	                             not yet received (sum of Link.Len)
 //	bolt_msgs_total              per worker: tuples processed
-//	acquire_stall_ns_total       per worker, ring and transport planes:
-//	                             waiting with every input empty (input
-//	                             starvation)
-//	bolt_parks_total             per worker, transport plane: times the
-//	                             bolt parked on its empty source links
-//	shard_parks_total            per shard, transport plane: times the
-//	                             reducer shard parked on its bolt links
+//	acquire_stall_ns_total       per worker: waiting with every source
+//	                             link empty (input starvation)
+//	bolt_parks_total             per worker: times the bolt parked on
+//	                             its empty source links
+//	shard_parks_total            per shard: times the reducer shard
+//	                             parked on its bolt links
 //	bolt_partials_total          partials flushed by all bolts
-//	reduce_partials_total        per shard: partials the reducer merged —
-//	                             reduce_partials/bolt_partials is the
-//	                             combiner tree's pre-merge ratio (1 on
-//	                             the channel plane by construction)
+//	reduce_partials_total        per shard: partials the reducer merged
+//	                             (they sum to bolt_partials_total: nothing
+//	                             pre-merges between bolt and reducer)
 //	reduce_busy_ns_total         per shard: reducer goroutine busy time
 //	reduce_open_windows          per shard gauge: open windows
 //	reduce_live_entries          per shard gauge: live (window, key) rows
@@ -56,15 +46,18 @@ package dspe
 //	                             holding a replica bitset — the shard's
 //	                             live entries where the bitset sits in
 //	                             the reducer's slot, the tracker's live
-//	                             ids under the combiner tree or with
-//	                             more than 64 workers
+//	                             ids with more than 64 workers
 //	reduce_replication           per shard gauge: state replication so
 //	                             far, distinct (window, key, worker) per
 //	                             distinct (window, key)
 //
+// A spout waiting for link space has no series of its own: links hold
+// two ack windows (ringCapFor), so the wait shows up as ack wait first,
+// and the TCP backend counts its own transport_send_stalls_total.
+//
 // GaugeFuncs are replace-on-reregister in the registry, so repeated
 // runs against one registry (the soak harness) always read the current
-// run's channels, rings and drivers.
+// run's links and drivers.
 
 import (
 	"strconv"
@@ -72,16 +65,16 @@ import (
 
 	"slb/internal/aggregation"
 	"slb/internal/core"
-	"slb/internal/ring"
 	"slb/internal/telemetry"
+	"slb/internal/transport"
 )
 
-// planeName returns the engine label value for the configured dataplane.
-func planeName(d Dataplane) string {
-	if d == DataplaneRing {
-		return "dspe-ring"
+// engineName returns the engine label value for the configured backend.
+func engineName(t Transport) string {
+	if t == TransportTCP {
+		return "dspe-tcp"
 	}
-	return "dspe-channel"
+	return "dspe-memory"
 }
 
 type planeTelemetry struct {
@@ -90,13 +83,12 @@ type planeTelemetry struct {
 
 	recs         []*core.RouteRecorder // per spout
 	ackWait      []*telemetry.Counter  // per spout
-	ackWindow    []*telemetry.Gauge    // per spout (transport plane)
-	spoutParks   []*telemetry.Counter  // per spout (transport plane)
-	publishStall []*telemetry.Counter  // per spout (ring plane)
+	ackWindow    []*telemetry.Gauge    // per spout
+	spoutParks   []*telemetry.Counter  // per spout
 	boltMsgs     []*telemetry.Counter  // per worker
-	acquireStall []*telemetry.Counter  // per worker (ring and transport planes)
-	boltParks    []*telemetry.Counter  // per worker (transport plane)
-	shardParks   []*telemetry.Counter  // per shard (transport plane)
+	acquireStall []*telemetry.Counter  // per worker
+	boltParks    []*telemetry.Counter  // per worker
+	shardParks   []*telemetry.Counter  // per shard
 	boltPartials *telemetry.Counter
 	reduceParts  []*telemetry.Counter // per shard
 	reduceBusy   []*telemetry.Counter // per shard
@@ -112,32 +104,20 @@ func newPlaneTelemetry(cfg Config) *planeTelemetry {
 	pt := &planeTelemetry{
 		reg: reg,
 		base: []telemetry.Label{
-			telemetry.L("engine", planeName(cfg.Dataplane)),
+			telemetry.L("engine", engineName(cfg.Transport)),
 			telemetry.L("algo", cfg.Algorithm),
 		},
 	}
-	// The transport plane's receivers wait on empty inputs as the ring
-	// plane's do (parked rather than polling), so it reports the same
-	// stall series whatever Dataplane says — plus how often each
-	// goroutine parked.
-	parking := cfg.Transport != TransportDirect
-	ringish := cfg.Dataplane == DataplaneRing || parking
 	pt.recs = make([]*core.RouteRecorder, cfg.Sources)
 	pt.ackWait = make([]*telemetry.Counter, cfg.Sources)
 	pt.ackWindow = make([]*telemetry.Gauge, cfg.Sources)
 	pt.spoutParks = make([]*telemetry.Counter, cfg.Sources)
-	pt.publishStall = make([]*telemetry.Counter, cfg.Sources)
 	for s := range pt.recs {
 		ls := pt.with("spout", s)
 		pt.recs[s] = core.NewRouteRecorder(reg, ls...)
 		pt.ackWait[s] = reg.Counter("spout_ack_wait_ns_total", ls...)
-		if parking {
-			pt.ackWindow[s] = reg.Gauge("spout_ack_window", ls...)
-			pt.spoutParks[s] = reg.Counter("spout_parks_total", ls...)
-		}
-		if ringish {
-			pt.publishStall[s] = reg.Counter("publish_stall_ns_total", ls...)
-		}
+		pt.ackWindow[s] = reg.Gauge("spout_ack_window", ls...)
+		pt.spoutParks[s] = reg.Counter("spout_parks_total", ls...)
 	}
 	pt.boltMsgs = make([]*telemetry.Counter, cfg.Workers)
 	pt.acquireStall = make([]*telemetry.Counter, cfg.Workers)
@@ -145,12 +125,8 @@ func newPlaneTelemetry(cfg Config) *planeTelemetry {
 	for w := range pt.boltMsgs {
 		ls := pt.with("worker", w)
 		pt.boltMsgs[w] = reg.Counter("bolt_msgs_total", ls...)
-		if ringish {
-			pt.acquireStall[w] = reg.Counter("acquire_stall_ns_total", ls...)
-		}
-		if parking {
-			pt.boltParks[w] = reg.Counter("bolt_parks_total", ls...)
-		}
+		pt.acquireStall[w] = reg.Counter("acquire_stall_ns_total", ls...)
+		pt.boltParks[w] = reg.Counter("bolt_parks_total", ls...)
 	}
 	if cfg.AggWindow > 0 {
 		pt.boltPartials = reg.Counter("bolt_partials_total", pt.base...)
@@ -159,9 +135,7 @@ func newPlaneTelemetry(cfg Config) *planeTelemetry {
 		pt.shardParks = make([]*telemetry.Counter, cfg.AggShards)
 		for r := range pt.reduceBusy {
 			ls := pt.with("shard", r)
-			if parking {
-				pt.shardParks[r] = reg.Counter("shard_parks_total", ls...)
-			}
+			pt.shardParks[r] = reg.Counter("shard_parks_total", ls...)
 			pt.reduceParts[r] = reg.Counter("reduce_partials_total", ls...)
 			pt.reduceBusy[r] = reg.Counter("reduce_busy_ns_total", ls...)
 		}
@@ -190,16 +164,10 @@ func (pt *planeTelemetry) addAckWait(s int, d time.Duration) {
 }
 
 // setAckWindow publishes spout s's current (possibly adaptively grown)
-// in-flight ack window (transport plane only; nil-safe).
+// in-flight ack window (nil-safe).
 func (pt *planeTelemetry) setAckWindow(s int, win int64) {
-	if pt != nil && pt.ackWindow[s] != nil {
+	if pt != nil {
 		pt.ackWindow[s].SetInt(win)
-	}
-}
-
-func (pt *planeTelemetry) addPublishStall(s int, d time.Duration) {
-	if pt != nil && d > 0 {
-		pt.publishStall[s].Add(d.Nanoseconds())
 	}
 }
 
@@ -214,9 +182,6 @@ func (pt *planeTelemetry) addAcquireStall(w int, d time.Duration) {
 		pt.acquireStall[w].Add(d.Nanoseconds())
 	}
 }
-
-// The park counters below exist on the transport plane only, whose
-// goroutines are the only callers.
 
 func (pt *planeTelemetry) addSpoutPark(s int) {
 	if pt != nil {
@@ -253,27 +218,14 @@ func (pt *planeTelemetry) addReduce(r, partials int, busy time.Duration) {
 	}
 }
 
-// observeChannelQueues registers per-bolt queue-depth gauges over the
-// channel plane's input channels (depth in tuple slabs).
-func (pt *planeTelemetry) observeChannelQueues(in []chan []tuple) {
+// observeQueues registers per-bolt queue-depth gauges over the
+// spout→bolt links in[source][worker] (depth in tuples, summed over
+// spouts).
+func (pt *planeTelemetry) observeQueues(in [][]*transport.Link) {
 	if pt == nil {
 		return
 	}
-	for w := range in {
-		ch := in[w]
-		pt.reg.GaugeFunc("queue_depth", func() float64 { return float64(len(ch)) }, pt.with("worker", w)...)
-	}
-}
-
-// observeRingQueues registers per-bolt queue-depth gauges over the ring
-// plane's (spout, bolt) rings (depth in tuples, summed over spouts).
-func (pt *planeTelemetry) observeRingQueues(in [][]*ring.SPSC[tuple]) {
-	if pt == nil {
-		return
-	}
-	workers := len(in[0])
-	for w := 0; w < workers; w++ {
-		w := w
+	for w := range in[0] {
 		pt.reg.GaugeFunc("queue_depth", func() float64 {
 			n := 0
 			for s := range in {

@@ -20,25 +20,25 @@ func sumSeries(snap telemetry.Snapshot, name string) (total float64, series int)
 	return total, series
 }
 
-func telemetryCfg(algo string, plane Dataplane) Config {
+func telemetryCfg(algo string, backend Transport) Config {
 	cfg := baseCfg(algo, 4, 2)
 	cfg.ServiceTime = 0
-	cfg.Dataplane = plane
+	cfg.Transport = backend
 	cfg.AggWindow = 256
 	cfg.AggShards = 2
 	cfg.Telemetry = telemetry.NewRegistry()
 	return cfg
 }
 
-// TestTelemetryBothPlanes runs the aggregating topology on each
-// dataplane with a registry attached and checks every layer fed it:
-// routing, data plane, bolts, and the sharded reduce stage.
+// TestTelemetryBothPlanes runs the aggregating topology over each
+// backend with a registry attached and checks every layer fed it:
+// routing, links, bolts, and the sharded reduce stage.
 func TestTelemetryBothPlanes(t *testing.T) {
 	const msgs = 6000
-	for _, plane := range []Dataplane{DataplaneChannel, DataplaneRing} {
-		name := planeName(plane)
+	for _, b := range backends {
+		name := engineName(b.sel)
 		t.Run(name, func(t *testing.T) {
-			cfg := telemetryCfg("W-C", plane)
+			cfg := telemetryCfg("W-C", b.sel)
 			res, err := Run(zipfGen(1.2, 300, msgs), cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -47,6 +47,11 @@ func TestTelemetryBothPlanes(t *testing.T) {
 				t.Fatalf("completed %d, want %d", res.Completed, msgs)
 			}
 			snap := cfg.Telemetry.Snapshot()
+			for _, m := range snap.Metrics {
+				if eng := m.Label("engine"); eng != "" && eng != name {
+					t.Fatalf("%s carries engine=%q, want %q", m.Name, eng, name)
+				}
+			}
 
 			// Routing: every message routed exactly once, across spouts.
 			if v, n := sumSeries(snap, "route_msgs_total"); v != msgs || n != cfg.Sources {
@@ -64,7 +69,7 @@ func TestTelemetryBothPlanes(t *testing.T) {
 				t.Fatalf("queue_depth series = %d, want %d", n, cfg.Workers)
 			}
 			// Aggregation: bolts flushed what the result says they did, and
-			// the reducer-side counters expose the pre-merge ratio.
+			// the reducers merged exactly that.
 			if v, _ := sumSeries(snap, "bolt_partials_total"); int64(v) != res.AggBoltPartials {
 				t.Fatalf("bolt_partials_total = %v, result has %d", v, res.AggBoltPartials)
 			}
@@ -75,8 +80,8 @@ func TestTelemetryBothPlanes(t *testing.T) {
 			if int64(reduced) != res.Agg.Partials {
 				t.Fatalf("reduce_partials_total = %v, result merged %d", reduced, res.Agg.Partials)
 			}
-			if plane == DataplaneRing && reduced > float64(res.AggBoltPartials) {
-				t.Fatalf("combiner tree cannot amplify: reduced %v > flushed %d", reduced, res.AggBoltPartials)
+			if int64(reduced) != res.AggBoltPartials {
+				t.Fatalf("reducers merged %v partials, bolts flushed %d", reduced, res.AggBoltPartials)
 			}
 			if v, n := sumSeries(snap, "reduce_busy_ns_total"); v <= 0 || n != cfg.AggShards {
 				t.Fatalf("reduce_busy_ns_total = %v over %d series", v, n)
@@ -104,7 +109,7 @@ func TestTelemetryBothPlanes(t *testing.T) {
 // telemetry field means every hook is a nil-receiver no-op and results
 // are unchanged.
 func TestTelemetryOffAddsNothing(t *testing.T) {
-	cfg := telemetryCfg("D-C", DataplaneRing)
+	cfg := telemetryCfg("D-C", TransportMemory)
 	cfg.Telemetry = nil
 	res, err := Run(zipfGen(1.2, 300, 2000), cfg)
 	if err != nil {
@@ -119,7 +124,7 @@ func TestTelemetryOffAddsNothing(t *testing.T) {
 // run — the registry hot path and the gauge funcs must tolerate being
 // read mid-flight (the soak harness does exactly this).
 func TestTelemetrySnapshotDuringRun(t *testing.T) {
-	cfg := telemetryCfg("W-C", DataplaneRing)
+	cfg := telemetryCfg("W-C", TransportMemory)
 	cfg.ServiceTime = 50 * time.Microsecond
 	stop := make(chan struct{})
 	snapped := make(chan struct{})

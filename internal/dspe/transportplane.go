@@ -14,36 +14,9 @@ import (
 	"slb/internal/transport"
 )
 
-// transportplane.go runs the topology over the internal/transport edge
-// fabric: every spout→bolt and bolt→reducer hop is a named transport
-// link instead of an in-process channel or ring. With the memory
-// backend this is the ring dataplane's data path behind the Transport
-// interface (one SPSC ring per edge, slab sends, round-robin consumers);
-// with the TCP backend every hop additionally crosses a loopback
-// socket through the varint frame codec, which is what makes the
-// network's cost measurable against the in-process planes.
-//
-// Aggregation follows the CHANNEL plane's semantics: bolt partials
-// travel to the reducer shards with their worker identity intact (no
-// combiner tree), the shards merge via ShardedDriver.MergeShard, and
-// replication is observed driver-side. Finals and replication are
-// therefore bit-equal to both in-process planes at Sources=1 — pinned
-// by TestTransportPlaneParity.
-//
-// Nothing in this plane polls. Every spout, bolt and reducer shard owns
-// one ring.Parker, registered on each link it reads (and each in-process
-// link it fills): a goroutine that finds no input, no ack-window room or
-// no ring space yields a few times and then parks, and the link — or the
-// ack counter crossing the level the spout asked for, or fail — wakes
-// it. An idle topology costs no CPU, and a busy one does not queue its
-// workers behind a dozen pollers.
-//
-// Control stays in-process by design: the per-source in-flight window
-// (ack semantics) is a padded atomic counter, and
-// window-completeness thresholds are counted at the spouts
-// (ObserveEmits) exactly as in both other planes. The transport
-// models the DATA hops — the paper's serialization/framing/link cost —
-// not a distributed control protocol.
+// transportplane.go is the engine: the spout → bolt → reducer-shard
+// topology written once, against transport.Link (see the package doc
+// for the shape and for how the goroutines wait).
 //
 // Over TCP the fixed default window (100) is ack-latency bound: each
 // burst waits out a loopback round trip before the next can start. When
@@ -53,7 +26,7 @@ import (
 // adaptiveWindowMax — converging on a depth where the pipe stays full
 // without the caller having to know the link's bandwidth-delay product.
 // An explicitly set Window is always honored as a fixed cap (the
-// `transport` experiment pins Window=4096 on every plane so its A/B
+// `transport` experiment pins Window=4096 on both backends so its A/B
 // stays one). Window depth never changes results: each spout routes its
 // own stream deterministically, so finals and replication stay
 // bit-equal regardless of ack timing.
@@ -62,6 +35,33 @@ import (
 // depth a loopback link is bandwidth- not latency-bound and deeper
 // windows only add buffer bloat.
 const adaptiveWindowMax = 8192
+
+// partialRingCap sizes the bolt→shard links: large enough that a whole
+// window flush usually publishes without waiting, small enough to keep
+// the arena resident.
+const partialRingCap = 1024
+
+// latSampleMask subsamples the per-tuple latency instrumentation: one
+// tuple in 8 is clocked at the spout and fed to the bolt's quantile
+// sketch. The percentiles are statistical estimates either way (the
+// sketch subsamples internally past its capacity); clocking every tuple
+// would spend two nanotime reads per message. Loads and Completed still
+// count every tuple.
+const latSampleMask = 7
+
+// ringCapFor sizes the spout→bolt links: at least two full in-flight
+// windows so a spout is never throttled by link capacity before the ack
+// window throttles it, and at least two slabs.
+func ringCapFor(cfg Config) int {
+	c := 2 * cfg.Window
+	if b := 2 * cfg.Batch; b > c {
+		c = b
+	}
+	if c < 64 {
+		c = 64
+	}
+	return c
+}
 
 // ackWindow is one source's in-flight count plus the level its spout is
 // waiting for it to fall to. A bolt acks with n.Add(-k) and wakes the
@@ -112,18 +112,6 @@ func partialMsg(p *aggregation.Partial) transport.Msg {
 	}
 }
 
-// runTransport executes the topology with every data hop on cfg's
-// transport backend. cfg has defaults applied; parts are the
-// per-source partitioners; limit is the message cap.
-func runTransport(gen stream.Generator, cfg Config, parts []core.Partitioner, limit int64) (Result, error) {
-	fabric, err := openFabric(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	defer fabric.Close()
-	return runOnFabric(fabric, gen, cfg, parts, limit)
-}
-
 // openFabric builds the edge fabric cfg selects, wrapped in the chaos
 // schedule when one is set.
 func openFabric(cfg Config) (transport.Transport, error) {
@@ -158,17 +146,19 @@ func openFabric(cfg Config) (transport.Transport, error) {
 	return fabric, nil
 }
 
-// runOnFabric is runTransport on a fabric the caller opened (and
-// closes): every goroutine it starts has exited when it returns, on
-// the clean path and on a link failure alike.
+// runOnFabric executes the topology with every data hop a link of
+// fabric, which the caller opened (and closes). cfg has defaults
+// applied; parts are the per-source partitioners; limit is the message
+// cap. Every goroutine it starts has exited when it returns, on the
+// clean path and on a link failure alike.
 func runOnFabric(fabric transport.Transport, gen stream.Generator, cfg Config, parts []core.Partitioner, limit int64) (Result, error) {
 	shards := cfg.AggShards
 	agg := cfg.AggWindow > 0
 	pt := newPlaneTelemetry(cfg)
 	var err error
 
-	// Spout→bolt links: one per (source, bolt) pair, so each link is
-	// SPSC like the ring plane's edges. Bolt→shard links likewise.
+	// Spout→bolt links: one per (source, bolt) pair, so each link has a
+	// single producer and a single consumer. Bolt→shard links likewise.
 	// When the ack window may grow adaptively, the receive rings are
 	// deepened so the grown window — not ring capacity — bounds the
 	// in-flight depth (skew can concentrate a whole window on one edge).
@@ -197,6 +187,7 @@ func runOnFabric(fabric transport.Transport, gen stream.Generator, cfg Config, p
 			}
 		}
 	}
+	pt.observeQueues(in)
 	inflight := make([]ackWindow, cfg.Sources)
 
 	// One Parker per goroutine, registered on every link it waits on: a
@@ -255,9 +246,12 @@ func runOnFabric(fabric transport.Transport, gen stream.Generator, cfg Config, p
 			go func(r int) {
 				defer reduceWG.Done()
 				onFinal, deliver := fan.shard()
-				// Per-bolt receive legs of this shard; drained like the
-				// ring plane's root. The merge cost is settled as debt in
-				// ≥ 1 ms chunks (see the channel plane for why).
+				// The simulated merge cost is paid as a DEBT settled in
+				// ≥ 1 ms chunks, with each settlement's measured oversleep
+				// credited back: per-slab sleeps would bottom out at the
+				// timer floor and charge every shard the slab COUNT (which
+				// sharding does not reduce — each bolt flush sends one slab
+				// per shard) instead of the partial count (which it does).
 				var debt time.Duration
 				settle := func(threshold time.Duration) {
 					if debt > threshold {
@@ -346,9 +340,8 @@ func runOnFabric(fabric transport.Transport, gen stream.Generator, cfg Config, p
 			}
 			// flushClosed closes windows below `before` and sends each
 			// partial to its shard — worker identity intact, merged (and
-			// its replica observed) at the reducer, exactly the channel
-			// plane's division of labor. Each touched link is flushed so
-			// window finals never sit in a coalescing buffer.
+			// its replica counted) at the reducer. Each touched link is
+			// flushed so window finals never sit in a coalescing buffer.
 			flushClosed := func(before int64) {
 				scratch = acc.FlushBefore(before, scratch[:0])
 				pt.addBoltPartials(len(scratch))
@@ -383,6 +376,10 @@ func runOnFabric(fabric transport.Transport, gen stream.Generator, cfg Config, p
 					n, done := in[s][w].RecvSlab(buf)
 					if n == 0 {
 						if done {
+							// A link that failed is done too, and its spout
+							// may be parked on acks the link lost: only
+							// fail wakes it.
+							fail(in[s][w].Err())
 							drained[s] = true
 							remaining--
 							progressed = true
@@ -394,8 +391,12 @@ func runOnFabric(fabric transport.Transport, gen stream.Generator, cfg Config, p
 					for i := 0; i < n; i++ {
 						m := &buf[i]
 						if m.Src < 0 {
-							// Watermark tick: flush with one window of slack,
-							// exactly as the other planes. No ack.
+							// Watermark tick: the global emission sequence
+							// entered window m.Window, so (with one window of
+							// slack, same as the data path below) older windows
+							// are complete at this bolt even if it never sees
+							// another tuple. No ack — ticks do not occupy
+							// in-flight window slots.
 							if acc != nil {
 								flushClosed(m.Window - 1)
 							}
@@ -404,6 +405,11 @@ func runOnFabric(fabric transport.Transport, gen stream.Generator, cfg Config, p
 						simulateWork(svcFor(w), cfg.Spin)
 						if acc != nil {
 							if wm, ok := acc.Watermark(); ok && m.Window > wm {
+								// Watermark advance: flush with one window of
+								// slack, so slabs from lagging spouts (bounded
+								// reordering: at most one drawn-but-unsent slab
+								// per spout) do not fragment a window already
+								// flushed.
 								flushClosed(m.Window - 1)
 							}
 							acc.AddSample(m.Window, core.KeyDigest(m.Dig), m.Key, 1, m.Weight)
@@ -446,8 +452,14 @@ func runOnFabric(fabric transport.Transport, gen stream.Generator, cfg Config, p
 		}(w)
 	}
 
+	// The input stream is shared by all spouts (shuffle grouping from the
+	// data source to the spouts); see slabSource.
 	nextSlab, _ := slabSource(gen, limit)
 	genVals := stream.Values(gen) != nil
+	// tickedWindow is the highest window id announced to the bolts via
+	// watermark ticks; the spout whose slab first enters a window
+	// broadcasts the tick (idempotent at the bolts: flushing an already
+	// flushed window is a no-op).
 	var tickedWindow atomic.Int64
 
 	start := time.Now()
@@ -546,10 +558,18 @@ func runOnFabric(fabric transport.Transport, gen stream.Generator, cfg Config, p
 				}
 				inflight[s].n.Add(int64(n))
 				if agg {
+					// Hash-once: routing computes the digests the bolts'
+					// partial tables (and the reduce stage) will key by.
 					core.RouteBatchDigests(p, keys[:n], digs, dsts)
 					pt.recordRoute(s, p, n, time.Since(t0))
-					// Thresholds before visibility, as in the other planes.
+					// Count the slab toward its windows' per-shard
+					// completeness thresholds BEFORE any of its tuples can be
+					// sent (a threshold must never lag a mergeable partial).
+					// No-op with one shard.
 					sd.ObserveEmits(base, digs[:n])
+					// Broadcast a watermark tick to every bolt when the global
+					// emission sequence enters a window no spout announced yet,
+					// so bolts the partitioner starves still flush on time.
 					if cw := (base + int64(n) - 1) / cfg.AggWindow; cw > tickedWindow.Load() {
 						for {
 							seen := tickedWindow.Load()
@@ -647,14 +667,13 @@ func runOnFabric(fabric transport.Transport, gen stream.Generator, cfg Config, p
 		}(s)
 	}
 
+	// The clock stops at the last goroutine's join: the reducer shards
+	// keep draining after the bolts finish (queued slabs, end-of-stream
+	// flushes, Finish), and a message is not done until its final is out.
 	spouts.Wait()
 	bolts.Wait()
+	reduceWG.Wait()
 	elapsed := time.Since(start)
-	total := elapsed
-	if agg {
-		reduceWG.Wait()
-		total = time.Since(start)
-	}
 	if f, ok := fabric.(interface{ Err() error }); ok {
 		fail(f.Err()) // TCP, or Chaos forwarding its inner transport's
 	}
@@ -677,9 +696,9 @@ func runOnFabric(fabric transport.Transport, gen stream.Generator, cfg Config, p
 		for _, n := range boltPartials {
 			res.AggBoltPartials += n
 		}
-		if total > 0 {
+		if elapsed > 0 {
 			for _, busy := range reduceBusy {
-				u := float64(busy) / float64(total)
+				u := float64(busy) / float64(elapsed)
 				res.AggReducerUtilMean += u / float64(shards)
 				if u > res.AggReducerUtil {
 					res.AggReducerUtil = u

@@ -2,98 +2,195 @@ package dspe
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
+	"slb/internal/aggregation"
+	"slb/internal/core"
+	"slb/internal/stream"
 	"slb/internal/transport"
 	"slb/internal/workload"
 )
 
-// TestTransportPlaneParity pins the transport tentpole's correctness
-// contract: both transport backends (memory links and loopback TCP)
-// must produce bit-equal finals AND bit-equal replication factors to
-// the direct channel dataplane. Replication is compared with a single
-// source, where routing — and therefore the (window, key, worker)
-// triples — is deterministic.
+// collectFinals runs the topology and returns every final keyed by
+// (window, key), plus the result. The engine serializes OnFinal, so the
+// map needs no lock.
+func collectFinals(t *testing.T, cfg Config, gen stream.Generator) (map[string][2]int64, Result) {
+	t.Helper()
+	finals := make(map[string][2]int64)
+	cfg.OnFinal = func(f aggregation.Final) {
+		id := fmt.Sprintf("%d|%s", f.Window, f.Key)
+		if _, dup := finals[id]; dup {
+			t.Errorf("duplicate final for %s", id)
+		}
+		finals[id] = [2]int64{f.Count, f.Value}
+	}
+	res, err := Run(gen, cfg)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	return finals, res
+}
+
+// oracle is what a counting run of cfg over gen must produce, computed
+// on one goroutine with no engine: the stream drawn in the spout's
+// slabs, routed by source 0's partitioner, window id = seq / AggWindow.
+// Finals hold for any Sources; loads and replication are what a
+// single-source run must equal exactly (with several spouts the
+// interleaving of their draws decides who routes what).
+type oracle struct {
+	finals map[string][2]int64 // "window|key" → {count, count}
+	loads  []int64
+	repl   float64 // distinct (window, key, worker) ÷ distinct (window, key)
+}
+
+func runOracle(t *testing.T, gen stream.Generator, cfg Config) oracle {
+	t.Helper()
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.New(cfg.Algorithm, cfg.Core)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := oracle{finals: map[string][2]int64{}, loads: make([]int64, cfg.Workers)}
+	triples := map[string]struct{}{}
+	keys, digs, dsts := make([]string, cfg.Batch), make([]core.KeyDigest, cfg.Batch), make([]int, cfg.Batch)
+	gen.Reset()
+	for seq := int64(0); seq < cfg.Messages; {
+		n := stream.NextBatch(gen, keys[:min(int64(cfg.Batch), cfg.Messages-seq)])
+		core.RouteBatchDigests(p, keys[:n], digs, dsts)
+		for i := 0; i < n; i++ {
+			id := fmt.Sprintf("%d|%s", (seq+int64(i))/cfg.AggWindow, keys[i])
+			c := o.finals[id][0] + 1
+			o.finals[id] = [2]int64{c, c}
+			o.loads[dsts[i]]++
+			triples[fmt.Sprintf("%s|%d", id, dsts[i])] = struct{}{}
+		}
+		seq += int64(n)
+	}
+	gen.Reset()
+	o.repl = float64(len(triples)) / float64(len(o.finals))
+	return o
+}
+
+// checkRun runs cfg and compares it with the oracle using ==: finals
+// always; per-worker loads and the replication factor at Sources=1,
+// the load sum otherwise.
+func checkRun(t *testing.T, cfg Config, gen stream.Generator, want oracle) {
+	t.Helper()
+	finals, res := collectFinals(t, cfg, gen)
+	if len(finals) != len(want.finals) {
+		t.Fatalf("%d finals, oracle has %d", len(finals), len(want.finals))
+	}
+	for id, w := range want.finals {
+		if got, ok := finals[id]; !ok || got != w {
+			t.Fatalf("final %s = %v (present=%v), oracle %v", id, got, ok, w)
+		}
+	}
+	if res.Completed != cfg.Messages || res.AggTotal != cfg.Messages {
+		t.Errorf("completed/total %d/%d, want %d", res.Completed, res.AggTotal, cfg.Messages)
+	}
+	if res.Agg.Partials != res.AggBoltPartials {
+		t.Errorf("reducers merged %d partials, bolts flushed %d", res.Agg.Partials, res.AggBoltPartials)
+	}
+	var sum int64
+	for w, l := range res.Loads {
+		sum += l
+		if cfg.Sources == 1 && l != want.loads[w] {
+			t.Errorf("worker %d processed %d, oracle %d", w, l, want.loads[w])
+		}
+	}
+	if sum != cfg.Messages {
+		t.Errorf("loads sum to %d, want %d", sum, cfg.Messages)
+	}
+	if cfg.Sources == 1 && res.AggReplication != want.repl {
+		t.Errorf("replication %v, oracle %v", res.AggReplication, want.repl)
+	}
+}
+
+var backends = []struct {
+	name string
+	sel  Transport
+}{{"memory", TransportMemory}, {"tcp", TransportTCP}}
+
+// withChaos arms cfg with the harshest schedule the links must ride
+// out, and returns the check that the run suffered it: every data link
+// severed at least once and ≥ 1% of judged writes dropped. SeverEvery=2
+// severs on every second buffer write; even the quietest link makes two
+// (its final flush and its FIN), so every link is guaranteed a sever.
+func withChaos(cfg *Config) (suffered func(t *testing.T)) {
+	var faults map[string]transport.ChaosLinkStats
+	cfg.Chaos = &transport.ChaosConfig{Seed: 23, DropOneIn: 4, SeverEvery: 2}
+	cfg.OnFaultStats = func(st map[string]transport.ChaosLinkStats) { faults = st }
+	wantLinks := cfg.Sources*cfg.Workers + cfg.Workers*cfg.AggShards
+	return func(t *testing.T) {
+		t.Helper()
+		var writes, dropped int64
+		for link, st := range faults {
+			writes += st.Writes
+			dropped += st.Dropped
+			if st.Severed == 0 {
+				t.Errorf("link %s was never severed (writes=%d)", link, st.Writes)
+			}
+		}
+		if len(faults) != wantLinks {
+			t.Errorf("fault ledger covers %d links, want %d", len(faults), wantLinks)
+		}
+		if dropped*100 < writes {
+			t.Errorf("dropped %d of %d writes, want >= 1%%", dropped, writes)
+		}
+	}
+}
+
+// parityAlgos × parityShards is the matrix both single-source parity
+// tests walk: a key-pinned, a two-choice and both head-aware schemes,
+// unsharded and sharded reduce.
+var (
+	parityAlgos  = []string{"KG", "PKG", "D-C", "W-C"}
+	parityShards = []int{1, 3}
+)
+
+// TestTransportPlaneParity: on a clean wire, each backend's finals,
+// per-worker loads and replication factor equal the single-threaded
+// oracle's, unit for unit.
 func TestTransportPlaneParity(t *testing.T) {
-	for _, algo := range []string{"KG", "W-C"} {
-		for _, shards := range []int{1, 3} {
+	for _, algo := range parityAlgos {
+		for _, shards := range parityShards {
 			t.Run(fmt.Sprintf("%s/shards=%d", algo, shards), func(t *testing.T) {
-				base := Config{
-					Workers:   8,
-					Sources:   1,
-					Algorithm: algo,
-					AggWindow: 500,
-					AggShards: shards,
-					Messages:  20_000,
+				cfg := Config{
+					Workers: 8, Sources: 1, Algorithm: algo,
+					AggWindow: 500, AggShards: shards, Messages: 20_000,
 				}
-
-				direct := base
-				direct.Dataplane = DataplaneChannel
-				dFinals, dRes := collectFinals(t, direct, workload.NewZipf(1.2, 300, 20_000, 7))
-
-				for _, tp := range []struct {
-					name string
-					sel  Transport
-				}{{"memory", TransportMemory}, {"tcp", TransportTCP}} {
-					cfg := base
-					cfg.Transport = tp.sel
-					finals, res := collectFinals(t, cfg, workload.NewZipf(1.2, 300, 20_000, 7))
-					if len(finals) != len(dFinals) {
-						t.Fatalf("%s: final count differs: direct %d, transport %d", tp.name, len(dFinals), len(finals))
-					}
-					for id, want := range dFinals {
-						if got, ok := finals[id]; !ok || got != want {
-							t.Fatalf("%s: final %s: direct %v, transport %v (present=%v)", tp.name, id, want, got, ok)
-						}
-					}
-					if res.AggReplication != dRes.AggReplication {
-						t.Errorf("%s: replication differs: direct %v, transport %v", tp.name, dRes.AggReplication, res.AggReplication)
-					}
-					if res.Completed != 20_000 || res.AggTotal != 20_000 {
-						t.Errorf("%s: completed/total: %d/%d, want 20000/20000", tp.name, res.Completed, res.AggTotal)
-					}
-					// No combiner tree on the transport plane: reducers merge
-					// exactly what the bolts flushed, like the channel plane.
-					if res.Agg.Partials != res.AggBoltPartials {
-						t.Errorf("%s: reducers merged %d partials, bolts flushed %d (must be equal)",
-							tp.name, res.Agg.Partials, res.AggBoltPartials)
-					}
+				gen := workload.NewZipf(1.2, 300, cfg.Messages, 7)
+				want := runOracle(t, gen, cfg)
+				for _, b := range backends {
+					t.Run(b.name, func(t *testing.T) {
+						cfg := cfg
+						cfg.Transport = b.sel
+						checkRun(t, cfg, gen, want)
+					})
 				}
 			})
 		}
 	}
 }
 
-// TestTransportPlaneMultiSource relaxes to what stays deterministic
-// under concurrent spouts — the finals — and checks them bit-equal
-// between the direct plane and the TCP transport.
+// TestTransportPlaneMultiSource states the multi-source contract on a
+// clean wire: with concurrent spouts the finals still equal the truth
+// (window membership follows the global emission sequence regardless of
+// which spout draws a slab) and the loads sum to the count.
 func TestTransportPlaneMultiSource(t *testing.T) {
-	base := Config{
-		Workers:   10,
-		Sources:   3,
-		Algorithm: "W-C",
-		AggWindow: 400,
-		AggShards: 2,
-		Messages:  18_000,
+	cfg := Config{
+		Workers: 10, Sources: 3, Algorithm: "W-C",
+		AggWindow: 400, AggShards: 2, Messages: 18_000,
 	}
-	direct := base
-	direct.Dataplane = DataplaneChannel
-	dFinals, dRes := collectFinals(t, direct, workload.NewZipf(1.4, 200, 18_000, 11))
-
-	cfg := base
-	cfg.Transport = TransportTCP
-	finals, res := collectFinals(t, cfg, workload.NewZipf(1.4, 200, 18_000, 11))
-
-	if len(finals) != len(dFinals) {
-		t.Fatalf("final count differs: direct %d, tcp %d", len(dFinals), len(finals))
-	}
-	for id, want := range dFinals {
-		if got, ok := finals[id]; !ok || got != want {
-			t.Fatalf("final %s: direct %v, tcp %v (present=%v)", id, want, got, ok)
-		}
-	}
-	if dRes.AggTotal != 18_000 || res.AggTotal != 18_000 {
-		t.Errorf("totals: direct %d, tcp %d, want 18000", dRes.AggTotal, res.AggTotal)
+	gen := workload.NewZipf(1.4, 200, cfg.Messages, 11)
+	want := runOracle(t, gen, cfg)
+	for _, b := range backends {
+		cfg.Transport = b.sel
+		checkRun(t, cfg, gen, want)
 	}
 }
 
@@ -101,17 +198,14 @@ func TestTransportPlaneMultiSource(t *testing.T) {
 // topology over both transport backends: every message is processed
 // exactly once.
 func TestTransportPlaneNoAgg(t *testing.T) {
-	for _, tp := range []struct {
-		name string
-		sel  Transport
-	}{{"memory", TransportMemory}, {"tcp", TransportTCP}} {
-		t.Run(tp.name, func(t *testing.T) {
+	for _, b := range backends {
+		t.Run(b.name, func(t *testing.T) {
 			res, err := Run(workload.NewZipf(1.1, 500, 15_000, 5), Config{
 				Workers:   6,
 				Sources:   3,
 				Algorithm: "PKG",
 				Messages:  15_000,
-				Transport: tp.sel,
+				Transport: b.sel,
 			})
 			if err != nil {
 				t.Fatalf("Run: %v", err)
@@ -130,81 +224,93 @@ func TestTransportPlaneNoAgg(t *testing.T) {
 	}
 }
 
-// TestTransportPlaneFaultParity is the tentpole's exactness pin: a
-// topology run whose transport suffers deterministic chaos — at least
-// 1% of sender-side buffer writes dropped and every data link severed
-// at least once — must produce finals and replication factors
-// bit-equal to the fault-free direct plane. Both transport backends
-// are exercised; the single-source case also compares replication
-// (deterministic routing), the multi-source case compares finals.
+// TestTransportPlaneFaultParity is the exactness pin under faults: a
+// run whose links suffer deterministic chaos — every data link severed
+// at least once, at least 1% of sender-side buffer writes dropped —
+// must still equal the oracle. Single-source runs walk the parity
+// matrix and compare everything; the multi-source run compares finals
+// and the load sum.
 func TestTransportPlaneFaultParity(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		sources int
-	}{{"single-source", 1}, {"multi-source", 3}} {
-		t.Run(tc.name, func(t *testing.T) {
-			base := Config{
-				Workers:   6,
-				Sources:   tc.sources,
-				Algorithm: "W-C",
-				AggWindow: 400,
-				AggShards: 2,
-				Messages:  12_000,
-			}
-			direct := base
-			direct.Dataplane = DataplaneChannel
-			dFinals, dRes := collectFinals(t, direct, workload.NewZipf(1.2, 250, 12_000, 7))
+	t.Run("single-source", func(t *testing.T) {
+		for _, b := range backends {
+			t.Run(b.name, func(t *testing.T) {
+				for _, algo := range parityAlgos {
+					for _, shards := range parityShards {
+						t.Run(fmt.Sprintf("%s/shards=%d", algo, shards), func(t *testing.T) {
+							cfg := Config{
+								Workers: 6, Sources: 1, Algorithm: algo, Transport: b.sel,
+								AggWindow: 400, AggShards: shards, Messages: 12_000,
+							}
+							gen := workload.NewZipf(1.2, 250, cfg.Messages, 7)
+							want := runOracle(t, gen, cfg)
+							suffered := withChaos(&cfg)
+							checkRun(t, cfg, gen, want)
+							suffered(t)
+						})
+					}
+				}
+			})
+		}
+	})
+	t.Run("multi-source", func(t *testing.T) {
+		for _, b := range backends {
+			t.Run(b.name, func(t *testing.T) {
+				cfg := Config{
+					Workers: 6, Sources: 3, Algorithm: "W-C", Transport: b.sel,
+					AggWindow: 400, AggShards: 2, Messages: 12_000,
+				}
+				gen := workload.NewZipf(1.2, 250, cfg.Messages, 7)
+				want := runOracle(t, gen, cfg)
+				suffered := withChaos(&cfg)
+				checkRun(t, cfg, gen, want)
+				suffered(t)
+			})
+		}
+	})
+}
 
-			for _, tp := range []struct {
-				name string
-				sel  Transport
-			}{{"memory", TransportMemory}, {"tcp", TransportTCP}} {
-				t.Run(tp.name, func(t *testing.T) {
-					var faults map[string]transport.ChaosLinkStats
-					cfg := base
-					cfg.Transport = tp.sel
-					// SeverEvery=2 severs on every second buffer write; even
-					// the quietest link makes two (its final flush and its
-					// FIN), so every link is guaranteed a sever.
-					cfg.Chaos = &transport.ChaosConfig{Seed: 23, DropOneIn: 4, SeverEvery: 2}
-					cfg.OnFaultStats = func(st map[string]transport.ChaosLinkStats) { faults = st }
-					finals, res := collectFinals(t, cfg, workload.NewZipf(1.2, 250, 12_000, 7))
+// mallocsForRun measures the cumulative allocation count of one run of
+// m messages over the memory backend.
+func mallocsForRun(t *testing.T, m int64) uint64 {
+	t.Helper()
+	gen := workload.NewZipf(1.3, 200, m, 9)
+	cfg := Config{
+		Workers:   8,
+		Sources:   2,
+		Algorithm: "W-C",
+		AggWindow: 500,
+		AggShards: 2,
+		Messages:  m,
+		Transport: TransportMemory,
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Run(gen, cfg); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
 
-					if len(finals) != len(dFinals) {
-						t.Fatalf("final count differs: fault-free %d, chaos %d", len(dFinals), len(finals))
-					}
-					for id, want := range dFinals {
-						if got, ok := finals[id]; !ok || got != want {
-							t.Fatalf("final %s: fault-free %v, chaos %v (present=%v)", id, want, got, ok)
-						}
-					}
-					if tc.sources == 1 && res.AggReplication != dRes.AggReplication {
-						t.Errorf("replication differs: fault-free %v, chaos %v", dRes.AggReplication, res.AggReplication)
-					}
-					if res.Completed != 12_000 || res.AggTotal != 12_000 {
-						t.Errorf("completed/total: %d/%d, want 12000/12000", res.Completed, res.AggTotal)
-					}
-
-					// The run must actually have suffered the schedule: every
-					// data link severed at least once, and >= 1% of judged
-					// writes dropped overall.
-					var writes, dropped int64
-					for link, st := range faults {
-						writes += st.Writes
-						dropped += st.Dropped
-						if st.Severed == 0 {
-							t.Errorf("link %s was never severed (writes=%d)", link, st.Writes)
-						}
-					}
-					wantLinks := tc.sources*base.Workers + base.Workers*base.AggShards
-					if len(faults) != wantLinks {
-						t.Errorf("fault ledger covers %d links, want %d", len(faults), wantLinks)
-					}
-					if dropped*100 < writes {
-						t.Errorf("dropped %d of %d writes, want >= 1%%", dropped, writes)
-					}
-				})
-			}
-		})
+// TestMemoryTransportAllocsSublinear extends the 0 allocs/op discipline
+// to the whole tuple path: tuples live in link slots and partial tables
+// are recycled, so a longer run must not allocate proportionally more.
+// The per-run fixed cost (links, partitioners, reservoirs, goroutines)
+// cancels in the difference; the marginal cost per extra message must
+// be ~0 (the bound leaves slack for per-window bookkeeping rows, which
+// grow with windows, not messages).
+func TestMemoryTransportAllocsSublinear(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation accounting run")
+	}
+	const m1, m2 = 20_000, 120_000
+	a1 := mallocsForRun(t, m1)
+	a2 := mallocsForRun(t, m2)
+	extra := float64(a2) - float64(a1)
+	perMsg := extra / float64(m2-m1)
+	t.Logf("mallocs: %d @ %d msgs, %d @ %d msgs → %.4f allocs per extra message", a1, m1, a2, m2, perMsg)
+	if perMsg > 0.05 {
+		t.Fatalf("memory transport allocates %.4f per extra message, want ≤ 0.05", perMsg)
 	}
 }

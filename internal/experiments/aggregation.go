@@ -141,7 +141,6 @@ func AggregationOverhead(sc Scale) ([]*texttab.Table, error) {
 			// engine-bound, so the flush work itself is the visible cost.
 			ServiceTime: 0,
 			Window:      64,
-			QueueLen:    128,
 			AggWindow:   win,
 		})
 	}
@@ -307,7 +306,6 @@ func shardSweepLive(m int64) (*texttab.Table, error) {
 			Core:         core.Config{Seed: Seed, Epsilon: Epsilon},
 			ServiceTime:  0,
 			Window:       64,
-			QueueLen:     128,
 			AggWindow:    win,
 			AggShards:    r,
 			AggMergeCost: liveSweepMergeCost,

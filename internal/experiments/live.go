@@ -51,7 +51,6 @@ func LiveFig13(sc Scale) ([]*texttab.Table, error) {
 			Core:        core.Config{Seed: Seed, Epsilon: Epsilon},
 			ServiceTime: time.Millisecond,
 			Window:      64,
-			QueueLen:    128,
 		})
 		if err != nil {
 			return nil, err

@@ -48,7 +48,7 @@ var registry = map[string]Entry{
 	"live-fig13":        {"live-fig13", "Fig 13 on the real goroutine runtime (wall clock)", true, LiveFig13},
 	"aggregation":       {"aggregation", "Aggregation overhead: two-phase windowed aggregation cost per algorithm and window size", true, AggregationOverhead},
 	"scale":             {"scale", "Large deployments: routing cost, imbalance and throughput at n up to 16384 workers", true, ScaleExperiment},
-	"transport":         {"transport", "Transport: dataplane sweep (ring vs memory vs loopback TCP), degraded links under chaos, eventsim link-delay and outage sensitivity", true, TransportExperiment},
+	"transport":         {"transport", "Transport: backend sweep (memory vs loopback TCP), degraded links under chaos, eventsim link-delay and outage sensitivity", true, TransportExperiment},
 }
 
 // Lookup returns the experiment registered under name.

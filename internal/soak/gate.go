@@ -115,39 +115,39 @@ func LoadBaselines(path string) ([]Baseline, error) {
 	return out, nil
 }
 
-// Gate compares the run against every baseline recorded under the same
-// configuration string and returns one violation message per engine
-// whose throughput fell more than tol (a fraction, e.g. 0.35) below
-// the best matching baseline. The best-across-trajectory reference
-// means a slow CI host can only ratchet the bar down by committing a
-// new baseline, not by having one lucky run. An empty result means the
-// gate passes; baselines under other configurations are ignored.
+// Gate returns one violation message per failed check; an empty result
+// means the gate passes.
+//
+// Exactness: every engine — the chaos leg included — must have
+// completed the messages its legs planned (Legs × Config.Messages); a
+// leg that drained short lost messages.
+//
+// Throughput: only the eventsim row is compared, against the best
+// baseline recorded under the same configuration string, failing when
+// it fell more than tol (a fraction, e.g. 0.35) below it. That row is
+// simulated time — deterministic and host-independent — so a drop is a
+// routing or model change. The dspe rows are wall-clock on whatever
+// host ran them: they are in the summary and the JSONL for reading, and
+// a host that halves them fails nothing. Baselines under other
+// configurations are ignored; with none matching only exactness gates.
 func Gate(rep *Report, baselines []Baseline, tol float64) []string {
-	cfg := rep.Config.String()
-	best := map[string]float64{}
-	matched := false
-	for _, b := range baselines {
-		if b.Config != cfg {
-			continue
-		}
-		matched = true
-		for eng, v := range b.Throughput {
-			if v > best[eng] {
-				best[eng] = v
-			}
-		}
-	}
-	if !matched {
-		return nil
-	}
 	var violations []string
 	for _, s := range rep.Summaries {
-		ref, ok := best[s.Engine]
-		if !ok || ref <= 0 {
-			continue
+		if planned := int64(s.Legs) * rep.Config.Messages; s.Completed < planned {
+			violations = append(violations, fmt.Sprintf(
+				"%s completed %d of the %d messages its %d leg(s) planned",
+				s.Engine, s.Completed, planned, s.Legs))
 		}
-		floor := ref * (1 - tol)
-		if s.Throughput < floor {
+	}
+	cfg := rep.Config.String()
+	ref := 0.0
+	for _, b := range baselines {
+		if b.Config == cfg && b.Throughput[EngineEventsim] > ref {
+			ref = b.Throughput[EngineEventsim]
+		}
+	}
+	for _, s := range rep.Summaries {
+		if floor := ref * (1 - tol); s.Engine == EngineEventsim && s.Throughput < floor {
 			violations = append(violations, fmt.Sprintf(
 				"%s throughput %.0f msg/s is %.1f%% below the baseline trajectory best %.0f (floor %.0f at tol %.0f%%)",
 				s.Engine, s.Throughput, 100*(1-s.Throughput/ref), ref, floor, 100*tol))

@@ -1,29 +1,31 @@
 // Package soak drives long-running drifting-workload runs across every
-// engine in the module — eventsim, the dspe channel plane, the dspe
-// ring plane and (with Config.TCP) the dspe engine over the loopback
-// TCP transport — while sampling each run's telemetry registry at a fixed
-// wall-clock interval. It is the library behind cmd/slbsoak: the
-// paper's cluster evaluation reports imbalance, throughput and latency
-// CONTINUOUSLY over long skewed streams, and this harness is how the
-// repo watches a live run instead of only end-of-run aggregates.
+// engine in the module — eventsim, the dspe engine over its in-memory
+// links and (with Config.TCP) over the loopback TCP transport — while
+// sampling each run's telemetry registry at a fixed wall-clock interval.
+// It is the library behind cmd/slbsoak: the paper's cluster evaluation
+// reports imbalance, throughput and latency CONTINUOUSLY over long
+// skewed streams, and this harness is how the repo watches a live run
+// instead of only end-of-run aggregates.
 //
 // A soak is a sequence of cycles; each cycle runs one leg per engine
 // over a fresh workload.Drift stream (concept drift: the hot set
 // rotates every epoch, stressing the partitioners' heavy-hitter
 // tracking). While a leg runs, its registry is snapshotted every
 // Interval and reduced to a Row — per-shard reducer utilization, queue
-// depths (ring occupancy on the ring plane), routing rates, stalls —
-// which streams to the configured sink as it happens. Each leg also
-// emits a final drained row. Cycles repeat until Duration has elapsed
-// and MinCycles cycles have completed, so a run is useful from
-// seconds (CI smoke) to hours.
+// depths, routing rates, the wire and fault ledgers — which streams to
+// the configured sink as it happens. Each leg also emits a final
+// drained row. Cycles repeat until Duration has elapsed and MinCycles
+// cycles have completed, so a run is useful from seconds (CI smoke) to
+// hours.
 //
 // The per-engine Summary rolls the whole soak up into the numbers the
-// regression gate keys on; Gate compares a run against the accumulated
-// trajectory of committed BENCH_soak artifacts (see Baselines), but
-// only baselines recorded under the SAME configuration string — the
-// run metadata carried in each artifact's "meta" object — are
-// considered comparable.
+// regression gate keys on. Gate checks that every leg completed what it
+// planned, and compares the one deterministic throughput — eventsim's,
+// measured in simulated time — against the accumulated trajectory of
+// committed BENCH_soak artifacts (see Baselines) recorded under the
+// SAME configuration string, the run metadata carried in each
+// artifact's "meta" object. The dspe rows are wall-clock and host-
+// dependent: recorded, never gated.
 package soak
 
 import (
@@ -44,14 +46,13 @@ import (
 // publishes.
 const (
 	EngineEventsim = "eventsim"
-	EngineChannel  = "dspe-channel"
-	EngineRing     = "dspe-ring"
+	EngineMemory   = "dspe-memory"
 	EngineTCP      = "dspe-tcp"
 )
 
 // Engines lists every leg of one soak cycle, in execution order; the
 // loopback TCP transport leg joins when Config.TCP is set.
-var Engines = []string{EngineEventsim, EngineChannel, EngineRing}
+var Engines = []string{EngineEventsim, EngineMemory}
 
 // Config describes one soak run.
 type Config struct {
@@ -95,7 +96,7 @@ type Config struct {
 	// AggWindow is the tumbling-window size of the two-phase
 	// aggregation every leg runs; 0 means 512.
 	AggWindow int64
-	// TCP adds a fourth leg to every cycle: the dspe engine over the
+	// TCP adds a third leg to every cycle: the dspe engine over the
 	// loopback TCP transport (internal/transport framing and per-link
 	// coalescing on every hop). It changes the configuration identity —
 	// baselines recorded without the leg are not comparable.
@@ -220,8 +221,8 @@ type Row struct {
 	RouteMsgs     int64   `json:"route_msgs"`
 	RouteNsPerMsg float64 `json:"route_ns_per_msg,omitempty"`
 	// QueueDepth sums the per-worker queue_depth gauges at sample
-	// time: channel backlog on the channel plane, ring occupancy (in
-	// tuples) on the ring plane, queued messages in eventsim.
+	// time: tuples delivered to the bolts' links and not yet received on
+	// the dspe legs, queued messages in eventsim.
 	QueueDepth float64 `json:"queue_depth"`
 	// ReduceUtil is each reducer shard's busy fraction over the
 	// sampling interval (over the whole leg for the final row).
@@ -230,9 +231,6 @@ type Row struct {
 	ReduceUtil []float64 `json:"reduce_util"`
 	// ReduceOpenWindows sums the per-shard open-window gauges.
 	ReduceOpenWindows float64 `json:"reduce_open_windows"`
-	// PublishStallNs is the interval's spout publish stall (ring plane
-	// only).
-	PublishStallNs int64 `json:"publish_stall_ns,omitempty"`
 	// TxBytes, BytesPerMsg, DictHits and DictResets are the transport
 	// wire ledger (TCP leg only): cumulative transmitted bytes, bytes
 	// per wire message, and the frame codec's cumulative dictionary
@@ -261,7 +259,7 @@ type Summary struct {
 	Legs   int    `json:"legs"`
 	// Completed is the total processed messages across legs;
 	// ElapsedSec the total processing time (wall clock for the dspe
-	// planes, simulated seconds for eventsim) and Throughput their
+	// legs, simulated seconds for eventsim) and Throughput their
 	// ratio — deterministic for eventsim, host-dependent for dspe.
 	Completed  int64   `json:"completed"`
 	ElapsedSec float64 `json:"elapsed_sec"`
@@ -393,13 +391,9 @@ func launch(cfg Config, engine string, cycle int, reg *telemetry.Registry, gen s
 			Telemetry: reg,
 		})
 		return legResult{completed: res.Completed, err: err}
-	case EngineChannel, EngineRing, EngineTCP:
-		plane := dspe.DataplaneChannel
-		tr := dspe.TransportDirect
+	case EngineMemory, EngineTCP:
+		tr := dspe.TransportMemory
 		var chaos *transport.ChaosConfig
-		if engine == EngineRing {
-			plane = dspe.DataplaneRing
-		}
 		if engine == EngineTCP {
 			tr = dspe.TransportTCP
 			if cfg.Faults {
@@ -408,7 +402,7 @@ func launch(cfg Config, engine string, cycle int, reg *telemetry.Registry, gen s
 		}
 		res, err := dspe.Run(gen, dspe.Config{
 			Workers: cfg.Workers, Sources: cfg.Sources, Algorithm: cfg.Algorithm,
-			Core: coreCfg, ServiceTime: cfg.ServiceTime, Spin: cfg.Spin, Dataplane: plane,
+			Core: coreCfg, ServiceTime: cfg.ServiceTime, Spin: cfg.Spin,
 			Transport: tr, Chaos: chaos,
 			AggWindow: cfg.AggWindow, AggShards: cfg.Shards,
 			Telemetry: reg,
@@ -447,7 +441,6 @@ func rowFrom(cfg Config, engine string, cycle int, start time.Time, cur, prev sa
 	}
 	row.QueueDepth = sumByName(cur.snap, "queue_depth")
 	row.ReduceOpenWindows = sumByName(cur.snap, "reduce_open_windows")
-	row.PublishStallNs = int64(sumByName(cur.snap, "publish_stall_ns_total") - sumByName(prev.snap, "publish_stall_ns_total"))
 	row.TxBytes = int64(sumByName(cur.snap, "transport_tx_bytes_total"))
 	if msgs := sumByName(cur.snap, "transport_tx_msgs_total"); msgs > 0 {
 		row.BytesPerMsg = float64(row.TxBytes) / msgs
@@ -461,7 +454,7 @@ func rowFrom(cfg Config, engine string, cycle int, start time.Time, cur, prev sa
 	row.OutageSec = sumByName(cur.snap, "transport_outage_seconds")
 
 	// Per-shard utilization: busy-time delta over the interval's
-	// denominator — wall time for the dspe planes, simulated time for
+	// denominator — wall time for the dspe legs, simulated time for
 	// eventsim (both in ns, so the fraction is dimensionless).
 	denom := float64(cur.wall.Sub(prev.wall).Nanoseconds())
 	if engine == EngineEventsim {
@@ -478,7 +471,7 @@ func rowFrom(cfg Config, engine string, cycle int, start time.Time, cur, prev sa
 }
 
 // legElapsedSec is a leg's processing time in the engine's own clock:
-// wall seconds for the dspe planes, simulated seconds for eventsim.
+// wall seconds for the dspe legs, simulated seconds for eventsim.
 func legElapsedSec(engine string, final sample, legStart time.Time) float64 {
 	if engine == EngineEventsim {
 		return sumByName(final.snap, "sim_clock_ns") / 1e9

@@ -3,13 +3,14 @@ package soak
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
 
 // shortConfig is a soak small enough for unit tests: one cycle, legs
-// of 30k messages, sampling fast enough that at least the channel
-// plane emits in-flight rows on any host.
+// of 30k messages, sampling fast enough that the dspe legs emit
+// in-flight rows on any host.
 func shortConfig(emit func(Row)) Config {
 	return Config{
 		Duration: 0, Interval: 25 * time.Millisecond, MinCycles: 1,
@@ -57,8 +58,7 @@ func TestRunCoversEveryEngine(t *testing.T) {
 			t.Fatalf("%s final row has zero reducer utilization", eng)
 		}
 		// Every engine run must have registered per-worker queue-depth
-		// gauges — ring occupancy on the ring plane — for the interval
-		// rows to sample.
+		// gauges for the interval rows to sample.
 		snap, ok := rep.FinalSnapshots[eng]
 		if !ok {
 			t.Fatalf("no final snapshot for %s", eng)
@@ -156,46 +156,67 @@ func TestRunFaultsLeg(t *testing.T) {
 	}
 }
 
+// report is a soak report whose every engine ran one leg to completion
+// at the given throughputs.
 func report(throughput map[string]float64) *Report {
-	rep := &Report{Config: Config{}.withDefaults()}
-	for _, e := range Engines {
-		rep.Summaries = append(rep.Summaries, Summary{Engine: e, Throughput: throughput[e]})
+	rep := &Report{Config: Config{TCP: true}.withDefaults()}
+	for _, e := range rep.Config.engines() {
+		rep.Summaries = append(rep.Summaries, Summary{
+			Engine: e, Legs: 1, Completed: rep.Config.Messages, Throughput: throughput[e],
+		})
 	}
 	return rep
 }
 
 func TestGate(t *testing.T) {
-	cfg := Config{}.withDefaults()
+	cfg := Config{TCP: true}.withDefaults()
 	base := []Baseline{
-		{Config: cfg.String(), Throughput: map[string]float64{EngineEventsim: 1000, EngineChannel: 500}},
+		{Config: cfg.String(), Throughput: map[string]float64{EngineEventsim: 1000, EngineMemory: 500_000, EngineTCP: 300_000}},
 		{Config: cfg.String(), Throughput: map[string]float64{EngineEventsim: 1200}},
 		{Config: "algo=PoTC other", Throughput: map[string]float64{EngineEventsim: 9999}},
 	}
 
 	// Within tolerance of the trajectory best (1200, not 9999: the
 	// mismatched config must be ignored).
-	rep := report(map[string]float64{EngineEventsim: 1000, EngineChannel: 480, EngineRing: 1})
+	rep := report(map[string]float64{EngineEventsim: 1000, EngineMemory: 480_000, EngineTCP: 290_000})
 	if v := Gate(rep, base, 0.2); len(v) != 0 {
 		t.Fatalf("unexpected violations: %v", v)
 	}
-	// EngineRing has no baseline → never gated, even at 1 msg/s.
 
-	// Below the floor.
-	rep = report(map[string]float64{EngineEventsim: 700, EngineChannel: 480})
-	v := Gate(rep, base, 0.2)
-	if len(v) != 1 {
-		t.Fatalf("violations = %v, want exactly one (eventsim)", v)
+	// The deterministic row below its floor fails.
+	rep = report(map[string]float64{EngineEventsim: 700, EngineMemory: 480_000, EngineTCP: 290_000})
+	if v := Gate(rep, base, 0.2); len(v) != 1 || !strings.HasPrefix(v[0], EngineEventsim+" throughput") {
+		t.Fatalf("violations = %v, want exactly one (eventsim throughput)", v)
 	}
 
-	// No baseline matches the configuration at all → gate passes.
+	// Wall-clock rows are never gated: halved (and worse), still green.
+	rep = report(map[string]float64{EngineEventsim: 1000, EngineMemory: 250_000, EngineTCP: 1})
+	if v := Gate(rep, base, 0.2); len(v) != 0 {
+		t.Fatalf("wall-clock rows gated: %v", v)
+	}
+
+	// A leg that completed fewer messages than planned fails, whatever
+	// its throughput — the chaos leg is the one this is for.
+	rep.Summaries[2].Completed--
+	if v := Gate(rep, base, 0.2); len(v) != 1 || !strings.HasPrefix(v[0], EngineTCP+" completed") {
+		t.Fatalf("violations = %v, want exactly one (dspe-tcp short of its plan)", v)
+	}
+
+	// No baseline matches the configuration: throughput is not gated,
+	// exactness still is.
 	rep.Config.Algorithm = "PoTC-variant"
+	rep.Summaries[0].Throughput = 1
+	if v := Gate(rep, base, 0.2); len(v) != 1 || !strings.HasPrefix(v[0], EngineTCP+" completed") {
+		t.Fatalf("mismatched config: violations = %v, want only the short leg", v)
+	}
+	rep.Summaries[2].Completed++
 	if v := Gate(rep, base, 0.2); v != nil {
-		t.Fatalf("mismatched config should not gate: %v", v)
+		t.Fatalf("mismatched config should not gate throughput: %v", v)
 	}
 }
 
 func TestSummaryTableRoundTrip(t *testing.T) {
-	rep := report(map[string]float64{EngineEventsim: 123.45, EngineChannel: 500, EngineRing: 90000})
+	rep := report(map[string]float64{EngineEventsim: 123.45, EngineMemory: 500, EngineTCP: 90000})
 	tab := SummaryTable(rep, map[string]string{"seed": "7"})
 	if tab.Meta["config"] != rep.Config.String() || tab.Meta["seed"] != "7" {
 		t.Fatalf("meta = %v", tab.Meta)
@@ -225,8 +246,8 @@ func TestSummaryTableRoundTrip(t *testing.T) {
 		if got := bases[0].Throughput[EngineEventsim]; got != 123.45 {
 			t.Fatalf("eventsim baseline throughput %g", got)
 		}
-		if got := bases[0].Throughput[EngineRing]; got != 90000 {
-			t.Fatalf("ring baseline throughput %g", got)
+		if got := bases[0].Throughput[EngineTCP]; got != 90000 {
+			t.Fatalf("tcp baseline throughput %g", got)
 		}
 	}
 }

@@ -72,9 +72,9 @@ func TestReplayFeedsEventsimMerger(t *testing.T) {
 	}
 }
 
-// TestReplayFeedsDspeMerger runs the wall-clock engine on both
-// dataplanes over the same recorded trace and checks the merged sums
-// match a single-pass ground truth over the trace's (key, value) pairs.
+// TestReplayFeedsDspeMerger runs the wall-clock engine over a recorded
+// trace and checks the merged sums match a single-pass ground truth
+// over the trace's (key, value) pairs.
 func TestReplayFeedsDspeMerger(t *testing.T) {
 	const (
 		m      = 6000
@@ -102,28 +102,26 @@ func TestReplayFeedsDspeMerger(t *testing.T) {
 		}
 	}
 
-	for _, plane := range []dspe.Dataplane{dspe.DataplaneChannel, dspe.DataplaneRing} {
-		got := map[fk]int64{}
-		var mu sync.Mutex
-		res, err := dspe.Run(replay(), dspe.Config{
-			Workers: 4, Sources: 2, Algorithm: "W-C",
-			Core: core.Config{Seed: 17}, Dataplane: plane,
-			AggWindow: window, AggShards: 2,
-			AggMerger: aggregation.SumMerger,
-			OnFinal: func(f aggregation.Final) {
-				mu.Lock()
-				got[fk{f.Window, f.Key}] += f.Value
-				mu.Unlock()
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.AggTotal != m {
-			t.Fatalf("plane %v: finals count to %d, want %d", plane, res.AggTotal, m)
-		}
-		if !reflect.DeepEqual(got, truth) {
-			t.Fatalf("plane %v: merged sums diverge from the recorded trace", plane)
-		}
+	got := map[fk]int64{}
+	var mu sync.Mutex
+	res, err := dspe.Run(replay(), dspe.Config{
+		Workers: 4, Sources: 2, Algorithm: "W-C",
+		Core:      core.Config{Seed: 17},
+		AggWindow: window, AggShards: 2,
+		AggMerger: aggregation.SumMerger,
+		OnFinal: func(f aggregation.Final) {
+			mu.Lock()
+			got[fk{f.Window, f.Key}] += f.Value
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.AggTotal != m {
+		t.Fatalf("finals count to %d, want %d", res.AggTotal, m)
+	}
+	if !reflect.DeepEqual(got, truth) {
+		t.Fatal("merged sums diverge from the recorded trace")
 	}
 }

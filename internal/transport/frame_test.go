@@ -113,40 +113,6 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFrameLayoutEquivalence pins the two codecs against each other:
-// the same message stream decodes identically through the PR-8 record
-// layout and the columnar layout, and the columnar frames are smaller
-// on a Zipf-skewed key slab (the wire-size claim, asserted).
-func TestFrameLayoutEquivalence(t *testing.T) {
-	var cenc Encoder
-	var cdec Decoder
-	var renc recordEncoder
-	var rdec recordDecoder
-	colBytes, recBytes := 0, 0
-	for trial := 0; trial < 20; trial++ {
-		msgs := zipfSlab(uint64(trial)+1, 256)
-		cf := cenc.AppendFrame(nil, msgs)
-		rf := renc.AppendFrame(nil, msgs)
-		colBytes += len(cf)
-		recBytes += len(rf)
-		cg := decodeWholeFrame(t, &cdec, cf, nil)
-		_, n := binary.Uvarint(rf)
-		rg, err := rdec.DecodeFrame(rf[n:], nil)
-		if err != nil {
-			t.Fatalf("record decode: %v", err)
-		}
-		for i := range msgs {
-			if cg[i] != msgs[i] || rg[i] != msgs[i] {
-				t.Fatalf("trial %d msg %d: columnar %+v record %+v want %+v", trial, i, cg[i], rg[i], msgs[i])
-			}
-		}
-	}
-	if colBytes >= recBytes {
-		t.Fatalf("columnar frames (%d B) not smaller than record frames (%d B)", colBytes, recBytes)
-	}
-	t.Logf("zipf slabs: columnar %d B vs record %d B (%.2fx)", colBytes, recBytes, float64(recBytes)/float64(colBytes))
-}
-
 // TestFrameDictionaryEpochReset pins the epoch-reset protocol: pushing
 // more distinct keys than frameDictMax forces the encoder to start new
 // epochs, the decoder follows every reset bit-exactly, and hot keys

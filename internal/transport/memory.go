@@ -8,11 +8,9 @@ import (
 
 // Memory is the in-process backend: every link is one SPSC ring of Msg
 // values, so a SendSlab is a Grant/copy/Publish and a RecvSlab an
-// Acquire/copy/Release — the same machine operations the direct ring
-// dataplane performs, with no per-message allocation and no framing.
-// It exists so the dataplane's transport wiring can be exercised (and
-// benchmarked against the direct plane) with the wire cost isolated to
-// the TCP backend.
+// Acquire/copy/Release, with no per-message allocation and no framing:
+// the engine's default backend, and the baseline that isolates the wire
+// cost to the TCP backend.
 type Memory struct {
 	mu    sync.Mutex
 	links map[string]*Link

@@ -159,6 +159,11 @@ type Link struct {
 // before the goroutines start.
 func (l *Link) SetRecvWaiter(p *ring.Parker) { l.recv.SetConsumerWaiter(p) }
 
+// Len returns the number of messages delivered to the link's receive
+// ring and not yet received. A snapshot, like ring.SPSC.Len; over TCP it
+// leaves out what is still in buffers or on the wire.
+func (l *Link) Len() int { return l.recv.Len() }
+
 // SetSendWaiter registers the sending goroutine's Parker: the link wakes
 // it whenever the receiver frees space. SendSlab parks on it when the
 // link is full, and so can a SlabGranter caller whose Grant returned

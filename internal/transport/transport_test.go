@@ -357,8 +357,7 @@ func benchLink(b *testing.B, l *Link) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "msgs/s")
 }
 
-// BenchmarkTransportMemory measures the ring-backed backend: the
-// number to compare against the direct ring plane.
+// BenchmarkTransportMemory measures the ring-backed backend.
 func BenchmarkTransportMemory(b *testing.B) {
 	tr := NewMemory()
 	defer tr.Close()

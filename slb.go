@@ -114,59 +114,43 @@
 // runtime's wall-clock equivalents, with EngineConfig.AggMergeCost
 // available to reproduce the reducer-bound regime in wall-clock runs.
 //
-// # The goroutine engine's dataplanes
+// # The goroutine engine: one engine, two backends
 //
 // The goroutine runtime executes one topology — spouts route a keyed
 // stream into bolts, bolts flush windowed partials toward R reducer
-// shards — over either of two tuple transports, selected by
-// EngineConfig.Dataplane / PipelineConfig.Dataplane:
-//
-//   - DataplaneChannel (the default): bounded Go channels, one shared
-//     MPSC inbox per executor, tuples moving in per-batch slabs and the
-//     in-flight ack window implemented as a semaphore channel.
-//   - DataplaneRing: every (sender, receiver) edge gets its own
-//     lock-free single-producer/single-consumer ring buffer
-//     (internal/ring — power-of-two capacity, cache-line-padded
-//     cursors, cached-sequence fast path, batched Grant/Publish and
-//     Acquire/Release windows). The ring slots ARE the tuple arena:
-//     tuples are written and read in place, no slab is allocated, and
-//     the zero-allocation steady state extends from routing to the
-//     whole spout→bolt→reducer tuple path. Acks become one padded
-//     atomic in-flight counter per source, bumped per slab and
-//     decremented per consumed batch.
-//
-// The ring plane also restructures the shard hop through a worker-side
-// COMBINER TREE: bolts push flushed partials into per-shard trees
-// (fan-in 8) whose interior nodes pre-merge same-(window, key)
-// partials through the pluggable Merger — exact, because the Merger is
-// a commutative, associative fold — and whose per-shard roots buffer
-// to window completeness, so each reducer shard merges roughly one
-// combined partial per (window, key) instead of one per (window, key,
-// worker): the reduce stage's merge traffic drops from the replication
-// factor to ≈ 1 (EngineResult.AggBoltPartials vs Agg.Partials measures
-// the cut). Everything observable is pinned across dataplanes — window
-// close, hash-once digest carry, finals, and replication factors are
-// bit-identical — so the selector doubles as an A/B harness:
-// BenchmarkPipelineThroughput measures the ring plane at ≈ 1.6x the
-// channel baseline on the raw tuple path and ≥ 2x in the reducer-bound
-// reference regime (AggShards = 4, 50 µs merge cost), where the
-// combiner tree's traffic cut is structural.
+// shards — written once against internal/transport: every spout→bolt
+// and bolt→shard hop is a named link with explicit flush/drain
+// semantics (Sender.SendSlab/Flush/Close on the write side,
+// non-blocking Receiver.RecvSlab on the read side), and
+// EngineConfig.Transport picks what is behind the links. Nothing
+// polls: each spout, bolt and reducer goroutine owns one wait
+// primitive registered on the links it reads or fills, yields a few
+// times when it finds no input, no ack-window room or no link space,
+// then parks until the link (or an ack) wakes it — an idle topology
+// costs no CPU. Bolt partials reach the reducers with their worker
+// identity, so the reduce stage merges exactly what the bolts flushed
+// (EngineResult.AggBoltPartials == Agg.Partials) and counts state
+// replication as a by-product of the merge. There is no combiner in
+// front of the shard hop, by measurement: the benchmark's shadow span
+// prices one at aggregation.combine_ns_per_msg 84 to remove 7% of
+// partials on its high-cardinality workload and 8 to remove 16% on its
+// skewed one, against a whole reduce stage of 64 and 9 ns per message
+// (aggregation.reduce_ns_per_msg); AggShards is the answer to a
+// reducer-bound stage. Multi-stage Pipelines still run on bounded Go
+// channels.
 //
 // # Transport
 //
-// The goroutine runtime can also leave the single process: setting
-// EngineConfig.Transport routes the spout→bolt and bolt→shard hops
-// through internal/transport, a batched per-edge message layer with
-// explicit flush/drain semantics (Sender.SendSlab/Flush/Close on the
-// write side, non-blocking Receiver.RecvSlab polls on the read side).
-// Two backends ship:
+// Two backends ship behind the links:
 //
-//   - TransportMemory runs the interface over the same SPSC rings as
-//     DataplaneRing — including a zero-copy Grant/Publish fast path
-//     that stages outgoing messages directly in the ring slots — so it
-//     prices exactly the interface boundary: zero allocations per
-//     operation in steady state and within ~5% of the direct ring
-//     plane's pipeline throughput (≈0.97x measured means).
+//   - TransportMemory (the default) gives every edge its own lock-free
+//     single-producer/single-consumer ring (internal/ring —
+//     power-of-two capacity, cache-line-padded cursors, batched
+//     Grant/Publish and Acquire/Release windows). The ring slots ARE
+//     the tuple arena: the spout constructs messages in granted slots,
+//     no slab is allocated, and the zero-allocation steady state
+//     extends from routing to the whole spout→bolt→reducer path. Acks
+//     are one padded atomic in-flight counter per source.
 //   - TransportTCP moves every edge over a real socket (loopback in
 //     the tests and benchmarks) speaking wire format v2: COLUMNAR
 //     length-prefixed frames (per-field columns with varint/zigzag
@@ -174,11 +158,10 @@
 //     columns, a sparse emit column) over a PERSISTENT per-link key
 //     dictionary — a hot key's bytes and digest cross the wire once
 //     per dictionary epoch, and every later occurrence is a 1-2 byte
-//     reference (≈2-4 B per steady-state message, vs ≈8 B for the
-//     PR-8 record layout; epoch resets bound the dictionary at 32k
-//     entries and a frame-carried epoch counter turns any
-//     desynchronization into a hard decode error). The sender is
-//     pipelined: the caller's goroutine encodes into ~32 KB
+//     reference (≈2-4 B per steady-state message; epoch resets bound
+//     the dictionary at 32k entries and a frame-carried epoch counter
+//     turns any desynchronization into a hard decode error). The
+//     sender is pipelined: the caller's goroutine encodes into ~32 KB
 //     coalescing buffers while a writer goroutine drives the kernel
 //     with vectored writes, and the receive side decodes through a
 //     per-link key arena into an SPSC ring with zero steady-state
@@ -190,11 +173,9 @@
 //     transport_dict_resets_total, labeled link=). Spouts flush
 //     lazily — only when the in-flight ack window is about to block —
 //     and when EngineConfig.Window is left at its default the TCP
-//     plane grows each spout's ack window adaptively (doubling on ack
-//     stalls up to 8192, published as spout_ack_window) instead of
-//     staying ack-latency bound at 100. Sustained loopback link
-//     throughput is ≈34M msgs/s single-core (≈2.2x the PR-8 record
-//     codec on the same host and harness).
+//     backend's spouts grow their ack window adaptively (doubling on
+//     ack stalls up to 8192, published as spout_ack_window) instead
+//     of staying ack-latency bound at 100.
 //
 // The TCP backend is fault-tolerant: a link survives its connection
 // dying at ANY byte boundary with exactness intact. Every coalescing
@@ -229,9 +210,10 @@
 // sequencing, buffer retention, ack tracking — is within ~5% of the
 // pre-fault-tolerance link throughput (BenchmarkResendOverhead).
 //
-// Everything observable — finals, replication factors, completed
-// counts — is bit-identical across TransportDirect, TransportMemory
-// and TransportTCP at Sources = 1, pinned by dspe's parity tests. The
+// Everything observable — finals, per-worker loads, replication
+// factors — is bit-identical across TransportMemory and TransportTCP
+// at Sources = 1, clean or under chaos: dspe's parity tests hold both
+// to a single-threaded oracle. The
 // deterministic engine prices the same hop analytically:
 // ClusterConfig.LinkDelay (with LinkJitter and the rare
 // LinkSlowOneIn/LinkSlowPenalty slow path, all hash-derived and
@@ -245,7 +227,7 @@
 // closed-form recurrence and reported as
 // ClusterResult.LinkRetransmits/LinkOutageWaitMs — the analytic
 // analogue of the live chaos schedule. The `transport` experiment
-// (cmd/slbstorm) sweeps all of it: dataplane throughput with the TCP
+// (cmd/slbstorm) sweeps all of it: throughput per backend with the TCP
 // wire ledger, degraded-link throughput and retransmission cost per
 // algorithm under chaos, and the per-algorithm delay and outage
 // sensitivity.
@@ -266,13 +248,13 @@
 // boundaries (the routing hot path keeps its zero-allocation
 // steady state; BenchmarkRouteBatchDigestsInstrumented asserts it).
 //
-// The goroutine runtime (engine=dspe-channel / engine=dspe-ring)
+// The goroutine runtime (engine=dspe-memory / engine=dspe-tcp)
 // publishes per spout route_msgs_total, route_ns_total,
-// route_batches_total and spout_ack_wait_ns_total (the ring plane adds
-// publish_stall_ns_total); per worker a queue_depth gauge — channel
-// backlog on the channel plane, ring occupancy on the ring plane —
-// plus bolt_msgs_total, bolt_partials_total and (ring)
-// acquire_stall_ns_total; and per reducer shard reduce_partials_total,
+// route_batches_total, spout_ack_wait_ns_total, spout_ack_window and
+// spout_parks_total; per worker a queue_depth gauge (tuples delivered
+// to the bolt's links and not yet received) plus bolt_msgs_total,
+// acquire_stall_ns_total and bolt_parks_total; bolt_partials_total;
+// and per reducer shard shard_parks_total, reduce_partials_total,
 // reduce_busy_ns_total, the reduce_open_windows /
 // reduce_live_entries / reduce_live_replicas occupancy gauges and the
 // reduce_replication gauge. The discrete-event engine (engine=eventsim)
@@ -284,15 +266,17 @@
 // internal/dspe/telemetry.go and internal/eventsim/telemetry.go.
 //
 // cmd/slbsoak drives all of this as a soak harness: drifting workloads
-// (NewDriftStream) cycled across eventsim, both dspe dataplanes and
-// (with -tcp, default under -short) the loopback TCP transport for
-// minutes to hours, each leg's registry sampled on an interval into
-// JSONL rows (per-shard reducer utilization, queue depths, routing
-// rates, stalls), a per-engine summary written as a BENCH_soak JSON
-// artifact carrying its configuration string in "meta", and — given
-// -baseline — a nonzero exit when throughput regresses against the
-// best matching baseline in the accumulated trajectory (CI gates on
-// the deterministic eventsim row; see ci/BENCH_soak_baseline.json).
+// (NewDriftStream) cycled across eventsim, the goroutine engine over
+// its memory links and (with -tcp, default under -short) over the
+// loopback TCP transport for minutes to hours, each leg's registry
+// sampled on an interval into JSONL rows (per-shard reducer
+// utilization, queue depths, routing rates, the wire and fault
+// ledgers), a per-engine summary written as a BENCH_soak JSON artifact
+// carrying its configuration string in "meta", and — given -baseline —
+// a nonzero exit when a leg completed fewer messages than it planned
+// or the deterministic eventsim row regresses against the best
+// matching baseline in the accumulated trajectory; the wall-clock
+// rows are recorded, never gated (see ci/BENCH_soak_baseline.json).
 //
 // # Balancing at scale
 //
@@ -553,37 +537,19 @@ func SimulateCluster(gen Generator, cfg ClusterConfig) (ClusterResult, error) {
 }
 
 // EngineConfig configures the concurrent goroutine runtime (bounded
-// channels, ack-based windows, wall-clock measurement).
+// links, ack-based windows, wall-clock measurement).
 type EngineConfig = dspe.Config
 
-// Dataplane selects how the goroutine runtime moves tuples between its
-// stages (EngineConfig.Dataplane / PipelineConfig.Dataplane). Both
-// planes execute the same topology and produce bit-identical results.
-type Dataplane = dspe.Dataplane
-
-// The goroutine runtime's dataplanes. DataplaneChannel — the default —
-// uses bounded Go channels (one shared MPSC inbox per executor).
-// DataplaneRing replaces every edge with per-(sender, receiver)
-// lock-free SPSC ring buffers whose slots double as the tuple arena,
-// and pre-merges same-host bolt partials through a worker-side
-// combiner tree before the shard hop to the reducers.
-const (
-	DataplaneChannel = dspe.DataplaneChannel
-	DataplaneRing    = dspe.DataplaneRing
-)
-
-// Transport selects how the goroutine runtime's tuples cross executor
-// boundaries (EngineConfig.Transport): direct in-process handoff over
-// the selected Dataplane (the default), or the internal/transport
-// batched message layer — in-memory rings behind the transport
-// interface, or loopback TCP with varint framing and write coalescing.
-// Results are bit-identical across transports at Sources = 1; see the
-// package doc's Transport section.
+// Transport selects the backend behind the goroutine runtime's links
+// (EngineConfig.Transport): in-process rings, or loopback TCP with
+// columnar framing and write coalescing. Results are bit-identical
+// across backends at Sources = 1; see the package doc's Transport
+// section.
 type Transport = dspe.Transport
 
-// The goroutine runtime's transports (see Transport).
+// The goroutine runtime's backends (see Transport); TransportMemory is
+// the default.
 const (
-	TransportDirect = dspe.TransportDirect
 	TransportMemory = dspe.TransportMemory
 	TransportTCP    = dspe.TransportTCP
 )
