@@ -278,11 +278,17 @@ func BenchmarkShardedReduce(b *testing.B) {
 // head-dominated workload (z = 2.0, ≈80% of messages in the head) that
 // maximizes argmin pressure. The acceptance shape: W-C/tree ns/op stays
 // roughly flat from n=256 to n=16384 (O(log n) head routing) while
-// W-C/scan grows linearly with n. D-C's candidate path is O(c) per run
-// of a head key by construction (c = deduplicated candidates); the tree
-// variant bounds the per-message cost of multi-message runs at
-// O(log c). Theta is pinned so the sketch (and the head set) is
-// identical at every n — the sweep varies ONLY the argmin cost.
+// W-C/scan grows linearly with n. Theta is pinned in that sweep so the
+// sketch (and the head set) is identical at every n — it varies ONLY
+// the argmin cost, over a head of dozens of keys.
+//
+// The D-C/default cells are the two regimes that sweep never reaches,
+// in the default configuration (θ = 1/(5n), LoadIndexAuto) over 100k
+// keys: z = 0.8, where the head is thousands of keys (|H| ≈ 2.8k,
+// d ≈ 91 at n = 4096) and the cost is FINDOPTIMALCHOICES and the
+// candidate cache, and z = 2.0, where d is in the thousands (≈ 2.5k at
+// n = 4096) and the cost is the argmin over ≈ 1.9k candidates per head
+// message — the persistent candidate tournaments' regime.
 func BenchmarkRouteAtScale(b *testing.B) {
 	for _, algo := range []string{"W-C", "D-C"} {
 		for _, mode := range []struct {
@@ -292,35 +298,48 @@ func BenchmarkRouteAtScale(b *testing.B) {
 			for _, n := range []int{64, 256, 1024, 4096, 16384} {
 				b.Run(algo+"/"+mode.name+"/n="+strconv.Itoa(n), func(b *testing.B) {
 					cfg := slb.Config{Workers: n, Seed: 1, Theta: 1.0 / (5 * 2048), LoadIndex: mode.lidx}
-					p, err := slb.New(algo, cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					warm := slb.NewZipfStream(benchZ, benchKeys, 50_000, 2)
-					wkeys := make([]string, benchSlabSize)
-					wdst := make([]int, benchSlabSize)
-					for {
-						k := slb.NextBatch(warm, wkeys)
-						if k == 0 {
-							break
-						}
-						slb.RouteBatch(p, wkeys[:k], wdst)
-					}
-					gen := slb.NewZipfStream(benchZ, benchKeys, int64(b.N)+benchSlabSize, 1)
-					keys := make([]string, benchSlabSize)
-					dst := make([]int, benchSlabSize)
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i += benchSlabSize {
-						k := slb.NextBatch(gen, keys)
-						if k == 0 {
-							b.Fatal("stream exhausted")
-						}
-						slb.RouteBatch(p, keys[:k], dst)
-					}
+					benchRouteAtScale(b, algo, cfg, benchZ, benchKeys, 50_000)
 				})
 			}
 		}
+	}
+	for _, n := range []int{4096, 16384} {
+		for _, z := range []float64{0.8, 2.0} {
+			b.Run("D-C/default/n="+strconv.Itoa(n)+"/z="+strconv.FormatFloat(z, 'f', 1, 64), func(b *testing.B) {
+				benchRouteAtScale(b, "D-C", slb.Config{Workers: n, Seed: 1}, z, 100_000, 256<<10)
+			})
+		}
+	}
+}
+
+// benchRouteAtScale warms a partitioner on `warm` messages of a
+// Zipf(z) stream over `keys` keys, then times RouteBatch slabs.
+func benchRouteAtScale(b *testing.B, algo string, cfg slb.Config, z float64, keys int, warm int64) {
+	p, err := slb.New(algo, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	wgen := slb.NewZipfStream(z, keys, warm, 2)
+	wkeys := make([]string, benchSlabSize)
+	wdst := make([]int, benchSlabSize)
+	for {
+		k := slb.NextBatch(wgen, wkeys)
+		if k == 0 {
+			break
+		}
+		slb.RouteBatch(p, wkeys[:k], wdst)
+	}
+	gen := slb.NewZipfStream(z, keys, int64(b.N)+benchSlabSize, 1)
+	slab := make([]string, benchSlabSize)
+	dst := make([]int, benchSlabSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += benchSlabSize {
+		k := slb.NextBatch(gen, slab)
+		if k == 0 {
+			b.Fatal("stream exhausted")
+		}
+		slb.RouteBatch(p, slab[:k], dst)
 	}
 }
 
@@ -346,9 +365,8 @@ func BenchmarkSimulateThroughput(b *testing.B) {
 // TestSteadyStateRoutingZeroAllocs asserts the allocation contract the
 // benchmarks report: warm steady-state routing — both APIs — performs
 // zero allocations for PKG and D-Choices (and the other head-aware
-// schemes). SolveEvery is raised so the amortized, allocating solver
-// stays outside the measured window; everything else is the default
-// configuration.
+// schemes), in the default configuration: D-Choices re-solves d every
+// 1024 messages inside the measured windows.
 func TestSteadyStateRoutingZeroAllocs(t *testing.T) {
 	gen := slb.NewZipfStream(benchZ, benchKeys, 60_000, 7)
 	keys := make([]string, 0, 60_000)
@@ -361,7 +379,7 @@ func TestSteadyStateRoutingZeroAllocs(t *testing.T) {
 		keys = append(keys, buf[:n]...)
 	}
 	for _, algo := range []string{"PKG", "D-C", "W-C", "RR"} {
-		cfg := slb.Config{Workers: benchWorkers, Seed: 7, SolveEvery: 1 << 30}
+		cfg := slb.Config{Workers: benchWorkers, Seed: 7}
 		p, err := slb.New(algo, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -404,7 +422,7 @@ func TestSteadyStateRoutingZeroAllocs(t *testing.T) {
 	// argmin tree, candidate subset tournaments, prefix-window cache —
 	// allocates nothing, for both APIs.
 	for _, algo := range []string{"D-C", "W-C"} {
-		cfg := slb.Config{Workers: 1024, Seed: 7, SolveEvery: 1 << 30, LoadIndex: slb.LoadIndexTree}
+		cfg := slb.Config{Workers: 1024, Seed: 7, LoadIndex: slb.LoadIndexTree}
 		p, err := slb.New(algo, cfg)
 		if err != nil {
 			t.Fatal(err)

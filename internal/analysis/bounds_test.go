@@ -209,3 +209,163 @@ func TestBHPanics(t *testing.T) {
 	}()
 	BH(0, 1, 1)
 }
+
+// referenceFeasibleD and referenceSolveD are FINDOPTIMALCHOICES as it
+// stood before the memoised Solver: every b_h and (b_h/n)^d recomputed
+// by math.Pow on every call. The Solver must agree with them exactly —
+// same d for every input — because routing decisions depend on d.
+func referenceFeasibleD(headProbs []float64, tailMass float64, n, d int, eps float64) bool {
+	if len(headProbs) == 0 {
+		return true
+	}
+	nf := float64(n)
+	headMass := 0.0
+	for _, p := range headProbs {
+		headMass += p
+	}
+	prefix := 0.0
+	for h := 1; h <= len(headProbs); h++ {
+		prefix += headProbs[h-1]
+		bh := BH(n, h, d)
+		ratio := bh / nf
+		lhs := prefix + math.Pow(ratio, float64(d))*(headMass-prefix) + ratio*ratio*tailMass
+		rhs := bh * (1/nf + eps)
+		if lhs > rhs {
+			return false
+		}
+	}
+	return true
+}
+
+func referenceSolveD(headProbs []float64, tailMass float64, n int, eps float64) int {
+	if len(headProbs) == 0 {
+		return 2
+	}
+	d := int(math.Ceil(headProbs[0] * float64(n)))
+	if d < 2 {
+		d = 2
+	}
+	for ; d < n; d++ {
+		if referenceFeasibleD(headProbs, tailMass, n, d, eps) {
+			return d
+		}
+	}
+	return n
+}
+
+// solverHead draws a head of the given size and shape, in the form the
+// sketch produces one: integer counts over a stream length, so equal
+// counts are exactly equal frequencies (plateaus) and the vector is
+// non-increasing. scale nudges the hottest key, which moves ⌈p1·n⌉ and
+// with it the solved d.
+func solverHead(shape string, size int, scale float64, rng *workload.RNG) (head []float64, tail float64) {
+	counts := make([]uint64, size)
+	for i := range counts {
+		switch shape {
+		case "flat":
+			counts[i] = 40
+		case "zipf":
+			counts[i] = uint64(4 + 200000/math.Pow(float64(i+1), 1.1))
+		case "plateau": // long runs of equal counts, as SpaceSaving's low buckets hold
+			counts[i] = uint64(8 + 3000/(1+i/97))
+		}
+	}
+	if size > 0 {
+		counts[0] = uint64(float64(counts[0]) * scale)
+		if size > 1 && counts[0] < counts[1] {
+			counts[0] = counts[1]
+		}
+	}
+	total := uint64(0)
+	for _, c := range counts {
+		total += c
+	}
+	stream := total + total/3 + uint64(rng.Intn(1000)) // the tail's share
+	mass := 0.0
+	head = make([]float64, size)
+	for i, c := range counts {
+		head[i] = float64(c) / float64(stream)
+		mass += head[i]
+	}
+	return head, 1 - mass
+}
+
+// TestSolverMatchesReference drives ONE Solver per (n, ε) through a
+// sequence of heads that grow, shrink, change shape and wobble the
+// solved d by a few — the life of a D-Choices partitioner's solver — and
+// requires the reference's d on every call: a table kept from an earlier
+// solve, extended, evicted or reclaimed must never change an answer.
+func TestSolverMatchesReference(t *testing.T) {
+	sizes := []int{0, 1, 2, 37, 600, 5000, 4993, 5000, 2816, 111, 3, 5000, 1200, 0, 2816}
+	if testing.Short() {
+		sizes = []int{0, 1, 37, 600, 2816, 2810, 111, 2816}
+	}
+	shapes := []string{"zipf", "plateau", "flat"}
+	wobble := []float64{1, 1.004, 0.996, 1.008, 1, 0.992}
+	for _, n := range []int{8, 64, 4096, 16384} {
+		for _, eps := range []float64{1e-4, 1e-3, 1e-2} {
+			var s Solver
+			rng := workload.NewRNG(uint64(n) + 17)
+			for step, size := range sizes {
+				for _, shape := range shapes {
+					for _, scale := range wobble {
+						head, tail := solverHead(shape, size, scale, rng)
+						want := referenceSolveD(head, tail, n, eps)
+						if got := s.SolveD(head, tail, n, eps); got != want {
+							t.Fatalf("n=%d eps=%g step %d (%s, |H|=%d, scale %.3f): Solver d=%d, reference d=%d",
+								n, eps, step, shape, size, scale, got, want)
+						}
+						if got := SolveD(head, tail, n, eps); got != want {
+							t.Fatalf("n=%d eps=%g step %d (%s, |H|=%d): SolveD d=%d, reference d=%d",
+								n, eps, step, shape, size, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSolverFeasibleMatchesReference pins the per-d predicate too, on
+// the d around the solution where one differing bit would flip it.
+func TestSolverFeasibleMatchesReference(t *testing.T) {
+	rng := workload.NewRNG(5)
+	for _, n := range []int{64, 4096} {
+		for _, shape := range []string{"zipf", "plateau"} {
+			head, tail := solverHead(shape, 900, 1, rng)
+			d0 := referenceSolveD(head, tail, n, 1e-4)
+			for d := d0 - 3; d <= d0+3; d++ {
+				if d < 1 {
+					continue
+				}
+				want := referenceFeasibleD(head, tail, n, d, 1e-4)
+				if got := FeasibleD(head, tail, n, d, 1e-4); got != want {
+					t.Fatalf("n=%d %s d=%d: FeasibleD=%v, reference=%v", n, shape, d, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestSolverSteadyStateDoesNotAllocate: once its tables cover the head,
+// a repeat solve allocates nothing, d wobble included.
+func TestSolverSteadyStateDoesNotAllocate(t *testing.T) {
+	rng := workload.NewRNG(9)
+	var heads [][]float64
+	var tails []float64
+	for _, scale := range []float64{1, 1.004, 0.996, 1.008} {
+		h, tl := solverHead("zipf", 2816, scale, rng)
+		heads, tails = append(heads, h), append(tails, tl)
+	}
+	var s Solver
+	for i := range heads {
+		s.SolveD(heads[i], tails[i], 4096, 1e-4)
+	}
+	i := 0
+	if avg := testing.AllocsPerRun(50, func() {
+		s.SolveD(heads[i%len(heads)], tails[i%len(heads)], 4096, 1e-4)
+		i++
+	}); avg != 0 {
+		t.Fatalf("warm Solver.SolveD allocates %.2f allocs/solve, want 0", avg)
+	}
+}

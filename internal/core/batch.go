@@ -17,7 +17,11 @@ package core
 // tables, re-keyed edges — operates on, so a message's key is digested
 // exactly once end to end.
 
-import "slb/internal/hashing"
+import (
+	"math/bits"
+
+	"slb/internal/hashing"
+)
 
 // BatchPartitioner is implemented by partitioners that support batched
 // routing. All partitioners in this package implement it.
@@ -107,9 +111,9 @@ const candWays = 4
 // covers the few-dozen-key heads of the paper's configurations; large
 // deployments (whose θ-derived heads are bigger and whose recomputes
 // cost thousands of mixes) start at 16 sets (64 entries). The D-Choices
-// solver then grows the cache to the head cardinality its sketch
-// actually observes (ensureHeadCapacity) — the static guess only has to
-// carry the warm-up. Storage is entries·n int32s.
+// solver then fits the cache to the head cardinality its sketch
+// actually observes and to the d it solved (fit) — the static guess
+// only has to carry the warm-up.
 func candCacheSets(n int) int {
 	if n >= 2048 {
 		return 16
@@ -117,36 +121,78 @@ func candCacheSets(n int) int {
 	return 8
 }
 
-// candCacheMaxEntries caps cache growth so the candidate store
-// (entries·n int32s) stays ≤ ~4 MiB: a deployment with a huge worker
-// count gets fewer, larger entries. Never below the static default, so
-// growth can only ever be a no-op there, not a shrink.
-func candCacheMaxEntries(n int) int {
-	m := (4 << 20) / (4 * n)
+// candCacheBytes is the budget of the candidate store (entries·stride
+// int32s). An entry reserves room for the list its derivation can
+// produce — stride ≥ d + candDSlack(d) — not for n workers: at n = 4096,
+// d = 91 an n-strided store bought 256 entries for a 2,816-key head
+// (62,485 misses in 106,533 lookups over 256 Ki messages, each
+// re-deriving 93 buckets); strided by d the same bytes hold the whole
+// head (8,279 misses: one per head key, and again when d leaves the
+// key's window while the solver settles).
+const candCacheBytes = 4 << 20
+
+// candStride returns the per-entry reservation for derivations at d:
+// the list length bound min(d + candDSlack(d), n) plus an eighth of
+// headroom (rounded up to 8), so the solver's drift re-strides rarely.
+func candStride(d, n int) int {
+	need := d + candDSlack(d)
+	s := (need + need/8 + 7) &^ 7
+	if s > n {
+		s = n
+	}
+	return s
+}
+
+// candCacheMaxEntries caps the entry count at a given stride so the
+// candidate store stays within candCacheBytes: a large d gets fewer,
+// larger entries. Never below the 32-entry static default.
+func candCacheMaxEntries(stride int) int {
+	m := candCacheBytes / (4 * stride)
 	if m < 32 {
 		m = 32
-	}
-	if m > 256 {
-		m = 256
 	}
 	return m
 }
 
-// candDWindow is how many consecutive d values one cached derivation
-// serves, and candDSlack how far past the requested d a miss derives.
-// The D-Choices solver re-runs every SolveEvery messages and its d
-// JITTERS by ±1–2 around the fixed point (the head snapshot is a
-// fluctuating estimate); keying entries on an exact d would invalidate
-// every cached list at each wobble, re-deriving thousands of buckets
-// per head key. The dedup-prefix property makes the window free:
-// deduplication preserves first-occurrence order, so the deduplicated
-// list for d′ < d is exactly a PREFIX of the list derived for d — one
-// derivation records the prefix length at each of the top candDWindow
-// d values and serves them all, bit-exactly.
-const (
-	candDWindow = 4
-	candDSlack  = 2
-)
+// candDSlack is how far past the requested d a miss derives, and
+// candDWindow how many consecutive d values, counted down from the top
+// of its derivation, an entry serves. The D-Choices solver re-runs
+// every SolveEvery messages and its d JITTERS around a fixed point that
+// itself drifts while the head estimate settles; keying entries on an
+// exact d would invalidate every cached list at each wobble,
+// re-deriving thousands of buckets per head key. d is ⌈p̂1·n⌉ or a
+// little more, so the wobble scales with d: ±1–2 at the paper's scales,
+// but 2,535 → 2,484 → 2,507 → 2,493 over the first 128 Ki messages at
+// n = 4096, z = 2.0, where a fixed 4-wide window re-derived every head
+// key's ≈ 2,500 buckets twelve times. So the slack is d/64, at least
+// the 2 that serves small d and at most the 32 the window word holds,
+// and the window is twice the slack: [d − slack + 1, d + slack] around
+// the d that missed.
+//
+// The dedup-prefix property makes the window free: deduplication
+// preserves first-occurrence order, so the deduplicated list for d′ < d
+// is exactly a PREFIX of the list derived for d. One derivation records
+// its full length and, in one word, which of its last 64 buckets were
+// duplicates; the prefix length at any d in the window is a popcount
+// away, bit-exactly.
+func candDSlack(d int) int {
+	switch s := d >> 6; {
+	case s < 2:
+		return 2
+	case s > 32:
+		return 32
+	default:
+		return s
+	}
+}
+
+// candDWindow returns how many d values, from dhi down, an entry whose
+// derivation reaches dhi serves: twice the slack at dhi, which is the
+// slack of the d that missed or one more — either way at most the 64
+// buckets the entry's duplicate word records.
+func candDWindow(dhi int32) int32 {
+	return 2 * int32(candDSlack(int(dhi)))
+}
 
 // candCache memoizes head keys' candidate worker lists across batches.
 // Candidates are a pure function of (digest, d), so entries never go
@@ -155,14 +201,16 @@ const (
 // the solver picks a large d — and with the cache the batch path pays it
 // once per (head key, d window) instead of once per run.
 type candCache struct {
-	n     int
-	sets  int
-	digs  []KeyDigest // sets·candWays entries
-	dhi   []int32     // highest d the entry's derivation covers (0 = empty)
-	lens  []int32     // flat [entries][candDWindow]: dedup prefix length at d = dhi−k
-	used  []uint32    // LRU stamps, one per entry
-	tick  uint32
-	cands []int32 // flat [sets·candWays][n]
+	n      int
+	stride int // int32s reserved per entry; every lookup's d + candDSlack(d) (capped at n) fits
+	sets   int
+	digs   []KeyDigest // sets·candWays entries
+	dhi    []int32     // highest d the entry's derivation covers (0 = empty)
+	lens   []int32     // dedup length of the whole derivation (at d = dhi)
+	dups   []uint64    // bit k set: bucket dhi−1−k repeated an earlier worker
+	used   []uint32    // LRU stamps, one per entry
+	tick   uint32
+	cands  []int32 // flat [sets·candWays][stride]
 	// Dedup stamps: mark[w] == epoch means worker w is already in the
 	// list being built. An epoch bump invalidates every mark in O(1),
 	// making a miss O(d) instead of the O(d²) a membership scan costs —
@@ -179,51 +227,57 @@ type candCache struct {
 	misses int64
 }
 
-func newCandCache(n int) candCache {
-	sets := candCacheSets(n)
-	entries := sets * candWays
-	return candCache{
-		n:     n,
-		sets:  sets,
-		digs:  make([]KeyDigest, entries),
-		dhi:   make([]int32, entries),
-		lens:  make([]int32, entries*candDWindow),
-		used:  make([]uint32, entries),
-		cands: make([]int32, entries*n),
-		mark:  make([]int32, n),
-	}
+// newCandCache returns a cache for n workers whose entries fit
+// derivations at d (D-Choices starts at 2 and re-fits after each solve;
+// ForcedD's d is fixed).
+func newCandCache(n, d int) candCache {
+	cc := candCache{n: n, mark: make([]int32, n)}
+	cc.resize(candCacheSets(n), candStride(d, n))
+	return cc
 }
 
-// ensureHeadCapacity grows the cache to fit an observed head of
-// `heads` keys: the smallest power-of-two set count giving at least
-// 2·heads entries (half-empty sets keep LRU conflicts rare), within
-// candCacheMaxEntries. The previous sizing keyed off n alone, so a
-// low-θ configuration whose sketch tracked hundreds of head keys
-// thrashed a 32-entry cache — every hot key re-deriving its d buckets
-// once per run. The solver calls this with each head snapshot; growth
-// discards the cached entries, which is harmless because candidates
-// are a pure function of (digest, d) and re-derive bit-identically on
-// the next lookup. Never shrinks.
-func (cc *candCache) ensureHeadCapacity(heads int) {
+// resize lays the cache out afresh. It discards the cached entries,
+// which is harmless because candidates are a pure function of
+// (digest, d) and re-derive bit-identically on the next lookup.
+func (cc *candCache) resize(sets, stride int) {
+	entries := sets * candWays
+	cc.sets, cc.stride = sets, stride
+	cc.digs = make([]KeyDigest, entries)
+	cc.dhi = make([]int32, entries)
+	cc.lens = make([]int32, entries)
+	cc.dups = make([]uint64, entries)
+	cc.used = make([]uint32, entries)
+	cc.cands = make([]int32, entries*stride)
+	cc.tick = 0
+}
+
+// fit sizes the cache for an observed head of `heads` keys routed with d
+// choices: entries strided for d (re-striding up as soon as d outgrows
+// the reservation, down only once d needs at most half of it, so a
+// wobbling d never flaps), and the smallest power-of-two set count
+// giving at least 2·heads entries (half-empty sets keep LRU conflicts
+// rare) within candCacheMaxEntries. The entry count never shrinks at an
+// unchanged stride. The solver calls this after each solve, off the
+// per-message path.
+func (cc *candCache) fit(heads, d int) {
+	stride, sets := cc.stride, cc.sets
+	if s := candStride(d, cc.n); s > stride || 2*s <= stride {
+		stride, sets = s, candCacheSets(cc.n)
+	}
+	limit := candCacheMaxEntries(stride)
 	want := 2 * heads
-	if m := candCacheMaxEntries(cc.n); want > m {
-		want = m
+	if want > limit {
+		want = limit
 	}
-	if want <= cc.sets*candWays {
-		return
-	}
-	sets := cc.sets
 	for sets*candWays < want {
 		sets <<= 1
 	}
-	entries := sets * candWays
-	cc.sets = sets
-	cc.digs = make([]KeyDigest, entries)
-	cc.dhi = make([]int32, entries)
-	cc.lens = make([]int32, entries*candDWindow)
-	cc.used = make([]uint32, entries)
-	cc.cands = make([]int32, entries*cc.n)
-	cc.tick = 0
+	for sets*candWays > limit && sets > candCacheSets(cc.n) {
+		sets >>= 1
+	}
+	if sets != cc.sets || stride != cc.stride {
+		cc.resize(sets, stride)
+	}
 }
 
 // lookup returns the candidate list for (dg, d), deriving and caching
@@ -248,10 +302,10 @@ func (cc *candCache) lookup(dg KeyDigest, d int, f *hashing.Family) []int32 {
 	victim := e
 	for w := e; w < e+candWays; w++ {
 		hi := cc.dhi[w]
-		if cc.digs[w] == dg && int32(d) <= hi && int32(d) > hi-candDWindow {
+		if cc.digs[w] == dg && int32(d) <= hi && int32(d) > hi-candDWindow(hi) {
 			cc.used[w] = cc.tick
 			cc.hits++
-			return cc.cands[w*cc.n : w*cc.n+int(cc.lens[w*candDWindow+int(hi-int32(d))])]
+			return cc.cands[w*cc.stride : w*cc.stride+cc.prefixLen(w, d)]
 		}
 		if cc.used[w] < cc.used[victim] {
 			victim = w
@@ -266,26 +320,38 @@ func (cc *candCache) lookup(dg KeyDigest, d int, f *hashing.Family) []int32 {
 		cc.epoch = 1
 	}
 	// Derive past the requested d (bounded by the family size n) so the
-	// solver's next wobble stays inside the window.
-	dhi := d + candDSlack
+	// solver's drift stays inside the window. The list fits the entry:
+	// fit/newCandCache reserved stride ≥ min(d + candDSlack(d), n).
+	dhi := d + candDSlack(d)
 	if dhi > cc.n {
 		dhi = cc.n
 	}
-	c := cc.cands[victim*cc.n : victim*cc.n : (victim+1)*cc.n]
+	c := cc.cands[victim*cc.stride : victim*cc.stride : (victim+1)*cc.stride]
+	var dups uint64
 	for i := 0; i < dhi; i++ {
 		w := int32(f.BucketDigest(i, dg, cc.n))
+		dups <<= 1
 		if cc.mark[w] != cc.epoch {
 			cc.mark[w] = cc.epoch
 			c = append(c, w)
-		}
-		if k := dhi - 1 - i; k < candDWindow {
-			cc.lens[victim*candDWindow+k] = int32(len(c))
+		} else {
+			dups |= 1
 		}
 	}
 	cc.digs[victim] = dg
 	cc.dhi[victim] = int32(dhi)
+	cc.lens[victim] = int32(len(c))
+	cc.dups[victim] = dups
 	cc.used[victim] = cc.tick
-	return cc.cands[victim*cc.n : victim*cc.n+int(cc.lens[victim*candDWindow+int(int32(dhi)-int32(d))])]
+	return cc.cands[victim*cc.stride : victim*cc.stride+cc.prefixLen(victim, d)]
+}
+
+// prefixLen returns the dedup length at d of entry w's derivation, for
+// d within its window: the full length less the first occurrences among
+// the dhi − d buckets past d.
+func (cc *candCache) prefixLen(w, d int) int {
+	k := uint(int(cc.dhi[w]) - d)
+	return int(cc.lens[w]) - int(k) + bits.OnesCount64(cc.dups[w]&(1<<k-1))
 }
 
 // runLen returns the length of the run of identical keys starting at i.
@@ -475,14 +541,7 @@ func (p *DChoices) routeRunBulk(dg KeyDigest, key string, r int, dst []int) {
 		}
 		return
 	}
-	headCands := p.headCands(dg)
-	if p.useCandTree(dg, len(headCands), r-cross) {
-		p.routeCandsTree(dg, headCands, dst[cross:r])
-		return
-	}
-	for m := cross; m < r; m++ {
-		dst[m] = p.routeCands(headCands)
-	}
+	p.routeHead(dg, p.headCands(dg), dst[cross:r])
 }
 
 // routeTailSeg routes a segment of tail messages of one key: the
@@ -563,13 +622,7 @@ func (p *DChoices) routeRunNearSolve(dg KeyDigest, key string, r int, dst []int)
 				headCands = p.cache.lookup(dg, p.d, p.family)
 				headD = p.d
 			}
-			if p.useCandTree(dg, len(headCands), t) {
-				p.routeCandsTree(dg, headCands, dst[m:m+t])
-			} else {
-				for j := m; j < m+t; j++ {
-					dst[j] = p.routeCands(headCands)
-				}
-			}
+			p.routeHead(dg, headCands, dst[m:m+t])
 		}
 		m += t
 	}
@@ -699,14 +752,7 @@ func (p *ForcedD) routeRun(dg KeyDigest, key string, r int, dst []int) {
 		}
 		return
 	}
-	headCands := p.cache.lookup(dg, p.d, p.family)
-	if p.useCandTree(dg, len(headCands), r-cross) {
-		p.routeCandsTree(dg, headCands, dst[cross:r])
-		return
-	}
-	for m := cross; m < r; m++ {
-		dst[m] = p.routeCands(headCands)
-	}
+	p.routeHead(dg, p.cache.lookup(dg, p.d, p.family), dst[cross:r])
 }
 
 // RouteBatch implements BatchPartitioner. Unlike the other schemes it

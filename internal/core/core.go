@@ -298,19 +298,20 @@ type greedy struct {
 	digs   []hashing.KeyDigest // scratch: per-batch digests (grows to the largest batch seen)
 	lidx   int8                // Config.LoadIndex (crossover policy for candidate tournaments)
 	tree   *loadTree           // full-vector load index, nil below the crossover
-	ctree  []int32             // scratch: oversized candidate tournaments (grows to the largest list)
-
-	// Persistent candidate-tournament state (loadtree.go). clogOn is set
-	// by the first routeCandsTree call; from then on bump appends every
-	// load increment to clog so cached tournaments can be repaired by
-	// replay instead of rebuilt. Whenever clogOn is true the full-vector
-	// tree is attached (useCandTree requires LoadIndexTree — which
-	// forces it — or c ≥ crossover ≤ n, which auto-attaches it), so no
-	// increment can bypass bump and stale a cached tournament.
-	ctours  []candTour
-	clog    []int32
-	clogGen uint32
-	clogOn  bool
+	// Persistent candidate-tournament state (loadtree.go), allocated by
+	// the first head run whose list is long enough for a tournament; from
+	// then on bump appends every load increment to the clog ring so
+	// cached tournaments can be repaired by replay instead of rebuilt.
+	// Whenever clog is on the full-vector tree is attached (an eligible
+	// list needs LoadIndexTree — which forces the tree — or c ≥
+	// crossover ≤ n, which auto-attaches it), so no increment can bypass
+	// bump and stale a cached tournament.
+	tours     []candTour
+	clog      []int32
+	clogPos   uint64 // increments logged so far
+	tourBytes int
+	tourStamp []int32 // replay scratch, see candTour.repair
+	tourEpoch int32
 
 	// Plain (single-goroutine, like the partitioner itself) argmin-path
 	// counters, surfaced through RouteStats: messages routed via a
@@ -319,6 +320,9 @@ type greedy struct {
 	// increment on paths that cost tens of ns — below measurement noise.
 	nTreeMin int64
 	nScanMin int64
+	// Candidate tournaments built from scratch and repaired by replay.
+	nTourBuilds  int64
+	nTourRepairs int64
 }
 
 func newGreedy(cfg Config) greedy {
@@ -351,12 +355,9 @@ func (g *greedy) bump(w int) {
 	if g.tree != nil {
 		g.tree.fix(w)
 	}
-	if g.clogOn {
-		if len(g.clog) >= candTourLogMax {
-			g.clogGen++ // cached tournaments rebuild on next use
-			g.clog = g.clog[:0]
-		}
-		g.clog = append(g.clog, int32(w))
+	if g.clog != nil {
+		g.clog[g.clogPos&(candTourLogMax-1)] = int32(w)
+		g.clogPos++
 	}
 }
 
@@ -395,24 +396,56 @@ const (
 const maxPacked = int64(1)<<62 - 1
 
 // routeCands routes one message among precomputed candidates (a cached,
-// deduplicated candidate list from the batch path), with the same
-// first-lowest-wins tie-break as routeGreedyDigest. A plain branchy
-// scan wins here: the data-dependent loads[cand[i]] gathers leave the
-// rarely-taken compare branch well predicted, measurably beating the
-// packed conditional-move variant routeAll uses.
-func (g *greedy) routeCands(cand []int32) int {
+// deduplicated candidate list), with the same first-lowest-wins
+// tie-break as routeGreedyDigest. A plain branchy scan wins here: the
+// data-dependent loads[cand[i]] gathers leave the rarely-taken compare
+// branch well predicted, measurably beating the packed conditional-move
+// variant routeAll uses.
+//
+// With the load index attached the scan knows the global minimum load
+// (the tree's root) and stops at the first candidate that attains it:
+// no later candidate can be lower, and every earlier one was higher, so
+// that candidate is the first-lowest. Head keys are routed to keep the
+// loads level, so a candidate at the floor usually turns up well before
+// the end (measured at n = 4096 over route-scale's cells: 41 of 91
+// candidates visited per scan at z = 0.8; at z = 2.0, 331 of 1,874 for
+// the keys that scan — the hottest keys' candidates sit above the floor
+// and go through tournaments instead, see loadtree.go).
+//
+// It also reports how many candidates the scan visited, which is what
+// the tournament policy weighs a key's scans by. Without the index the
+// loop is the plain scan and nothing else: folding the floor test into
+// one shared loop cost the index-less cells 7% (D-C at n = 64, z = 2.0,
+// where every message is a 40-candidate scan: 76.6 against 60.8 ns per
+// message, four alternated runs, the parent's loop at 69.0).
+func (g *greedy) routeCands(cand []int32) (best, visited int) {
 	g.nScanMin++
 	loads := g.loads
-	best := int(cand[0])
+	best, visited = int(cand[0]), len(cand)
 	bestLoad := loads[best]
-	for _, w32 := range cand[1:] {
-		w := int(w32)
-		if loads[w] < bestLoad {
-			best, bestLoad = w, loads[w]
+	if g.tree == nil {
+		for _, w32 := range cand[1:] {
+			w := int(w32)
+			if loads[w] < bestLoad {
+				best, bestLoad = w, loads[w]
+			}
+		}
+	} else if floor := loads[g.tree.min()]; bestLoad == floor {
+		visited = 1
+	} else {
+		for i, w32 := range cand[1:] {
+			w := int(w32)
+			if loads[w] < bestLoad {
+				best, bestLoad = w, loads[w]
+				if bestLoad == floor {
+					visited = i + 2
+					break
+				}
+			}
 		}
 	}
 	g.bump(best)
-	return best
+	return best, visited
 }
 
 // scratchDigests returns the partitioner-owned digest slab for an
@@ -539,6 +572,10 @@ type HeadTracker struct {
 	// The per-message path counts in observeDigest; the batch paths
 	// count whole head segments at the crossing split.
 	headMsgs int64
+
+	// Scratch of headSnapshot (grows to the largest head seen).
+	snapCounts []uint64
+	snapHead   []float64
 }
 
 func newHeadTracker(cfg Config) HeadTracker {
@@ -672,31 +709,35 @@ func (h *HeadTracker) observed() uint64 {
 	return h.sketch.N()
 }
 
-// heavyHitters returns the current head entries.
-func (h *HeadTracker) heavyHitters() []spacesaving.Entry {
-	if h.win != nil {
-		return h.win.HeavyHitters(h.theta)
-	}
-	return h.sketch.HeavyHitters(h.theta)
-}
-
 // headSnapshot returns the estimated head frequencies (non-increasing)
 // and the estimated tail mass, both normalized by the observed stream
-// length.
+// length. The vector is tracker-owned scratch, valid until the next
+// snapshot. In insertion-only mode it is filled from the sketch's bucket
+// walk (spacesaving.HeadCounts): counts only, already non-increasing, so
+// nothing is copied, sorted or allocated. The sliding-window mode merges
+// two generations through a map and keeps the allocating path.
 func (h *HeadTracker) headSnapshot() (head []float64, tailMass float64) {
 	n := h.observed()
 	if n == 0 {
 		return nil, 1
 	}
-	entries := h.heavyHitters()
-	head = make([]float64, len(entries))
+	head = h.snapHead[:0]
 	mass := 0.0
-	for i, e := range entries {
-		head[i] = float64(e.Count) / float64(n)
-		mass += head[i]
+	if h.win != nil {
+		for _, e := range h.win.HeavyHitters(h.theta) {
+			head = append(head, float64(e.Count)/float64(n))
+			mass += head[len(head)-1]
+		}
+		sort.Sort(sort.Reverse(sort.Float64Slice(head)))
+	} else {
+		h.snapCounts = h.sketch.HeadCounts(h.theta, h.snapCounts)
+		for _, c := range h.snapCounts {
+			head = append(head, float64(c)/float64(n))
+			mass += head[len(head)-1]
+		}
 	}
+	h.snapHead = head
 	// Estimates can overshoot; keep the vector a valid distribution.
-	sort.Sort(sort.Reverse(sort.Float64Slice(head)))
 	tailMass = 1 - mass
 	if tailMass < 0 {
 		tailMass = 0
@@ -746,6 +787,8 @@ type DChoices struct {
 	solved     bool   // whether d has ever been computed
 	lastSolveN uint64 // sketch N at the last solve
 	solves     int64  // FINDOPTIMALCHOICES runs (instrumentation)
+	headSize   int    // |H| at the last solve (instrumentation)
+	solver     analysis.Solver
 
 	cache candCache // batch path: memoized head-key candidate lists
 
@@ -767,7 +810,7 @@ func NewDChoices(cfg Config) *DChoices {
 		eps:        cfg.Epsilon,
 		solveEvery: cfg.SolveEvery,
 		d:          2,
-		cache:      newCandCache(cfg.Workers),
+		cache:      newCandCache(cfg.Workers, 2),
 		lastCands:  make([]int32, 0, cfg.Workers),
 	}
 	p.enableLoadIndex(cfg)
@@ -818,14 +861,20 @@ func (p *DChoices) RouteDigest(dg KeyDigest, key string) int {
 		// and list order is bucket order), but the dominant key of a
 		// skewed stream revalidates with two compares instead of d
 		// hash mixes.
-		return p.routeCands(p.headCands(dg))
+		w, _ := p.routeCands(p.headCands(dg))
+		return w
 	}
 	return p.routeGreedyDigest(dg, 2)
 }
 
 // findOptimalChoices returns the cached d, re-solving on the configured
-// cadence. The solve itself is O(|sketch|·log + n·|H|), far too costly
-// per message but negligible when amortized over SolveEvery messages.
+// cadence. A solve walks the head (|H| counts out of the sketch's
+// buckets) and checks |H| prefix constraints per candidate d. |H| is a
+// few dozen keys at the paper's scales but 2,816 at n = 4096, z = 0.8,
+// where an Entry snapshot and 2·|H| math.Pow cost 2.3 ms per solve —
+// 2.2 µs per message at the default cadence; the counts-only snapshot
+// and the solver's memoised tables (analysis.Solver) make it |H|
+// multiply-adds with no allocation.
 func (p *DChoices) findOptimalChoices() int {
 	n := p.head.observed()
 	if p.solved && n-p.lastSolveN < uint64(p.solveEvery) {
@@ -833,13 +882,17 @@ func (p *DChoices) findOptimalChoices() int {
 	}
 	p.solves++
 	head, tail := p.head.headSnapshot()
-	// Size the candidate cache by the head cardinality the sketch
-	// actually observes, not by n: the snapshot is already in hand and
-	// the solve cadence makes the (rare) regrow free.
-	p.cache.ensureHeadCapacity(len(head))
-	p.d = analysis.SolveD(head, tail, p.n, p.eps)
+	p.headSize = len(head)
+	p.d = p.solver.SolveD(head, tail, p.n, p.eps)
 	if p.d < 2 {
 		p.d = 2
+	}
+	if p.d < p.n {
+		// Fit the candidate cache to the head the sketch actually
+		// observes and the d just solved: the snapshot is in hand and the
+		// solve cadence makes the (rare) re-layout free. At d ≥ n head
+		// keys take routeAll and never look candidates up.
+		p.cache.fit(len(head), p.d)
 	}
 	p.solved = true
 	p.lastSolveN = n
@@ -891,7 +944,7 @@ func NewForcedD(cfg Config, d int) *ForcedD {
 		greedy: newGreedy(cfg),
 		head:   newHeadTracker(cfg),
 		d:      d,
-		cache:  newCandCache(cfg.Workers),
+		cache:  newCandCache(cfg.Workers, d),
 	}
 	p.enableLoadIndex(cfg)
 	return p
@@ -910,7 +963,8 @@ func (p *ForcedD) RouteDigest(dg KeyDigest, key string) int {
 		}
 		// Cached deduplicated candidates, as in DChoices.RouteDigest:
 		// identical decisions to a d-bucket derivation, fewer mixes.
-		return p.routeCands(p.cache.lookup(dg, p.d, p.family))
+		w, _ := p.routeCands(p.cache.lookup(dg, p.d, p.family))
+		return w
 	}
 	return p.routeGreedyDigest(dg, 2)
 }

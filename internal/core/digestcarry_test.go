@@ -135,40 +135,49 @@ func TestRouteBatchDigestsFallback(t *testing.T) {
 // TestSteadyStateDigestRoutingDoesNotAllocate extends the
 // zero-allocation contract to the digest-carry APIs: warm steady-state
 // RouteBatchDigests (caller-owned slab) and RouteDigest allocate
-// nothing.
+// nothing, with the D-Choices solver running at its default cadence
+// inside the measured windows, at paper scale and at n = 4096 (see
+// steadyStateCases).
 func TestSteadyStateDigestRoutingDoesNotAllocate(t *testing.T) {
-	keys := collectKeys(workload.NewZipf(2.0, 2000, 30000, 31))
-	for _, name := range []string{"PKG", "D-C", "W-C", "RR"} {
-		c := cfg(50)
-		c.SolveEvery = 1 << 30
-		p, err := New(name, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, k := range keys {
-			p.Route(k) // warmup: sketch at capacity, pools primed
-		}
-		dr := p.(DigestRouter)
-		i := 0
-		if avg := testing.AllocsPerRun(5000, func() {
-			k := keys[i%len(keys)]
-			dr.RouteDigest(hashing.Digest(k), k)
-			i++
-		}); avg != 0 {
-			t.Errorf("%s: steady-state RouteDigest allocates %.3f allocs/op, want 0", name, avg)
-		}
-		dbp := p.(DigestBatchPartitioner)
-		digs := make([]KeyDigest, 256)
-		dst := make([]int, 256)
-		j := 0
-		if avg := testing.AllocsPerRun(200, func() {
-			if j+256 > len(keys) {
-				j = 0
+	for _, tc := range steadyStateCases() {
+		for _, name := range tc.algos {
+			p, err := New(name, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			dbp.RouteBatchDigests(keys[j:j+256], digs, dst)
-			j += 256
-		}); avg != 0 {
-			t.Errorf("%s: steady-state RouteBatchDigests allocates %.3f allocs/batch, want 0", name, avg)
+			keys := tc.keys
+			for pass := 0; pass < tc.warm; pass++ {
+				for _, k := range keys {
+					p.Route(k) // warmup: sketch at capacity, pools primed
+				}
+			}
+			solves := func() int64 { st, _ := Stats(p); return st.Solves }
+			before := solves()
+			dr := p.(DigestRouter)
+			i := 0
+			if avg := testing.AllocsPerRun(10000, func() {
+				k := keys[i%len(keys)]
+				dr.RouteDigest(hashing.Digest(k), k)
+				i++
+			}); avg != 0 {
+				t.Errorf("%s/%s: steady-state RouteDigest allocates %.3f allocs/op, want 0", tc.label, name, avg)
+			}
+			dbp := p.(DigestBatchPartitioner)
+			digs := make([]KeyDigest, 256)
+			dst := make([]int, 256)
+			j := 0
+			if avg := testing.AllocsPerRun(200, func() {
+				if j+256 > len(keys) {
+					j = 0
+				}
+				dbp.RouteBatchDigests(keys[j:j+256], digs, dst)
+				j += 256
+			}); avg != 0 {
+				t.Errorf("%s/%s: steady-state RouteBatchDigests allocates %.3f allocs/batch, want 0", tc.label, name, avg)
+			}
+			if n := solves() - before; name == "D-C" && n < 16 {
+				t.Errorf("%s/%s: the measured windows held %d solves, want ≥ 8 each", tc.label, name, n)
+			}
 		}
 	}
 }

@@ -125,232 +125,451 @@ func (t *loadTree) fix(w int) {
 // ---------------------------------------------------------------------------
 // Candidate subset tournament (batch head runs)
 //
-// D-Choices with a large d evaluates an argmin over d deduplicated
+// D-Choices with a large d evaluates an argmin over c ≤ d deduplicated
 // candidates per head message; the full-vector tree cannot answer
-// subset queries, but for one digest the candidate LIST is a pure
-// function of (digest, list length) — the dedup-prefix property makes
-// two lookups with the same deduplicated length return the same list —
-// so a tournament over it (leaves are list positions, ties prefer the
-// earlier position: the routeCands tie-break) stays meaningful ACROSS
-// runs. routeCandsTree keeps a small direct-mapped cache of such
-// tournaments, each stamped with the position it last observed in the
-// core's modification log of load increments (see greedy.clog). On the
-// next run of the same head key the cached tree is repaired by
-// replaying only the increments that landed since — O(changed leaves ·
-// log c) — instead of the O(c) rebuild the previous throwaway design
-// paid on every run, which dominated exactly the short-run regime
-// (skewed streams chop head keys into 1–3 message runs at batch
-// boundaries). Routing stays O(log c) per message and bit-exact with
-// the scans: repair recomputes the same winner nodes a rebuild would.
+// subset queries, but a key's candidate list is a pure function of its
+// digest — the dedup-prefix property makes the list for d − 1 a prefix
+// of the list for d — so a tournament over it (leaves are list
+// positions, ties prefer the earlier position: the routeCands tie-break)
+// stays meaningful ACROSS runs and ACROSS the solver's d. routeHead
+// keeps a small set-associative cache of such tournaments, each stamped
+// with the position it last observed in the core's modification log of
+// load increments (greedy.clog). On the next run of the same head key
+// the tournament is repaired by replaying only the increments that
+// landed since, instead of scanning or rebuilding. Routing is O(log c)
+// per message and bit-exact with the scan: repair recomputes the same
+// winner nodes a rebuild would.
+//
+// # Layout
+//
+// Leaves are padded to a power of two P ≥ c: node[P+i] is list position
+// i when the leaf is on and −1 when it is off, node[k] the winner of
+// node[2k] and node[2k+1], node[1] the argmin. Off leaves are always the
+// suffix [c, P), so when the solver's d wobbles and the list grows or
+// shrinks by a candidate the tournament switches one leaf on or off in
+// O(log P) and survives; only a list outgrowing P rebuilds. In this
+// layout a node's left subtree holds the earlier positions, so a tie
+// goes to the left child.
+//
+// # Policy, and the measurements behind it
+//
+// A tournament is not free to keep: every load increment of the core
+// must eventually be replayed into it. It pays for itself only for a key
+// whose runs recur before that replay costs more than the scans it
+// replaces — and how much a scan costs depends on the loads, because
+// routeCands stops at the first candidate at the global floor. So each
+// tracked key carries two moving averages (weight 1/8): `gap`, the
+// logged increments between its head runs, and `scan`, the candidates
+// a scan of it visits (observed while it is scanned; while it has a
+// tournament, read off the root — the scan would have stopped exactly
+// there if the root sits at the floor, and nowhere otherwise). With S
+// the scan cost per candidate visited and R the replay cost per logged
+// increment, the tournament is the cheaper way to route the key while
+// gap·R ≤ scan·S: it is KEPT while gap ≤ scan/candTourLagDiv and a key
+// without one is ADMITTED at a quarter of that (the margin and the slow
+// averages keep a key near the break-even from flapping between build
+// and drop: 305 builds per 256 Ki messages at half the limit and weight
+// 1/4, 98 as set). A run that has paid candTourBuildScans full
+// scans' worth of visits without being admitted builds anyway and
+// finishes on the tournament — rent-or-buy, for the long run of a key
+// that never recurred. LoadIndexTree applies the tournament to every
+// list of two or more candidates and replays whatever the log still
+// holds, so the parity suite exercises build, repair and toggling
+// throughout.
+//
+// The unit costs are BenchmarkCandTourCosts' (reference host, n = 4096,
+// c = 1,900, near-level loads): scan 0.9 ns per candidate visited;
+// replay ≈ 25 ns per logged increment on top of the bump itself (a
+// position probe, and for the 46% that are candidates a repair that
+// stops at the first node the leaf does not hold); build ≈ 5 ns per
+// candidate. Hence candTourLagDiv = R/S ≈ 24 and candTourBuildScans =
+// 6. route-scale's D-C.n4096.z2.0 cell is flat across candTourLagDiv
+// 4 … 32 (356–388 cpu-ns/msg, four alternated runs each), so the exact
+// ratio is not delicate; what the cell needs is the shape — its
+// hottest keys (61% and 15% of messages, then 7%, 4% …) scan all
+// ≈ 1,900 candidates every time, because they load their own candidates
+// above the floor, and three or four of them hold a tournament at any
+// time; the other ≈ 110 head keys find the floor within 331 candidates
+// on average and do not.
 
-// Candidate tournament cache shape. Slots are direct-mapped by digest
-// low bits (digests are hash outputs, so low bits are well mixed); a
-// conflicting hot key simply rebuilds, never corrupts. Lists longer
-// than candTourMaxCands fall back to the throwaway scratch build so
-// the cache's worst-case footprint stays bounded (~2 MiB: slots ·
-// (2c nodes + 2c-slot position table) · 4 B). The modification log is
-// capped: when it reaches candTourLogMax entries a generation bump
-// empties it, invalidating every cached tournament at once (they
-// rebuild on next use).
+// Candidate tournament cache shape.
+//
+// Slots are candTourWays-way sets indexed by digest low bits (digests
+// are hash outputs, so low bits are well mixed): in a direct-mapped
+// cache two hot keys sharing a slot evict each other on every run. A
+// newcomer takes the least recently seen way that does not hold a live
+// tournament. Storage is allocated on admission and bounded by
+// candTourBytes overall (20·P bytes per tournament: 40 KiB at
+// c ≈ 1,900, so the bound binds from P = 4,096 up).
+//
+// The modification log is a ring of the last candTourLogMax increments;
+// a tournament further behind than that can only be rebuilt.
 const (
-	candTourSlots    = 128
-	candTourMaxCands = 1024
-	candTourLogMax   = 4096
+	candTourSets       = 16
+	candTourWays       = 4
+	candTourLogMax     = 4096
+	candTourBytes      = 4 << 20
+	candTourLagDiv     = 24
+	candTourBuildScans = 6
 )
 
-// candTour is one cached candidate tournament: the (digest, length)
-// identity of the list it was built over, the log generation/position
-// it is synced to, the 2c tournament nodes, and an open-addressed
-// worker→(position+1) table used to map logged increments back to
-// leaves during repair (0 means empty; linear probing at load ≤ ½).
+// candTour is one slot of the tournament cache: the digest it tracks,
+// the log position just after that key's last head run (for a built
+// tournament, the position it is synced to), the two moving averages
+// the policy runs on, and — once admitted — the tournament: 2P nodes, a
+// private copy of the candidate list (so repair never depends on the
+// candidate cache's slots), and an open-addressed worker→(position+1)
+// table mapping logged increments back to leaves (0 means empty; linear
+// probing at load ≤ ½; with 2P ≥ n it degenerates to a direct map).
 type candTour struct {
-	dig     KeyDigest
-	c       int32
-	gen     uint32
-	sync    int32
-	tabMask int32
-	node    []int32
-	pos     []int32
+	dig    KeyDigest
+	at     uint64
+	gap    uint32 // moving average of the increments between the key's runs
+	scan   uint32 // moving average of the candidates a scan of the key visits (0: never scanned)
+	built  bool
+	c      int32 // leaves switched on: the list length last routed
+	leaves int32 // P
+	node   []int32
+	list   []int32 // every candidate seen so far; list[:c] is the live list
+	pos    []int32
 }
 
-// lookupPos returns the list position of worker w in the tournament's
-// candidate list, or -1 when w is not a candidate. cand is the live
-// list (same content the table was built from).
-func (e *candTour) lookupPos(cand []int32, w int32) int {
-	for h := w & e.tabMask; ; h = (h + 1) & e.tabMask {
+// lookupPos returns the list position of worker w, or -1 when w is not
+// a known candidate.
+func (e *candTour) lookupPos(w int32) int32 {
+	mask := int32(len(e.pos) - 1)
+	for h := w & mask; ; h = (h + 1) & mask {
 		v := e.pos[h]
 		if v == 0 {
 			return -1
 		}
-		if p := v - 1; cand[p] == w {
-			return int(p)
+		if p := v - 1; e.list[p] == w {
+			return p
 		}
 	}
 }
 
-// build (re)constructs the tournament and its worker→position table
-// over cand, reusing the entry's slices when capacity allows, and
-// returns the node slice sized to 2c.
-func (e *candTour) build(g *greedy, dg KeyDigest, cand []int32) []int32 {
-	c := len(cand)
-	if cap(e.node) < 2*c {
-		e.node = make([]int32, 2*c)
+// learn appends candidate w at the next list position and indexes it.
+func (e *candTour) learn(w int32) {
+	e.list = append(e.list, w)
+	mask := int32(len(e.pos) - 1)
+	h := w & mask
+	for e.pos[h] != 0 {
+		h = (h + 1) & mask
 	}
-	t := e.node[:2*c]
-	for i := 0; i < c; i++ {
-		t[c+i] = int32(i)
-	}
-	for k := c - 1; k >= 1; k-- {
-		t[k] = g.candWinner(cand, t[2*k], t[2*k+1])
-	}
-	size := 4
-	for size < 2*c {
-		size <<= 1
-	}
-	if cap(e.pos) < size {
-		e.pos = make([]int32, size)
-	}
-	tab := e.pos[:size]
-	for i := range tab {
-		tab[i] = 0
-	}
-	e.pos, e.tabMask = tab, int32(size-1)
-	for i, w := range cand {
-		h := w & e.tabMask
-		for tab[h] != 0 {
-			h = (h + 1) & e.tabMask
-		}
-		tab[h] = int32(i + 1)
-	}
-	e.dig, e.c = dg, int32(c)
-	e.node = t
-	return t
-}
-
-// tourReady reports whether a cached tournament for (dg, c) exists and
-// is repairable more cheaply than a rebuild: same log generation and at
-// most c increments behind (replaying more than c paths costs more than
-// the O(c) rebuild — and then the scan is competitive anyway).
-func (g *greedy) tourReady(dg KeyDigest, c int) bool {
-	if !g.clogOn || c > candTourMaxCands {
-		return false
-	}
-	e := &g.ctours[int(uint64(dg))&(candTourSlots-1)]
-	return e.dig == dg && int(e.c) == c && e.gen == g.clogGen &&
-		int(e.sync) <= len(g.clog) && len(g.clog)-int(e.sync) <= c
-}
-
-// useCandTree reports whether a head segment of msgs messages of digest
-// dg over c candidates should route through the subset tournament. A
-// cold build costs ≈2 scans' worth of work (c leaves + c−1 winner
-// compares), so the cold break-even is at three messages: 2c + 3·log c
-// < 3c for any c above the crossover. Shorter runs — the regime the
-// persistent cache exists for — go through the tournament only when a
-// synced cached tree is available, so a 1-message run never pays a
-// build it cannot amortize. Below the crossover the scan's tight
-// gather loop wins regardless — except under LoadIndexTree, which
-// applies the tournament at every size past break-even so the parity
-// suite exercises it throughout.
-func (g *greedy) useCandTree(dg KeyDigest, c, msgs int) bool {
-	if msgs < 1 || c < 2 || g.lidx == LoadIndexScan {
-		return false
-	}
-	if g.lidx != LoadIndexTree && c < loadIndexCrossover {
-		return false
-	}
-	return msgs >= 3 || g.tourReady(dg, c)
+	e.pos[h] = int32(len(e.list))
 }
 
 // candWinner is the subset tournament's comparison: positions into the
-// candidate list, loads read through the list, earlier position wins
-// ties (routeCands' first-occurrence-wins, bit-exact).
-func (g *greedy) candWinner(cand []int32, a, b int32) int32 {
-	la, lb := g.loads[cand[a]], g.loads[cand[b]]
-	if lb < la || (lb == la && b < a) {
+// candidate list, loads read through the list, −1 for an empty subtree.
+// a comes from the left child and b from the right, so a < b whenever
+// both are positions and a tie goes to a — routeCands'
+// first-occurrence-wins, bit-exact. Off leaves are a suffix, so a is
+// empty only when b is.
+func (g *greedy) candWinner(list []int32, a, b int32) int32 {
+	if b >= 0 && g.loads[list[b]] < g.loads[list[a]] {
 		return b
 	}
 	return a
 }
 
-// routeCandsTree routes len(dst) consecutive messages of head digest dg
-// over its candidate list through a subset tournament, reproducing
-// len(dst) sequential routeCands calls exactly. Callers guarantee
-// len(cand) ≥ 2 and that nothing else touches the loads between the
-// messages (true within a batch run).
-//
-// The first call enables the modification log: from then on every load
-// increment of this core (they all flow through bump — a scheme whose
-// useCandTree can fire always carries the full-vector tree, so routeAll
-// never takes its plain-increment scan path here) is appended to
-// g.clog, and the tournament cached for dg is stamped with the log
-// position it reflects. A later run of the same digest replays only the
-// increments since that stamp, fixing one leaf-to-root path per logged
-// candidate worker.
-func (g *greedy) routeCandsTree(dg KeyDigest, cand []int32, dst []int) {
-	g.nTreeMin += int64(len(dst))
-	c := len(cand)
-	if !g.clogOn {
-		g.clogOn = true
-		g.ctours = make([]candTour, candTourSlots)
+// climb recomputes every winner from leaf position pos to the root. It
+// carries the path's winner and its load in registers and reads only
+// the sibling at each level, so the sibling loads of all levels are
+// independent of one another and overlap; and it folds the tie-break
+// into the compared value (the left child, even k, takes ties) so the
+// choice compiles to conditional moves — on near-level loads every
+// compare is a coin flip, and as branches they cost 11 mispredictions a
+// climb. Measured at P = 2,048 on the reference host: ≈ 40 ns a climb,
+// against ≈ 100 ns for recomputing each node from its two children with
+// candWinner. Loads are message counts, far below 2⁶², so the shift
+// cannot overflow.
+func (e *candTour) climb(loads []int64, pos int32) {
+	t, list := e.node, e.list
+	k := e.leaves + pos
+	cur, curLoad := t[k], int64(1)<<61 // an off leaf loses to any sibling
+	if cur >= 0 {
+		curLoad = loads[list[cur]]
 	}
-	if c > candTourMaxCands {
-		g.routeCandsScratch(cand, dst)
-		return
-	}
-	e := &g.ctours[int(uint64(dg))&(candTourSlots-1)]
-	var t []int32
-	if e.dig == dg && int(e.c) == c && e.gen == g.clogGen &&
-		int(e.sync) <= len(g.clog) && len(g.clog)-int(e.sync) <= c {
-		t = e.node[:2*c]
-		for _, w := range g.clog[e.sync:] {
-			pos := e.lookupPos(cand, w)
-			if pos < 0 {
-				continue
-			}
-			for k := (c + pos) >> 1; k >= 1; k >>= 1 {
-				t[k] = g.candWinner(cand, t[2*k], t[2*k+1])
+	for k > 1 {
+		if sib := t[k^1]; sib >= 0 {
+			sl := loads[list[sib]]
+			if sl<<1|int64(k&1^1) < curLoad<<1|int64(k&1) {
+				cur, curLoad = sib, sl
 			}
 		}
-	} else {
-		t = e.build(g, dg, cand)
+		k >>= 1
+		t[k] = cur
 	}
-	for m := range dst {
-		pos := int(t[1])
-		w := int(cand[pos])
-		g.bump(w) // also maintains the full-vector tree and the log
-		for k := (c + pos) >> 1; k >= 1; k >>= 1 {
-			t[k] = g.candWinner(cand, t[2*k], t[2*k+1])
-		}
-		dst[m] = w
-	}
-	// Re-stamp unconditionally: even if bump rolled the log generation
-	// mid-run, the tree reflects every increment up to the new log head.
-	e.gen, e.sync = g.clogGen, int32(len(g.clog))
 }
 
-// routeCandsScratch is the uncached fallback for candidate lists too
-// large for the tournament cache: a throwaway build into the greedy
-// core's scratch array (grows to the largest list seen, so steady state
-// allocates nothing), exactly the pre-cache design.
-func (g *greedy) routeCandsScratch(cand []int32, dst []int) {
-	c := len(cand)
-	if cap(g.ctree) < 2*c {
-		g.ctree = make([]int32, 2*c)
+// build (re)constructs the tournament over cand from the live loads.
+// The caller has sized the slices for P = e.leaves ≥ len(cand).
+func (e *candTour) build(g *greedy, cand []int32) {
+	P := int(e.leaves)
+	for i := range e.pos {
+		e.pos[i] = 0
 	}
-	t := g.ctree[:2*c]
-	for i := 0; i < c; i++ {
-		t[c+i] = int32(i)
+	e.list = e.list[:0]
+	for _, w := range cand {
+		e.learn(w)
 	}
-	for k := c - 1; k >= 1; k-- {
-		t[k] = g.candWinner(cand, t[2*k], t[2*k+1])
+	t := e.node
+	for i := range cand {
+		t[P+i] = int32(i)
 	}
-	for m := range dst {
-		pos := int(t[1])
-		w := int(cand[pos])
-		g.bump(w)
-		for k := (c + pos) >> 1; k >= 1; k >>= 1 {
-			t[k] = g.candWinner(cand, t[2*k], t[2*k+1])
+	for i := len(cand); i < P; i++ {
+		t[P+i] = -1
+	}
+	for k := P - 1; k >= 1; k-- {
+		t[k] = g.candWinner(e.list, t[2*k], t[2*k+1])
+	}
+	e.c, e.built = int32(len(cand)), true
+}
+
+// repair brings a built tournament from log position e.at to the log's
+// head, then switches leaves on or off to match cand (the solver moved d
+// and the list grew or shrank along the dedup-prefix order).
+//
+// The replay does not walk every path to the root. Loads only rise, so
+// a leaf that does not hold a node cannot take it, and a climb stops at
+// the first node the leaf did not win — unless this replay has already
+// recomputed that node (stamp == this replay's epoch), because then its
+// value may rest on a sibling read before that sibling's own increment
+// was replayed. With the stamps the last recompute of every node
+// happens after the last recompute of both children, which is all a
+// bottom-up rebuild guarantees; without them a node could keep a winner
+// that a later-replayed sibling subtree has since beaten.
+func (e *candTour) repair(g *greedy, cand []int32) {
+	t, list, P := e.node, e.list, e.leaves
+	stamp, epoch := g.tourStamps(int(P))
+	for i := e.at; i < g.clogPos; i++ {
+		pos := e.lookupPos(g.clog[i&(candTourLogMax-1)])
+		if pos < 0 || pos >= e.c {
+			continue
 		}
+		for k := (P + pos) >> 1; k >= 1 && (t[k] == pos || stamp[k] == epoch); k >>= 1 {
+			t[k] = g.candWinner(list, t[2*k], t[2*k+1])
+			stamp[k] = epoch
+		}
+	}
+	for int(e.c) > len(cand) {
+		e.c--
+		e.node[e.leaves+e.c] = -1
+		e.climb(g.loads, e.c)
+	}
+	for int(e.c) < len(cand) {
+		if int(e.c) == len(e.list) {
+			e.learn(cand[e.c])
+		}
+		e.node[e.leaves+e.c] = e.c
+		e.climb(g.loads, e.c)
+		e.c++
+	}
+}
+
+// tourStamps returns the replay stamp array (one per internal node of
+// the largest tournament, shared by all of them: one replay runs at a
+// time) and a fresh epoch.
+func (g *greedy) tourStamps(P int) ([]int32, int32) {
+	if len(g.tourStamp) < P {
+		g.tourStamp = make([]int32, P)
+		g.tourEpoch = 0
+	}
+	g.tourEpoch++
+	if g.tourEpoch < 0 { // wrapped: clear once
+		for i := range g.tourStamp {
+			g.tourStamp[i] = 0
+		}
+		g.tourEpoch = 1
+	}
+	return g.tourStamp, g.tourEpoch
+}
+
+// tourSlot returns the cache slot tracking dg, claiming the set's least
+// recently seen way when none does — but never a way whose tournament
+// is built and still within the log's reach: a cold head key must not
+// displace a hot key's tournament (nil: the newcomer goes untracked). It
+// returns nil, too, when lists of c candidates do not route through
+// tournaments at all: scan mode, fewer than two candidates, or — outside
+// LoadIndexTree — below the crossover, where the scan's tight gather
+// loop wins regardless.
+func (g *greedy) tourSlot(dg KeyDigest, c int) *candTour {
+	if c < 2 || g.lidx == LoadIndexScan || (g.lidx != LoadIndexTree && c < loadIndexCrossover) {
+		return nil
+	}
+	if g.clog == nil {
+		// First eligible run: from here on bump logs every increment.
+		g.clog = make([]int32, candTourLogMax)
+		g.tours = make([]candTour, candTourSets*candTourWays)
+	}
+	set := g.tours[int(uint64(dg)&(candTourSets-1))*candTourWays:][:candTourWays]
+	var old *candTour
+	for i := range set {
+		e := &set[i]
+		if e.dig == dg {
+			return e
+		}
+		if e.built && g.clogPos-e.at <= candTourLogMax {
+			continue
+		}
+		if old == nil || e.at < old.at {
+			old = e
+		}
+	}
+	if old != nil {
+		// A new key starts with the longest gap there is and no scan
+		// cost: it earns a tournament by recurring, not by being seen.
+		old.dig, old.at, old.gap, old.scan, old.built = dg, g.clogPos, 2*candTourLogMax, 0, false
+	}
+	return old
+}
+
+// tourStorage sizes e's slices for a list of c candidates, within the
+// cache's byte budget: when the budget is short it first releases the
+// storage of slots that are not currently built. It reports whether e
+// can be built.
+func (g *greedy) tourStorage(e *candTour, c int) bool {
+	P := 2
+	for P < c {
+		P <<= 1
+	}
+	if int(e.leaves) != P {
+		need := 20 * P
+		g.tourBytes -= 20 * int(e.leaves)
+		e.leaves, e.node, e.list, e.pos = 0, nil, nil, nil
+		for i := range g.tours {
+			if g.tourBytes+need <= candTourBytes {
+				break
+			}
+			if o := &g.tours[i]; !o.built && o.leaves != 0 {
+				g.tourBytes -= 20 * int(o.leaves)
+				o.leaves, o.node, o.list, o.pos = 0, nil, nil, nil
+			}
+		}
+		if g.tourBytes+need > candTourBytes {
+			return false
+		}
+		g.tourBytes += need
+		e.leaves = int32(P)
+		e.node = make([]int32, 2*P)
+		e.list = make([]int32, 0, P)
+		e.pos = make([]int32, 2*P)
+	}
+	return true
+}
+
+// routeHead routes len(dst) consecutive messages of head digest dg over
+// its deduplicated candidate list, reproducing len(dst) sequential
+// routeCands calls exactly: through the key's tournament when keeping
+// one repaired is cheaper than the scans (or the key has just earned
+// one), by scanning otherwise. Callers guarantee that nothing else
+// touches the loads between the messages (true within a batch run) and
+// that the lists passed for one digest are prefixes of one another
+// (true of the candidate cache's lists).
+//
+// Every load increment of a core that has routed an eligible run flows
+// through bump — a scheme that can reach this point with an eligible
+// list always carries the full-vector tree, so routeAll never takes its
+// plain-increment scan path — and is appended to g.clog; a slot's `at`
+// is the log position its key was last routed at, which is both the
+// recurrence clock and, for a built tournament, the position it
+// reflects.
+func (g *greedy) routeHead(dg KeyDigest, cand []int32, dst []int) {
+	e := g.tourSlot(dg, len(cand))
+	if e == nil {
+		for m := range dst {
+			dst[m], _ = g.routeCands(cand)
+		}
+		return
+	}
+	if g.tourSync(e, cand) {
+		g.tourRoute(e, dst)
+	} else {
+		// Scan, learning what a scan of this key costs; a run that has
+		// already paid a build's worth of scans builds after all and
+		// finishes on the tournament (a long run of a key that never
+		// recurred: the rent-or-buy rule, at most twice the better choice).
+		spent, m := 0, 0
+		for ; m < len(dst); m++ {
+			if spent >= candTourBuildScans*len(cand) {
+				if g.tourBuild(e, cand) {
+					break
+				}
+				spent = 0 // no room for one: ask again a build's worth later
+			}
+			w, visited := g.routeCands(cand)
+			dst[m] = w
+			spent += visited
+		}
+		e.noteScan(spent / m)
+		g.tourRoute(e, dst[m:])
+	}
+	e.at = g.clogPos
+}
+
+// noteScan folds one observation of what a scan of the key visits into
+// the slot's moving average.
+func (e *candTour) noteScan(visited int) {
+	if e.scan == 0 {
+		e.scan = uint32(visited)
+	} else {
+		e.scan = (7*e.scan + uint32(visited)) / 8
+	}
+}
+
+// tourRoute routes dst through e's built, synced tournament. The root
+// also tells what a scan would have cost just now — it stops at the
+// first candidate at the global floor, which is the root when the root
+// is at the floor and nobody otherwise — so a key whose scans have
+// become short loses its tournament the same way one whose runs have
+// become rare does.
+func (g *greedy) tourRoute(e *candTour, dst []int) {
+	if len(dst) == 0 {
+		return
+	}
+	if pos := e.node[1]; g.tree != nil && g.loads[e.list[pos]] == g.loads[g.tree.min()] {
+		e.noteScan(int(pos) + 1)
+	} else {
+		e.noteScan(int(e.c))
+	}
+	g.nTreeMin += int64(len(dst))
+	for m := range dst {
+		pos := e.node[1]
+		w := int(e.list[pos])
+		g.bump(w) // also maintains the full-vector tree and the log
+		e.climb(g.loads, pos)
 		dst[m] = w
 	}
+}
+
+// tourSync makes e a built tournament over cand reflecting the live
+// loads, if the policy lets the key have one: repaired when it is built,
+// within the log's reach, and its mean gap is still under the limit its
+// scan cost sets; built when the mean gap has fallen to a quarter of
+// that limit; otherwise left alone (false: scan).
+func (g *greedy) tourSync(e *candTour, cand []int32) bool {
+	lag := g.clogPos - e.at
+	if lag > 2*candTourLogMax {
+		lag = 2 * candTourLogMax
+	}
+	e.gap = uint32((7*uint64(e.gap) + lag) / 8)
+	limit, forced := e.scan/candTourLagDiv, g.lidx == LoadIndexTree
+	if e.built && lag <= candTourLogMax && len(cand) <= int(e.leaves) && (forced || e.gap <= limit) {
+		g.nTourRepairs++
+		e.repair(g, cand)
+		return true
+	}
+	e.built = false
+	return (forced || e.gap <= limit/4) && g.tourBuild(e, cand)
+}
+
+// tourBuild builds e's tournament over cand if the byte budget has room.
+func (g *greedy) tourBuild(e *candTour, cand []int32) bool {
+	if !g.tourStorage(e, len(cand)) {
+		return false
+	}
+	g.nTourBuilds++
+	e.build(g, cand)
+	return true
 }

@@ -102,9 +102,9 @@ func TestCandTreeDifferential(t *testing.T) {
 		g2 := greedy{n: n, loads: append([]int64{}, loads...), lidx: LoadIndexTree}
 		msgs := 2 + next(20)
 		dst2 := make([]int, msgs)
-		g2.routeCandsTree(KeyDigest(uint64(trial)*0x9e3779b97f4a7c15+1), cand, dst2)
+		g2.routeHead(KeyDigest(uint64(trial)*0x9e3779b97f4a7c15+1), cand, dst2)
 		for m := 0; m < msgs; m++ {
-			if w1 := g1.routeCands(cand); w1 != dst2[m] {
+			if w1, _ := g1.routeCands(cand); w1 != dst2[m] {
 				t.Fatalf("trial %d msg %d: scan %d tree %d (cand=%v loads=%v)", trial, m, w1, dst2[m], cand, loads)
 			}
 		}

@@ -44,10 +44,20 @@ type RouteStats struct {
 	SketchCap       int
 	SketchEvictions uint64
 
-	// Solver state (D-Choices only): FINDOPTIMALCHOICES runs and the
-	// current head choice count d. D is 0 for schemes without a solver.
-	Solves int64
-	D      int
+	// TourBuilds / TourRepairs count head runs that built a candidate
+	// tournament from scratch and runs that repaired a cached one by
+	// replaying the load increments since its last use (loadtree.go).
+	// Builds well above the number of hot keys mean the cache is churning.
+	TourBuilds  int64
+	TourRepairs int64
+
+	// Solver state (D-Choices only): FINDOPTIMALCHOICES runs, the head
+	// cardinality |H| the last run solved over, and the current head
+	// choice count d. All 0 for schemes without a solver (ForcedD reports
+	// its fixed d).
+	Solves   int64
+	HeadSize int
+	D        int
 }
 
 // RouteStatser is implemented by partitioners that expose routing path
@@ -68,6 +78,8 @@ func Stats(p Partitioner) (RouteStats, bool) {
 func (g *greedy) argminStats(s *RouteStats) {
 	s.TreeMinPicks = g.nTreeMin
 	s.ScanMinPicks = g.nScanMin
+	s.TourBuilds = g.nTourBuilds
+	s.TourRepairs = g.nTourRepairs
 }
 
 // RouteStats implements RouteStatser.
@@ -77,6 +89,7 @@ func (p *DChoices) RouteStats() RouteStats {
 		CandHits:   p.cache.hits,
 		CandMisses: p.cache.misses,
 		Solves:     p.solves,
+		HeadSize:   p.headSize,
 		D:          p.d,
 	}
 	p.argminStats(&s)
@@ -129,18 +142,19 @@ func (p *PKG) RouteStats() RouteStats {
 // telemetry registry: batch timing (ns and messages, from which ns/msg
 // follows) plus the RouteStats deltas since the previous publish. One
 // RecordBatch call per routed slab keeps the whole cost — a time.Now
-// pair at the call site and ~10 atomic adds here — amortized over
+// pair at the call site and ~15 atomic adds here — amortized over
 // hundreds of messages, which is how the instrumented batch path stays
 // within 3% of the uninstrumented one (pinned by
 // BenchmarkRouteBatchDigestsInstrumented at the repo root).
 type RouteRecorder struct {
-	ns, msgs, batches   *telemetry.Counter
-	treeMin, scanMin    *telemetry.Counter
-	headMsgs            *telemetry.Counter
-	candHits, candMiss  *telemetry.Counter
-	sketchEvict, solves *telemetry.Counter
-	sketchLen, solverD  *telemetry.Gauge
-	sketchCap           *telemetry.Gauge
+	ns, msgs, batches       *telemetry.Counter
+	treeMin, scanMin        *telemetry.Counter
+	headMsgs                *telemetry.Counter
+	candHits, candMiss      *telemetry.Counter
+	tourBuilds, tourRepairs *telemetry.Counter
+	sketchEvict, solves     *telemetry.Counter
+	sketchLen, sketchCap    *telemetry.Gauge
+	solverD, solverHead     *telemetry.Gauge
 
 	last RouteStats
 }
@@ -163,11 +177,14 @@ func NewRouteRecorder(reg *telemetry.Registry, labels ...telemetry.Label) *Route
 		headMsgs:    reg.Counter("route_head_msgs_total", labels...),
 		candHits:    reg.Counter("route_cand_cache_hits_total", labels...),
 		candMiss:    reg.Counter("route_cand_cache_misses_total", labels...),
+		tourBuilds:  reg.Counter("route_cand_tour_builds_total", labels...),
+		tourRepairs: reg.Counter("route_cand_tour_repairs_total", labels...),
 		sketchEvict: reg.Counter("sketch_evictions_total", labels...),
 		solves:      reg.Counter("solver_runs_total", labels...),
 		sketchLen:   reg.Gauge("sketch_entries", labels...),
 		sketchCap:   reg.Gauge("sketch_capacity", labels...),
 		solverD:     reg.Gauge("solver_d", labels...),
+		solverHead:  reg.Gauge("solver_head_size", labels...),
 	}
 }
 
@@ -190,10 +207,13 @@ func (r *RouteRecorder) RecordBatch(p Partitioner, n int, elapsed time.Duration)
 	r.headMsgs.Add(s.HeadMsgs - r.last.HeadMsgs)
 	r.candHits.Add(s.CandHits - r.last.CandHits)
 	r.candMiss.Add(s.CandMisses - r.last.CandMisses)
+	r.tourBuilds.Add(s.TourBuilds - r.last.TourBuilds)
+	r.tourRepairs.Add(s.TourRepairs - r.last.TourRepairs)
 	r.sketchEvict.Add(int64(s.SketchEvictions - r.last.SketchEvictions))
 	r.solves.Add(s.Solves - r.last.Solves)
 	r.sketchLen.SetInt(int64(s.SketchLen))
 	r.sketchCap.SetInt(int64(s.SketchCap))
 	r.solverD.SetInt(int64(s.D))
+	r.solverHead.SetInt(int64(s.HeadSize))
 	r.last = s
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"slb/internal/telemetry"
+	"slb/internal/workload"
 )
 
 // skewedKeys builds a batch where one key dominates (guaranteeing head
@@ -46,6 +47,9 @@ func TestRouteStatsDChoices(t *testing.T) {
 	}
 	if s.Solves == 0 {
 		t.Fatal("expected at least one solver run")
+	}
+	if s.HeadSize == 0 {
+		t.Fatal("expected the last solve to have seen a head")
 	}
 	if s.D < 2 {
 		t.Fatalf("D = %d, want >= 2", s.D)
@@ -129,6 +133,34 @@ func TestRouteRecorderPublishesDeltas(t *testing.T) {
 	}
 	if v := snap.Value("sketch_entries", labels...); v != float64(s.SketchLen) {
 		t.Fatalf("sketch_entries = %v, want %d", v, s.SketchLen)
+	}
+
+	if v := snap.Value("solver_head_size", labels...); v != float64(s.HeadSize) || v == 0 {
+		t.Fatalf("solver_head_size = %v, partitioner has %d", v, s.HeadSize)
+	}
+	if v := snap.Value("solver_d", labels...); v != float64(s.D) {
+		t.Fatalf("solver_d = %v, partitioner has %d", v, s.D)
+	}
+
+	// The tournament counters are registered for every D-C run and move
+	// with the partitioner's when lists are long enough to have any.
+	big := NewDChoices(Config{Workers: 4096, Seed: 42})
+	bigLabels := []telemetry.Label{telemetry.L("algo", "D-C"), telemetry.L("engine", "test-4096")}
+	bigRec := NewRouteRecorder(reg, bigLabels...)
+	hot := collectKeys(workload.NewZipf(2.0, 1000, 64<<10, 3))
+	for i := 0; i+256 <= len(hot); i += 256 {
+		big.RouteBatchDigests(hot[i:i+256], digs, dst)
+		bigRec.RecordBatch(big, 256, time.Microsecond)
+	}
+	snap, bs := reg.Snapshot(), big.RouteStats()
+	if bs.TourBuilds == 0 || bs.TourRepairs == 0 {
+		t.Fatalf("n = 4096, z = 2.0 built %d and repaired %d tournaments", bs.TourBuilds, bs.TourRepairs)
+	}
+	if v := snap.Value("route_cand_tour_builds_total", bigLabels...); v != float64(bs.TourBuilds) {
+		t.Fatalf("route_cand_tour_builds_total = %v, partitioner has %d", v, bs.TourBuilds)
+	}
+	if v := snap.Value("route_cand_tour_repairs_total", bigLabels...); v != float64(bs.TourRepairs) {
+		t.Fatalf("route_cand_tour_repairs_total = %v, partitioner has %d", v, bs.TourRepairs)
 	}
 
 	// Nil recorder is a no-op (engines with telemetry off).

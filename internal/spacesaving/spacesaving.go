@@ -60,6 +60,7 @@ type counter struct {
 // counter is always reachable in O(1).
 type bucket struct {
 	count      uint64
+	size       int // counters linked under head (HeadCounts reads it instead of walking them)
 	head       *counter
 	prev, next *bucket
 }
@@ -250,7 +251,7 @@ func (s *Summary) newBucket(count uint64) *bucket {
 	if b := s.free; b != nil {
 		s.free = b.next
 		b.count = count
-		b.head = nil
+		b.head, b.size = nil, 0
 		b.prev, b.next = nil, nil
 		return b
 	}
@@ -355,9 +356,11 @@ func (s *Summary) pushCounter(b *bucket, c *counter) {
 		b.head.prev = c
 	}
 	b.head = c
+	b.size++
 }
 
 func (s *Summary) unlinkCounter(c *counter) {
+	c.bucket.size--
 	if c.prev != nil {
 		c.prev.next = c.next
 	} else {
@@ -453,10 +456,13 @@ func (s *Summary) HeavyHitters(theta float64) []Entry {
 		return nil
 	}
 	thr := theta * float64(s.n)
-	// Walk buckets from the top down: the head is a handful of entries,
-	// so this is O(|head|) instead of sorting all monitored keys. The
-	// bucket order gives descending counts; ties are key-sorted within
-	// each bucket for determinism.
+	// Walk buckets from the top down: O(|head|) plus a key sort inside
+	// each bucket, instead of sorting all monitored keys. The head is a
+	// few dozen entries at the paper's scales but thousands at θ =
+	// 1/(5n), n = 4096 (2,816 measured on a z = 0.8 stream), so this is
+	// the reporting path; callers that only need the counts on a hot
+	// path use HeadCounts. The bucket order gives descending counts;
+	// ties are key-sorted within each bucket for determinism.
 	var out []Entry
 	for b := s.max; b != nil && float64(b.count) >= thr; b = b.prev {
 		start := len(out)
@@ -467,6 +473,28 @@ func (s *Summary) HeavyHitters(theta float64) []Entry {
 		sort.Slice(grp, func(i, j int) bool { return grp[i].Key < grp[j].Key })
 	}
 	return out
+}
+
+// HeadCounts appends to dst[:0] the estimated counts of the keys
+// HeavyHitters(theta) would return, in the same (non-increasing) order,
+// and returns the extended slice: the same bucket walk from the maximum
+// down, without the Entry copies (each carries a string header the
+// collector must scan), without the per-bucket key sort, and without
+// touching the counters at all (a bucket knows how many it holds). It
+// allocates only when dst is too short, so a caller that keeps dst does
+// not allocate in steady state — the D-Choices solver's snapshot.
+func (s *Summary) HeadCounts(theta float64, dst []uint64) []uint64 {
+	dst = dst[:0]
+	if s.n == 0 {
+		return dst
+	}
+	thr := theta * float64(s.n)
+	for b := s.max; b != nil && float64(b.count) >= thr; b = b.prev {
+		for i := 0; i < b.size; i++ {
+			dst = append(dst, b.count)
+		}
+	}
+	return dst
 }
 
 // mergedEntry pairs an Entry with its digest during Merge.

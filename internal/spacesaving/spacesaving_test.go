@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"slb/internal/hashing"
+	"slb/internal/workload"
 )
 
 func TestNewPanicsOnBadCapacity(t *testing.T) {
@@ -294,6 +295,7 @@ func TestStructureInvariant(t *testing.T) {
 			if b.head == nil {
 				return false // empty bucket left linked
 			}
+			size := 0
 			for c := b.head; c != nil; c = c.next {
 				if c.bucket != b || c.count != b.count {
 					return false
@@ -301,8 +303,12 @@ func TestStructureInvariant(t *testing.T) {
 				if s.table.get(c.dig) != c {
 					return false
 				}
-				seen++
+				size++
 			}
+			if b.size != size {
+				return false // HeadCounts would miscount this bucket
+			}
+			seen += size
 		}
 		return seen == s.Len()
 	}
@@ -410,5 +416,96 @@ func BenchmarkOfferDigest(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.OfferDigest(digs[i&(1<<16-1)], stream[i&(1<<16-1)])
+	}
+}
+
+// checkHeadCounts requires HeadCounts(θ) to equal the counts of
+// HeavyHitters(θ) element for element, for a sweep of θ.
+func checkHeadCounts(t *testing.T, where string, s *Summary, scratch []uint64) []uint64 {
+	t.Helper()
+	for _, theta := range []float64{0, 1e-5, 1e-4, 1e-3, 0.01, 0.2, 1.1} {
+		hh := s.HeavyHitters(theta)
+		scratch = s.HeadCounts(theta, scratch)
+		if len(scratch) != len(hh) {
+			t.Fatalf("%s θ=%g: HeadCounts has %d entries, HeavyHitters %d", where, theta, len(scratch), len(hh))
+		}
+		for i, e := range hh {
+			if scratch[i] != e.Count {
+				t.Fatalf("%s θ=%g: HeadCounts[%d] = %d, HeavyHitters[%d].Count = %d", where, theta, i, scratch[i], i, e.Count)
+			}
+		}
+	}
+	return scratch
+}
+
+// TestHeadCountsMatchesHeavyHitters is the differential check of the
+// solver's snapshot: after every slab of a skew sweep, at capacities
+// below and above the key universe (so the walk meets evictions,
+// in-place increments, relinks and batched offers), after a Merge, a
+// Clone and a Reset, the counts-only bucket walk returns exactly the
+// counts the reporting path returns, in the same order, reusing one
+// scratch slice throughout.
+func TestHeadCountsMatchesHeavyHitters(t *testing.T) {
+	var scratch []uint64
+	for _, z := range []float64{0.6, 0.8, 1.1, 1.4, 2.0} {
+		for _, capacity := range []int{16, 300, 5000} {
+			stream := make([]string, 0, 24000)
+			for gen := workload.NewZipf(z, 2000, 24000, uint64(capacity)); len(stream) < cap(stream); {
+				k, _ := gen.Next()
+				stream = append(stream, k)
+			}
+			s, other := New(capacity), New(capacity)
+			const slab = 1500
+			for i := 0; i < len(stream); i += slab {
+				for j, k := range stream[i : i+slab] {
+					switch {
+					case j%7 == 0:
+						s.OfferDigestN(hashing.Digest(k), k, 3)
+					case j%2 == 0:
+						other.Offer(k)
+					default:
+						s.Offer(k)
+					}
+				}
+				where := fmt.Sprintf("z=%.1f cap=%d after %d", z, capacity, i+slab)
+				scratch = checkHeadCounts(t, where, s, scratch)
+			}
+			merged := s.Merge(other)
+			scratch = checkHeadCounts(t, fmt.Sprintf("z=%.1f cap=%d merged", z, capacity), merged, scratch)
+			for _, k := range stream[:slab] {
+				merged.Offer(k)
+			}
+			scratch = checkHeadCounts(t, fmt.Sprintf("z=%.1f cap=%d merged+offers", z, capacity), merged, scratch)
+			scratch = checkHeadCounts(t, "clone", merged.Clone(), scratch)
+			merged.Reset()
+			scratch = checkHeadCounts(t, "reset", merged, scratch)
+			for _, k := range stream[:slab] {
+				merged.Offer(k)
+			}
+			scratch = checkHeadCounts(t, "reset+offers", merged, scratch)
+		}
+	}
+}
+
+// TestHeadCountsDoesNotAllocate: with a kept scratch slice the snapshot
+// allocates nothing, which is what lets the D-Choices solver run inside
+// the zero-allocation window.
+func TestHeadCountsDoesNotAllocate(t *testing.T) {
+	s := New(4000)
+	for gen := workload.NewZipf(0.9, 3000, 60000, 3); ; {
+		k, ok := gen.Next()
+		if !ok {
+			break
+		}
+		s.Offer(k)
+	}
+	scratch := s.HeadCounts(1e-4, nil)
+	if len(scratch) < 100 {
+		t.Fatalf("head of %d keys is too small to mean anything", len(scratch))
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		scratch = s.HeadCounts(1e-4, scratch)
+	}); avg != 0 {
+		t.Fatalf("HeadCounts allocates %.2f allocs/op with a kept slice, want 0", avg)
 	}
 }

@@ -54,9 +54,11 @@
 //
 // RouteBatch makes exactly the decisions per-message Route would — the
 // batch is an amortization, not an approximation. Steady-state routing
-// allocates nothing for every algorithm; the one exception is
-// D-Choices' periodic d-solver, which allocates a few hundred bytes
-// once per Config.SolveEvery messages (amortized ≈ 0 per message).
+// allocates nothing for every algorithm — D-Choices' periodic d-solver
+// included, which re-solves every Config.SolveEvery messages over a
+// partitioner-owned head snapshot and memoised constraint tables (the
+// sliding-window sketch mode, Config.SketchWindow, is the exception: its
+// two-generation head merge allocates per solve).
 //
 // Callers that aggregate (or otherwise need the key digests) use
 // RouteBatchDigests instead: the same routing, with the digests the
@@ -251,7 +253,17 @@
 // The goroutine runtime (engine=dspe-memory / engine=dspe-tcp)
 // publishes per spout route_msgs_total, route_ns_total,
 // route_batches_total, spout_ack_wait_ns_total, spout_ack_window and
-// spout_parks_total; per worker a queue_depth gauge (tuples delivered
+// spout_parks_total, and with them the partitioner's own ledger
+// (core.RouteRecorder, deltas of core.RouteStats once per routed
+// batch): route_head_msgs_total; route_tree_argmins_total and
+// route_scan_argmins_total (which argmin served each head message);
+// route_cand_cache_hits_total / route_cand_cache_misses_total
+// (D-Choices' candidate lists); route_cand_tour_builds_total /
+// route_cand_tour_repairs_total (its persistent candidate tournaments:
+// builds far above the number of hot keys mean they are churning);
+// sketch_entries, sketch_capacity and sketch_evictions_total; and the
+// solver's state — solver_runs_total, solver_head_size (|H| at the last
+// FINDOPTIMALCHOICES run) and solver_d. Per worker a queue_depth gauge (tuples delivered
 // to the bolt's links and not yet received) plus bolt_msgs_total,
 // acquire_stall_ns_total and bolt_parks_total; bolt_partials_total;
 // and per reducer shard shard_parks_total, reduce_partials_total,
@@ -293,17 +305,43 @@
 // n = 256 to n = 16384 while the scan grows linearly to ≈10 µs/msg
 // (BenchmarkRouteAtScale and the `scale` experiment's routing table;
 // ≈69x at n = 16384).
-// D-Choices' large-d candidate evaluation amortizes through a
-// set-associative candidate cache whose entries serve a window of d
-// values (the solver's d jitters ±1; deduplicated candidate lists for
-// smaller d are prefixes of larger ones, so one derivation serves the
-// window bit-exactly) and a per-run candidate tournament; its cost is
-// O(c) per run of a head key, c being the deduplicated candidate
-// count — when the solver drives c toward n, W-Choices is the faster
-// strategy, exactly as the paper prescribes (D-C switches to W-C at
-// d ≥ n). All of this preserves the zero-allocation steady state, and
-// Config.LoadIndex (LoadIndexAuto/LoadIndexScan/LoadIndexTree) pins
-// the selection for measurement.
+//
+// D-Choices at scale has two regimes, and the route-scale benchmark
+// (bench/) measures both at n = 4096 over 100k keys. At z = 0.8 the head
+// is thousands of keys (|H| ≈ 2.8k at θ = 1/(5n)) with a modest d ≈ 91,
+// and the cost is FINDOPTIMALCHOICES itself and the candidate lists: the
+// solver reads counts straight off the sketch's buckets and keeps the
+// data-independent half of Proposition 4.1's constraints — b_h and
+// (b_h/n)^d — per recently used d (analysis.Solver), so a re-solve is
+// |H| multiply-adds instead of 2·|H| math.Pow and allocates nothing; the
+// set-associative candidate cache reserves d, not n, workers per entry,
+// so its 4 MiB hold the whole head, and one derivation serves a window
+// of d that widens with d — 4 values at the paper's scales, 64 once d
+// is in the thousands (deduplicated candidate lists for smaller d are
+// prefixes of larger ones, so the solver's wobble re-derives nothing).
+// At z = 2.0 a hundred head keys get d ≈ 2.5k — ≈ 1.9k distinct
+// candidates each — and the cost is the argmin per head message. A scan
+// stops at the first candidate at the global minimum load (the load
+// index's root), which most head keys reach within a fraction of their
+// list; the few hottest keys, whose own traffic keeps their candidates
+// above that floor, hold persistent candidate tournaments — O(log c)
+// per message, repaired across runs by replaying the load increments
+// logged since, surviving the solver's wobble by switching leaves on
+// and off — admitted and dropped by the measured cost of their scans
+// against the replay (internal/core/loadtree.go). Measured on the
+// reference host, cpu-ns per message, before → after these mechanisms:
+// D-C.n4096.z0.8 1,822 → 410 and D-C.n4096.z2.0 1,963 → 298, against
+// W-C's 243 and 117 and PKG's 31 and 17 in the same cells; at n = 64
+// D-C costs 89–93 and W-C 77–96. Every routed
+// worker and every solved d is bit-identical to Algorithm 1 run plainly,
+// one message at a time (TestDChoicesMatchesReference). D-C still
+// switches to the W-C strategy at d ≥ n, as the paper prescribes. Past
+// the cache's budget — n = 16384 at the default θ, a head of ≈ 11k keys
+// at d ≈ 350 — derivations dominate again (≈ 2 µs per message,
+// BenchmarkRouteAtScale's D-C/default cells). All of this preserves the
+// zero-allocation steady state, and Config.LoadIndex
+// (LoadIndexAuto/LoadIndexScan/LoadIndexTree) pins the selection for
+// measurement.
 //
 // The `scale` experiment (cmd/slbstorm) reproduces the large-deployment
 // story end to end at n ∈ {16 … 16384} × {KG, PKG, D-C, W-C, SG}:

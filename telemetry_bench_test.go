@@ -24,11 +24,11 @@ const instrRounds = 9
 const instrSlabsPerRound = 48
 
 // newWarmBenchPartitioner builds a partitioner warmed to steady state
-// (sketch at capacity, caches primed) on the shared bench workload.
-// SolveEvery is raised so the amortized, allocating D-C solver stays
-// outside the measured window, as in TestSteadyStateRoutingZeroAllocs.
+// (sketch at capacity, caches primed) on the shared bench workload, in
+// the default configuration: the D-C solver runs inside the measured
+// windows, as in TestSteadyStateRoutingZeroAllocs.
 func newWarmBenchPartitioner(tb testing.TB, algo string) slb.Partitioner {
-	p, err := slb.New(algo, slb.Config{Workers: benchWorkers, Seed: 1, SolveEvery: 1 << 30})
+	p, err := slb.New(algo, slb.Config{Workers: benchWorkers, Seed: 1})
 	if err != nil {
 		tb.Fatal(err)
 	}
