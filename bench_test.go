@@ -125,9 +125,9 @@ func BenchmarkRouteSteadyState(b *testing.B) {
 // BenchmarkRouteBatchSteadyState is the batched half: one NextBatch and
 // one RouteBatch per slab of 512, same stream, same warmup. Compare
 // ns/op against BenchmarkRouteSteadyState — the ratio is the batch
-// speedup (largest for D-Choices, whose per-message path re-derives d
-// candidate buckets that the batch path caches per head key, and for
-// the sketch-amortizing run path generally).
+// speedup: a slab pays the per-key work (sketch offer, candidate lookup,
+// head test) once per run of identical keys, where per-message Route
+// pays it for every message, a run of one.
 func BenchmarkRouteBatchSteadyState(b *testing.B) {
 	for _, algo := range slb.Algorithms {
 		b.Run(algo, func(b *testing.B) {

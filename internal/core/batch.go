@@ -1,21 +1,30 @@
 package core
 
-// batch.go implements the batched routing fast path. RouteBatch routes a
-// slab of keys in one call, making the same decision for every message
-// that per-message Route would make (a property the tests pin), while
-// paying the per-message costs — key digesting, candidate derivation,
-// sketch-table lookups — once per *run* of identical keys instead of
-// once per message. Skewed streams are exactly the streams where this
-// matters: under a Zipf head, a large fraction of messages repeat the
-// previous key, and those repeats reduce to a couple of load compares.
+// batch.go holds what every scheme's one routing body is driven by: the
+// router, which gives each scheme Partitioner's four routing methods
+// over its body, the run helpers the head-tracking bodies share, and
+// the candidate cache behind D-Choices' and ForcedD's head lists.
 //
-// The steady-state batch path performs no allocations for any algorithm.
+// A body routes a run — consecutive messages of one key, identified by
+// the digest the router filled in — and pays its per-message costs
+// (candidate derivation, sketch-table lookups, the head predicate) once
+// per run. Skewed streams are exactly the streams where this matters:
+// under a Zipf head a large fraction of messages repeat the previous
+// key. A single message is a run of one, so Route and RouteDigest are
+// the same body on a slab of one, and steady-state routing allocates
+// nothing through any of the four methods.
 //
-// RouteBatchDigests is the same path with the digest slab supplied by
-// (and surrendered to) the caller: the one key-byte scan routing
-// performs becomes the digest every downstream layer — aggregation
-// tables, re-keyed edges — operates on, so a message's key is digested
-// exactly once end to end.
+// Within a run of one key in insertion-only sketch mode, the key's
+// estimated count and the stream length each advance by exactly 1 per
+// message, so head membership for message m of the run is a pure
+// arithmetic predicate (HeadTracker.isHeadAt) over the state after the
+// run's first offer — and monotone in m (see maxMonotoneTheta), so one
+// crossing scan splits the run into a tail prefix and a head suffix.
+// Nothing reads the sketch between the messages of a run except the
+// D-Choices solver, so the whole run is offered in ONE OfferDigestN
+// (HeadTracker.observeRun); D-Choices defers offers around a solve.
+// The sketch modes where this does not hold — the sliding window, θ
+// above maxMonotoneTheta — route every run at length 1.
 
 import (
 	"math/bits"
@@ -23,82 +32,149 @@ import (
 	"slb/internal/hashing"
 )
 
-// BatchPartitioner is implemented by partitioners that support batched
-// routing. All partitioners in this package implement it.
-type BatchPartitioner interface {
-	Partitioner
+// router supplies Partitioner's routing methods to every scheme over
+// the scheme's one routing body, which the scheme installs at
+// construction: runs, or — PKG only — slab.
+type router struct {
+	runs runBody
+	slab slabBody
+	// unit makes every run one message long (see HeadTracker.canBatch).
+	unit bool
 
-	// RouteBatch routes keys[i] to dst[i] for every i, updating internal
-	// state exactly as len(keys) successive Route calls would: the
-	// resulting worker sequence is identical message for message.
-	// It panics if dst is shorter than keys.
-	RouteBatch(keys []string, dst []int)
+	digs []KeyDigest // RouteBatch's digest slab (grows to the largest batch seen)
+	// The slab of one Route and RouteDigest route: fields, not locals,
+	// because a slice of a local handed through the body interface
+	// escapes to the heap.
+	key [1]string
+	dig [1]KeyDigest
+	dst [1]int
 }
 
-// DigestBatchPartitioner is implemented by partitioners whose batch path
-// can hand the caller the digests routing already computed — the batched
-// half of the hash-once lifecycle. All partitioners in this package
-// implement it; RouteBatch is RouteBatchDigests over a partitioner-owned
-// scratch slab wherever a digest slab is needed at all.
-type DigestBatchPartitioner interface {
-	BatchPartitioner
-
-	// RouteBatchDigests routes exactly like RouteBatch and additionally
-	// fills digs[i] with Digest(keys[i]) for every i — the one scan of
-	// each key's bytes the whole system performs. Callers that aggregate
-	// or re-key downstream keep the slab and never digest again. It
-	// panics if digs or dst is shorter than keys.
-	RouteBatchDigests(keys []string, digs []KeyDigest, dst []int)
+// runBody routes len(dst) consecutive messages of one key with digest
+// dg. (An interface, not a method value: the call goes straight to the
+// method, once per run.)
+type runBody interface {
+	routeRun(dg KeyDigest, key string, dst []int)
 }
 
-// RouteBatch routes a batch of keys through p, using its native batch
-// path when available and falling back to per-message Route otherwise.
-func RouteBatch(p Partitioner, keys []string, dst []int) {
-	if bp, ok := p.(BatchPartitioner); ok {
-		bp.RouteBatch(keys, dst)
+// slabBody routes a whole slab, digesting keys[i] into digs[i] itself
+// when fill is set (see PKG.routeSlab).
+type slabBody interface {
+	routeSlab(keys []string, digs []KeyDigest, dst []int, fill bool)
+}
+
+// Route implements Partitioner: digest once, then route a slab of one.
+func (rt *router) Route(key string) int { return rt.RouteDigest(hashing.Digest(key), key) }
+
+// RouteDigest implements Partitioner: a slab of one whose digest the
+// caller already holds.
+func (rt *router) RouteDigest(dg KeyDigest, key string) int {
+	rt.key[0], rt.dig[0] = key, dg
+	rt.route(rt.key[:], rt.dig[:], rt.dst[:], false)
+	return rt.dst[0]
+}
+
+// RouteBatch implements Partitioner: RouteBatchDigests over the
+// partitioner-owned digest slab.
+func (rt *router) RouteBatch(keys []string, dst []int) {
+	if cap(rt.digs) < len(keys) {
+		rt.digs = make([]KeyDigest, len(keys))
+	}
+	rt.RouteBatchDigests(keys, rt.digs[:len(keys)], dst)
+}
+
+// RouteBatchDigests implements Partitioner.
+func (rt *router) RouteBatchDigests(keys []string, digs []KeyDigest, dst []int) {
+	if len(digs) < len(keys) || len(dst) < len(keys) {
+		panic("core: RouteBatchDigests digs or dst shorter than keys")
+	}
+	rt.route(keys, digs[:len(keys)], dst[:len(keys)], true)
+}
+
+// route routes a slab through the scheme's body, first digesting it
+// when fill is set: the one scan of each key's bytes routing performs.
+func (rt *router) route(keys []string, digs []KeyDigest, dst []int, fill bool) {
+	if rt.slab != nil {
+		rt.slab.routeSlab(keys, digs, dst, fill)
 		return
 	}
-	checkBatch(keys, dst)
-	for i, k := range keys {
-		dst[i] = p.Route(k)
+	if fill {
+		for i, k := range keys {
+			digs[i] = hashing.Digest(k)
+		}
+	}
+	runs, unit := rt.runs, rt.unit
+	for i := 0; i < len(keys); {
+		r := 1
+		if !unit {
+			r = runLenDigest(digs, i)
+		}
+		runs.routeRun(digs[i], keys[i], dst[i:i+r])
+		i += r
 	}
 }
 
-// RouteBatchDigests routes a batch through p and returns the computed
-// digests in digs, using the native path when available. The fallback
-// digests each key once and routes through RouteDigest (or Route for
-// foreign implementations, which re-digests — exact, just slower).
-func RouteBatchDigests(p Partitioner, keys []string, digs []KeyDigest, dst []int) {
-	if dbp, ok := p.(DigestBatchPartitioner); ok {
-		dbp.RouteBatchDigests(keys, digs, dst)
-		return
+// runLenDigest returns the length of the run of identical digests
+// starting at i: an integer compare per message. Two distinct keys
+// sharing a digest route (and count) identically everywhere in the
+// digest world, so merging their runs is exact, not an approximation.
+func runLenDigest(digs []KeyDigest, i int) int {
+	d := digs[i]
+	j := i + 1
+	for j < len(digs) && digs[j] == d {
+		j++
 	}
-	checkBatchDigests(keys, digs, dst)
-	for i, k := range keys {
-		digs[i] = hashing.Digest(k)
-		dst[i] = RouteDigest(p, digs[i], k)
+	return j - i
+}
+
+// routeTailSeg routes a segment of tail messages of one key: the
+// 2-choice pair is derived once, then two load compares per message
+// (plus the O(log n) load-index repair when the scheme carries one).
+func (g *greedy) routeTailSeg(dg KeyDigest, dst []int) {
+	t0 := g.family.BucketDigest(0, dg, g.n)
+	t1 := g.family.BucketDigest(1, dg, g.n)
+	loads := g.loads
+	for m := range dst {
+		w := t0
+		if loads[t1] < loads[t0] {
+			w = t1
+		}
+		g.bump(w)
+		dst[m] = w
 	}
 }
 
-func checkBatch(keys []string, dst []int) {
-	if len(dst) < len(keys) {
-		panic("core: RouteBatch dst shorter than keys")
+// routeTail offers a whole run to h, routes its tail prefix with two
+// choices, and returns the head suffix for the caller to route.
+func (g *greedy) routeTail(h *HeadTracker, dg KeyDigest, key string, dst []int) []int {
+	c0, n0 := h.observeRun(dg, key, len(dst))
+	cross := h.headCrossing(c0, n0, len(dst))
+	if cross > 0 {
+		g.routeTailSeg(dg, dst[:cross])
+	}
+	h.noteHead(len(dst) - cross)
+	return dst[cross:]
+}
+
+// routeAllSeg routes every message of dst to the then least-loaded
+// worker.
+func (g *greedy) routeAllSeg(dst []int) {
+	for m := range dst {
+		dst[m] = g.routeAll()
 	}
 }
 
-func checkBatchDigests(keys []string, digs []KeyDigest, dst []int) {
-	checkBatch(keys, dst)
-	if len(digs) < len(keys) {
-		panic("core: RouteBatchDigests digs shorter than keys")
-	}
-}
-
-// fillDigests performs the batch's single scan of each key's bytes.
-func fillDigests(keys []string, digs []KeyDigest) {
-	for i, k := range keys {
-		digs[i] = hashing.Digest(k)
-	}
-}
+// Every scheme is a Partitioner.
+var (
+	_ Partitioner = (*KeyGrouping)(nil)
+	_ Partitioner = (*ShuffleGrouping)(nil)
+	_ Partitioner = (*PKG)(nil)
+	_ Partitioner = (*DChoices)(nil)
+	_ Partitioner = (*WChoices)(nil)
+	_ Partitioner = (*RoundRobin)(nil)
+	_ Partitioner = (*ForcedD)(nil)
+	_ Partitioner = (*Oracle)(nil)
+)
 
 // candWays is the head-candidate cache's set associativity. A skewed
 // head is exactly the access pattern that thrashes a direct-mapped
@@ -198,8 +274,8 @@ func candDWindow(dhi int32) int32 {
 // Candidates are a pure function of (digest, d), so entries never go
 // stale: a lookup validates both. Deriving a head key's d candidates is
 // d hash mixes — the single largest per-message cost for D-Choices when
-// the solver picks a large d — and with the cache the batch path pays it
-// once per (head key, d window) instead of once per run.
+// the solver picks a large d — and with the cache routing pays it once
+// per (head key, d window) instead of once per run.
 type candCache struct {
 	n      int
 	stride int // int32s reserved per entry; every lookup's d + candDSlack(d) (capped at n) fits
@@ -219,10 +295,11 @@ type candCache struct {
 	mark  []int32
 	epoch int32
 
-	// Hit/miss counters over lookup calls (one lookup serves a whole
-	// run, so these count runs, not messages); surfaced via RouteStats.
-	// Note the hot-key memo in DChoices.headCands short-circuits most
-	// lookups for the dominant key — memo hits never reach the cache.
+	// Hit/miss counters over lookup calls (one lookup serves a run's
+	// head messages, or a chunk of them between solves, so these count
+	// runs, not messages); surfaced via RouteStats. The hot-key memo in
+	// DChoices.headCands short-circuits most lookups for the dominant
+	// key — memo hits never reach the cache.
 	hits   int64
 	misses int64
 }
@@ -353,466 +430,3 @@ func (cc *candCache) prefixLen(w, d int) int {
 	k := uint(int(cc.dhi[w]) - d)
 	return int(cc.lens[w]) - int(k) + bits.OnesCount64(cc.dups[w]&(1<<k-1))
 }
-
-// runLen returns the length of the run of identical keys starting at i.
-// Repeated keys in a slab usually share the same backing string (the
-// generators intern them), so the comparison is a pointer check.
-func runLen(keys []string, i int) int {
-	k := keys[i]
-	j := i + 1
-	for j < len(keys) && keys[j] == k {
-		j++
-	}
-	return j - i
-}
-
-// runLenDigest is runLen over precomputed digests: an integer compare
-// per message. Two distinct keys sharing a digest route (and count)
-// identically everywhere in the digest world, so merging their runs is
-// exact, not an approximation.
-func runLenDigest(digs []hashing.KeyDigest, i int) int {
-	d := digs[i]
-	j := i + 1
-	for j < len(digs) && digs[j] == d {
-		j++
-	}
-	return j - i
-}
-
-// ---------------------------------------------------------------------------
-// Baselines
-
-// RouteBatch implements BatchPartitioner: a tight digest-and-mix loop.
-// KG's per-message work is already a single digest and mix, below the
-// cost of run detection, so the batch win here is just the hoisted
-// bounds and dispatch.
-func (k *KeyGrouping) RouteBatch(keys []string, dst []int) {
-	checkBatch(keys, dst)
-	for i, key := range keys {
-		dst[i] = k.family.BucketDigest(0, hashing.Digest(key), k.n)
-	}
-}
-
-// RouteBatchDigests implements DigestBatchPartitioner.
-func (k *KeyGrouping) RouteBatchDigests(keys []string, digs []KeyDigest, dst []int) {
-	checkBatchDigests(keys, digs, dst)
-	for i, key := range keys {
-		dg := hashing.Digest(key)
-		digs[i] = dg
-		dst[i] = k.family.BucketDigest(0, dg, k.n)
-	}
-}
-
-// RouteBatch implements BatchPartitioner: keys are ignored, so the whole
-// slab is a tight round-robin fill.
-func (s *ShuffleGrouping) RouteBatch(keys []string, dst []int) {
-	checkBatch(keys, dst)
-	w := s.next
-	for i := range keys {
-		dst[i] = w
-		w++
-		if w == s.n {
-			w = 0
-		}
-	}
-	s.next = w
-}
-
-// RouteBatchDigests implements DigestBatchPartitioner. Routing ignores
-// the keys, but the contract — digs[i] = Digest(keys[i]) — still holds,
-// so a caller that aggregates downstream gets its digests from the same
-// call regardless of the edge's algorithm.
-func (s *ShuffleGrouping) RouteBatchDigests(keys []string, digs []KeyDigest, dst []int) {
-	checkBatchDigests(keys, digs, dst)
-	fillDigests(keys, digs)
-	s.RouteBatch(keys, dst)
-}
-
-// RouteBatch implements BatchPartitioner (one loop, shared with the
-// digest-carry form: the scratch store costs a cached write per
-// message, below measurement noise).
-func (p *PKG) RouteBatch(keys []string, dst []int) {
-	p.RouteBatchDigests(keys, p.scratchDigests(len(keys)), dst)
-}
-
-// RouteBatchDigests implements DigestBatchPartitioner: a tight
-// digest–two-mix–pick loop. PKG keeps no sketch, so (like KG) there is
-// nothing a run can amortize that would repay the run-detection
-// compare; the batch win is the hoisted dispatch and bounds. The plain
-// increments are safe: PKG never argmins over the whole vector, so it
-// never carries a load index to keep in sync.
-func (p *PKG) RouteBatchDigests(keys []string, digs []KeyDigest, dst []int) {
-	checkBatchDigests(keys, digs, dst)
-	loads := p.loads
-	for i, key := range keys {
-		dg := hashing.Digest(key)
-		digs[i] = dg
-		w0 := p.family.BucketDigest(0, dg, p.n)
-		w1 := p.family.BucketDigest(1, dg, p.n)
-		if loads[w1] < loads[w0] {
-			w0 = w1
-		}
-		loads[w0]++
-		dst[i] = w0
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Head-tracking schemes
-//
-// Within a run of one key in insertion-only sketch mode, the key's
-// estimated count and the stream length each advance by exactly 1 per
-// message, so head membership for message m of the run is a pure
-// arithmetic predicate (HeadTracker.isHeadAt) over the state after the
-// run's first offer — and monotone in m (see maxMonotoneTheta), so one
-// crossing scan splits the run into a tail segment and a head segment.
-// Nothing reads the sketch between the messages of a run except the
-// D-Choices solver, so the whole run is offered in ONE OfferDigestN
-// (HeadTracker.observeRun); D-Choices switches to a careful deferred-
-// offer path for the rare runs that may contain a re-solve.
-
-// routeBatchFallback drives the per-message path (sliding-window sketch
-// mode, where rotation points depend on exact offer order, or a θ
-// outside the monotone range). The digests are already filled, so even
-// the fallback scans each key once.
-func routeBatchFallback(p DigestRouter, keys []string, digs []KeyDigest, dst []int) {
-	for i, k := range keys {
-		dst[i] = p.RouteDigest(digs[i], k)
-	}
-}
-
-// RouteBatch implements BatchPartitioner (Algorithm 1 with D-CHOICES).
-func (p *DChoices) RouteBatch(keys []string, dst []int) {
-	p.RouteBatchDigests(keys, p.scratchDigests(len(keys)), dst)
-}
-
-// RouteBatchDigests implements DigestBatchPartitioner.
-func (p *DChoices) RouteBatchDigests(keys []string, digs []KeyDigest, dst []int) {
-	checkBatchDigests(keys, digs, dst)
-	fillDigests(keys, digs)
-	if !p.head.canBatch() {
-		routeBatchFallback(p, keys, digs, dst)
-		return
-	}
-	for i := 0; i < len(keys); {
-		r := runLenDigest(digs[:len(keys)], i)
-		p.routeRun(digs[i], keys[i], r, dst[i:i+r])
-		i += r
-	}
-}
-
-// routeRun routes r consecutive messages of one key, reproducing the
-// decision sequence of r Route calls exactly. The common case offers
-// the whole run to the sketch in one operation: that is legal whenever
-// no solver re-solve can fall inside the run, because then nothing
-// reads the sketch between the run's messages. A re-solve is possible
-// only when the post-offer stream position crosses lastSolveN +
-// SolveEvery inside the run (or while no solve has ever happened);
-// those rare runs take the careful path, which defers offers around
-// the solve so FINDOPTIMALCHOICES sees exactly the sequential state.
-func (p *DChoices) routeRun(dg KeyDigest, key string, r int, dst []int) {
-	if p.solved {
-		n0 := p.head.observed() + 1 // post-offer position of message 1
-		if n0+uint64(r-1) < p.lastSolveN+uint64(p.solveEvery) {
-			p.routeRunBulk(dg, key, r, dst)
-			return
-		}
-	}
-	p.routeRunNearSolve(dg, key, r, dst)
-}
-
-// routeRunBulk is the fast path: one sketch operation for the run, one
-// head-crossing scan, then branch-free tail and head loops over cached
-// candidates. Callers guarantee no re-solve can trigger inside the run,
-// so p.d is fixed.
-func (p *DChoices) routeRunBulk(dg KeyDigest, key string, r int, dst []int) {
-	c0, n0 := p.head.observeRun(dg, key, r)
-	cross := p.head.headCrossing(c0, n0, r)
-	if cross > 0 {
-		p.routeTailSeg(dg, dst[:cross])
-	}
-	if cross == r {
-		return
-	}
-	p.head.noteHead(r - cross)
-	if p.d >= p.n {
-		for m := cross; m < r; m++ {
-			dst[m] = p.routeAll()
-		}
-		return
-	}
-	p.routeHead(dg, p.headCands(dg), dst[cross:r])
-}
-
-// routeTailSeg routes a segment of tail messages of one key: the
-// 2-choice pair is derived once, then two load compares per message
-// (plus the O(log n) load-index repair when the scheme carries one).
-func (g *greedy) routeTailSeg(dg KeyDigest, dst []int) {
-	t0 := g.family.BucketDigest(0, dg, g.n)
-	t1 := g.family.BucketDigest(1, dg, g.n)
-	loads := g.loads
-	for m := range dst {
-		w := t0
-		if loads[t1] < loads[t0] {
-			w = t1
-		}
-		g.bump(w)
-		dst[m] = w
-	}
-}
-
-// routeRunNearSolve is the careful path for runs that may contain a
-// re-solve: offers are deferred and synced so the solver reads exactly
-// the sequential sketch state.
-func (p *DChoices) routeRunNearSolve(dg KeyDigest, key string, r int, dst []int) {
-	c0, n0 := p.head.observeFirst(dg, key)
-	off := 1 // run messages offered to the sketch so far
-
-	var t0, t1 int // tail candidate pair, derived on first tail message
-	haveTail := false
-	var headCands []int32 // cached candidate list for headD choices
-	headD := -1
-
-	for m := 0; m < r; {
-		cm, nm := c0+uint64(m), n0+uint64(m)
-		if !p.head.isHeadAt(cm, nm) {
-			if !haveTail {
-				t0 = p.family.BucketDigest(0, dg, p.n)
-				t1 = p.family.BucketDigest(1, dg, p.n)
-				haveTail = true
-			}
-			w := t0
-			if p.loads[t1] < p.loads[t0] {
-				w = t1
-			}
-			p.bump(w)
-			dst[m] = w
-			m++
-			continue
-		}
-		// Head message. Route calls findOptimalChoices here; it is a
-		// cached read unless the solve cadence has elapsed, in which case
-		// the solver must see the sketch exactly as the sequential path
-		// would: all offers up to and including this message, none after.
-		if p.solveDue(nm) {
-			if off < m+1 {
-				p.head.offerRest(dg, key, uint64(m+1-off))
-				off = m + 1
-			}
-			p.findOptimalChoices()
-			headD = -1 // d may have changed
-		}
-		// Extend to the longest chunk of head messages with no re-solve
-		// due; the d checks and candidate lookup are hoisted out of it.
-		t := 1
-		for m+t < r {
-			nj := n0 + uint64(m+t)
-			if p.solveDue(nj) || !p.head.isHeadAt(c0+uint64(m+t), nj) {
-				break
-			}
-			t++
-		}
-		p.head.noteHead(t)
-		if p.d >= p.n {
-			for j := m; j < m+t; j++ {
-				dst[j] = p.routeAll()
-			}
-		} else {
-			if headD != p.d {
-				headCands = p.cache.lookup(dg, p.d, p.family)
-				headD = p.d
-			}
-			p.routeHead(dg, headCands, dst[m:m+t])
-		}
-		m += t
-	}
-	if off < r {
-		p.head.offerRest(dg, key, uint64(r-off))
-	}
-}
-
-// RouteBatch implements BatchPartitioner (Algorithm 1 with W-CHOICES).
-func (p *WChoices) RouteBatch(keys []string, dst []int) {
-	p.RouteBatchDigests(keys, p.scratchDigests(len(keys)), dst)
-}
-
-// RouteBatchDigests implements DigestBatchPartitioner.
-func (p *WChoices) RouteBatchDigests(keys []string, digs []KeyDigest, dst []int) {
-	checkBatchDigests(keys, digs, dst)
-	fillDigests(keys, digs)
-	if !p.head.canBatch() {
-		routeBatchFallback(p, keys, digs, dst)
-		return
-	}
-	for i := 0; i < len(keys); {
-		r := runLenDigest(digs[:len(keys)], i)
-		p.routeRun(digs[i], keys[i], r, dst[i:i+r])
-		i += r
-	}
-}
-
-// routeRun routes r consecutive messages of one key. W-Choices never
-// reads the sketch between a run's messages (no solver), so the whole
-// run is offered in one sketch operation, split once at the head
-// crossing, and routed with branch-free loops.
-func (p *WChoices) routeRun(dg KeyDigest, key string, r int, dst []int) {
-	c0, n0 := p.head.observeRun(dg, key, r)
-	cross := p.head.headCrossing(c0, n0, r)
-	if cross > 0 {
-		p.routeTailSeg(dg, dst[:cross])
-	}
-	p.head.noteHead(r - cross)
-	for m := cross; m < r; m++ {
-		dst[m] = p.routeAll()
-	}
-}
-
-// RouteBatch implements BatchPartitioner (RR head baseline).
-func (p *RoundRobin) RouteBatch(keys []string, dst []int) {
-	p.RouteBatchDigests(keys, p.scratchDigests(len(keys)), dst)
-}
-
-// RouteBatchDigests implements DigestBatchPartitioner.
-func (p *RoundRobin) RouteBatchDigests(keys []string, digs []KeyDigest, dst []int) {
-	checkBatchDigests(keys, digs, dst)
-	fillDigests(keys, digs)
-	if !p.head.canBatch() {
-		routeBatchFallback(p, keys, digs, dst)
-		return
-	}
-	for i := 0; i < len(keys); {
-		r := runLenDigest(digs[:len(keys)], i)
-		p.routeRun(digs[i], keys[i], r, dst[i:i+r])
-		i += r
-	}
-}
-
-// routeRun routes r consecutive messages of one key; head messages take
-// the round-robin ring in a tight fill, tail messages the cached
-// 2-choice pair. Like W-Choices, the run is offered in one sketch
-// operation. The ring fill's plain increments are safe: RR never
-// argmins over the whole vector, so it never carries a load index.
-func (p *RoundRobin) routeRun(dg KeyDigest, key string, r int, dst []int) {
-	c0, n0 := p.head.observeRun(dg, key, r)
-	cross := p.head.headCrossing(c0, n0, r)
-	if cross > 0 {
-		p.routeTailSeg(dg, dst[:cross])
-	}
-	p.head.noteHead(r - cross)
-	w := p.next
-	for m := cross; m < r; m++ {
-		dst[m] = w
-		p.loads[w]++
-		w++
-		if w == p.n {
-			w = 0
-		}
-	}
-	if cross < r {
-		p.next = w
-	}
-}
-
-// RouteBatch implements BatchPartitioner (fixed-d experimental scheme).
-func (p *ForcedD) RouteBatch(keys []string, dst []int) {
-	p.RouteBatchDigests(keys, p.scratchDigests(len(keys)), dst)
-}
-
-// RouteBatchDigests implements DigestBatchPartitioner.
-func (p *ForcedD) RouteBatchDigests(keys []string, digs []KeyDigest, dst []int) {
-	checkBatchDigests(keys, digs, dst)
-	fillDigests(keys, digs)
-	if !p.head.canBatch() {
-		routeBatchFallback(p, keys, digs, dst)
-		return
-	}
-	for i := 0; i < len(keys); {
-		r := runLenDigest(digs[:len(keys)], i)
-		p.routeRun(digs[i], keys[i], r, dst[i:i+r])
-		i += r
-	}
-}
-
-// routeRun routes r consecutive messages of one key with the forced d
-// for head messages. Like W-Choices, the run is offered in one sketch
-// operation and split once at the head crossing.
-func (p *ForcedD) routeRun(dg KeyDigest, key string, r int, dst []int) {
-	c0, n0 := p.head.observeRun(dg, key, r)
-	cross := p.head.headCrossing(c0, n0, r)
-	if cross > 0 {
-		p.routeTailSeg(dg, dst[:cross])
-	}
-	if cross == r {
-		return
-	}
-	p.head.noteHead(r - cross)
-	if p.d == p.n {
-		for m := cross; m < r; m++ {
-			dst[m] = p.routeAll()
-		}
-		return
-	}
-	p.routeHead(dg, p.cache.lookup(dg, p.d, p.family), dst[cross:r])
-}
-
-// RouteBatch implements BatchPartitioner. Unlike the other schemes it
-// does NOT delegate to RouteBatchDigests: Oracle's head runs never need
-// a digest at all (routeAll is load-only) and tail runs need one per
-// RUN, so filling the whole slab would digest every message of a
-// head-dominated stream for nothing. Parity with RouteBatchDigests is
-// pinned by the experimental batch-parity test.
-func (p *Oracle) RouteBatch(keys []string, dst []int) {
-	checkBatch(keys, dst)
-	for i := 0; i < len(keys); {
-		r := runLen(keys, i)
-		key := keys[i]
-		if p.isHead(key) {
-			for j := i; j < i+r; j++ {
-				dst[j] = p.routeAll()
-			}
-		} else {
-			p.routeTailSeg(hashing.Digest(key), dst[i:i+r])
-		}
-		i += r
-	}
-}
-
-// RouteBatchDigests implements DigestBatchPartitioner. Run detection
-// stays over key identity (the oracle predicate is a pure function of
-// the key string, not the digest, and is evaluated once per run), while
-// head runs and tail routing use the filled slab.
-func (p *Oracle) RouteBatchDigests(keys []string, digs []KeyDigest, dst []int) {
-	checkBatchDigests(keys, digs, dst)
-	fillDigests(keys, digs)
-	for i := 0; i < len(keys); {
-		r := runLen(keys, i)
-		if p.isHead(keys[i]) {
-			for j := i; j < i+r; j++ {
-				dst[j] = p.routeAll()
-			}
-		} else {
-			p.routeTailSeg(digs[i], dst[i:i+r])
-		}
-		i += r
-	}
-}
-
-// Interface conformance for every algorithm.
-var (
-	_ DigestBatchPartitioner = (*KeyGrouping)(nil)
-	_ DigestBatchPartitioner = (*ShuffleGrouping)(nil)
-	_ DigestBatchPartitioner = (*PKG)(nil)
-	_ DigestBatchPartitioner = (*DChoices)(nil)
-	_ DigestBatchPartitioner = (*WChoices)(nil)
-	_ DigestBatchPartitioner = (*RoundRobin)(nil)
-	_ DigestBatchPartitioner = (*ForcedD)(nil)
-	_ DigestBatchPartitioner = (*Oracle)(nil)
-	_ DigestRouter           = (*KeyGrouping)(nil)
-	_ DigestRouter           = (*ShuffleGrouping)(nil)
-	_ DigestRouter           = (*PKG)(nil)
-	_ DigestRouter           = (*DChoices)(nil)
-	_ DigestRouter           = (*WChoices)(nil)
-	_ DigestRouter           = (*RoundRobin)(nil)
-	_ DigestRouter           = (*ForcedD)(nil)
-	_ DigestRouter           = (*Oracle)(nil)
-)

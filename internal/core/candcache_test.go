@@ -151,8 +151,8 @@ func TestCandCacheMaxEntries(t *testing.T) {
 // with a low θ — a head of hundreds of keys, far beyond the static
 // 32-entry cache — and checks the solver grew the cache to what the
 // sketch observed. Decision parity across the growth is covered by
-// TestRouteBatchMatchesRoute (Route and RouteBatch share the solver,
-// and a regrown cache re-derives identical candidate lists).
+// TestRoutingMatchesReference and TestDChoicesMatchesReference (a
+// regrown cache re-derives identical candidate lists).
 func TestDChoicesCacheGrowsWithObservedHead(t *testing.T) {
 	c := cfg(64)
 	c.Theta = 0.001 // hundreds of head keys

@@ -54,8 +54,8 @@ func TestCandTourShortRunParity(t *testing.T) {
 					if end > len(keys) {
 						end = len(keys)
 					}
-					RouteBatch(scan, keys[i:end], dstS)
-					RouteBatch(tree, keys[i:end], dstT)
+					scan.RouteBatch(keys[i:end], dstS)
+					tree.RouteBatch(keys[i:end], dstT)
 					for j := 0; j < end-i; j++ {
 						if dstS[j] != dstT[j] {
 							t.Fatalf("msg %d (key %q): scan → %d, tree → %d", i+j, keys[i+j], dstS[j], dstT[j])
@@ -93,8 +93,8 @@ func TestCandTourLogRollover(t *testing.T) {
 		if end > len(keys) {
 			end = len(keys)
 		}
-		RouteBatch(scan, keys[i:end], dstS)
-		RouteBatch(tree, keys[i:end], dstT)
+		scan.RouteBatch(keys[i:end], dstS)
+		tree.RouteBatch(keys[i:end], dstT)
 		for j := 0; j < end-i; j++ {
 			if dstS[j] != dstT[j] {
 				t.Fatalf("msg %d (key %q): scan → %d, tree → %d", i+j, keys[i+j], dstS[j], dstT[j])

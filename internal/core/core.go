@@ -17,7 +17,7 @@
 // (hashing.Digest). A key is digested exactly ONCE per message, at the
 // source, and the digest then travels with the message through every
 // later layer: all d candidate workers, the sketch's monitored-entry
-// table, the batch path, the engines' tuples and the aggregation
+// table, the routing runs, the engines' tuples and the aggregation
 // tables derive from that one digest — source → route → aggregate →
 // reduce, with no second scan of the key bytes anywhere. The paper's
 // correctness invariant — all senders map a key to the same candidate
@@ -28,15 +28,22 @@
 // a digest only with probability ≈ 2⁻⁶⁴ per pair; such keys are
 // routed, aggregated and counted as one.
 //
-// The APIs expose both ends of the lifecycle. Per message: Route is a
-// thin wrapper (digest once, then route), and RouteDigest (see
-// DigestRouter) is the carried-digest form for callers that already
-// hold the digest. Batched: RouteBatch (see BatchPartitioner) amortizes
-// sketch maintenance and candidate derivation over runs of identical
-// keys, and RouteBatchDigests (see DigestBatchPartitioner) additionally
-// hands the caller the digests routing computed, so downstream layers
+// # One routing body per scheme
+//
+// Each scheme writes its decision procedure once, as a body that routes
+// a run of consecutive messages of one key whose digest is already
+// known (PKG, whose per-message work is cheaper than detecting runs,
+// routes a whole slab instead). Partitioner's four methods are thin
+// wrappers over that body, shared by every scheme (batch.go): Route
+// digests the key and routes a slab of one; RouteDigest routes a slab
+// of one for a caller that already carries the digest; RouteBatch and
+// RouteBatchDigests digest a slab once and route it run by run, the
+// latter handing the digests to the caller so downstream layers
 // (windowed aggregation, re-keying) reuse them instead of re-scanning.
-// All batch variants reproduce Route's decisions message for message.
+// A single message is a run of one, so the four agree message for
+// message by construction, and a run only amortizes — sketch offers,
+// candidate lookups, the head predicate — what Algorithm 1 would do
+// for its messages one at a time.
 package core
 
 import (
@@ -59,38 +66,31 @@ func Digest(key string) KeyDigest { return hashing.Digest(key) }
 
 // Partitioner routes each message of a keyed stream to one of n workers.
 // Implementations are single-goroutine: each source owns one instance.
+// The four routing methods share one decision procedure and may be
+// mixed freely: any sequence of calls routes every message exactly as
+// the same messages routed one Route call at a time.
 type Partitioner interface {
 	// Route returns the worker in [0, Workers()) for one message with the
 	// given key, updating any internal state (local loads, sketches).
 	Route(key string) int
+	// RouteDigest is Route for a caller that already carries
+	// dg = Digest(key) (an engine tuple, a flushed aggregation partial):
+	// the per-message half of the hash-once lifecycle. key is still
+	// required because the head sketches monitor key identities.
+	RouteDigest(dg KeyDigest, key string) int
+	// RouteBatch routes keys[i] to dst[i] for every i. It panics if dst
+	// is shorter than keys.
+	RouteBatch(keys []string, dst []int)
+	// RouteBatchDigests routes like RouteBatch and fills digs[i] with
+	// Digest(keys[i]) — the one scan of each key's bytes the whole system
+	// performs, kept by callers that aggregate or re-key downstream. It
+	// panics if digs or dst is shorter than keys.
+	RouteBatchDigests(keys []string, digs []KeyDigest, dst []int)
 	// Workers returns n, the number of downstream workers.
 	Workers() int
 	// Name returns the paper's symbol for the algorithm (KG, SG, PKG,
 	// D-C, W-C, RR).
 	Name() string
-}
-
-// DigestRouter is implemented by partitioners that can route a message
-// whose key was already digested, the per-message half of the hash-once
-// lifecycle: a caller that carries the digest alongside the key (an
-// engine tuple, a flushed aggregation partial) routes without a second
-// scan of the key bytes. dg must equal Digest(key); key is still
-// required because the head sketches monitor key identities. All
-// partitioners in this package implement it, and Route(key) is always
-// RouteDigest(Digest(key), key).
-type DigestRouter interface {
-	RouteDigest(dg KeyDigest, key string) int
-}
-
-// RouteDigest routes one pre-digested message through p, using its
-// native digest path when available. The fallback for foreign
-// Partitioner implementations is plain Route, which re-digests — exact,
-// just without the hash-once saving.
-func RouteDigest(p Partitioner, dg KeyDigest, key string) int {
-	if dr, ok := p.(DigestRouter); ok {
-		return dr.RouteDigest(dg, key)
-	}
-	return p.Route(key)
 }
 
 // Config carries the common parameters of Table III.
@@ -217,6 +217,7 @@ func New(name string, cfg Config) (Partitioner, error) {
 
 // KeyGrouping sends all messages of a key to one hashed worker.
 type KeyGrouping struct {
+	router
 	n      int
 	family *hashing.Family
 }
@@ -224,17 +225,17 @@ type KeyGrouping struct {
 // NewKeyGrouping returns a KG partitioner.
 func NewKeyGrouping(cfg Config) *KeyGrouping {
 	cfg = cfg.withDefaults()
-	return &KeyGrouping{n: cfg.Workers, family: hashing.NewFamily(1, cfg.Seed)}
+	k := &KeyGrouping{n: cfg.Workers, family: hashing.NewFamily(1, cfg.Seed)}
+	k.runs = k
+	return k
 }
 
-// Route implements Partitioner.
-func (k *KeyGrouping) Route(key string) int {
-	return k.RouteDigest(hashing.Digest(key), key)
-}
-
-// RouteDigest implements DigestRouter: one mix of the carried digest.
-func (k *KeyGrouping) RouteDigest(dg KeyDigest, _ string) int {
-	return k.family.BucketDigest(0, dg, k.n)
+// routeRun is KG's routing body: one mix of the digest per run.
+func (k *KeyGrouping) routeRun(dg KeyDigest, _ string, dst []int) {
+	w := k.family.BucketDigest(0, dg, k.n)
+	for m := range dst {
+		dst[m] = w
+	}
 }
 
 // Workers implements Partitioner.
@@ -245,6 +246,7 @@ func (k *KeyGrouping) Name() string { return "KG" }
 
 // ShuffleGrouping distributes messages round-robin, ignoring keys.
 type ShuffleGrouping struct {
+	router
 	n    int
 	next int
 }
@@ -254,7 +256,9 @@ type ShuffleGrouping struct {
 // interleave across workers instead of marching in lockstep.
 func NewShuffleGrouping(cfg Config) *ShuffleGrouping {
 	cfg = cfg.withDefaults()
-	return &ShuffleGrouping{n: cfg.Workers, next: phaseOffset(cfg)}
+	s := &ShuffleGrouping{n: cfg.Workers, next: phaseOffset(cfg)}
+	s.runs = s
+	return s
 }
 
 // phaseOffset spreads sender instances around the worker ring.
@@ -262,18 +266,24 @@ func phaseOffset(cfg Config) int {
 	return int((cfg.Seed + uint64(cfg.Instance)*7919) % uint64(cfg.Workers))
 }
 
-// Route implements Partitioner.
-func (s *ShuffleGrouping) Route(string) int {
-	w := s.next
-	s.next++
-	if s.next == s.n {
-		s.next = 0
-	}
-	return w
+// routeRun is SG's routing body: keys are ignored, the run continues
+// the round-robin ring.
+func (s *ShuffleGrouping) routeRun(_ KeyDigest, _ string, dst []int) {
+	s.next = ringFill(dst, s.next, s.n)
 }
 
-// RouteDigest implements DigestRouter (SG ignores keys and digests).
-func (s *ShuffleGrouping) RouteDigest(KeyDigest, string) int { return s.Route("") }
+// ringFill assigns dst the workers next, next+1, … around a ring of n
+// and returns the position after the last one.
+func ringFill(dst []int, next, n int) int {
+	for m := range dst {
+		dst[m] = next
+		next++
+		if next == n {
+			next = 0
+		}
+	}
+	return next
+}
 
 // Workers implements Partitioner.
 func (s *ShuffleGrouping) Workers() int { return s.n }
@@ -285,19 +295,17 @@ func (s *ShuffleGrouping) Name() string { return "SG" }
 // Greedy-d core
 
 // greedy holds the state shared by all load-aware schemes: the hash
-// family, this sender's local load vector, and a candidate scratch
-// buffer for the batch path (so steady-state routing never allocates).
-// Schemes that argmin over the whole vector (W-C's head path, D-C at
-// d ≥ n, ForcedD, Oracle) additionally carry the tournament load index
-// (see loadtree.go) when the worker count warrants it; tree == nil
-// means every argmin is a scan and increments are plain.
+// family and this sender's local load vector. Schemes that argmin over
+// the whole vector (W-C's head path, D-C at d ≥ n, ForcedD, Oracle)
+// additionally carry the tournament load index (see loadtree.go) when
+// the worker count warrants it; tree == nil means every argmin is a
+// scan and increments are plain.
 type greedy struct {
 	n      int
 	family *hashing.Family
 	loads  []int64
-	digs   []hashing.KeyDigest // scratch: per-batch digests (grows to the largest batch seen)
-	lidx   int8                // Config.LoadIndex (crossover policy for candidate tournaments)
-	tree   *loadTree           // full-vector load index, nil below the crossover
+	lidx   int8      // Config.LoadIndex (crossover policy for candidate tournaments)
+	tree   *loadTree // full-vector load index, nil below the crossover
 	// Persistent candidate-tournament state (loadtree.go), allocated by
 	// the first head run whose list is long enough for a tournament; from
 	// then on bump appends every load increment to the clog ring so
@@ -361,23 +369,6 @@ func (g *greedy) bump(w int) {
 	}
 }
 
-// routeGreedyDigest applies the Greedy-d process: among the candidate
-// workers F_1(key)..F_d(key) — derived from the digest, one mix each —
-// pick the one with the lowest local load (first lowest wins, matching
-// "ties broken arbitrarily"), then account for the message.
-func (g *greedy) routeGreedyDigest(dg KeyDigest, d int) int {
-	best := g.family.BucketDigest(0, dg, g.n)
-	bestLoad := g.loads[best]
-	for i := 1; i < d; i++ {
-		w := g.family.BucketDigest(i, dg, g.n)
-		if g.loads[w] < bestLoad {
-			best, bestLoad = w, g.loads[w]
-		}
-	}
-	g.bump(best)
-	return best
-}
-
 // Argmin scans pack (load << packShift) | position into one integer, so
 // a single branchless min (the compiler emits conditional moves) yields
 // both the minimum load and — because position rises monotonically
@@ -396,11 +387,13 @@ const (
 const maxPacked = int64(1)<<62 - 1
 
 // routeCands routes one message among precomputed candidates (a cached,
-// deduplicated candidate list), with the same first-lowest-wins
-// tie-break as routeGreedyDigest. A plain branchy scan wins here: the
-// data-dependent loads[cand[i]] gathers leave the rarely-taken compare
-// branch well predicted, measurably beating the packed conditional-move
-// variant routeAll uses.
+// deduplicated candidate list) by the Greedy-d rule: the lowest local
+// load, first lowest winning ("ties broken arbitrarily"). A duplicate
+// worker can never beat its first occurrence, so the deduplicated list
+// decides exactly as the d buckets F_1(k)..F_d(k) would. A plain
+// branchy scan wins here: the data-dependent loads[cand[i]] gathers
+// leave the rarely-taken compare branch well predicted, measurably
+// beating the packed conditional-move variant routeAll uses.
 //
 // With the load index attached the scan knows the global minimum load
 // (the tree's root) and stops at the first candidate that attains it:
@@ -446,17 +439,6 @@ func (g *greedy) routeCands(cand []int32) (best, visited int) {
 	}
 	g.bump(best)
 	return best, visited
-}
-
-// scratchDigests returns the partitioner-owned digest slab for an
-// n-message batch: the buffer RouteBatch hands to RouteBatchDigests
-// when the caller did not supply its own. It grows to the largest batch
-// ever seen, so steady state allocates nothing.
-func (g *greedy) scratchDigests(n int) []hashing.KeyDigest {
-	if cap(g.digs) < n {
-		g.digs = make([]hashing.KeyDigest, n)
-	}
-	return g.digs[:n]
 }
 
 // routeAll picks the globally least-loaded worker (W-Choices head path:
@@ -526,19 +508,50 @@ func (g *greedy) Loads() []int64 {
 // key.
 type PKG struct {
 	greedy
+	router
 }
 
 // NewPKG returns a PKG partitioner.
 func NewPKG(cfg Config) *PKG {
 	cfg = cfg.withDefaults()
-	return &PKG{greedy: newGreedy(cfg)}
+	p := &PKG{greedy: newGreedy(cfg)}
+	p.slab = p
+	return p
 }
 
-// Route implements Partitioner.
-func (p *PKG) Route(key string) int { return p.routeGreedyDigest(hashing.Digest(key), 2) }
-
-// RouteDigest implements DigestRouter.
-func (p *PKG) RouteDigest(dg KeyDigest, _ string) int { return p.routeGreedyDigest(dg, 2) }
+// routeSlab is PKG's routing body, the one scheme that routes a whole
+// slab rather than runs: a tight digest–two-mix–pick loop. PKG keeps no
+// sketch, so there is nothing a run could amortize that would repay the
+// run-detection compare. When the slab still needs its digests (fill),
+// the loop computes each where it is used: a separate digest pass cost
+// the z = 2.0 cells 12%, and a fill test inside the one loop 9%, so the
+// loop is written for each case. The plain increments are safe: PKG
+// never argmins over the whole vector, so it never carries a load index
+// to keep in sync.
+func (p *PKG) routeSlab(keys []string, digs []KeyDigest, dst []int, fill bool) {
+	loads := p.loads
+	if !fill {
+		for i, dg := range digs {
+			w0, w1 := p.family.BucketDigest(0, dg, p.n), p.family.BucketDigest(1, dg, p.n)
+			if loads[w1] < loads[w0] {
+				w0 = w1
+			}
+			loads[w0]++
+			dst[i] = w0
+		}
+		return
+	}
+	for i, key := range keys {
+		dg := hashing.Digest(key)
+		digs[i] = dg
+		w0, w1 := p.family.BucketDigest(0, dg, p.n), p.family.BucketDigest(1, dg, p.n)
+		if loads[w1] < loads[w0] {
+			w0 = w1
+		}
+		loads[w0]++
+		dst[i] = w0
+	}
+}
 
 // Workers implements Partitioner.
 func (p *PKG) Workers() int { return p.n }
@@ -568,9 +581,8 @@ type HeadTracker struct {
 	win    *spacesaving.Windowed // sliding mode (drift extension)
 	theta  float64
 	// headMsgs counts messages classified as head (plain counter,
-	// single-goroutine like the owning partitioner; see RouteStats).
-	// The per-message path counts in observeDigest; the batch paths
-	// count whole head segments at the crossing split.
+	// single-goroutine like the owning partitioner; see RouteStats),
+	// a run's whole head segment at a time.
 	headMsgs int64
 
 	// Scratch of headSnapshot (grows to the largest head seen).
@@ -588,37 +600,7 @@ func newHeadTracker(cfg Config) HeadTracker {
 	return h
 }
 
-// observe feeds the key and reports head membership.
-func (h *HeadTracker) observe(key string) bool {
-	return h.observeDigest(hashing.Digest(key), key)
-}
-
-// observeDigest is observe keyed by a pre-computed digest: the hot-path
-// form, one sketch-table operation and no key-byte scans.
-func (h *HeadTracker) observeDigest(dg KeyDigest, key string) bool {
-	if h.win != nil {
-		h.win.OfferDigest(dg, key)
-		c, _, ok := h.win.CountDigest(dg)
-		if !ok || c < minHeadCount {
-			return false
-		}
-		if float64(c) >= h.theta*float64(h.win.N()) {
-			h.headMsgs++
-			return true
-		}
-		return false
-	}
-	c := h.sketch.OfferDigest(dg, key)
-	if h.isHeadAt(c, h.sketch.N()) {
-		h.headMsgs++
-		return true
-	}
-	return false
-}
-
-// noteHead accounts n head-classified messages from a batch path's
-// crossing split (the arithmetic predicate never goes through
-// observeDigest there).
+// noteHead accounts n head-classified messages of a run.
 func (h *HeadTracker) noteHead(n int) { h.headMsgs += int64(n) }
 
 // sketchStats returns the occupancy, capacity, and lifetime eviction
@@ -630,11 +612,12 @@ func (h *HeadTracker) sketchStats() (length, capacity int, evictions uint64) {
 	return h.sketch.Len(), h.sketch.Capacity(), h.sketch.Evictions()
 }
 
-// isHeadAt evaluates the head predicate for an arithmetic count/stream
-// pair, with exactly the float comparison observeDigest performs. The
-// batch path uses it to classify the remaining messages of a run without
-// touching the sketch: within a run of one key (insertion-only mode)
-// both the key's count and N advance by exactly 1 per message.
+// isHeadAt is Algorithm 1's head test p̂_k ≥ θ for a key whose
+// estimated count is count after an offer that made the stream n long,
+// behind a floor of minHeadCount. Within a run of one key
+// (insertion-only mode) both the key's count and N advance by exactly 1
+// per message, so it classifies every message of the run from the state
+// after the first without touching the sketch.
 func (h *HeadTracker) isHeadAt(count, n uint64) bool {
 	if count < minHeadCount {
 		return false
@@ -650,11 +633,11 @@ func (h *HeadTracker) isHeadAt(count, n uint64) bool {
 // any reachable N — hence the 0.99 cutoff rather than 1.
 const maxMonotoneTheta = 0.99
 
-// canBatch reports whether run-level batching of offers preserves exact
+// canBatch reports whether runs longer than one message preserve exact
 // per-message semantics. It requires the paper's insertion-only sketch
 // (the sliding-window mode rotates generations at arbitrary offsets)
-// and a θ in the monotone range (see maxMonotoneTheta); otherwise batch
-// callers fall back to per-message routing.
+// and a θ in the monotone range (see maxMonotoneTheta); otherwise every
+// run is one message long (router.unit).
 func (h *HeadTracker) canBatch() bool {
 	return h.sketch != nil && h.theta <= maxMonotoneTheta
 }
@@ -673,30 +656,31 @@ func (h *HeadTracker) headCrossing(c0, n0 uint64, r int) int {
 	return r
 }
 
-// observeFirst offers the first message of a run and returns the
-// post-offer count and stream length (insertion-only mode only).
-func (h *HeadTracker) observeFirst(dg KeyDigest, key string) (count, n uint64) {
-	return h.sketch.OfferDigest(dg, key), h.sketch.N()
-}
-
 // offerRest applies r deferred offers of a run's key in one sketch
-// operation (insertion-only mode only; the key is monitored after
-// observeFirst, so the offers are pure increments).
+// operation (insertion-only mode only — windowed runs are one message —
+// and the key is monitored after the run's first offer, so the offers
+// are pure increments).
 func (h *HeadTracker) offerRest(dg KeyDigest, key string, r uint64) {
 	if r > 0 {
 		h.sketch.OfferDigestN(dg, key, r)
 	}
 }
 
-// observeRun offers a whole run of r identical messages in ONE sketch
-// operation and returns the count and stream length as they stood just
-// after the run's FIRST offer (insertion-only mode only). Within a run
-// both advance by exactly 1 per message, so the final state determines
-// the first: count₁ = countᵣ − (r−1), N₁ = Nᵣ − (r−1). Legal whenever
-// nothing reads the sketch between the run's messages — true for every
-// head-tracking scheme except D-Choices at a solver boundary, which
-// uses observeFirst/offerRest instead.
+// observeRun offers r identical messages in ONE sketch operation and
+// returns the count and stream length as they stood just after the
+// FIRST of them. Within a run both advance by exactly 1 per message, so
+// the final state determines the first: count₁ = countᵣ − (r−1),
+// N₁ = Nᵣ − (r−1). Offering a whole run is legal whenever nothing reads
+// the sketch between its messages — true for every head-tracking scheme
+// except D-Choices at a solver boundary, which offers one and defers
+// the rest (offerRest). In sliding-window mode r is always 1 (see
+// canBatch), and an unmonitored key reads as count 0.
 func (h *HeadTracker) observeRun(dg KeyDigest, key string, r int) (count, n uint64) {
+	if h.win != nil {
+		h.win.OfferDigest(dg, key)
+		c, _, _ := h.win.CountDigest(dg)
+		return c, h.win.N()
+	}
 	c := h.sketch.OfferDigestN(dg, key, uint64(r))
 	return c - uint64(r-1), h.sketch.N() - uint64(r-1)
 }
@@ -779,6 +763,7 @@ func (h *HeadTracker) SetSketch(s *spacesaving.Summary) {
 // d ≥ n it degenerates to the W-Choices strategy, as prescribed.
 type DChoices struct {
 	greedy
+	router
 	head       HeadTracker
 	eps        float64
 	solveEvery int
@@ -790,12 +775,12 @@ type DChoices struct {
 	headSize   int    // |H| at the last solve (instrumentation)
 	solver     analysis.Solver
 
-	cache candCache // batch path: memoized head-key candidate lists
+	cache candCache // memoized head-key candidate lists
 
-	// Hot-key memo: a private copy of the last candidate list used, so
-	// the dominant key of a skewed stream revalidates with two compares
-	// instead of a cache probe. The copy is immune to cache-slot
-	// overwrites by colliding keys.
+	// Hot-key memo: a private copy of the last candidate list a whole
+	// run used, so the dominant key of a skewed stream revalidates with
+	// two compares instead of a cache probe. The copy is immune to
+	// cache-slot overwrites by colliding keys.
 	lastDig   KeyDigest
 	lastD     int32
 	lastCands []int32
@@ -811,9 +796,10 @@ func NewDChoices(cfg Config) *DChoices {
 		solveEvery: cfg.SolveEvery,
 		d:          2,
 		cache:      newCandCache(cfg.Workers, 2),
-		lastCands:  make([]int32, 0, cfg.Workers),
+		lastCands:  make([]int32, 0, candMemoMax),
 	}
 	p.enableLoadIndex(cfg)
+	p.runs, p.unit = p, !p.head.canBatch()
 	return p
 }
 
@@ -823,7 +809,9 @@ func NewDChoices(cfg Config) *DChoices {
 // per-switch copy costs more than the cache probe it saves — under an
 // i.i.d. Zipf stream runs are short (expected 1/(1−p₁) messages), so
 // the memo switches constantly. Large lists are served straight from
-// the shared cache instead.
+// the shared cache instead. (Without the memo route-scale's D-C cells
+// measured within noise, but lookups it absorbs would reach the cache
+// and move the benchmark's exact-repeat candidate-cache hit ratio.)
 const candMemoMax = 64
 
 // headCands returns the candidate list for a head key, through the
@@ -842,29 +830,56 @@ func (p *DChoices) headCands(dg KeyDigest) []int32 {
 	return p.lastCands
 }
 
-// Route implements Partitioner (Algorithm 1 with D-CHOICES). It is the
-// per-message thin wrapper: digest once, then route on the digest.
-func (p *DChoices) Route(key string) int {
-	return p.RouteDigest(hashing.Digest(key), key)
-}
-
-// RouteDigest implements DigestRouter.
-func (p *DChoices) RouteDigest(dg KeyDigest, key string) int {
-	if p.head.observeDigest(dg, key) {
-		if p.findOptimalChoices() >= p.n {
-			// Switching point: use the W-Choices strategy.
-			return p.routeAll()
-		}
-		// Head keys route over the memoized deduplicated candidate
-		// list instead of re-deriving d buckets per message: identical
-		// decisions (a duplicate can never beat its first occurrence,
-		// and list order is bucket order), but the dominant key of a
-		// skewed stream revalidates with two compares instead of d
-		// hash mixes.
-		w, _ := p.routeCands(p.headCands(dg))
-		return w
+// routeRun is D-C's routing body (Algorithm 1 with D-CHOICES) for a run
+// of one key. The run's tail messages — a prefix, by monotonicity —
+// take two choices; its head messages take d from FINDOPTIMALCHOICES,
+// over the key's cached deduplicated candidate list, or over all
+// workers once d ≥ n (the switch to the W-Choices strategy).
+//
+// The whole run is offered to the sketch in one operation unless a
+// re-solve may fall inside it (or none has happened yet): the solver
+// must then read exactly the sketch message-at-a-time routing would
+// leave, so only the first offer is made up front and the rest are
+// deferred until a solve or the run's end. The head messages are routed
+// in chunks split at the solve points, where d may change; a run offered
+// whole is one chunk and takes its list through the hot-key memo. The
+// solve test reads the stream length the first offer left, which a
+// rotating sliding window can shrink — its runs are one message long.
+func (p *DChoices) routeRun(dg KeyDigest, key string, dst []int) {
+	r, n := len(dst), p.head.observed()
+	bulk := !p.solveDue(n+1) && !p.solveDue(n+uint64(r))
+	offered := 1
+	if bulk {
+		offered = r
 	}
-	return p.routeGreedyDigest(dg, 2)
+	c0, n0 := p.head.observeRun(dg, key, offered)
+	cross := p.head.headCrossing(c0, n0, r)
+	if cross > 0 {
+		p.routeTailSeg(dg, dst[:cross])
+	}
+	p.head.noteHead(r - cross)
+	for m := cross; m < r; {
+		if p.solveDue(n0 + uint64(m)) {
+			p.head.offerRest(dg, key, uint64(m+1-offered))
+			offered = m + 1
+			p.findOptimalChoices()
+		}
+		t := r - m
+		if !bulk {
+			for t = 1; m+t < r && !p.solveDue(n0+uint64(m+t)); t++ {
+			}
+		}
+		switch seg := dst[m : m+t]; {
+		case p.d >= p.n:
+			p.routeAllSeg(seg)
+		case bulk:
+			p.routeHead(dg, p.headCands(dg), seg)
+		default:
+			p.routeHead(dg, p.cache.lookup(dg, p.d, p.family), seg)
+		}
+		m += t
+	}
+	p.head.offerRest(dg, key, uint64(r-offered))
 }
 
 // findOptimalChoices returns the cached d, re-solving on the configured
@@ -900,8 +915,8 @@ func (p *DChoices) findOptimalChoices() int {
 }
 
 // solveDue reports whether a head message observed at post-offer stream
-// length n would trigger a re-solve (the batch path uses it to sync the
-// sketch before the solve reads it).
+// length n triggers a re-solve (routeRun syncs the sketch before the
+// solve reads it).
 func (p *DChoices) solveDue(n uint64) bool {
 	return !p.solved || n-p.lastSolveN >= uint64(p.solveEvery)
 }
@@ -925,9 +940,10 @@ func (p *DChoices) Name() string { return "D-C" }
 // analytic solver.
 type ForcedD struct {
 	greedy
+	router
 	head  HeadTracker
 	d     int
-	cache candCache // batch path: memoized head-key candidate lists
+	cache candCache // memoized head-key candidate lists
 }
 
 // NewForcedD returns a Greedy-d partitioner with exactly d choices for
@@ -947,26 +963,20 @@ func NewForcedD(cfg Config, d int) *ForcedD {
 		cache:  newCandCache(cfg.Workers, d),
 	}
 	p.enableLoadIndex(cfg)
+	p.runs, p.unit = p, !p.head.canBatch()
 	return p
 }
 
-// Route implements Partitioner.
-func (p *ForcedD) Route(key string) int {
-	return p.RouteDigest(hashing.Digest(key), key)
-}
-
-// RouteDigest implements DigestRouter.
-func (p *ForcedD) RouteDigest(dg KeyDigest, key string) int {
-	if p.head.observeDigest(dg, key) {
-		if p.d == p.n {
-			return p.routeAll()
-		}
-		// Cached deduplicated candidates, as in DChoices.RouteDigest:
-		// identical decisions to a d-bucket derivation, fewer mixes.
-		w, _ := p.routeCands(p.cache.lookup(dg, p.d, p.family))
-		return w
+// routeRun is ForcedD's routing body: D-C's with the forced d, so the
+// whole run is offered at once.
+func (p *ForcedD) routeRun(dg KeyDigest, key string, dst []int) {
+	switch head := p.routeTail(&p.head, dg, key, dst); {
+	case len(head) == 0:
+	case p.d == p.n:
+		p.routeAllSeg(head)
+	default:
+		p.routeHead(dg, p.cache.lookup(dg, p.d, p.family), head)
 	}
-	return p.routeGreedyDigest(dg, 2)
 }
 
 // D returns the forced number of choices.
@@ -985,6 +995,7 @@ func (p *ForcedD) Name() string { return fmt.Sprintf("Greedy-%d", p.d) }
 // choices) and tail keys with 2 choices.
 type WChoices struct {
 	greedy
+	router
 	head HeadTracker
 }
 
@@ -993,20 +1004,15 @@ func NewWChoices(cfg Config) *WChoices {
 	cfg = cfg.withDefaults()
 	p := &WChoices{greedy: newGreedy(cfg), head: newHeadTracker(cfg)}
 	p.enableLoadIndex(cfg)
+	p.runs, p.unit = p, !p.head.canBatch()
 	return p
 }
 
-// Route implements Partitioner (Algorithm 1 with W-CHOICES).
-func (p *WChoices) Route(key string) int {
-	return p.RouteDigest(hashing.Digest(key), key)
-}
-
-// RouteDigest implements DigestRouter.
-func (p *WChoices) RouteDigest(dg KeyDigest, key string) int {
-	if p.head.observeDigest(dg, key) {
-		return p.routeAll()
-	}
-	return p.routeGreedyDigest(dg, 2)
+// routeRun is W-C's routing body (Algorithm 1 with W-CHOICES): no
+// solver reads the sketch, so the whole run is offered at once, and its
+// head messages go to the globally least-loaded worker.
+func (p *WChoices) routeRun(dg KeyDigest, key string, dst []int) {
+	p.routeAllSeg(p.routeTail(&p.head, dg, key, dst))
 }
 
 // HeadTracker exposes the sender's sketch state for distributed merging.
@@ -1026,6 +1032,7 @@ func (p *WChoices) Name() string { return "W-C" }
 // distribution).
 type Oracle struct {
 	greedy
+	router
 	isHead func(string) bool
 }
 
@@ -1038,23 +1045,19 @@ func NewOracle(cfg Config, isHead func(string) bool) *Oracle {
 	}
 	p := &Oracle{greedy: newGreedy(cfg), isHead: isHead}
 	p.enableLoadIndex(cfg)
+	p.runs = p
 	return p
 }
 
-// Route implements Partitioner.
-func (p *Oracle) Route(key string) int {
+// routeRun is Oracle's routing body: the predicate is evaluated once
+// per run (it is a pure function of the key, and a run's messages share
+// one digest, hence — up to a 64-bit collision — one key).
+func (p *Oracle) routeRun(dg KeyDigest, key string, dst []int) {
 	if p.isHead(key) {
-		return p.routeAll() // head messages never need the digest
+		p.routeAllSeg(dst)
+	} else {
+		p.routeTailSeg(dg, dst)
 	}
-	return p.routeGreedyDigest(hashing.Digest(key), 2)
-}
-
-// RouteDigest implements DigestRouter.
-func (p *Oracle) RouteDigest(dg KeyDigest, key string) int {
-	if p.isHead(key) {
-		return p.routeAll()
-	}
-	return p.routeGreedyDigest(dg, 2)
 }
 
 // Workers implements Partitioner.
@@ -1071,6 +1074,7 @@ func (p *Oracle) Name() string { return "Oracle" }
 // same memory cost as W-Choices but cannot compensate tail imbalance.
 type RoundRobin struct {
 	greedy
+	router
 	head HeadTracker
 	next int
 }
@@ -1078,35 +1082,25 @@ type RoundRobin struct {
 // NewRoundRobin returns an RR partitioner.
 func NewRoundRobin(cfg Config) *RoundRobin {
 	cfg = cfg.withDefaults()
-	return &RoundRobin{
+	p := &RoundRobin{
 		greedy: newGreedy(cfg),
 		head:   newHeadTracker(cfg),
 		next:   phaseOffset(cfg),
 	}
+	p.runs, p.unit = p, !p.head.canBatch()
+	return p
 }
 
-// Route implements Partitioner.
-func (p *RoundRobin) Route(key string) int {
-	return p.RouteDigest(hashing.Digest(key), key)
-}
-
-// RouteDigest implements DigestRouter.
-func (p *RoundRobin) RouteDigest(dg KeyDigest, key string) int {
-	if p.head.observeDigest(dg, key) {
-		return p.routeHeadRR()
+// routeRun is RR's routing body: the whole run is offered at once, and
+// its head messages continue the round-robin ring. The plain increments
+// are safe: RR never argmins over the whole vector, so it never carries
+// a load index.
+func (p *RoundRobin) routeRun(dg KeyDigest, key string, dst []int) {
+	head := p.routeTail(&p.head, dg, key, dst)
+	p.next = ringFill(head, p.next, p.n)
+	for _, w := range head {
+		p.loads[w]++
 	}
-	return p.routeGreedyDigest(dg, 2)
-}
-
-// routeHeadRR routes one head message round-robin.
-func (p *RoundRobin) routeHeadRR() int {
-	w := p.next
-	p.next++
-	if p.next == p.n {
-		p.next = 0
-	}
-	p.loads[w]++
-	return w
 }
 
 // Workers implements Partitioner.

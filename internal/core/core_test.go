@@ -383,101 +383,6 @@ func collectKeys(gen *workload.Zipf) []string {
 	return keys
 }
 
-// TestRouteBatchMatchesRoute pins the batch path's core contract: for
-// every algorithm and batch size, RouteBatch must produce the same
-// worker sequence as per-message Route — including across head/tail
-// crossings, solver re-solve boundaries inside runs, and the
-// sliding-window fallback.
-func TestRouteBatchMatchesRoute(t *testing.T) {
-	configs := []struct {
-		label string
-		mk    func() Config
-	}{
-		{"default", func() Config { return cfg(50) }},
-		{"tight solver", func() Config {
-			c := cfg(20)
-			c.SolveEvery = 16 // force re-solves inside hot-key runs
-			return c
-		}},
-		{"high theta", func() Config {
-			c := cfg(10)
-			c.Theta = 0.3 // head crossings happen late and often
-			return c
-		}},
-		{"windowed", func() Config {
-			c := cfg(10)
-			c.SketchWindow = 512 // exercises the per-message fallback
-			return c
-		}},
-		{"non-monotone theta", func() Config {
-			c := cfg(10)
-			c.Theta = 0.995 // above maxMonotoneTheta: per-message fallback
-			return c
-		}},
-	}
-	for _, cc := range configs {
-		for _, name := range Names {
-			for _, bs := range []int{1, 3, 64, 997} {
-				a, err := New(name, cc.mk())
-				if err != nil {
-					t.Fatal(err)
-				}
-				b, err := New(name, cc.mk())
-				if err != nil {
-					t.Fatal(err)
-				}
-				keys := collectKeys(workload.NewZipf(2.0, 400, 20000, 17))
-				dst := make([]int, bs)
-				for i := 0; i < len(keys); i += bs {
-					end := i + bs
-					if end > len(keys) {
-						end = len(keys)
-					}
-					chunk := keys[i:end]
-					b.(BatchPartitioner).RouteBatch(chunk, dst)
-					for j, k := range chunk {
-						if want := a.Route(k); dst[j] != want {
-							t.Fatalf("%s/%s bs=%d: message %d (%q) routed to %d by batch, %d by Route",
-								cc.label, name, bs, i+j, k, dst[j], want)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestRouteBatchMatchesRouteExperimental covers the non-registry
-// partitioners (ForcedD, Oracle) the experiments construct directly.
-func TestRouteBatchMatchesRouteExperimental(t *testing.T) {
-	keys := collectKeys(workload.NewZipf(2.0, 300, 15000, 23))
-	mk := []struct {
-		label string
-		a, b  BatchPartitioner
-	}{
-		{"forced-5", NewForcedD(cfg(20), 5), NewForcedD(cfg(20), 5)},
-		{"forced-n", NewForcedD(cfg(20), 20), NewForcedD(cfg(20), 20)},
-		{"oracle", NewOracle(cfg(20), func(k string) bool { return k == "k0" }),
-			NewOracle(cfg(20), func(k string) bool { return k == "k0" })},
-	}
-	for _, tc := range mk {
-		dst := make([]int, 128)
-		for i := 0; i < len(keys); i += 128 {
-			end := i + 128
-			if end > len(keys) {
-				end = len(keys)
-			}
-			chunk := keys[i:end]
-			tc.b.RouteBatch(chunk, dst)
-			for j, k := range chunk {
-				if want := tc.a.Route(k); dst[j] != want {
-					t.Fatalf("%s: message %d diverged", tc.label, i+j)
-				}
-			}
-		}
-	}
-}
-
 func TestRouteBatchPanicsOnShortDst(t *testing.T) {
 	p := NewPKG(cfg(4))
 	defer func() {
@@ -487,27 +392,6 @@ func TestRouteBatchPanicsOnShortDst(t *testing.T) {
 	}()
 	p.RouteBatch([]string{"a", "b"}, make([]int, 1))
 }
-
-func TestRouteBatchFallbackForNonBatchPartitioners(t *testing.T) {
-	// The package-level helper must drive plain Partitioners too.
-	a := NewPKG(cfg(8))
-	b := NewPKG(cfg(8))
-	keys := []string{"x", "y", "x", "z", "x"}
-	dst := make([]int, len(keys))
-	RouteBatch(onlyRoute{a}, keys, dst)
-	for i, k := range keys {
-		if want := b.Route(k); dst[i] != want {
-			t.Fatalf("fallback diverged at %d", i)
-		}
-	}
-}
-
-// onlyRoute hides the batch method, forcing the helper's fallback.
-type onlyRoute struct{ p Partitioner }
-
-func (o onlyRoute) Route(key string) int { return o.p.Route(key) }
-func (o onlyRoute) Workers() int         { return o.p.Workers() }
-func (o onlyRoute) Name() string         { return o.p.Name() }
 
 // steadyStateCase is one configuration of the zero-allocation tests: a
 // stream, a config, and how long to warm up. The solver runs at its
@@ -561,14 +445,13 @@ func TestSteadyStateRoutingDoesNotAllocate(t *testing.T) {
 			if avg != 0 {
 				t.Errorf("%s/%s: steady-state Route allocates %.3f allocs/op, want 0", tc.label, name, avg)
 			}
-			bp := p.(BatchPartitioner)
 			dst := make([]int, 256)
 			j := 0
 			avg = testing.AllocsPerRun(200, func() {
 				if j+256 > len(keys) {
 					j = 0
 				}
-				bp.RouteBatch(keys[j:j+256], dst)
+				p.RouteBatch(keys[j:j+256], dst)
 				j += 256
 			})
 			if avg != 0 {
@@ -601,7 +484,6 @@ func BenchmarkRouteBatchCore(b *testing.B) {
 	for _, name := range Names {
 		b.Run(name, func(b *testing.B) {
 			p, _ := New(name, cfg(50))
-			bp := p.(BatchPartitioner)
 			dst := make([]int, 512)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -611,7 +493,7 @@ func BenchmarkRouteBatchCore(b *testing.B) {
 				if end > len(keys) {
 					end = len(keys)
 				}
-				bp.RouteBatch(keys[off:end], dst)
+				p.RouteBatch(keys[off:end], dst)
 			}
 		})
 	}

@@ -124,11 +124,10 @@ func TestSketchWindowAdaptsFasterUnderDrift(t *testing.T) {
 		p := NewWChoices(c)
 		keys := mkStream()
 		for i, k := range keys {
+			before := p.head.headMsgs
 			p.Route(k)
-			if i >= 30000 && k == "hotB" && p.head.observe("hotB") {
-				// observe() both feeds and queries; feeding one extra
-				// occurrence is fine for a detection-latency comparison.
-				return i - 30000
+			if i >= 30000 && k == "hotB" && p.head.headMsgs > before {
+				return i - 30000 // the first hotB message routed as head
 			}
 		}
 		return 1 << 30

@@ -62,7 +62,7 @@ const (
 	// otherwise.
 	LoadIndexScan = 1
 	// LoadIndexTree forces the tournament tree (and the candidate
-	// subset tournament in the batch path) at every worker count.
+	// subset tournament) at every worker count.
 	LoadIndexTree = 2
 )
 
@@ -123,7 +123,7 @@ func (t *loadTree) fix(w int) {
 }
 
 // ---------------------------------------------------------------------------
-// Candidate subset tournament (batch head runs)
+// Candidate subset tournament (head runs)
 //
 // D-Choices with a large d evaluates an argmin over c ≤ d deduplicated
 // candidates per head message; the full-vector tree cannot answer
@@ -174,7 +174,7 @@ func (t *loadTree) fix(w int) {
 // finishes on the tournament — rent-or-buy, for the long run of a key
 // that never recurred. LoadIndexTree applies the tournament to every
 // list of two or more candidates and replays whatever the log still
-// holds, so the parity suite exercises build, repair and toggling
+// holds, so the reference tests exercise build, repair and toggling
 // throughout.
 //
 // The unit costs are BenchmarkCandTourCosts' (reference host, n = 4096,

@@ -113,7 +113,7 @@ func TestCandTreeDifferential(t *testing.T) {
 
 // scanTreePartitioners builds the same algorithm twice: once forced
 // onto the packed scans, once forced onto the tournament tree (and the
-// candidate subset tournament in the batch path).
+// candidate subset tournament).
 func scanTreePartitioners(t *testing.T, algo string, n int) (scan, tree Partitioner) {
 	t.Helper()
 	mk := func(lidx int) Partitioner {
@@ -184,8 +184,8 @@ func TestScanTreeRoutingParity(t *testing.T) {
 						if end > len(keys) {
 							end = len(keys)
 						}
-						RouteBatch(scan, keys[i:end], dstS)
-						RouteBatch(tree, keys[i:end], dstT)
+						scan.RouteBatch(keys[i:end], dstS)
+						tree.RouteBatch(keys[i:end], dstT)
 						for j := 0; j < end-i; j++ {
 							if dstS[j] != dstT[j] {
 								t.Fatalf("batch msg %d (key %q): scan → %d, tree → %d", i+j, keys[i+j], dstS[j], dstT[j])
@@ -290,7 +290,7 @@ func TestGreedyTreeStaysInSync(t *testing.T) {
 			if end > len(keys) {
 				end = len(keys)
 			}
-			RouteBatch(p, keys[i:end], dst)
+			p.RouteBatch(keys[i:end], dst)
 			if g.tree != nil && i%(64*16) == 0 {
 				checkTree(t, g.tree)
 			}

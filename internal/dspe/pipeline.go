@@ -302,14 +302,12 @@ func (p *Pipeline) Run(cfg PipelineConfig) (PipelineResult, error) {
 				defer stageWGs[s].Done()
 				spec := p.stages[s]
 				var down core.Partitioner
-				var downDig core.DigestRouter
 				if s+1 < len(p.stages) {
 					var err error
 					down, err = senderFor(s+1, ex+spec.parallelism)
 					if err != nil {
 						panic(err) // validated before launch
 					}
-					downDig, _ = down.(core.DigestRouter)
 				}
 				// cur is the tuple being processed; its root/seq/window
 				// propagate onto emissions.
@@ -317,13 +315,7 @@ func (p *Pipeline) Run(cfg PipelineConfig) (PipelineResult, error) {
 				// send routes by the tuple's carried digest: downstream edges
 				// re-key without re-scanning unchanged key bytes.
 				send := func(tp pipeTuple) {
-					var w int
-					if downDig != nil {
-						w = downDig.RouteDigest(tp.dig, tp.key)
-					} else {
-						w = down.Route(tp.key)
-					}
-					inputs[s+1][w] <- tp
+					inputs[s+1][down.RouteDigest(tp.dig, tp.key)] <- tp
 				}
 				// reDigest maps an emitted key to its digest: the carried one
 				// when the key bytes are unchanged (the common pass-through
@@ -462,7 +454,7 @@ func (p *Pipeline) Run(cfg PipelineConfig) (PipelineResult, error) {
 				}
 				// Hash-once: the digests routing computes here travel with
 				// the tuples through every later stage.
-				core.RouteBatchDigests(part, keys[:n], digs, dsts)
+				part.RouteBatchDigests(keys[:n], digs, dsts)
 				for i := 0; i < n; i++ {
 					inputs[0][dsts[i]] <- pipeTuple{key: keys[i], dig: digs[i], root: time.Now(), seq: base + int64(i), weight: 1}
 				}

@@ -476,15 +476,12 @@ func runOnFabric(fabric transport.Transport, gen stream.Generator, cfg Config, p
 			p := parts[s]
 			keys := make([]string, cfg.Batch)
 			dsts := make([]int, cfg.Batch)
-			var digs []core.KeyDigest
+			digs := make([]core.KeyDigest, cfg.Batch)
 			var vals []int64
-			if agg {
-				digs = make([]core.KeyDigest, cfg.Batch)
-				// Sampling contract: AggValue hook > recorded generator
-				// values > constant 1 (see Config.AggValue).
-				if cfg.AggValue == nil && genVals {
-					vals = make([]int64, cfg.Batch)
-				}
+			// Sampling contract: AggValue hook > recorded generator values
+			// > constant 1 (see Config.AggValue).
+			if agg && cfg.AggValue == nil && genVals {
+				vals = make([]int64, cfg.Batch)
 			}
 			// Reused per-destination staging, sent with one SendSlab per
 			// touched link, then flushed before waiting on acks (a tuple
@@ -557,11 +554,11 @@ func runOnFabric(fabric transport.Transport, gen stream.Generator, cfg Config, p
 					t0 = time.Now()
 				}
 				inflight[s].n.Add(int64(n))
+				// Hash-once: routing computes the digests the bolts'
+				// partial tables (and the reduce stage) will key by.
+				p.RouteBatchDigests(keys[:n], digs, dsts)
+				pt.recordRoute(s, p, n, time.Since(t0))
 				if agg {
-					// Hash-once: routing computes the digests the bolts'
-					// partial tables (and the reduce stage) will key by.
-					core.RouteBatchDigests(p, keys[:n], digs, dsts)
-					pt.recordRoute(s, p, n, time.Since(t0))
 					// Count the slab toward its windows' per-shard
 					// completeness thresholds BEFORE any of its tuples can be
 					// sent (a threshold must never lag a mergeable partial).
@@ -595,9 +592,6 @@ func runOnFabric(fabric transport.Transport, gen stream.Generator, cfg Config, p
 							}
 						}
 					}
-				} else {
-					core.RouteBatch(p, keys[:n], dsts)
-					pt.recordRoute(s, p, n, time.Since(t0))
 				}
 				now := time.Now().UnixNano()
 				for i := 0; i < n; i++ {

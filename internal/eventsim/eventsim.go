@@ -576,10 +576,9 @@ func Run(gen stream.Generator, cfg Config) (Result, error) {
 					announced = pm.window
 					tickIdle()
 				}
-				w = core.RouteDigest(parts[s], dg, key)
+				w = parts[s].RouteDigest(dg, key)
 			} else {
-				// No digest consumer downstream: let the partitioner digest
-				// (or, for SG, skip the key bytes entirely).
+				// No digest consumer downstream: let the partitioner digest.
 				w = parts[s].Route(key)
 			}
 			emitted++

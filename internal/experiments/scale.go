@@ -143,7 +143,7 @@ func timeRouting(algo string, cfg core.Config, z float64, m int64) (float64, err
 		if end > len(keys) {
 			end = len(keys)
 		}
-		core.RouteBatch(p, keys[i:end], dst)
+		p.RouteBatch(keys[i:end], dst)
 	}
 	elapsed := time.Since(start)
 	return float64(elapsed.Nanoseconds()) / float64(len(keys)), nil

@@ -3,6 +3,7 @@ package spacesaving_test
 import (
 	"fmt"
 
+	"slb/internal/hashing"
 	"slb/internal/spacesaving"
 )
 
@@ -50,13 +51,15 @@ func ExampleSummary_Merge() {
 // stream has been running.
 func ExampleWindowed() {
 	w := spacesaving.NewWindowed(4, 100)
+	offer := func(key string) { w.OfferDigest(hashing.Digest(key), key) }
 	for i := 0; i < 1000; i++ {
-		w.Offer("old-star")
+		offer("old-star")
 	}
 	for i := 0; i < 150; i++ {
-		w.Offer("new-star")
+		offer("new-star")
 	}
-	fmt.Printf("new-star freq over recent window: %.2f\n", w.EstFreq("new-star"))
+	c, _, _ := w.CountDigest(hashing.Digest("new-star"))
+	fmt.Printf("new-star freq over recent window: %.2f\n", float64(c)/float64(w.N()))
 	// Output:
 	// new-star freq over recent window: 1.00
 }

@@ -36,16 +36,9 @@ func NewWindowed(capacity int, window uint64) *Windowed {
 	}
 }
 
-// Window returns the configured generation length.
-func (w *Windowed) Window() uint64 { return w.window }
-
-// Offer feeds one occurrence of key, rotating generations as needed.
-func (w *Windowed) Offer(key string) {
-	w.OfferDigest(hashing.Digest(key), key)
-}
-
-// OfferDigest is Offer keyed by a pre-computed digest (the hot-path
-// form; key is retained only if it becomes monitored).
+// OfferDigest feeds one occurrence of the key identified by digest d,
+// rotating generations as needed (key is retained only if it becomes
+// monitored).
 func (w *Windowed) OfferDigest(d hashing.KeyDigest, key string) {
 	w.cur.OfferDigest(d, key)
 	if w.cur.N() >= w.window {
@@ -93,12 +86,8 @@ func (w *Windowed) N() uint64 {
 	return n
 }
 
-// Count returns the combined estimate for key over the covered window.
-func (w *Windowed) Count(key string) (count, err uint64, ok bool) {
-	return w.CountDigest(hashing.Digest(key))
-}
-
-// CountDigest is Count keyed by a pre-computed digest.
+// CountDigest returns the combined estimate for the key identified by
+// digest d over the covered window.
 func (w *Windowed) CountDigest(d hashing.KeyDigest) (count, err uint64, ok bool) {
 	c1, e1, ok1 := w.cur.CountDigest(d)
 	var c2, e2 uint64
@@ -110,20 +99,6 @@ func (w *Windowed) CountDigest(d hashing.KeyDigest) (count, err uint64, ok bool)
 		return 0, 0, false
 	}
 	return c1 + c2, e1 + e2, true
-}
-
-// EstFreq returns the estimated relative frequency of key over the
-// covered window.
-func (w *Windowed) EstFreq(key string) float64 {
-	n := w.N()
-	if n == 0 {
-		return 0
-	}
-	c, _, ok := w.Count(key)
-	if !ok {
-		return 0
-	}
-	return float64(c) / float64(n)
 }
 
 // HeavyHitters returns the keys whose combined estimated frequency over

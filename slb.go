@@ -45,20 +45,22 @@
 //			break
 //		}
 //		slb.RouteBatch(p, keys[:n], dst)
-//		// dst[i] is the worker for keys[i], identical to p.Route(keys[i])
+//		// dst[i] is the worker for keys[i]
 //	}
 //
-// The per-message form remains for single tuples:
+// A single tuple is a slab of one:
 //
 //	worker := p.Route("some-key") // → 0..49, state updated
 //
-// RouteBatch makes exactly the decisions per-message Route would — the
-// batch is an amortization, not an approximation. Steady-state routing
-// allocates nothing for every algorithm — D-Choices' periodic d-solver
-// included, which re-solves every Config.SolveEvery messages over a
-// partitioner-owned head snapshot and memoised constraint tables (the
-// sliding-window sketch mode, Config.SketchWindow, is the exception: its
-// two-generation head merge allocates per solve).
+// Every algorithm writes its routing once, as a body that routes a run
+// of consecutive messages of one key; Route is that body on one
+// message, so slabs and single messages make the same decisions and a
+// slab only amortizes the per-key work over its runs. Steady-state
+// routing allocates nothing for every algorithm — D-Choices' periodic
+// d-solver included, which re-solves every Config.SolveEvery messages
+// over a partitioner-owned head snapshot and memoised constraint tables
+// (the sliding-window sketch mode, Config.SketchWindow, is the
+// exception: its two-generation head merge allocates per solve).
 //
 // Callers that aggregate (or otherwise need the key digests) use
 // RouteBatchDigests instead: the same routing, with the digests the
@@ -368,23 +370,10 @@ import (
 	"slb/internal/workload"
 )
 
-// Partitioner routes each message of a keyed stream to one of n workers.
+// Partitioner routes each message of a keyed stream to one of n
+// workers, one message (Route, RouteDigest) or one slab (RouteBatch,
+// RouteBatchDigests) at a time, with the same decisions either way.
 type Partitioner = core.Partitioner
-
-// BatchPartitioner is a Partitioner with a batched fast path: RouteBatch
-// routes a slab of keys making the same decision for every message that
-// per-message Route would. All partitioners in this module implement it.
-type BatchPartitioner = core.BatchPartitioner
-
-// DigestBatchPartitioner is a BatchPartitioner whose batch path hands
-// the caller the digests routing computed (see RouteBatchDigests). All
-// partitioners in this module implement it.
-type DigestBatchPartitioner = core.DigestBatchPartitioner
-
-// DigestRouter is a partitioner that routes a message whose key is
-// already digested (see RouteDigest). All partitioners in this module
-// implement it.
-type DigestRouter = core.DigestRouter
 
 // KeyDigest is the canonical 64-bit digest of a key: every message is
 // hashed once, at the source, and all later layers (candidate choice,
@@ -396,10 +385,9 @@ type KeyDigest = core.KeyDigest
 // bytes).
 func DigestKey(key string) KeyDigest { return core.Digest(key) }
 
-// RouteBatch routes keys[i] to dst[i] through p, using its native batch
-// path when available and falling back to per-message Route otherwise.
-// dst must be at least as long as keys.
-func RouteBatch(p Partitioner, keys []string, dst []int) { core.RouteBatch(p, keys, dst) }
+// RouteBatch routes keys[i] to dst[i] through p (p.RouteBatch). dst
+// must be at least as long as keys.
+func RouteBatch(p Partitioner, keys []string, dst []int) { p.RouteBatch(keys, dst) }
 
 // RouteBatchDigests routes keys[i] to dst[i] through p and fills
 // digs[i] with DigestKey(keys[i]) — the digest routing itself computed,
@@ -408,16 +396,14 @@ func RouteBatch(p Partitioner, keys []string, dst []int) { core.RouteBatch(p, ke
 // source → route → aggregate → reduce). digs and dst must be at least
 // as long as keys. Routing decisions are identical to RouteBatch.
 func RouteBatchDigests(p Partitioner, keys []string, digs []KeyDigest, dst []int) {
-	core.RouteBatchDigests(p, keys, digs, dst)
+	p.RouteBatchDigests(keys, digs, dst)
 }
 
 // RouteDigest routes one message through p by its carried digest; dg
 // must equal DigestKey(key). This is the per-message half of the
 // hash-once lifecycle, for callers (engines, pipelines) whose tuples
 // already carry the digest.
-func RouteDigest(p Partitioner, dg KeyDigest, key string) int {
-	return core.RouteDigest(p, dg, key)
-}
+func RouteDigest(p Partitioner, dg KeyDigest, key string) int { return p.RouteDigest(dg, key) }
 
 // Config carries the partitioner parameters (Table III of the paper):
 // worker count, hash seed, head threshold θ (default 1/(5n)), solver

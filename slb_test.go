@@ -220,9 +220,6 @@ func TestFacadeBatchAPI(t *testing.T) {
 		t.Fatal("DigestKey broken")
 	}
 	p := slb.NewPKG(slb.Config{Workers: 8, Seed: 1})
-	if _, ok := p.(slb.BatchPartitioner); !ok {
-		t.Fatal("PKG does not implement BatchPartitioner through the facade")
-	}
 	keys := []string{"a", "b", "a"}
 	dst := make([]int, 3)
 	slb.RouteBatch(p, keys, dst)
