@@ -383,6 +383,74 @@ func collectKeys(gen *workload.Zipf) []string {
 	return keys
 }
 
+// TestRouteBatchMatchesRoute pins the batch path's core contract: for
+// every algorithm and batch size, RouteBatch must produce the same
+// worker sequence as per-message Route — including across head/tail
+// crossings, solver re-solve boundaries inside runs, and the sketch
+// modes that route every run at length 1.
+func TestRouteBatchMatchesRoute(t *testing.T) {
+	configs := []struct {
+		label string
+		cfg   Config
+	}{
+		{"default", cfg(50)},
+		{"tight solver", Config{Workers: 20, Seed: 42, SolveEvery: 16}},
+		{"high theta", Config{Workers: 10, Seed: 42, Theta: 0.3}},
+		{"windowed", Config{Workers: 10, Seed: 42, SketchWindow: 512}},
+		{"non-monotone theta", Config{Workers: 10, Seed: 42, Theta: 0.995}},
+	}
+	keys := collectKeys(workload.NewZipf(2.0, 400, 20000, 17))
+	for _, cc := range configs {
+		for _, name := range Names {
+			for _, bs := range []int{1, 3, 64, 997} {
+				a, err := New(name, cc.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, _ := New(name, cc.cfg)
+				dst := make([]int, bs)
+				for i := 0; i < len(keys); i += bs {
+					chunk := keys[i:min(i+bs, len(keys))]
+					b.RouteBatch(chunk, dst)
+					for j, k := range chunk {
+						if want := a.Route(k); dst[j] != want {
+							t.Fatalf("%s/%s bs=%d: message %d (%q) routed to %d by batch, %d by Route",
+								cc.label, name, bs, i+j, k, dst[j], want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRouteBatchMatchesRouteExperimental covers the non-registry
+// partitioners (ForcedD, Oracle) the experiments construct directly.
+func TestRouteBatchMatchesRouteExperimental(t *testing.T) {
+	keys := collectKeys(workload.NewZipf(2.0, 300, 15000, 23))
+	hot := func(k string) bool { return k == "k0" }
+	cases := []struct {
+		label string
+		a, b  Partitioner
+	}{
+		{"forced-5", NewForcedD(cfg(20), 5), NewForcedD(cfg(20), 5)},
+		{"forced-n", NewForcedD(cfg(20), 20), NewForcedD(cfg(20), 20)},
+		{"oracle", NewOracle(cfg(20), hot), NewOracle(cfg(20), hot)},
+	}
+	for _, tc := range cases {
+		dst := make([]int, 128)
+		for i := 0; i < len(keys); i += 128 {
+			chunk := keys[i:min(i+128, len(keys))]
+			tc.b.RouteBatch(chunk, dst)
+			for j, k := range chunk {
+				if want := tc.a.Route(k); dst[j] != want {
+					t.Fatalf("%s: message %d diverged", tc.label, i+j)
+				}
+			}
+		}
+	}
+}
+
 func TestRouteBatchPanicsOnShortDst(t *testing.T) {
 	p := NewPKG(cfg(4))
 	defer func() {
