@@ -51,45 +51,34 @@ func TestHashOnceEventsim(t *testing.T) {
 // TestHashOnceDspeRun: the goroutine engine digests each key exactly
 // once per message with aggregation on — routing's digests flow into
 // the bolts' partial tables, the shard split, and the reducers, with
-// zero re-scans.
+// zero re-scans. The last input is examples/trending's shape: D-C over
+// four spouts, a weighted Sum whose sample derives from the key, and a
+// sharded reduce stage.
 func TestHashOnceDspeRun(t *testing.T) {
 	const m = 10_000
+	var cfgs []slb.EngineConfig
 	for _, algo := range []string{"KG", "W-C", "SG"} {
 		for _, shards := range []int{1, 4} {
-			got := countDigests(func() {
-				gen := slb.NewZipfStream(1.6, 300, m, 11)
-				if _, err := slb.RunTopology(gen, slb.EngineConfig{
-					Workers: 4, Sources: 2, Algorithm: algo,
-					Core: slb.Config{Seed: 11}, AggWindow: 500,
-					AggShards: shards,
-				}); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if got != m {
-				t.Fatalf("%s R=%d: dspe digested %d times for %d messages, want exactly one per message", algo, shards, got, m)
-			}
+			cfgs = append(cfgs, slb.EngineConfig{Workers: 4, Sources: 2, Algorithm: algo, AggShards: shards})
 		}
 	}
-}
-
-// TestHashOncePipeline: a full two-phase pipeline (D-C windowed
-// partials → KG reduce) re-keys every downstream edge via the carried
-// digest — the only digests of the whole run happen at the spout.
-func TestHashOncePipeline(t *testing.T) {
-	const m = 8_000
-	got := countDigests(func() {
-		gen := slb.NewZipfStream(1.6, 300, m, 11)
-		p := slb.NewPipeline(gen, 2).
-			AddWindowedAggregate("partials", 4, "D-C", 500).
-			AddWeightedStage("reduce", 2, "KG", 0,
-				func(key string, window, count int64, emit func(string, int64)) {})
-		if _, err := p.Run(slb.PipelineConfig{Core: slb.Config{Seed: 11}}); err != nil {
-			t.Fatal(err)
-		}
+	cfgs = append(cfgs, slb.EngineConfig{
+		Workers: 4, Sources: 4, Algorithm: "D-C", AggShards: 2,
+		AggMerger: slb.SumMerger,
+		AggValue:  func(key string, _ int64) int64 { return int64(len(key)%5) + 1 },
 	})
-	if got != m {
-		t.Fatalf("pipeline digested %d times for %d messages, want exactly one per message (spout only)", got, m)
+	for _, cfg := range cfgs {
+		cfg.Core = slb.Config{Seed: 11}
+		cfg.AggWindow = 500
+		got := countDigests(func() {
+			if _, err := slb.RunTopology(slb.NewZipfStream(1.6, 300, m, 11), cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != m {
+			t.Fatalf("%s S=%d R=%d: dspe digested %d times for %d messages, want exactly one per message",
+				cfg.Algorithm, cfg.Sources, cfg.AggShards, got, m)
+		}
 	}
 }
 

@@ -1,15 +1,15 @@
-// Trending: a three-stage streaming topology — the two-phase shape the
-// paper's evaluation models — ranking hashtags by total ENGAGEMENT, a
-// weighted sum rather than a plain count. Stage one (shuffle-grouped)
-// normalizes raw events into hashtags and stamps each with its
-// engagement weight; stage two (D-Choices, stateful) folds the weights
-// through a Sum merger per (window, hashtag) — windowed weighted
-// partials; stage three (key-grouped) is the reduce stage merging each
-// hashtag's partial sums into exact per-window finals. The hot hashtag
-// would crush a key-grouped counting stage; D-Choices splits exactly
-// that key — and this example shows what the split costs downstream
-// (the partial tuples stage three must merge) and proves the weighted
-// sums still come out EXACT against a single-node ground truth.
+// Trending: ranking hashtags by total ENGAGEMENT — a weighted sum
+// rather than a plain count — on the goroutine DSPE's two-phase
+// topology, the shape the paper's evaluation models. The source
+// normalizes raw events into hashtags; D-Choices routes them to
+// stateful workers, which fold each event's engagement weight through a
+// Sum merger per (window, hashtag) into windowed partial sums; a reduce
+// stage sharded by hashtag digest merges each hashtag's partial sums
+// into exact per-window finals. The hot hashtag would crush a
+// key-grouped summing stage; D-Choices splits exactly that key — and
+// this example shows what the split costs downstream (the partials the
+// reduce stage must merge) and proves the weighted sums still come out
+// EXACT against a single-node ground truth.
 //
 //	go run ./examples/trending
 package main
@@ -19,7 +19,6 @@ import (
 	"log"
 	"sort"
 	"strings"
-	"sync"
 
 	"slb"
 )
@@ -37,12 +36,26 @@ func normalize(key string) string {
 	return strings.ToLower(raw[strings.LastIndexByte(raw, '#')+1:])
 }
 
+// tagStream turns raw events ("user123 check this out #<tag>" with Zipf
+// tags) into their normalized hashtags at the source, so every later
+// stage routes, sums and merges by hashtag.
+type tagStream struct{ inner slb.Generator }
+
+func (t tagStream) Next() (string, bool) {
+	k, ok := t.inner.Next()
+	if !ok {
+		return "", false
+	}
+	return normalize(k), true
+}
+func (t tagStream) Len() int64 { return t.inner.Len() }
+func (t tagStream) Reset()     { t.inner.Reset() }
+
 func main() {
 	const (
 		spouts    = 4
-		normers   = 4  // stage 1 parallelism (stateless)
-		counters  = 12 // stage 2 parallelism (stateful weighted partials)
-		reducers  = 2  // stage 3 parallelism (merge)
+		workers   = 12 // stateful weighted partials, split by D-Choices
+		shards    = 2  // reduce-stage shards (keyed by hashtag digest)
 		hashtags  = 3_000
 		events    = 120_000
 		window    = 12_000 // tumbling window: 10 windows over the run
@@ -50,62 +63,50 @@ func main() {
 		zTrending = 1.8 // a trending topic dominates
 	)
 
-	// Raw events: "user123 check this out #<tag>" with Zipf tags.
-	events0 := slb.NewZipfStream(zTrending, hashtags, events, seed)
+	tags := tagStream{inner: slb.NewZipfStream(zTrending, hashtags, events, seed)}
 
 	// Single-node ground truth: total engagement per tag.
 	truth := map[string]int64{}
 	var truthTotal int64
 	for {
-		key, ok := events0.Next()
+		tag, ok := tags.Next()
 		if !ok {
 			break
 		}
-		tag := normalize(key)
 		truth[tag] += engagement(tag)
 		truthTotal += engagement(tag)
 	}
-	events0.Reset()
+	tags.Reset()
 
-	var mu sync.Mutex
+	// Merged finals, one per (window, tag), summed over windows here.
+	// OnFinal calls are serialized by the engine across the reducer
+	// shards, so no locking is needed.
 	sums := map[string]int64{}
-	distinct := map[int64]map[string]bool{} // (window, tag) pairs seen
-
-	pipe := slb.NewPipeline(events0, spouts).
-		// Simulate extraction: the spout key is the raw event; the
-		// hashtag is its last token, lower-cased, weighted by its
-		// engagement — a WEIGHTED emission, so downstream stages see
-		// tuples standing for several likes each.
-		AddWeightedStage("normalize", normers, "SG", 0,
-			func(key string, _ int64, _ int64, emit func(string, int64)) {
-				tag := normalize(key)
-				emit(tag, engagement(tag))
-			}).
-		// Windowed weighted partial sums, split by D-Choices: the Sum
-		// merger folds each tuple's weight per (window, tag) and flushes
-		// one partial-sum tuple per pair at window close.
-		AddWindowedMerge("sum-partial", counters, "D-C", window, slb.SumMerger).
-		AddWeightedStage("merge", reducers, "KG", 0, func(tag string, win int64, sum int64, _ func(string, int64)) {
-			mu.Lock()
-			sums[tag] += sum
-			if distinct[win] == nil {
-				distinct[win] = map[string]bool{}
-			}
-			distinct[win][tag] = true
-			mu.Unlock()
-		})
-
-	res, err := pipe.Run(slb.PipelineConfig{Core: slb.Config{Seed: seed}})
+	windows := map[int64]bool{}
+	res, err := slb.RunTopology(tags, slb.EngineConfig{
+		Workers:   workers,
+		Sources:   spouts,
+		Algorithm: "D-C",
+		Core:      slb.Config{Seed: seed},
+		AggWindow: window,
+		AggShards: shards,
+		AggMerger: slb.SumMerger,
+		AggValue:  func(tag string, _ int64) int64 { return engagement(tag) },
+		OnFinal: func(f slb.AggFinal) {
+			sums[f.Key] += f.Value
+			windows[f.Window] = true
+		},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// Exactness: weighted sums reassemble from the split partials
 	// without loss — tag for tag against the ground truth.
-	tags := make([]string, 0, len(sums))
+	ranked := make([]string, 0, len(sums))
 	var totalMerged int64
 	for tag := range sums {
-		tags = append(tags, tag)
+		ranked = append(ranked, tag)
 		totalMerged += sums[tag]
 	}
 	if totalMerged != truthTotal {
@@ -120,31 +121,22 @@ func main() {
 		}
 	}
 
-	sort.Slice(tags, func(i, j int) bool { return sums[tags[i]] > sums[tags[j]] })
+	sort.Slice(ranked, func(i, j int) bool { return sums[ranked[i]] > sums[ranked[j]] })
 	fmt.Println("trending now (total engagement, exact, merged from windowed weighted partials):")
-	for _, tag := range tags[:5] {
+	for _, tag := range ranked[:5] {
 		fmt.Printf("  #%-8s %7d  (%.1f%%)\n", tag, sums[tag],
 			100*float64(sums[tag])/float64(truthTotal))
 	}
 
+	st := res.Agg
 	fmt.Printf("\nprocessed %d events end-to-end in %v (p99 latency %v)\n",
-		res.Emitted, res.Elapsed.Round(1_000_000), res.P99)
-	for _, st := range res.Stages {
-		fmt.Printf("stage %-13s processed %7d tuples, imbalance %.6f across %d executors",
-			st.Name, st.Processed, st.Imbalance, len(st.Loads))
-		if st.AggWindows > 0 {
-			fmt.Printf("  [flushed %d partials over %d window closes]", st.AggPartials, st.AggWindows)
-		}
-		fmt.Println()
-	}
-	var pairs int
-	for _, tags := range distinct {
-		pairs += len(tags)
-	}
-	agg := res.Stages[1]
+		res.Completed, res.Elapsed.Round(1_000_000), res.P99)
+	fmt.Printf("load imbalance I(m) = %.6f across %d workers\n", res.Imbalance, workers)
+	fmt.Printf("reduce stage: %d partials merged into %d finals over %d windows by %d shards\n",
+		st.Partials, st.Finals, len(windows), shards)
 	fmt.Printf("\nexactness check passed: %d tags match the ground truth to the unit.\n", len(truth))
 	fmt.Printf("the summing stage stays balanced even though one hashtag carries\n")
-	fmt.Printf("half the stream; the bill is the merge stage's %d partial tuples\n", agg.AggPartials)
+	fmt.Printf("half the stream; the bill is the reduce stage's %d partials\n", st.Partials)
 	fmt.Printf("(%.2f per distinct hashtag-window) — the paper's balance/overhead tradeoff.\n",
-		float64(agg.AggPartials)/float64(pairs))
+		float64(st.Partials)/float64(st.Finals))
 }

@@ -112,8 +112,10 @@ func main() {
 	fmt.Printf("\nload imbalance I(m) = %.6f across %d bolts\n", res.Imbalance, workers)
 	fmt.Printf("aggregation bill over %d windows of %d words, reduced by %d shards:\n",
 		len(windows), window, shards)
+	// Per window, the windows counted from the finals: st.WindowsClosed
+	// counts each window once per shard that closed a slice of it.
 	fmt.Printf("  %d partial messages (%.1f per window), %d merges, %d finals\n",
-		st.Partials, float64(st.Partials)/float64(st.WindowsClosed), st.Merges, st.Finals)
+		st.Partials, float64(st.Partials)/float64(len(windows)), st.Merges, st.Finals)
 	fmt.Printf("  measured replication factor %.3f (KG would pay exactly 1.000)\n", res.AggReplication)
 	fmt.Printf("  reducer peak memory: %d live entries over %d open windows\n",
 		st.PeakEntries, st.PeakWindows)

@@ -31,11 +31,11 @@
 // sketch-counted as one key upstream.
 //
 // The digest is CARRIED, never recomputed: routing digests each key
-// once at the source (core.RouteBatchDigests / core.RouteDigest), the
-// engines stamp that digest into their tuples, Accumulator.Add folds it
-// into the partial tables, and the flushed Partial hands it onward to
-// the reducer — one key-byte scan per message end to end, pinned by the
-// engines' hash-once tests.
+// once at the source (the core.Partitioner methods RouteBatchDigests /
+// RouteDigest), the engines stamp that digest into their tuples,
+// Accumulator.AddSample folds it into the partial tables, and the
+// flushed Partial hands it onward to the reducer — one key-byte scan
+// per message end to end, pinned by the engines' hash-once tests.
 //
 // # Windows
 //
@@ -268,10 +268,9 @@ func (p *tablePool) entries() int {
 // ---------------------------------------------------------------------------
 // Accumulator (worker side)
 
-// Accumulator maintains the windowed partial aggregates of ONE worker
-// (or one pipeline executor). It is not safe for concurrent use; each
-// worker owns its instance, exactly as each worker owns its state in a
-// DSPE.
+// Accumulator maintains the windowed partial aggregates of ONE worker.
+// It is not safe for concurrent use; each worker owns its instance,
+// exactly as each worker owns its state in a DSPE.
 type Accumulator struct {
 	worker  int32
 	m       Merger
@@ -280,7 +279,6 @@ type Accumulator struct {
 	sawAny  bool
 
 	flushed int64 // partials emitted over the accumulator's lifetime
-	closed  int64 // windows flushed
 }
 
 // NewAccumulator returns an empty counting accumulator for the given
@@ -305,14 +303,6 @@ func NewAccumulatorMerger(worker int, m Merger) *Accumulator {
 // callers must not re-digest): the table probe is pure integer work.
 func (a *Accumulator) Add(window int64, dg KeyDigest, key string) {
 	a.AddSample(window, dg, key, 1, 1)
-}
-
-// AddN folds n observations at once (the batched form: a slab of
-// identical keys is one table probe). dg is the carried digest, as in
-// Add. Each observation carries sample 1, so under CountMerger (and
-// SumMerger over unweighted streams) AddN(…, n) equals n Adds.
-func (a *Accumulator) AddN(window int64, dg KeyDigest, key string, n int64) {
-	a.AddSample(window, dg, key, n, 1)
 }
 
 // AddSample folds n observations of the given sample into the window's
@@ -376,7 +366,6 @@ func (a *Accumulator) flushOne(w int64, dst []Partial) []Partial {
 		})
 	}
 	a.flushed += int64(t.used)
-	a.closed++
 	a.pool.recycle(w)
 	return dst
 }
@@ -390,9 +379,6 @@ func (a *Accumulator) Entries() int { return a.pool.entries() }
 
 // Flushed returns the number of partials emitted so far.
 func (a *Accumulator) Flushed() int64 { return a.flushed }
-
-// Closed returns the number of window flushes performed so far.
-func (a *Accumulator) Closed() int64 { return a.closed }
 
 // ---------------------------------------------------------------------------
 // Reducer
@@ -412,7 +398,10 @@ type ReducerStats struct {
 	Merges int64
 	// Finals is the number of merged results emitted.
 	Finals int64
-	// WindowsClosed is the number of windows finalized.
+	// WindowsClosed is the number of window slices closed, summed over
+	// shards: a sharded reduce stage closes each window once per shard
+	// that merged any of it, so this counts distinct windows only at
+	// AggShards = 1.
 	WindowsClosed int64
 	// Late counts partials that arrived for an already-closed window:
 	// they reopen it and its results are re-emitted as corrections.

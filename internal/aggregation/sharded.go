@@ -308,9 +308,11 @@ func (sd *ShardedDriver) LiveReplicas() int {
 }
 
 // Stats returns the reduce stage's cost counters summed across shards.
-// PeakEntries is the sum of per-shard peaks (an upper bound on the
-// stage's simultaneous memory: shards peak independently); PeakWindows
-// is the max across shards (every shard sees the same windows).
+// WindowsClosed is the window slices closed, summed over shards (a
+// window merged by k shards counts k times). PeakEntries is the sum of
+// per-shard peaks (an upper bound on the stage's simultaneous memory:
+// shards peak independently); PeakWindows is the max across shards
+// (every shard sees the same windows).
 func (sd *ShardedDriver) Stats() ReducerStats {
 	var out ReducerStats
 	for _, d := range sd.drivers {

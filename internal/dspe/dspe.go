@@ -19,9 +19,9 @@
 // level the spout asked for — wakes it.
 //
 // The data plane is batched end to end: spouts draw key slabs from the
-// generator (stream.NextBatch), route them in one RouteBatch call, and
-// send one message slab per destination bolt, so per-message link and
-// scheduler overhead is amortized by Config.Batch.
+// generator (stream.NextBatch), route them in one RouteBatchDigests
+// call, and send one message slab per destination bolt, so per-message
+// link and scheduler overhead is amortized by Config.Batch.
 //
 // With Config.AggWindow set the topology becomes the two-phase windowed
 // aggregation the paper's overhead analysis is about: bolts keep
@@ -331,19 +331,18 @@ func poolLatency(stats []boltStats) *metrics.Quantiles {
 	return pooled
 }
 
-// slabSource returns a draw function over the shared generator — slab
+// slabSource returns a draw function over the shared generator: slab
 // draws are serialized with a mutex (one lock per slab, not per
 // message), capped at limit total keys, and each draw also returns the
 // slab's base position in the global emission sequence, from which the
-// spout derives tumbling-window ids — plus an accessor for the total
-// drawn so far. A non-nil vals slice (len ≥ len(dst)) is filled in
-// lockstep with the keys' payload values (stream.NextBatchValues);
-// nil draws keys only. Both Run and Pipeline.Run feed their spouts
-// from one of these.
-func slabSource(gen stream.Generator, limit int64) (draw func(dst []string, vals []int64) (int, int64), drawn func() int64) {
+// spout derives tumbling-window ids. A non-nil vals slice
+// (len ≥ len(dst)) is filled in lockstep with the keys' payload values
+// (stream.NextBatchValues); nil draws keys only. Run feeds all its
+// spouts from one of these.
+func slabSource(gen stream.Generator, limit int64) func(dst []string, vals []int64) (int, int64) {
 	var mu sync.Mutex
 	var emitted int64
-	draw = func(dst []string, vals []int64) (int, int64) {
+	return func(dst []string, vals []int64) (int, int64) {
 		mu.Lock()
 		defer mu.Unlock()
 		if rem := limit - emitted; rem < int64(len(dst)) {
@@ -362,12 +361,6 @@ func slabSource(gen stream.Generator, limit int64) (draw func(dst []string, vals
 		emitted += int64(n)
 		return n, base
 	}
-	drawn = func() int64 {
-		mu.Lock()
-		defer mu.Unlock()
-		return emitted
-	}
-	return draw, drawn
 }
 
 // simulateWork burns the configured service time.

@@ -7,7 +7,6 @@ import (
 
 	"slb/internal/aggregation"
 	"slb/internal/core"
-	"slb/internal/stream"
 	"slb/internal/workload"
 )
 
@@ -125,73 +124,5 @@ func TestShardedAggregationExact(t *testing.T) {
 					shards, id.w, id.k, f.Count, f.Value, want, truthSum[id])
 			}
 		}
-	}
-}
-
-// TestPipelineWindowedMergeSum: the merger-pluggable aggregate stage
-// sums tuple WEIGHTS per (window, key) — upstream weighted emissions
-// flow through a D-C-split merge stage and reassemble exactly at a
-// key-grouped reduce stage, matching a single-node ground truth.
-func TestPipelineWindowedMergeSum(t *testing.T) {
-	const (
-		m      = 6000
-		window = 500
-	)
-	keys := make([]string, m)
-	gen := workload.NewZipf(1.5, 120, m, 17)
-	for i := range keys {
-		k, _ := gen.Next()
-		keys[i] = k
-	}
-	// Per-tuple weight derived from the key alone, so the ground truth
-	// is independent of executor interleaving.
-	weight := func(key string) int64 { return int64(len(key)%4) + 1 }
-
-	truth := map[string]int64{}
-	var wantTotal int64
-	for _, k := range keys {
-		truth[k] += weight(k)
-		wantTotal += weight(k)
-	}
-
-	var mu sync.Mutex
-	got := map[string]int64{}
-	var gotTotal int64
-	p := NewPipeline(stream.FromSlice(keys), 2).
-		// Weighted source stage: stamps each tuple's weight from its key.
-		AddWeightedStage("weigh", 3, "SG", 0,
-			func(key string, _ int64, _ int64, emit func(string, int64)) {
-				emit(key, weight(key))
-			}).
-		AddWindowedMerge("sum-partial", 4, "D-C", window, aggregation.SumMerger).
-		AddWeightedStage("merge", 2, "KG", 0,
-			func(key string, _ int64, count int64, _ func(string, int64)) {
-				mu.Lock()
-				got[key] += count
-				gotTotal += count
-				mu.Unlock()
-			})
-	res, err := p.Run(PipelineConfig{Core: core.Config{Seed: 17}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Emitted != m {
-		t.Fatalf("emitted %d, want %d", res.Emitted, m)
-	}
-	if gotTotal != wantTotal {
-		t.Fatalf("merged weight total %d, want %d", gotTotal, wantTotal)
-	}
-	if len(got) != len(truth) {
-		t.Fatalf("%d distinct keys merged, want %d", len(got), len(truth))
-	}
-	for k, want := range truth {
-		if got[k] != want {
-			t.Fatalf("key %q: summed weight %d, want %d", k, got[k], want)
-		}
-	}
-	// The merge stage emitted one weighted tuple per (window, key)
-	// partial; its AggPartials accounting must reflect real flushes.
-	if agg := res.Stages[1]; agg.AggPartials == 0 || agg.AggWindows == 0 {
-		t.Errorf("merge stage reported no aggregation activity: %+v", agg)
 	}
 }

@@ -454,7 +454,7 @@ func runOnFabric(fabric transport.Transport, gen stream.Generator, cfg Config, p
 
 	// The input stream is shared by all spouts (shuffle grouping from the
 	// data source to the spouts); see slabSource.
-	nextSlab, _ := slabSource(gen, limit)
+	nextSlab := slabSource(gen, limit)
 	genVals := stream.Values(gen) != nil
 	// tickedWindow is the highest window id announced to the bolts via
 	// watermark ticks; the spout whose slab first enters a window

@@ -332,7 +332,9 @@ func shardSweepLive(m int64) (*texttab.Table, error) {
 	return tab, nil
 }
 
-// aggRow renders one window-sweep row.
+// aggRow renders one window-sweep row. msgs/window divides by
+// st.WindowsClosed, which counts a window once per reducer shard; both
+// callers run an unsharded reduce stage, where that is the window count.
 func aggRow(win int64, algo string, thr, baseThr float64, st aggregation.ReducerStats, repl, util float64) []string {
 	delta := 0.0
 	if baseThr > 0 {

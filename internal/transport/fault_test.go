@@ -365,30 +365,3 @@ func TestTCPPerLinkErrorScoping(t *testing.T) {
 		t.Fatalf("good link poisoned by sibling failure: %v", err)
 	}
 }
-
-// BenchmarkResendOverhead measures the fault-free cost of sequencing,
-// ack tracking and buffer retention on the loopback link — the number
-// the ≤5% acceptance bound applies to (vs the pre-resend baseline) —
-// and how much a deliberately tiny resend window costs on top.
-func BenchmarkResendOverhead(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		cfg  TCPConfig
-	}{
-		{"default", TCPConfig{}},
-		{"retained4", TCPConfig{RetainedBufs: 4}},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			tr, err := NewTCPWithConfig(nil, tc.cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer tr.Close()
-			l, err := tr.Open("bench", 8192)
-			if err != nil {
-				b.Fatal(err)
-			}
-			benchLink(b, l)
-		})
-	}
-}

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"slb/internal/ring"
 	"slb/internal/telemetry"
 )
 
@@ -316,70 +315,4 @@ func TestTCPSenderPipelineStress(t *testing.T) {
 	if err := tr.Err(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// benchLink pumps b.N messages through a fresh link of the given
-// transport, reporting msgs/s.
-func benchLink(b *testing.B, l *Link) {
-	slab := make([]Msg, 256)
-	for i := range slab {
-		key := fmt.Sprintf("key-%d", i%64)
-		slab[i] = Msg{Dig: digestOf(key), Key: key, Weight: 1}
-	}
-	b.ResetTimer()
-	go func() {
-		for sent := 0; sent < b.N; sent += len(slab) {
-			n := len(slab)
-			if b.N-sent < n {
-				n = b.N - sent
-			}
-			if err := l.SendSlab(slab[:n]); err != nil {
-				panic(err)
-			}
-		}
-		l.Sender.Close()
-	}()
-	recv := make([]Msg, 512)
-	park := ring.NewParker()
-	l.SetRecvWaiter(park)
-	for {
-		n, done := l.RecvSlab(recv)
-		if done {
-			break
-		}
-		if n == 0 {
-			park.Idle()
-		} else {
-			park.Reset()
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "msgs/s")
-}
-
-// BenchmarkTransportMemory measures the ring-backed backend.
-func BenchmarkTransportMemory(b *testing.B) {
-	tr := NewMemory()
-	defer tr.Close()
-	l, err := tr.Open("bench", 8192)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchLink(b, l)
-}
-
-// BenchmarkTransportTCPLoopback measures the wire backend end to end:
-// varint framing, dictionary coding, coalescing, kernel loopback, and
-// the reader-side decode back into a ring.
-func BenchmarkTransportTCPLoopback(b *testing.B) {
-	tr, err := NewTCP(nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer tr.Close()
-	l, err := tr.Open("bench", 8192)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchLink(b, l)
 }

@@ -82,12 +82,11 @@
 // (goroutine runtime) or ClusterConfig.AggWindow (deterministic event
 // simulation) and read the measured cost from Result.Agg: partial
 // traffic, merge work, reducer memory, and the exact replication
-// factor (1 for KG, up to n for W-Choices). Pipelines compose the same
-// phases explicitly via AddWindowedAggregate, AddWindowedMerge and
-// AddWeightedStage. Partials merge across workers by the CARRIED
-// KeyDigest: routing digests each key once at the source, the engines'
-// tuples and flushed partials transport that digest, and the reduce
-// stage merges by it — no layer re-hashes (see internal/aggregation).
+// factor (1 for KG, up to n for W-Choices). Partials merge across
+// workers by the CARRIED KeyDigest: routing digests each key once at
+// the source, the engines' tuples and flushed partials transport that
+// digest, and the reduce stage merges by it — no layer re-hashes (see
+// internal/aggregation).
 //
 // WHAT is merged per (window, key) is pluggable: the Merger operator
 // (CountMerger by default; SumMerger, MinMerger, MaxMerger and the
@@ -140,8 +139,9 @@
 // partials on its high-cardinality workload and 8 to remove 16% on its
 // skewed one, against a whole reduce stage of 64 and 9 ns per message
 // (aggregation.reduce_ns_per_msg); AggShards is the answer to a
-// reducer-bound stage. Multi-stage Pipelines still run on bounded Go
-// channels.
+// reducer-bound stage. This source → worker → reduce shape is the only
+// topology the runtime has, as it is the only one the paper evaluates;
+// examples/trending runs a key-mapping source and a weighted Sum on it.
 //
 // # Transport
 //
@@ -212,7 +212,8 @@
 // the soak harness carries as JSONL fields and the transport
 // experiment tabulates. The fault-free bill for all of this —
 // sequencing, buffer retention, ack tracking — is within ~5% of the
-// pre-fault-tolerance link throughput (BenchmarkResendOverhead).
+// pre-fault-tolerance link throughput; the benchmark (bench/) tracks
+// the link's cost as transport.tcp_link_ns_per_msg.
 //
 // Everything observable — finals, per-worker loads, replication
 // factors — is bit-identical across TransportMemory and TransportTCP
@@ -401,8 +402,8 @@ func RouteBatchDigests(p Partitioner, keys []string, digs []KeyDigest, dst []int
 
 // RouteDigest routes one message through p by its carried digest; dg
 // must equal DigestKey(key). This is the per-message half of the
-// hash-once lifecycle, for callers (engines, pipelines) whose tuples
-// already carry the digest.
+// hash-once lifecycle, for callers (engines) whose tuples already
+// carry the digest.
 func RouteDigest(p Partitioner, dg KeyDigest, key string) int { return p.RouteDigest(dg, key) }
 
 // Config carries the partitioner parameters (Table III of the paper):
@@ -586,32 +587,6 @@ func RunTopology(gen Generator, cfg EngineConfig) (EngineResult, error) {
 	return dspe.Run(gen, cfg)
 }
 
-// Pipeline is a linear multi-stage topology on the goroutine runtime:
-// spouts → bolt stages connected by grouped streams, each edge with its
-// own grouping scheme. Build with NewPipeline, AddStage,
-// AddWindowedAggregate (two-phase partial aggregation) and
-// AddWeightedStage (partial-merging reduce), execute with Run.
-type Pipeline = dspe.Pipeline
-
-// StageFunc processes one tuple at a bolt stage and may emit keyed
-// tuples downstream.
-type StageFunc = dspe.StageFunc
-
-// WeightedStageFunc is the reduce-stage form: it sees each tuple's
-// window id and weight (a partial count) and emits weighted tuples.
-type WeightedStageFunc = dspe.WeightedStageFunc
-
-// PipelineConfig carries engine-level options for a Pipeline run.
-type PipelineConfig = dspe.PipelineConfig
-
-// PipelineResult aggregates a Pipeline run: per-stage loads and
-// imbalance plus end-to-end latency percentiles.
-type PipelineResult = dspe.PipelineResult
-
-// NewPipeline starts a pipeline definition from a spout stage reading
-// gen with the given parallelism.
-func NewPipeline(gen Generator, spouts int) *Pipeline { return dspe.NewPipeline(gen, spouts) }
-
 // ---------------------------------------------------------------------------
 // Two-phase windowed aggregation
 
@@ -648,8 +623,8 @@ func NewAggReducer() *AggReducer { return aggregation.NewReducer() }
 // a commutative, associative fold over per-message samples, observed
 // incrementally at the workers and combined across workers' partials
 // at the reduce stage. Select one via EngineConfig.AggMerger /
-// ClusterConfig.AggMerger (with AggValue deriving each message's
-// sample), or per pipeline stage via Pipeline.AddWindowedMerge.
+// ClusterConfig.AggMerger, with AggValue deriving each message's
+// sample.
 type Merger = aggregation.Merger
 
 // MergeValue is a Merger's fixed-size (128-bit) state, carried inline

@@ -102,23 +102,6 @@ func TestFacadeTopology(t *testing.T) {
 	}
 }
 
-func TestFacadePipeline(t *testing.T) {
-	gen := slb.NewZipfStream(1.5, 100, 2_000, 8)
-	pipe := slb.NewPipeline(gen, 2).
-		AddStage("pass", 2, "SG", 0, func(k string, emit func(string)) { emit(k) }).
-		AddStage("sink", 4, "W-C", 0, func(string, func(string)) {})
-	res, err := pipe.Run(slb.PipelineConfig{Core: slb.Config{Seed: 8}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Emitted != 2000 || len(res.Stages) != 2 {
-		t.Fatalf("pipeline result %+v", res)
-	}
-	if res.Stages[1].Processed != 2000 {
-		t.Fatalf("sink processed %d", res.Stages[1].Processed)
-	}
-}
-
 func TestFacadeAnalysis(t *testing.T) {
 	if got := slb.Imbalance([]int64{10, 0}); got != 0.5 {
 		t.Fatalf("Imbalance = %f", got)
