@@ -51,34 +51,48 @@ func TestHashOnceEventsim(t *testing.T) {
 // TestHashOnceDspeRun: the goroutine engine digests each key exactly
 // once per message with aggregation on — routing's digests flow into
 // the bolts' partial tables, the shard split, and the reducers, with
-// zero re-scans. The last input is examples/trending's shape: D-C over
-// four spouts, a weighted Sum whose sample derives from the key, and a
-// sharded reduce stage.
+// zero re-scans.
 func TestHashOnceDspeRun(t *testing.T) {
 	const m = 10_000
-	var cfgs []slb.EngineConfig
 	for _, algo := range []string{"KG", "W-C", "SG"} {
 		for _, shards := range []int{1, 4} {
-			cfgs = append(cfgs, slb.EngineConfig{Workers: 4, Sources: 2, Algorithm: algo, AggShards: shards})
+			got := countDigests(func() {
+				gen := slb.NewZipfStream(1.6, 300, m, 11)
+				if _, err := slb.RunTopology(gen, slb.EngineConfig{
+					Workers: 4, Sources: 2, Algorithm: algo,
+					Core: slb.Config{Seed: 11}, AggWindow: 500,
+					AggShards: shards,
+				}); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got != m {
+				t.Fatalf("%s R=%d: dspe digested %d times for %d messages, want exactly one per message", algo, shards, got, m)
+			}
 		}
 	}
-	cfgs = append(cfgs, slb.EngineConfig{
-		Workers: 4, Sources: 4, Algorithm: "D-C", AggShards: 2,
-		AggMerger: slb.SumMerger,
-		AggValue:  func(key string, _ int64) int64 { return int64(len(key)%5) + 1 },
-	})
-	for _, cfg := range cfgs {
-		cfg.Core = slb.Config{Seed: 11}
-		cfg.AggWindow = 500
-		got := countDigests(func() {
-			if _, err := slb.RunTopology(slb.NewZipfStream(1.6, 300, m, 11), cfg); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if got != m {
-			t.Fatalf("%s S=%d R=%d: dspe digested %d times for %d messages, want exactly one per message",
-				cfg.Algorithm, cfg.Sources, cfg.AggShards, got, m)
+}
+
+// TestHashOncePipeline: examples/trending's two-phase topology — D-C
+// windowed partials over four spouts, a weighted Sum whose sample
+// derives from the key, and a sharded reduce stage — re-keys every
+// downstream edge via the carried digest: the only digests of the whole
+// run happen at the spout.
+func TestHashOncePipeline(t *testing.T) {
+	const m = 8_000
+	got := countDigests(func() {
+		gen := slb.NewZipfStream(1.6, 300, m, 11)
+		if _, err := slb.RunTopology(gen, slb.EngineConfig{
+			Workers: 4, Sources: 4, Algorithm: "D-C",
+			Core: slb.Config{Seed: 11}, AggWindow: 500, AggShards: 2,
+			AggMerger: slb.SumMerger,
+			AggValue:  func(key string, _ int64) int64 { return int64(len(key)%5) + 1 },
+		}); err != nil {
+			t.Fatal(err)
 		}
+	})
+	if got != m {
+		t.Fatalf("two-phase topology digested %d times for %d messages, want exactly one per message (spout only)", got, m)
 	}
 }
 
