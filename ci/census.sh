@@ -3,13 +3,15 @@
 # functions does no production entry point execute?
 #
 # Builds the production entry points — cmd/slbsim, cmd/slbstorm,
-# cmd/slbtrace, cmd/slbsoak and every examples/* program — with coverage
-# over all of slb/..., runs each at its quickest setting with GOCOVERDIR
-# set, and prints every library function (the root facade and
-# internal/...) whose coverage is 0.0%, then their count per package and
-# in total. The list is a worklist, not a gate: the script exits non-zero
-# only when a build or a run fails. slbstorm's quick run dominates the
-# wall clock (about 40 s on a 2-vCPU host; the rest takes about 15 s).
+# cmd/slbtrace, cmd/slbsoak, every examples/* program and the benchmark
+# (the bench module, whose re-executed workload children inherit
+# GOCOVERDIR) — with coverage over all of slb/..., runs each at its
+# quickest setting with GOCOVERDIR set, and prints every library
+# function (the root facade and internal/...) whose coverage is 0.0%,
+# then their count per package and in total. The list is a worklist,
+# not a gate: the script exits non-zero only when a build or a run
+# fails. slbstorm's quick run dominates the wall clock (about 40 s on a
+# 2-vCPU host; the bench about 9 s, the rest about 15 s).
 #
 # Usage: ci/census.sh   (from anywhere inside the repository)
 set -eu
@@ -29,6 +31,7 @@ build slbsoak cmd/slbsoak
 for dir in examples/*/; do
 	build "example-$(basename "$dir")" "$dir"
 done
+go build -C bench -cover -coverpkg=slb/... -o "$work/bin/bench" .
 
 run "$work/bin/slbsim" -scale quick all
 run "$work/bin/slbstorm" -scale quick all
@@ -41,6 +44,8 @@ run "$work/bin/slbsoak" -short -duration 1s
 for ex in "$work"/bin/example-*; do
 	run "$ex"
 done
+# From inside $work, so the bench's out/ lands in the temp dir.
+(cd "$work" && run "$work/bin/bench" -quick -seconds 1)
 
 go tool covdata func -i="$work/cov" >"$work/func.txt"
 grep -E '^slb/(internal/[^[:space:]]+|[^/[:space:]]+\.go):' "$work/func.txt" |

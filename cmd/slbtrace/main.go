@@ -165,6 +165,9 @@ func cmdStats(args []string) error {
 	}
 	defer g.Close()
 	st := stream.Collect(g)
+	if err := stream.CheckDrawn(st.Messages, g.Len()); err != nil {
+		return fmt.Errorf("stats: %s: %w", *in, err)
+	}
 	fmt.Printf("messages: %d\nkeys:     %d\np1:       %.4f%% (key %q)\n",
 		st.Messages, st.Keys, 100*st.P1, st.TopKey)
 	if g.HasValues() {
@@ -221,6 +224,9 @@ func cmdHead(args []string) error {
 		for _, k := range slab[:n] {
 			sketch.OfferDigest(hashing.Digest(k), k)
 		}
+	}
+	if err := stream.CheckDrawn(int64(sketch.N()), g.Len()); err != nil {
+		return fmt.Errorf("head: %s: %w", *in, err)
 	}
 	hh := sketch.HeavyHitters(*theta)
 	sort.Slice(hh, func(i, j int) bool { return hh[i].Count > hh[j].Count })

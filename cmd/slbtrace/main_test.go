@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -67,6 +68,33 @@ func TestErrorsSurface(t *testing.T) {
 	}
 	if err := cmdSim([]string{"-in", path, "-algo", "BOGUS"}); err == nil {
 		t.Error("unknown algorithm accepted")
+	}
+}
+
+// TestTruncatedTraceRejected: stats and head read a cut trace to its
+// torn end and must fail on the shortfall against the declared length,
+// not describe the prefix as the whole trace.
+func TestTruncatedTraceRejected(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "cut.slbt")
+	if err := cmdGen([]string{"-out", path, "-z", "1.4", "-keys", "500", "-messages", "20000"}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdStats([]string{"-in", path}); err == nil || !strings.Contains(err.Error(), "of the 20000 messages planned") {
+		t.Errorf("stats on a cut trace: %v", err)
+	}
+	if err := cmdHead([]string{"-in", path}); err == nil || !strings.Contains(err.Error(), "of the 20000 messages planned") {
+		t.Errorf("head on a cut trace: %v", err)
+	}
+	if err := cmdSim([]string{"-in", path, "-algo", "PKG", "-workers", "10"}); err == nil {
+		t.Error("sim on a cut trace succeeded")
 	}
 }
 

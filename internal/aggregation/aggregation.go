@@ -60,11 +60,9 @@ package aggregation
 
 import (
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"slb/internal/hashing"
-	"slb/internal/metrics"
 )
 
 // KeyDigest is the shared 64-bit key digest (see hashing.KeyDigest).
@@ -90,20 +88,12 @@ type Partial struct {
 	Worker int32
 }
 
-// WindowKeyID condenses (window, key digest) into one 64-bit identity
-// for the map-based replica tracker (metrics.DigestReplicas, used where
-// the reducer's slot cannot count — see Driver): two mixes of
-// independent inputs, colliding only at hash-collision rates.
-func WindowKeyID(window int64, dg KeyDigest) uint64 {
-	return hashing.Mix64(dg) ^ hashing.Mix64(KeyDigest(uint64(window)*0x9e3779b97f4a7c15+1))
-}
-
 // Final is the reducer's merged result for (window, key). Count is the
 // number of source messages merged; Value is the merger's rendered
 // result over them (identical to Count under CountMerger). Digest is
 // the key's carried KeyDigest — the same one that routed and merged the
-// messages — so downstream consumers (re-keyed edges, the driver's
-// replica accounting) never re-scan the key bytes.
+// messages — so downstream consumers (re-keyed edges) never re-scan the
+// key bytes.
 type Final struct {
 	Window int64
 	Digest KeyDigest
@@ -117,10 +107,11 @@ type Final struct {
 
 // slot is one open-addressing entry; Count == 0 marks an empty slot
 // (live entries always have Count ≥ 1). val is the merger state,
-// updated by the caller after add returns the slot. seen is the
-// reducer's replica accounting — the bitset of workers whose partials
-// merged into this (window, key) — and stays zero in worker-side and
-// combiner tables.
+// updated by the caller after add returns the slot. seen is word 0 of
+// the reducer's replica accounting — the bitset of workers whose
+// partials merged into this (window, key); past 64 workers the rest of
+// the set lives in the table's wide array. It stays zero in
+// worker-side and combiner tables.
 type slot struct {
 	dig   KeyDigest
 	count int64
@@ -130,11 +121,16 @@ type slot struct {
 }
 
 // table is a growable open-addressing digest → count map with linear
-// probing. It is cleared (not freed) on flush so the backing array is
+// probing. It is cleared (not freed) on flush so the backing arrays are
 // reused across windows. sum is the total message count folded in — the
-// reducer's window-completeness test.
+// reducer's window-completeness test. A reducer table counting more
+// than 64 workers carries the words of each slot's worker set past
+// seen in wide: slot i owns wide[i*extra : (i+1)*extra]. Every other
+// table has extra == 0 and no wide array.
 type table struct {
 	slots []slot
+	wide  []uint64
+	extra int
 	used  int
 	sum   int64
 	mask  uint64
@@ -142,14 +138,19 @@ type table struct {
 
 const minTableSize = 16
 
-func newTable() *table {
-	return &table{slots: make([]slot, minTableSize), mask: minTableSize - 1}
+func newTable(extra int) *table {
+	return &table{
+		slots: make([]slot, minTableSize),
+		wide:  make([]uint64, extra*minTableSize),
+		extra: extra,
+		mask:  minTableSize - 1,
+	}
 }
 
 // add folds n messages of (dg, key) into the table's count and returns
-// the live slot so the caller can fold its merger state into val. The
-// returned pointer is valid until the next add.
-func (t *table) add(dg KeyDigest, key string, n int64) *slot {
+// the index of the live slot so the caller can fold its merger state
+// into val. The index is valid until the next add.
+func (t *table) add(dg KeyDigest, key string, n int64) int {
 	t.sum += n
 	i := hashing.Mix64(dg) & t.mask
 	for {
@@ -161,28 +162,30 @@ func (t *table) add(dg KeyDigest, key string, n int64) *slot {
 				t.grow()
 				return t.find(dg)
 			}
-			return s
+			return int(i)
 		}
 		if s.dig == dg {
 			s.count += n
-			return s
+			return int(i)
 		}
 		i = (i + 1) & t.mask
 	}
 }
 
-// find returns the live slot of dg (which must be present).
-func (t *table) find(dg KeyDigest) *slot {
+// find returns the index of dg's live slot (which must be present).
+func (t *table) find(dg KeyDigest) int {
 	i := hashing.Mix64(dg) & t.mask
 	for t.slots[i].dig != dg || t.slots[i].count == 0 {
 		i = (i + 1) & t.mask
 	}
-	return &t.slots[i]
+	return int(i)
 }
 
+// grow doubles the table, moving each live slot's wide words with it.
 func (t *table) grow() {
-	old := t.slots
+	old, oldWide := t.slots, t.wide
 	t.slots = make([]slot, 2*len(old))
+	t.wide = make([]uint64, t.extra*len(t.slots))
 	t.mask = uint64(len(t.slots) - 1)
 	for i := range old {
 		if old[i].count == 0 {
@@ -193,25 +196,32 @@ func (t *table) grow() {
 			j = (j + 1) & t.mask
 		}
 		t.slots[j] = old[i]
+		if t.extra > 0 {
+			copy(t.wide[int(j)*t.extra:], oldWide[i*t.extra:(i+1)*t.extra])
+		}
 	}
 }
 
-// clear empties the table in place, keeping the backing array.
+// clear empties the table in place, keeping the backing arrays.
 func (t *table) clear() {
 	for i := range t.slots {
 		t.slots[i] = slot{}
 	}
+	clear(t.wide)
 	t.used = 0
 	t.sum = 0
 }
 
 // tablePool is the windowed-table machinery both halves share: open
 // tables by window id, a free list of cleared tables, and a scratch for
-// sorted window selection.
+// sorted window selection. extra is the wide words per slot of every
+// table it makes (see table): nonzero only in a reducer counting more
+// than 64 workers.
 type tablePool struct {
-	open map[int64]*table
-	free []*table
-	ws   []int64 // scratch: window ids per flush/close call
+	open  map[int64]*table
+	free  []*table
+	ws    []int64 // scratch: window ids per flush/close call
+	extra int
 }
 
 func newTablePool() tablePool {
@@ -229,7 +239,7 @@ func (p *tablePool) get(w int64) (t *table, created bool) {
 		t = p.free[k-1]
 		p.free = p.free[:k-1]
 	} else {
-		t = newTable()
+		t = newTable(p.extra)
 	}
 	p.open[w] = t
 	return t, true
@@ -314,7 +324,7 @@ func (a *Accumulator) AddSample(window int64, dg KeyDigest, key string, n, sampl
 		return
 	}
 	t, _ := a.pool.get(window)
-	a.m.Observe(&t.add(dg, key, n).val, sample, n)
+	a.m.Observe(&t.slots[t.add(dg, key, n)].val, sample, n)
 	if window > a.highest {
 		a.highest = window
 	}
@@ -483,11 +493,13 @@ func (c *closedSet) add(w int64) {
 // paper's model of the aggregation bottleneck).
 //
 // Replica accounting rides on the merge: the slot a partial lands in
-// carries the bitset of workers seen for that (window, key), so a new
-// bit is one more (window, key, worker) state replica and a slot's
-// first bit one more replicated (window, key). Counts are cumulative;
-// the bitset goes with the window's table when the window closes, so a
-// late partial that re-opens a closed window counts as a fresh key.
+// carries the bitset of workers seen for that (window, key) — one word
+// in the slot itself up to 64 workers, ⌈n/64⌉ words past that (see
+// table) — so a new bit is one more (window, key, worker) state
+// replica and a set's first bit one more replicated (window, key).
+// Counts are cumulative; the bitset goes with the window's table when
+// the window closes, so a late partial that re-opens a closed window
+// counts as a fresh key.
 type Reducer struct {
 	m      Merger
 	pool   tablePool
@@ -496,8 +508,7 @@ type Reducer struct {
 	stats  ReducerStats
 
 	// slotWorkers bounds the in-slot accounting: partials of workers
-	// [0, slotWorkers) are counted, at most 64 (one word per slot); 0
-	// counts nothing.
+	// [0, slotWorkers) are counted; 0 counts nothing.
 	slotWorkers int32
 	pairs       int64   // distinct (window, key, worker) triples counted in slots
 	keys        int64   // distinct (window, key) holding at least one counted worker
@@ -526,10 +537,6 @@ func NewReducerMerger(m Merger) *Reducer {
 	}
 	return &Reducer{m: m, pool: newTablePool()}
 }
-
-// maxSlotWorkers is the widest worker set a slot's one-word bitset
-// counts.
-const maxSlotWorkers = 64
 
 // Merge folds a slab of partials into the reducer's open windows. The
 // window's table and closed-state are resolved once per RUN of
@@ -569,13 +576,16 @@ func (r *Reducer) mergeRun(w int64, run []Partial) {
 	before := t.used
 	for i := range run {
 		p := &run[i]
-		s := t.add(p.Digest, p.Key, p.Count)
+		si := t.add(p.Digest, p.Key, p.Count)
+		s := &t.slots[si]
 		r.m.Combine(&s.val, p.Val)
 		if p.Worker >= 0 && r.slotWorkers > 0 {
 			if p.Worker >= r.slotWorkers {
 				panic("aggregation: partial's worker out of range")
 			}
-			if bit := uint64(1) << uint(p.Worker); s.seen&bit == 0 {
+			if t.extra > 0 {
+				r.markWide(t, si, p.Worker)
+			} else if bit := uint64(1) << uint(p.Worker); s.seen&bit == 0 {
 				if s.seen == 0 {
 					r.keys++
 				}
@@ -588,6 +598,30 @@ func (r *Reducer) mergeRun(w int64, run []Partial) {
 	r.stats.Partials += int64(len(run))
 	r.stats.Merges += int64(len(run) - added)
 	r.live += added
+}
+
+// markWide is mergeRun's replica update past 64 workers: the worker's
+// bit is in word worker/64 of slot i's set — word 0 is the slot's seen,
+// the rest its wide words.
+func (r *Reducer) markWide(t *table, i int, worker int32) {
+	s, rest := &t.slots[i], t.wide[i*t.extra:(i+1)*t.extra]
+	word := &s.seen
+	if q := worker / 64; q > 0 {
+		word = &rest[q-1]
+	}
+	bit := uint64(1) << uint(worker%64)
+	if *word&bit != 0 {
+		return
+	}
+	empty := s.seen == 0
+	for _, x := range rest {
+		empty = empty && x == 0
+	}
+	if empty {
+		r.keys++
+	}
+	*word |= bit
+	r.pairs++
 }
 
 // WindowTotal returns the total message count merged into the given
@@ -678,13 +712,10 @@ func (r *Reducer) Stats() ReducerStats { return r.stats }
 // finals. Both engines (internal/dspe, internal/eventsim) share this
 // policy, so it lives in one place.
 //
-// Replication is counted where the merge already is: with workers ≤ 64
-// a partial's worker bit lands in the reducer's own (window, key) slot
-// (see Reducer), at no lookup of its own. The map-based tracker
-// (metrics.DigestReplicas keyed by WindowKeyID) serves only the one
-// input a one-word slot cannot count — workers > 64 — and is fed from
-// Merge, on the driver's own goroutine. Which of the two counts is
-// fixed at construction.
+// Replication is counted where the merge already is: a partial's
+// worker bit lands in the reducer's own (window, key) slot (see
+// Reducer), at no lookup of its own and at any worker count — the
+// slot's set is as wide as the workers need, fixed at construction.
 //
 // Window close is COMPLETENESS-based, not watermark-based: every
 // tumbling window has an exactly known message count (windowSize,
@@ -700,9 +731,6 @@ func (r *Reducer) Stats() ReducerStats { return r.stats }
 // driver.
 type Driver struct {
 	red      *Reducer
-	reps     *metrics.DigestReplicas
-	repMu    sync.Mutex // guards reps against the telemetry gauges reading it mid-run
-	tracked  bool       // workers > 64: reps counts, the slots do not
 	expected func(w int64) (int64, bool)
 	// retire, when set, is told each window this driver closed on
 	// completeness (the sharded stage drops the window's threshold row
@@ -734,17 +762,15 @@ func NewDriverMerger(workers int, windowSize, messages int64, m Merger) *Driver 
 // and whether that number is FINAL (a window must never close against
 // a still-growing threshold — see ShardedDriver, whose per-shard
 // thresholds are counted at emission and only final once the whole
-// window has been emitted).
+// window has been emitted). The reducer's replica sets are sized for
+// workers: one word per slot up to 64, ⌈workers/64⌉ past that.
 func newDriverExpected(workers int, m Merger, expected func(w int64) (int64, bool)) *Driver {
-	d := &Driver{
-		red:      NewReducerMerger(m),
-		reps:     metrics.NewDigestReplicas(workers),
-		tracked:  workers > maxSlotWorkers,
-		expected: expected,
+	if workers <= 0 {
+		panic("aggregation: Driver workers must be positive")
 	}
-	if !d.tracked {
-		d.red.slotWorkers = int32(workers)
-	}
+	d := &Driver{red: NewReducerMerger(m), expected: expected}
+	d.red.slotWorkers = int32(workers)
+	d.red.pool.extra = (workers - 1) / 64
 	return d
 }
 
@@ -769,9 +795,6 @@ func (d *Driver) Merge(ps []Partial, onFinal func(Final)) {
 		return
 	}
 	d.red.Merge(ps)
-	if d.tracked {
-		d.observeRaw(ps)
-	}
 	for _, w := range d.red.runs {
 		if exp, final := d.expected(w); final && d.red.WindowTotal(w) >= exp {
 			d.emit(d.red.CloseWindow(w, d.finals[:0]), onFinal)
@@ -784,19 +807,6 @@ func (d *Driver) Merge(ps []Partial, onFinal func(Final)) {
 	}
 }
 
-// observeRaw feeds the tracker the slab's raw partials: the path for
-// worker counts a slot's one-word bitset cannot hold. One lock for the
-// whole slab.
-func (d *Driver) observeRaw(ps []Partial) {
-	d.repMu.Lock()
-	for i := range ps {
-		if ps[i].Worker >= 0 {
-			d.reps.Observe(WindowKeyID(ps[i].Window, ps[i].Digest), int(ps[i].Worker))
-		}
-	}
-	d.repMu.Unlock()
-}
-
 // Finish closes every remaining window (end of stream).
 func (d *Driver) Finish(onFinal func(Final)) {
 	d.emit(d.red.CloseAll(d.finals[:0]), onFinal)
@@ -804,19 +814,6 @@ func (d *Driver) Finish(onFinal func(Final)) {
 
 func (d *Driver) emit(fs []Final, onFinal func(Final)) {
 	d.finals = fs
-	if d.tracked {
-		// The windows are closed: completeness-based closing guarantees no
-		// further partial can ever arrive for these (window, key), so the
-		// tracker's bitsets for them go back to its pool — its memory
-		// follows the OPEN windows while its cumulative counts stay exact.
-		// In-slot bitsets need no release: they went with the window's
-		// table.
-		d.repMu.Lock()
-		for i := range fs {
-			d.reps.Release(WindowKeyID(fs[i].Window, fs[i].Digest))
-		}
-		d.repMu.Unlock()
-	}
 	for _, f := range fs {
 		d.total += f.Count
 		if onFinal != nil {
@@ -836,26 +833,10 @@ func (d *Driver) LiveEntries() int64 { return d.red.LiveEntries() }
 // to call concurrently with Merge.
 func (d *Driver) LiveWindows() int64 { return d.red.LiveWindows() }
 
-// LiveReplicas returns the number of (window, key) identities currently
-// holding a replica bitset. In-slot bitsets live in the reducer's own
-// entries, so this is LiveEntries; with more than 64 workers it is the
-// tracker's live set instead. Either way it follows the open
-// windows: closing a window drops its bitsets. Thread-safe.
-func (d *Driver) LiveReplicas() int {
-	if !d.tracked {
-		return int(d.red.LiveEntries())
-	}
-	d.repMu.Lock()
-	defer d.repMu.Unlock()
-	return d.reps.Live()
-}
-
-// replicas returns the cumulative replica counts, slots and tracker
-// together: distinct (window, key, worker) triples and distinct
-// (window, key). Owner-goroutine or post-join only.
-func (d *Driver) replicas() (pairs, keys int64) {
-	return d.red.pairs + d.reps.Total(), d.red.keys + int64(d.reps.Keys())
-}
+// replicas returns the cumulative replica counts: distinct
+// (window, key, worker) triples and distinct (window, key).
+// Owner-goroutine or post-join only.
+func (d *Driver) replicas() (pairs, keys int64) { return d.red.pairs, d.red.keys }
 
 // Replication returns the exact measured state replication factor:
 // distinct (window, key, worker) triples per distinct (window, key).
@@ -864,13 +845,7 @@ func (d *Driver) Replication() float64 { return perKey(d.replicas()) }
 // LiveReplication is Replication as of the last Merge call, safe to
 // call concurrently with Merge (telemetry gauges poll it).
 func (d *Driver) LiveReplication() float64 {
-	pairs, keys := d.red.pairsA.Load(), d.red.keysA.Load()
-	if d.tracked {
-		d.repMu.Lock()
-		pairs, keys = pairs+d.reps.Total(), keys+int64(d.reps.Keys())
-		d.repMu.Unlock()
-	}
-	return perKey(pairs, keys)
+	return perKey(d.red.pairsA.Load(), d.red.keysA.Load())
 }
 
 // perKey is the replication factor of the given counts (0 before any

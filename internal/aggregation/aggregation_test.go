@@ -312,10 +312,10 @@ func TestDriverReleasesClosedWindowReplicas(t *testing.T) {
 				t.Fatalf("final %q carries digest %d, want %d", f.Key, f.Digest, hashing.Digest(f.Key))
 			}
 		})
-		// Every window closes on completeness, so no replica bitsets
-		// stay live after its finals are emitted.
-		if live := d.LiveReplicas(); live != 0 {
-			t.Fatalf("window %d: %d replica bitsets still live after close", w, live)
+		// Every window closes on completeness, so no entry — and with it
+		// no replica bitset — stays live after its finals are emitted.
+		if live := d.LiveEntries(); live != 0 {
+			t.Fatalf("window %d: %d entries still live after close", w, live)
 		}
 	}
 	if finals != 10*messages/windowSize {

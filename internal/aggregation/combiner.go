@@ -50,7 +50,7 @@ func NewCombineTable(m Merger) *CombineTable {
 // Fold merges one partial into the table.
 func (ct *CombineTable) Fold(p *Partial) {
 	t, _ := ct.pool.get(p.Window)
-	ct.m.Combine(&t.add(p.Digest, p.Key, p.Count).val, p.Val)
+	ct.m.Combine(&t.slots[t.add(p.Digest, p.Key, p.Count)].val, p.Val)
 	ct.in++
 }
 

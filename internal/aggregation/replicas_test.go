@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"slb/internal/hashing"
-	"slb/internal/metrics"
 )
 
 // replicaRun is one seeded stream of partial slabs for the differential
@@ -97,12 +96,22 @@ func (r *replicaRun) partial(w int64, key, worker int, n int64) Partial {
 // in-slot accounting: the driver, fed seeded slabs (duplicate fragments,
 // several workers per key, out-of-order window completion, a late
 // partial re-opening a closed window), must report exactly the pairs,
-// keys and Replication of a reference metrics.DigestReplicas that
-// observes every raw partial and releases every final — per shard and
-// summed, as floats with ==. Worker counts straddle the one-word slot
-// (≤ 64 counts in the slot, above it in the driver's own tracker).
+// keys and Replication of a reference tracker — a plain map of worker
+// sets per (window, digest) that sees every raw partial and forgets a
+// (window, key) when its final is emitted — per shard and summed, as
+// floats with ==. Worker counts straddle the word boundaries of the
+// slot's set (one word up to 64, then wide words at 65, 129, ...).
 func TestReplicaAccountingMatchesTracker(t *testing.T) {
-	for _, workers := range []int{1, 2, 63, 64, 65, 200} {
+	type id struct {
+		window int64
+		dig    KeyDigest
+	}
+	// tracker is the reference for one shard.
+	type tracker struct {
+		sets        map[id]map[int32]bool
+		pairs, keys int64
+	}
+	for _, workers := range []int{1, 2, 63, 64, 65, 128, 129, 200} {
 		for _, shards := range []int{1, 3} {
 			// mixed=false: the ids of the raw-partial matrix from when a
 			// second feeding mode existed; kept so they stay comparable.
@@ -114,9 +123,9 @@ func TestReplicaAccountingMatchesTracker(t *testing.T) {
 				for w := range run.emits {
 					sd.ObserveEmits(int64(w)*run.winSize, run.emits[w])
 				}
-				refs := make([]*metrics.DigestReplicas, shards)
+				refs := make([]tracker, shards)
 				for r := range refs {
-					refs[r] = metrics.NewDigestReplicas(workers)
+					refs[r].sets = map[id]map[int32]bool{}
 				}
 				type slice struct {
 					window int64
@@ -128,13 +137,22 @@ func TestReplicaAccountingMatchesTracker(t *testing.T) {
 					finals++
 					r := ShardFor(f.Digest, shards)
 					closed[slice{f.Window, r}] = true
-					refs[r].Release(WindowKeyID(f.Window, f.Digest))
+					delete(refs[r].sets, id{f.Window, f.Digest})
 				}
 				feed := func(slab []Partial) {
 					for i := range slab {
 						p := &slab[i]
-						r := ShardFor(p.Digest, shards)
-						refs[r].Observe(WindowKeyID(p.Window, p.Digest), int(p.Worker))
+						ref := &refs[ShardFor(p.Digest, shards)]
+						set := ref.sets[id{p.Window, p.Digest}]
+						if set == nil {
+							set = map[int32]bool{}
+							ref.sets[id{p.Window, p.Digest}] = set
+							ref.keys++
+						}
+						if !set[p.Worker] {
+							set[p.Worker] = true
+							ref.pairs++
+						}
 					}
 					sd.Merge(slab, onFinal)
 				}
@@ -165,26 +183,28 @@ func TestReplicaAccountingMatchesTracker(t *testing.T) {
 				}
 				var pairs, keys, refPairs, refKeys int64
 				for r, d := range sd.drivers {
+					ref := refs[r]
 					p, k := d.replicas()
-					if p != refs[r].Total() || k != int64(refs[r].Keys()) {
-						t.Errorf("shard %d: pairs/keys %d/%d, reference %d/%d", r, p, k, refs[r].Total(), refs[r].Keys())
+					if p != ref.pairs || k != ref.keys {
+						t.Errorf("shard %d: pairs/keys %d/%d, reference %d/%d", r, p, k, ref.pairs, ref.keys)
 					}
-					if got, want := d.Replication(), refs[r].AvgPerKey(); got != want {
+					if got, want := d.Replication(), float64(ref.pairs)/float64(ref.keys); got != want {
 						t.Errorf("shard %d: Replication %v, reference %v", r, got, want)
 					}
 					if got, want := d.LiveReplication(), d.Replication(); got != want {
 						t.Errorf("shard %d: LiveReplication %v after the last merge, Replication %v", r, got, want)
 					}
-					if live := d.LiveReplicas(); live != 0 || refs[r].Live() != 0 {
-						t.Errorf("shard %d: %d live replica entries after Finish (reference %d)", r, live, refs[r].Live())
+					if live := d.LiveEntries(); live != 0 || len(ref.sets) != 0 {
+						t.Errorf("shard %d: %d live entries after Finish (reference %d)", r, live, len(ref.sets))
 					}
-					// Which structure counted is a property of the worker count.
-					tracked := workers > maxSlotWorkers
-					if tracked != (d.red.pairs == 0) || tracked != (d.reps.Total() > 0) || tracked != d.tracked {
-						t.Errorf("shard %d: slot pairs %d, tracker pairs %d, tracked %v; want tracker=%v", r, d.red.pairs, d.reps.Total(), d.tracked, tracked)
+					// Wide words exist only past 64 workers, one per further 64.
+					for _, tb := range d.red.pool.free {
+						if want := (workers - 1) / 64 * len(tb.slots); len(tb.wide) != want {
+							t.Errorf("shard %d: %d wide words for %d slots, want %d", r, len(tb.wide), len(tb.slots), want)
+						}
 					}
 					pairs, keys = pairs+p, keys+k
-					refPairs, refKeys = refPairs+refs[r].Total(), refKeys+int64(refs[r].Keys())
+					refPairs, refKeys = refPairs+ref.pairs, refKeys+ref.keys
 				}
 				if keys == 0 || (workers > 1 && pairs <= keys) {
 					t.Fatalf("degenerate run: %d pairs over %d keys", pairs, keys)
@@ -197,34 +217,11 @@ func TestReplicaAccountingMatchesTracker(t *testing.T) {
 	}
 }
 
-// TestSlotAccountingLeavesTrackerIdle: with workers ≤ 64 replication
-// is a by-product of the merge — no
-// DigestReplicas.Observe/Release, and repMu is never taken (the test
-// holds it across the whole run; a Merge or Finish that wanted it would
-// deadlock).
-func TestSlotAccountingLeavesTrackerIdle(t *testing.T) {
-	run := newReplicaRun(rand.New(rand.NewSource(5)), 64)
-	d := NewDriver(64, run.winSize, run.winSize*run.windows)
-	d.repMu.Lock()
-	var finals int
-	for _, slab := range run.slabs {
-		d.Merge(slab, func(Final) { finals++ })
-	}
-	d.Finish(func(Final) { finals++ })
-	d.repMu.Unlock()
-	if finals == 0 || d.Replication() <= 1 {
-		t.Fatalf("degenerate run: %d finals, replication %v", finals, d.Replication())
-	}
-	if d.tracked || d.reps.Keys() != 0 || d.reps.Total() != 0 || d.reps.Live() != 0 {
-		t.Fatalf("tracker touched: tracked %v, keys %d, pairs %d, live %d",
-			d.tracked, d.reps.Keys(), d.reps.Total(), d.reps.Live())
-	}
-}
-
 // windowCycle drives a steady two-windows-open cycle through a sharded
-// reduce stage: each step emits window w, merges its first half, then
-// the second half of window w−1 (so windows overlap and every slab
-// holds two runs), closing w−1 on completeness.
+// reduce stage: each step emits window w, merges its first half (from
+// worker 0), then the second half of window w−1 (from the last worker),
+// so windows overlap and every slab holds two runs, closing w−1 on
+// completeness.
 type windowCycle struct {
 	sd     *ShardedDriver
 	digs   []KeyDigest
@@ -232,11 +229,12 @@ type windowCycle struct {
 	emits  []KeyDigest
 	slab   []Partial
 	w      int64
+	last   int32 // the last worker
 	finals int64
 }
 
-func newWindowCycle(t *testing.T, shards int) *windowCycle {
-	c := &windowCycle{}
+func newWindowCycle(t *testing.T, workers, shards int) *windowCycle {
+	c := &windowCycle{last: int32(workers - 1)}
 	seen := make([]bool, shards)
 	for k := 0; k < 12; k++ {
 		key := fmt.Sprintf("key-%d", k)
@@ -250,7 +248,7 @@ func newWindowCycle(t *testing.T, shards int) *windowCycle {
 			t.Fatalf("no key on shard %d: every shard must see every window", r)
 		}
 	}
-	c.sd = NewShardedDriver(4, shards, int64(len(c.emits)), 0, nil)
+	c.sd = NewShardedDriver(workers, shards, int64(len(c.emits)), 0, nil)
 	return c
 }
 
@@ -265,7 +263,7 @@ func (c *windowCycle) step(onFinal func(Final)) {
 	c.slab = c.slab[:0]
 	c.half(c.w, 0)
 	if c.w > 0 {
-		c.half(c.w-1, 1)
+		c.half(c.w-1, c.last)
 	}
 	c.sd.Merge(c.slab, onFinal)
 	c.w++
@@ -276,7 +274,7 @@ func (c *windowCycle) step(onFinal func(Final)) {
 // the sharded stage's threshold rows — follow the open windows instead.
 func TestPerWindowStateStaysBounded(t *testing.T) {
 	const windows = 100_000
-	c := newWindowCycle(t, 3)
+	c := newWindowCycle(t, 4, 3)
 	onFinal := func(Final) { c.finals++ }
 	check := func() {
 		if n := len(c.sd.counts.rows); n > 2 {
@@ -342,19 +340,25 @@ func TestClosedSetOutOfOrder(t *testing.T) {
 // TestReduceCycleZeroAllocs: once the per-window working set is
 // reached, a merge → close → recycle window cycle allocates nothing —
 // unsharded (closed-form thresholds) and sharded (counted thresholds,
-// rows recycled).
+// rows recycled), with one-word replica sets (4 workers) and wide ones
+// (130 workers: the second half's bit lands in a wide word).
 func TestReduceCycleZeroAllocs(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		c := newWindowCycle(t, shards)
-		onFinal := func(Final) { c.finals++ }
-		for i := 0; i < 8; i++ {
-			c.step(onFinal)
-		}
-		if avg := testing.AllocsPerRun(200, func() { c.step(onFinal) }); avg != 0 {
-			t.Errorf("shards=%d: %v allocs per window cycle, want 0", shards, avg)
-		}
-		if want := int64(len(c.keys)) * (c.w - 1); c.finals != want {
-			t.Errorf("shards=%d: %d finals, want %d", shards, c.finals, want)
+	for _, workers := range []int{4, 130} {
+		for _, shards := range []int{1, 3} {
+			c := newWindowCycle(t, workers, shards)
+			onFinal := func(Final) { c.finals++ }
+			for i := 0; i < 8; i++ {
+				c.step(onFinal)
+			}
+			if avg := testing.AllocsPerRun(200, func() { c.step(onFinal) }); avg != 0 {
+				t.Errorf("workers=%d shards=%d: %v allocs per window cycle, want 0", workers, shards, avg)
+			}
+			if want := int64(len(c.keys)) * (c.w - 1); c.finals != want {
+				t.Errorf("workers=%d shards=%d: %d finals, want %d", workers, shards, c.finals, want)
+			}
+			if got := c.sd.Replication(); got <= 1 {
+				t.Errorf("workers=%d shards=%d: Replication %v, want two workers per key", workers, shards, got)
+			}
 		}
 	}
 }

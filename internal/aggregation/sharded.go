@@ -284,27 +284,12 @@ func (sd *ShardedDriver) LiveEntriesShard(r int) int64 { return sd.drivers[r].Li
 // concurrency contract as LiveEntriesShard.
 func (sd *ShardedDriver) LiveWindowsShard(r int) int64 { return sd.drivers[r].LiveWindows() }
 
-// LiveReplicasShard returns the number of (window, key) identities on
-// shard r currently holding a replica bitset (see Driver.LiveReplicas).
-// Thread-safe.
-func (sd *ShardedDriver) LiveReplicasShard(r int) int { return sd.drivers[r].LiveReplicas() }
-
 // LiveReplicationShard returns shard r's replication factor so far —
 // distinct (window, key, worker) triples per distinct (window, key) on
 // that shard, as of its last MergeShard. Same concurrency contract as
 // LiveEntriesShard.
 func (sd *ShardedDriver) LiveReplicationShard(r int) float64 {
 	return sd.drivers[r].LiveReplication()
-}
-
-// LiveReplicas sums the live replica-bitset count across shards: the
-// replica accounting's live (window, key) footprint. Thread-safe.
-func (sd *ShardedDriver) LiveReplicas() int {
-	n := 0
-	for _, d := range sd.drivers {
-		n += d.LiveReplicas()
-	}
-	return n
 }
 
 // Stats returns the reduce stage's cost counters summed across shards.

@@ -42,11 +42,6 @@ package dspe
 //	reduce_busy_ns_total         per shard: reducer goroutine busy time
 //	reduce_open_windows          per shard gauge: open windows
 //	reduce_live_entries          per shard gauge: live (window, key) rows
-//	reduce_live_replicas         per shard gauge: (window, key) entries
-//	                             holding a replica bitset — the shard's
-//	                             live entries where the bitset sits in
-//	                             the reducer's slot, the tracker's live
-//	                             ids with more than 64 workers
 //	reduce_replication           per shard gauge: state replication so
 //	                             far, distinct (window, key, worker) per
 //	                             distinct (window, key)
@@ -247,7 +242,6 @@ func (pt *planeTelemetry) observeReduce(sd *aggregation.ShardedDriver) {
 		ls := pt.with("shard", r)
 		pt.reg.GaugeFunc("reduce_open_windows", func() float64 { return float64(sd.LiveWindowsShard(r)) }, ls...)
 		pt.reg.GaugeFunc("reduce_live_entries", func() float64 { return float64(sd.LiveEntriesShard(r)) }, ls...)
-		pt.reg.GaugeFunc("reduce_live_replicas", func() float64 { return float64(sd.LiveReplicasShard(r)) }, ls...)
 		pt.reg.GaugeFunc("reduce_replication", func() float64 { return sd.LiveReplicationShard(r) }, ls...)
 	}
 }

@@ -87,7 +87,7 @@ func TestTelemetryBothPlanes(t *testing.T) {
 				t.Fatalf("reduce_busy_ns_total = %v over %d series", v, n)
 			}
 			// Occupancy gauges drain to zero after the run completes.
-			for _, gauge := range []string{"reduce_open_windows", "reduce_live_entries", "reduce_live_replicas"} {
+			for _, gauge := range []string{"reduce_open_windows", "reduce_live_entries"} {
 				v, n := sumSeries(snap, gauge)
 				if n != cfg.AggShards {
 					t.Fatalf("%s series = %d, want %d", gauge, n, cfg.AggShards)

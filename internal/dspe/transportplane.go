@@ -677,6 +677,11 @@ func runOnFabric(fabric transport.Transport, gen stream.Generator, cfg Config, p
 	if p := firstErr.Load(); p != nil {
 		return Result{}, *p
 	}
+	// An empty draw returns the count drawn so far; short of limit, the
+	// generator ran dry.
+	if _, drawn := nextSlab(nil, nil); drawn != limit {
+		return Result{}, fmt.Errorf("dspe: %w", stream.CheckDrawn(drawn, limit))
+	}
 
 	res := Result{
 		Algorithm: cfg.Algorithm,

@@ -42,6 +42,7 @@ type oracle struct {
 	finals map[string][2]int64 // "window|key" → {count, count}
 	loads  []int64
 	repl   float64 // distinct (window, key, worker) ÷ distinct (window, key)
+	spread int     // the most workers holding one (window, key)
 }
 
 func runOracle(t *testing.T, gen stream.Generator, cfg Config) oracle {
@@ -55,7 +56,7 @@ func runOracle(t *testing.T, gen stream.Generator, cfg Config) oracle {
 		t.Fatal(err)
 	}
 	o := oracle{finals: map[string][2]int64{}, loads: make([]int64, cfg.Workers)}
-	triples := map[string]struct{}{}
+	holders := map[string]map[int]bool{} // "window|key" → workers
 	keys, digs, dsts := make([]string, cfg.Batch), make([]core.KeyDigest, cfg.Batch), make([]int, cfg.Batch)
 	gen.Reset()
 	for seq := int64(0); seq < cfg.Messages; {
@@ -66,12 +67,20 @@ func runOracle(t *testing.T, gen stream.Generator, cfg Config) oracle {
 			c := o.finals[id][0] + 1
 			o.finals[id] = [2]int64{c, c}
 			o.loads[dsts[i]]++
-			triples[fmt.Sprintf("%s|%d", id, dsts[i])] = struct{}{}
+			if holders[id] == nil {
+				holders[id] = map[int]bool{}
+			}
+			holders[id][dsts[i]] = true
 		}
 		seq += int64(n)
 	}
 	gen.Reset()
-	o.repl = float64(len(triples)) / float64(len(o.finals))
+	triples := 0
+	for _, ws := range holders {
+		triples += len(ws)
+		o.spread = max(o.spread, len(ws))
+	}
+	o.repl = float64(triples) / float64(len(o.finals))
 	return o
 }
 
@@ -184,6 +193,20 @@ func TestTransportPlaneParity(t *testing.T) {
 			})
 		}
 	}
+	// Past 64 workers the reducer's replica sets span several words: a
+	// W-C head key spread over more of them must still count exactly.
+	t.Run("W-C/workers=100/memory", func(t *testing.T) {
+		cfg := Config{
+			Workers: 100, Sources: 1, Algorithm: "W-C", Transport: TransportMemory,
+			AggWindow: 500, Messages: 20_000,
+		}
+		gen := workload.NewZipf(1.2, 300, cfg.Messages, 7)
+		want := runOracle(t, gen, cfg)
+		if want.spread <= 64 {
+			t.Fatalf("the hottest (window, key) reached %d workers, want > 64", want.spread)
+		}
+		checkRun(t, cfg, gen, want)
+	})
 }
 
 // TestTransportPlaneMultiSource states the multi-source contract on a

@@ -732,5 +732,8 @@ func Run(gen stream.Generator, cfg Config) (Result, error) {
 		res.Throughput = float64(measured) / (res.Duration / 1000)
 	}
 	gen.Reset()
+	if err := stream.CheckDrawn(emitted, limit); err != nil {
+		return Result{}, fmt.Errorf("eventsim: %w", err)
+	}
 	return res, nil
 }

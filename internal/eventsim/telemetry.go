@@ -27,10 +27,6 @@ package eventsim
 //	reduce_queue_peak        per shard gauge: backlog high-water mark
 //	reduce_open_windows      per shard gauge: open windows
 //	reduce_live_entries      per shard gauge: live (window, key) rows
-//	reduce_live_replicas     per shard gauge: (window, key) entries
-//	                         holding a replica bitset — the shard's live
-//	                         entries, or the tracker's live ids with
-//	                         more than 64 workers
 //	reduce_replication       per shard gauge: state replication so far,
 //	                         distinct (window, key, worker) per distinct
 //	                         (window, key)
@@ -195,7 +191,6 @@ func (tel *simTelemetry) observeReduce(sd *aggregation.ShardedDriver) {
 		ls := tel.with("shard", r)
 		tel.reg.GaugeFunc("reduce_open_windows", func() float64 { return float64(sd.LiveWindowsShard(r)) }, ls...)
 		tel.reg.GaugeFunc("reduce_live_entries", func() float64 { return float64(sd.LiveEntriesShard(r)) }, ls...)
-		tel.reg.GaugeFunc("reduce_live_replicas", func() float64 { return float64(sd.LiveReplicasShard(r)) }, ls...)
 		tel.reg.GaugeFunc("reduce_replication", func() float64 { return sd.LiveReplicationShard(r) }, ls...)
 	}
 }

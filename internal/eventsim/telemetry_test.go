@@ -60,7 +60,7 @@ func TestTelemetryFedBySimulation(t *testing.T) {
 	if v, _ := sumSeries(snap, "reduce_queue_peak"); int(v) < res.ReducerPeakQueue {
 		t.Fatalf("reduce_queue_peak sum %v below result peak %d", v, res.ReducerPeakQueue)
 	}
-	for _, gauge := range []string{"reduce_open_windows", "reduce_live_entries", "reduce_live_replicas"} {
+	for _, gauge := range []string{"reduce_open_windows", "reduce_live_entries"} {
 		v, n := sumSeries(snap, gauge)
 		if n != cfg.AggShards {
 			t.Fatalf("%s series = %d, want %d", gauge, n, cfg.AggShards)

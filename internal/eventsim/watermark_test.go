@@ -108,7 +108,7 @@ func TestWatermarkTicksNoFragments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// DigestReplicas counts distinct (window, key, worker) triples; the
+	// The reducer counts distinct (window, key, worker) triples; the
 	// partial MESSAGE count equals it exactly iff no window's partial
 	// was ever split across flushes.
 	triples := int64(math.Round(res.AggReplication * float64(res.Agg.Finals)))

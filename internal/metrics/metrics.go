@@ -1,7 +1,9 @@
 // Package metrics provides the measurement machinery shared by the
-// simulator and the DSPE engines: worker load vectors and the paper's
-// imbalance metric I(t), per-key replica accounting (memory overhead),
-// and a reservoir-based quantile estimator for latency percentiles.
+// simulator and the DSPE engines: the paper's imbalance metric I(t)
+// over worker load vectors, and a reservoir-based quantile estimator
+// for latency percentiles. Key replicas (the memory overhead) are
+// counted where the state lives: the aggregation reducer's slots, and
+// the simulator's own per-key worker sets.
 package metrics
 
 import (
@@ -30,266 +32,6 @@ func Imbalance(loads []int64) float64 {
 	}
 	return float64(max)/float64(sum) - 1.0/float64(len(loads))
 }
-
-// ImbalanceFractions is Imbalance for already-normalized load fractions.
-func ImbalanceFractions(loads []float64) float64 {
-	if len(loads) == 0 {
-		return 0
-	}
-	max, sum := 0.0, 0.0
-	for _, l := range loads {
-		if l > max {
-			max = l
-		}
-		sum += l
-	}
-	if sum == 0 {
-		return 0
-	}
-	return max/sum - 1.0/float64(len(loads))
-}
-
-// ---------------------------------------------------------------------------
-// Replica accounting
-
-const wordBits = 64
-
-// arenaBitsets is how many multi-word bitsets one arena slab provides:
-// new bitsets are carved from slabs of words·arenaBitsets uint64s, so
-// large-n accounting performs one allocation per arenaBitsets keys
-// instead of one per key.
-const arenaBitsets = 128
-
-// replicas is the shared accounting core behind Replicas and
-// DigestReplicas: distinct (key, worker) pairs, tracked in per-key
-// bitsets so the accounting is O(1) per observation and O(|K|·n/64)
-// space. For n ≤ 64 workers the bitset is an inline uint64 map value
-// (one map entry per key, no per-key slice allocation); larger n use
-// POOLED multi-word bitsets — carved from arena slabs and recycled
-// through a free list by release — so per-window accounting at large n
-// neither allocates per key nor grows without bound as windows close.
-type replicas[K comparable] struct {
-	n     int
-	words int
-	small map[K]uint64   // words == 1: inline bitsets
-	keys  map[K][]uint64 // words > 1: pooled bitsets
-	arena []uint64       // slab the next fresh bitsets are carved from
-	free  [][]uint64     // zeroed bitsets recycled by release
-	total int64
-	seen  int64 // distinct keys ever observed, including released ones
-	// releasedMax preserves MaxPerKey across releases: the largest
-	// per-key replica count among released keys.
-	releasedMax int
-}
-
-func newReplicas[K comparable](n int) replicas[K] {
-	if n <= 0 {
-		panic("metrics: replica accounting with non-positive n")
-	}
-	r := replicas[K]{n: n, words: (n + wordBits - 1) / wordBits}
-	if r.words == 1 {
-		r.small = make(map[K]uint64)
-	} else {
-		r.keys = make(map[K][]uint64)
-	}
-	return r
-}
-
-// alloc hands out one zeroed bitset: recycled from the free list when
-// possible, otherwise carved from the current arena slab.
-func (r *replicas[K]) alloc() []uint64 {
-	if k := len(r.free); k > 0 {
-		s := r.free[k-1]
-		r.free = r.free[:k-1]
-		return s
-	}
-	if len(r.arena) < r.words {
-		r.arena = make([]uint64, r.words*arenaBitsets)
-	}
-	s := r.arena[:r.words:r.words]
-	r.arena = r.arena[r.words:]
-	return s
-}
-
-func (r *replicas[K]) observe(key K, worker int) {
-	if worker < 0 || worker >= r.n {
-		panic("metrics: worker out of range")
-	}
-	if r.small != nil {
-		set, ok := r.small[key]
-		if !ok {
-			r.seen++
-		}
-		if set&(1<<uint(worker)) == 0 {
-			r.small[key] = set | 1<<uint(worker)
-			r.total++
-		}
-		return
-	}
-	set, ok := r.keys[key]
-	if !ok {
-		set = r.alloc()
-		r.keys[key] = set
-		r.seen++
-	}
-	w, b := worker/wordBits, uint(worker%wordBits)
-	if set[w]&(1<<b) == 0 {
-		set[w] |= 1 << b
-		r.total++
-	}
-}
-
-// release retires a key that can no longer be observed (e.g. its window
-// closed), recycling its bitset onto the free list. Every cumulative
-// statistic — Total, Keys, AvgPerKey, MaxPerKey — is preserved; only
-// the per-key set is dropped, so PerKey reports 0 for released keys. A
-// key observed again AFTER release is counted as a fresh key (its pairs
-// recounted), so callers must release only keys that are structurally
-// done — exactly what the aggregation driver's completeness-based
-// window close guarantees.
-func (r *replicas[K]) release(key K) {
-	if r.small != nil {
-		set, ok := r.small[key]
-		if !ok {
-			return
-		}
-		if c := popcount(set); c > r.releasedMax {
-			r.releasedMax = c
-		}
-		delete(r.small, key)
-		return
-	}
-	set, ok := r.keys[key]
-	if !ok {
-		return
-	}
-	c := 0
-	for i, w := range set {
-		c += popcount(w)
-		set[i] = 0
-	}
-	if c > r.releasedMax {
-		r.releasedMax = c
-	}
-	r.free = append(r.free, set)
-	delete(r.keys, key)
-}
-
-// Total returns the number of distinct (key, worker) pairs seen.
-func (r *replicas[K]) Total() int64 { return r.total }
-
-// Keys returns the number of distinct keys seen (including released
-// ones).
-func (r *replicas[K]) Keys() int { return int(r.seen) }
-
-// Live returns the number of keys currently holding a bitset (seen
-// minus released): the accounting structure's memory footprint in keys.
-func (r *replicas[K]) Live() int {
-	if r.small != nil {
-		return len(r.small)
-	}
-	return len(r.keys)
-}
-
-// AvgPerKey returns the mean replica count per distinct key — the
-// stream's measured replication factor (1 for KG, ≤ 2 for PKG, up to n
-// when every worker holds the hot keys). It is the multiplier on the
-// downstream aggregation cost: a reducer must merge AvgPerKey partials
-// per key on average. Returns 0 when no keys were observed.
-func (r *replicas[K]) AvgPerKey() float64 {
-	if r.Keys() == 0 {
-		return 0
-	}
-	return float64(r.total) / float64(r.Keys())
-}
-
-// PerKey returns the number of workers holding state for key.
-func (r *replicas[K]) PerKey(key K) int {
-	if r.small != nil {
-		return popcount(r.small[key])
-	}
-	c := 0
-	for _, w := range r.keys[key] {
-		c += popcount(w)
-	}
-	return c
-}
-
-// MaxPerKey returns the largest replica count over all keys, released
-// ones included.
-func (r *replicas[K]) MaxPerKey() int {
-	max := r.releasedMax
-	if r.small != nil {
-		for _, set := range r.small {
-			if c := popcount(set); c > max {
-				max = c
-			}
-		}
-		return max
-	}
-	for _, set := range r.keys {
-		c := 0
-		for _, w := range set {
-			c += popcount(w)
-		}
-		if c > max {
-			max = c
-		}
-	}
-	return max
-}
-
-func popcount(x uint64) int {
-	c := 0
-	for x != 0 {
-		x &= x - 1
-		c++
-	}
-	return c
-}
-
-// Replicas counts distinct (key, worker) pairs: the measured memory cost
-// of a partitioning run, in key-replica units (Section IV-B).
-type Replicas struct {
-	replicas[string]
-}
-
-// NewReplicas returns an accounting structure for n workers.
-func NewReplicas(n int) *Replicas {
-	return &Replicas{newReplicas[string](n)}
-}
-
-// Observe records that one message of key was processed by worker.
-func (r *Replicas) Observe(key string, worker int) { r.observe(key, worker) }
-
-// Release retires a key that can no longer be observed, recycling its
-// bitset; all cumulative statistics are preserved (see release).
-func (r *Replicas) Release(key string) { r.release(key) }
-
-// DigestReplicas is Replicas keyed by a 64-bit identity instead of a
-// key string: the form the aggregation path uses, where entities are
-// (window, key-digest) pairs condensed to one uint64 and observing must
-// not allocate or touch key bytes. Same guarantees up to 64-bit
-// collisions.
-type DigestReplicas struct {
-	replicas[uint64]
-}
-
-// NewDigestReplicas returns a digest-keyed accounting structure for n
-// workers.
-func NewDigestReplicas(n int) *DigestReplicas {
-	return &DigestReplicas{newReplicas[uint64](n)}
-}
-
-// Observe records that worker holds state for the entity id.
-func (r *DigestReplicas) Observe(id uint64, worker int) { r.observe(id, worker) }
-
-// Release retires an entity id that can no longer be observed — the
-// aggregation driver calls this for every (window, key) the moment the
-// window closes, so replica accounting memory tracks the OPEN windows
-// rather than the whole stream. All cumulative statistics are
-// preserved (see release).
-func (r *DigestReplicas) Release(id uint64) { r.release(id) }
 
 // ---------------------------------------------------------------------------
 // Quantiles

@@ -23,16 +23,6 @@ func TestImbalance(t *testing.T) {
 	}
 }
 
-func TestImbalanceFractions(t *testing.T) {
-	got := ImbalanceFractions([]float64{0.5, 0.25, 0.25})
-	if math.Abs(got-(0.5-1.0/3)) > 1e-12 {
-		t.Fatalf("ImbalanceFractions = %f", got)
-	}
-	if ImbalanceFractions(nil) != 0 || ImbalanceFractions([]float64{0, 0}) != 0 {
-		t.Fatal("degenerate cases should be 0")
-	}
-}
-
 func TestImbalanceNonNegativeProperty(t *testing.T) {
 	prop := func(raw []uint16) bool {
 		loads := make([]int64, len(raw))
@@ -44,59 +34,6 @@ func TestImbalanceNonNegativeProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestReplicas(t *testing.T) {
-	r := NewReplicas(100)
-	r.Observe("a", 0)
-	r.Observe("a", 0) // duplicate: no new replica
-	r.Observe("a", 99)
-	r.Observe("b", 50)
-	if r.Total() != 3 {
-		t.Fatalf("Total = %d, want 3", r.Total())
-	}
-	if r.Keys() != 2 {
-		t.Fatalf("Keys = %d, want 2", r.Keys())
-	}
-	if r.PerKey("a") != 2 || r.PerKey("b") != 1 || r.PerKey("zz") != 0 {
-		t.Fatalf("PerKey wrong: a=%d b=%d", r.PerKey("a"), r.PerKey("b"))
-	}
-	if r.MaxPerKey() != 2 {
-		t.Fatalf("MaxPerKey = %d", r.MaxPerKey())
-	}
-}
-
-func TestReplicasPanics(t *testing.T) {
-	r := NewReplicas(4)
-	for _, w := range []int{-1, 4} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Observe(worker=%d) did not panic", w)
-				}
-			}()
-			r.Observe("k", w)
-		}()
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("NewReplicas(0) did not panic")
-			}
-		}()
-		NewReplicas(0)
-	}()
-}
-
-func TestReplicasBitsetBoundary(t *testing.T) {
-	// Workers straddling the 64-bit word boundary must count separately.
-	r := NewReplicas(130)
-	for _, w := range []int{0, 63, 64, 127, 128, 129} {
-		r.Observe("k", w)
-	}
-	if r.PerKey("k") != 6 {
-		t.Fatalf("PerKey = %d, want 6", r.PerKey("k"))
 	}
 }
 
@@ -262,20 +199,6 @@ func TestMergeCountWeighted(t *testing.T) {
 	}
 }
 
-func TestReplicasAvgPerKey(t *testing.T) {
-	r := NewReplicas(4)
-	if got := r.AvgPerKey(); got != 0 {
-		t.Fatalf("empty AvgPerKey = %f", got)
-	}
-	r.Observe("a", 0)
-	r.Observe("a", 1)
-	r.Observe("a", 1) // duplicate pair: no new replica
-	r.Observe("b", 2)
-	if got := r.AvgPerKey(); math.Abs(got-1.5) > 1e-12 {
-		t.Fatalf("AvgPerKey = %f, want 1.5", got)
-	}
-}
-
 func TestMergeIntoEmptyRespectsCapacity(t *testing.T) {
 	big := NewQuantiles(4096)
 	for i := 0; i < 1000; i++ {
@@ -296,139 +219,5 @@ func TestMergeIntoEmptyRespectsCapacity(t *testing.T) {
 	}
 	if got := q.Quantile(0.5); got != 1e6 {
 		t.Fatalf("post-merge reservoir frozen: p50 = %f", got)
-	}
-}
-
-func TestDigestReplicasSmallAndLarge(t *testing.T) {
-	for _, n := range []int{8, 100} { // inline-bitset and slice paths
-		r := NewDigestReplicas(n)
-		r.Observe(1, 0)
-		r.Observe(1, 1)
-		r.Observe(1, 1)
-		r.Observe(2, n-1)
-		if r.Total() != 3 || r.Keys() != 2 {
-			t.Fatalf("n=%d: total %d keys %d", n, r.Total(), r.Keys())
-		}
-		if got := r.AvgPerKey(); math.Abs(got-1.5) > 1e-12 {
-			t.Fatalf("n=%d: AvgPerKey %f", n, got)
-		}
-		if r.MaxPerKey() != 2 {
-			t.Fatalf("n=%d: MaxPerKey %d", n, r.MaxPerKey())
-		}
-	}
-}
-
-// TestReplicasBoundaryParity pins the satellite contract of the pooled
-// bitsets: identical observations produce identical replication
-// statistics on both sides of the n=64 boundary — the inline-uint64
-// path and the pooled multi-word path are the same accounting.
-func TestReplicasBoundaryParity(t *testing.T) {
-	rng := uint64(0xfeed)
-	next := func(n int) int {
-		rng = rng*6364136223846793005 + 1442695040888963407
-		return int((rng >> 33) % uint64(n))
-	}
-	ns := []int{64, 65, 128, 130} // inline, then 2- and 3-word pooled
-	trackers := make([]*Replicas, len(ns))
-	for i, n := range ns {
-		trackers[i] = NewReplicas(n)
-	}
-	keys := make([]string, 200)
-	for i := range keys {
-		keys[i] = "k" + string(rune('a'+i%26)) + string(rune('0'+i/26))
-	}
-	for step := 0; step < 20000; step++ {
-		key := keys[next(len(keys))]
-		w := next(64) // workers valid for every tracker
-		for _, r := range trackers {
-			r.Observe(key, w)
-		}
-	}
-	base := trackers[0]
-	for i, r := range trackers[1:] {
-		if r.Total() != base.Total() || r.Keys() != base.Keys() {
-			t.Fatalf("n=%d: total/keys = %d/%d, inline path %d/%d", ns[i+1], r.Total(), r.Keys(), base.Total(), base.Keys())
-		}
-		if r.AvgPerKey() != base.AvgPerKey() {
-			t.Fatalf("n=%d: AvgPerKey %f != %f", ns[i+1], r.AvgPerKey(), base.AvgPerKey())
-		}
-		if r.MaxPerKey() != base.MaxPerKey() {
-			t.Fatalf("n=%d: MaxPerKey %d != %d", ns[i+1], r.MaxPerKey(), base.MaxPerKey())
-		}
-		for _, k := range keys {
-			if r.PerKey(k) != base.PerKey(k) {
-				t.Fatalf("n=%d: PerKey(%q) %d != %d", ns[i+1], k, r.PerKey(k), base.PerKey(k))
-			}
-		}
-	}
-}
-
-// TestReplicasReleasePreservesStats exercises the free-list recycling:
-// releasing keys keeps every cumulative statistic, shrinks the live
-// set, and recycles bitsets for subsequent keys.
-func TestReplicasReleasePreservesStats(t *testing.T) {
-	for _, n := range []int{32, 130} { // inline and pooled paths
-		r := NewDigestReplicas(n)
-		for id := uint64(0); id < 50; id++ {
-			r.Observe(id, int(id)%n)
-			r.Observe(id, int(id+1)%n)
-		}
-		r.Observe(7, 3) // one 3-replica key
-		total, keys, avg, max := r.Total(), r.Keys(), r.AvgPerKey(), r.MaxPerKey()
-		for id := uint64(0); id < 25; id++ {
-			r.Release(id)
-		}
-		r.Release(999) // releasing an unseen key is a no-op
-		if r.Total() != total || r.Keys() != keys || r.AvgPerKey() != avg || r.MaxPerKey() != max {
-			t.Fatalf("n=%d: release changed stats: total %d→%d keys %d→%d avg %f→%f max %d→%d",
-				n, total, r.Total(), keys, r.Keys(), avg, r.AvgPerKey(), max, r.MaxPerKey())
-		}
-		if r.Live() != 25 {
-			t.Fatalf("n=%d: Live = %d, want 25", n, r.Live())
-		}
-		if r.PerKey(3) != 0 {
-			t.Fatalf("n=%d: released key still reports %d replicas", n, r.PerKey(3))
-		}
-		// Recycled bitsets must come back zeroed: a fresh key observed
-		// after the release starts from an empty set.
-		r.Observe(1000, 0)
-		if r.PerKey(1000) != 1 {
-			t.Fatalf("n=%d: recycled bitset not zeroed: PerKey = %d", n, r.PerKey(1000))
-		}
-		if r.Keys() != keys+1 {
-			t.Fatalf("n=%d: Keys after new key = %d, want %d", n, r.Keys(), keys+1)
-		}
-	}
-}
-
-// TestReplicasPooledSteadyStateAllocs pins the pooling purpose: a
-// windowed observe→release cycle at large n reuses bitsets instead of
-// allocating one per key.
-func TestReplicasPooledSteadyStateAllocs(t *testing.T) {
-	r := NewDigestReplicas(512) // 8-word bitsets
-	id := uint64(0)
-	// Warm: fill the free list and the map's bucket store.
-	for w := 0; w < 64; w++ {
-		for k := 0; k < 32; k++ {
-			r.Observe(id+uint64(k), k%512)
-		}
-		for k := 0; k < 32; k++ {
-			r.Release(id + uint64(k))
-		}
-		id += 32
-	}
-	avg := testing.AllocsPerRun(200, func() {
-		for k := 0; k < 32; k++ {
-			r.Observe(id+uint64(k), k%512)
-		}
-		for k := 0; k < 32; k++ {
-			r.Release(id + uint64(k))
-		}
-		id += 32
-	})
-	// Map inserts may occasionally allocate buckets; the per-key bitset
-	// allocations (32 per cycle un-pooled) must be gone.
-	if avg > 2 {
-		t.Fatalf("windowed observe/release cycle allocates %.2f/op, want ≈0 (pooled)", avg)
 	}
 }

@@ -3,6 +3,8 @@
 // (the quantities reported in Table I of the paper).
 package stream
 
+import "fmt"
+
 // Message is one stream tuple ⟨t, k, v⟩. Seq is a logical timestamp
 // assigned by the producing source; engines that measure wall-clock or
 // simulated latency keep their own clocks.
@@ -52,6 +54,17 @@ func NextBatch(gen Generator, dst []string) int {
 		dst[i] = k
 	}
 	return len(dst)
+}
+
+// CheckDrawn reports a run whose generator delivered a different
+// number of messages than the run planned (its Len, capped by the
+// run's own message limit): a truncated input — a cut trace file — is
+// an error, never a smaller run. It returns nil when drawn == planned.
+func CheckDrawn(drawn, planned int64) error {
+	if drawn == planned {
+		return nil
+	}
+	return fmt.Errorf("stream ended after %d of the %d messages planned", drawn, planned)
 }
 
 // ValueBatchGenerator is implemented by generators whose messages carry
@@ -234,100 +247,14 @@ func (g *SliceGenerator) Len() int64 { return int64(len(g.keys)) }
 // Reset implements Generator.
 func (g *SliceGenerator) Reset() { g.pos = 0 }
 
-// Limit wraps gen, truncating it to at most n messages.
-type Limit struct {
-	gen  Generator
-	n    int64
-	seen int64
-}
+var _ BatchGenerator = (*SliceGenerator)(nil)
 
-// NewLimit returns a Generator that emits at most n keys from gen.
-func NewLimit(gen Generator, n int64) *Limit {
-	return &Limit{gen: gen, n: n}
-}
-
-// Next implements Generator.
-func (l *Limit) Next() (string, bool) {
-	if l.seen >= l.n {
-		return "", false
-	}
-	k, ok := l.gen.Next()
-	if !ok {
-		return "", false
-	}
-	l.seen++
-	return k, true
-}
-
-// NextBatch implements BatchGenerator.
-func (l *Limit) NextBatch(dst []string) int {
-	room := l.n - l.seen
-	if room <= 0 {
-		return 0
-	}
-	if int64(len(dst)) > room {
-		dst = dst[:room]
-	}
-	n := NextBatch(l.gen, dst)
-	l.seen += int64(n)
-	return n
-}
-
-// Len implements Generator.
-func (l *Limit) Len() int64 {
-	if inner := l.gen.Len(); inner < l.n {
-		return inner
-	}
-	return l.n
-}
-
-// Reset implements Generator.
-func (l *Limit) Reset() {
-	l.gen.Reset()
-	l.seen = 0
-}
-
-var (
-	_ BatchGenerator = (*SliceGenerator)(nil)
-	_ BatchGenerator = (*Limit)(nil)
-)
-
-// Puller adapts a Generator to per-message consumption through an
-// internal prefetch slab, so engines that must pull one key at a time
+// ValuePuller adapts a Generator to per-message consumption of
+// (key, payload) pairs through an internal prefetch slab filled via
+// NextBatchValues, so engines that must pull one message at a time
 // (e.g. a discrete-event loop) still drive the batch emission path.
-// The sequence is exactly the generator's.
-type Puller struct {
-	gen    Generator
-	buf    []string
-	pos, n int
-}
-
-// NewPuller returns a Puller with the given prefetch slab size.
-func NewPuller(gen Generator, slab int) *Puller {
-	if slab <= 0 {
-		slab = 256
-	}
-	return &Puller{gen: gen, buf: make([]string, slab)}
-}
-
-// Next returns the next key of the underlying stream.
-func (p *Puller) Next() (string, bool) {
-	if p.pos == p.n {
-		p.n = NextBatch(p.gen, p.buf)
-		p.pos = 0
-		if p.n == 0 {
-			return "", false
-		}
-	}
-	k := p.buf[p.pos]
-	p.pos++
-	return k, true
-}
-
-// ValuePuller is Puller's value-aware sibling: per-message consumption
-// of (key, payload) pairs through a prefetch slab, filled via
-// NextBatchValues (so generators without recorded values yield the
-// constant 1). The key sequence is exactly the generator's.
+// Generators without recorded values yield the constant 1; the key
+// sequence is exactly the generator's.
 type ValuePuller struct {
 	gen    Generator
 	keys   []string

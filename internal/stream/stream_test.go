@@ -56,38 +56,6 @@ func TestSliceGenerator(t *testing.T) {
 	}
 }
 
-func TestLimit(t *testing.T) {
-	g := NewLimit(FromSlice([]string{"a", "b", "c", "d"}), 2)
-	if g.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", g.Len())
-	}
-	n := 0
-	for {
-		if _, ok := g.Next(); !ok {
-			break
-		}
-		n++
-	}
-	if n != 2 {
-		t.Fatalf("emitted %d, want 2", n)
-	}
-	g.Reset()
-	if _, ok := g.Next(); !ok {
-		t.Fatal("Reset did not rewind Limit")
-	}
-}
-
-func TestLimitLongerThanStream(t *testing.T) {
-	g := NewLimit(FromSlice([]string{"a"}), 10)
-	if g.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", g.Len())
-	}
-	g.Next()
-	if _, ok := g.Next(); ok {
-		t.Fatal("Limit emitted past the underlying stream")
-	}
-}
-
 func TestCollectCountsProperty(t *testing.T) {
 	prop := func(raw []uint8) bool {
 		keys := make([]string, len(raw))
@@ -117,7 +85,6 @@ func TestNextBatchMatchesNext(t *testing.T) {
 		gen  func() Generator
 	}{
 		{"slice", func() Generator { return FromSlice(keys) }},
-		{"limit", func() Generator { return NewLimit(FromSlice(keys), 5) }},
 		{"fallback", func() Generator { return onlyNext{FromSlice(keys)} }},
 	}
 	for _, tc := range mk {

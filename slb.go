@@ -271,8 +271,8 @@
 // acquire_stall_ns_total and bolt_parks_total; bolt_partials_total;
 // and per reducer shard shard_parks_total, reduce_partials_total,
 // reduce_busy_ns_total, the reduce_open_windows /
-// reduce_live_entries / reduce_live_replicas occupancy gauges and the
-// reduce_replication gauge. The discrete-event engine (engine=eventsim)
+// reduce_live_entries occupancy gauges and the reduce_replication
+// gauge. The discrete-event engine (engine=eventsim)
 // publishes the same routing series plus sim_emitted_total,
 // sim_completed_total, sim_clock_ns, per-worker queue_depth and
 // sim_peak_queue, flush_stall_ns_total, and the per-shard reducer
