@@ -70,11 +70,12 @@ func BenchmarkRoute(b *testing.B) {
 				}
 				gen := slb.NewZipfStream(1.4, 10_000, int64(b.N)+1, 1)
 				loads := make([]int64, n)
+				one := make([]string, 1)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					k, _ := gen.Next()
-					loads[p.Route(k)]++
+					gen.NextBatch(one)
+					loads[p.Route(one[0])]++
 				}
 				b.ReportMetric(slb.Imbalance(loads), "imbalance")
 			})
@@ -104,19 +105,17 @@ func BenchmarkRouteSteadyState(b *testing.B) {
 				b.Fatal(err)
 			}
 			warm := slb.NewZipfStream(benchZ, benchKeys, 50_000, 2)
-			for {
-				k, ok := warm.Next()
-				if !ok {
-					break
-				}
+			for one := make([]string, 1); warm.NextBatch(one) == 1; {
+				k := one[0]
 				p.Route(k)
 			}
 			gen := slb.NewZipfStream(benchZ, benchKeys, int64(b.N)+1, 1)
+			one := make([]string, 1)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				k, _ := gen.Next()
-				p.Route(k)
+				gen.NextBatch(one)
+				p.Route(one[0])
 			}
 		})
 	}
@@ -136,11 +135,8 @@ func BenchmarkRouteBatchSteadyState(b *testing.B) {
 				b.Fatal(err)
 			}
 			warm := slb.NewZipfStream(benchZ, benchKeys, 50_000, 2)
-			for {
-				k, ok := warm.Next()
-				if !ok {
-					break
-				}
+			for one := make([]string, 1); warm.NextBatch(one) == 1; {
+				k := one[0]
 				p.Route(k)
 			}
 			gen := slb.NewZipfStream(benchZ, benchKeys, int64(b.N)+benchSlabSize, 1)
@@ -175,11 +171,8 @@ func BenchmarkRouteBatchDigestsSteadyState(b *testing.B) {
 				b.Fatal(err)
 			}
 			warm := slb.NewZipfStream(benchZ, benchKeys, 50_000, 2)
-			for {
-				k, ok := warm.Next()
-				if !ok {
-					break
-				}
+			for one := make([]string, 1); warm.NextBatch(one) == 1; {
+				k := one[0]
 				p.Route(k)
 			}
 			gen := slb.NewZipfStream(benchZ, benchKeys, int64(b.N)+benchSlabSize, 1)
@@ -211,11 +204,8 @@ func BenchmarkRouteBatchRedigestSteadyState(b *testing.B) {
 				b.Fatal(err)
 			}
 			warm := slb.NewZipfStream(benchZ, benchKeys, 50_000, 2)
-			for {
-				k, ok := warm.Next()
-				if !ok {
-					break
-				}
+			for one := make([]string, 1); warm.NextBatch(one) == 1; {
+				k := one[0]
 				p.Route(k)
 			}
 			gen := slb.NewZipfStream(benchZ, benchKeys, int64(b.N)+benchSlabSize, 1)
@@ -456,10 +446,11 @@ func TestSteadyStateRoutingZeroAllocs(t *testing.T) {
 func BenchmarkHeavyHitters(b *testing.B) {
 	hh := slb.NewHeavyHitters(1000)
 	gen := slb.NewZipfStream(1.2, 100_000, int64(b.N)+1, 3)
+	one := make([]string, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k, _ := gen.Next()
-		hh.Offer(k)
+		gen.NextBatch(one)
+		hh.Offer(one[0])
 	}
 }

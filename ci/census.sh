@@ -36,7 +36,9 @@ go build -C bench -cover -coverpkg=slb/... -o "$work/bin/bench" .
 run "$work/bin/slbsim" -scale quick all
 run "$work/bin/slbstorm" -scale quick all
 trace="$work/census.slbt"
-run "$work/bin/slbtrace" gen -out "$trace" -dataset WP -scale quick
+# -payload mix writes a version-2 trace, so the value path (WithValues
+# on record, the replay's NextBatchValues on stats) runs too.
+run "$work/bin/slbtrace" gen -out "$trace" -dataset WP -scale quick -payload mix
 run "$work/bin/slbtrace" stats -in "$trace"
 run "$work/bin/slbtrace" head -in "$trace"
 run "$work/bin/slbtrace" sim -in "$trace" -algo D-C

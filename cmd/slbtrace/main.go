@@ -100,9 +100,9 @@ func cmdGen(args []string) error {
 		if err != nil {
 			return err
 		}
-		// Derive once at record time; replay then supplies these values
-		// as recorded data (the engines' sampling contract — see
-		// stream.ValueBatchGenerator).
+		// Derive once at record time: the trace is written as version
+		// 2, and every replay supplies these values as recorded data
+		// (the engines' sampling contract — see stream.Source).
 		gen = stream.WithValues(gen, fn)
 	}
 
@@ -217,7 +217,7 @@ func cmdHead(args []string) error {
 	// digest per key, slab-at-a-time reads from the trace.
 	slab := make([]string, 512)
 	for {
-		n := stream.NextBatch(g, slab)
+		n := g.NextBatch(slab)
 		if n == 0 {
 			break
 		}

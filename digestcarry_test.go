@@ -119,11 +119,8 @@ func TestCrossEngineAggregationParity(t *testing.T) {
 		truth := make(map[key]int64)
 		gen := slb.NewZipfStream(1.8, 400, m, 29)
 		var idx int64
-		for {
-			k, ok := gen.Next()
-			if !ok {
-				break
-			}
+		for one := make([]string, 1); gen.NextBatch(one) == 1; {
+			k := one[0]
 			truth[key{idx / window, k}]++
 			idx++
 		}
@@ -201,11 +198,8 @@ func TestCrossEngineShardedMergerParity(t *testing.T) {
 		truthCount := make(map[fk]int64)
 		gen := slb.NewZipfStream(1.8, 400, m, 29)
 		var idx int64
-		for {
-			k, ok := gen.Next()
-			if !ok {
-				break
-			}
+		for one := make([]string, 1); gen.NextBatch(one) == 1; {
+			k := one[0]
 			id := fk{idx / window, k}
 			v := truthVal[id]
 			merger.Observe(&v, sample(k, idx), 1)

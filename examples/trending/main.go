@@ -41,12 +41,12 @@ func normalize(key string) string {
 // stage routes, sums and merges by hashtag.
 type tagStream struct{ inner slb.Generator }
 
-func (t tagStream) Next() (string, bool) {
-	k, ok := t.inner.Next()
-	if !ok {
-		return "", false
+func (t tagStream) NextBatch(dst []string) int {
+	n := t.inner.NextBatch(dst)
+	for i, k := range dst[:n] {
+		dst[i] = normalize(k)
 	}
-	return normalize(k), true
+	return n
 }
 func (t tagStream) Len() int64 { return t.inner.Len() }
 func (t tagStream) Reset()     { t.inner.Reset() }
@@ -68,13 +68,12 @@ func main() {
 	// Single-node ground truth: total engagement per tag.
 	truth := map[string]int64{}
 	var truthTotal int64
-	for {
-		tag, ok := tags.Next()
-		if !ok {
-			break
+	slab := make([]string, 512)
+	for n := tags.NextBatch(slab); n > 0; n = tags.NextBatch(slab) {
+		for _, tag := range slab[:n] {
+			truth[tag] += engagement(tag)
+			truthTotal += engagement(tag)
 		}
-		truth[tag] += engagement(tag)
-		truthTotal += engagement(tag)
 	}
 	tags.Reset()
 

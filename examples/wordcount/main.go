@@ -35,14 +35,14 @@ func vocabulary(i int) string {
 // word keys (routing is identical: same key ↔ same digest everywhere).
 type wordStream struct{ inner slb.Generator }
 
-func (w wordStream) Next() (string, bool) {
-	k, ok := w.inner.Next()
-	if !ok {
-		return "", false
+func (w wordStream) NextBatch(dst []string) int {
+	n := w.inner.NextBatch(dst)
+	for i, k := range dst[:n] {
+		var rank int
+		fmt.Sscanf(k, "k%d", &rank)
+		dst[i] = vocabulary(rank)
 	}
-	var rank int
-	fmt.Sscanf(k, "k%d", &rank)
-	return vocabulary(rank), true
+	return n
 }
 func (w wordStream) Len() int64 { return w.inner.Len() }
 func (w wordStream) Reset()     { w.inner.Reset() }
@@ -63,12 +63,11 @@ func main() {
 
 	// Single-node ground truth for the exactness check below.
 	truth := make(map[string]int64)
-	for {
-		w, ok := words.Next()
-		if !ok {
-			break
+	slab := make([]string, 512)
+	for n := words.NextBatch(slab); n > 0; n = words.NextBatch(slab) {
+		for _, w := range slab[:n] {
+			truth[w]++
 		}
-		truth[w]++
 	}
 	words.Reset()
 

@@ -34,11 +34,8 @@ func runTwoPhase(t *testing.T, gen stream.Generator, algo string, workers, sourc
 	gen.Reset()
 	var idx int64
 	src := 0
-	for {
-		key, ok := gen.Next()
-		if !ok {
-			break
-		}
+	for one := make([]string, 1); gen.NextBatch(one) == 1; {
+		key := one[0]
 		window := idx / windowSize
 		w := parts[src].Route(key)
 		acc := accs[w]
@@ -70,11 +67,8 @@ func groundTruth(gen stream.Generator, windowSize int64) map[int64]map[string]in
 	gen.Reset()
 	truth := make(map[int64]map[string]int64)
 	var idx int64
-	for {
-		key, ok := gen.Next()
-		if !ok {
-			break
-		}
+	for one := make([]string, 1); gen.NextBatch(one) == 1; {
+		key := one[0]
 		w := idx / windowSize
 		m := truth[w]
 		if m == nil {
@@ -262,11 +256,8 @@ func BenchmarkAccumulatorWindow(b *testing.B) {
 	gen := workload.NewZipf(1.4, 2_000, int64(windowSize), 3)
 	keys := make([]string, 0, windowSize)
 	digs := make([]KeyDigest, 0, windowSize)
-	for {
-		k, ok := gen.Next()
-		if !ok {
-			break
-		}
+	for one := make([]string, 1); gen.NextBatch(one) == 1; {
+		k := one[0]
 		keys = append(keys, k)
 		digs = append(digs, hashing.Digest(k))
 	}

@@ -32,9 +32,9 @@ type Merger interface {
 	// Name identifies the operator (for tables and diagnostics).
 	Name() string
 	// Observe folds n observations of sample into v (the worker side).
-	// Engines derive sample per message via their AggValue hook
-	// (default 1); the batched form folds n identical observations in
-	// one call.
+	// Engines draw the sample per message by stream.Source's sampling
+	// contract (AggValue hook, else recorded value, else 1); the
+	// batched form folds n identical observations in one call.
 	Observe(v *Value, sample int64, n int64)
 	// Combine folds src into dst (the reducer side, merging partials
 	// produced on different workers). Must agree with Observe:

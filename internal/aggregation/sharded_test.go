@@ -136,14 +136,7 @@ func runSharded(t *testing.T, gen stream.Generator, algo string, workers, source
 		accs[i] = NewAccumulatorMerger(i, m)
 	}
 	gen.Reset()
-	var total int64
-	for {
-		if _, ok := gen.Next(); !ok {
-			break
-		}
-		total++
-	}
-	gen.Reset()
+	total := gen.Len()
 
 	sd := NewShardedDriver(workers, shards, windowSize, total, m)
 	var finals []Final
@@ -156,11 +149,8 @@ func runSharded(t *testing.T, gen stream.Generator, algo string, workers, source
 
 	var idx int64
 	src := 0
-	for {
-		key, ok := gen.Next()
-		if !ok {
-			break
-		}
+	for one := make([]string, 1); gen.NextBatch(one) == 1; {
+		key := one[0]
 		dg := hashing.Digest(key)
 		window := idx / windowSize
 		sd.ObserveEmit(idx, dg)

@@ -162,15 +162,7 @@ func TestDChoicesCacheGrowsWithObservedHead(t *testing.T) {
 	digs := make([]KeyDigest, 256)
 	dst := make([]int, 256)
 	for {
-		n := 0
-		for n < len(keys) {
-			k, ok := gen.Next()
-			if !ok {
-				break
-			}
-			keys[n] = k
-			n++
-		}
+		n := gen.NextBatch(keys)
 		if n == 0 {
 			break
 		}

@@ -133,11 +133,8 @@ func routeStream(tb testing.TB, p Partitioner, z float64, keys int, m int64) []f
 	tb.Helper()
 	gen := workload.NewZipf(z, keys, m, 7)
 	loads := make([]int64, p.Workers())
-	for {
-		k, ok := gen.Next()
-		if !ok {
-			break
-		}
+	for one := make([]string, 1); gen.NextBatch(one) == 1; {
+		k := one[0]
 		loads[p.Route(k)]++
 	}
 	out := make([]float64, len(loads))
@@ -197,11 +194,8 @@ func TestDChoicesUsesTwoChoicesWithoutSkew(t *testing.T) {
 	// Uniform stream: no head, D-C must stay at d = 2 (PKG behaviour).
 	p := NewDChoices(cfg(10))
 	gen := workload.NewZipf(0, 500, 20000, 3)
-	for {
-		k, ok := gen.Next()
-		if !ok {
-			break
-		}
+	for one := make([]string, 1); gen.NextBatch(one) == 1; {
+		k := one[0]
 		p.Route(k)
 	}
 	if p.D() != 2 {
@@ -214,11 +208,8 @@ func TestDChoicesDRespectsP1LowerBound(t *testing.T) {
 	// (or a switch to W-C at d = n).
 	p := NewDChoices(cfg(10))
 	gen := workload.NewZipf(2.0, 1000, 50000, 5)
-	for {
-		k, ok := gen.Next()
-		if !ok {
-			break
-		}
+	for one := make([]string, 1); gen.NextBatch(one) == 1; {
+		k := one[0]
 		p.Route(k)
 	}
 	if p.D() < 7 {
@@ -281,11 +272,8 @@ func TestDeterministicRouting(t *testing.T) {
 		a, _ := New(name, cfg(9))
 		b, _ := New(name, cfg(9))
 		gen := workload.NewZipf(1.2, 100, 2000, 11)
-		for {
-			k, ok := gen.Next()
-			if !ok {
-				break
-			}
+		for one := make([]string, 1); gen.NextBatch(one) == 1; {
+			k := one[0]
 			if a.Route(k) != b.Route(k) {
 				t.Fatalf("%s is not deterministic", name)
 			}
@@ -373,11 +361,8 @@ func TestConfigRejectsInvalidValues(t *testing.T) {
 // collectKeys materializes a generator's stream.
 func collectKeys(gen *workload.Zipf) []string {
 	keys := make([]string, 0, gen.Len())
-	for {
-		k, ok := gen.Next()
-		if !ok {
-			break
-		}
+	for one := make([]string, 1); gen.NextBatch(one) == 1; {
+		k := one[0]
 		keys = append(keys, k)
 	}
 	return keys
@@ -537,11 +522,12 @@ func BenchmarkRoute(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			p, _ := New(name, cfg(50))
 			gen := workload.NewZipf(1.4, 10000, int64(b.N)+1, 1)
+			one := make([]string, 1)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				k, _ := gen.Next()
-				p.Route(k)
+				gen.NextBatch(one)
+				p.Route(one[0])
 			}
 		})
 	}

@@ -184,11 +184,8 @@ func TestAllAlgorithmsConserveLocalLoads(t *testing.T) {
 			t.Fatal(err)
 		}
 		gen := workload.NewZipf(1.6, 300, 5000, 3)
-		for {
-			k, ok := gen.Next()
-			if !ok {
-				break
-			}
+		for one := make([]string, 1); gen.NextBatch(one) == 1; {
+			k := one[0]
 			p.Route(k)
 		}
 		type loader interface{ Loads() []int64 }

@@ -149,22 +149,8 @@ func TestScanTreeRoutingParity(t *testing.T) {
 				m = 20000 // enough traffic for head keys to emerge at scale
 			}
 			gen := workload.NewZipf(z, 2000, m, 7)
-			keys := make([]string, 0, m)
-			buf := make([]string, 256)
-			for {
-				k := 0
-				for ; k < len(buf); k++ {
-					key, ok := gen.Next()
-					if !ok {
-						break
-					}
-					buf[k] = key
-				}
-				keys = append(keys, buf[:k]...)
-				if k < len(buf) {
-					break
-				}
-			}
+			keys := make([]string, m)
+			keys = keys[:gen.NextBatch(keys)]
 			for _, algo := range algos {
 				t.Run(fmt.Sprintf("%s/n=%d/z=%.1f", algo, n, z), func(t *testing.T) {
 					scan, tree := scanTreePartitioners(t, algo, n)
@@ -210,11 +196,8 @@ func TestAutoCrossoverMatchesForcedModes(t *testing.T) {
 		if wantTree := n >= loadIndexCrossover; wantTree != (auto.tree != nil) {
 			t.Fatalf("n=%d: auto tree presence = %v, want %v", n, auto.tree != nil, wantTree)
 		}
-		for {
-			k, ok := gen.Next()
-			if !ok {
-				break
-			}
+		for one := make([]string, 1); gen.NextBatch(one) == 1; {
+			k := one[0]
 			wa, ws, wt := auto.Route(k), scan.Route(k), tree.Route(k)
 			if wa != ws || wa != wt {
 				t.Fatalf("n=%d key %q: auto %d scan %d tree %d", n, k, wa, ws, wt)
@@ -261,11 +244,8 @@ func TestWorkerCapLifted(t *testing.T) {
 func TestGreedyTreeStaysInSync(t *testing.T) {
 	gen := workload.NewZipf(1.8, 300, 12000, 11)
 	keys := make([]string, 0, 12000)
-	for {
-		k, ok := gen.Next()
-		if !ok {
-			break
-		}
+	for one := make([]string, 1); gen.NextBatch(one) == 1; {
+		k := one[0]
 		keys = append(keys, k)
 	}
 	for _, algo := range []string{"W-C", "D-C", "RR", "PKG"} {

@@ -18,8 +18,8 @@
 // times and then parks, and the link — or the ack counter crossing the
 // level the spout asked for — wakes it.
 //
-// The data plane is batched end to end: spouts draw key slabs from the
-// generator (stream.NextBatch), route them in one RouteBatchDigests
+// The data plane is batched end to end: spouts draw key slabs from one
+// stream.Source over the generator, route them in one RouteBatchDigests
 // call, and send one message slab per destination bolt, so per-message
 // link and scheduler overhead is amortized by Config.Batch.
 //
@@ -60,7 +60,6 @@ package dspe
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"slb/internal/aggregation"
@@ -121,9 +120,8 @@ type Config struct {
 	AggMerger aggregation.Merger
 	// AggValue derives the 64-bit sample the merger observes for each
 	// message; seq is the message's global emission index. nil falls
-	// back to the generator's recorded payload values when it carries
-	// any (stream.ValueBatchGenerator — e.g. a version-2 tracefile
-	// replay), and to the constant 1 (so sum ≡ count) otherwise.
+	// back to the generator's recorded payload values, then to the
+	// constant 1 (the sampling contract, documented on stream.Source).
 	AggValue func(key string, seq int64) int64
 	// AggMergeCost, when positive, simulates a per-partial merge cost at
 	// the reducer shards (slept or spun per Config.Spin, batched per
@@ -261,8 +259,7 @@ type Result struct {
 
 // tuple is one in-flight message. With aggregation on it carries the
 // KeyDigest routing computed, so bolts never re-scan the key bytes,
-// plus the merger sample resolved at the spout (AggValue hook, else
-// generator-recorded value, else 1 — see Config.AggValue). A
+// plus the merger sample the run's stream.Source drew with its key. A
 // negative src marks a watermark tick: window holds the id of the
 // window the global emission sequence has entered, there is no key and
 // no ack, and the receiving bolt just flushes its closed windows.
@@ -270,7 +267,7 @@ type tuple struct {
 	key    string
 	dig    core.KeyDigest
 	window int64 // tumbling-window id (0 unless Config.AggWindow > 0)
-	val    int64 // merger sample (see Config.AggValue for the contract)
+	val    int64 // merger sample (the contract is stream.Source's)
 	src    int32
 }
 
@@ -299,17 +296,15 @@ func Run(gen stream.Generator, cfg Config) (Result, error) {
 		parts[i] = p
 	}
 
-	gen.Reset()
-	limit := gen.Len()
-	if cfg.Messages > 0 && cfg.Messages < limit {
-		limit = cfg.Messages
-	}
+	src := stream.NewSource(gen, cfg.Messages, cfg.AggValue)
 	fabric, err := openFabric(cfg)
 	if err != nil {
 		return Result{}, err
 	}
 	defer fabric.Close()
-	return runOnFabric(fabric, gen, cfg, parts, limit)
+	res, err := runOnFabric(fabric, src, cfg, parts)
+	gen.Reset()
+	return res, err
 }
 
 // poolLatency merges the per-bolt latency reservoirs into one pooled
@@ -329,38 +324,6 @@ func poolLatency(stats []boltStats) *metrics.Quantiles {
 		}
 	}
 	return pooled
-}
-
-// slabSource returns a draw function over the shared generator: slab
-// draws are serialized with a mutex (one lock per slab, not per
-// message), capped at limit total keys, and each draw also returns the
-// slab's base position in the global emission sequence, from which the
-// spout derives tumbling-window ids. A non-nil vals slice
-// (len ≥ len(dst)) is filled in lockstep with the keys' payload values
-// (stream.NextBatchValues); nil draws keys only. Run feeds all its
-// spouts from one of these.
-func slabSource(gen stream.Generator, limit int64) func(dst []string, vals []int64) (int, int64) {
-	var mu sync.Mutex
-	var emitted int64
-	return func(dst []string, vals []int64) (int, int64) {
-		mu.Lock()
-		defer mu.Unlock()
-		if rem := limit - emitted; rem < int64(len(dst)) {
-			dst = dst[:rem]
-		}
-		if len(dst) == 0 {
-			return 0, emitted
-		}
-		base := emitted
-		var n int
-		if vals != nil {
-			n = stream.NextBatchValues(gen, dst, vals)
-		} else {
-			n = stream.NextBatch(gen, dst)
-		}
-		emitted += int64(n)
-		return n, base
-	}
 }
 
 // simulateWork burns the configured service time.

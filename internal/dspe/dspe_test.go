@@ -238,11 +238,8 @@ func aggGroundTruth(gen stream.Generator, windowSize int64) map[int64]map[string
 	gen.Reset()
 	truth := make(map[int64]map[string]int64)
 	var idx int64
-	for {
-		key, ok := gen.Next()
-		if !ok {
-			break
-		}
+	for one := make([]string, 1); gen.NextBatch(one) == 1; {
+		key := one[0]
 		w := idx / windowSize
 		m := truth[w]
 		if m == nil {

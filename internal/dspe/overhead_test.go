@@ -20,11 +20,9 @@ func TestReplicationOverheadOrdering(t *testing.T) {
 	)
 	gen := workload.NewZipf(1.4, 10_000, messages, 7)
 	truth := make(map[string][2]int64)
-	for i := int64(0); ; i++ {
-		key, ok := gen.Next()
-		if !ok {
-			break
-		}
+	one := make([]string, 1)
+	for i := int64(0); gen.NextBatch(one) == 1; i++ {
+		key := one[0]
 		id := fmt.Sprintf("%d|%s", i/window, key)
 		n := truth[id][0] + 1
 		truth[id] = [2]int64{n, n}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"slb/internal/core"
+	"slb/internal/stream"
 	"slb/internal/transport"
 )
 
@@ -92,7 +93,7 @@ func TestTransportPlaneLeaksNoGoroutine(t *testing.T) {
 			}
 			fabric := transport.NewChaos(tcp, transport.ChaosConfig{Seed: seed, SeverEvery: 7})
 			gen := zipfGen(1.2, 250, 200_000)
-			_, err = runOnFabric(fabric, gen, cfg, parts, 200_000)
+			_, err = runOnFabric(fabric, stream.NewSource(gen, 200_000, nil), cfg, parts)
 			fabric.Close()
 			if err == nil {
 				t.Fatal("run over links severed with reconnection disabled reported no error")

@@ -78,11 +78,8 @@ func TestShardedAggregationExact(t *testing.T) {
 	truthSum := map[fk]int64{}
 	gen := workload.NewZipf(1.6, 300, m, 31)
 	var idx int64
-	for {
-		k, ok := gen.Next()
-		if !ok {
-			break
-		}
+	for one := make([]string, 1); gen.NextBatch(one) == 1; {
+		k := one[0]
 		id := fk{idx / window, k}
 		truthCount[id]++
 		truthSum[id] += sample(k, idx)

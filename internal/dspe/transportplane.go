@@ -148,10 +148,10 @@ func openFabric(cfg Config) (transport.Transport, error) {
 
 // runOnFabric executes the topology with every data hop a link of
 // fabric, which the caller opened (and closes). cfg has defaults
-// applied; parts are the per-source partitioners; limit is the message
-// cap. Every goroutine it starts has exited when it returns, on the
-// clean path and on a link failure alike.
-func runOnFabric(fabric transport.Transport, gen stream.Generator, cfg Config, parts []core.Partitioner, limit int64) (Result, error) {
+// applied; parts are the per-source partitioners; src is the run's
+// input, shared by all spouts. Every goroutine it starts has exited
+// when it returns, on the clean path and on a link failure alike.
+func runOnFabric(fabric transport.Transport, src *stream.Source, cfg Config, parts []core.Partitioner) (Result, error) {
 	shards := cfg.AggShards
 	agg := cfg.AggWindow > 0
 	pt := newPlaneTelemetry(cfg)
@@ -237,7 +237,7 @@ func runOnFabric(fabric transport.Transport, gen stream.Generator, cfg Config, p
 		reduceWG   sync.WaitGroup
 	)
 	if agg {
-		sd = aggregation.NewShardedDriver(cfg.Workers, shards, cfg.AggWindow, limit, cfg.AggMerger)
+		sd = aggregation.NewShardedDriver(cfg.Workers, shards, cfg.AggWindow, src.Planned(), cfg.AggMerger)
 		pt.observeReduce(sd)
 		reduceBusy = make([]time.Duration, shards)
 		fan := &finalFanIn{user: cfg.OnFinal, shards: shards}
@@ -453,9 +453,7 @@ func runOnFabric(fabric transport.Transport, gen stream.Generator, cfg Config, p
 	}
 
 	// The input stream is shared by all spouts (shuffle grouping from the
-	// data source to the spouts); see slabSource.
-	nextSlab := slabSource(gen, limit)
-	genVals := stream.Values(gen) != nil
+	// data source to the spouts): each draws its slabs from src.
 	// tickedWindow is the highest window id announced to the bolts via
 	// watermark ticks; the spout whose slab first enters a window
 	// broadcasts the tick (idempotent at the bolts: flushing an already
@@ -478,9 +476,7 @@ func runOnFabric(fabric transport.Transport, gen stream.Generator, cfg Config, p
 			dsts := make([]int, cfg.Batch)
 			digs := make([]core.KeyDigest, cfg.Batch)
 			var vals []int64
-			// Sampling contract: AggValue hook > recorded generator values
-			// > constant 1 (see Config.AggValue).
-			if agg && cfg.AggValue == nil && genVals {
+			if agg {
 				vals = make([]int64, cfg.Batch)
 			}
 			// Reused per-destination staging, sent with one SendSlab per
@@ -510,7 +506,7 @@ func runOnFabric(fabric transport.Transport, gen stream.Generator, cfg Config, p
 			park := spoutPark[s]
 			var seq int64 // per-spout emit counter for latency sampling
 			for !failed() {
-				n, base := nextSlab(keys, vals)
+				n, base := src.Draw(keys, vals)
 				if n == 0 {
 					break
 				}
@@ -599,12 +595,7 @@ func runOnFabric(fabric transport.Transport, gen stream.Generator, cfg Config, p
 					if agg {
 						tp.window = (base + int64(i)) / cfg.AggWindow
 						tp.dig = digs[i]
-						tp.val = 1
-						if cfg.AggValue != nil {
-							tp.val = cfg.AggValue(keys[i], base+int64(i))
-						} else if vals != nil {
-							tp.val = vals[i]
-						}
+						tp.val = vals[i]
 					}
 					emit := int64(0)
 					if seq&latSampleMask == 0 {
@@ -677,10 +668,8 @@ func runOnFabric(fabric transport.Transport, gen stream.Generator, cfg Config, p
 	if p := firstErr.Load(); p != nil {
 		return Result{}, *p
 	}
-	// An empty draw returns the count drawn so far; short of limit, the
-	// generator ran dry.
-	if _, drawn := nextSlab(nil, nil); drawn != limit {
-		return Result{}, fmt.Errorf("dspe: %w", stream.CheckDrawn(drawn, limit))
+	if err := src.Err(); err != nil {
+		return Result{}, fmt.Errorf("dspe: %w", err)
 	}
 
 	res := Result{
@@ -723,6 +712,5 @@ func runOnFabric(fabric transport.Transport, gen stream.Generator, cfg Config, p
 	if sec := elapsed.Seconds(); sec > 0 {
 		res.Throughput = float64(res.Completed) / sec
 	}
-	gen.Reset()
 	return res, nil
 }

@@ -60,7 +60,7 @@ func runOracle(t *testing.T, gen stream.Generator, cfg Config) oracle {
 	keys, digs, dsts := make([]string, cfg.Batch), make([]core.KeyDigest, cfg.Batch), make([]int, cfg.Batch)
 	gen.Reset()
 	for seq := int64(0); seq < cfg.Messages; {
-		n := stream.NextBatch(gen, keys[:min(int64(cfg.Batch), cfg.Messages-seq)])
+		n := gen.NextBatch(keys[:min(int64(cfg.Batch), cfg.Messages-seq)])
 		p.RouteBatchDigests(keys[:n], digs, dsts)
 		for i := 0; i < n; i++ {
 			id := fmt.Sprintf("%d|%s", (seq+int64(i))/cfg.AggWindow, keys[i])

@@ -29,9 +29,10 @@
 // Values merged per (window, key) are pluggable: Config.AggMerger
 // selects the operator (count by default; sum/min/max/distinct built
 // in) and each message's merged sample is resolved by the sampling
-// contract — the Config.AggValue hook, else the generator's recorded
-// payload values (stream.ValueBatchGenerator, e.g. a version-2
-// tracefile replay), else the constant 1.
+// contract of stream.Source, which the event loop draws its input
+// through — the Config.AggValue hook, else the generator's recorded
+// payload values (e.g. a version-2 tracefile replay), else the
+// constant 1.
 //
 // Workers flush on watermark progress, not only on their own traffic:
 // when the global emission sequence enters a new window, idle workers
@@ -166,10 +167,9 @@ type Config struct {
 	// AggValue derives the 64-bit sample the merger observes for each
 	// message: the addend for sum, the comparand for min/max, the
 	// element for distinct. seq is the message's global emission index.
-	// nil falls back to the generator's recorded payload values when it
-	// carries any (stream.ValueBatchGenerator — e.g. a version-2
-	// tracefile replay), and to the constant 1 (so sum ≡ count)
-	// otherwise.
+	// nil falls back to the generator's recorded payload values, then to
+	// the constant 1 (the sampling contract, documented on
+	// stream.Source).
 	AggValue func(key string, seq int64) int64
 	// OnFinal, when set (and AggWindow > 0), receives every merged final
 	// the reducer emits, in deterministic order.
@@ -404,20 +404,18 @@ func Run(gen stream.Generator, cfg Config) (Result, error) {
 		parts[i] = p
 	}
 
-	gen.Reset()
-	limit := gen.Len()
-	if cfg.Messages > 0 && cfg.Messages < limit {
-		limit = cfg.Messages
-	}
+	src := stream.NewSource(gen, cfg.Messages, cfg.AggValue)
+	limit := src.Planned()
 	tel := newSimTelemetry(cfg, parts)
-	// The event loop consumes one message per emit event, but pulls them
-	// through a prefetch slab so the generator's batch emission path is
-	// driven; the key sequence is identical to per-message Next. The
-	// value-aware puller also carries each message's recorded payload
-	// (constant 1 for generators without one — see the sampling
-	// contract on Config.AggValue).
-	keys := stream.NewValuePuller(gen, 512)
-	genVals := stream.Values(gen) != nil
+	// The event loop consumes one message per emit event from a cursor
+	// over 512-message slabs drawn from src; each message's payload
+	// sample rides along when the run aggregates.
+	keys := make([]string, 512)
+	var vals []int64
+	if cfg.AggWindow > 0 {
+		vals = make([]int64, len(keys))
+	}
+	var pos, drawn int
 
 	workers := make([]*worker, cfg.Workers)
 	for i := range workers {
@@ -545,10 +543,16 @@ func Run(gen stream.Generator, cfg Config) (Result, error) {
 				blocked[s] = true
 				break // resumes on next ack
 			}
-			key, genVal, ok := keys.Next()
-			if !ok {
-				break
+			if pos == drawn {
+				// pos rewinds before a drained draw breaks out: the next
+				// emit event must draw again, not index past the slab.
+				drawn, _ = src.Draw(keys, vals)
+				pos = 0
+				if drawn == 0 {
+					break
+				}
 			}
+			key := keys[pos]
 			pm := pendingMsg{emitTime: now, src: e.idx}
 			var w int
 			if cfg.AggWindow > 0 {
@@ -560,14 +564,7 @@ func Run(gen stream.Generator, cfg Config) (Result, error) {
 				pm.window = emitted / cfg.AggWindow
 				pm.dig = dg
 				pm.key = key
-				// Sampling contract: AggValue hook > recorded generator
-				// values > constant 1 (see Config.AggValue).
-				pm.val = 1
-				if cfg.AggValue != nil {
-					pm.val = cfg.AggValue(key, emitted)
-				} else if genVals {
-					pm.val = genVal
-				}
+				pm.val = vals[pos]
 				// Count the emission toward its shard's completeness
 				// threshold (no-op when AggShards == 1), and tick idle
 				// workers when the stream enters a new window.
@@ -582,6 +579,7 @@ func Run(gen stream.Generator, cfg Config) (Result, error) {
 				w = parts[s].Route(key)
 			}
 			emitted++
+			pos++
 			inflight[s]++
 			wk := workers[w]
 			// The queue head is the in-service message while busy.
@@ -732,7 +730,7 @@ func Run(gen stream.Generator, cfg Config) (Result, error) {
 		res.Throughput = float64(measured) / (res.Duration / 1000)
 	}
 	gen.Reset()
-	if err := stream.CheckDrawn(emitted, limit); err != nil {
+	if err := src.Err(); err != nil {
 		return Result{}, fmt.Errorf("eventsim: %w", err)
 	}
 	return res, nil

@@ -7,7 +7,6 @@ import (
 	"slb/internal/core"
 	"slb/internal/eventsim"
 	"slb/internal/simulator"
-	"slb/internal/stream"
 	"slb/internal/texttab"
 	"slb/internal/workload"
 )
@@ -130,7 +129,7 @@ func timeRouting(algo string, cfg core.Config, z float64, m int64) (float64, err
 	keys := make([]string, 0, m)
 	buf := make([]string, 512)
 	for {
-		k := stream.NextBatch(gen, buf)
+		k := gen.NextBatch(buf)
 		if k == 0 {
 			break
 		}

@@ -449,11 +449,8 @@ func TestHeadCountsMatchesHeavyHitters(t *testing.T) {
 	var scratch []uint64
 	for _, z := range []float64{0.6, 0.8, 1.1, 1.4, 2.0} {
 		for _, capacity := range []int{16, 300, 5000} {
-			stream := make([]string, 0, 24000)
-			for gen := workload.NewZipf(z, 2000, 24000, uint64(capacity)); len(stream) < cap(stream); {
-				k, _ := gen.Next()
-				stream = append(stream, k)
-			}
+			stream := make([]string, 24000)
+			workload.NewZipf(z, 2000, 24000, uint64(capacity)).NextBatch(stream)
 			s, other := New(capacity), New(capacity)
 			const slab = 1500
 			for i := 0; i < len(stream); i += slab {
@@ -492,12 +489,9 @@ func TestHeadCountsMatchesHeavyHitters(t *testing.T) {
 // the zero-allocation window.
 func TestHeadCountsDoesNotAllocate(t *testing.T) {
 	s := New(4000)
-	for gen := workload.NewZipf(0.9, 3000, 60000, 3); ; {
-		k, ok := gen.Next()
-		if !ok {
-			break
-		}
-		s.Offer(k)
+	gen, one := workload.NewZipf(0.9, 3000, 60000, 3), make([]string, 1)
+	for gen.NextBatch(one) == 1 {
+		s.Offer(one[0])
 	}
 	scratch := s.HeadCounts(1e-4, nil)
 	if len(scratch) < 100 {

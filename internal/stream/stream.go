@@ -1,9 +1,20 @@
 // Package stream defines the data model shared by all engines: keyed
-// messages, finite key-stream generators, and per-stream statistics
-// (the quantities reported in Table I of the paper).
+// messages, finite key-stream generators, one run's shared draw over a
+// generator (Source), and per-stream statistics (the quantities
+// reported in Table I of the paper).
+//
+// Input is pulled one way only: a Generator fills key slabs
+// (NextBatch). Generators that record a payload sample per message
+// also fill value slabs in lockstep (ValueBatchGenerator). The engines
+// never call either directly; they draw through a Source, which owns
+// the run's message cap, the payload-sampling contract and the
+// short-stream check.
 package stream
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Message is one stream tuple ⟨t, k, v⟩. Seq is a logical timestamp
 // assigned by the producing source; engines that measure wall-clock or
@@ -14,46 +25,25 @@ type Message struct {
 	Val string
 }
 
-// Generator produces a finite sequence of keys. Implementations must be
-// deterministic for a fixed configuration and seed so that different
-// partitioning algorithms can be compared on byte-identical streams by
-// re-instantiating the generator.
+// Generator produces a finite sequence of keys, a slab at a time.
+// Implementations must be deterministic for a fixed configuration and
+// seed so that different partitioning algorithms can be compared on
+// byte-identical streams by re-instantiating the generator.
+//
+// The sequence must not depend on the slab sizes a consumer asks for:
+// draining with slabs of 1, 3 or 512 yields the same keys in the same
+// order. The engines rely on this — dspe draws Config.Batch-sized
+// slabs, simulator draws 512 clipped at its sketch-merge boundaries,
+// eventsim draws 512 — so one generator drives all of them
+// identically.
 type Generator interface {
-	// Next returns the next key, or ok=false when the stream is exhausted.
-	Next() (key string, ok bool)
+	// NextBatch fills up to len(dst) keys into dst and returns how many
+	// were produced; 0 means the stream is exhausted (when len(dst) > 0).
+	NextBatch(dst []string) int
 	// Len returns the total number of messages the generator will emit.
 	Len() int64
 	// Reset rewinds the generator to the beginning of the same sequence.
 	Reset()
-}
-
-// BatchGenerator is implemented by generators with a batched emission
-// fast path: NextBatch fills dst with the next keys of exactly the same
-// sequence Next would produce, amortizing per-message call overhead.
-// All generators in this module implement it; use the NextBatch helper
-// to drive any Generator.
-type BatchGenerator interface {
-	Generator
-	// NextBatch fills up to len(dst) keys into dst and returns how many
-	// were produced; 0 means the stream is exhausted (when len(dst) > 0).
-	NextBatch(dst []string) int
-}
-
-// NextBatch pulls up to len(dst) keys from gen, using its native batch
-// path when available and falling back to per-message Next otherwise.
-// It returns the number of keys filled; 0 means exhausted.
-func NextBatch(gen Generator, dst []string) int {
-	if bg, ok := gen.(BatchGenerator); ok {
-		return bg.NextBatch(dst)
-	}
-	for i := range dst {
-		k, ok := gen.Next()
-		if !ok {
-			return i
-		}
-		dst[i] = k
-	}
-	return len(dst)
 }
 
 // CheckDrawn reports a run whose generator delivered a different
@@ -70,15 +60,8 @@ func CheckDrawn(drawn, planned int64) error {
 // ValueBatchGenerator is implemented by generators whose messages carry
 // an int64 payload sample alongside the key — recorded trace replays
 // (tracefile version 2) and WithValues wrappers. The sample is what a
-// windowed merger aggregates (aggregation.Merger.Observe).
-//
-// The engines' sampling contract, in precedence order:
-//
-//  1. the engine's AggValue hook, when set (an explicit per-run
-//     override — it sees key and global emission sequence);
-//  2. the generator's recorded values, when it implements this
-//     interface and HasValues reports true;
-//  3. the constant 1, making every sum-like merge a count.
+// windowed merger aggregates (aggregation.Merger.Observe); which sample
+// an engine uses is decided by Source (see its sampling contract).
 type ValueBatchGenerator interface {
 	Generator
 	// NextBatchValues fills keys and vals in lockstep — vals[i] is the
@@ -93,28 +76,12 @@ type ValueBatchGenerator interface {
 }
 
 // Values returns gen's value-bearing view when it records real payload
-// samples, or nil when it does not (engines then fall back to their
-// AggValue hook or the constant 1; see ValueBatchGenerator).
+// samples, or nil when it does not.
 func Values(gen Generator) ValueBatchGenerator {
 	if vg, ok := gen.(ValueBatchGenerator); ok && vg.HasValues() {
 		return vg
 	}
 	return nil
-}
-
-// NextBatchValues pulls up to len(keys) messages with their payload
-// values, using gen's native lockstep path when available and falling
-// back to NextBatch with constant-1 values otherwise. len(vals) must
-// be ≥ len(keys).
-func NextBatchValues(gen Generator, keys []string, vals []int64) int {
-	if vg, ok := gen.(ValueBatchGenerator); ok {
-		return vg.NextBatchValues(keys, vals)
-	}
-	n := NextBatch(gen, keys)
-	for i := 0; i < n; i++ {
-		vals[i] = 1
-	}
-	return n
 }
 
 // valueFunc attaches derived payload values to a key generator; see
@@ -135,26 +102,17 @@ func WithValues(gen Generator, fn func(key string, seq int64) int64) ValueBatchG
 	return &valueFunc{Generator: gen, fn: fn}
 }
 
-// Next implements Generator (the value is derived but unreported; use
-// NextBatchValues for lockstep consumption).
-func (g *valueFunc) Next() (string, bool) {
-	k, ok := g.Generator.Next()
-	if ok {
-		g.seq++
-	}
-	return k, ok
-}
-
-// NextBatch implements BatchGenerator.
+// NextBatch implements Generator (the values are derived but
+// unreported; use NextBatchValues for lockstep consumption).
 func (g *valueFunc) NextBatch(dst []string) int {
-	n := NextBatch(g.Generator, dst)
+	n := g.Generator.NextBatch(dst)
 	g.seq += int64(n)
 	return n
 }
 
 // NextBatchValues implements ValueBatchGenerator.
 func (g *valueFunc) NextBatchValues(keys []string, vals []int64) int {
-	n := NextBatch(g.Generator, keys)
+	n := g.Generator.NextBatch(keys)
 	for i := 0; i < n; i++ {
 		vals[i] = g.fn(keys[i], g.seq+int64(i))
 	}
@@ -169,6 +127,92 @@ func (g *valueFunc) HasValues() bool { return true }
 func (g *valueFunc) Reset() {
 	g.Generator.Reset()
 	g.seq = 0
+}
+
+// Source is one run's draw over a generator, shared by every source
+// goroutine of an engine. NewSource resets the generator and plans
+// min(Len, limit) messages; Draw hands out consecutive slabs of that
+// plan under one lock per slab, each with its base position in the
+// global emission sequence, from which engines derive tumbling-window
+// ids; Err reports a stream that ended short of the plan.
+//
+// Draw also resolves each message's payload sample, the value a
+// windowed merger observes. The sampling contract, in precedence
+// order:
+//
+//  1. the run's value hook, when set (an explicit per-run override —
+//     the engines' Config.AggValue; it sees the key and the message's
+//     global emission sequence);
+//  2. the generator's recorded values, when Values(gen) is non-nil;
+//  3. the constant 1, making every sum-like merge a count.
+type Source struct {
+	gen     Generator
+	rec     ValueBatchGenerator // recorded values; nil under a hook
+	value   func(key string, seq int64) int64
+	planned int64
+
+	mu    sync.Mutex
+	drawn int64
+}
+
+// NewSource resets gen and plans one run of min(gen.Len(), limit)
+// messages; limit ≤ 0 means gen.Len(). value is the run's sampling hook
+// (nil for none; see Source).
+func NewSource(gen Generator, limit int64, value func(key string, seq int64) int64) *Source {
+	gen.Reset()
+	planned := gen.Len()
+	if limit > 0 && limit < planned {
+		planned = limit
+	}
+	s := &Source{gen: gen, value: value, planned: planned}
+	if value == nil {
+		s.rec = Values(gen)
+	}
+	return s
+}
+
+// Planned returns the number of messages the run draws when the stream
+// is intact.
+func (s *Source) Planned() int64 { return s.planned }
+
+// Draw fills up to len(keys) keys — fewer once the plan is nearly
+// drawn — and returns how many it drew and the global sequence number
+// of keys[0]; n == 0 means the run's stream is drained. When vals is
+// non-nil (len(vals) ≥ len(keys)) it is filled in lockstep by the
+// sampling contract; the hook runs outside the lock. Safe for
+// concurrent use.
+func (s *Source) Draw(keys []string, vals []int64) (n int, base int64) {
+	s.mu.Lock()
+	base = s.drawn
+	if rem := s.planned - base; rem < int64(len(keys)) {
+		keys = keys[:rem]
+	}
+	if len(keys) > 0 {
+		if vals != nil && s.rec != nil {
+			n = s.rec.NextBatchValues(keys, vals)
+		} else {
+			n = s.gen.NextBatch(keys)
+		}
+		s.drawn += int64(n)
+	}
+	s.mu.Unlock()
+	if vals != nil && s.rec == nil {
+		for i := 0; i < n; i++ {
+			vals[i] = 1
+			if s.value != nil {
+				vals[i] = s.value(keys[i], base+int64(i))
+			}
+		}
+	}
+	return n, base
+}
+
+// Err returns CheckDrawn(drawn, planned): nil once the whole plan has
+// been drawn, an error naming both counts when the stream ran dry.
+func (s *Source) Err() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return CheckDrawn(s.drawn, s.planned)
 }
 
 // Stats summarizes a key stream: the columns of Table I.
@@ -188,7 +232,7 @@ func Collect(gen Generator) Stats {
 	var m int64
 	buf := make([]string, 512)
 	for {
-		n := NextBatch(gen, buf)
+		n := gen.NextBatch(buf)
 		if n == 0 {
 			break
 		}
@@ -224,17 +268,7 @@ func FromSlice(keys []string) *SliceGenerator {
 	return &SliceGenerator{keys: keys}
 }
 
-// Next implements Generator.
-func (g *SliceGenerator) Next() (string, bool) {
-	if g.pos >= len(g.keys) {
-		return "", false
-	}
-	k := g.keys[g.pos]
-	g.pos++
-	return k, true
-}
-
-// NextBatch implements BatchGenerator.
+// NextBatch implements Generator.
 func (g *SliceGenerator) NextBatch(dst []string) int {
 	n := copy(dst, g.keys[g.pos:])
 	g.pos += n
@@ -246,41 +280,3 @@ func (g *SliceGenerator) Len() int64 { return int64(len(g.keys)) }
 
 // Reset implements Generator.
 func (g *SliceGenerator) Reset() { g.pos = 0 }
-
-var _ BatchGenerator = (*SliceGenerator)(nil)
-
-// ValuePuller adapts a Generator to per-message consumption of
-// (key, payload) pairs through an internal prefetch slab filled via
-// NextBatchValues, so engines that must pull one message at a time
-// (e.g. a discrete-event loop) still drive the batch emission path.
-// Generators without recorded values yield the constant 1; the key
-// sequence is exactly the generator's.
-type ValuePuller struct {
-	gen    Generator
-	keys   []string
-	vals   []int64
-	pos, n int
-}
-
-// NewValuePuller returns a ValuePuller with the given prefetch slab
-// size.
-func NewValuePuller(gen Generator, slab int) *ValuePuller {
-	if slab <= 0 {
-		slab = 256
-	}
-	return &ValuePuller{gen: gen, keys: make([]string, slab), vals: make([]int64, slab)}
-}
-
-// Next returns the next message's key and payload value.
-func (p *ValuePuller) Next() (string, int64, bool) {
-	if p.pos == p.n {
-		p.n = NextBatchValues(p.gen, p.keys, p.vals)
-		p.pos = 0
-		if p.n == 0 {
-			return "", 0, false
-		}
-	}
-	k, v := p.keys[p.pos], p.vals[p.pos]
-	p.pos++
-	return k, v, true
-}

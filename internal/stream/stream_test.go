@@ -1,6 +1,8 @@
 package stream
 
 import (
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -12,8 +14,9 @@ func TestCollect(t *testing.T) {
 		t.Fatalf("Collect = %+v", s)
 	}
 	// Collect must leave the generator rewound.
-	if k, ok := g.Next(); !ok || k != "a" {
-		t.Fatalf("generator not reset after Collect: %q %v", k, ok)
+	one := make([]string, 1)
+	if n := g.NextBatch(one); n != 1 || one[0] != "a" {
+		t.Fatalf("generator not reset after Collect: %q %d", one[0], n)
 	}
 }
 
@@ -36,22 +39,15 @@ func TestSliceGenerator(t *testing.T) {
 	if g.Len() != 2 {
 		t.Fatalf("Len = %d", g.Len())
 	}
-	var got []string
-	for {
-		k, ok := g.Next()
-		if !ok {
-			break
-		}
-		got = append(got, k)
+	got := make([]string, 3)
+	if n := g.NextBatch(got); n != 2 || got[0] != "x" || got[1] != "y" {
+		t.Fatalf("drained %d: %v", n, got)
 	}
-	if len(got) != 2 || got[0] != "x" || got[1] != "y" {
-		t.Fatalf("drained %v", got)
-	}
-	if _, ok := g.Next(); ok {
-		t.Fatal("Next after exhaustion returned ok")
+	if n := g.NextBatch(got); n != 0 {
+		t.Fatalf("NextBatch after exhaustion filled %d", n)
 	}
 	g.Reset()
-	if k, ok := g.Next(); !ok || k != "x" {
+	if n := g.NextBatch(got[:1]); n != 1 || got[0] != "x" {
 		t.Fatal("Reset did not rewind")
 	}
 }
@@ -67,56 +63,6 @@ func TestCollectCountsProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// onlyNext hides the batch method of an inner generator, forcing the
-// NextBatch helper onto its per-message fallback.
-type onlyNext struct{ g Generator }
-
-func (o onlyNext) Next() (string, bool) { return o.g.Next() }
-func (o onlyNext) Len() int64           { return o.g.Len() }
-func (o onlyNext) Reset()               { o.g.Reset() }
-
-func TestNextBatchMatchesNext(t *testing.T) {
-	keys := []string{"a", "b", "a", "c", "d", "a", "e"}
-	mk := []struct {
-		name string
-		gen  func() Generator
-	}{
-		{"slice", func() Generator { return FromSlice(keys) }},
-		{"fallback", func() Generator { return onlyNext{FromSlice(keys)} }},
-	}
-	for _, tc := range mk {
-		for _, bs := range []int{1, 2, 3, 100} {
-			seq := tc.gen()
-			bat := tc.gen()
-			var want []string
-			for {
-				k, ok := seq.Next()
-				if !ok {
-					break
-				}
-				want = append(want, k)
-			}
-			var got []string
-			buf := make([]string, bs)
-			for {
-				n := NextBatch(bat, buf)
-				if n == 0 {
-					break
-				}
-				got = append(got, buf[:n]...)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%s bs=%d: batch emitted %d keys, want %d", tc.name, bs, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%s bs=%d: key %d = %q, want %q", tc.name, bs, i, got[i], want[i])
-				}
-			}
-		}
 	}
 }
 
@@ -150,61 +96,227 @@ func TestWithValuesDerivesPerMessage(t *testing.T) {
 	if n := g.NextBatchValues(keys, vals); n == 0 || vals[0] != 100 {
 		t.Fatalf("after Reset first value = %d, want 100", vals[0])
 	}
-	// Mixed consumption: keys pulled through Next advance seq so later
-	// batch pulls stay aligned.
+	// Mixed consumption: keys pulled through NextBatch advance seq so
+	// later value pulls stay aligned.
 	g.Reset()
-	if k, ok := g.Next(); !ok || k != "a" {
-		t.Fatalf("Next = %q", k)
+	if n := g.NextBatch(keys[:1]); n != 1 || keys[0] != "a" {
+		t.Fatalf("NextBatch = %q", keys[0])
 	}
 	if n := g.NextBatchValues(keys, vals); n == 0 || vals[0] != 201 {
-		t.Fatalf("value after one Next = %d, want 201", vals[0])
+		t.Fatalf("value after one key = %d, want 201", vals[0])
 	}
 }
 
-func TestNextBatchValuesFallback(t *testing.T) {
-	// A plain Generator has no recorded values: the helper fills the
-	// constant 1 and Values() reports nil (so engines keep key+seq or
-	// count semantics).
-	g := FromSlice([]string{"x", "y", "z"})
-	if Values(g) != nil {
-		t.Fatal("plain generator must not report values")
+// TestNextBatchMatchesNext pins the Generator contract for the stream
+// package's own generators: draining with slabs of 1, 3, 129 and 512
+// gives the same keys and, where recorded, values; each drain after
+// the first starts from Reset, so Reset rewinds to the same sequence.
+func TestNextBatchMatchesNext(t *testing.T) {
+	keys := []string{"a", "bb", "a", "ccc", "a", "dddd", "bb", "a"}
+	long := make([]string, 1001)
+	for i := range long {
+		long[i] = keys[(i*i+3*i)%len(keys)]
 	}
-	keys := make([]string, 8)
-	vals := make([]int64, 8)
-	if n := NextBatchValues(g, keys, vals); n != 3 {
-		t.Fatalf("filled %d", n)
+	fn := func(key string, seq int64) int64 { return int64(len(key))*100 - seq }
+	gens := map[string]Generator{
+		"from-slice":  FromSlice(keys),
+		"from-long":   FromSlice(long),
+		"with-values": WithValues(FromSlice(long), fn),
 	}
-	for i := 0; i < 3; i++ {
-		if vals[i] != 1 {
-			t.Fatalf("value %d = %d, want 1", i, vals[i])
+	drainSlabs := func(g Generator, slab int) ([]string, []int64) {
+		vg, _ := g.(ValueBatchGenerator)
+		ks, vs := make([]string, slab), make([]int64, slab)
+		var gotK []string
+		var gotV []int64
+		for {
+			var n int
+			if vg != nil {
+				n = vg.NextBatchValues(ks, vs)
+				gotV = append(gotV, vs[:n]...)
+			} else {
+				n = g.NextBatch(ks)
+			}
+			if n == 0 {
+				return gotK, gotV
+			}
+			gotK = append(gotK, ks[:n]...)
+		}
+	}
+	for name, g := range gens {
+		wantK, wantV := drainSlabs(g, 1)
+		if int64(len(wantK)) != g.Len() {
+			t.Fatalf("%s: drained %d messages, Len %d", name, len(wantK), g.Len())
+		}
+		for _, slab := range []int{3, 129, 512} {
+			g.Reset()
+			gotK, gotV := drainSlabs(g, slab)
+			if !equalSeq(gotK, wantK) || !equalSeq(gotV, wantV) {
+				t.Fatalf("%s: slabs of %d drain a different sequence than slabs of 1", name, slab)
+			}
 		}
 	}
 }
 
-func TestValuePullerMatchesBatch(t *testing.T) {
-	fn := func(key string, seq int64) int64 { return seq * seq }
-	mk := func() ValueBatchGenerator {
-		keys := make([]string, 100)
-		for i := range keys {
-			keys[i] = string(rune('a' + i%7))
-		}
-		return WithValues(FromSlice(keys), fn)
+func equalSeq[T comparable](a, b []T) bool {
+	if len(a) != len(b) {
+		return false
 	}
-	p := NewValuePuller(mk(), 16)
-	ref := mk()
-	keys := make([]string, 100)
-	vals := make([]int64, 100)
-	n := ref.NextBatchValues(keys, vals)
-	for i := 0; i < n; i++ {
-		k, v, ok := p.Next()
-		if !ok {
-			t.Fatalf("puller ended early at %d", i)
-		}
-		if k != keys[i] || v != vals[i] {
-			t.Fatalf("message %d = (%q, %d), want (%q, %d)", i, k, v, keys[i], vals[i])
+	for i := range a {
+		if a[i] != b[i] {
+			return false
 		}
 	}
-	if _, _, ok := p.Next(); ok {
-		t.Fatal("puller overran the stream")
+	return true
+}
+
+// drainSource draws src to the end in slabs of slab, with values.
+func drainSource(src *Source, slab int) ([]string, []int64) {
+	keys, vals := make([]string, slab), make([]int64, slab)
+	var gotK []string
+	var gotV []int64
+	for {
+		n, _ := src.Draw(keys, vals)
+		if n == 0 {
+			return gotK, gotV
+		}
+		gotK = append(gotK, keys[:n]...)
+		gotV = append(gotV, vals[:n]...)
+	}
+}
+
+// TestSourceSamplingPrecedence pins the sampling contract: the hook
+// wins over recorded values, recorded values win over the constant 1.
+func TestSourceSamplingPrecedence(t *testing.T) {
+	keys := []string{"a", "bb", "a", "ccc", "dddd"}
+	recorded := func(key string, seq int64) int64 { return 1000 + seq }
+	hook := func(key string, seq int64) int64 { return int64(len(key))*10 + seq }
+	for _, tc := range []struct {
+		name string
+		gen  Generator
+		hook func(string, int64) int64
+		want []int64
+	}{
+		{"hook over recorded", WithValues(FromSlice(keys), recorded), hook, []int64{10, 21, 12, 33, 44}},
+		{"hook over plain", FromSlice(keys), hook, []int64{10, 21, 12, 33, 44}},
+		{"recorded", WithValues(FromSlice(keys), recorded), nil, []int64{1000, 1001, 1002, 1003, 1004}},
+		{"constant 1", FromSlice(keys), nil, []int64{1, 1, 1, 1, 1}},
+	} {
+		for _, slab := range []int{1, 2, 8} {
+			gotK, gotV := drainSource(NewSource(tc.gen, 0, tc.hook), slab)
+			if len(gotK) != len(keys) {
+				t.Fatalf("%s slab=%d: drew %d messages, want %d", tc.name, slab, len(gotK), len(keys))
+			}
+			for i := range keys {
+				if gotK[i] != keys[i] || gotV[i] != tc.want[i] {
+					t.Fatalf("%s slab=%d: message %d = (%q, %d), want (%q, %d)",
+						tc.name, slab, i, gotK[i], gotV[i], keys[i], tc.want[i])
+				}
+			}
+		}
+	}
+	// A keys-only draw never calls the hook.
+	src := NewSource(FromSlice(keys), 0, func(string, int64) int64 { panic("hook called on a keys-only draw") })
+	if n, _ := src.Draw(make([]string, 8), nil); n != len(keys) {
+		t.Fatalf("keys-only draw = %d", n)
+	}
+}
+
+// TestSourceLimitAndShortStream: the plan is min(Len, limit), the draw
+// stops there, and a stream that ends before its plan is an error.
+func TestSourceLimitAndShortStream(t *testing.T) {
+	keys := []string{"a", "b", "c", "d", "e", "f", "g"}
+	for _, tc := range []struct {
+		limit, planned int64
+	}{{0, 7}, {-1, 7}, {3, 3}, {7, 7}, {100, 7}} {
+		src := NewSource(FromSlice(keys), tc.limit, nil)
+		if src.Planned() != tc.planned {
+			t.Fatalf("limit %d: Planned = %d, want %d", tc.limit, src.Planned(), tc.planned)
+		}
+		if err := src.Err(); tc.planned > 0 && err == nil {
+			t.Fatalf("limit %d: Err before any draw is nil", tc.limit)
+		}
+		gotK, _ := drainSource(src, 2)
+		if int64(len(gotK)) != tc.planned || src.Err() != nil {
+			t.Fatalf("limit %d: drew %d, Err %v; want %d, nil", tc.limit, len(gotK), src.Err(), tc.planned)
+		}
+		if n, base := src.Draw(make([]string, 4), nil); n != 0 || base != tc.planned {
+			t.Fatalf("limit %d: draw past the plan = (%d, %d)", tc.limit, n, base)
+		}
+	}
+	// NewSource resets: a half-drained generator plans its whole Len.
+	g := FromSlice(keys)
+	g.NextBatch(make([]string, 4))
+	if gotK, _ := drainSource(NewSource(g, 0, nil), 3); len(gotK) != len(keys) || gotK[0] != "a" {
+		t.Fatalf("NewSource did not rewind: %v", gotK)
+	}
+	// Len promises more than the stream holds: the run is short.
+	src := NewSource(short{FromSlice(keys)}, 0, nil)
+	drainSource(src, 4)
+	if err := src.Err(); err == nil || !strings.Contains(err.Error(), "7 of the 9") {
+		t.Fatalf("short stream: Err = %v, want 7 of the 9 planned", err)
+	}
+}
+
+// short declares two messages more than its generator emits.
+type short struct{ *SliceGenerator }
+
+func (s short) Len() int64 { return s.SliceGenerator.Len() + 2 }
+
+// TestSourceConcurrentDrawsTile: S goroutines drawing one source
+// concurrently get slabs whose (base, n) ranges tile [0, planned) with
+// no gap or overlap, and each position's key and value equal a
+// sequential drain's — for recorded values and for the hook alike.
+func TestSourceConcurrentDrawsTile(t *testing.T) {
+	const S, m, limit = 8, 5000, 4321
+	keys := make([]string, m)
+	for i := range keys {
+		keys[i] = string(rune('a' + i%23))
+	}
+	recorded := func(key string, seq int64) int64 { return seq * seq }
+	hook := func(key string, seq int64) int64 { return int64(key[0]) - seq }
+	for _, tc := range []struct {
+		name string
+		mk   func() Generator
+		hook func(string, int64) int64
+	}{
+		{"recorded", func() Generator { return WithValues(FromSlice(keys), recorded) }, nil},
+		{"hook", func() Generator { return FromSlice(keys) }, hook},
+	} {
+		wantK, wantV := drainSource(NewSource(tc.mk(), limit, tc.hook), 512)
+		src := NewSource(tc.mk(), limit, tc.hook)
+		gotK, gotV := make([]string, limit), make([]int64, limit)
+		covered := make([]int32, limit)
+		var wg sync.WaitGroup
+		for s := 0; s < S; s++ {
+			wg.Add(1)
+			go func(slab int) {
+				defer wg.Done()
+				keys, vals := make([]string, slab), make([]int64, slab)
+				for {
+					n, base := src.Draw(keys, vals)
+					if n == 0 {
+						return
+					}
+					copy(gotK[base:], keys[:n])
+					copy(gotV[base:], vals[:n])
+					for i := base; i < base+int64(n); i++ {
+						covered[i]++ // ranges are disjoint, so no two goroutines share i
+					}
+				}
+			}(1 + 13*s)
+		}
+		wg.Wait()
+		if err := src.Err(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for i := range covered {
+			if covered[i] != 1 {
+				t.Fatalf("%s: position %d drawn %d times", tc.name, i, covered[i])
+			}
+			if gotK[i] != wantK[i] || gotV[i] != wantV[i] {
+				t.Fatalf("%s: position %d = (%q, %d), sequential drain (%q, %d)",
+					tc.name, i, gotK[i], gotV[i], wantK[i], wantV[i])
+			}
+		}
 	}
 }

@@ -16,7 +16,7 @@ import (
 
 // record encodes a value-bearing trace of the workload into memory and
 // returns a fresh replay generator per call.
-func record(t *testing.T, m int64) func() *BytesGenerator {
+func record(t *testing.T, m int64) func() *Replay {
 	t.Helper()
 	gen := stream.WithValues(workload.NewZipf(1.4, 200, m, 17), traceVals)
 	var buf bytes.Buffer
@@ -24,8 +24,8 @@ func record(t *testing.T, m int64) func() *BytesGenerator {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	return func() *BytesGenerator {
-		g, err := NewBytesGenerator(data)
+	return func() *Replay {
+		g, err := NewReplay(bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,5 +123,63 @@ func TestReplayFeedsDspeMerger(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, truth) {
 		t.Fatal("merged sums diverge from the recorded trace")
+	}
+}
+
+// TestGeneratorNextBatchMatchesNext pins the Generator contract every
+// engine relies on for trace replay: the sequence does not depend on the
+// slab sizes a consumer asks for. Version-1 and version-2 replays, and
+// the value-bearing generator a version-2 trace records, are drained with
+// slabs of 1, 3, 129 and 512 — keys and, where recorded, values — and
+// every drain must equal the one-message drain; each drain after the
+// first starts from Reset, so Reset rewinds to the same sequence.
+func TestGeneratorNextBatchMatchesNext(t *testing.T) {
+	encode := func(gen stream.Generator) *Replay {
+		var buf bytes.Buffer
+		if _, err := Write(&buf, gen); err != nil {
+			t.Fatal(err)
+		}
+		g, err := NewReplay(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	gens := map[string]stream.Generator{
+		"with-values": stream.WithValues(workload.NewZipf(1.2, 300, 2001, 4), traceVals),
+		"replay-v1":   encode(workload.NewDrift(1.4, 300, 3001, 700, 29, 5)),
+		"replay-v2":   encode(stream.WithValues(workload.NewZipf(1.4, 300, 3001, 5), traceVals)),
+	}
+	drainSlabs := func(g stream.Generator, slab int) ([]string, []int64) {
+		vg, _ := g.(stream.ValueBatchGenerator)
+		ks, vs := make([]string, slab), make([]int64, slab)
+		var gotK []string
+		var gotV []int64
+		for {
+			var n int
+			if vg != nil {
+				n = vg.NextBatchValues(ks, vs)
+				gotV = append(gotV, vs[:n]...)
+			} else {
+				n = g.NextBatch(ks)
+			}
+			if n == 0 {
+				return gotK, gotV
+			}
+			gotK = append(gotK, ks[:n]...)
+		}
+	}
+	for name, g := range gens {
+		wantK, wantV := drainSlabs(g, 1)
+		if int64(len(wantK)) != g.Len() {
+			t.Fatalf("%s: drained %d messages, Len %d", name, len(wantK), g.Len())
+		}
+		for _, slab := range []int{3, 129, 512} {
+			g.Reset()
+			gotK, gotV := drainSlabs(g, slab)
+			if !reflect.DeepEqual(gotK, wantK) || !reflect.DeepEqual(gotV, wantV) {
+				t.Fatalf("%s: slabs of %d drain a different sequence than slabs of 1", name, slab)
+			}
+		}
 	}
 }

@@ -11,20 +11,21 @@
 // Keys are dictionary-coded by first appearance, so typical skewed
 // traces compress to ≈1–2 bytes per message. Version 2 additionally
 // records an int64 payload value per message — the sample a windowed
-// merger aggregates (see stream.ValueBatchGenerator for the engines'
-// sampling contract). Write picks the version automatically: key-only
+// merger aggregates (see stream.Source for the engines' sampling
+// contract). Write picks the version automatically: key-only
 // generators keep producing byte-identical version-1 traces, while
 // value-bearing generators (stream.WithValues, another replay) yield
 // version 2. Readers accept both; a version-1 replay reports
 // HasValues() == false and supplies the constant 1.
 //
-// Readers implement stream.Generator (and stream.ValueBatchGenerator)
-// and can therefore drive every engine in this module.
+// Replay replays a trace from any io.ReadSeeker — bytes in memory or
+// an open file — as a stream.Generator (and
+// stream.ValueBatchGenerator), and can therefore drive every engine in
+// this module.
 package tracefile
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -78,7 +79,7 @@ func Write(w io.Writer, gen stream.Generator) (int64, error) {
 		if vg != nil {
 			n = vg.NextBatchValues(keys, vals)
 		} else {
-			n = stream.NextBatch(gen, keys)
+			n = gen.NextBatch(keys)
 		}
 		if n == 0 {
 			break
@@ -135,9 +136,8 @@ func WriteFile(path string, gen stream.Generator) (int64, error) {
 	return n, err
 }
 
-// Reader decodes a trace from an io.ByteReader. It implements
-// stream.Generator only when constructed through a resettable source
-// (see NewBytesGenerator and OpenFile).
+// Reader decodes one pass over a trace from an io.ByteReader; Replay
+// wraps it into a resettable stream.Generator.
 type Reader struct {
 	br       io.ByteReader
 	dict     []string
@@ -167,11 +167,11 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if v < 1 || v > Version {
 		return nil, fmt.Errorf("tracefile: unsupported version %d", v)
 	}
-	return &Reader{
-		br:       br,
-		version:  v,
-		declared: int64(binary.LittleEndian.Uint64(hdr[4:12])),
-	}, nil
+	declared := int64(binary.LittleEndian.Uint64(hdr[4:12]))
+	if declared < 0 {
+		return nil, fmt.Errorf("tracefile: negative message count %d", declared)
+	}
+	return &Reader{br: br, version: v, declared: declared}, nil
 }
 
 func readFull(br io.ByteReader, p []byte) error {
@@ -185,19 +185,9 @@ func readFull(br io.ByteReader, p []byte) error {
 	return nil
 }
 
-// Declared returns the message count from the header.
-func (r *Reader) Declared() int64 { return r.declared }
-
 // HasValues reports whether the trace records payload values (format
 // version ≥ 2); when false, NextValue supplies the constant 1.
 func (r *Reader) HasValues() bool { return r.version >= 2 }
-
-// Next decodes one key (discarding any recorded value); io.EOF after
-// the last message.
-func (r *Reader) Next() (string, error) {
-	k, _, err := r.NextValue()
-	return k, err
-}
 
 // NextValue decodes one message as its key and payload value (1 for
 // version-1 traces); io.EOF after the last message.
@@ -242,29 +232,57 @@ func (r *Reader) NextValue() (string, int64, error) {
 	return key, val, nil
 }
 
-// Keys returns the dictionary decoded so far.
-func (r *Reader) Keys() int { return len(r.dict) }
-
-// ---------------------------------------------------------------------------
-// Generator adapters
-
-// BytesGenerator replays an in-memory trace; implements stream.Generator.
-type BytesGenerator struct {
-	data []byte
-	r    *Reader
+// Replay replays a trace held by an io.ReadSeeker; it implements
+// stream.Generator and stream.ValueBatchGenerator. Len is the header's
+// message count, fixed when the replay opens; Reset seeks back to the
+// start of the same source. A decode error — a cut or corrupt trace —
+// ends the stream early, as does a source that can no longer be
+// re-read, and the engines report the shortfall against Len
+// (stream.CheckDrawn).
+type Replay struct {
+	src    io.ReadSeeker
+	r      *Reader
+	n      int64
+	closer io.Closer
 }
 
-// NewBytesGenerator validates data and returns a resettable generator.
-func NewBytesGenerator(data []byte) (*BytesGenerator, error) {
-	g := &BytesGenerator{data: data}
-	if err := g.reset(); err != nil {
+// NewReplay validates the trace header at the start of src and returns
+// a resettable replay over it.
+func NewReplay(src io.ReadSeeker) (*Replay, error) {
+	g := &Replay{src: src}
+	if err := g.rewind(); err != nil {
 		return nil, err
 	}
+	g.n = g.r.declared
 	return g, nil
 }
 
-func (g *BytesGenerator) reset() error {
-	r, err := NewReader(bytes.NewReader(g.data))
+// OpenFile opens a trace file as a replay that owns the file; Close
+// releases it.
+func OpenFile(path string) (*Replay, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	g, err := NewReplay(f)
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	g.closer = f
+	return g, nil
+}
+
+// rewind seeks src to its start and decodes the header again.
+func (g *Replay) rewind() error {
+	if _, err := g.src.Seek(0, io.SeekStart); err != nil {
+		return err
+	}
+	var rd io.Reader = g.src
+	if _, ok := rd.(io.ByteReader); !ok {
+		rd = bufio.NewReaderSize(rd, 1<<16)
+	}
+	r, err := NewReader(rd)
 	if err != nil {
 		return err
 	}
@@ -272,148 +290,53 @@ func (g *BytesGenerator) reset() error {
 	return nil
 }
 
-// Next implements stream.Generator; decode errors end the stream.
-func (g *BytesGenerator) Next() (string, bool) {
-	k, err := g.r.Next()
-	if err != nil {
-		return "", false
-	}
-	return k, true
-}
-
-// NextBatch implements stream.BatchGenerator.
-func (g *BytesGenerator) NextBatch(dst []string) int {
-	return readerBatch(g.r, dst)
-}
-
-// NextBatchValues implements stream.ValueBatchGenerator.
-func (g *BytesGenerator) NextBatchValues(keys []string, vals []int64) int {
-	return readerBatchValues(g.r, keys, vals)
-}
-
-// HasValues implements stream.ValueBatchGenerator: true for version-2
-// traces, whose replay supplies the recorded payload values.
-func (g *BytesGenerator) HasValues() bool { return g.r.HasValues() }
-
-// Len implements stream.Generator.
-func (g *BytesGenerator) Len() int64 { return g.r.declared }
-
-// Reset implements stream.Generator.
-func (g *BytesGenerator) Reset() {
-	// The data validated at construction; re-validation cannot fail.
-	_ = g.reset()
-}
-
-// FileGenerator replays a trace file; implements stream.Generator by
-// re-opening the file on Reset.
-type FileGenerator struct {
-	path string
-	file *os.File
-	r    *Reader
-}
-
-// OpenFile opens a trace file as a resettable generator. Callers should
-// Close it when done.
-func OpenFile(path string) (*FileGenerator, error) {
-	g := &FileGenerator{path: path}
-	if err := g.reopen(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-func (g *FileGenerator) reopen() error {
-	if g.file != nil {
-		g.file.Close()
-		g.file = nil
-	}
-	f, err := os.Open(g.path)
-	if err != nil {
-		return err
-	}
-	r, err := NewReader(bufio.NewReaderSize(f, 1<<16))
-	if err != nil {
-		f.Close()
-		return err
-	}
-	g.file, g.r = f, r
-	return nil
-}
-
-// Next implements stream.Generator; decode errors end the stream.
-func (g *FileGenerator) Next() (string, bool) {
-	k, err := g.r.Next()
-	if err != nil {
-		return "", false
-	}
-	return k, true
-}
-
-// NextBatch implements stream.BatchGenerator.
-func (g *FileGenerator) NextBatch(dst []string) int {
-	return readerBatch(g.r, dst)
-}
-
-// NextBatchValues implements stream.ValueBatchGenerator.
-func (g *FileGenerator) NextBatchValues(keys []string, vals []int64) int {
-	return readerBatchValues(g.r, keys, vals)
-}
-
-// HasValues implements stream.ValueBatchGenerator: true for version-2
-// traces, whose replay supplies the recorded payload values.
-func (g *FileGenerator) HasValues() bool { return g.r.HasValues() }
-
-// readerBatch fills dst by repeated decode; errors (including EOF) end
-// the stream.
-func readerBatch(r *Reader, dst []string) int {
-	for i := range dst {
-		k, err := r.Next()
-		if err != nil {
-			return i
-		}
-		dst[i] = k
-	}
-	return len(dst)
-}
-
-// readerBatchValues fills keys and vals in lockstep; errors (including
-// EOF) end the stream.
-func readerBatchValues(r *Reader, keys []string, vals []int64) int {
+// fill decodes up to len(keys) messages, with their values when vals
+// is non-nil; a decode error (io.EOF included) ends the stream.
+func (g *Replay) fill(keys []string, vals []int64) int {
 	for i := range keys {
-		k, v, err := r.NextValue()
+		k, v, err := g.r.NextValue()
 		if err != nil {
 			return i
 		}
-		keys[i], vals[i] = k, v
+		keys[i] = k
+		if vals != nil {
+			vals[i] = v
+		}
 	}
 	return len(keys)
 }
 
-// Len implements stream.Generator.
-func (g *FileGenerator) Len() int64 { return g.r.declared }
+// NextBatch implements stream.Generator.
+func (g *Replay) NextBatch(dst []string) int { return g.fill(dst, nil) }
 
-// Reset implements stream.Generator.
-func (g *FileGenerator) Reset() {
-	if err := g.reopen(); err != nil {
-		// The file opened at construction; if it has since vanished the
-		// stream presents as empty rather than panicking mid-experiment.
-		g.r = &Reader{declared: 0}
+// NextBatchValues implements stream.ValueBatchGenerator.
+func (g *Replay) NextBatchValues(keys []string, vals []int64) int { return g.fill(keys, vals) }
+
+// HasValues implements stream.ValueBatchGenerator: true for version-2
+// traces, whose replay supplies the recorded payload values.
+func (g *Replay) HasValues() bool { return g.r.HasValues() }
+
+// Len implements stream.Generator.
+func (g *Replay) Len() int64 { return g.n }
+
+// Reset implements stream.Generator. When the source can no longer be
+// re-read the replay presents as drained, and a run over it fails the
+// short-stream check instead of shrinking.
+func (g *Replay) Reset() {
+	if err := g.rewind(); err != nil {
+		g.r = &Reader{version: g.r.version}
 	}
 }
 
-// Close releases the underlying file.
-func (g *FileGenerator) Close() error {
-	if g.file == nil {
+// Close releases the file a replay from OpenFile owns; it is a no-op
+// for NewReplay.
+func (g *Replay) Close() error {
+	if g.closer == nil {
 		return nil
 	}
-	err := g.file.Close()
-	g.file = nil
+	err := g.closer.Close()
+	g.closer = nil
 	return err
 }
 
-var (
-	_ stream.BatchGenerator      = (*BytesGenerator)(nil)
-	_ stream.BatchGenerator      = (*FileGenerator)(nil)
-	_ stream.ValueBatchGenerator = (*BytesGenerator)(nil)
-	_ stream.ValueBatchGenerator = (*FileGenerator)(nil)
-)
+var _ stream.ValueBatchGenerator = (*Replay)(nil)

@@ -15,13 +15,11 @@ import (
 // drain pulls every key from a generator.
 func drain(g stream.Generator) []string {
 	var out []string
-	for {
-		k, ok := g.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, k)
+	slab := make([]string, 97)
+	for n := g.NextBatch(slab); n > 0; n = g.NextBatch(slab) {
+		out = append(out, slab[:n]...)
 	}
+	return out
 }
 
 func TestRoundTripBytes(t *testing.T) {
@@ -34,7 +32,7 @@ func TestRoundTripBytes(t *testing.T) {
 	if n != 20000 {
 		t.Fatalf("wrote %d messages", n)
 	}
-	g, err := NewBytesGenerator(buf.Bytes())
+	g, err := NewReplay(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +81,7 @@ func TestRoundTripFile(t *testing.T) {
 		}
 	}
 	g.Reset()
-	if k, ok := g.Next(); !ok || k != want[0] {
+	if got := drain(g); len(got) != len(want) || got[0] != want[0] {
 		t.Fatal("file Reset did not rewind")
 	}
 }
@@ -94,7 +92,7 @@ func TestStatsPreserved(t *testing.T) {
 	if _, err := Write(&buf, orig); err != nil {
 		t.Fatal(err)
 	}
-	g, err := NewBytesGenerator(buf.Bytes())
+	g, err := NewReplay(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,6 +121,8 @@ func TestCorruptHeader(t *testing.T) {
 		"short":       []byte("SL"),
 		"bad magic":   append([]byte("XXXX"), make([]byte, 12)...),
 		"bad version": append([]byte("SLBT"), make([]byte, 12)...),
+		// Version 1 with the count's top bit set: 1<<63 | 50.
+		"negative count": append([]byte("SLBT"), 1, 0, 0, 0, 50, 0, 0, 0, 0, 0, 0, 0x80),
 	}
 	// "bad version" has version 0; valid magic.
 	for name, data := range cases {
@@ -145,7 +145,7 @@ func TestTruncatedBody(t *testing.T) {
 	}
 	var decodeErr error
 	for {
-		if _, decodeErr = r.Next(); decodeErr != nil {
+		if _, _, decodeErr = r.NextValue(); decodeErr != nil {
 			break
 		}
 	}
@@ -168,31 +168,33 @@ func TestSkippedDictionaryID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Next(); err == nil {
+	if _, _, err := r.NextValue(); err == nil {
 		t.Fatal("dictionary-skipping id accepted")
 	}
 }
 
+// TestDeclaredAndKeys checks that the header's declared count is what a
+// replay reports as its Len before anything is read, and that the
+// dictionary coding gives back each distinct key with its repeats.
 func TestDeclaredAndKeys(t *testing.T) {
-	orig := stream.FromSlice([]string{"a", "b", "a"})
 	var buf bytes.Buffer
-	if _, err := Write(&buf, orig); err != nil {
+	if _, err := Write(&buf, stream.FromSlice([]string{"a", "b", "a"})); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
+	g, err := NewReplay(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Declared() != 3 {
-		t.Fatalf("Declared = %d", r.Declared())
+	if g.Len() != 3 {
+		t.Fatalf("Len = %d, want the declared 3", g.Len())
 	}
-	for {
-		if _, err := r.Next(); err != nil {
-			break
-		}
+	got := drain(g)
+	distinct := map[string]int{}
+	for _, k := range got {
+		distinct[k]++
 	}
-	if r.Keys() != 2 {
-		t.Fatalf("Keys = %d, want 2", r.Keys())
+	if len(got) != 3 || len(distinct) != 2 || distinct["a"] != 2 {
+		t.Fatalf("replayed %q, want two distinct keys with a twice", got)
 	}
 }
 
@@ -207,12 +209,12 @@ func TestRoundTripProperty(t *testing.T) {
 		if _, err := Write(&buf, stream.FromSlice(keys)); err != nil {
 			return false
 		}
-		g, err := NewBytesGenerator(buf.Bytes())
+		g, err := NewReplay(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			return false
 		}
 		got := drain(g)
-		if len(got) != len(keys) {
+		if g.Len() != int64(len(keys)) || len(got) != len(keys) {
 			return false
 		}
 		for i := range got {
@@ -224,43 +226,6 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestGeneratorNextBatchMatchesNext(t *testing.T) {
-	gen := workload.NewZipf(1.4, 300, 5000, 3)
-	var buf bytes.Buffer
-	if _, err := Write(&buf, gen); err != nil {
-		t.Fatal(err)
-	}
-	seq, err := NewBytesGenerator(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	bat, err := NewBytesGenerator(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	slab := make([]string, 129)
-	var pos int
-	for {
-		n := bat.NextBatch(slab)
-		if n == 0 {
-			break
-		}
-		for i := 0; i < n; i++ {
-			want, ok := seq.Next()
-			if !ok {
-				t.Fatalf("sequential trace ended early at %d", pos)
-			}
-			if slab[i] != want {
-				t.Fatalf("message %d = %q, want %q", pos, slab[i], want)
-			}
-			pos++
-		}
-	}
-	if _, ok := seq.Next(); ok {
-		t.Fatal("batch trace ended early")
 	}
 }
 
@@ -285,7 +250,7 @@ func TestRoundTripValues(t *testing.T) {
 	if n != 8000 {
 		t.Fatalf("wrote %d messages", n)
 	}
-	g, err := NewBytesGenerator(buf.Bytes())
+	g, err := NewReplay(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +332,7 @@ func TestVersion1StillReadable(t *testing.T) {
 	if v := binary.LittleEndian.Uint32(buf.Bytes()[4:8]); v != 1 {
 		t.Fatalf("key-only trace written as version %d", v)
 	}
-	g, err := NewBytesGenerator(buf.Bytes())
+	g, err := NewReplay(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

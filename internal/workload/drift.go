@@ -36,21 +36,8 @@ func NewDrift(z float64, keys int, messages int64, epochLen int64, stride int, s
 	return &Drift{zipf: z0, keys: names, epochLen: epochLen, stride: stride}
 }
 
-// Next implements stream.Generator.
-func (d *Drift) Next() (string, bool) {
-	rank, ok := d.zipf.NextRank()
-	if !ok {
-		return "", false
-	}
-	epoch := d.emitted / d.epochLen
-	d.emitted++
-	id := (rank + int(epoch)*d.stride) % len(d.keys)
-	return d.keys[id], true
-}
-
-// NextBatch implements stream.BatchGenerator. The epoch is derived per
-// message (a batch may straddle an epoch boundary), so identity
-// rotation matches Next exactly.
+// NextBatch implements stream.Generator. The epoch is derived per
+// message, since a slab may straddle an epoch boundary.
 func (d *Drift) NextBatch(dst []string) int {
 	filled := 0
 	for filled < len(dst) {
@@ -60,8 +47,7 @@ func (d *Drift) NextBatch(dst []string) int {
 		}
 		epoch := d.emitted / d.epochLen
 		d.emitted++
-		id := (rank + int(epoch)*d.stride) % len(d.keys)
-		dst[filled] = d.keys[id]
+		dst[filled] = d.keys[(rank+int(epoch)*d.stride)%len(d.keys)]
 		filled++
 	}
 	return filled
@@ -81,4 +67,4 @@ func (d *Drift) Epochs() int64 {
 	return (d.zipf.Len() + d.epochLen - 1) / d.epochLen
 }
 
-var _ stream.BatchGenerator = (*Drift)(nil)
+var _ stream.Generator = (*Drift)(nil)

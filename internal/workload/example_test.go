@@ -36,11 +36,8 @@ func ExampleNewDrift() {
 	hot := map[int64]string{}
 	counts := map[string]int{}
 	var seen int64
-	for {
-		k, ok := gen.Next()
-		if !ok {
-			break
-		}
+	for one := make([]string, 1); gen.NextBatch(one) == 1; {
+		k := one[0]
 		counts[k]++
 		seen++
 		if seen%1000 == 0 { // end of an epoch

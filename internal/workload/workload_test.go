@@ -151,23 +151,10 @@ func TestCalibrateZPanics(t *testing.T) {
 func TestZipfGeneratorDeterminismAndReset(t *testing.T) {
 	g1 := NewZipf(1.5, 100, 1000, 42)
 	g2 := NewZipf(1.5, 100, 1000, 42)
-	var seq1, seq2 []string
-	for {
-		k, ok := g1.Next()
-		if !ok {
-			break
-		}
-		seq1 = append(seq1, k)
-	}
-	for {
-		k, ok := g2.Next()
-		if !ok {
-			break
-		}
-		seq2 = append(seq2, k)
-	}
-	if len(seq1) != 1000 || len(seq2) != 1000 {
-		t.Fatalf("lengths %d, %d", len(seq1), len(seq2))
+	seq1, seq2 := make([]string, 1001), make([]string, 1001)
+	n1, n2 := g1.NextBatch(seq1), g2.NextBatch(seq2)
+	if n1 != 1000 || n2 != 1000 {
+		t.Fatalf("lengths %d, %d", n1, n2)
 	}
 	for i := range seq1 {
 		if seq1[i] != seq2[i] {
@@ -175,8 +162,8 @@ func TestZipfGeneratorDeterminismAndReset(t *testing.T) {
 		}
 	}
 	g1.Reset()
-	k, _ := g1.Next()
-	if k != seq1[0] {
+	again := make([]string, 1)
+	if g1.NextBatch(again); again[0] != seq1[0] {
 		t.Fatal("Reset did not reproduce the sequence")
 	}
 }
@@ -196,18 +183,19 @@ func TestZipfEmpiricalP1(t *testing.T) {
 func TestZipfNextRankMatchesNext(t *testing.T) {
 	a := NewZipf(1.2, 50, 100, 9)
 	b := NewZipf(1.2, 50, 100, 9)
-	for {
-		k, ok1 := a.Next()
-		r, ok2 := b.NextRank()
-		if ok1 != ok2 {
-			t.Fatal("length mismatch")
-		}
-		if !ok1 {
-			break
+	keys := make([]string, 101)
+	keys = keys[:a.NextBatch(keys)]
+	for i, k := range keys {
+		r, ok := b.NextRank()
+		if !ok {
+			t.Fatalf("NextRank ended at %d of %d", i, len(keys))
 		}
 		if k != b.KeyName(r) {
 			t.Fatalf("key %q != rank name %q", k, b.KeyName(r))
 		}
+	}
+	if _, ok := b.NextRank(); ok || len(keys) != 100 {
+		t.Fatalf("length mismatch: NextBatch drew %d of 100, NextRank ok=%v past the end", len(keys), ok)
 	}
 }
 
@@ -218,11 +206,8 @@ func TestDriftRotatesHotKey(t *testing.T) {
 	counts := make(map[string]int)
 	epoch := int64(0)
 	seen := int64(0)
-	for {
-		k, ok := d.Next()
-		if !ok {
-			break
-		}
+	for one := make([]string, 1); d.NextBatch(one) == 1; {
+		k := one[0]
 		counts[k]++
 		seen++
 		if seen%1000 == 0 {
@@ -252,12 +237,56 @@ func TestDriftResetAndLen(t *testing.T) {
 	if d.Len() != 500 || d.Epochs() != 5 {
 		t.Fatalf("Len=%d Epochs=%d", d.Len(), d.Epochs())
 	}
-	first, _ := d.Next()
-	d.Next()
+	first, again := make([]string, 2), make([]string, 1)
+	d.NextBatch(first)
 	d.Reset()
-	again, _ := d.Next()
-	if first != again {
+	if d.NextBatch(again); first[0] != again[0] {
 		t.Fatal("Reset did not rewind drift generator")
+	}
+}
+
+// TestNextBatchMatchesNextAcrossGenerators pins the Generator contract
+// for every workload generator: draining with slabs of 1, 3, 97, 129 and
+// 512 gives the same sequence (97 crosses drift epoch boundaries at odd
+// offsets), and each drain after the first starts from Reset, so Reset
+// rewinds to the same sequence.
+func TestNextBatchMatchesNextAcrossGenerators(t *testing.T) {
+	gens := map[string]stream.Generator{
+		"zipf":  NewZipf(1.6, 500, 4003, 9),
+		"drift": NewDrift(1.6, 500, 4003, 512, 37, 9),
+	}
+	for _, name := range []string{"WP", "TW", "CT"} {
+		g, ok := DatasetByName(name, Quick, 3)
+		if !ok {
+			t.Fatalf("no dataset %q", name)
+		}
+		gens[name] = g
+	}
+	drainSlabs := func(g stream.Generator, slab int) []string {
+		ks := make([]string, slab)
+		var got []string
+		for n := g.NextBatch(ks); n > 0; n = g.NextBatch(ks) {
+			got = append(got, ks[:n]...)
+		}
+		return got
+	}
+	for name, g := range gens {
+		want := drainSlabs(g, 1)
+		if int64(len(want)) != g.Len() {
+			t.Fatalf("%s: drained %d messages, Len %d", name, len(want), g.Len())
+		}
+		for _, slab := range []int{3, 97, 129, 512} {
+			g.Reset()
+			got := drainSlabs(g, slab)
+			if len(got) != len(want) {
+				t.Fatalf("%s: slabs of %d drain %d messages, slabs of 1 drain %d", name, slab, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s: slabs of %d: message %d = %q, want %q", name, slab, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }
 
@@ -327,46 +356,12 @@ func TestAliasDistributionProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkZipfNext(b *testing.B) {
+func BenchmarkZipfNextBatch(b *testing.B) {
 	g := NewZipf(1.5, 100000, int64(b.N)+1, 1)
+	slab := make([]string, 512)
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Next()
-	}
-}
-
-func TestNextBatchMatchesNextAcrossGenerators(t *testing.T) {
-	mk := []struct {
-		name string
-		gen  func() stream.Generator
-	}{
-		{"zipf", func() stream.Generator { return NewZipf(1.6, 500, 4003, 9) }},
-		{"drift", func() stream.Generator { return NewDrift(1.6, 500, 4003, 512, 37, 9) }},
-	}
-	for _, tc := range mk {
-		seq := tc.gen()
-		bat := tc.gen().(stream.BatchGenerator)
-		buf := make([]string, 97) // odd batch size to cross epoch boundaries
-		var pos int64
-		for {
-			n := bat.NextBatch(buf)
-			if n == 0 {
-				break
-			}
-			for i := 0; i < n; i++ {
-				want, ok := seq.Next()
-				if !ok {
-					t.Fatalf("%s: sequential stream ended early at %d", tc.name, pos)
-				}
-				if buf[i] != want {
-					t.Fatalf("%s: message %d = %q, want %q", tc.name, pos, buf[i], want)
-				}
-				pos++
-			}
-		}
-		if _, ok := seq.Next(); ok {
-			t.Fatalf("%s: batch stream ended early at %d", tc.name, pos)
-		}
+	for i := 0; i < b.N; i += len(slab) {
+		g.NextBatch(slab[:min(len(slab), b.N-i)])
 	}
 }

@@ -62,7 +62,6 @@ func CalibrateZ(targetP1 float64, keys int) float64 {
 // distribution. It implements stream.Generator. Keys are named by rank:
 // rank r (0-based, hottest first) emits key "k<r>".
 type Zipf struct {
-	probs    []float64
 	alias    *Alias
 	keys     []string
 	messages int64
@@ -74,26 +73,12 @@ type Zipf struct {
 // NewZipf returns a Zipf generator with exponent z over `keys` distinct
 // keys, emitting `messages` keys in total, seeded deterministically.
 func NewZipf(z float64, keys int, messages int64, seed uint64) *Zipf {
-	probs := ZipfProbs(z, keys)
-	return newZipfFromProbs(probs, messages, seed)
-}
-
-// NewZipfFromProbs builds a generator over an explicit probability vector
-// (hottest first); used by the dataset stand-ins after calibration.
-func NewZipfFromProbs(probs []float64, messages int64, seed uint64) *Zipf {
-	cp := make([]float64, len(probs))
-	copy(cp, probs)
-	return newZipfFromProbs(cp, messages, seed)
-}
-
-func newZipfFromProbs(probs []float64, messages int64, seed uint64) *Zipf {
-	names := make([]string, len(probs))
+	names := make([]string, keys)
 	for i := range names {
 		names[i] = "k" + itoa(i)
 	}
 	return &Zipf{
-		probs:    probs,
-		alias:    NewAlias(probs),
+		alias:    NewAlias(ZipfProbs(z, keys)),
 		keys:     names,
 		messages: messages,
 		seed:     seed,
@@ -117,18 +102,9 @@ func itoa(v int) string {
 	return string(buf[i:])
 }
 
-// Next implements stream.Generator.
-func (g *Zipf) Next() (string, bool) {
-	if g.emitted >= g.messages {
-		return "", false
-	}
-	g.emitted++
-	return g.keys[g.alias.Sample(g.rng)], true
-}
-
-// NextBatch implements stream.BatchGenerator: it fills dst with up to
-// len(dst) keys in one call — the same sequence Next would emit — with
-// one bounds check and no interface dispatch per message.
+// NextBatch implements stream.Generator: it fills dst with up to
+// len(dst) keys in one call, with one bounds check and no interface
+// dispatch per message.
 func (g *Zipf) NextBatch(dst []string) int {
 	room := g.messages - g.emitted
 	if room <= 0 {
@@ -145,7 +121,7 @@ func (g *Zipf) NextBatch(dst []string) int {
 }
 
 // NextRank draws the next key's rank without formatting the key string;
-// used by engines that route on ranks for speed.
+// Drift names each rank by its own rotation.
 func (g *Zipf) NextRank() (int, bool) {
 	if g.emitted >= g.messages {
 		return 0, false
@@ -163,11 +139,8 @@ func (g *Zipf) Reset() {
 	g.emitted = 0
 }
 
-// Probs returns the underlying probability vector (hottest first). The
-// returned slice is shared; callers must not modify it.
-func (g *Zipf) Probs() []float64 { return g.probs }
-
-// KeyName returns the key string for a rank, matching what Next emits.
+// KeyName returns the key string for a rank, matching what NextBatch
+// emits.
 func (g *Zipf) KeyName(rank int) string { return g.keys[rank] }
 
-var _ stream.BatchGenerator = (*Zipf)(nil)
+var _ stream.Generator = (*Zipf)(nil)

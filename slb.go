@@ -356,6 +356,7 @@
 package slb
 
 import (
+	"bytes"
 	"io"
 
 	"slb/internal/aggregation"
@@ -461,16 +462,14 @@ func NewRoundRobin(cfg Config) Partitioner { return core.NewRoundRobin(cfg) }
 // ---------------------------------------------------------------------------
 // Streams and workloads
 
-// Generator produces a finite, deterministic key stream.
+// Generator produces a finite, deterministic key stream, a slab at a
+// time (NextBatch); the sequence does not depend on the slab sizes
+// asked for.
 type Generator = stream.Generator
 
-// BatchGenerator is a Generator with a batched emission fast path. All
-// generators in this module implement it.
-type BatchGenerator = stream.BatchGenerator
-
-// NextBatch pulls up to len(dst) keys from gen (batched when the
-// generator supports it) and returns the count; 0 means exhausted.
-func NextBatch(gen Generator, dst []string) int { return stream.NextBatch(gen, dst) }
+// NextBatch pulls up to len(dst) keys from gen and returns the count;
+// 0 means exhausted. It is gen.NextBatch(dst).
+func NextBatch(gen Generator, dst []string) int { return gen.NextBatch(dst) }
 
 // Stats summarizes a stream (Table I columns: messages, keys, p1).
 type Stats = stream.Stats
@@ -515,15 +514,15 @@ func WriteTraceFile(path string, gen Generator) (int64, error) {
 	return tracefile.WriteFile(path, gen)
 }
 
-// OpenTrace opens a trace file as a replayable Generator; close it via
-// the returned generator's Close method when done.
-func OpenTrace(path string) (*tracefile.FileGenerator, error) {
+// OpenTrace opens a trace file as a replayable Generator that holds the
+// open file; close it via the replay's Close method when done.
+func OpenTrace(path string) (*tracefile.Replay, error) {
 	return tracefile.OpenFile(path)
 }
 
 // TraceFromBytes replays an in-memory trace as a Generator.
-func TraceFromBytes(data []byte) (*tracefile.BytesGenerator, error) {
-	return tracefile.NewBytesGenerator(data)
+func TraceFromBytes(data []byte) (*tracefile.Replay, error) {
+	return tracefile.NewReplay(bytes.NewReader(data))
 }
 
 // ---------------------------------------------------------------------------

@@ -33,13 +33,10 @@ func newWarmBenchPartitioner(tb testing.TB, algo string) slb.Partitioner {
 		tb.Fatal(err)
 	}
 	warm := slb.NewZipfStream(benchZ, benchKeys, 50_000, 2)
-	for {
-		k, ok := warm.Next()
-		if !ok {
-			return p
-		}
-		p.Route(k)
+	for one := make([]string, 1); warm.NextBatch(one) == 1; {
+		p.Route(one[0])
 	}
+	return p
 }
 
 // benchSlabs materializes count slabs of the bench stream so both sides
