@@ -13,8 +13,8 @@ import (
 // runTwoPhase routes gen through per-source partitioners of the named
 // algorithm, accumulates per-worker windowed partials (window =
 // emission index / windowSize), flushes on watermark advance, merges at
-// a single reducer and returns the finals plus the reducer stats.
-func runTwoPhase(t *testing.T, gen stream.Generator, algo string, workers, sources int, windowSize int64) ([]Final, ReducerStats) {
+// a one-shard driver and returns the finals plus the driver.
+func runTwoPhase(t *testing.T, gen stream.Generator, algo string, workers, sources int, windowSize int64) ([]Final, *Driver) {
 	t.Helper()
 	parts := make([]core.Partitioner, sources)
 	for i := range parts {
@@ -28,10 +28,16 @@ func runTwoPhase(t *testing.T, gen stream.Generator, algo string, workers, sourc
 	for i := range accs {
 		accs[i] = NewAccumulator(i)
 	}
-	red := NewReducer()
-	var buf []Partial
-
 	gen.Reset()
+	d := NewDriver(workers, windowSize, gen.Len())
+	var finals []Final
+	onFinal := func(f Final) { finals = append(finals, f) }
+	var buf []Partial
+	mergeFlush := func(acc *Accumulator, w int64) {
+		buf = acc.FlushBefore(w, buf[:0])
+		d.Merge(buf, onFinal)
+	}
+
 	var idx int64
 	src := 0
 	for one := make([]string, 1); gen.NextBatch(one) == 1; {
@@ -41,24 +47,17 @@ func runTwoPhase(t *testing.T, gen stream.Generator, algo string, workers, sourc
 		acc := accs[w]
 		if wm, ok := acc.Watermark(); ok && window > wm {
 			// The worker sees a later window: flush everything below it.
-			buf = red.mergeFlush(acc, window, buf)
+			mergeFlush(acc, window)
 		}
 		acc.Add(window, hashing.Digest(key), key)
 		idx++
 		src = (src + 1) % sources
 	}
 	for _, acc := range accs {
-		buf = red.mergeFlush(acc, 1<<62, buf)
+		mergeFlush(acc, 1<<62)
 	}
-	finals := red.CloseAll(nil)
-	return finals, red.Stats()
-}
-
-// mergeFlush drains acc's windows below w straight into the reducer.
-func (r *Reducer) mergeFlush(acc *Accumulator, w int64, buf []Partial) []Partial {
-	buf = acc.FlushBefore(w, buf[:0])
-	r.Merge(buf)
-	return buf
+	d.Finish(onFinal)
+	return finals, d
 }
 
 // groundTruth is the single-node KG reference: exact per-(window, key)
@@ -131,8 +130,9 @@ func TestWindowCloseExactness(t *testing.T) {
 		truth := groundTruth(mk(), windowSize)
 		for _, algo := range core.Names {
 			t.Run(fmt.Sprintf("%s/%s", genName, algo), func(t *testing.T) {
-				finals, stats := runTwoPhase(t, mk(), algo, workers, sources, windowSize)
+				finals, d := runTwoPhase(t, mk(), algo, workers, sources, windowSize)
 				checkExact(t, finals, truth)
+				stats := d.Stats()
 				if stats.Partials != stats.Merges+stats.Finals {
 					t.Fatalf("stats inconsistent: %d partials, %d merges, %d finals",
 						stats.Partials, stats.Merges, stats.Finals)
@@ -144,7 +144,9 @@ func TestWindowCloseExactness(t *testing.T) {
 
 // TestReplicationOrdering: KG produces exactly one partial per (window,
 // key) — replication factor 1, zero overhead — and the key-splitting
-// schemes pay more, W-Choices the most of the load-aware ones.
+// schemes pay more, W-Choices the most of the load-aware ones. With
+// in-order flushing every (window, key, worker) flushes once, so the
+// partials per final equal the exact state replication.
 func TestReplicationOrdering(t *testing.T) {
 	const (
 		workers    = 16
@@ -155,8 +157,12 @@ func TestReplicationOrdering(t *testing.T) {
 	mk := func() stream.Generator { return workload.NewZipf(2.0, 1_000, messages, 11) }
 	rf := make(map[string]float64)
 	for _, algo := range []string{"KG", "PKG", "W-C"} {
-		_, stats := runTwoPhase(t, mk(), algo, workers, sources, windowSize)
-		rf[algo] = stats.ReplicationFactor()
+		_, d := runTwoPhase(t, mk(), algo, workers, sources, windowSize)
+		stats := d.Stats()
+		rf[algo] = float64(stats.Partials) / float64(stats.Finals)
+		if got := d.Replication(); got != rf[algo] {
+			t.Fatalf("%s: Replication %f, partials per final %f", algo, got, rf[algo])
+		}
 	}
 	if rf["KG"] != 1 {
 		t.Fatalf("KG replication factor = %f, want exactly 1", rf["KG"])
@@ -171,18 +177,20 @@ func TestReplicationOrdering(t *testing.T) {
 
 // TestLateTupleReopensWindow: a tuple arriving after its window was
 // flushed opens a fresh partial; the reducer merges both flushes into
-// one exact final.
+// one exact final. The windows are larger than the stream, so nothing
+// closes before Finish.
 func TestLateTupleReopensWindow(t *testing.T) {
 	acc := NewAccumulator(0)
-	red := NewReducer()
+	d := NewDriver(1, 10, 0)
 	dg := hashing.Digest("k")
 	acc.Add(0, dg, "k")
 	acc.Add(0, dg, "k")
-	red.Merge(acc.FlushBefore(1, nil)) // window 0 closed at the worker
-	acc.Add(0, dg, "k")                // straggler for window 0
+	d.Merge(acc.FlushBefore(1, nil), nil) // window 0 closed at the worker
+	acc.Add(0, dg, "k")                   // straggler for window 0
 	acc.Add(1, dg, "k")
-	red.Merge(acc.FlushAll(nil))
-	finals := red.CloseAll(nil)
+	d.Merge(acc.FlushAll(nil), nil)
+	var finals []Final
+	d.Finish(func(f Final) { finals = append(finals, f) })
 	want := map[int64]int64{0: 3, 1: 1}
 	if len(finals) != 2 {
 		t.Fatalf("got %d finals, want 2", len(finals))
@@ -192,7 +200,7 @@ func TestLateTupleReopensWindow(t *testing.T) {
 			t.Fatalf("window %d: count %d, want %d", f.Window, f.Count, want[f.Window])
 		}
 	}
-	st := red.Stats()
+	st := d.Stats()
 	if st.Partials != 3 || st.Merges != 1 {
 		t.Fatalf("stats = %+v, want 3 partials with 1 merge", st)
 	}
@@ -228,29 +236,44 @@ func TestTableGrowthAndRecycle(t *testing.T) {
 }
 
 // TestReducerPeakEntries tracks the memory high-water mark across
-// overlapping windows.
+// overlapping windows. The peak is sampled once the whole slab has
+// merged and before any window it completed closes.
 func TestReducerPeakEntries(t *testing.T) {
-	red := NewReducer()
+	d := NewDriver(1, 3, 0)
+	entries := func() int64 { _, e, _ := d.Live(0); return e }
 	dgA, dgB := hashing.Digest("a"), hashing.Digest("b")
-	red.Merge([]Partial{
+	d.Merge([]Partial{
 		{Window: 0, Digest: dgA, Key: "a", Count: 1},
 		{Window: 0, Digest: dgB, Key: "b", Count: 1},
 		{Window: 1, Digest: dgA, Key: "a", Count: 1},
-	})
-	if red.Entries() != 3 || red.Stats().PeakEntries != 3 || red.Stats().PeakWindows != 2 {
-		t.Fatalf("live %d, stats %+v", red.Entries(), red.Stats())
+	}, nil)
+	if entries() != 3 || d.Stats().PeakEntries != 3 || d.Stats().PeakWindows != 2 {
+		t.Fatalf("live %d, stats %+v", entries(), d.Stats())
 	}
-	red.CloseBefore(1, nil)
-	if red.Entries() != 1 {
-		t.Fatalf("live after close = %d, want 1", red.Entries())
+	// The third message of window 0 completes and closes it.
+	d.Merge([]Partial{{Window: 0, Digest: dgB, Key: "b", Count: 1}}, nil)
+	if entries() != 1 {
+		t.Fatalf("live after close = %d, want 1", entries())
 	}
-	if red.Stats().PeakEntries != 3 {
-		t.Fatalf("peak dropped: %d", red.Stats().PeakEntries)
+	if d.Stats().PeakEntries != 3 {
+		t.Fatalf("peak dropped: %d", d.Stats().PeakEntries)
+	}
+	// One slab raises the live entries to 4, then completes window 1,
+	// which closes: the peak counts the whole slab.
+	d.Merge([]Partial{
+		{Window: 2, Digest: dgA, Key: "a", Count: 1},
+		{Window: 2, Digest: dgB, Key: "b", Count: 1},
+		{Window: 1, Digest: dgA, Key: "a", Count: 1},
+		{Window: 1, Digest: dgB, Key: "b", Count: 1},
+	}, nil)
+	if entries() != 2 || d.Stats().PeakEntries != 4 {
+		t.Fatalf("live %d, peak %d: want 2 live after a peak of 4", entries(), d.Stats().PeakEntries)
 	}
 }
 
 // BenchmarkAccumulatorWindow measures one steady-state window cycle:
-// accumulate a Zipf-keyed slab, flush, merge at the reducer.
+// accumulate a Zipf-keyed slab, flush, merge at the reducer, which
+// closes the window on completeness.
 func BenchmarkAccumulatorWindow(b *testing.B) {
 	const windowSize = 4_096
 	gen := workload.NewZipf(1.4, 2_000, int64(windowSize), 3)
@@ -262,9 +285,10 @@ func BenchmarkAccumulatorWindow(b *testing.B) {
 		digs = append(digs, hashing.Digest(k))
 	}
 	acc := NewAccumulator(0)
-	red := NewReducer()
+	d := NewDriver(1, windowSize, 0)
 	var buf []Partial
-	var finals []Final
+	var finals int64
+	onFinal := func(Final) { finals++ }
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -273,10 +297,12 @@ func BenchmarkAccumulatorWindow(b *testing.B) {
 			acc.Add(w, digs[j], keys[j])
 		}
 		buf = acc.FlushBefore(w+1, buf[:0])
-		red.Merge(buf)
-		finals = red.CloseBefore(w+1, finals[:0])
+		d.Merge(buf, onFinal)
 	}
-	_ = finals
+	b.StopTimer()
+	if open, _, _ := d.Live(0); open != 0 || d.Total() != int64(b.N)*windowSize {
+		b.Fatalf("%d windows open, total %d after %d cycles", open, d.Total(), b.N)
+	}
 }
 
 // TestDriverReleasesClosedWindowReplicas pins the replica accounting's
@@ -305,7 +331,7 @@ func TestDriverReleasesClosedWindowReplicas(t *testing.T) {
 		})
 		// Every window closes on completeness, so no entry — and with it
 		// no replica bitset — stays live after its finals are emitted.
-		if live := d.LiveEntries(); live != 0 {
+		if _, live, _ := d.Live(0); live != 0 {
 			t.Fatalf("window %d: %d entries still live after close", w, live)
 		}
 	}

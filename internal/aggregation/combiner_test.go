@@ -116,7 +116,7 @@ func TestCombineTablePreMergeIsExact(t *testing.T) {
 			// Same finals through a driver either way; replication only
 			// from the originals.
 			finalsOf := func(ps []Partial) (map[wk]Final, *Driver) {
-				d := NewDriverMerger(workers, winSize, 0, tc.m)
+				d := NewShardedDriver(workers, 1, winSize, 0, tc.m)
 				got := map[wk]Final{}
 				onFinal := func(f Final) {
 					var k int
@@ -140,7 +140,7 @@ func TestCombineTablePreMergeIsExact(t *testing.T) {
 			if raw.Replication() <= 1 {
 				t.Fatalf("originals replicate %v: the fixture spreads no key", raw.Replication())
 			}
-			if pairs, keys := pre.replicas(); pairs != 0 || keys != 0 {
+			if pairs, keys := pre.shards[0].pairs, pre.shards[0].keys; pairs != 0 || keys != 0 {
 				t.Fatalf("combined partials set worker bits: %d pairs over %d keys", pairs, keys)
 			}
 		})

@@ -182,23 +182,24 @@ func TestReplicaAccountingMatchesTracker(t *testing.T) {
 					t.Fatalf("late %d (want %d), finals %d (want %d)", st.Late, reopened, st.Finals, finals)
 				}
 				var pairs, keys, refPairs, refKeys int64
-				for r, d := range sd.drivers {
+				for r, s := range sd.shards {
 					ref := refs[r]
-					p, k := d.replicas()
+					p, k := s.pairs, s.keys
 					if p != ref.pairs || k != ref.keys {
 						t.Errorf("shard %d: pairs/keys %d/%d, reference %d/%d", r, p, k, ref.pairs, ref.keys)
 					}
-					if got, want := d.Replication(), float64(ref.pairs)/float64(ref.keys); got != want {
-						t.Errorf("shard %d: Replication %v, reference %v", r, got, want)
+					if got, want := perKey(p, k), float64(ref.pairs)/float64(ref.keys); got != want {
+						t.Errorf("shard %d: replication %v, reference %v", r, got, want)
 					}
-					if got, want := d.LiveReplication(), d.Replication(); got != want {
-						t.Errorf("shard %d: LiveReplication %v after the last merge, Replication %v", r, got, want)
+					_, live, repl := sd.Live(r)
+					if want := perKey(p, k); repl != want {
+						t.Errorf("shard %d: Live replication %v after the last merge, exact %v", r, repl, want)
 					}
-					if live := d.LiveEntries(); live != 0 || len(ref.sets) != 0 {
+					if live != 0 || len(ref.sets) != 0 {
 						t.Errorf("shard %d: %d live entries after Finish (reference %d)", r, live, len(ref.sets))
 					}
 					// Wide words exist only past 64 workers, one per further 64.
-					for _, tb := range d.red.pool.free {
+					for _, tb := range s.pool.free {
 						if want := (workers - 1) / 64 * len(tb.slots); len(tb.wide) != want {
 							t.Errorf("shard %d: %d wide words for %d slots, want %d", r, len(tb.wide), len(tb.slots), want)
 						}
@@ -223,7 +224,7 @@ func TestReplicaAccountingMatchesTracker(t *testing.T) {
 // so windows overlap and every slab holds two runs, closing w−1 on
 // completeness.
 type windowCycle struct {
-	sd     *ShardedDriver
+	sd     *Driver
 	digs   []KeyDigest
 	keys   []string
 	emits  []KeyDigest
@@ -269,52 +270,57 @@ func (c *windowCycle) step(onFinal func(Final)) {
 	c.w++
 }
 
-// TestPerWindowStateStaysBounded: the two per-window structures that
-// used to grow with the stream — the reducer's closed-window record and
-// the sharded stage's threshold rows — follow the open windows instead.
+// TestPerWindowStateStaysBounded: the per-window structures that used
+// to grow with the stream — the one-shard stage's closed-window record
+// and the sharded stage's threshold rows — follow the open windows
+// instead.
 func TestPerWindowStateStaysBounded(t *testing.T) {
 	const windows = 100_000
-	c := newWindowCycle(t, 4, 3)
-	onFinal := func(Final) { c.finals++ }
-	check := func() {
-		if n := len(c.sd.counts.rows); n > 2 {
-			t.Fatalf("window %d: %d threshold rows held", c.w, n)
-		}
-		for r, d := range c.sd.drivers {
-			if n := len(d.red.closed.rest); n > 2 {
-				t.Fatalf("window %d, shard %d: %d closed ids held outside the run", c.w, r, n)
+	for _, shards := range []int{1, 3} {
+		c := newWindowCycle(t, 4, shards)
+		th := &c.sd.th
+		onFinal := func(Final) { c.finals++ }
+		check := func() {
+			if n := len(th.rows); n > 2 {
+				t.Fatalf("shards=%d, window %d: %d threshold rows held", shards, c.w, n)
 			}
-			if n := len(d.red.pool.open); n > 2 {
-				t.Fatalf("window %d, shard %d: %d windows open", c.w, r, n)
+			if n := len(th.closed.rest); n > 2 {
+				t.Fatalf("shards=%d, window %d: %d closed ids held outside the run", shards, c.w, n)
+			}
+			for r, s := range c.sd.shards {
+				if n := len(s.pool.open); n > 2 {
+					t.Fatalf("shards=%d, window %d, shard %d: %d windows open", shards, c.w, r, n)
+				}
 			}
 		}
-	}
-	for c.w < windows {
-		c.step(onFinal)
-		if c.w%1000 == 0 {
-			check()
+		for c.w < windows {
+			c.step(onFinal)
+			if c.w%1000 == 0 {
+				check()
+			}
 		}
-	}
-	check()
-	for r, d := range c.sd.drivers {
-		if !d.red.closed.has(0) || !d.red.closed.has(windows-2) || d.red.closed.has(windows-1) || d.red.closed.has(windows) {
-			t.Fatalf("shard %d: closed record [%d, %d) + %d wrong after %d windows", r, d.red.closed.lo, d.red.closed.hi, len(d.red.closed.rest), windows)
+		check()
+		for r := range c.sd.shards {
+			if !th.late(0, r) || !th.late(windows-2, r) || th.late(windows-1, r) {
+				t.Fatalf("shards=%d, shard %d: closed record wrong after %d windows", shards, r, windows)
+			}
 		}
-	}
-	// A stray partial for a long-retired window finds no threshold row:
-	// not final, so it waits for Finish, and it counts as late.
-	c.sd.Merge([]Partial{{Window: 5, Digest: c.digs[0], Key: c.keys[0], Count: 1, Val: Value{1}}}, onFinal)
-	before := c.finals
-	c.sd.Finish(onFinal)
-	st := c.sd.Stats()
-	if st.Late != 1 || c.finals != before+int64(len(c.keys))+1 || st.WindowsClosed != int64(3*windows)+1 {
-		t.Fatalf("late %d, finals at Finish %d, windows closed %d", st.Late, c.finals-before, st.WindowsClosed)
-	}
-	// Two workers per key in every window but the last (one), plus the
-	// stray's fresh (window, key).
-	n := int64(len(c.keys))
-	if got, want := c.sd.Replication(), float64(n*(2*windows-1)+1)/float64(n*windows+1); got != want {
-		t.Fatalf("Replication %v, want %v", got, want)
+		// A stray partial for a long-retired window counts as late. Its
+		// threshold is not final (no row) or not met (one shard), so it
+		// waits for Finish.
+		c.sd.Merge([]Partial{{Window: 5, Digest: c.digs[0], Key: c.keys[0], Count: 1, Val: Value{1}}}, onFinal)
+		before := c.finals
+		c.sd.Finish(onFinal)
+		st := c.sd.Stats()
+		if st.Late != 1 || c.finals != before+int64(len(c.keys))+1 || st.WindowsClosed != int64(shards*windows)+1 {
+			t.Fatalf("shards=%d: late %d, finals at Finish %d, windows closed %d", shards, st.Late, c.finals-before, st.WindowsClosed)
+		}
+		// Two workers per key in every window but the last (one), plus the
+		// stray's fresh (window, key).
+		n := int64(len(c.keys))
+		if got, want := c.sd.Replication(), float64(n*(2*windows-1)+1)/float64(n*windows+1); got != want {
+			t.Fatalf("shards=%d: Replication %v, want %v", shards, got, want)
+		}
 	}
 }
 

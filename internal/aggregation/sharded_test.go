@@ -3,6 +3,9 @@ package aggregation
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"slb/internal/core"
@@ -117,11 +120,11 @@ func TestShardForPartition(t *testing.T) {
 }
 
 // runSharded routes gen through per-source partitioners, accumulates
-// per-worker windowed partials, and reduces through a ShardedDriver
-// with the given shard count, mirroring the engines' flow (emissions
-// observed at routing, flush on watermark advance, per-shard
-// completeness close). Returns the finals and the driver.
-func runSharded(t *testing.T, gen stream.Generator, algo string, workers, sources, shards int, windowSize int64, m Merger, sample func(key string, seq int64) int64) ([]Final, *ShardedDriver) {
+// per-worker windowed partials, and reduces through a Driver with the
+// given shard count, mirroring the engines' flow (emissions observed at
+// routing, flush on watermark advance, per-shard completeness close).
+// Returns the finals and the driver.
+func runSharded(t *testing.T, gen stream.Generator, algo string, workers, sources, shards int, windowSize int64, m Merger, sample func(key string, seq int64) int64) ([]Final, *Driver) {
 	t.Helper()
 	parts := make([]core.Partitioner, sources)
 	for i := range parts {
@@ -149,11 +152,13 @@ func runSharded(t *testing.T, gen stream.Generator, algo string, workers, source
 
 	var idx int64
 	src := 0
+	dig := make([]KeyDigest, 1)
 	for one := make([]string, 1); gen.NextBatch(one) == 1; {
 		key := one[0]
 		dg := hashing.Digest(key)
 		window := idx / windowSize
-		sd.ObserveEmit(idx, dg)
+		dig[0] = dg
+		sd.ObserveEmits(idx, dig)
 		w := parts[src].Route(key)
 		acc := accs[w]
 		if wm, ok := acc.Watermark(); ok && window > wm {
@@ -238,18 +243,7 @@ func TestShardedDriverMatchesSingle(t *testing.T) {
 // count matches the (still-growing) threshold.
 func TestShardedThresholdNotFinalBlocksClose(t *testing.T) {
 	const windowSize = 4
-	// Find two keys on different shards of 2.
-	kA, kB := "", ""
-	for i := 0; kB == ""; i++ {
-		k := fmt.Sprintf("key-%d", i)
-		if ShardFor(hashing.Digest(k), 2) == 0 {
-			if kA == "" {
-				kA = k
-			}
-		} else if kB == "" {
-			kB = k
-		}
-	}
+	kA, kB := keysOnShards(2)
 	dgA, dgB := hashing.Digest(kA), hashing.Digest(kB)
 
 	sd := NewShardedDriver(1, 2, windowSize, 8, CountMerger)
@@ -257,8 +251,7 @@ func TestShardedThresholdNotFinalBlocksClose(t *testing.T) {
 	onFinal := func(f Final) { finals = append(finals, f) }
 
 	// Emit half of window 0 (2 of 4 messages), all on shard A's key.
-	sd.ObserveEmit(0, dgA)
-	sd.ObserveEmit(1, dgA)
+	sd.ObserveEmits(0, []KeyDigest{dgA, dgA})
 	// Shard A merges a partial covering BOTH messages counted so far:
 	// merged count (2) equals the current threshold (2), but the
 	// window's emission is incomplete — it must not close.
@@ -268,8 +261,7 @@ func TestShardedThresholdNotFinalBlocksClose(t *testing.T) {
 	}
 	// Finish the window's emission on the other shard and merge it:
 	// shard B's slice closes mid-stream (threshold 2, final, met).
-	sd.ObserveEmit(2, dgB)
-	sd.ObserveEmit(3, dgB)
+	sd.ObserveEmits(2, []KeyDigest{dgB, dgB})
 	sd.Merge([]Partial{{Window: 0, Digest: dgB, Key: kB, Count: 2, Val: Value{2}}}, onFinal)
 	if len(finals) != 1 || finals[0].Key != kB {
 		t.Fatalf("shard B's slice did not close on completeness: finals %+v", finals)
@@ -287,5 +279,194 @@ func TestShardedThresholdNotFinalBlocksClose(t *testing.T) {
 	}
 	if st := sd.Stats(); st.Late != 0 {
 		t.Errorf("lates %d, want 0", st.Late)
+	}
+}
+
+// TestLateRecloseKeepsOtherShardsRow: a shard that closes its slice of
+// a window again, after a late partial re-opened it, must not count as
+// a second holder. The window's threshold row stays until the other
+// holder closes its own slice, which it then does mid-stream.
+func TestLateRecloseKeepsOtherShardsRow(t *testing.T) {
+	kA, kB := keysOnShards(2)
+	dgA, dgB := hashing.Digest(kA), hashing.Digest(kB)
+	sd := NewShardedDriver(1, 2, 4, 8, CountMerger)
+	var finals []Final
+	onFinal := func(f Final) { finals = append(finals, f) }
+	sd.ObserveEmits(0, []KeyDigest{dgA, dgA, dgB, dgB})
+	pA := Partial{Window: 0, Digest: dgA, Key: kA, Count: 2, Val: Value{2}}
+	sd.Merge([]Partial{pA}, onFinal)
+	sd.Merge([]Partial{pA}, onFinal) // late: re-opens and re-closes shard A's slice
+	if len(finals) != 2 || sd.Stats().Late != 1 {
+		t.Fatalf("shard A: %d finals, %d late; want 2 and 1", len(finals), sd.Stats().Late)
+	}
+	sd.Merge([]Partial{{Window: 0, Digest: dgB, Key: kB, Count: 2, Val: Value{2}}}, onFinal)
+	if len(finals) != 3 || finals[2].Key != kB {
+		t.Fatalf("shard B's slice did not close on completeness: finals %+v", finals)
+	}
+	if n := len(sd.th.rows); n != 0 {
+		t.Fatalf("%d threshold rows held after both holders closed", n)
+	}
+}
+
+// keysOnShards returns a key on shard 0 and a key on shard 1 of n.
+func keysOnShards(n int) (kA, kB string) {
+	for i := 0; kA == "" || kB == ""; i++ {
+		k := fmt.Sprintf("key-%d", i)
+		switch ShardFor(hashing.Digest(k), n) {
+		case 0:
+			if kA == "" {
+				kA = k
+			}
+		case 1:
+			if kB == "" {
+				kB = k
+			}
+		}
+	}
+	return kA, kB
+}
+
+// TestObserveEmitsAnnouncesEachWindowOnce: eight goroutines race
+// ObserveEmits over disjoint slabs that span many windows, as the
+// engine's spouts do. Each window is announced at most once, window 0
+// never (the announcement starts there), the stream's last window
+// always, and the counted per-shard shares add up to each window's
+// size.
+func TestObserveEmitsAnnouncesEachWindowOnce(t *testing.T) {
+	const (
+		goroutines = 8
+		windowSize = 50
+		messages   = 200_000
+		slab       = 13
+	)
+	digs := make([]KeyDigest, messages)
+	for i := range digs {
+		digs[i] = hashing.Digest(fmt.Sprintf("key-%d", i%500))
+	}
+	last := int64(messages-1) / windowSize
+	for _, shards := range []int{1, 3} {
+		d := NewShardedDriver(4, shards, windowSize, messages, nil)
+		var next atomic.Int64
+		got := make([][]int64, goroutines)
+		var wg sync.WaitGroup
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					base := next.Add(slab) - slab
+					if base >= messages {
+						return
+					}
+					end := min(base+slab, messages)
+					w, ok := d.ObserveEmits(base, digs[base:end])
+					if want := (end - 1) / windowSize; w != want {
+						t.Errorf("slab [%d, %d): window %d, want %d", base, end, w, want)
+					}
+					if ok {
+						got[g] = append(got[g], w)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		seen := map[int64]bool{}
+		for _, ws := range got {
+			for _, w := range ws {
+				if seen[w] {
+					t.Fatalf("shards=%d: window %d announced twice", shards, w)
+				}
+				seen[w] = true
+			}
+		}
+		if seen[0] || !seen[last] {
+			t.Fatalf("shards=%d: window 0 announced %v, last window %d announced %v", shards, seen[0], last, seen[last])
+		}
+		if shards == 1 {
+			if d.th.rows != nil {
+				t.Fatal("one shard counted thresholds")
+			}
+			continue
+		}
+		for w := int64(0); w <= last; w++ {
+			want := make([]int64, shards)
+			for i := w * windowSize; i < min((w+1)*windowSize, messages); i++ {
+				want[ShardFor(digs[i], shards)]++
+			}
+			row := d.th.rows[w]
+			if row[shards] != d.th.size(w) || !slices.Equal(row[:shards], want) {
+				t.Fatalf("window %d: shares %v of %d, want %v of %d", w, row[:shards], row[shards], want, d.th.size(w))
+			}
+		}
+	}
+}
+
+// TestZeroShareShardHoldsNoWindowState: with windows shorter than the
+// shard count, most shards get no share of most windows. Such a shard
+// never opens the window, and the stage keeps no record of it: a
+// window's threshold row goes once the shards that held a share closed
+// theirs, so the stage holds the windows in flight, not the stream.
+func TestZeroShareShardHoldsNoWindowState(t *testing.T) {
+	const (
+		workers    = 8
+		shards     = 8
+		windowSize = 4
+		messages   = 40_000
+	)
+	mk := func() stream.Generator { return workload.NewZipf(1.2, 1_000, messages, 13) }
+	truth := groundTruth(mk(), windowSize)
+	p, err := core.New("D-C", core.Config{Workers: workers, Seed: 99})
+	if err != nil {
+		t.Fatal(err)
+	}
+	accs := make([]*Accumulator, workers)
+	for i := range accs {
+		accs[i] = NewAccumulator(i)
+	}
+	d := NewShardedDriver(workers, shards, windowSize, messages, nil)
+	var finals []Final
+	onFinal := func(f Final) { finals = append(finals, f) }
+	var buf []Partial
+	flush := func(before int64) {
+		for _, acc := range accs {
+			buf = acc.FlushBefore(before, buf[:0])
+			d.Merge(buf, onFinal)
+		}
+	}
+	gen := mk()
+	dig := make([]KeyDigest, 1)
+	held, open := 0, 0
+	var idx int64
+	for one := make([]string, 1); gen.NextBatch(one) == 1; idx++ {
+		key := one[0]
+		dg := hashing.Digest(key)
+		dig[0] = dg
+		// The tick: every worker holds its whole share of the windows
+		// below an announced one.
+		if cw, ok := d.ObserveEmits(idx, dig); ok {
+			flush(cw)
+		}
+		accs[p.RouteDigest(dg, key)].Add(idx/windowSize, dg, key)
+		held = max(held, len(d.th.rows))
+		for _, s := range d.shards {
+			open = max(open, len(s.pool.open))
+		}
+	}
+	flush(1 << 62)
+	d.Finish(onFinal)
+	checkExact(t, finals, truth)
+	if held > 2 || open > 2 {
+		t.Errorf("%d threshold rows and %d windows on one shard held at once, want ≤ 2", held, open)
+	}
+	if c := d.th.closed; c.rest != nil || c.lo != c.hi {
+		t.Errorf("sharded stage keeps a closed record: [%d, %d) + %d", c.lo, c.hi, len(c.rest))
+	}
+	if st := d.Stats(); st.Late != 0 {
+		t.Errorf("%d late partials, want 0", st.Late)
+	}
+	for r, s := range d.shards {
+		if n := len(s.pool.open); n != 0 {
+			t.Errorf("shard %d: %d windows open after Finish", r, n)
+		}
 	}
 }

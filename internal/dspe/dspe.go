@@ -46,7 +46,10 @@
 // when the global emission sequence enters a new window, so a bolt that
 // happens to receive no traffic still flushes its closed windows —
 // window-close latency depends on stream progress, not on which bolts
-// the partitioner favors.
+// the partitioner favors. The engine keeps no window clock of its own:
+// aggregation.Driver.ObserveEmits, which each spout calls on every
+// routed slab to count the thresholds, also says which spout announces
+// a window (each window at most once).
 //
 // Control stays in-process by design: the in-flight window is an atomic
 // counter per source and the completeness thresholds are counted at the

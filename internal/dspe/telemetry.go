@@ -233,15 +233,15 @@ func (pt *planeTelemetry) observeQueues(in [][]*transport.Link) {
 
 // observeReduce registers the per-shard reducer occupancy and
 // replication gauges.
-func (pt *planeTelemetry) observeReduce(sd *aggregation.ShardedDriver) {
-	if pt == nil || sd == nil {
+func (pt *planeTelemetry) observeReduce(d *aggregation.Driver, shards int) {
+	if pt == nil || d == nil {
 		return
 	}
-	for r := 0; r < sd.Shards(); r++ {
+	for r := 0; r < shards; r++ {
 		r := r
 		ls := pt.with("shard", r)
-		pt.reg.GaugeFunc("reduce_open_windows", func() float64 { return float64(sd.LiveWindowsShard(r)) }, ls...)
-		pt.reg.GaugeFunc("reduce_live_entries", func() float64 { return float64(sd.LiveEntriesShard(r)) }, ls...)
-		pt.reg.GaugeFunc("reduce_replication", func() float64 { return sd.LiveReplicationShard(r) }, ls...)
+		pt.reg.GaugeFunc("reduce_open_windows", func() float64 { w, _, _ := d.Live(r); return float64(w) }, ls...)
+		pt.reg.GaugeFunc("reduce_live_entries", func() float64 { _, e, _ := d.Live(r); return float64(e) }, ls...)
+		pt.reg.GaugeFunc("reduce_replication", func() float64 { _, _, f := d.Live(r); return f }, ls...)
 	}
 }

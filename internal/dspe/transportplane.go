@@ -232,13 +232,13 @@ func runOnFabric(fabric transport.Transport, src *stream.Source, cfg Config, par
 	}
 
 	var (
-		sd         *aggregation.ShardedDriver
+		sd         *aggregation.Driver
 		reduceBusy []time.Duration
 		reduceWG   sync.WaitGroup
 	)
 	if agg {
 		sd = aggregation.NewShardedDriver(cfg.Workers, shards, cfg.AggWindow, src.Planned(), cfg.AggMerger)
-		pt.observeReduce(sd)
+		pt.observeReduce(sd, shards)
 		reduceBusy = make([]time.Duration, shards)
 		fan := &finalFanIn{user: cfg.OnFinal, shards: shards}
 		for r := 0; r < shards; r++ {
@@ -454,12 +454,6 @@ func runOnFabric(fabric transport.Transport, src *stream.Source, cfg Config, par
 
 	// The input stream is shared by all spouts (shuffle grouping from the
 	// data source to the spouts): each draws its slabs from src.
-	// tickedWindow is the highest window id announced to the bolts via
-	// watermark ticks; the spout whose slab first enters a window
-	// broadcasts the tick (idempotent at the bolts: flushing an already
-	// flushed window is a no-op).
-	var tickedWindow atomic.Int64
-
 	start := time.Now()
 	var spouts sync.WaitGroup
 	for s := 0; s < cfg.Sources; s++ {
@@ -558,32 +552,21 @@ func runOnFabric(fabric transport.Transport, src *stream.Source, cfg Config, par
 					// Count the slab toward its windows' per-shard
 					// completeness thresholds BEFORE any of its tuples can be
 					// sent (a threshold must never lag a mergeable partial).
-					// No-op with one shard.
-					sd.ObserveEmits(base, digs[:n])
-					// Broadcast a watermark tick to every bolt when the global
-					// emission sequence enters a window no spout announced yet,
-					// so bolts the partitioner starves still flush on time.
-					if cw := (base + int64(n) - 1) / cfg.AggWindow; cw > tickedWindow.Load() {
-						for {
-							seen := tickedWindow.Load()
-							if cw <= seen {
+					// When the slab enters a window no spout announced yet,
+					// this spout broadcasts a watermark tick to every bolt, so
+					// bolts the partitioner starves still flush on time. It
+					// uses its OWN links (they are SPSC); ticks flush
+					// immediately, and a tick for an already flushed window is
+					// a no-op at the bolt.
+					if cw, ok := sd.ObserveEmits(base, digs[:n]); ok {
+						tick := []transport.Msg{{Src: -1, Window: cw}}
+						for w := range in[s] {
+							if err := in[s][w].SendSlab(tick); err != nil {
+								fail(err)
 								break
 							}
-							if tickedWindow.CompareAndSwap(seen, cw) {
-								// The winner broadcasts through its OWN links
-								// (they are SPSC; ticks flush immediately so
-								// starved bolts still close windows on time).
-								tick := []transport.Msg{{Src: -1, Window: cw}}
-								for w := range in[s] {
-									if err := in[s][w].SendSlab(tick); err != nil {
-										fail(err)
-										break
-									}
-									if err := in[s][w].Sender.Flush(); err != nil {
-										fail(err)
-										break
-									}
-								}
+							if err := in[s][w].Sender.Flush(); err != nil {
+								fail(err)
 								break
 							}
 						}

@@ -38,7 +38,10 @@
 // when the global emission sequence enters a new window, idle workers
 // are ticked to flush their closed windows immediately (and busy
 // workers flush when they drain), so window-close latency follows
-// stream progress rather than end-of-stream. Per-worker arrival order
+// stream progress rather than end-of-stream. The window clock is the
+// reduce stage's: aggregation.Driver.ObserveEmits counts each emission
+// toward its shard's threshold and announces the windows the stream
+// enters, exactly as it does for internal/dspe. Per-worker arrival order
 // equals emission order here, so a tick flush is always complete —
 // it never fragments a window's partial.
 //
@@ -426,21 +429,22 @@ func Run(gen stream.Generator, cfg Config) (Result, error) {
 	}
 
 	// Aggregation reduce stage: AggShards modeled service stations (see
-	// reducerStation), one per digest shard, behind a ShardedDriver that
-	// preserves the completeness-based window close per shard. The
+	// reducerStation), one per digest shard, behind an
+	// aggregation.Driver that closes each shard's slice of a window on
+	// completeness and announces each window the stream enters. The
 	// merged CONTENT is folded in immediately — counters and window
 	// close points are simulated-time-independent — but the merge COST
 	// occupies each shard station's clock, and a full shard queue blocks
 	// the flushing worker.
 	var (
-		drv      *aggregation.ShardedDriver
+		drv      *aggregation.Driver
 		aggBuf   []aggregation.Partial
 		stations []reducerStation
 		links    *linkDelays
 	)
 	if cfg.AggWindow > 0 {
 		drv = aggregation.NewShardedDriver(cfg.Workers, cfg.AggShards, cfg.AggWindow, limit, cfg.AggMerger)
-		tel.observeReduce(drv)
+		tel.observeReduce(drv, cfg.AggShards)
 		stations = make([]reducerStation, cfg.AggShards)
 		for r := range stations {
 			stations[r] = newReducerStation(cfg.AggMergeCost, cfg.AggQueueLen)
@@ -496,7 +500,8 @@ func Run(gen stream.Generator, cfg Config) (Result, error) {
 		lastDone     float64
 		measureStart float64
 		peakQueue    int
-		announced    = int64(-1 << 62) // highest window id emission has entered
+		announced    int64 // the last window the driver announced
+		dig          = make([]aggregation.KeyDigest, 1)
 	)
 	// tickIdle is the watermark tick for workers with no traffic: when
 	// the global emission sequence enters a new window, every idle
@@ -566,11 +571,11 @@ func Run(gen stream.Generator, cfg Config) (Result, error) {
 				pm.key = key
 				pm.val = vals[pos]
 				// Count the emission toward its shard's completeness
-				// threshold (no-op when AggShards == 1), and tick idle
-				// workers when the stream enters a new window.
-				drv.ObserveEmit(emitted, dg)
-				if pm.window > announced {
-					announced = pm.window
+				// threshold, and tick idle workers when the driver
+				// announces that the stream entered a new window.
+				dig[0] = dg
+				if cw, ok := drv.ObserveEmits(emitted, dig); ok {
+					announced = cw
 					tickIdle()
 				}
 				w = parts[s].RouteDigest(dg, key)

@@ -182,15 +182,15 @@ func (tel *simTelemetry) flushRoutes() {
 
 // observeReduce registers the per-shard reducer occupancy and
 // replication gauges over the run's driver.
-func (tel *simTelemetry) observeReduce(sd *aggregation.ShardedDriver) {
-	if tel == nil || sd == nil {
+func (tel *simTelemetry) observeReduce(d *aggregation.Driver, shards int) {
+	if tel == nil || d == nil {
 		return
 	}
-	for r := 0; r < sd.Shards(); r++ {
+	for r := 0; r < shards; r++ {
 		r := r
 		ls := tel.with("shard", r)
-		tel.reg.GaugeFunc("reduce_open_windows", func() float64 { return float64(sd.LiveWindowsShard(r)) }, ls...)
-		tel.reg.GaugeFunc("reduce_live_entries", func() float64 { return float64(sd.LiveEntriesShard(r)) }, ls...)
-		tel.reg.GaugeFunc("reduce_replication", func() float64 { return sd.LiveReplicationShard(r) }, ls...)
+		tel.reg.GaugeFunc("reduce_open_windows", func() float64 { w, _, _ := d.Live(r); return float64(w) }, ls...)
+		tel.reg.GaugeFunc("reduce_live_entries", func() float64 { _, e, _ := d.Live(r); return float64(e) }, ls...)
+		tel.reg.GaugeFunc("reduce_replication", func() float64 { _, _, f := d.Live(r); return f }, ls...)
 	}
 }

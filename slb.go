@@ -104,6 +104,10 @@
 // of a window the instant it has merged every message the sources
 // emitted into it — per-shard thresholds are counted at routing time,
 // so duplicates and late corrections remain structurally impossible.
+// One type, aggregation.Driver, owns this window lifecycle for both
+// engines: it counts the thresholds, announces each window the stream
+// enters (the watermark tick that lets starved workers flush), closes
+// the slices and totals the finals.
 // In the discrete-event engine each merged partial costs
 // ClusterConfig.AggMergeCost of its shard's service through a bounded
 // per-shard queue whose backpressure stalls flushing workers: a
@@ -602,21 +606,6 @@ type AggPartial = aggregation.Partial
 // memory high-water marks. Returned in EngineResult.Agg and
 // ClusterResult.Agg.
 type AggStats = aggregation.ReducerStats
-
-// AggAccumulator is the worker-side windowed partial table (digest
-// keyed, open addressing); exported for applications that embed the
-// aggregation phase in their own processing loops.
-type AggAccumulator = aggregation.Accumulator
-
-// AggReducer merges partials into finals and accounts the cost.
-type AggReducer = aggregation.Reducer
-
-// NewAggAccumulator returns an empty worker-side accumulator for the
-// given worker index.
-func NewAggAccumulator(worker int) *AggAccumulator { return aggregation.NewAccumulator(worker) }
-
-// NewAggReducer returns an empty reducer.
-func NewAggReducer() *AggReducer { return aggregation.NewReducer() }
 
 // Merger is the pluggable merge operator of the two-phase aggregation:
 // a commutative, associative fold over per-message samples, observed
