@@ -58,8 +58,9 @@ func BenchmarkAblateStraggler(b *testing.B)  { benchExperiment(b, "ablate-stragg
 func BenchmarkLiveFig13(b *testing.B)        { benchExperiment(b, "live-fig13") }
 
 // BenchmarkRoute measures the per-message routing cost of each
-// algorithm — the overhead a DSPE pays at the sender. Imbalance of the
-// benchmark run is attached as a custom metric.
+// algorithm, one slab of one per message — the overhead a DSPE pays at
+// the sender. Imbalance of the benchmark run is attached as a custom
+// metric.
 func BenchmarkRoute(b *testing.B) {
 	for _, algo := range slb.Algorithms {
 		for _, n := range []int{10, 100} {
@@ -71,11 +72,14 @@ func BenchmarkRoute(b *testing.B) {
 				gen := slb.NewZipfStream(1.4, 10_000, int64(b.N)+1, 1)
 				loads := make([]int64, n)
 				one := make([]string, 1)
+				dig := make([]slb.KeyDigest, 1)
+				dst := make([]int, 1)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					gen.NextBatch(one)
-					loads[p.Route(one[0])]++
+					slb.RouteBatchDigests(p, one, dig, dst)
+					loads[dst[0]]++
 				}
 				b.ReportMetric(slb.Imbalance(loads), "imbalance")
 			})
@@ -83,9 +87,9 @@ func BenchmarkRoute(b *testing.B) {
 	}
 }
 
-// benchStream is the acceptance workload for the Route-vs-RouteBatch
-// comparison: 50 workers, z = 2.0 Zipf keys (p1 ≈ 0.61 — the regime the
-// paper's head-aware algorithms exist for).
+// benchStream is the acceptance workload for the slab-of-one versus
+// slab-of-512 comparison: 50 workers, z = 2.0 Zipf keys (p1 ≈ 0.61 —
+// the regime the paper's head-aware algorithms exist for).
 const (
 	benchWorkers  = 50
 	benchZ        = 2.0
@@ -94,87 +98,58 @@ const (
 )
 
 // BenchmarkRouteSteadyState is the per-message half of the comparison:
-// one emit (gen.Next) and one Route per operation, on warm partitioner
-// state. Steady-state PKG and D-Choices routing must report 0 allocs/op
-// (asserted hard by TestSteadyStateRoutingZeroAllocs).
+// one emit and one slab of one routed per operation, on warm
+// partitioner state. Steady-state PKG and D-Choices routing must report
+// 0 allocs/op (asserted hard by TestSteadyStateRoutingZeroAllocs).
 func BenchmarkRouteSteadyState(b *testing.B) {
 	for _, algo := range slb.Algorithms {
 		b.Run(algo, func(b *testing.B) {
-			p, err := slb.New(algo, slb.Config{Workers: benchWorkers, Seed: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			warm := slb.NewZipfStream(benchZ, benchKeys, 50_000, 2)
-			for one := make([]string, 1); warm.NextBatch(one) == 1; {
-				k := one[0]
-				p.Route(k)
-			}
+			p := newWarmBenchPartitioner(b, algo)
 			gen := slb.NewZipfStream(benchZ, benchKeys, int64(b.N)+1, 1)
 			one := make([]string, 1)
+			dig := make([]slb.KeyDigest, 1)
+			dst := make([]int, 1)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				gen.NextBatch(one)
-				p.Route(one[0])
+				slb.RouteBatchDigests(p, one, dig, dst)
 			}
 		})
 	}
 }
 
 // BenchmarkRouteBatchSteadyState is the batched half: one NextBatch and
-// one RouteBatch per slab of 512, same stream, same warmup. Compare
-// ns/op against BenchmarkRouteSteadyState — the ratio is the batch
-// speedup: a slab pays the per-key work (sketch offer, candidate lookup,
-// head test) once per run of identical keys, where per-message Route
-// pays it for every message, a run of one.
-func BenchmarkRouteBatchSteadyState(b *testing.B) {
-	for _, algo := range slb.Algorithms {
-		b.Run(algo, func(b *testing.B) {
-			p, err := slb.New(algo, slb.Config{Workers: benchWorkers, Seed: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			warm := slb.NewZipfStream(benchZ, benchKeys, 50_000, 2)
-			for one := make([]string, 1); warm.NextBatch(one) == 1; {
-				k := one[0]
-				p.Route(k)
-			}
-			gen := slb.NewZipfStream(benchZ, benchKeys, int64(b.N)+benchSlabSize, 1)
-			keys := make([]string, benchSlabSize)
-			dst := make([]int, benchSlabSize)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i += benchSlabSize {
-				n := slb.NextBatch(gen, keys)
-				if n == 0 {
-					b.Fatal("stream exhausted")
-				}
-				slb.RouteBatch(p, keys[:n], dst)
-			}
-		})
-	}
-}
+// one RouteBatchDigests per slab of 512 into a digest slab the caller
+// owns, same stream, same warmup. Compare ns/op against
+// BenchmarkRouteSteadyState — the ratio is the batch speedup: a slab
+// pays the per-key work (sketch offer, candidate lookup, head test) once
+// per run of identical keys, where a slab of one pays it for every
+// message, a run of one.
+func BenchmarkRouteBatchSteadyState(b *testing.B) { benchSteadySlabs(b, false) }
 
 // BenchmarkRouteBatchDigestsSteadyState is the hash-once half of the
-// digest-carry comparison: one NextBatch and one RouteBatchDigests per
-// slab of 512 — routing plus the digests every downstream layer needs,
-// in one key scan. Compare against
-// BenchmarkRouteBatchRedigestSteadyState, the pre-refactor pattern an
-// aggregating engine had to use (RouteBatch, then digest every key
-// again for the partial tables): the gap is the second key-byte scan
-// this PR removes from the aggregation hot path.
-func BenchmarkRouteBatchDigestsSteadyState(b *testing.B) {
+// digest-carry comparison: routing plus the digests every downstream
+// layer needs, in one key scan — the same path as
+// BenchmarkRouteBatchSteadyState, since routing is one call. Compare
+// against BenchmarkRouteBatchRedigestSteadyState, which digests every
+// key a second time: the gap is the second key-byte scan the carried
+// digests keep off the aggregation hot path.
+func BenchmarkRouteBatchDigestsSteadyState(b *testing.B) { benchSteadySlabs(b, false) }
+
+// BenchmarkRouteBatchRedigestSteadyState reproduces the two-scan
+// pattern carried digests replace: route the slab, then digest every
+// key again (what the engines' aggregation path did before the digests
+// were carried).
+func BenchmarkRouteBatchRedigestSteadyState(b *testing.B) { benchSteadySlabs(b, true) }
+
+// benchSteadySlabs routes the bench stream in slabs of benchSlabSize
+// through a warm partitioner of every algorithm, digesting each slab's
+// keys a second time when redigest is set.
+func benchSteadySlabs(b *testing.B, redigest bool) {
 	for _, algo := range slb.Algorithms {
 		b.Run(algo, func(b *testing.B) {
-			p, err := slb.New(algo, slb.Config{Workers: benchWorkers, Seed: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			warm := slb.NewZipfStream(benchZ, benchKeys, 50_000, 2)
-			for one := make([]string, 1); warm.NextBatch(one) == 1; {
-				k := one[0]
-				p.Route(k)
-			}
+			p := newWarmBenchPartitioner(b, algo)
 			gen := slb.NewZipfStream(benchZ, benchKeys, int64(b.N)+benchSlabSize, 1)
 			keys := make([]string, benchSlabSize)
 			digs := make([]slb.KeyDigest, benchSlabSize)
@@ -187,41 +162,10 @@ func BenchmarkRouteBatchDigestsSteadyState(b *testing.B) {
 					b.Fatal("stream exhausted")
 				}
 				slb.RouteBatchDigests(p, keys[:n], digs, dst)
-			}
-		})
-	}
-}
-
-// BenchmarkRouteBatchRedigestSteadyState reproduces the two-scan
-// pattern RouteBatchDigests replaces: route the slab, then digest every
-// key again (what the engines' aggregation path did before the digests
-// were carried).
-func BenchmarkRouteBatchRedigestSteadyState(b *testing.B) {
-	for _, algo := range slb.Algorithms {
-		b.Run(algo, func(b *testing.B) {
-			p, err := slb.New(algo, slb.Config{Workers: benchWorkers, Seed: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			warm := slb.NewZipfStream(benchZ, benchKeys, 50_000, 2)
-			for one := make([]string, 1); warm.NextBatch(one) == 1; {
-				k := one[0]
-				p.Route(k)
-			}
-			gen := slb.NewZipfStream(benchZ, benchKeys, int64(b.N)+benchSlabSize, 1)
-			keys := make([]string, benchSlabSize)
-			digs := make([]slb.KeyDigest, benchSlabSize)
-			dst := make([]int, benchSlabSize)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i += benchSlabSize {
-				n := slb.NextBatch(gen, keys)
-				if n == 0 {
-					b.Fatal("stream exhausted")
-				}
-				slb.RouteBatch(p, keys[:n], dst)
-				for j, k := range keys[:n] {
-					digs[j] = slb.DigestKey(k)
+				if redigest {
+					for j, k := range keys[:n] {
+						digs[j] = slb.DigestKey(k)
+					}
 				}
 			}
 		})
@@ -303,25 +247,24 @@ func BenchmarkRouteAtScale(b *testing.B) {
 }
 
 // benchRouteAtScale warms a partitioner on `warm` messages of a
-// Zipf(z) stream over `keys` keys, then times RouteBatch slabs.
+// Zipf(z) stream over `keys` keys, then times RouteBatchDigests slabs.
 func benchRouteAtScale(b *testing.B, algo string, cfg slb.Config, z float64, keys int, warm int64) {
 	p, err := slb.New(algo, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	wgen := slb.NewZipfStream(z, keys, warm, 2)
-	wkeys := make([]string, benchSlabSize)
-	wdst := make([]int, benchSlabSize)
+	slab := make([]string, benchSlabSize)
+	digs := make([]slb.KeyDigest, benchSlabSize)
+	dst := make([]int, benchSlabSize)
 	for {
-		k := slb.NextBatch(wgen, wkeys)
+		k := slb.NextBatch(wgen, slab)
 		if k == 0 {
 			break
 		}
-		slb.RouteBatch(p, wkeys[:k], wdst)
+		slb.RouteBatchDigests(p, slab[:k], digs, dst)
 	}
 	gen := slb.NewZipfStream(z, keys, int64(b.N)+benchSlabSize, 1)
-	slab := make([]string, benchSlabSize)
-	dst := make([]int, benchSlabSize)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i += benchSlabSize {
@@ -329,7 +272,7 @@ func benchRouteAtScale(b *testing.B, algo string, cfg slb.Config, z float64, key
 		if k == 0 {
 			b.Fatal("stream exhausted")
 		}
-		slb.RouteBatch(p, slab[:k], dst)
+		slb.RouteBatchDigests(p, slab[:k], digs, dst)
 	}
 }
 
@@ -353,10 +296,10 @@ func BenchmarkSimulateThroughput(b *testing.B) {
 }
 
 // TestSteadyStateRoutingZeroAllocs asserts the allocation contract the
-// benchmarks report: warm steady-state routing — both APIs — performs
-// zero allocations for PKG and D-Choices (and the other head-aware
-// schemes), in the default configuration: D-Choices re-solves d every
-// 1024 messages inside the measured windows.
+// benchmarks report: warm steady-state routing — at a slab of one and at
+// a slab of 512 — performs zero allocations for PKG and D-Choices (and
+// the other head-aware schemes), in the default configuration:
+// D-Choices re-solves d every 1024 messages inside the measured windows.
 func TestSteadyStateRoutingZeroAllocs(t *testing.T) {
 	gen := slb.NewZipfStream(benchZ, benchKeys, 60_000, 7)
 	keys := make([]string, 0, 60_000)
@@ -368,35 +311,24 @@ func TestSteadyStateRoutingZeroAllocs(t *testing.T) {
 		}
 		keys = append(keys, buf[:n]...)
 	}
-	for _, algo := range []string{"PKG", "D-C", "W-C", "RR"} {
-		cfg := slb.Config{Workers: benchWorkers, Seed: 7}
-		p, err := slb.New(algo, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, k := range keys {
-			p.Route(k) // warmup: sketch at capacity, pools primed
+	// zeroAllocs warms p on keys, then measures a slab of one and a slab
+	// of benchSlabSize.
+	zeroAllocs := func(label string, p slb.Partitioner) {
+		digs := make([]slb.KeyDigest, benchSlabSize)
+		dst := make([]int, benchSlabSize)
+		for i := 0; i < len(keys); i += benchSlabSize {
+			// warmup: sketch at capacity, pools primed
+			slb.RouteBatchDigests(p, keys[i:min(i+benchSlabSize, len(keys))], digs, dst)
 		}
 		i := 0
 		if avg := testing.AllocsPerRun(5000, func() {
-			p.Route(keys[i%len(keys)])
+			k := i % len(keys)
+			slb.RouteBatchDigests(p, keys[k:k+1], digs, dst)
 			i++
 		}); avg != 0 {
-			t.Errorf("%s: steady-state Route allocates %.4f allocs/op, want 0", algo, avg)
+			t.Errorf("%s: steady-state routing of a slab of one allocates %.4f allocs/op, want 0", label, avg)
 		}
-		dst := make([]int, benchSlabSize)
 		j := 0
-		if avg := testing.AllocsPerRun(100, func() {
-			if j+benchSlabSize > len(keys) {
-				j = 0
-			}
-			slb.RouteBatch(p, keys[j:j+benchSlabSize], dst)
-			j += benchSlabSize
-		}); avg != 0 {
-			t.Errorf("%s: steady-state RouteBatch allocates %.4f allocs/slab, want 0", algo, avg)
-		}
-		digs := make([]slb.KeyDigest, benchSlabSize)
-		j = 0
 		if avg := testing.AllocsPerRun(100, func() {
 			if j+benchSlabSize > len(keys) {
 				j = 0
@@ -404,41 +336,26 @@ func TestSteadyStateRoutingZeroAllocs(t *testing.T) {
 			slb.RouteBatchDigests(p, keys[j:j+benchSlabSize], digs, dst)
 			j += benchSlabSize
 		}); avg != 0 {
-			t.Errorf("%s: steady-state RouteBatchDigests allocates %.4f allocs/slab, want 0", algo, avg)
+			t.Errorf("%s: steady-state RouteBatchDigests allocates %.4f allocs/slab, want 0", label, avg)
 		}
+	}
+	for _, algo := range []string{"PKG", "D-C", "W-C", "RR"} {
+		p, err := slb.New(algo, slb.Config{Workers: benchWorkers, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		zeroAllocs(algo, p)
 	}
 	// The tournament load-index path (large deployments) upholds the
 	// same contract: warm steady-state routing through the tree — full
 	// argmin tree, candidate subset tournaments, prefix-window cache —
-	// allocates nothing, for both APIs.
+	// allocates nothing, at both slab sizes.
 	for _, algo := range []string{"D-C", "W-C"} {
-		cfg := slb.Config{Workers: 1024, Seed: 7, LoadIndex: slb.LoadIndexTree}
-		p, err := slb.New(algo, cfg)
+		p, err := slb.New(algo, slb.Config{Workers: 1024, Seed: 7, LoadIndex: slb.LoadIndexTree})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, k := range keys {
-			p.Route(k)
-		}
-		i := 0
-		if avg := testing.AllocsPerRun(5000, func() {
-			p.Route(keys[i%len(keys)])
-			i++
-		}); avg != 0 {
-			t.Errorf("%s/tree: steady-state Route allocates %.4f allocs/op, want 0", algo, avg)
-		}
-		dst := make([]int, benchSlabSize)
-		digs := make([]slb.KeyDigest, benchSlabSize)
-		j := 0
-		if avg := testing.AllocsPerRun(100, func() {
-			if j+benchSlabSize > len(keys) {
-				j = 0
-			}
-			slb.RouteBatchDigests(p, keys[j:j+benchSlabSize], digs, dst)
-			j += benchSlabSize
-		}); avg != 0 {
-			t.Errorf("%s/tree: steady-state RouteBatchDigests allocates %.4f allocs/slab, want 0", algo, avg)
-		}
+		zeroAllocs(algo+"/tree", p)
 	}
 }
 

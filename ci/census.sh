@@ -6,12 +6,13 @@
 # cmd/slbtrace, cmd/slbsoak, every examples/* program and the benchmark
 # (the bench module, whose re-executed workload children inherit
 # GOCOVERDIR) — with coverage over all of slb/..., runs each at its
-# quickest setting with GOCOVERDIR set, and prints every library
-# function (the root facade and internal/...) whose coverage is 0.0%,
-# then their count per package and in total. The list is a worklist,
-# not a gate: the script exits non-zero only when a build or a run
-# fails. slbstorm's quick run dominates the wall clock (about 40 s on a
-# 2-vCPU host; the bench about 9 s, the rest about 15 s).
+# quickest setting with GOCOVERDIR set and the output flags CI's own
+# steps pass, and prints every library function (the root facade and
+# internal/...) whose coverage is 0.0%, then their count per package
+# and in total. The list is a worklist, not a gate: the script exits
+# non-zero only when a build or a run fails. slbstorm's quick run
+# dominates the wall clock (about 40 s on a 2-vCPU host; the bench
+# about 9 s, the rest about 25 s).
 #
 # Usage: ci/census.sh   (from anywhere inside the repository)
 set -eu
@@ -33,8 +34,10 @@ for dir in examples/*/; do
 done
 go build -C bench -cover -coverpkg=slb/... -o "$work/bin/bench" .
 
-run "$work/bin/slbsim" -scale quick all
-run "$work/bin/slbstorm" -scale quick all
+# The CLIs run with every output CI asks of them: charts, CSV and JSON.
+mkdir "$work/out"
+run "$work/bin/slbsim" -scale quick -chart -csv "$work/out" -json "$work/out" all
+run "$work/bin/slbstorm" -scale quick -chart -csv "$work/out" -json "$work/out" all
 trace="$work/census.slbt"
 # -payload mix writes a version-2 trace, so the value path (WithValues
 # on record, the replay's NextBatchValues on stats) runs too.
@@ -42,7 +45,14 @@ run "$work/bin/slbtrace" gen -out "$trace" -dataset WP -scale quick -payload mix
 run "$work/bin/slbtrace" stats -in "$trace"
 run "$work/bin/slbtrace" head -in "$trace"
 run "$work/bin/slbtrace" sim -in "$trace" -algo D-C
-run "$work/bin/slbsoak" -short -duration 1s
+# The soak runs twice, as CI's two soak steps do: gated against the
+# committed baseline with every artifact written, then under -faults.
+run "$work/bin/slbsoak" -short -duration 1s \
+	-baseline ci/BENCH_soak_baseline.json \
+	-summary "$work/out/BENCH_soak_0.json" \
+	-snapshot "$work/out/telemetry_snapshot.json" \
+	-jsonl "$work/out/soak_rows.jsonl"
+run "$work/bin/slbsoak" -short -faults -duration 1s -baseline ci
 for ex in "$work"/bin/example-*; do
 	run "$ex"
 done

@@ -18,8 +18,11 @@ package slb_test
 //			slb.SimOptions{Sources: 5})
 //		fmt.Printf("{%q, %d, %d, %.10f},\n", algo, res.Loads[0], res.Loads[24], res.Imbalance)
 //	}
-//	p := slb.NewPKG(slb.Config{Workers: 100, Seed: 1})
-//	fmt.Println(p.Route("alpha"), p.Route("beta"), p.Route("gamma"), p.Route("alpha"))
+//	p, _ := slb.New("PKG", slb.Config{Workers: 100, Seed: 1})
+//	keys := []string{"alpha", "beta", "gamma", "alpha"}
+//	dst := make([]int, len(keys))
+//	slb.RouteBatchDigests(p, keys, make([]slb.KeyDigest, len(keys)), dst)
+//	fmt.Println(dst)
 //
 // and paste the output below.
 
@@ -63,8 +66,13 @@ func TestGoldenSimulationValues(t *testing.T) {
 func TestGoldenHashValues(t *testing.T) {
 	// The hash family is part of the on-the-wire contract: all senders
 	// must agree on candidates forever.
-	p := slb.NewPKG(slb.Config{Workers: 100, Seed: 1})
-	got := []int{p.Route("alpha"), p.Route("beta"), p.Route("gamma"), p.Route("alpha")}
+	p, err := slb.New("PKG", slb.Config{Workers: 100, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := []string{"alpha", "beta", "gamma", "alpha"}
+	got := make([]int, len(keys))
+	slb.RouteBatchDigests(p, keys, make([]slb.KeyDigest, len(keys)), got)
 	want := []int{54, 93, 6, 64}
 	for i := range want {
 		if got[i] != want[i] {

@@ -33,8 +33,8 @@
 // sketch-counted as one key upstream.
 //
 // The digest is CARRIED, never recomputed: routing digests each key
-// once at the source (the core.Partitioner methods RouteBatchDigests /
-// RouteDigest), the engines stamp that digest into their tuples,
+// once at the source (core.Partitioner's one routing call,
+// RouteBatchDigests), the engines stamp that digest into their tuples,
 // Accumulator.AddSample folds it into the partial tables, and the
 // flushed Partial hands it onward to the reducer — one key-byte scan
 // per message end to end, pinned by the engines' hash-once tests.

@@ -40,10 +40,12 @@ func runTwoPhase(t *testing.T, gen stream.Generator, algo string, workers, sourc
 
 	var idx int64
 	src := 0
+	dig, dst := make([]KeyDigest, 1), make([]int, 1)
 	for one := make([]string, 1); gen.NextBatch(one) == 1; {
 		key := one[0]
 		window := idx / windowSize
-		w := parts[src].Route(key)
+		parts[src].RouteBatchDigests(one, dig, dst)
+		w := dst[0]
 		acc := accs[w]
 		if wm, ok := acc.Watermark(); ok && window > wm {
 			// The worker sees a later window: flush everything below it.

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"slb/internal/hashing"
+	"slb/internal/telemetry"
 )
 
 // ReducerStats is the measured cost of the aggregation phase — the
@@ -557,6 +558,19 @@ func (d *Driver) FinishShard(r int, onFinal func(Final)) {
 func (d *Driver) Live(r int) (windows, entries int64, replication float64) {
 	s := d.shards[r]
 	return s.openA.Load(), s.liveA.Load(), perKey(s.pairsA.Load(), s.keysA.Load())
+}
+
+// ObserveLive registers every shard's Live reading as three gauges —
+// reduce_open_windows, reduce_live_entries and reduce_replication —
+// labelled base plus {shard: r}. Both engines' telemetry reads the
+// reduce stage through it.
+func (d *Driver) ObserveLive(reg *telemetry.Registry, base ...telemetry.Label) {
+	for r := range d.shards {
+		ls := telemetry.With(base, "shard", r)
+		reg.GaugeFunc("reduce_open_windows", func() float64 { w, _, _ := d.Live(r); return float64(w) }, ls...)
+		reg.GaugeFunc("reduce_live_entries", func() float64 { _, e, _ := d.Live(r); return float64(e) }, ls...)
+		reg.GaugeFunc("reduce_replication", func() float64 { _, _, f := d.Live(r); return f }, ls...)
+	}
 }
 
 // Stats returns the reduce stage's cost counters summed across shards.

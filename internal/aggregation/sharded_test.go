@@ -152,14 +152,15 @@ func runSharded(t *testing.T, gen stream.Generator, algo string, workers, source
 
 	var idx int64
 	src := 0
-	dig := make([]KeyDigest, 1)
+	dig, dst := make([]KeyDigest, 1), make([]int, 1)
 	for one := make([]string, 1); gen.NextBatch(one) == 1; {
 		key := one[0]
 		dg := hashing.Digest(key)
 		window := idx / windowSize
 		dig[0] = dg
 		sd.ObserveEmits(idx, dig)
-		w := parts[src].Route(key)
+		parts[src].RouteBatchDigests(one, dig, dst)
+		w := dst[0]
 		acc := accs[w]
 		if wm, ok := acc.Watermark(); ok && window > wm {
 			flush(acc, window)
@@ -434,7 +435,7 @@ func TestZeroShareShardHoldsNoWindowState(t *testing.T) {
 		}
 	}
 	gen := mk()
-	dig := make([]KeyDigest, 1)
+	dig, dst := make([]KeyDigest, 1), make([]int, 1)
 	held, open := 0, 0
 	var idx int64
 	for one := make([]string, 1); gen.NextBatch(one) == 1; idx++ {
@@ -446,7 +447,8 @@ func TestZeroShareShardHoldsNoWindowState(t *testing.T) {
 		if cw, ok := d.ObserveEmits(idx, dig); ok {
 			flush(cw)
 		}
-		accs[p.RouteDigest(dg, key)].Add(idx/windowSize, dg, key)
+		p.RouteBatchDigests(one, dig, dst)
+		accs[dst[0]].Add(idx/windowSize, dg, key)
 		held = max(held, len(d.th.rows))
 		for _, s := range d.shards {
 			open = max(open, len(s.pool.open))

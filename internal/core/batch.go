@@ -1,18 +1,19 @@
 package core
 
 // batch.go holds what every scheme's one routing body is driven by: the
-// router, which gives each scheme Partitioner's four routing methods
-// over its body, the run helpers the head-tracking bodies share, and
-// the candidate cache behind D-Choices' and ForcedD's head lists.
+// router, which gives each scheme Partitioner's one routing call,
+// RouteBatchDigests, over its body, the run helpers the head-tracking
+// bodies share, and the candidate cache behind D-Choices' and ForcedD's
+// head lists.
 //
 // A body routes a run — consecutive messages of one key, identified by
 // the digest the router filled in — and pays its per-message costs
 // (candidate derivation, sketch-table lookups, the head predicate) once
 // per run. Skewed streams are exactly the streams where this matters:
 // under a Zipf head a large fraction of messages repeat the previous
-// key. A single message is a run of one, so Route and RouteDigest are
-// the same body on a slab of one, and steady-state routing allocates
-// nothing through any of the four methods.
+// key. A single message is a slab of one and a run of one, so slab
+// boundaries never change a decision, and steady-state routing
+// allocates nothing at any slab size, one included.
 //
 // Within a run of one key in insertion-only sketch mode, the key's
 // estimated count and the stream length each advance by exactly 1 per
@@ -32,22 +33,14 @@ import (
 	"slb/internal/hashing"
 )
 
-// router supplies Partitioner's routing methods to every scheme over
-// the scheme's one routing body, which the scheme installs at
-// construction: runs, or — PKG only — slab.
+// router supplies Partitioner's routing call to every scheme over the
+// scheme's one routing body, which the scheme installs at construction:
+// runs, or — PKG only — slab.
 type router struct {
 	runs runBody
 	slab slabBody
 	// unit makes every run one message long (see HeadTracker.canBatch).
 	unit bool
-
-	digs []KeyDigest // RouteBatch's digest slab (grows to the largest batch seen)
-	// The slab of one Route and RouteDigest route: fields, not locals,
-	// because a slice of a local handed through the body interface
-	// escapes to the heap.
-	key [1]string
-	dig [1]KeyDigest
-	dst [1]int
 }
 
 // runBody routes len(dst) consecutive messages of one key with digest
@@ -57,51 +50,26 @@ type runBody interface {
 	routeRun(dg KeyDigest, key string, dst []int)
 }
 
-// slabBody routes a whole slab, digesting keys[i] into digs[i] itself
-// when fill is set (see PKG.routeSlab).
+// slabBody routes a whole slab, digesting keys[i] into digs[i] as it
+// goes (see PKG.routeSlab).
 type slabBody interface {
-	routeSlab(keys []string, digs []KeyDigest, dst []int, fill bool)
+	routeSlab(keys []string, digs []KeyDigest, dst []int)
 }
 
-// Route implements Partitioner: digest once, then route a slab of one.
-func (rt *router) Route(key string) int { return rt.RouteDigest(hashing.Digest(key), key) }
-
-// RouteDigest implements Partitioner: a slab of one whose digest the
-// caller already holds.
-func (rt *router) RouteDigest(dg KeyDigest, key string) int {
-	rt.key[0], rt.dig[0] = key, dg
-	rt.route(rt.key[:], rt.dig[:], rt.dst[:], false)
-	return rt.dst[0]
-}
-
-// RouteBatch implements Partitioner: RouteBatchDigests over the
-// partitioner-owned digest slab.
-func (rt *router) RouteBatch(keys []string, dst []int) {
-	if cap(rt.digs) < len(keys) {
-		rt.digs = make([]KeyDigest, len(keys))
-	}
-	rt.RouteBatchDigests(keys, rt.digs[:len(keys)], dst)
-}
-
-// RouteBatchDigests implements Partitioner.
+// RouteBatchDigests implements Partitioner: it digests the slab — the
+// one scan of each key's bytes routing performs — and routes it through
+// the scheme's body, run by run.
 func (rt *router) RouteBatchDigests(keys []string, digs []KeyDigest, dst []int) {
 	if len(digs) < len(keys) || len(dst) < len(keys) {
 		panic("core: RouteBatchDigests digs or dst shorter than keys")
 	}
-	rt.route(keys, digs[:len(keys)], dst[:len(keys)], true)
-}
-
-// route routes a slab through the scheme's body, first digesting it
-// when fill is set: the one scan of each key's bytes routing performs.
-func (rt *router) route(keys []string, digs []KeyDigest, dst []int, fill bool) {
+	digs, dst = digs[:len(keys)], dst[:len(keys)]
 	if rt.slab != nil {
-		rt.slab.routeSlab(keys, digs, dst, fill)
+		rt.slab.routeSlab(keys, digs, dst)
 		return
 	}
-	if fill {
-		for i, k := range keys {
-			digs[i] = hashing.Digest(k)
-		}
+	for i, k := range keys {
+		digs[i] = hashing.Digest(k)
 	}
 	runs, unit := rt.runs, rt.unit
 	for i := 0; i < len(keys); {

@@ -47,6 +47,7 @@ func TestCandTourShortRunParity(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/n=%d", algo, n), func(t *testing.T) {
 				scan, tree := scanTreePartitioners(t, algo, n)
 				const slab = 61
+				digs := make([]KeyDigest, slab)
 				dstS := make([]int, slab)
 				dstT := make([]int, slab)
 				for i := 0; i < len(keys); i += slab {
@@ -54,8 +55,8 @@ func TestCandTourShortRunParity(t *testing.T) {
 					if end > len(keys) {
 						end = len(keys)
 					}
-					scan.RouteBatch(keys[i:end], dstS)
-					tree.RouteBatch(keys[i:end], dstT)
+					scan.RouteBatchDigests(keys[i:end], digs, dstS)
+					tree.RouteBatchDigests(keys[i:end], digs, dstT)
 					for j := 0; j < end-i; j++ {
 						if dstS[j] != dstT[j] {
 							t.Fatalf("msg %d (key %q): scan → %d, tree → %d", i+j, keys[i+j], dstS[j], dstT[j])
@@ -86,6 +87,7 @@ func TestCandTourLogRollover(t *testing.T) {
 	}
 	scan, tree := scanTreePartitioners(t, "Greedy-7", 32)
 	const slab = 128
+	digs := make([]KeyDigest, slab)
 	dstS := make([]int, slab)
 	dstT := make([]int, slab)
 	for i := 0; i < len(keys); i += slab {
@@ -93,8 +95,8 @@ func TestCandTourLogRollover(t *testing.T) {
 		if end > len(keys) {
 			end = len(keys)
 		}
-		scan.RouteBatch(keys[i:end], dstS)
-		tree.RouteBatch(keys[i:end], dstT)
+		scan.RouteBatchDigests(keys[i:end], digs, dstS)
+		tree.RouteBatchDigests(keys[i:end], digs, dstT)
 		for j := 0; j < end-i; j++ {
 			if dstS[j] != dstT[j] {
 				t.Fatalf("msg %d (key %q): scan → %d, tree → %d", i+j, keys[i+j], dstS[j], dstT[j])

@@ -33,17 +33,14 @@
 // Each scheme writes its decision procedure once, as a body that routes
 // a run of consecutive messages of one key whose digest is already
 // known (PKG, whose per-message work is cheaper than detecting runs,
-// routes a whole slab instead). Partitioner's four methods are thin
-// wrappers over that body, shared by every scheme (batch.go): Route
-// digests the key and routes a slab of one; RouteDigest routes a slab
-// of one for a caller that already carries the digest; RouteBatch and
-// RouteBatchDigests digest a slab once and route it run by run, the
-// latter handing the digests to the caller so downstream layers
-// (windowed aggregation, re-keying) reuse them instead of re-scanning.
-// A single message is a run of one, so the four agree message for
-// message by construction, and a run only amortizes — sketch offers,
-// candidate lookups, the head predicate — what Algorithm 1 would do
-// for its messages one at a time.
+// routes a whole slab instead). Partitioner has one routing call,
+// RouteBatchDigests, shared by every scheme (batch.go): it digests a
+// slab once, routes it run by run, and hands the digests to the caller
+// so downstream layers (windowed aggregation, re-keying) reuse them
+// instead of re-scanning. A single message is a slab of one and a run
+// of one, so slab boundaries never change a decision, and a run only
+// amortizes — sketch offers, candidate lookups, the head predicate —
+// what Algorithm 1 would do for its messages one at a time.
 package core
 
 import (
@@ -66,31 +63,17 @@ func Digest(key string) KeyDigest { return hashing.Digest(key) }
 
 // Partitioner routes each message of a keyed stream to one of n workers.
 // Implementations are single-goroutine: each source owns one instance.
-// The four routing methods share one decision procedure and may be
-// mixed freely: any sequence of calls routes every message exactly as
-// the same messages routed one Route call at a time.
+// Routing is one call over a slab of any length: cutting a stream into
+// different slabs routes every message identically.
 type Partitioner interface {
-	// Route returns the worker in [0, Workers()) for one message with the
-	// given key, updating any internal state (local loads, sketches).
-	Route(key string) int
-	// RouteDigest is Route for a caller that already carries
-	// dg = Digest(key) (an engine tuple, a flushed aggregation partial):
-	// the per-message half of the hash-once lifecycle. key is still
-	// required because the head sketches monitor key identities.
-	RouteDigest(dg KeyDigest, key string) int
-	// RouteBatch routes keys[i] to dst[i] for every i. It panics if dst
-	// is shorter than keys.
-	RouteBatch(keys []string, dst []int)
-	// RouteBatchDigests routes like RouteBatch and fills digs[i] with
-	// Digest(keys[i]) — the one scan of each key's bytes the whole system
-	// performs, kept by callers that aggregate or re-key downstream. It
-	// panics if digs or dst is shorter than keys.
+	// RouteBatchDigests routes keys[i] to dst[i] in [0, Workers()),
+	// updating any internal state (local loads, sketches), and fills
+	// digs[i] with Digest(keys[i]) — the one scan of each key's bytes
+	// the whole system performs, kept by callers that aggregate or
+	// re-key downstream. It panics if digs or dst is shorter than keys.
 	RouteBatchDigests(keys []string, digs []KeyDigest, dst []int)
 	// Workers returns n, the number of downstream workers.
 	Workers() int
-	// Name returns the paper's symbol for the algorithm (KG, SG, PKG,
-	// D-C, W-C, RR).
-	Name() string
 }
 
 // Config carries the common parameters of Table III.
@@ -241,9 +224,6 @@ func (k *KeyGrouping) routeRun(dg KeyDigest, _ string, dst []int) {
 // Workers implements Partitioner.
 func (k *KeyGrouping) Workers() int { return k.n }
 
-// Name implements Partitioner.
-func (k *KeyGrouping) Name() string { return "KG" }
-
 // ShuffleGrouping distributes messages round-robin, ignoring keys.
 type ShuffleGrouping struct {
 	router
@@ -287,9 +267,6 @@ func ringFill(dst []int, next, n int) int {
 
 // Workers implements Partitioner.
 func (s *ShuffleGrouping) Workers() int { return s.n }
-
-// Name implements Partitioner.
-func (s *ShuffleGrouping) Name() string { return "SG" }
 
 // ---------------------------------------------------------------------------
 // Greedy-d core
@@ -522,25 +499,12 @@ func NewPKG(cfg Config) *PKG {
 // routeSlab is PKG's routing body, the one scheme that routes a whole
 // slab rather than runs: a tight digest–two-mix–pick loop. PKG keeps no
 // sketch, so there is nothing a run could amortize that would repay the
-// run-detection compare. When the slab still needs its digests (fill),
-// the loop computes each where it is used: a separate digest pass cost
-// the z = 2.0 cells 12%, and a fill test inside the one loop 9%, so the
-// loop is written for each case. The plain increments are safe: PKG
-// never argmins over the whole vector, so it never carries a load index
-// to keep in sync.
-func (p *PKG) routeSlab(keys []string, digs []KeyDigest, dst []int, fill bool) {
+// run-detection compare. The loop computes each digest where it is
+// used: a separate digest pass cost the z = 2.0 cells 12%. The plain
+// increments are safe: PKG never argmins over the whole vector, so it
+// never carries a load index to keep in sync.
+func (p *PKG) routeSlab(keys []string, digs []KeyDigest, dst []int) {
 	loads := p.loads
-	if !fill {
-		for i, dg := range digs {
-			w0, w1 := p.family.BucketDigest(0, dg, p.n), p.family.BucketDigest(1, dg, p.n)
-			if loads[w1] < loads[w0] {
-				w0 = w1
-			}
-			loads[w0]++
-			dst[i] = w0
-		}
-		return
-	}
 	for i, key := range keys {
 		dg := hashing.Digest(key)
 		digs[i] = dg
@@ -555,9 +519,6 @@ func (p *PKG) routeSlab(keys []string, digs []KeyDigest, dst []int, fill bool) {
 
 // Workers implements Partitioner.
 func (p *PKG) Workers() int { return p.n }
-
-// Name implements Partitioner.
-func (p *PKG) Name() string { return "PKG" }
 
 // ---------------------------------------------------------------------------
 // Head tracking (shared by D-C, W-C, RR)
@@ -930,9 +891,6 @@ func (p *DChoices) HeadTracker() *HeadTracker { return &p.head }
 // Workers implements Partitioner.
 func (p *DChoices) Workers() int { return p.n }
 
-// Name implements Partitioner.
-func (p *DChoices) Name() string { return "D-C" }
-
 // ForcedD is the Greedy-d scheme with an externally fixed number of
 // choices for head keys (tail keys keep 2). It is the experimental
 // instrument behind Fig. 9: sweeping d from 2 to n to find the empirical
@@ -985,9 +943,6 @@ func (p *ForcedD) D() int { return p.d }
 // Workers implements Partitioner.
 func (p *ForcedD) Workers() int { return p.n }
 
-// Name implements Partitioner.
-func (p *ForcedD) Name() string { return fmt.Sprintf("Greedy-%d", p.d) }
-
 // ---------------------------------------------------------------------------
 // W-Choices
 
@@ -1020,9 +975,6 @@ func (p *WChoices) HeadTracker() *HeadTracker { return &p.head }
 
 // Workers implements Partitioner.
 func (p *WChoices) Workers() int { return p.n }
-
-// Name implements Partitioner.
-func (p *WChoices) Name() string { return "W-C" }
 
 // Oracle is W-Choices with ground-truth head knowledge instead of the
 // online sketch: the caller supplies the head membership predicate.
@@ -1063,9 +1015,6 @@ func (p *Oracle) routeRun(dg KeyDigest, key string, dst []int) {
 // Workers implements Partitioner.
 func (p *Oracle) Workers() int { return p.n }
 
-// Name implements Partitioner.
-func (p *Oracle) Name() string { return "Oracle" }
-
 // ---------------------------------------------------------------------------
 // Round-Robin head baseline
 
@@ -1105,6 +1054,3 @@ func (p *RoundRobin) routeRun(dg KeyDigest, key string, dst []int) {
 
 // Workers implements Partitioner.
 func (p *RoundRobin) Workers() int { return p.n }
-
-// Name implements Partitioner.
-func (p *RoundRobin) Name() string { return "RR" }

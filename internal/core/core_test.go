@@ -11,14 +11,35 @@ import (
 
 func cfg(n int) Config { return Config{Workers: n, Seed: 42} }
 
+// routeOne routes one message as a slab of one and returns its worker.
+func routeOne(p Partitioner, key string) int {
+	var dig [1]KeyDigest
+	var dst [1]int
+	p.RouteBatchDigests([]string{key}, dig[:], dst[:])
+	return dst[0]
+}
+
+// TestNewByName checks that every symbol in Names builds that scheme
+// and that an unknown symbol is an error.
 func TestNewByName(t *testing.T) {
+	schemes := map[string]Partitioner{
+		"KG":  (*KeyGrouping)(nil),
+		"SG":  (*ShuffleGrouping)(nil),
+		"PKG": (*PKG)(nil),
+		"D-C": (*DChoices)(nil),
+		"W-C": (*WChoices)(nil),
+		"RR":  (*RoundRobin)(nil),
+	}
+	if len(schemes) != len(Names) {
+		t.Fatalf("Names lists %d symbols, want %d", len(Names), len(schemes))
+	}
 	for _, name := range Names {
 		p, err := New(name, cfg(10))
 		if err != nil {
 			t.Fatalf("New(%q): %v", name, err)
 		}
-		if p.Name() != name {
-			t.Fatalf("Name() = %q, want %q", p.Name(), name)
+		if got, want := fmt.Sprintf("%T", p), fmt.Sprintf("%T", schemes[name]); got != want {
+			t.Fatalf("New(%q) built a %s, want %s", name, got, want)
 		}
 		if p.Workers() != 10 {
 			t.Fatalf("%s Workers() = %d", name, p.Workers())
@@ -58,9 +79,9 @@ func TestKeyGroupingConsistency(t *testing.T) {
 	kg := NewKeyGrouping(cfg(16))
 	for i := 0; i < 100; i++ {
 		k := fmt.Sprintf("key%d", i)
-		w := kg.Route(k)
+		w := routeOne(kg, k)
 		for j := 0; j < 3; j++ {
-			if kg.Route(k) != w {
+			if routeOne(kg, k) != w {
 				t.Fatalf("KG routed %q inconsistently", k)
 			}
 		}
@@ -71,7 +92,7 @@ func TestShuffleGroupingPerfectBalance(t *testing.T) {
 	sg := NewShuffleGrouping(cfg(7))
 	counts := make([]int, 7)
 	for i := 0; i < 7*100; i++ {
-		counts[sg.Route("any")]++
+		counts[routeOne(sg, "any")]++
 	}
 	for w, c := range counts {
 		if c != 100 {
@@ -84,7 +105,7 @@ func TestPKGRoutesOnlyToCandidates(t *testing.T) {
 	p := NewPKG(cfg(20))
 	for i := 0; i < 1000; i++ {
 		k := fmt.Sprintf("key%d", i%50)
-		w := p.Route(k)
+		w := routeOne(p, k)
 		c1 := p.family.Bucket(0, k, 20)
 		c2 := p.family.Bucket(1, k, 20)
 		if w != c1 && w != c2 {
@@ -108,7 +129,7 @@ func TestPKGPrefersLessLoaded(t *testing.T) {
 	}
 	// Preload c1 heavily.
 	p.loads[c1] = 100
-	if w := p.Route(key); w != c2 {
+	if w := routeOne(p, key); w != c2 {
 		t.Fatalf("PKG chose %d, want less-loaded %d", w, c2)
 	}
 }
@@ -116,7 +137,7 @@ func TestPKGPrefersLessLoaded(t *testing.T) {
 func TestGreedyLoadAccounting(t *testing.T) {
 	p := NewPKG(cfg(8))
 	for i := 0; i < 500; i++ {
-		p.Route(fmt.Sprintf("k%d", i%40))
+		routeOne(p, fmt.Sprintf("k%d", i%40))
 	}
 	var sum int64
 	for _, l := range p.Loads() {
@@ -135,7 +156,7 @@ func routeStream(tb testing.TB, p Partitioner, z float64, keys int, m int64) []f
 	loads := make([]int64, p.Workers())
 	for one := make([]string, 1); gen.NextBatch(one) == 1; {
 		k := one[0]
-		loads[p.Route(k)]++
+		loads[routeOne(p, k)]++
 	}
 	out := make([]float64, len(loads))
 	for i, l := range loads {
@@ -196,7 +217,7 @@ func TestDChoicesUsesTwoChoicesWithoutSkew(t *testing.T) {
 	gen := workload.NewZipf(0, 500, 20000, 3)
 	for one := make([]string, 1); gen.NextBatch(one) == 1; {
 		k := one[0]
-		p.Route(k)
+		routeOne(p, k)
 	}
 	if p.D() != 2 {
 		t.Fatalf("D-C chose d=%d on uniform stream, want 2", p.D())
@@ -210,7 +231,7 @@ func TestDChoicesDRespectsP1LowerBound(t *testing.T) {
 	gen := workload.NewZipf(2.0, 1000, 50000, 5)
 	for one := make([]string, 1); gen.NextBatch(one) == 1; {
 		k := one[0]
-		p.Route(k)
+		routeOne(p, k)
 	}
 	if p.D() < 7 {
 		t.Fatalf("D-C d=%d below the p1·n lower bound 7", p.D())
@@ -221,7 +242,7 @@ func TestWChoicesHeadGoesToLeastLoaded(t *testing.T) {
 	p := NewWChoices(Config{Workers: 5, Seed: 1, Theta: 0.2})
 	// Make "hot" a heavy hitter within the sketch.
 	for i := 0; i < 100; i++ {
-		p.Route("hot")
+		routeOne(p, "hot")
 	}
 	// Skew local loads, then verify the next hot message lands on the
 	// (unique) least-loaded worker.
@@ -229,7 +250,7 @@ func TestWChoicesHeadGoesToLeastLoaded(t *testing.T) {
 		p.loads[w] = int64(100 * (w + 1))
 	}
 	p.loads[3] = 0
-	if w := p.Route("hot"); w != 3 {
+	if w := routeOne(p, "hot"); w != 3 {
 		t.Fatalf("W-C routed hot key to %d, want least-loaded 3", w)
 	}
 }
@@ -238,7 +259,7 @@ func TestRoundRobinSpreadsHeadEvenly(t *testing.T) {
 	p := NewRoundRobin(Config{Workers: 4, Seed: 0, Theta: 0.5})
 	counts := make([]int, 4)
 	for i := 0; i < 400; i++ {
-		counts[p.Route("only-key")]++
+		counts[routeOne(p, "only-key")]++
 	}
 	// After warmup the single key is in the head and round-robins; allow
 	// the first few pre-head messages to perturb counts slightly.
@@ -256,7 +277,7 @@ func TestRouteRangeProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 		prop := func(key string) bool {
-			w := p.Route(key)
+			w := routeOne(p, key)
 			return w >= 0 && w < 13
 		}
 		if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
@@ -274,7 +295,7 @@ func TestDeterministicRouting(t *testing.T) {
 		gen := workload.NewZipf(1.2, 100, 2000, 11)
 		for one := make([]string, 1); gen.NextBatch(one) == 1; {
 			k := one[0]
-			if a.Route(k) != b.Route(k) {
+			if routeOne(a, k) != routeOne(b, k) {
 				t.Fatalf("%s is not deterministic", name)
 			}
 		}
@@ -288,7 +309,7 @@ func TestDChoicesSwitchesToWChoicesUnderExtremeSkew(t *testing.T) {
 	p := NewDChoices(cfg(n))
 	counts := make([]int64, n)
 	for i := 0; i < 10000; i++ {
-		counts[p.Route("onlykey")]++
+		counts[routeOne(p, "onlykey")]++
 	}
 	var max, min int64 = 0, 1 << 62
 	for _, c := range counts {
@@ -311,10 +332,10 @@ func TestHeadTrackerMergeSharpensEstimates(t *testing.T) {
 	a := NewWChoices(cfgT)
 	b := NewWChoices(cfgT)
 	for i := 0; i < 1000; i++ {
-		a.Route("hh")
-		a.Route(fmt.Sprintf("ta%d", i))
-		b.Route("hh")
-		b.Route(fmt.Sprintf("tb%d", i))
+		routeOne(a, "hh")
+		routeOne(a, fmt.Sprintf("ta%d", i))
+		routeOne(b, "hh")
+		routeOne(b, fmt.Sprintf("tb%d", i))
 	}
 	before := a.HeadTracker().Sketch().N()
 	a.HeadTracker().Merge(b.HeadTracker().Sketch())
@@ -368,11 +389,11 @@ func collectKeys(gen *workload.Zipf) []string {
 	return keys
 }
 
-// TestRouteBatchMatchesRoute pins the batch path's core contract: for
-// every algorithm and batch size, RouteBatch must produce the same
-// worker sequence as per-message Route — including across head/tail
-// crossings, solver re-solve boundaries inside runs, and the sketch
-// modes that route every run at length 1.
+// TestRouteBatchMatchesRoute pins the slab contract: for every
+// algorithm and slab size, routing whole slabs must produce the same
+// worker sequence as routing slabs of one on a second instance —
+// including across head/tail crossings, solver re-solve boundaries
+// inside runs, and the sketch modes that route every run at length 1.
 func TestRouteBatchMatchesRoute(t *testing.T) {
 	configs := []struct {
 		label string
@@ -393,13 +414,14 @@ func TestRouteBatchMatchesRoute(t *testing.T) {
 					t.Fatal(err)
 				}
 				b, _ := New(name, cc.cfg)
+				digs := make([]KeyDigest, bs)
 				dst := make([]int, bs)
 				for i := 0; i < len(keys); i += bs {
 					chunk := keys[i:min(i+bs, len(keys))]
-					b.RouteBatch(chunk, dst)
+					b.RouteBatchDigests(chunk, digs, dst)
 					for j, k := range chunk {
-						if want := a.Route(k); dst[j] != want {
-							t.Fatalf("%s/%s bs=%d: message %d (%q) routed to %d by batch, %d by Route",
+						if want := routeOne(a, k); dst[j] != want {
+							t.Fatalf("%s/%s bs=%d: message %d (%q) routed to %d by the slab, %d by a slab of one",
 								cc.label, name, bs, i+j, k, dst[j], want)
 						}
 					}
@@ -423,12 +445,13 @@ func TestRouteBatchMatchesRouteExperimental(t *testing.T) {
 		{"oracle", NewOracle(cfg(20), hot), NewOracle(cfg(20), hot)},
 	}
 	for _, tc := range cases {
+		digs := make([]KeyDigest, 128)
 		dst := make([]int, 128)
 		for i := 0; i < len(keys); i += 128 {
 			chunk := keys[i:min(i+128, len(keys))]
-			tc.b.RouteBatch(chunk, dst)
+			tc.b.RouteBatchDigests(chunk, digs, dst)
 			for j, k := range chunk {
-				if want := tc.a.Route(k); dst[j] != want {
+				if want := routeOne(tc.a, k); dst[j] != want {
 					t.Fatalf("%s: message %d diverged", tc.label, i+j)
 				}
 			}
@@ -440,10 +463,10 @@ func TestRouteBatchPanicsOnShortDst(t *testing.T) {
 	p := NewPKG(cfg(4))
 	defer func() {
 		if recover() == nil {
-			t.Fatal("RouteBatch with short dst did not panic")
+			t.Fatal("RouteBatchDigests with short dst did not panic")
 		}
 	}()
-	p.RouteBatch([]string{"a", "b"}, make([]int, 1))
+	p.RouteBatchDigests([]string{"a", "b"}, make([]KeyDigest, 2), make([]int, 1))
 }
 
 // steadyStateCase is one configuration of the zero-allocation tests: a
@@ -472,9 +495,10 @@ func steadyStateCases() []steadyStateCase {
 }
 
 // TestSteadyStateRoutingDoesNotAllocate pins the zero-allocation
-// contract of the routing path via both APIs — FINDOPTIMALCHOICES
-// included: D-Choices re-solves every 1024 messages inside the measured
-// windows, over a tracker-owned snapshot and the solver's own tables.
+// contract of the routing path at a slab of one and at a slab of 256 —
+// FINDOPTIMALCHOICES included: D-Choices re-solves every 1024 messages
+// inside the measured windows, over a tracker-owned snapshot and the
+// solver's own tables.
 func TestSteadyStateRoutingDoesNotAllocate(t *testing.T) {
 	for _, tc := range steadyStateCases() {
 		for _, name := range tc.algos {
@@ -483,32 +507,35 @@ func TestSteadyStateRoutingDoesNotAllocate(t *testing.T) {
 				t.Fatal(err)
 			}
 			keys := tc.keys
+			digs := make([]KeyDigest, 256)
+			dst := make([]int, 256)
 			for pass := 0; pass < tc.warm; pass++ {
-				for _, k := range keys {
-					p.Route(k) // warmup: sketch at capacity, pools primed
+				for i := 0; i < len(keys); i += 256 {
+					// warmup: sketch at capacity, pools primed
+					p.RouteBatchDigests(keys[i:min(i+256, len(keys))], digs, dst)
 				}
 			}
 			solves := func() int64 { st, _ := Stats(p); return st.Solves }
 			before := solves()
 			i := 0
 			avg := testing.AllocsPerRun(10000, func() {
-				p.Route(keys[i%len(keys)])
+				k := i % len(keys)
+				p.RouteBatchDigests(keys[k:k+1], digs, dst)
 				i++
 			})
 			if avg != 0 {
-				t.Errorf("%s/%s: steady-state Route allocates %.3f allocs/op, want 0", tc.label, name, avg)
+				t.Errorf("%s/%s: steady-state routing of a slab of one allocates %.3f allocs/op, want 0", tc.label, name, avg)
 			}
-			dst := make([]int, 256)
 			j := 0
 			avg = testing.AllocsPerRun(200, func() {
 				if j+256 > len(keys) {
 					j = 0
 				}
-				p.RouteBatch(keys[j:j+256], dst)
+				p.RouteBatchDigests(keys[j:j+256], digs, dst)
 				j += 256
 			})
 			if avg != 0 {
-				t.Errorf("%s/%s: steady-state RouteBatch allocates %.3f allocs/batch, want 0", tc.label, name, avg)
+				t.Errorf("%s/%s: steady-state routing of a slab of 256 allocates %.3f allocs/slab, want 0", tc.label, name, avg)
 			}
 			if n := solves() - before; name == "D-C" && n < 16 {
 				t.Errorf("%s/%s: the measured windows held %d solves, want ≥ 8 each", tc.label, name, n)
@@ -523,11 +550,13 @@ func BenchmarkRoute(b *testing.B) {
 			p, _ := New(name, cfg(50))
 			gen := workload.NewZipf(1.4, 10000, int64(b.N)+1, 1)
 			one := make([]string, 1)
+			dig := make([]KeyDigest, 1)
+			dst := make([]int, 1)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				gen.NextBatch(one)
-				p.Route(one[0])
+				p.RouteBatchDigests(one, dig, dst)
 			}
 		})
 	}
@@ -538,6 +567,7 @@ func BenchmarkRouteBatchCore(b *testing.B) {
 	for _, name := range Names {
 		b.Run(name, func(b *testing.B) {
 			p, _ := New(name, cfg(50))
+			digs := make([]KeyDigest, 512)
 			dst := make([]int, 512)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -547,7 +577,7 @@ func BenchmarkRouteBatchCore(b *testing.B) {
 				if end > len(keys) {
 					end = len(keys)
 				}
-				p.RouteBatch(keys[off:end], dst)
+				p.RouteBatchDigests(keys[off:end], digs, dst)
 			}
 		})
 	}

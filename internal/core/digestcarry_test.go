@@ -7,11 +7,11 @@ import (
 	"slb/internal/workload"
 )
 
-// TestRouteBatchDigestsMatchesRoute pins the digest-carry batch
-// contract: for every algorithm and batch size — including the sketch
+// TestRouteBatchDigestsMatchesRoute pins the digest-carry slab
+// contract: for every algorithm and slab size — including the sketch
 // modes that route every run at length 1 — RouteBatchDigests must
-// produce the same worker sequence as per-message Route AND fill
-// digs[i] with exactly Digest(keys[i]).
+// produce the same worker sequence as slabs of one on a second instance
+// AND fill digs[i] with exactly Digest(keys[i]).
 func TestRouteBatchDigestsMatchesRoute(t *testing.T) {
 	configs := []struct {
 		label string
@@ -37,8 +37,8 @@ func TestRouteBatchDigestsMatchesRoute(t *testing.T) {
 					chunk := keys[i:min(i+bs, len(keys))]
 					b.RouteBatchDigests(chunk, digs, dst)
 					for j, k := range chunk {
-						if want := a.Route(k); dst[j] != want {
-							t.Fatalf("%s/%s bs=%d: message %d (%q) routed to %d by digest batch, %d by Route",
+						if want := routeOne(a, k); dst[j] != want {
+							t.Fatalf("%s/%s bs=%d: message %d (%q) routed to %d by the slab, %d by a slab of one",
 								cc.label, name, bs, i+j, k, dst[j], want)
 						}
 						if want := hashing.Digest(k); digs[j] != want {
@@ -52,9 +52,9 @@ func TestRouteBatchDigestsMatchesRoute(t *testing.T) {
 	}
 }
 
-// TestRouteDigestMatchesRoute pins the per-message digest-carry form:
-// RouteDigest(Digest(k), k) is Route(k), for every algorithm including
-// the experimental ones.
+// TestRouteDigestMatchesRoute pins one-message-at-a-time routing
+// against the whole stream routed as a single slab, digests included,
+// for every algorithm including the experimental ones.
 func TestRouteDigestMatchesRoute(t *testing.T) {
 	keys := collectKeys(workload.NewZipf(2.0, 300, 15000, 23))
 	type pair struct {
@@ -72,9 +72,15 @@ func TestRouteDigestMatchesRoute(t *testing.T) {
 		pair{"forced-5", NewForcedD(cfg(20), 5), NewForcedD(cfg(20), 5)},
 		pair{"oracle", NewOracle(cfg(20), hot), NewOracle(cfg(20), hot)})
 	for _, tc := range cases {
+		digs := make([]KeyDigest, len(keys))
+		dst := make([]int, len(keys))
+		tc.b.RouteBatchDigests(keys, digs, dst)
 		for i, k := range keys {
-			if want, got := tc.a.Route(k), tc.b.RouteDigest(hashing.Digest(k), k); got != want {
-				t.Fatalf("%s: message %d (%q) routed to %d by RouteDigest, %d by Route", tc.label, i, k, got, want)
+			if want := routeOne(tc.a, k); dst[i] != want {
+				t.Fatalf("%s: message %d (%q) routed to %d by the whole slab, %d by a slab of one", tc.label, i, k, dst[i], want)
+			}
+			if want := hashing.Digest(k); digs[i] != want {
+				t.Fatalf("%s: message %d (%q) digest %x, want %x", tc.label, i, k, digs[i], want)
 			}
 		}
 	}
@@ -93,11 +99,12 @@ func TestRouteBatchDigestsPanicsOnShortDigs(t *testing.T) {
 }
 
 // TestSteadyStateDigestRoutingDoesNotAllocate extends the
-// zero-allocation contract to the digest-carry APIs: warm steady-state
-// RouteBatchDigests (caller-owned slab) and RouteDigest allocate
-// nothing, with the D-Choices solver running at its default cadence
-// inside the measured windows, at paper scale and at n = 4096 (see
-// steadyStateCases).
+// zero-allocation contract to caller-owned digest slabs: warm
+// steady-state RouteBatchDigests allocates nothing at a slab of one —
+// the path the discrete-event engine routes every emit through — or at
+// a slab of 256, with the D-Choices solver running at its default
+// cadence inside the measured windows, at paper scale and at n = 4096
+// (see steadyStateCases).
 func TestSteadyStateDigestRoutingDoesNotAllocate(t *testing.T) {
 	for _, tc := range steadyStateCases() {
 		for _, name := range tc.algos {
@@ -106,23 +113,24 @@ func TestSteadyStateDigestRoutingDoesNotAllocate(t *testing.T) {
 				t.Fatal(err)
 			}
 			keys := tc.keys
+			digs := make([]KeyDigest, 256)
+			dst := make([]int, 256)
 			for pass := 0; pass < tc.warm; pass++ {
-				for _, k := range keys {
-					p.Route(k) // warmup: sketch at capacity, pools primed
+				for i := 0; i < len(keys); i += 256 {
+					// warmup: sketch at capacity, pools primed
+					p.RouteBatchDigests(keys[i:min(i+256, len(keys))], digs, dst)
 				}
 			}
 			solves := func() int64 { st, _ := Stats(p); return st.Solves }
 			before := solves()
 			i := 0
 			if avg := testing.AllocsPerRun(10000, func() {
-				k := keys[i%len(keys)]
-				p.RouteDigest(hashing.Digest(k), k)
+				k := i % len(keys)
+				p.RouteBatchDigests(keys[k:k+1], digs, dst)
 				i++
 			}); avg != 0 {
-				t.Errorf("%s/%s: steady-state RouteDigest allocates %.3f allocs/op, want 0", tc.label, name, avg)
+				t.Errorf("%s/%s: steady-state RouteBatchDigests of a slab of one allocates %.3f allocs/op, want 0", tc.label, name, avg)
 			}
-			digs := make([]KeyDigest, 256)
-			dst := make([]int, 256)
 			j := 0
 			if avg := testing.AllocsPerRun(200, func() {
 				if j+256 > len(keys) {

@@ -15,8 +15,8 @@ func TestForcedDClamping(t *testing.T) {
 	if d := NewForcedD(cfg(10), 99).D(); d != 10 {
 		t.Fatalf("ForcedD(99) clamped to %d, want 10", d)
 	}
-	if name := NewForcedD(cfg(10), 5).Name(); name != "Greedy-5" {
-		t.Fatalf("Name = %q", name)
+	if d := NewForcedD(cfg(10), 5).D(); d != 5 {
+		t.Fatalf("ForcedD(5) clamped to %d, want 5", d)
 	}
 }
 
@@ -78,7 +78,7 @@ func TestSketchWindowMode(t *testing.T) {
 	// Routing still works and balances a hot key.
 	counts := make([]int64, 10)
 	for i := 0; i < 20000; i++ {
-		counts[p.Route("hot")]++
+		counts[routeOne(p, "hot")]++
 	}
 	if imb := imbalanceInt(counts); imb > 0.02 {
 		t.Fatalf("windowed W-C imbalance %f on single-key stream", imb)
@@ -125,7 +125,7 @@ func TestSketchWindowAdaptsFasterUnderDrift(t *testing.T) {
 		keys := mkStream()
 		for i, k := range keys {
 			before := p.head.headMsgs
-			p.Route(k)
+			routeOne(p, k)
 			if i >= 30000 && k == "hotB" && p.head.headMsgs > before {
 				return i - 30000 // the first hotB message routed as head
 			}
@@ -151,7 +151,7 @@ func TestPhaseOffsetsSpreadSources(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		c := Config{Workers: 64, Seed: 42, Instance: i}
 		sg := NewShuffleGrouping(c)
-		seen[sg.Route("x")] = true
+		seen[routeOne(sg, "x")] = true
 	}
 	if len(seen) < 6 {
 		t.Fatalf("8 instances start at only %d distinct workers", len(seen))
@@ -186,7 +186,7 @@ func TestAllAlgorithmsConserveLocalLoads(t *testing.T) {
 		gen := workload.NewZipf(1.6, 300, 5000, 3)
 		for one := make([]string, 1); gen.NextBatch(one) == 1; {
 			k := one[0]
-			p.Route(k)
+			routeOne(p, k)
 		}
 		type loader interface{ Loads() []int64 }
 		l, ok := p.(loader)

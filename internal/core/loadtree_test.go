@@ -157,12 +157,13 @@ func TestScanTreeRoutingParity(t *testing.T) {
 					// First half per message, second half batched.
 					half := len(keys) / 2
 					for i, k := range keys[:half] {
-						ws, wt := scan.Route(k), tree.Route(k)
+						ws, wt := routeOne(scan, k), routeOne(tree, k)
 						if ws != wt {
 							t.Fatalf("msg %d (key %q): scan → %d, tree → %d", i, k, ws, wt)
 						}
 					}
 					const slab = 97
+					digs := make([]KeyDigest, slab)
 					dstS := make([]int, slab)
 					dstT := make([]int, slab)
 					for i := half; i < len(keys); i += slab {
@@ -170,8 +171,8 @@ func TestScanTreeRoutingParity(t *testing.T) {
 						if end > len(keys) {
 							end = len(keys)
 						}
-						scan.RouteBatch(keys[i:end], dstS)
-						tree.RouteBatch(keys[i:end], dstT)
+						scan.RouteBatchDigests(keys[i:end], digs, dstS)
+						tree.RouteBatchDigests(keys[i:end], digs, dstT)
 						for j := 0; j < end-i; j++ {
 							if dstS[j] != dstT[j] {
 								t.Fatalf("batch msg %d (key %q): scan → %d, tree → %d", i+j, keys[i+j], dstS[j], dstT[j])
@@ -198,7 +199,7 @@ func TestAutoCrossoverMatchesForcedModes(t *testing.T) {
 		}
 		for one := make([]string, 1); gen.NextBatch(one) == 1; {
 			k := one[0]
-			wa, ws, wt := auto.Route(k), scan.Route(k), tree.Route(k)
+			wa, ws, wt := routeOne(auto, k), routeOne(scan, k), routeOne(tree, k)
 			if wa != ws || wa != wt {
 				t.Fatalf("n=%d key %q: auto %d scan %d tree %d", n, k, wa, ws, wt)
 			}
@@ -218,7 +219,7 @@ func TestWorkerCapLifted(t *testing.T) {
 	p := NewWChoices(cfg)
 	seen := make(map[int]bool)
 	for i := 0; i < 2000; i++ {
-		w := p.Route(fmt.Sprintf("key%d", i%37))
+		w := routeOne(p, fmt.Sprintf("key%d", i%37))
 		if w < 0 || w >= big {
 			t.Fatalf("worker %d out of range", w)
 		}
@@ -264,13 +265,14 @@ func TestGreedyTreeStaysInSync(t *testing.T) {
 		case *PKG:
 			g = &q.greedy
 		}
+		digs := make([]KeyDigest, 64)
 		dst := make([]int, 64)
 		for i := 0; i < len(keys); i += 64 {
 			end := i + 64
 			if end > len(keys) {
 				end = len(keys)
 			}
-			p.RouteBatch(keys[i:end], dst)
+			p.RouteBatchDigests(keys[i:end], digs, dst)
 			if g.tree != nil && i%(64*16) == 0 {
 				checkTree(t, g.tree)
 			}

@@ -257,13 +257,13 @@ func registered(name string) func(Config) (Partitioner, *refScheme) {
 }
 
 // TestRoutingMatchesReference is the differential check of every
-// scheme's one routing body through all four entry points — and through
-// all four mixed on one instance, chunk by chunk — against plain
-// Algorithm 1: every worker must equal the reference's, and every digest
-// RouteBatchDigests hands back must be the key's. The configs put head
-// crossings inside runs (high θ), solver re-solves inside hot-key runs
-// (tight solver), and the two sketch modes that route every run at
-// length 1 (windowed, θ above maxMonotoneTheta).
+// scheme's one routing body against plain Algorithm 1, with the stream
+// cut into slabs of each size in {1, 3, 64, 997} and — on one instance —
+// at the repeating sequence of those sizes: every worker must equal the
+// reference's, and every digest handed back must be the key's. The
+// configs put head crossings inside runs (high θ), solver re-solves
+// inside hot-key runs (tight solver), and the two sketch modes that
+// route every run at length 1 (windowed, θ above maxMonotoneTheta).
 func TestRoutingMatchesReference(t *testing.T) {
 	configs := []struct {
 		label string
@@ -276,14 +276,10 @@ func TestRoutingMatchesReference(t *testing.T) {
 		{"non-monotone theta", Config{Workers: 10, Seed: 42, Theta: 0.995}},
 	}
 	keys := collectKeys(workload.NewZipf(2.0, 400, 20000, 17))
-	const (
-		route = iota
-		routeDigest
-		routeBatch
-		routeBatchDigests
-		mixed
-	)
-	entries := []string{"Route", "RouteDigest", "RouteBatch", "RouteBatchDigests", "mixed"}
+	sizes := []int{1, 3, 64, 997}
+	// Each arm is the sequence of slab sizes it cuts the stream at,
+	// repeated: one size, or all of them in turn.
+	arms := [][]int{{1}, {3}, {64}, {997}, sizes}
 	for _, cc := range configs {
 		for _, sc := range refSchemes {
 			_, ref := sc.mk(cc.cfg)
@@ -292,46 +288,26 @@ func TestRoutingMatchesReference(t *testing.T) {
 				want[i] = ref.route(k)
 			}
 			t.Run(cc.label+"/"+sc.name, func(t *testing.T) {
-				for entry, entryName := range entries {
-					for _, bs := range []int{1, 3, 64, 997} {
-						if bs > 1 && (entry == route || entry == routeDigest) {
-							continue
-						}
-						p, _ := sc.mk(cc.cfg)
-						digs := make([]KeyDigest, bs)
-						dst := make([]int, bs)
-						for i := 0; i < len(keys); i += bs {
-							chunk := keys[i:min(i+bs, len(keys))]
-							how := entry
-							if entry == mixed {
-								how = (i / bs) % 4
+				for _, cuts := range arms {
+					arm := fmt.Sprintf("slabs %v", cuts)
+					p, _ := sc.mk(cc.cfg)
+					digs := make([]KeyDigest, 997)
+					dst := make([]int, 997)
+					for i, c := 0, 0; i < len(keys); c++ {
+						chunk := keys[i:min(i+cuts[c%len(cuts)], len(keys))]
+						clear(digs)
+						p.RouteBatchDigests(chunk, digs, dst)
+						for j, k := range chunk {
+							if dst[j] != want[i+j] {
+								t.Fatalf("%s: message %d (%q) routed to %d, reference %d",
+									arm, i+j, k, dst[j], want[i+j])
 							}
-							clear(digs)
-							switch how {
-							case route:
-								for j, k := range chunk {
-									dst[j] = p.Route(k)
-								}
-							case routeDigest:
-								for j, k := range chunk {
-									dst[j] = p.RouteDigest(Digest(k), k)
-								}
-							case routeBatch:
-								p.RouteBatch(chunk, dst)
-							default:
-								p.RouteBatchDigests(chunk, digs, dst)
-							}
-							for j, k := range chunk {
-								if dst[j] != want[i+j] {
-									t.Fatalf("%s bs=%d: message %d (%q) routed to %d, reference %d",
-										entryName, bs, i+j, k, dst[j], want[i+j])
-								}
-								if how == routeBatchDigests && digs[j] != Digest(k) {
-									t.Fatalf("%s bs=%d: message %d (%q) digest %x, want %x",
-										entryName, bs, i+j, k, digs[j], Digest(k))
-								}
+							if digs[j] != Digest(k) {
+								t.Fatalf("%s: message %d (%q) digest %x, want %x",
+									arm, i+j, k, digs[j], Digest(k))
 							}
 						}
+						i += len(chunk)
 					}
 				}
 			})
@@ -347,7 +323,7 @@ func TestRoutingMatchesReference(t *testing.T) {
 // solve period — must equal the reference's, through the batched entry
 // point in all three LoadIndex modes (the forced tree keeps a
 // tournament for every head key; auto runs the admission policy) and
-// through per-message Route. z = 2.0 puts solve boundaries inside long
+// through slabs of one. z = 2.0 puts solve boundaries inside long
 // runs of the hot key, where the batch path defers sketch offers around
 // the solve.
 func TestDChoicesMatchesReference(t *testing.T) {
@@ -393,8 +369,8 @@ func TestDChoicesMatchesReference(t *testing.T) {
 						if mode.batch {
 							p.RouteBatchDigests(keys[i:i+slab], digs, dst)
 						} else {
-							for j, k := range keys[i : i+slab] {
-								dst[j] = p.Route(k)
+							for j := range dst {
+								p.RouteBatchDigests(keys[i+j:i+j+1], digs[j:], dst[j:])
 							}
 						}
 						for j, w := range dst {

@@ -58,7 +58,7 @@ func TestRouteStatsDChoices(t *testing.T) {
 	// Per-message path must agree with the counters too.
 	before := s.HeadMsgs
 	for i := 0; i < 100; i++ {
-		p.Route("hot")
+		routeOne(p, "hot")
 	}
 	if got := p.RouteStats().HeadMsgs; got != before+100 {
 		t.Fatalf("per-message head count moved %d, want 100", got-before)
@@ -72,12 +72,12 @@ func TestRouteStatsInterfaceCoverage(t *testing.T) {
 		NewForcedD(cfg, 4), NewPKG(cfg),
 	} {
 		if _, ok := Stats(p); !ok {
-			t.Fatalf("%s should implement RouteStatser", p.Name())
+			t.Fatalf("%T should implement RouteStatser", p)
 		}
 	}
 	for _, p := range []Partitioner{NewKeyGrouping(cfg), NewShuffleGrouping(cfg)} {
 		if _, ok := Stats(p); ok {
-			t.Fatalf("%s unexpectedly implements RouteStatser", p.Name())
+			t.Fatalf("%T unexpectedly implements RouteStatser", p)
 		}
 	}
 }
@@ -86,7 +86,7 @@ func TestRouteStatsSketchChurn(t *testing.T) {
 	// Tiny sketch + many distinct keys forces evictions.
 	p := NewWChoices(Config{Workers: 4, Seed: 3, SketchCapacity: 8, Theta: 0.2})
 	for i := 0; i < 5000; i++ {
-		p.Route(fmt.Sprintf("k%d", i%300))
+		routeOne(p, fmt.Sprintf("k%d", i%300))
 	}
 	s := p.RouteStats()
 	if s.SketchEvictions == 0 {

@@ -55,10 +55,8 @@ package dspe
 // run's links and drivers.
 
 import (
-	"strconv"
 	"time"
 
-	"slb/internal/aggregation"
 	"slb/internal/core"
 	"slb/internal/telemetry"
 	"slb/internal/transport"
@@ -108,7 +106,7 @@ func newPlaneTelemetry(cfg Config) *planeTelemetry {
 	pt.ackWindow = make([]*telemetry.Gauge, cfg.Sources)
 	pt.spoutParks = make([]*telemetry.Counter, cfg.Sources)
 	for s := range pt.recs {
-		ls := pt.with("spout", s)
+		ls := telemetry.With(pt.base, "spout", s)
 		pt.recs[s] = core.NewRouteRecorder(reg, ls...)
 		pt.ackWait[s] = reg.Counter("spout_ack_wait_ns_total", ls...)
 		pt.ackWindow[s] = reg.Gauge("spout_ack_window", ls...)
@@ -118,7 +116,7 @@ func newPlaneTelemetry(cfg Config) *planeTelemetry {
 	pt.acquireStall = make([]*telemetry.Counter, cfg.Workers)
 	pt.boltParks = make([]*telemetry.Counter, cfg.Workers)
 	for w := range pt.boltMsgs {
-		ls := pt.with("worker", w)
+		ls := telemetry.With(pt.base, "worker", w)
 		pt.boltMsgs[w] = reg.Counter("bolt_msgs_total", ls...)
 		pt.acquireStall[w] = reg.Counter("acquire_stall_ns_total", ls...)
 		pt.boltParks[w] = reg.Counter("bolt_parks_total", ls...)
@@ -129,20 +127,13 @@ func newPlaneTelemetry(cfg Config) *planeTelemetry {
 		pt.reduceBusy = make([]*telemetry.Counter, cfg.AggShards)
 		pt.shardParks = make([]*telemetry.Counter, cfg.AggShards)
 		for r := range pt.reduceBusy {
-			ls := pt.with("shard", r)
+			ls := telemetry.With(pt.base, "shard", r)
 			pt.shardParks[r] = reg.Counter("shard_parks_total", ls...)
 			pt.reduceParts[r] = reg.Counter("reduce_partials_total", ls...)
 			pt.reduceBusy[r] = reg.Counter("reduce_busy_ns_total", ls...)
 		}
 	}
 	return pt
-}
-
-// with returns base + {key: itoa(idx)} as a fresh slice.
-func (pt *planeTelemetry) with(key string, idx int) []telemetry.Label {
-	ls := make([]telemetry.Label, 0, len(pt.base)+1)
-	ls = append(ls, pt.base...)
-	return append(ls, telemetry.L(key, strconv.Itoa(idx)))
 }
 
 // recordRoute publishes one routed slab for spout s (nil-safe).
@@ -227,21 +218,6 @@ func (pt *planeTelemetry) observeQueues(in [][]*transport.Link) {
 				n += in[s][w].Len()
 			}
 			return float64(n)
-		}, pt.with("worker", w)...)
-	}
-}
-
-// observeReduce registers the per-shard reducer occupancy and
-// replication gauges.
-func (pt *planeTelemetry) observeReduce(d *aggregation.Driver, shards int) {
-	if pt == nil || d == nil {
-		return
-	}
-	for r := 0; r < shards; r++ {
-		r := r
-		ls := pt.with("shard", r)
-		pt.reg.GaugeFunc("reduce_open_windows", func() float64 { w, _, _ := d.Live(r); return float64(w) }, ls...)
-		pt.reg.GaugeFunc("reduce_live_entries", func() float64 { _, e, _ := d.Live(r); return float64(e) }, ls...)
-		pt.reg.GaugeFunc("reduce_replication", func() float64 { _, _, f := d.Live(r); return f }, ls...)
+		}, telemetry.With(pt.base, "worker", w)...)
 	}
 }

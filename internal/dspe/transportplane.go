@@ -238,7 +238,9 @@ func runOnFabric(fabric transport.Transport, src *stream.Source, cfg Config, par
 	)
 	if agg {
 		sd = aggregation.NewShardedDriver(cfg.Workers, shards, cfg.AggWindow, src.Planned(), cfg.AggMerger)
-		pt.observeReduce(sd, shards)
+		if pt != nil {
+			sd.ObserveLive(pt.reg, pt.base...)
+		}
 		reduceBusy = make([]time.Duration, shards)
 		fan := &finalFanIn{user: cfg.OnFinal, shards: shards}
 		for r := 0; r < shards; r++ {

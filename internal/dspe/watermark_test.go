@@ -37,8 +37,13 @@ func TestWatermarkTicksCloseTrickleBoltWindows(t *testing.T) {
 		windows    = 30
 	)
 	// Probe KG's pure hash to pick a trickle key and fillers on other
-	// bolts (Route is deterministic and stateless for KG).
+	// bolts (KG routing is deterministic and stateless).
 	probe := core.NewKeyGrouping(core.Config{Workers: workers, Seed: 5})
+	route := func(k string) int {
+		dst := make([]int, 1)
+		probe.RouteBatchDigests([]string{k}, make([]core.KeyDigest, 1), dst)
+		return dst[0]
+	}
 	var trickleKey string
 	var fillers []string
 	for i := 0; len(fillers) < 2 || trickleKey == ""; i++ {
@@ -47,7 +52,7 @@ func TestWatermarkTicksCloseTrickleBoltWindows(t *testing.T) {
 			trickleKey = k
 			continue
 		}
-		if probe.Route(k) != probe.Route(trickleKey) && len(fillers) < 2 {
+		if route(k) != route(trickleKey) && len(fillers) < 2 {
 			fillers = append(fillers, k)
 		}
 	}

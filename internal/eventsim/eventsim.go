@@ -444,7 +444,9 @@ func Run(gen stream.Generator, cfg Config) (Result, error) {
 	)
 	if cfg.AggWindow > 0 {
 		drv = aggregation.NewShardedDriver(cfg.Workers, cfg.AggShards, cfg.AggWindow, limit, cfg.AggMerger)
-		tel.observeReduce(drv, cfg.AggShards)
+		if tel != nil {
+			drv.ObserveLive(tel.reg, tel.base...)
+		}
 		stations = make([]reducerStation, cfg.AggShards)
 		for r := range stations {
 			stations[r] = newReducerStation(cfg.AggMergeCost, cfg.AggQueueLen)
@@ -501,7 +503,11 @@ func Run(gen stream.Generator, cfg Config) (Result, error) {
 		measureStart float64
 		peakQueue    int
 		announced    int64 // the last window the driver announced
-		dig          = make([]aggregation.KeyDigest, 1)
+		// The slab of one each emit routes, made once so routing it
+		// allocates nothing.
+		one = make([]string, 1)
+		dig = make([]aggregation.KeyDigest, 1)
+		dst = make([]int, 1)
 	)
 	// tickIdle is the watermark tick for workers with no traffic: when
 	// the global emission sequence enters a new window, every idle
@@ -557,31 +563,26 @@ func Run(gen stream.Generator, cfg Config) (Result, error) {
 					break
 				}
 			}
-			key := keys[pos]
+			// Hash-once: routing a slab of one performs the key's single
+			// byte scan, and the digest it hands back picks the reducer
+			// shard and travels with the message into the worker's
+			// partial tables.
+			one[0] = keys[pos]
+			parts[s].RouteBatchDigests(one, dig, dst)
+			w := dst[0]
 			pm := pendingMsg{emitTime: now, src: e.idx}
-			var w int
 			if cfg.AggWindow > 0 {
-				// Hash-once: the key's single byte scan happens here, and
-				// the digest both routes the message, picks its reducer
-				// shard, and travels with it into the worker's partial
-				// tables.
-				dg := hashing.Digest(key)
 				pm.window = emitted / cfg.AggWindow
-				pm.dig = dg
-				pm.key = key
+				pm.dig = dig[0]
+				pm.key = one[0]
 				pm.val = vals[pos]
 				// Count the emission toward its shard's completeness
 				// threshold, and tick idle workers when the driver
 				// announces that the stream entered a new window.
-				dig[0] = dg
 				if cw, ok := drv.ObserveEmits(emitted, dig); ok {
 					announced = cw
 					tickIdle()
 				}
-				w = parts[s].RouteDigest(dg, key)
-			} else {
-				// No digest consumer downstream: let the partitioner digest.
-				w = parts[s].Route(key)
 			}
 			emitted++
 			pos++

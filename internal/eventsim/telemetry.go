@@ -34,9 +34,6 @@ package eventsim
 // All methods are no-ops on a nil receiver.
 
 import (
-	"strconv"
-
-	"slb/internal/aggregation"
 	"slb/internal/core"
 	"slb/internal/telemetry"
 )
@@ -84,7 +81,7 @@ func newSimTelemetry(cfg Config, parts []core.Partitioner) *simTelemetry {
 		routedSince: make([]int, len(parts)),
 	}
 	for s := range parts {
-		tel.recs[s] = core.NewRouteRecorder(reg, tel.with("spout", s)...)
+		tel.recs[s] = core.NewRouteRecorder(reg, telemetry.With(tel.base, "spout", s)...)
 	}
 	tel.emitted = reg.Counter("sim_emitted_total", tel.base...)
 	tel.completed = reg.Counter("sim_completed_total", tel.base...)
@@ -92,25 +89,19 @@ func newSimTelemetry(cfg Config, parts []core.Partitioner) *simTelemetry {
 	tel.peakQueue = reg.Gauge("sim_peak_queue", tel.base...)
 	tel.queueDepth = make([]*telemetry.Gauge, cfg.Workers)
 	for w := range tel.queueDepth {
-		tel.queueDepth[w] = reg.Gauge("queue_depth", tel.with("worker", w)...)
+		tel.queueDepth[w] = reg.Gauge("queue_depth", telemetry.With(tel.base, "worker", w)...)
 	}
 	if cfg.AggWindow > 0 {
 		tel.flushStall = reg.Counter("flush_stall_ns_total", tel.base...)
 		tel.reduceBusy = make([]*telemetry.Counter, cfg.AggShards)
 		tel.reducePeak = make([]*telemetry.Gauge, cfg.AggShards)
 		for r := range tel.reduceBusy {
-			ls := tel.with("shard", r)
+			ls := telemetry.With(tel.base, "shard", r)
 			tel.reduceBusy[r] = reg.Counter("reduce_busy_ns_total", ls...)
 			tel.reducePeak[r] = reg.Gauge("reduce_queue_peak", ls...)
 		}
 	}
 	return tel
-}
-
-func (tel *simTelemetry) with(key string, idx int) []telemetry.Label {
-	ls := make([]telemetry.Label, 0, len(tel.base)+1)
-	ls = append(ls, tel.base...)
-	return append(ls, telemetry.L(key, strconv.Itoa(idx)))
 }
 
 // simNS converts the simulation's ms clock to integer nanoseconds.
@@ -177,20 +168,5 @@ func (tel *simTelemetry) flushRoutes() {
 			tel.recs[s].RecordBatch(tel.parts[s], tel.routedSince[s], 0)
 			tel.routedSince[s] = 0
 		}
-	}
-}
-
-// observeReduce registers the per-shard reducer occupancy and
-// replication gauges over the run's driver.
-func (tel *simTelemetry) observeReduce(d *aggregation.Driver, shards int) {
-	if tel == nil || d == nil {
-		return
-	}
-	for r := 0; r < shards; r++ {
-		r := r
-		ls := tel.with("shard", r)
-		tel.reg.GaugeFunc("reduce_open_windows", func() float64 { w, _, _ := d.Live(r); return float64(w) }, ls...)
-		tel.reg.GaugeFunc("reduce_live_entries", func() float64 { _, e, _ := d.Live(r); return float64(e) }, ls...)
-		tel.reg.GaugeFunc("reduce_replication", func() float64 { _, _, f := d.Live(r); return f }, ls...)
 	}
 }

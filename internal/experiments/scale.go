@@ -135,6 +135,7 @@ func timeRouting(algo string, cfg core.Config, z float64, m int64) (float64, err
 		}
 		keys = append(keys, buf[:k]...)
 	}
+	digs := make([]core.KeyDigest, 512)
 	dst := make([]int, 512)
 	start := time.Now()
 	for i := 0; i < len(keys); i += 512 {
@@ -142,7 +143,7 @@ func timeRouting(algo string, cfg core.Config, z float64, m int64) (float64, err
 		if end > len(keys) {
 			end = len(keys)
 		}
-		p.RouteBatch(keys[i:end], dst)
+		p.RouteBatchDigests(keys[i:end], digs, dst)
 	}
 	elapsed := time.Since(start)
 	return float64(elapsed.Nanoseconds()) / float64(len(keys)), nil

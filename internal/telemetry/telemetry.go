@@ -50,6 +50,14 @@ type Label struct {
 // L is shorthand for constructing a Label.
 func L(key, value string) Label { return Label{Key: key, Value: value} }
 
+// With returns base plus {key: idx} as a fresh slice: the per-spout,
+// per-worker and per-shard label sets the engines register series under.
+func With(base []Label, key string, idx int) []Label {
+	ls := make([]Label, 0, len(base)+1)
+	ls = append(ls, base...)
+	return append(ls, L(key, strconv.Itoa(idx)))
+}
+
 // Kind discriminates the metric types in a Snapshot.
 type Kind uint8
 

@@ -34,39 +34,37 @@
 // re-scanning the key bytes.
 //
 //	cfg := slb.Config{Workers: 50, Seed: 42}
-//	p := slb.NewDChoices(cfg)
+//	p, _ := slb.New("D-C", cfg)
 //	gen := slb.NewZipfStream(2.0, 100_000, 1_000_000, 42)
 //
 //	keys := make([]string, 512)
+//	digs := make([]slb.KeyDigest, 512)
 //	dst := make([]int, 512)
 //	for {
 //		n := slb.NextBatch(gen, keys)
 //		if n == 0 {
 //			break
 //		}
-//		slb.RouteBatch(p, keys[:n], dst)
-//		// dst[i] is the worker for keys[i]
+//		slb.RouteBatchDigests(p, keys[:n], digs, dst)
+//		// dst[i] is the worker for keys[i], digs[i] its digest
 //	}
 //
-// A single tuple is a slab of one:
-//
-//	worker := p.Route("some-key") // → 0..49, state updated
+// A single tuple is a slab of one: keys[:1], digs[:1], dst[:1].
 //
 // Every algorithm writes its routing once, as a body that routes a run
-// of consecutive messages of one key; Route is that body on one
-// message, so slabs and single messages make the same decisions and a
-// slab only amortizes the per-key work over its runs. Steady-state
-// routing allocates nothing for every algorithm — D-Choices' periodic
-// d-solver included, which re-solves every Config.SolveEvery messages
-// over a partitioner-owned head snapshot and memoised constraint tables
-// (the sliding-window sketch mode, Config.SketchWindow, is the
-// exception: its two-generation head merge allocates per solve).
+// of consecutive messages of one key, and RouteBatchDigests is the one
+// call into it: slab boundaries never change a decision, and a slab
+// only amortizes the per-key work over its runs. Steady-state routing
+// allocates nothing for every algorithm at any slab size — D-Choices'
+// periodic d-solver included, which re-solves every Config.SolveEvery
+// messages over a partitioner-owned head snapshot and memoised
+// constraint tables (the sliding-window sketch mode,
+// Config.SketchWindow, is the exception: its two-generation head merge
+// allocates per solve).
 //
-// Callers that aggregate (or otherwise need the key digests) use
-// RouteBatchDigests instead: the same routing, with the digests the
-// router computed written into a caller-owned slab, so the downstream
-// stages reuse them rather than paying a second key scan. The
-// per-message analogue is RouteDigest for a digest already in hand.
+// The digests the router computed land in the caller's slab, so
+// aggregation and re-keying downstream reuse them rather than paying a
+// second key scan.
 //
 // Each Partitioner instance embodies one sender: load estimates are
 // sender-local (no coordination), exactly as in the paper. To compare
@@ -377,8 +375,8 @@ import (
 )
 
 // Partitioner routes each message of a keyed stream to one of n
-// workers, one message (Route, RouteDigest) or one slab (RouteBatch,
-// RouteBatchDigests) at a time, with the same decisions either way.
+// workers, a slab at a time (RouteBatchDigests); a slab of one is a
+// single message, and slab boundaries never change a decision.
 type Partitioner = core.Partitioner
 
 // KeyDigest is the canonical 64-bit digest of a key: every message is
@@ -391,25 +389,15 @@ type KeyDigest = core.KeyDigest
 // bytes).
 func DigestKey(key string) KeyDigest { return core.Digest(key) }
 
-// RouteBatch routes keys[i] to dst[i] through p (p.RouteBatch). dst
-// must be at least as long as keys.
-func RouteBatch(p Partitioner, keys []string, dst []int) { p.RouteBatch(keys, dst) }
-
 // RouteBatchDigests routes keys[i] to dst[i] through p and fills
 // digs[i] with DigestKey(keys[i]) — the digest routing itself computed,
 // handed to the caller so aggregation and re-keying downstream reuse it
 // instead of scanning the key bytes again (the hash-once lifecycle:
 // source → route → aggregate → reduce). digs and dst must be at least
-// as long as keys. Routing decisions are identical to RouteBatch.
+// as long as keys.
 func RouteBatchDigests(p Partitioner, keys []string, digs []KeyDigest, dst []int) {
 	p.RouteBatchDigests(keys, digs, dst)
 }
-
-// RouteDigest routes one message through p by its carried digest; dg
-// must equal DigestKey(key). This is the per-message half of the
-// hash-once lifecycle, for callers (engines) whose tuples already
-// carry the digest.
-func RouteDigest(p Partitioner, dg KeyDigest, key string) int { return p.RouteDigest(dg, key) }
 
 // Config carries the partitioner parameters (Table III of the paper):
 // worker count, hash seed, head threshold θ (default 1/(5n)), solver
@@ -441,27 +429,6 @@ var Algorithms = core.Names
 
 // New constructs a partitioner by its paper symbol (see Algorithms).
 func New(name string, cfg Config) (Partitioner, error) { return core.New(name, cfg) }
-
-// NewKeyGrouping returns the KG baseline: one hashed worker per key.
-func NewKeyGrouping(cfg Config) Partitioner { return core.NewKeyGrouping(cfg) }
-
-// NewShuffleGrouping returns the SG baseline: round-robin, key-oblivious.
-func NewShuffleGrouping(cfg Config) Partitioner { return core.NewShuffleGrouping(cfg) }
-
-// NewPKG returns Partial Key Grouping: the power of two choices.
-func NewPKG(cfg Config) Partitioner { return core.NewPKG(cfg) }
-
-// NewDChoices returns the paper's D-Choices partitioner: head keys get
-// the minimal d ≥ 2 choices that satisfies Proposition 4.1.
-func NewDChoices(cfg Config) Partitioner { return core.NewDChoices(cfg) }
-
-// NewWChoices returns the paper's W-Choices partitioner: head keys may
-// go to any worker.
-func NewWChoices(cfg Config) Partitioner { return core.NewWChoices(cfg) }
-
-// NewRoundRobin returns the RR baseline: head keys round-robin over all
-// workers, load-obliviously.
-func NewRoundRobin(cfg Config) Partitioner { return core.NewRoundRobin(cfg) }
 
 // ---------------------------------------------------------------------------
 // Streams and workloads

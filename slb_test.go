@@ -5,33 +5,48 @@ import (
 	"testing"
 
 	"slb"
+	"slb/internal/core"
 )
 
+// routeOne routes one message through p as a slab of one and returns
+// its worker.
+func routeOne(p slb.Partitioner, key string) int {
+	var dig [1]slb.KeyDigest
+	var dst [1]int
+	slb.RouteBatchDigests(p, []string{key}, dig[:], dst[:])
+	return dst[0]
+}
+
+// TestFacadeConstructors checks the facade's one constructor: every
+// symbol in Algorithms builds that scheme, and an unknown symbol is an
+// error.
 func TestFacadeConstructors(t *testing.T) {
 	cfg := slb.Config{Workers: 8, Seed: 1}
-	constructors := map[string]func(slb.Config) slb.Partitioner{
-		"KG":  slb.NewKeyGrouping,
-		"SG":  slb.NewShuffleGrouping,
-		"PKG": slb.NewPKG,
-		"D-C": slb.NewDChoices,
-		"W-C": slb.NewWChoices,
-		"RR":  slb.NewRoundRobin,
+	schemes := map[string]slb.Partitioner{
+		"KG":  (*core.KeyGrouping)(nil),
+		"SG":  (*core.ShuffleGrouping)(nil),
+		"PKG": (*core.PKG)(nil),
+		"D-C": (*core.DChoices)(nil),
+		"W-C": (*core.WChoices)(nil),
+		"RR":  (*core.RoundRobin)(nil),
 	}
-	if len(constructors) != len(slb.Algorithms) {
-		t.Fatalf("facade exposes %d constructors, Algorithms lists %d", len(constructors), len(slb.Algorithms))
+	if len(schemes) != len(slb.Algorithms) {
+		t.Fatalf("Algorithms lists %d symbols, want %d", len(slb.Algorithms), len(schemes))
 	}
-	for name, ctor := range constructors {
-		p := ctor(cfg)
-		if p.Name() != name {
-			t.Errorf("constructor for %s returned %s", name, p.Name())
+	for _, name := range slb.Algorithms {
+		p, err := slb.New(name, cfg)
+		if err != nil {
+			t.Fatalf("New(%q): %v", name, err)
 		}
-		if w := p.Route("key"); w < 0 || w >= 8 {
+		if got, want := fmt.Sprintf("%T", p), fmt.Sprintf("%T", schemes[name]); got != want {
+			t.Errorf("New(%q) built a %s, want %s", name, got, want)
+		}
+		if w := routeOne(p, "key"); w < 0 || w >= 8 {
 			t.Errorf("%s routed out of range: %d", name, w)
 		}
-		byName, err := slb.New(name, cfg)
-		if err != nil || byName.Name() != name {
-			t.Errorf("New(%q) = %v, %v", name, byName, err)
-		}
+	}
+	if _, err := slb.New("nope", cfg); err == nil {
+		t.Error("New of an unknown symbol did not error")
 	}
 }
 
@@ -123,8 +138,8 @@ func TestFacadeAnalysis(t *testing.T) {
 
 // TestDeterministicRoutingBothAPIs pins the determinism and parity
 // contract of the routing layer: routing one seeded stream twice
-// through fresh partitioners yields identical worker sequences, via the
-// per-message API, via the batch API, and across the two APIs — for
+// through fresh partitioners yields identical worker sequences, in
+// slabs of one, in slabs of 256, and across the two slab sizes — for
 // every algorithm.
 func TestDeterministicRoutingBothAPIs(t *testing.T) {
 	const (
@@ -157,7 +172,7 @@ func TestDeterministicRoutingBothAPIs(t *testing.T) {
 			}
 			out := make([]int, len(keys))
 			for i, k := range keys {
-				out[i] = p.Route(k)
+				out[i] = routeOne(p, k)
 			}
 			return out
 		}
@@ -167,13 +182,14 @@ func TestDeterministicRoutingBothAPIs(t *testing.T) {
 				t.Fatal(err)
 			}
 			out := make([]int, len(keys))
+			digs := make([]slb.KeyDigest, batch)
 			dst := make([]int, batch)
 			for i := 0; i < len(keys); i += batch {
 				end := i + batch
 				if end > len(keys) {
 					end = len(keys)
 				}
-				slb.RouteBatch(p, keys[i:end], dst)
+				slb.RouteBatchDigests(p, keys[i:end], digs, dst)
 				copy(out[i:end], dst[:end-i])
 			}
 			return out
@@ -183,14 +199,14 @@ func TestDeterministicRoutingBothAPIs(t *testing.T) {
 		c, d := routeBat(), routeBat()
 		for i := range a {
 			if a[i] != b[i] {
-				t.Fatalf("%s: Route not deterministic at message %d", algo, i)
+				t.Fatalf("%s: slabs of one not deterministic at message %d", algo, i)
 			}
 			if c[i] != d[i] {
-				t.Fatalf("%s: RouteBatch not deterministic at message %d", algo, i)
+				t.Fatalf("%s: slabs of %d not deterministic at message %d", algo, batch, i)
 			}
 			if a[i] != c[i] {
-				t.Fatalf("%s: Route and RouteBatch diverge at message %d: %d vs %d",
-					algo, i, a[i], c[i])
+				t.Fatalf("%s: slabs of one and of %d diverge at message %d: %d vs %d",
+					algo, batch, i, a[i], c[i])
 			}
 		}
 	}
@@ -202,13 +218,20 @@ func TestFacadeBatchAPI(t *testing.T) {
 	if slb.DigestKey("x") != slb.DigestKey("x") || slb.DigestKey("x") == slb.DigestKey("y") {
 		t.Fatal("DigestKey broken")
 	}
-	p := slb.NewPKG(slb.Config{Workers: 8, Seed: 1})
+	p, err := slb.New("PKG", slb.Config{Workers: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	keys := []string{"a", "b", "a"}
+	digs := make([]slb.KeyDigest, 3)
 	dst := make([]int, 3)
-	slb.RouteBatch(p, keys, dst)
-	for _, w := range dst {
+	slb.RouteBatchDigests(p, keys, digs, dst)
+	for i, w := range dst {
 		if w < 0 || w >= 8 {
-			t.Fatalf("RouteBatch out of range: %v", dst)
+			t.Fatalf("RouteBatchDigests out of range: %v", dst)
+		}
+		if digs[i] != slb.DigestKey(keys[i]) {
+			t.Fatalf("RouteBatchDigests digest %d = %x, want %x", i, digs[i], slb.DigestKey(keys[i]))
 		}
 	}
 	gen := slb.StreamFromKeys(keys)

@@ -33,8 +33,11 @@ func newWarmBenchPartitioner(tb testing.TB, algo string) slb.Partitioner {
 		tb.Fatal(err)
 	}
 	warm := slb.NewZipfStream(benchZ, benchKeys, 50_000, 2)
-	for one := make([]string, 1); warm.NextBatch(one) == 1; {
-		p.Route(one[0])
+	keys := make([]string, benchSlabSize)
+	digs := make([]slb.KeyDigest, benchSlabSize)
+	dst := make([]int, benchSlabSize)
+	for n := slb.NextBatch(warm, keys); n > 0; n = slb.NextBatch(warm, keys) {
+		slb.RouteBatchDigests(p, keys[:n], digs, dst)
 	}
 	return p
 }
