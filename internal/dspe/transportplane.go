@@ -514,9 +514,11 @@ func runOnFabric(fabric transport.Transport, src *stream.Source, cfg Config, par
 					// About to block on acks: flush every link first, so
 					// coalesced bytes become visible work downstream (a
 					// tuple sitting in a coalescing buffer can never be
-					// acked). Until the window fills, frames are left to
-					// the byte-threshold coalescer — flushing per batch
-					// would cap TCP frames at a few hundred bytes.
+					// acked). Until the window fills, the links clock
+					// themselves: a TCP sender hands its buffer over when
+					// it fills or its writer has caught up, so frames
+					// coalesce only while the writer is busy — flushing
+					// every link per batch would spend a syscall on each.
 					for w := range in[s] {
 						if err := in[s][w].Sender.Flush(); err != nil {
 							fail(err)

@@ -35,7 +35,10 @@ type TCPConfig struct {
 	// RetainedBufs is the resend window in coalescing buffers: the
 	// sender retains every written-but-unacked buffer for
 	// retransmission and SendSlab backpressures once all of them are
-	// retained. 0 means 16 (≈512 KB per link).
+	// retained. 0 means 16: at most ≈512 KB per link, reached only
+	// when buffers fill to the coalescing threshold (a busy writer or
+	// lagging acks); an idle link hands over smaller buffers, and only
+	// while at least half the pool is free.
 	RetainedBufs int
 	// Seed derandomizes the redial jitter; 0 means 1.
 	Seed uint64

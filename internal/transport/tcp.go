@@ -15,10 +15,10 @@ import (
 	"slb/internal/telemetry"
 )
 
-// coalesceBytes is the per-link write-coalescing threshold: SendSlab
-// encodes frames into the active buffer and hands the buffer to the
-// writer stage only once it holds this much (or on an explicit Flush),
-// so small slabs share syscalls and packets.
+// coalesceBytes is the per-link write-coalescing threshold: a buffer
+// that reaches it goes to the writer stage even while the writer is
+// busy, so small slabs share syscalls and packets under load (tcpSender
+// describes the earlier, self-clocked handover).
 const coalesceBytes = 32 << 10
 
 // senderGather bounds how many queued buffers the writer folds into one
@@ -480,6 +480,14 @@ func uvarintLen(x uint64) int {
 // encode → out → write → retained-until-acked → free; the bounded pool
 // is the resend window, and rotate blocking on the free channel is the
 // backpressure that keeps it bounded.
+//
+// The link is self-clocked: the encoder hands a buffer over when it
+// reaches coalesceBytes, or as soon as the writer has caught up with
+// everything handed to it while at least half the pool is free. A busy
+// writer therefore lets buffers fill, an idle one takes each frame at
+// once, and a link whose acks lag (half the pool or more retained)
+// coalesces to full buffers again, so the resend window is never spent
+// on small ones.
 type tcpSender struct {
 	t     *TCP
 	name  string
@@ -491,6 +499,7 @@ type tcpSender struct {
 	enc     Encoder
 	cur     *sendBuf
 	nextSeq uint64
+	handed  uint64 // last seq handed to the writer
 	finSeq  uint64 // set by Close before close(out); read by the writer after
 	err     error  // sticky producer-side error
 	closed  bool
@@ -946,15 +955,24 @@ func (s *tcpSender) reconnect(old *senderConn) *senderConn {
 // window's backpressure: every buffer is either free, in flight to the
 // writer, or retained awaiting its ack.
 func (s *tcpSender) rotate() {
+	s.handed = s.cur.last
 	s.out <- s.cur
 	s.cur = <-s.free
 }
 
+// writerIdle reports that the writer has written (or chaos-dropped)
+// every buffer handed to it and that at least half the pool is free:
+// handing the active buffer over now puts its frames on the wire at
+// once, and cannot leave rotate waiting on the pool.
+func (s *tcpSender) writerIdle() bool {
+	return s.written.Load() >= s.handed && 2*len(s.free) >= cap(s.free)
+}
+
 // SendSlab implements Sender: stamp the next sequence number, encode
 // the slab as one frame into the active buffer, and rotate the buffer
-// to the writer once it crosses the coalescing threshold. The sequence
-// envelope is written inline, so a retransmission later replays the
-// buffer bytes verbatim.
+// to the writer once it crosses the coalescing threshold or the writer
+// is idle (writerIdle). The sequence envelope is written inline, so a
+// retransmission later replays the buffer bytes verbatim.
 func (s *tcpSender) SendSlab(msgs []Msg) error {
 	if s.closed {
 		return ErrClosed
@@ -979,16 +997,18 @@ func (s *tcpSender) SendSlab(msgs []Msg) error {
 	s.stats.addFrames(1)
 	s.stats.addMsgs(int64(len(msgs)))
 	s.stats.addDict(int64(st1.Hits-st0.Hits), int64(st1.Resets-st0.Resets))
-	if len(b.b) >= coalesceBytes {
+	if len(b.b) >= coalesceBytes || s.writerIdle() {
 		s.rotate()
 	}
 	return s.checkErr()
 }
 
 // Flush implements Sender: it hands any coalesced bytes to the writer
-// stage. The write itself completes asynchronously (per-link ordering
-// is preserved; a later SendSlab/Flush/Close surfaces any error), so a
-// flush never stalls the encoder on the kernel.
+// stage, whether or not the writer is idle — what SendSlab left
+// coalescing behind a busy writer or a half-spent pool. The write
+// itself completes asynchronously (per-link ordering is preserved; a
+// later SendSlab/Flush/Close surfaces any error), so a flush never
+// stalls the encoder on the kernel.
 func (s *tcpSender) Flush() error {
 	if s.closed {
 		return ErrClosed

@@ -10,10 +10,11 @@
 // columnar wire-format-v2 codec (frame.go): struct-of-arrays frames
 // over a persistent per-link key dictionary with an epoch-reset
 // protocol, so a hot key's bytes cross the wire once per epoch and a
-// steady-state message costs a few bytes. The sender is pipelined —
-// the caller's goroutine encodes into a coalescing buffer while a
-// dedicated writer goroutine moves filled buffers to the kernel with
-// vectored writes (tcp.go) — and a per-connection reader goroutine
+// steady-state message costs a few bytes. The sender is pipelined and
+// self-clocked — the caller's goroutine encodes into a coalescing
+// buffer and hands it to a dedicated writer goroutine, which moves it
+// to the kernel with vectored writes, once it is full or as soon as the
+// writer has caught up (tcp.go) — and a per-connection reader goroutine
 // decodes frames into an SPSC ring through a reusable key arena, so
 // the receive side is identical in shape to the memory backend and
 // steady-state decode allocates nothing. Per-link telemetry (tx/rx

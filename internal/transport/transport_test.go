@@ -316,3 +316,106 @@ func TestTCPSenderPipelineStress(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// recvWithin polls l until it has received n messages, failing the test
+// if they do not all arrive within d.
+func recvWithin(t *testing.T, l *Link, n int, d time.Duration) {
+	t.Helper()
+	recv := make([]Msg, 64)
+	deadline := time.Now().Add(d)
+	for got := 0; got < n; {
+		k, _ := l.RecvSlab(recv)
+		got += k
+		if k == 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("received %d/%d messages within %v", got, n, d)
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+}
+
+// TestTCPIdleLinkSendsWithoutFlush: on an idle link the writer has
+// nothing outstanding, so one small SendSlab must reach the receiver
+// with no Flush — it may not sit in the coalescing buffer until the
+// producer flushes or closes.
+func TestTCPIdleLinkSendsWithoutFlush(t *testing.T) {
+	tr, err := NewTCP(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	l, err := tr.Open("s0>w0", 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.SendSlab(someMsgs(3)); err != nil {
+		t.Fatal(err)
+	}
+	recvWithin(t, l, 3, 2*time.Second)
+	if err := l.Sender.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTCPHalfSpentPoolKeepsCoalescing pins both conditions of the idle
+// handover: with the writer caught up but fewer than half the pool's
+// buffers free, a sub-threshold SendSlab keeps coalescing, and so it
+// does with the pool free but the writer behind; with both conditions
+// met again, the next SendSlab hands the buffer over.
+func TestTCPHalfSpentPoolKeepsCoalescing(t *testing.T) {
+	tr, err := NewTCP(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	l, err := tr.Open("s0>w0", 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := l.Sender.(*tcpSender)
+	// Settle: one slab written and acked, every buffer but the active
+	// one back in the pool.
+	if err := l.SendSlab(someMsgs(3)); err != nil {
+		t.Fatal(err)
+	}
+	recvWithin(t, l, 3, 2*time.Second)
+	for deadline := time.Now().Add(2 * time.Second); len(s.free) < cap(s.free)-1 || s.written.Load() < s.handed; {
+		if time.Now().After(deadline) {
+			t.Fatalf("pool never settled: %d/%d free, written %d of %d", len(s.free), cap(s.free), s.written.Load(), s.handed)
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+
+	taken := make([]*sendBuf, cap(s.free)/2)
+	for i := range taken {
+		taken[i] = <-s.free
+	}
+	if err := l.SendSlab(someMsgs(3)); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.cur.b) == 0 {
+		t.Fatalf("half-spent pool (%d/%d free): sub-threshold slab was handed over", len(s.free), cap(s.free))
+	}
+	for _, b := range taken {
+		s.free <- b
+	}
+	s.handed++ // as if the writer had not yet written its last buffer
+	if err := l.SendSlab(someMsgs(3)); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.cur.b) == 0 {
+		t.Fatal("writer behind: sub-threshold slab was handed over")
+	}
+	s.handed--
+	if err := l.SendSlab(someMsgs(3)); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.cur.b) != 0 {
+		t.Fatalf("idle writer, %d/%d free: %d bytes kept coalescing", len(s.free), cap(s.free), len(s.cur.b))
+	}
+	recvWithin(t, l, 9, 2*time.Second)
+	if err := l.Sender.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -169,14 +169,18 @@
 //     turns any desynchronization into a hard decode error). The
 //     sender is pipelined: the caller's goroutine encodes into ~32 KB
 //     coalescing buffers while a writer goroutine drives the kernel
-//     with vectored writes, and the receive side decodes through a
-//     per-link key arena into an SPSC ring with zero steady-state
-//     allocations (hard-asserted). Per-link telemetry counters cover
-//     both directions and the dictionary (transport_tx_bytes_total,
-//     transport_rx_bytes_total, transport_tx_msgs_total,
-//     transport_frames_total, transport_flushes_total,
-//     transport_send_stalls_total, transport_dict_hits_total,
-//     transport_dict_resets_total, labeled link=). Spouts flush
+//     with vectored writes, and it is self-clocked: a buffer goes to
+//     the writer once full, or as soon as the writer has caught up
+//     while at least half the resend pool is free, so an idle link
+//     sends at once and a busy one coalesces. The receive side
+//     decodes through a per-link key arena into an SPSC ring with zero
+//     steady-state allocations (hard-asserted). Per-link telemetry
+//     counters cover both directions and the dictionary
+//     (transport_tx_bytes_total, transport_rx_bytes_total,
+//     transport_tx_msgs_total, transport_frames_total,
+//     transport_flushes_total, transport_send_stalls_total,
+//     transport_dict_hits_total, transport_dict_resets_total, labeled
+//     link=). Spouts flush
 //     lazily — only when the in-flight ack window is about to block —
 //     and when EngineConfig.Window is left at its default the TCP
 //     backend's spouts grow their ack window adaptively (doubling on
