@@ -153,19 +153,16 @@ type Config struct {
 	// of pinning it at 100, which over a kernel socket is ack-latency
 	// bound. Explicitly set windows are always honored as-is.
 	adaptiveWindow bool
-	// Chaos, when non-nil, wraps the transport fabric (memory or TCP)
-	// in deterministic fault injection — dropped buffer writes and
-	// severed connections per the schedule — while the engine's results
-	// stay bit-equal to a fault-free run: the TCP backend recovers
-	// through reconnect + retransmit + receive-edge dedup, the memory
-	// backend through FIFO-preserving holdback. TCP delivery timers are
-	// tightened automatically so recovery is fast relative to the run.
+	// Chaos, when non-nil, subjects the TCP links to the deterministic
+	// fault schedule (transport.TCPConfig.Chaos) — dropped buffer writes
+	// and severed connections — while the engine's results stay
+	// bit-equal to a fault-free run: the links recover through reconnect
+	// + retransmit + receive-edge dedup. Delivery timers are tightened
+	// automatically so recovery is fast relative to the run. With
+	// Telemetry set, each link's judged writes, drops and severs land in
+	// the transport_chaos_* counters. The memory backend has no fault
+	// model: Chaos with TransportMemory is an error.
 	Chaos *transport.ChaosConfig
-	// OnFaultStats, when set together with Chaos, receives the per-link
-	// injected-fault ledger after the run drains — the hook the
-	// fault-parity tests use to assert a run actually suffered the
-	// schedule it survived.
-	OnFaultStats func(map[string]transport.ChaosLinkStats)
 	// Telemetry, when non-nil, receives the run's live metric series:
 	// per-spout routing activity (core.RouteRecorder), ack-window waits
 	// and parks, per-bolt queue depths, input stalls and processed

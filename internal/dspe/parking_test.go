@@ -7,6 +7,7 @@ import (
 
 	"slb/internal/core"
 	"slb/internal/stream"
+	"slb/internal/telemetry"
 	"slb/internal/transport"
 )
 
@@ -27,10 +28,22 @@ func goroutinesSettle(t *testing.T, before int) {
 	}
 }
 
+// chaosSevers sums the transport_chaos_severs_total counters in reg.
+func chaosSevers(reg *telemetry.Registry) float64 {
+	var n float64
+	for _, m := range reg.Snapshot().Metrics {
+		if m.Name == "transport_chaos_severs_total" {
+			n += m.Value
+		}
+	}
+	return n
+}
+
 // TestTransportPlaneLeaksNoGoroutine checks the engine's three exit
 // paths — clean, clean after riding out a chaos schedule, and a hard
 // link error — for goroutines left behind: parked waiters nobody woke,
-// or transport stages nobody stopped.
+// or transport stages nobody stopped. The chaos cases must also show
+// the severs they rode out in the links' transport_chaos_* counters.
 func TestTransportPlaneLeaksNoGoroutine(t *testing.T) {
 	base := Config{
 		Workers:   6,
@@ -47,19 +60,22 @@ func TestTransportPlaneLeaksNoGoroutine(t *testing.T) {
 	}{
 		{"clean/memory", TransportMemory, nil},
 		{"clean/tcp", TransportTCP, nil},
-		{"chaos/memory", TransportMemory, &transport.ChaosConfig{Seed: 23, DropOneIn: 4, SeverEvery: 2}},
 		{"chaos/tcp", TransportTCP, &transport.ChaosConfig{Seed: 23, DropOneIn: 4, SeverEvery: 2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			before := runtime.NumGoroutine()
+			reg := telemetry.NewRegistry()
 			cfg := base
-			cfg.Transport, cfg.Chaos = tc.sel, tc.chaos
+			cfg.Transport, cfg.Chaos, cfg.Telemetry = tc.sel, tc.chaos, reg
 			res, err := Run(zipfGen(1.2, 250, 12_000), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if res.Completed != 12_000 {
 				t.Fatalf("completed %d, want 12000", res.Completed)
+			}
+			if tc.chaos != nil && chaosSevers(reg) == 0 {
+				t.Fatal("a run under chaos counted no sever")
 			}
 			goroutinesSettle(t, before)
 		})
@@ -87,16 +103,22 @@ func TestTransportPlaneLeaksNoGoroutine(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			tcp, err := transport.NewTCPWithConfig(nil, transport.TCPConfig{MaxReconnects: -1})
+			reg := telemetry.NewRegistry()
+			fabric, err := transport.NewTCPWithConfig(reg, transport.TCPConfig{
+				MaxReconnects: -1,
+				Chaos:         &transport.ChaosConfig{Seed: seed, SeverEvery: 7},
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			fabric := transport.NewChaos(tcp, transport.ChaosConfig{Seed: seed, SeverEvery: 7})
 			gen := zipfGen(1.2, 250, 200_000)
 			_, err = runOnFabric(fabric, stream.NewSource(gen, 200_000, nil), cfg, parts)
 			fabric.Close()
 			if err == nil {
 				t.Fatal("run over links severed with reconnection disabled reported no error")
+			}
+			if chaosSevers(reg) == 0 {
+				t.Fatal("a run that failed on a sever counted none")
 			}
 			goroutinesSettle(t, before)
 		}

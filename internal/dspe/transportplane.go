@@ -112,13 +112,15 @@ func partialMsg(p *aggregation.Partial) transport.Msg {
 	}
 }
 
-// openFabric builds the edge fabric cfg selects, wrapped in the chaos
-// schedule when one is set.
+// openFabric builds the edge fabric cfg selects, with the chaos
+// schedule on its TCP links when one is set.
 func openFabric(cfg Config) (transport.Transport, error) {
-	var fabric transport.Transport
 	switch cfg.Transport {
 	case TransportMemory:
-		fabric = transport.NewMemory()
+		if cfg.Chaos != nil {
+			return nil, fmt.Errorf("dspe: Chaos needs TransportTCP: the memory transport has no fault model")
+		}
+		return transport.NewMemory(), nil
 	case TransportTCP:
 		tcpCfg := transport.TCPConfig{}
 		if cfg.Chaos != nil {
@@ -130,20 +132,16 @@ func openFabric(cfg Config) (transport.Transport, error) {
 				ResendTimeout: 25 * time.Millisecond,
 				RedialBackoff: 200 * time.Microsecond,
 				MaxReconnects: 1 << 20,
+				Chaos:         cfg.Chaos,
 			}
 		}
 		tcp, err := transport.NewTCPWithConfig(cfg.Telemetry, tcpCfg)
 		if err != nil {
 			return nil, err
 		}
-		fabric = tcp
-	default:
-		return nil, fmt.Errorf("dspe: unknown transport %d", cfg.Transport)
+		return tcp, nil
 	}
-	if cfg.Chaos != nil {
-		fabric = transport.NewChaos(fabric, *cfg.Chaos)
-	}
-	return fabric, nil
+	return nil, fmt.Errorf("dspe: unknown transport %d", cfg.Transport)
 }
 
 // runOnFabric executes the topology with every data hop a link of
@@ -647,10 +645,7 @@ func runOnFabric(fabric transport.Transport, src *stream.Source, cfg Config, par
 	reduceWG.Wait()
 	elapsed := time.Since(start)
 	if f, ok := fabric.(interface{ Err() error }); ok {
-		fail(f.Err()) // TCP, or Chaos forwarding its inner transport's
-	}
-	if chaos, ok := fabric.(*transport.Chaos); ok && cfg.OnFaultStats != nil {
-		cfg.OnFaultStats(chaos.Stats())
+		fail(f.Err()) // TCP's first hard link error
 	}
 	if p := firstErr.Load(); p != nil {
 		return Result{}, *p

@@ -8,6 +8,7 @@ import (
 	"slb/internal/aggregation"
 	"slb/internal/core"
 	"slb/internal/stream"
+	"slb/internal/telemetry"
 	"slb/internal/transport"
 	"slb/internal/workload"
 )
@@ -125,39 +126,51 @@ var backends = []struct {
 }{{"memory", TransportMemory}, {"tcp", TransportTCP}}
 
 // withChaos arms cfg with the harshest schedule the links must ride
-// out, and returns the check that the run suffered it: every data link
-// that made at least SeverEvery buffer writes severed at least once, and
-// ≥ 1% of judged writes dropped. SeverEvery=2 severs on every second
-// buffer write. In a single-source run every link makes at least two,
-// so there every link must be in the ledger and have been severed. With
-// several spouts sharing one generator, a spout that drew little or
-// none of it leaves links with fewer writes, or none (the ledger lists
-// only links that were written).
+// out, and returns the check, read from the links' transport_chaos_*
+// counters, that the run suffered it: every data link that made at
+// least SeverEvery buffer writes severed at least once, and ≥ 1% of
+// judged writes dropped. SeverEvery=2 severs on every second buffer
+// write. In a single-source run every link makes at least two, so there
+// every link must have been written and severed. With several spouts
+// sharing one generator, a spout that drew little or none of it leaves
+// links with fewer writes, or none.
 func withChaos(cfg *Config) (suffered func(t *testing.T)) {
-	var faults map[string]transport.ChaosLinkStats
 	chaos := transport.ChaosConfig{Seed: 23, DropOneIn: 4, SeverEvery: 2}
-	cfg.Chaos = &chaos
-	cfg.OnFaultStats = func(st map[string]transport.ChaosLinkStats) { faults = st }
+	reg := telemetry.NewRegistry()
+	cfg.Chaos, cfg.Telemetry = &chaos, reg
 	wantLinks := cfg.Sources*cfg.Workers + cfg.Workers*cfg.AggShards
 	singleSource := cfg.Sources == 1
 	return func(t *testing.T) {
 		t.Helper()
-		var writes, dropped int64
-		for link, st := range faults {
-			writes += st.Writes
-			dropped += st.Dropped
+		snap := reg.Snapshot()
+		var writes, dropped float64
+		links, written := 0, 0
+		for _, m := range snap.Metrics {
+			if m.Name != "transport_chaos_writes_total" {
+				continue
+			}
+			link := telemetry.L("link", m.Label("link"))
+			w := m.Value
+			d := snap.Value("transport_chaos_drops_total", link)
+			severed := snap.Value("transport_chaos_severs_total", link)
+			writes += w
+			dropped += d
+			links++
+			if w > 0 {
+				written++
+			}
 			switch {
-			case st.Writes < int64(chaos.SeverEvery) && singleSource:
-				t.Errorf("link %s made %d writes, fewer than the %d every single-source link makes", link, st.Writes, chaos.SeverEvery)
-			case st.Writes >= int64(chaos.SeverEvery) && st.Severed == 0:
-				t.Errorf("link %s was never severed (writes=%d)", link, st.Writes)
+			case w < float64(chaos.SeverEvery) && singleSource:
+				t.Errorf("link %s made %v writes, fewer than the %d every single-source link makes", link.Value, w, chaos.SeverEvery)
+			case w >= float64(chaos.SeverEvery) && severed == 0:
+				t.Errorf("link %s was never severed (writes=%v)", link.Value, w)
 			}
 		}
-		if len(faults) > wantLinks || singleSource && len(faults) != wantLinks {
-			t.Errorf("fault ledger covers %d links, want %d", len(faults), wantLinks)
+		if links != wantLinks || singleSource && written != wantLinks {
+			t.Errorf("chaos counters cover %d links, %d of them written, want %d", links, written, wantLinks)
 		}
 		if dropped*100 < writes {
-			t.Errorf("dropped %d of %d writes, want >= 1%%", dropped, writes)
+			t.Errorf("dropped %v of %v writes, want >= 1%%", dropped, writes)
 		}
 	}
 }
@@ -257,49 +270,60 @@ func TestTransportPlaneNoAgg(t *testing.T) {
 }
 
 // TestTransportPlaneFaultParity is the exactness pin under faults: a
-// run whose links suffer deterministic chaos — every data link with two
-// writes or more severed at least once, at least 1% of sender-side
-// buffer writes dropped (see withChaos) —
-// must still equal the oracle. Single-source runs walk the parity
-// matrix and compare everything; the multi-source run compares finals
-// and the load sum.
+// run whose TCP links suffer deterministic chaos — every data link with
+// two writes or more severed at least once, at least 1% of sender-side
+// buffer writes dropped (see withChaos) — must still equal the oracle.
+// Single-source runs walk the parity matrix and compare everything; the
+// multi-source run compares finals and the load sum.
 func TestTransportPlaneFaultParity(t *testing.T) {
 	t.Run("single-source", func(t *testing.T) {
-		for _, b := range backends {
-			t.Run(b.name, func(t *testing.T) {
-				for _, algo := range parityAlgos {
-					for _, shards := range parityShards {
-						t.Run(fmt.Sprintf("%s/shards=%d", algo, shards), func(t *testing.T) {
-							cfg := Config{
-								Workers: 6, Sources: 1, Algorithm: algo, Transport: b.sel,
-								AggWindow: 400, AggShards: shards, Messages: 12_000,
-							}
-							gen := workload.NewZipf(1.2, 250, cfg.Messages, 7)
-							want := runOracle(t, gen, cfg)
-							suffered := withChaos(&cfg)
-							checkRun(t, cfg, gen, want)
-							suffered(t)
-						})
-					}
+		t.Run("tcp", func(t *testing.T) {
+			for _, algo := range parityAlgos {
+				for _, shards := range parityShards {
+					t.Run(fmt.Sprintf("%s/shards=%d", algo, shards), func(t *testing.T) {
+						cfg := Config{
+							Workers: 6, Sources: 1, Algorithm: algo, Transport: TransportTCP,
+							AggWindow: 400, AggShards: shards, Messages: 12_000,
+						}
+						gen := workload.NewZipf(1.2, 250, cfg.Messages, 7)
+						want := runOracle(t, gen, cfg)
+						suffered := withChaos(&cfg)
+						checkRun(t, cfg, gen, want)
+						suffered(t)
+					})
 				}
-			})
-		}
+			}
+		})
 	})
 	t.Run("multi-source", func(t *testing.T) {
-		for _, b := range backends {
-			t.Run(b.name, func(t *testing.T) {
-				cfg := Config{
-					Workers: 6, Sources: 3, Algorithm: "W-C", Transport: b.sel,
-					AggWindow: 400, AggShards: 2, Messages: 12_000,
-				}
-				gen := workload.NewZipf(1.2, 250, cfg.Messages, 7)
-				want := runOracle(t, gen, cfg)
-				suffered := withChaos(&cfg)
-				checkRun(t, cfg, gen, want)
-				suffered(t)
-			})
-		}
+		t.Run("tcp", func(t *testing.T) {
+			cfg := Config{
+				Workers: 6, Sources: 3, Algorithm: "W-C", Transport: TransportTCP,
+				AggWindow: 400, AggShards: 2, Messages: 12_000,
+			}
+			gen := workload.NewZipf(1.2, 250, cfg.Messages, 7)
+			want := runOracle(t, gen, cfg)
+			suffered := withChaos(&cfg)
+			checkRun(t, cfg, gen, want)
+			suffered(t)
+		})
 	})
+}
+
+// TestRunRejectsChaosOverMemory: the memory transport has no fault
+// model, so a schedule over it is a configuration error that Run
+// returns before any goroutine starts, not a schedule silently ignored.
+func TestRunRejectsChaosOverMemory(t *testing.T) {
+	before := runtime.NumGoroutine()
+	_, err := Run(workload.NewZipf(1.2, 250, 1000, 7), Config{
+		Workers: 4, Sources: 2, Algorithm: "D-C", Transport: TransportMemory,
+		AggWindow: 100, Messages: 1000,
+		Chaos: &transport.ChaosConfig{Seed: 23, DropOneIn: 4, SeverEvery: 2},
+	})
+	if err == nil {
+		t.Fatal("Run accepted a chaos schedule over the memory transport")
+	}
+	goroutinesSettle(t, before)
 }
 
 // mallocsForRun measures the cumulative allocation count of one run of

@@ -52,8 +52,8 @@ var transDelays = []float64{0, 0.2, 2}
 // what moves is only the transport cost, so the TCP row's ratio to the
 // memory row is the price of framing + kernel sockets.
 //
-// The second table degrades the TCP backend with the deterministic chaos
-// wrapper — dropped frames and severed connections at two loss levels —
+// The second table degrades the TCP backend with its deterministic chaos
+// schedule — dropped frames and severed connections at two loss levels —
 // and prices the recovery machinery per algorithm: reconnect episodes,
 // retransmitted frames/bytes, duplicate drops at the receive edge, and
 // accumulated outage time. Exactness is untouched (the fault-parity
@@ -143,10 +143,10 @@ func TransportExperiment(sc Scale) ([]*texttab.Table, error) {
 	}
 
 	// Degraded links: the same W-C/D-C/KG topologies over loopback TCP
-	// with the chaos wrapper dropping frames and severing connections on
-	// a deterministic schedule. Finals stay bit-equal to the fault-free
-	// run (pinned by dspe's fault-parity test); what the table prices is
-	// the recovery machinery — reconnect episodes, retransmitted frames
+	// with the chaos schedule (TCPConfig.Chaos) dropping frames and
+	// severing connections deterministically. Finals stay bit-equal to
+	// the fault-free run (pinned by dspe's fault-parity test); what the
+	// table prices is the recovery machinery — reconnect episodes, retransmitted frames
 	// and bytes, receive-edge duplicate drops — and the throughput it
 	// costs. Retransmission cost tracks wire traffic, which tracks
 	// replication: W-C resends the most bytes, then D-C, then KG.

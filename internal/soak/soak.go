@@ -101,7 +101,7 @@ type Config struct {
 	// coalescing on every hop). It changes the configuration identity —
 	// baselines recorded without the leg are not comparable.
 	TCP bool
-	// Faults wraps the TCP leg's transport in the deterministic chaos
+	// Faults puts the TCP leg's links under the deterministic chaos
 	// schedule (frame drops plus periodic connection severs, seeded from
 	// Seed+cycle), soaking the reconnect-and-resend machinery instead of
 	// a clean wire. Implies TCP; changes the configuration identity.

@@ -33,7 +33,7 @@ func (t *Memory) Open(name string, capacity int) (*Link, error) {
 		capacity = 2
 	}
 	r := ring.New[Msg](capacity)
-	l := &Link{Name: name, Sender: (*memSender)(r), Receiver: (*memReceiver)(r), recv: r, send: r}
+	l := &Link{Name: name, Sender: (*memSender)(r), recv: r, send: r}
 	t.links[name] = l
 	return l, nil
 }
@@ -103,20 +103,4 @@ func (s *memSender) Publish(n int) { s.ring().Publish(n) }
 func (s *memSender) Close() error {
 	s.ring().Close()
 	return nil
-}
-
-type memReceiver ring.SPSC[Msg]
-
-func (c *memReceiver) ring() *ring.SPSC[Msg] { return (*ring.SPSC[Msg])(c) }
-
-// RecvSlab implements Receiver.
-func (c *memReceiver) RecvSlab(buf []Msg) (int, bool) {
-	r := c.ring()
-	src := r.Acquire(len(buf))
-	if len(src) == 0 {
-		return 0, r.Drained()
-	}
-	n := copy(buf, src)
-	r.Release(n)
-	return n, false
 }

@@ -90,13 +90,10 @@ func TestParkedReceiverSeesHardFailure(t *testing.T) {
 	cfg := faultTuning()
 	cfg.MaxReconnects = -1
 	cfg.ResendTimeout = 2 * time.Second // only the sever may kill the link
-	tr, err := NewTCPWithConfig(nil, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reg := telemetry.NewRegistry()
+	tr := chaosTCP(t, reg, cfg, ChaosConfig{Seed: 3, SeverEvery: 5})
 	defer tr.Close()
-	ch := NewChaos(tr, ChaosConfig{Seed: 3, SeverEvery: 5})
-	l, err := ch.Open("s0>w0", 256)
+	l, err := tr.Open("s0>w0", 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,6 +121,9 @@ func TestParkedReceiverSeesHardFailure(t *testing.T) {
 	within(t, "parked receiver after a hard link failure", r.done)
 	if l.Err() == nil {
 		t.Fatal("link reports no error")
+	}
+	if writes, _, severs := chaosCounts(reg, "s0>w0"); writes != 5 || severs != 1 {
+		t.Fatalf("chaos judged %v writes and severed %v times, want the fifth write severed", writes, severs)
 	}
 }
 

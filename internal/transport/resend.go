@@ -6,8 +6,9 @@ import (
 	"time"
 )
 
-// TCPConfig tunes the TCP backend's delivery machinery: the bounded
-// resend window, the retransmission timeout, and the reconnect budget.
+// TCPConfig tunes the TCP backend's delivery machinery — the bounded
+// resend window, the retransmission timeout, and the reconnect budget —
+// and optionally puts its links under a fault schedule.
 // The zero value selects defaults sized for reliable links; fault
 // tests and chaos runs shrink the timers so recovery is fast relative
 // to the run.
@@ -42,6 +43,10 @@ type TCPConfig struct {
 	RetainedBufs int
 	// Seed derandomizes the redial jitter; 0 means 1.
 	Seed uint64
+	// Chaos, when non-nil, subjects every link's buffer writes to the
+	// deterministic fault schedule (ChaosConfig). nil is the fault-free
+	// wire.
+	Chaos *ChaosConfig
 }
 
 func (c TCPConfig) withDefaults() TCPConfig {
@@ -62,6 +67,11 @@ func (c TCPConfig) withDefaults() TCPConfig {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
+	}
+	if c.Chaos != nil && c.Chaos.Seed == 0 {
+		ch := *c.Chaos
+		ch.Seed = 1
+		c.Chaos = &ch
 	}
 	return c
 }

@@ -67,11 +67,10 @@ const finMarker = 0
 // memory backend; the serving goroutine is that ring's producer and
 // parks on its own Parker while the ring is full.
 type TCP struct {
-	reg   *telemetry.Registry
-	cfg   TCPConfig
-	ln    net.Listener
-	wg    sync.WaitGroup
-	chaos *chaosState // nil unless wrapped by NewChaos
+	reg *telemetry.Registry
+	cfg TCPConfig
+	ln  net.Listener
+	wg  sync.WaitGroup
 
 	mu      sync.Mutex
 	links   map[string]*Link
@@ -91,7 +90,8 @@ func NewTCP(reg *telemetry.Registry) (*TCP, error) {
 }
 
 // NewTCPWithConfig is NewTCP with explicit delivery tuning (resend
-// window, retransmission timeout, reconnect budget).
+// window, retransmission timeout, reconnect budget) and, optionally, a
+// fault schedule.
 func NewTCPWithConfig(reg *telemetry.Registry, cfg TCPConfig) (*TCP, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -165,7 +165,7 @@ func (t *TCP) Open(name string, capacity int) (*Link, error) {
 		capacity = 2
 	}
 	r := ring.New[Msg](capacity)
-	st := newLinkStats(t.reg, name)
+	st := newLinkStats(t.reg, name, t.cfg.Chaos != nil)
 	lerr := &atomic.Pointer[error]{}
 	rs := &tcpRecvState{
 		name:    name,
@@ -193,7 +193,7 @@ func (t *TCP) Open(name string, capacity int) (*Link, error) {
 	go s.ackLoop(sc)
 	go s.writeLoop(sc)
 
-	l := &Link{Name: name, Sender: s, Receiver: (*memReceiver)(r), err: lerr, recv: r}
+	l := &Link{Name: name, Sender: s, err: lerr, recv: r}
 	t.mu.Lock()
 	t.links[name] = l
 	t.senders = append(t.senders, s)
@@ -299,8 +299,8 @@ func (t *TCP) serve(conn net.Conn) {
 		t.fail(fmt.Errorf("transport: connection for unknown link %q", nameBuf))
 		return
 	}
-	if ch := t.chaos; ch != nil && firstSeq > 1 {
-		ch.delayAccept()
+	if ch := t.cfg.Chaos; ch != nil && firstSeq > 1 {
+		time.Sleep(ch.AcceptDelay)
 	}
 	// One connection at a time replays into the link state: a
 	// reconnect's serve waits here until the previous connection's
@@ -517,14 +517,17 @@ type tcpSender struct {
 	wake      chan struct{}          // ack progress / conn death → writer
 
 	// Writer-owned.
-	retained   []*sendBuf // written but unacked, in seq order
-	reconnects int
-	finWritten bool
-	rng        uint64
-	vec        net.Buffers
+	retained    []*sendBuf // written but unacked, in seq order
+	reconnects  int
+	finWritten  bool
+	rng         uint64
+	vec         net.Buffers
+	link        uint64 // hashName(name): the chaos schedule's link key
+	chaosWrites uint64 // buffer writes the chaos schedule has judged
 }
 
 func newTCPSender(t *TCP, name string, st *linkStats, rs *tcpRecvState, lerr *atomic.Pointer[error]) *tcpSender {
+	link := hashName(name)
 	s := &tcpSender{
 		t:     t,
 		name:  name,
@@ -537,7 +540,8 @@ func newTCPSender(t *TCP, name string, st *linkStats, rs *tcpRecvState, lerr *at
 		done:  make(chan struct{}),
 		lerr:  lerr,
 		wake:  make(chan struct{}, 1),
-		rng:   mix64(t.cfg.Seed ^ hashName(name)),
+		rng:   mix64(t.cfg.Seed ^ link),
+		link:  link,
 	}
 	s.nextSeq = 1
 	for i := 0; i < t.cfg.RetainedBufs-1; i++ {
@@ -573,8 +577,8 @@ func (s *tcpSender) dialHello() (net.Conn, error) {
 // pattern that killed the last connection, livelocking the link.
 func (s *tcpSender) readHandshakeAck(conn net.Conn) (uint64, error) {
 	d := s.cfg.ResendTimeout
-	if ch := s.t.chaos; ch != nil {
-		d += ch.cfg.AcceptDelay
+	if ch := s.cfg.Chaos; ch != nil {
+		d += ch.AcceptDelay
 	}
 	conn.SetReadDeadline(time.Now().Add(d))
 	var rec [8]byte
@@ -786,7 +790,7 @@ func (s *tcpSender) drain(outOpen bool) {
 // Every buffer is retained for retransmission regardless of write
 // outcome — only a cumulative ack releases it.
 func (s *tcpSender) writeBufs(sc *senderConn, pend []*sendBuf) {
-	if s.t.chaos != nil {
+	if s.cfg.Chaos != nil {
 		for _, b := range pend {
 			s.retained = append(s.retained, b)
 			if !sc.dead.Load() {
@@ -818,8 +822,8 @@ func (s *tcpSender) writeBufs(sc *senderConn, pend []*sendBuf) {
 // receiver-side gap or the ack timeout triggers the resend), a sever
 // kills the connection. Reports whether the connection survived.
 func (s *tcpSender) writeBuf(sc *senderConn, b *sendBuf, retrans bool) bool {
-	if ch := s.t.chaos; ch != nil {
-		switch ch.verdict(s.name) {
+	if s.cfg.Chaos != nil {
+		switch s.judge() {
 		case chaosDrop:
 			s.bumpWritten(b.last) // outstanding: keeps the RTO armed
 			return true
@@ -841,13 +845,23 @@ func (s *tcpSender) writeBuf(sc *senderConn, b *sendBuf, retrans bool) bool {
 	return true
 }
 
+// judge draws the chaos verdict on the link's next buffer write and
+// counts it. Only the writer goroutine calls it (through writeBuf and
+// writeFin), so the write index needs no lock.
+func (s *tcpSender) judge() int {
+	s.chaosWrites++
+	v := s.cfg.Chaos.verdict(s.link, s.chaosWrites)
+	s.stats.addChaos(v)
+	return v
+}
+
 // writeFin ships the FIN record announcing the final sequence number.
 func (s *tcpSender) writeFin(sc *senderConn) {
 	var rec [1 + binary.MaxVarintLen64]byte
 	rec[0] = finMarker
 	n := 1 + binary.PutUvarint(rec[1:], s.finSeq)
-	if ch := s.t.chaos; ch != nil {
-		switch ch.verdict(s.name) {
+	if s.cfg.Chaos != nil {
+		switch s.judge() {
 		case chaosDrop:
 			s.finWritten = true // vanished in flight: the RTO re-sends it
 			s.bumpWritten(s.finSeq)
@@ -1043,22 +1057,24 @@ func (s *tcpSender) Close() error {
 }
 
 // linkStats is the per-link telemetry bundle; a zero value (nil
-// registry) makes every add a no-op.
+// registry) makes every add a no-op. The chaos counters are registered
+// only on a transport with a fault schedule.
 type linkStats struct {
-	bytes, rxBytes, frames, msgs  *telemetry.Counter
-	flushes, stalls, hits, resets *telemetry.Counter
-	reconnects                    *telemetry.Counter
-	retransFrames, retransBytes   *telemetry.Counter
-	dupMsgs                       *telemetry.Counter
-	outageSec                     *telemetry.Gauge
+	bytes, rxBytes, frames, msgs         *telemetry.Counter
+	flushes, stalls, hits, resets        *telemetry.Counter
+	reconnects                           *telemetry.Counter
+	retransFrames, retransBytes          *telemetry.Counter
+	dupMsgs                              *telemetry.Counter
+	outageSec                            *telemetry.Gauge
+	chaosWrites, chaosDrops, chaosSevers *telemetry.Counter
 }
 
-func newLinkStats(reg *telemetry.Registry, name string) *linkStats {
+func newLinkStats(reg *telemetry.Registry, name string, chaos bool) *linkStats {
 	if reg == nil {
 		return &linkStats{}
 	}
 	l := telemetry.L("link", name)
-	return &linkStats{
+	st := &linkStats{
 		bytes:         reg.Counter("transport_tx_bytes_total", l),
 		rxBytes:       reg.Counter("transport_rx_bytes_total", l),
 		frames:        reg.Counter("transport_frames_total", l),
@@ -1073,6 +1089,12 @@ func newLinkStats(reg *telemetry.Registry, name string) *linkStats {
 		dupMsgs:       reg.Counter("transport_dup_msgs_dropped_total", l),
 		outageSec:     reg.Gauge("transport_outage_seconds", l),
 	}
+	if chaos {
+		st.chaosWrites = reg.Counter("transport_chaos_writes_total", l)
+		st.chaosDrops = reg.Counter("transport_chaos_drops_total", l)
+		st.chaosSevers = reg.Counter("transport_chaos_severs_total", l)
+	}
+	return st
 }
 
 func (s *linkStats) addBytes(n int64) {
@@ -1142,5 +1164,18 @@ func (s *linkStats) addDupMsgs(n int64) {
 func (s *linkStats) addOutage(sec float64) {
 	if s.outageSec != nil {
 		s.outageSec.Add(sec)
+	}
+}
+
+func (s *linkStats) addChaos(verdict int) {
+	if s.chaosWrites == nil {
+		return
+	}
+	s.chaosWrites.Inc()
+	switch verdict {
+	case chaosDrop:
+		s.chaosDrops.Inc()
+	case chaosSever:
+		s.chaosSevers.Inc()
 	}
 }

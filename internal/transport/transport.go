@@ -24,7 +24,7 @@
 // # Contract
 //
 // Links are single-producer single-consumer: exactly one goroutine
-// sends on a link's Sender and exactly one receives on its Receiver.
+// sends on a link's Sender and exactly one calls its RecvSlab.
 // SendSlab copies the slab in (parking the sender while the link is
 // full, until the receiver frees space); Flush pushes any coalesced
 // bytes toward the peer — for the TCP backend it hands them to the writer stage and returns without
@@ -61,13 +61,15 @@
 // persists across connections, discards duplicates at the receive
 // edge, so the link as a whole delivers every message exactly once, in
 // order. With MaxReconnects < 0 a lost connection is a hard error on
-// that link (Link.Err) — never silent loss. The Chaos wrapper injects
-// a deterministic fault schedule (seeded drops, periodic severs,
-// accept delays) over either backend for tests and soaks, and the
-// recovery machinery reports transport_reconnects_total,
-// transport_retransmit_frames_total, transport_retransmit_bytes_total,
-// transport_dup_msgs_dropped_total and transport_outage_seconds
-// per link.
+// that link (Link.Err) — never silent loss. TCPConfig.Chaos subjects
+// the wire to a deterministic fault schedule (seeded drops, periodic
+// severs, accept delays) for tests and soaks, counted per link in
+// transport_chaos_writes_total, transport_chaos_drops_total and
+// transport_chaos_severs_total; the memory backend, lossless by
+// construction, has no fault model. The recovery machinery reports
+// transport_reconnects_total, transport_retransmit_frames_total,
+// transport_retransmit_bytes_total, transport_dup_msgs_dropped_total
+// and transport_outage_seconds per link.
 package transport
 
 import (
@@ -125,31 +127,36 @@ type SlabGranter interface {
 	Publish(n int)
 }
 
-// Receiver is the consumer end of one link.
-type Receiver interface {
-	// RecvSlab copies up to len(buf) ready messages into buf and
-	// returns how many. It never blocks: n == 0 means nothing is ready
-	// right now (to wait for more, park on Link.SetRecvWaiter's Parker).
-	// done reports that the producer closed AND every message has been
-	// received; once done, n is always 0.
-	RecvSlab(buf []Msg) (n int, done bool)
-}
-
-// Link is one named point-to-point edge.
+// Link is one named point-to-point edge: the producer end is its
+// Sender, the consumer end RecvSlab.
 type Link struct {
 	Name string
 	Sender
-	Receiver
 
 	// err is the link-scoped first hard error (TCP backend); nil for
 	// backends that cannot fail per-link.
 	err *atomic.Pointer[error]
 
-	// recv is the ring the Receiver drains (both backends deliver
-	// through one); send is the ring the Sender fills directly — the
-	// same ring in process, nil over TCP, whose sender waits on its
-	// buffer pool instead.
+	// recv is the ring RecvSlab drains (both backends deliver through
+	// one); send is the ring the Sender fills directly — the same ring
+	// in process, nil over TCP, whose sender waits on its buffer pool
+	// instead.
 	recv, send *ring.SPSC[Msg]
+}
+
+// RecvSlab copies up to len(buf) ready messages into buf and returns
+// how many. It never blocks: n == 0 means nothing is ready right now
+// (to wait for more, park on Link.SetRecvWaiter's Parker). done reports
+// that the producer closed AND every message has been received; once
+// done, n is always 0.
+func (l *Link) RecvSlab(buf []Msg) (n int, done bool) {
+	src := l.recv.Acquire(len(buf))
+	if len(src) == 0 {
+		return 0, l.recv.Drained()
+	}
+	n = copy(buf, src)
+	l.recv.Release(n)
+	return n, false
 }
 
 // SetRecvWaiter registers the receiving goroutine's Parker: the link

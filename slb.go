@@ -126,7 +126,7 @@
 // shards — written once against internal/transport: every spout→bolt
 // and bolt→shard hop is a named link with explicit flush/drain
 // semantics (Sender.SendSlab/Flush/Close on the write side,
-// non-blocking Receiver.RecvSlab on the read side), and
+// non-blocking Link.RecvSlab on the read side), and
 // EngineConfig.Transport picks what is behind the links. Nothing
 // polls: each spout, bolt and reducer goroutine owns one wait
 // primitive registered on the links it reads or fills, yields a few
@@ -208,11 +208,14 @@
 // fault-free run (pinned by dspe's fault-parity tests with every link
 // severed and ≥1% of frames dropped). With reconnection disabled
 // (MaxReconnects < 0) a lost connection is a hard per-link error —
-// never silent loss. transport.Chaos wraps either backend with a
+// never silent loss. TCPConfig.Chaos puts the TCP links under a
 // deterministic fault schedule (ChaosConfig: seeded frame drops,
-// periodic connection severs, accept delays) and exposes a per-link
-// injected-fault ledger; the recovery machinery publishes its own
-// counters (transport_reconnects_total,
+// periodic connection severs, accept delays; EngineConfig.Chaos, which
+// the memory backend rejects) and counts each link's judged writes,
+// drops and severs (transport_chaos_writes_total,
+// transport_chaos_drops_total, transport_chaos_severs_total); the
+// recovery machinery publishes its own counters
+// (transport_reconnects_total,
 // transport_retransmit_frames_total, transport_retransmit_bytes_total,
 // transport_dup_msgs_dropped_total, transport_outage_seconds), which
 // the soak harness carries as JSONL fields and the transport
@@ -223,8 +226,8 @@
 //
 // Everything observable — finals, per-worker loads, replication
 // factors — is bit-identical across TransportMemory and TransportTCP
-// at Sources = 1, clean or under chaos: dspe's parity tests hold both
-// to a single-threaded oracle. The
+// at Sources = 1, and TCP's stay so under chaos: dspe's parity tests
+// hold both to a single-threaded oracle. The
 // deterministic engine prices the same hop analytically:
 // ClusterConfig.LinkDelay (with LinkJitter and the rare
 // LinkSlowOneIn/LinkSlowPenalty slow path, all hash-derived and
