@@ -13,15 +13,16 @@
 // connections through the columnar frame codec (TransportTCP). A full
 // link is the backpressure (Storm's bounded executor queues). Nothing
 // polls: every spout, bolt and reducer shard owns one ring.Parker,
-// registered on each link it reads or fills in place; a goroutine that
+// registered on each link it reads or sends on; a goroutine that
 // finds no input, no ack-window room or no link space yields a few
 // times and then parks, and the link — or the ack counter crossing the
 // level the spout asked for — wakes it.
 //
 // The data plane is batched end to end: spouts draw key slabs from one
 // stream.Source over the generator, route them in one RouteBatchDigests
-// call, and send one message slab per destination bolt, so per-message
-// link and scheduler overhead is amortized by Config.Batch.
+// call, and send one message slab per destination bolt with one
+// SendSlab per link, on either backend, so per-message link and
+// scheduler overhead is amortized by Config.Batch.
 //
 // With Config.AggWindow set the topology becomes the two-phase windowed
 // aggregation the paper's overhead analysis is about: bolts keep
@@ -42,9 +43,10 @@
 // Tuples carry the KeyDigest routing computed (RouteBatchDigests), so a
 // key's bytes are scanned exactly once per message end to end: the
 // bolt-side partial tables and the reducer both operate on the carried
-// digest. Spouts additionally broadcast watermark ticks to EVERY bolt
-// when the global emission sequence enters a new window, so a bolt that
-// happens to receive no traffic still flushes its closed windows —
+// digest. When the global emission sequence enters a new window, the
+// announcing spout also puts a watermark tick at the head of the slab it
+// sends EVERY bolt, so a bolt that happens to receive no traffic still
+// flushes its closed windows —
 // window-close latency depends on stream progress, not on which bolts
 // the partitioner favors. The engine keeps no window clock of its own:
 // aggregation.Driver.ObserveEmits, which each spout calls on every
@@ -101,9 +103,6 @@ type Config struct {
 	// Spin selects busy-wait instead of time.Sleep for the service time:
 	// more faithful CPU saturation, but burns host CPU. Tests keep it off.
 	Spin bool
-	// SlowFactor optionally multiplies the service time of individual
-	// bolts (failure injection: stragglers). nil means homogeneous.
-	SlowFactor map[int]float64
 	// AggWindow, when positive, turns the topology into a two-phase
 	// windowed aggregation: every bolt keeps per-key partial aggregates
 	// per tumbling window of AggWindow tuples (window ids stamped at the
@@ -140,8 +139,8 @@ type Config struct {
 	OnFinal func(aggregation.Final)
 	// Transport selects the backend behind every data hop (spout→bolt
 	// tuples and bolt→shard partials): TransportMemory (the default)
-	// gives each edge an in-process SPSC ring whose slots the spout fills
-	// in place; TransportTCP a loopback TCP connection with columnar
+	// gives each edge an in-process SPSC ring that SendSlab copies each
+	// slab into; TransportTCP a loopback TCP connection with columnar
 	// framing and write coalescing. Finals, loads and replication factors
 	// are bit-equal across backends at Sources=1; only the wall-clock cost
 	// differs. With TransportTCP and Telemetry set, per-link wire counters
@@ -255,20 +254,6 @@ type Result struct {
 	// pre-merges partials between bolt and reducer, so it always equals
 	// Agg.Partials, which the reducers count as they merge.
 	AggBoltPartials int64
-}
-
-// tuple is one in-flight message. With aggregation on it carries the
-// KeyDigest routing computed, so bolts never re-scan the key bytes,
-// plus the merger sample the run's stream.Source drew with its key. A
-// negative src marks a watermark tick: window holds the id of the
-// window the global emission sequence has entered, there is no key and
-// no ack, and the receiving bolt just flushes its closed windows.
-type tuple struct {
-	key    string
-	dig    core.KeyDigest
-	window int64 // tumbling-window id (0 unless Config.AggWindow > 0)
-	val    int64 // merger sample (the contract is stream.Source's)
-	src    int32
 }
 
 // boltStats is written only by the owning bolt goroutine.

@@ -127,25 +127,6 @@ func TestZeroServiceTime(t *testing.T) {
 	}
 }
 
-func TestSlowBoltInjection(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock test skipped in -short")
-	}
-	healthy, err := Run(zipfGen(0.5, 100, 3000), baseCfg("SG", 4, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := baseCfg("SG", 4, 2)
-	cfg.SlowFactor = map[int]float64{0: 8}
-	degraded, err := Run(zipfGen(0.5, 100, 3000), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if degraded.Throughput > 0.85*healthy.Throughput {
-		t.Fatalf("straggler bolt had no effect: %f vs %f", degraded.Throughput, healthy.Throughput)
-	}
-}
-
 func TestSpinModeWorks(t *testing.T) {
 	cfg := baseCfg("SG", 2, 1)
 	cfg.ServiceTime = 20 * time.Microsecond

@@ -23,8 +23,8 @@ package dspe
 //	                             ack window (grows adaptively over TCP
 //	                             when Config.Window was left at its
 //	                             default)
-//	spout_parks_total            per spout: times the spout parked (ack
-//	                             window or a full in-process link)
+//	spout_parks_total            per spout: times the spout parked on
+//	                             its ack window
 //	queue_depth                  per worker gauge, in tuples: messages
 //	                             delivered to the bolt's source links and
 //	                             not yet received (sum of Link.Len)

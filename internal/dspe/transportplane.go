@@ -86,19 +86,6 @@ func parkers(n int) []*ring.Parker {
 	return ps
 }
 
-// msgOf packs one in-flight tuple into the wire shape. emit is the
-// spout timestamp in ns for latency-sampled tuples, 0 otherwise.
-func msgOf(tp *tuple, emit int64) transport.Msg {
-	return transport.Msg{
-		Dig:    uint64(tp.dig),
-		Window: tp.window,
-		Weight: tp.val,
-		Emit:   emit,
-		Src:    tp.src,
-		Key:    tp.key,
-	}
-}
-
 // partialMsg packs one bolt partial into the wire shape.
 func partialMsg(p *aggregation.Partial) transport.Msg {
 	return transport.Msg{
@@ -189,9 +176,10 @@ func runOnFabric(fabric transport.Transport, src *stream.Source, cfg Config, par
 	inflight := make([]ackWindow, cfg.Sources)
 
 	// One Parker per goroutine, registered on every link it waits on: a
-	// bolt on its source links (to read) and shard links (to fill), a
-	// shard on its bolt links, a spout on the links whose slots it fills
-	// in place. All before any goroutine starts.
+	// bolt on its source links (to read) and shard links (to send on), a
+	// shard on its bolt links, a spout on its links to the bolts (to send
+	// on, and it parks on the same Parker for acks). All before any
+	// goroutine starts.
 	spoutPark, boltPark, shardPark := parkers(cfg.Sources), parkers(cfg.Workers), parkers(shards)
 	for s := range in {
 		for w, l := range in[s] {
@@ -220,14 +208,6 @@ func runOnFabric(fabric transport.Transport, src *stream.Source, cfg Config, par
 		}
 	}
 	failed := func() bool { return firstErr.Load() != nil }
-
-	svcFor := func(w int) time.Duration {
-		d := cfg.ServiceTime
-		if f, ok := cfg.SlowFactor[w]; ok {
-			d = time.Duration(float64(d) * f)
-		}
-		return d
-	}
 
 	var (
 		sd         *aggregation.Driver
@@ -402,7 +382,7 @@ func runOnFabric(fabric transport.Transport, src *stream.Source, cfg Config, par
 							}
 							continue
 						}
-						simulateWork(svcFor(w), cfg.Spin)
+						simulateWork(cfg.ServiceTime, cfg.Spin)
 						if acc != nil {
 							if wm, ok := acc.Watermark(); ok && m.Window > wm {
 								// Watermark advance: flush with one window of
@@ -473,21 +453,13 @@ func runOnFabric(fabric transport.Transport, src *stream.Source, cfg Config, par
 			if agg {
 				vals = make([]int64, cfg.Batch)
 			}
-			// Reused per-destination staging, sent with one SendSlab per
-			// touched link, then flushed before waiting on acks (a tuple
-			// sitting in a coalescing buffer can never be acked). Links
-			// whose sender grants in-place writes (the memory backend)
-			// skip the staging copy entirely: messages are constructed
-			// directly in granted ring slots and published per batch.
+			// Reused per-destination staging, with one slot past Batch
+			// for a watermark tick, sent with one SendSlab per touched
+			// link, then flushed before waiting on acks (a tuple sitting
+			// in a coalescing buffer can never be acked).
 			pend := make([][]transport.Msg, cfg.Workers)
-			granters := make([]transport.SlabGranter, cfg.Workers)
-			open := make([][]transport.Msg, cfg.Workers)
-			used := make([]int, cfg.Workers)
 			for w := range pend {
-				pend[w] = make([]transport.Msg, 0, cfg.Batch)
-				if g, ok := in[s][w].Sender.(transport.SlabGranter); ok {
-					granters[w] = g
-				}
+				pend[w] = make([]transport.Msg, 0, cfg.Batch+1)
 			}
 			// win is the spout's in-flight ack window. With the window
 			// left at its default over TCP it grows adaptively: an ack
@@ -555,77 +527,32 @@ func runOnFabric(fabric transport.Transport, src *stream.Source, cfg Config, par
 					// completeness thresholds BEFORE any of its tuples can be
 					// sent (a threshold must never lag a mergeable partial).
 					// When the slab enters a window no spout announced yet,
-					// this spout broadcasts a watermark tick to every bolt, so
-					// bolts the partitioner starves still flush on time. It
-					// uses its OWN links (they are SPSC); ticks flush
-					// immediately, and a tick for an already flushed window is
-					// a no-op at the bolt.
+					// this spout puts a watermark tick at the head of every
+					// bolt's slab, ahead of the draw's tuples, so bolts the
+					// partitioner starves still flush on time. It uses its
+					// OWN links (they are SPSC), and a tick for an already
+					// flushed window is a no-op at the bolt.
 					if cw, ok := sd.ObserveEmits(base, digs[:n]); ok {
-						tick := []transport.Msg{{Src: -1, Window: cw}}
-						for w := range in[s] {
-							if err := in[s][w].SendSlab(tick); err != nil {
-								fail(err)
-								break
-							}
-							if err := in[s][w].Sender.Flush(); err != nil {
-								fail(err)
-								break
-							}
+						for w := range pend {
+							pend[w] = append(pend[w], transport.Msg{Src: -1, Window: cw})
 						}
 					}
 				}
 				now := time.Now().UnixNano()
 				for i := 0; i < n; i++ {
-					tp := tuple{key: keys[i], src: int32(s)}
+					m := transport.Msg{Key: keys[i], Src: int32(s)}
 					if agg {
-						tp.window = (base + int64(i)) / cfg.AggWindow
-						tp.dig = digs[i]
-						tp.val = vals[i]
+						m.Dig = uint64(digs[i])
+						m.Window = (base + int64(i)) / cfg.AggWindow
+						m.Weight = vals[i]
 					}
-					emit := int64(0)
 					if seq&latSampleMask == 0 {
-						emit = now
+						m.Emit = now
 					}
 					seq++
-					w := dsts[i]
-					g := granters[w]
-					if g == nil {
-						pend[w] = append(pend[w], msgOf(&tp, emit))
-						continue
-					}
-					if used[w] == len(open[w]) {
-						// Current grant exhausted: commit it and reserve the
-						// next stretch of ring space, parked while the link
-						// is full until the bolt releases some (same
-						// backpressure as SendSlab).
-						if used[w] > 0 {
-							g.Publish(used[w])
-							used[w] = 0
-						}
-						for {
-							if open[w] = g.Grant(n - i); open[w] != nil {
-								break
-							}
-							if failed() {
-								break
-							}
-							if park.Idle() {
-								pt.addSpoutPark(s)
-							}
-						}
-						park.Reset()
-						if open[w] == nil {
-							break
-						}
-					}
-					open[w][used[w]] = msgOf(&tp, emit)
-					used[w]++
+					pend[dsts[i]] = append(pend[dsts[i]], m)
 				}
 				for w := range pend {
-					if used[w] > 0 {
-						granters[w].Publish(used[w])
-						open[w], used[w] = nil, 0
-					}
 					if len(pend[w]) > 0 {
 						if err := in[s][w].SendSlab(pend[w]); err != nil {
 							fail(err)

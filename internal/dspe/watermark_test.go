@@ -30,6 +30,12 @@ import (
 // happens windows later than the tick that releases the trickle bolt's
 // window-0 partial, and the per-tuple service time keeps the stream's
 // tail far behind that flush.
+//
+// Both backends run it. The tick rides at the head of the announcing
+// spout's slab to each bolt with no flush of its own, so over TCP it
+// reaches a starved bolt only through the link's self-clocked handover
+// (an idle writer takes the buffer at once) or the spout's flush before
+// it blocks on acks.
 func TestWatermarkTicksCloseTrickleBoltWindows(t *testing.T) {
 	const (
 		workers    = 4
@@ -66,52 +72,62 @@ func TestWatermarkTicksCloseTrickleBoltWindows(t *testing.T) {
 		}
 	}
 
-	// Record the reducer's emission order (OnFinal runs on the single
-	// reducer goroutine, so the sequence is well-defined).
-	type seen struct {
-		window int64
-		key    string
-	}
-	var order []seen
-	cfg := Config{
-		Workers:   workers,
-		Sources:   2,
-		Algorithm: "KG",
-		Core:      core.Config{Seed: 5},
-		// A small but nonzero service time rate-limits stream progress, so
-		// the trickle bolt's tick-driven flush is processed long before the
-		// stream's tail windows complete.
-		ServiceTime: 10 * time.Microsecond,
-		AggWindow:   windowSize,
-		OnFinal: func(f aggregation.Final) {
-			order = append(order, seen{f.Window, f.Key})
-		},
-	}
-	res, err := Run(stream.FromSlice(keys), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.AggTotal != int64(len(keys)) {
-		t.Fatalf("finals sum to %d, want %d", res.AggTotal, len(keys))
-	}
+	for _, b := range backends {
+		t.Run(b.name, func(t *testing.T) {
+			// Record the reducer's emission order (OnFinal runs on the single
+			// reducer goroutine, so the sequence is well-defined).
+			type seen struct {
+				window int64
+				key    string
+			}
+			var order []seen
+			cfg := Config{
+				Workers:   workers,
+				Sources:   2,
+				Algorithm: "KG",
+				Core:      core.Config{Seed: 5},
+				// A small but nonzero service time rate-limits stream progress, so
+				// the trickle bolt's tick-driven flush is processed long before the
+				// stream's tail windows complete.
+				ServiceTime: 10 * time.Microsecond,
+				// Pinned at the default depth: over TCP a window left at 0
+				// grows past the whole stream, the spouts close their links
+				// early, and the end-of-stream flush would release the
+				// trickle bolt with or without ticks.
+				Window:    100,
+				AggWindow: windowSize,
+				Transport: b.sel,
+				OnFinal: func(f aggregation.Final) {
+					order = append(order, seen{f.Window, f.Key})
+				},
+			}
+			res, err := Run(stream.FromSlice(keys), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.AggTotal != int64(len(keys)) {
+				t.Fatalf("finals sum to %d, want %d", res.AggTotal, len(keys))
+			}
 
-	trickleAt, midAt := -1, -1
-	for i, s := range order {
-		if s.window == 0 && s.key == trickleKey && trickleAt < 0 {
-			trickleAt = i
-		}
-		if s.window == windows/2 && midAt < 0 {
-			midAt = i
-		}
-	}
-	if trickleAt < 0 {
-		t.Fatal("trickle key's window-0 final never emitted")
-	}
-	if midAt < 0 {
-		t.Fatalf("window %d final never emitted", windows/2)
-	}
-	if trickleAt > midAt {
-		t.Errorf("window 0 (trickle bolt) closed at output position %d, after mid-stream window %d at position %d: "+
-			"watermark ticks are not releasing idle bolts' windows", trickleAt, windows/2, midAt)
+			trickleAt, midAt := -1, -1
+			for i, s := range order {
+				if s.window == 0 && s.key == trickleKey && trickleAt < 0 {
+					trickleAt = i
+				}
+				if s.window == windows/2 && midAt < 0 {
+					midAt = i
+				}
+			}
+			if trickleAt < 0 {
+				t.Fatal("trickle key's window-0 final never emitted")
+			}
+			if midAt < 0 {
+				t.Fatalf("window %d final never emitted", windows/2)
+			}
+			if trickleAt > midAt {
+				t.Errorf("window 0 (trickle bolt) closed at output position %d, after mid-stream window %d at position %d: "+
+					"watermark ticks are not releasing idle bolts' windows", trickleAt, windows/2, midAt)
+			}
+		})
 	}
 }

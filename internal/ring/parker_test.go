@@ -216,11 +216,12 @@ func TestParkerYieldPhase(t *testing.T) {
 // (and does not crash) on any of the hooked operations.
 func TestNoWaiterNoWake(t *testing.T) {
 	q := New[int](4)
-	q.TryPush(1)
+	q.Publish(copy(q.Grant(1), []int{1}))
 	q.Publish(copy(q.Grant(2), []int{2, 3}))
-	if v, ok := q.TryPop(); !ok || v != 1 {
-		t.Fatalf("TryPop = %d, %v", v, ok)
+	if a := q.Acquire(1); len(a) != 1 || a[0] != 1 {
+		t.Fatalf("Acquire(1) = %v", a)
 	}
+	q.Release(1)
 	q.Release(len(q.Acquire(2)))
 	q.Close()
 	if !q.Drained() || !q.Closed() || q.ProducerWaiter() != nil {

@@ -54,10 +54,9 @@ const cacheLine = 64
 
 // SPSC is a bounded single-producer/single-consumer queue of T with
 // power-of-two capacity. The zero value is not usable; construct with
-// New. Exactly one goroutine may call the producer methods (TryPush,
-// Push→ via caller loop, Grant, Publish, Close) and exactly one — not
-// necessarily different — the consumer methods (TryPop, Acquire,
-// Release, Drained).
+// New. Exactly one goroutine may call the producer methods (Grant,
+// Publish, Close) and exactly one — not necessarily different — the
+// consumer methods (Acquire, Release, Drained).
 type SPSC[T any] struct {
 	// Shared, read-mostly after set-up: no false sharing with the counters.
 	buf  []T
@@ -96,13 +95,13 @@ func New[T any](capacity int) *SPSC[T] {
 	return &SPSC[T]{buf: make([]T, c), mask: c - 1}
 }
 
-// SetConsumerWaiter registers the Parker that Publish, TryPush and Close
-// wake. It belongs to the ring's consumer, who may share it across all
-// the rings it drains.
+// SetConsumerWaiter registers the Parker that Publish and Close wake.
+// It belongs to the ring's consumer, who may share it across all the
+// rings it drains.
 func (q *SPSC[T]) SetConsumerWaiter(p *Parker) { q.consumerWaiter.Store(p) }
 
-// SetProducerWaiter registers the Parker that Release, TryPop and Close
-// wake. It belongs to the ring's producer.
+// SetProducerWaiter registers the Parker that Release and Close wake.
+// It belongs to the ring's producer.
 func (q *SPSC[T]) SetProducerWaiter(p *Parker) { q.producerWaiter.Store(p) }
 
 // ProducerWaiter returns the registered producer Parker, or nil.
@@ -114,9 +113,6 @@ func wake(w *atomic.Pointer[Parker]) {
 	}
 }
 
-// Cap returns the ring's capacity.
-func (q *SPSC[T]) Cap() int { return len(q.buf) }
-
 // Len returns the number of items currently queued. It is a snapshot:
 // exact only when producer or consumer is quiescent.
 func (q *SPSC[T]) Len() int {
@@ -125,21 +121,6 @@ func (q *SPSC[T]) Len() int {
 
 // ---------------------------------------------------------------------------
 // Producer side
-
-// TryPush appends v if the ring has space, reporting whether it did.
-func (q *SPSC[T]) TryPush(v T) bool {
-	t := q.tail.Load()
-	if t-q.cachedHead >= uint64(len(q.buf)) {
-		q.cachedHead = q.head.Load()
-		if t-q.cachedHead >= uint64(len(q.buf)) {
-			return false
-		}
-	}
-	q.buf[t&q.mask] = v
-	q.tail.Store(t + 1)
-	wake(&q.consumerWaiter)
-	return true
-}
 
 // Grant returns a writable window of up to max ring slots for the
 // producer to fill in place, or nil if the ring is full. The window is
@@ -178,7 +159,7 @@ func (q *SPSC[T]) Publish(n int) {
 }
 
 // Close marks the producer done. The consumer drains what remains and
-// then observes Drained. Push after Close is a caller bug (slots are
+// then observes Drained. Publish after Close is a caller bug (slots are
 // still accepted; the consumer may or may not see them). Close wakes
 // both registered waiters, and a transport tearing a link down may call
 // it from a third goroutine: the flag is atomic, and only a Close
@@ -196,23 +177,6 @@ func (q *SPSC[T]) Closed() bool { return q.closed.Load() }
 
 // ---------------------------------------------------------------------------
 // Consumer side
-
-// TryPop removes and returns the oldest item, reporting whether one
-// was available.
-func (q *SPSC[T]) TryPop() (T, bool) {
-	h := q.head.Load()
-	if q.cachedTail == h {
-		q.cachedTail = q.tail.Load()
-		if q.cachedTail == h {
-			var zero T
-			return zero, false
-		}
-	}
-	v := q.buf[h&q.mask]
-	q.head.Store(h + 1)
-	wake(&q.producerWaiter)
-	return v, true
-}
 
 // Acquire returns a readable window of up to max queued items, or nil
 // if the ring is empty. Like Grant it never wraps, so a non-empty ring

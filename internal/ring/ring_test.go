@@ -7,12 +7,39 @@ import (
 	"testing"
 )
 
+// push publishes v through a one-slot Grant, reporting whether the ring
+// had room.
+func push[T any](q *SPSC[T], v T) bool {
+	g := q.Grant(1)
+	if g == nil {
+		return false
+	}
+	g[0] = v
+	q.Publish(1)
+	return true
+}
+
+// pop takes the oldest item through a one-slot Acquire, reporting
+// whether one was queued.
+func pop[T any](q *SPSC[T]) (T, bool) {
+	a := q.Acquire(1)
+	if a == nil {
+		var zero T
+		return zero, false
+	}
+	v := a[0]
+	q.Release(1)
+	return v, true
+}
+
+// TestCapacityRounding: an empty ring grants its whole capacity at
+// once, which is the requested size rounded up to a power of two.
 func TestCapacityRounding(t *testing.T) {
 	for _, tc := range []struct{ ask, want int }{
 		{0, 2}, {1, 2}, {2, 2}, {3, 4}, {4, 4}, {5, 8}, {64, 64}, {65, 128}, {1000, 1024},
 	} {
-		if got := New[int](tc.ask).Cap(); got != tc.want {
-			t.Errorf("New(%d).Cap() = %d, want %d", tc.ask, got, tc.want)
+		if got := len(New[int](tc.ask).Grant(1 << 20)); got != tc.want {
+			t.Errorf("New(%d): empty ring grants %d slots, want %d", tc.ask, got, tc.want)
 		}
 	}
 }
@@ -21,23 +48,23 @@ func TestFIFOSingleThreaded(t *testing.T) {
 	q := New[int](8)
 	for round := 0; round < 5; round++ {
 		for i := 0; i < 8; i++ {
-			if !q.TryPush(round*100 + i) {
+			if !push(q, round*100+i) {
 				t.Fatalf("round %d: push %d failed on non-full ring", round, i)
 			}
 		}
-		if q.TryPush(999) {
+		if push(q, 999) {
 			t.Fatal("push succeeded on full ring")
 		}
 		if q.Len() != 8 {
 			t.Fatalf("Len = %d, want 8", q.Len())
 		}
 		for i := 0; i < 8; i++ {
-			v, ok := q.TryPop()
+			v, ok := pop(q)
 			if !ok || v != round*100+i {
 				t.Fatalf("round %d: pop %d = (%d, %v)", round, i, v, ok)
 			}
 		}
-		if _, ok := q.TryPop(); ok {
+		if _, ok := pop(q); ok {
 			t.Fatal("pop succeeded on empty ring")
 		}
 	}
@@ -72,7 +99,7 @@ func TestGrantPublishAcquireRelease(t *testing.T) {
 	}
 	// Drain the remainder.
 	for {
-		v, ok := q.TryPop()
+		v, ok := pop(q)
 		if !ok {
 			break
 		}
@@ -90,10 +117,10 @@ func TestGrantNeverWraps(t *testing.T) {
 	q := New[int](8)
 	// Advance the ring so the tail sits 2 before the wrap.
 	for i := 0; i < 6; i++ {
-		q.TryPush(i)
+		push(q, i)
 	}
 	for i := 0; i < 6; i++ {
-		q.TryPop()
+		pop(q)
 	}
 	g := q.Grant(100)
 	if len(g) != 2 { // only 2 contiguous slots before the wrap
@@ -110,12 +137,12 @@ func TestDrained(t *testing.T) {
 	if q.Drained() {
 		t.Fatal("open empty ring reports Drained")
 	}
-	q.TryPush(1)
+	push(q, 1)
 	q.Close()
 	if q.Drained() {
 		t.Fatal("closed non-empty ring reports Drained")
 	}
-	q.TryPop()
+	pop(q)
 	if !q.Drained() {
 		t.Fatal("closed empty ring must report Drained")
 	}
@@ -125,10 +152,10 @@ func TestSteadyStatePushPopZeroAllocs(t *testing.T) {
 	q := New[[2]int64](256)
 	if avg := testing.AllocsPerRun(1000, func() {
 		for i := 0; i < 64; i++ {
-			q.TryPush([2]int64{int64(i), int64(i)})
+			push(q, [2]int64{int64(i), int64(i)})
 		}
 		for i := 0; i < 64; i++ {
-			q.TryPop()
+			pop(q)
 		}
 	}); avg != 0 {
 		t.Fatalf("steady-state push/pop allocates %.1f/op, want 0", avg)
@@ -165,7 +192,7 @@ func TestConcurrentStress(t *testing.T) {
 			var next int64
 			for next < total {
 				if rng.Intn(2) == 0 {
-					if q.TryPush(next) {
+					if push(q, next) {
 						next++
 					} else {
 						runtime.Gosched()
@@ -195,7 +222,7 @@ func TestConcurrentStress(t *testing.T) {
 		var want int64
 		for {
 			if rng.Intn(2) == 0 {
-				v, ok := q.TryPop()
+				v, ok := pop(q)
 				if !ok {
 					if q.Drained() {
 						break
@@ -237,8 +264,8 @@ func BenchmarkSPSCPushPop(b *testing.B) {
 	q := New[int64](1024)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		q.TryPush(1)
-		q.TryPop()
+		push(q, 1)
+		pop(q)
 	}
 }
 

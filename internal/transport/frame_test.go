@@ -172,9 +172,9 @@ func TestFrameEpochDesyncDetected(t *testing.T) {
 }
 
 // TestColumnarDecodeSteadyStateZeroAllocs is the hard decode-side
-// allocation assertion the acceptance criteria require (mirroring the
-// encode-side SlabGranter assert): once the dictionary is warm, a
-// whole-frame decode into a reused slab performs zero allocations.
+// allocation assertion (mirroring TestMemorySteadyStateZeroAllocs on
+// the memory link): once the dictionary is warm, a whole-frame decode
+// into a reused slab performs zero allocations.
 func TestColumnarDecodeSteadyStateZeroAllocs(t *testing.T) {
 	var enc Encoder
 	var dec Decoder

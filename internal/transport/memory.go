@@ -92,13 +92,6 @@ func (s *memSender) SendSlab(msgs []Msg) error {
 // Flush is a no-op: ring publishes are immediately visible.
 func (s *memSender) Flush() error { return nil }
 
-// Grant implements SlabGranter: it exposes the ring's in-place write
-// cycle so producers can construct messages directly in link memory.
-func (s *memSender) Grant(max int) []Msg { return s.ring().Grant(max) }
-
-// Publish implements SlabGranter.
-func (s *memSender) Publish(n int) { s.ring().Publish(n) }
-
 // Close implements Sender.
 func (s *memSender) Close() error {
 	s.ring().Close()

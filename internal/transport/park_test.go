@@ -170,7 +170,7 @@ func TestMemorySendParkedOnFullSeesClose(t *testing.T) {
 	}
 	sent := make(chan error, 1)
 	go func() { sent <- l.SendSlab(someMsgs(64)) }() // 4 fit, then it waits
-	for l.recv.Len() < l.recv.Cap() {
+	for l.recv.Len() < 4 {
 		runtime.Gosched()
 	}
 	tr.Close()

@@ -101,11 +101,8 @@ type senderConn struct {
 }
 
 func (sc *senderConn) kill() {
-	if !sc.dead.Swap(true) {
-		sc.c.Close()
-	} else {
-		sc.c.Close()
-	}
+	sc.dead.Store(true)
+	sc.c.Close()
 }
 
 // mix64 is the splitmix64 finalizer used for deterministic jitter and

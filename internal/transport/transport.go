@@ -38,9 +38,9 @@
 // not poll: it registers one ring.Parker on every link it drains
 // (Link.SetRecvWaiter) and parks on it; a link wakes its waiter whenever
 // messages are published, the producer closes, or the link fails or is
-// torn down (Link.SetSendWaiter is the mirror for a producer that fills
-// granted slots itself). Message order is preserved per link; nothing
-// is dropped.
+// torn down (Link.SetSendWaiter is the mirror, for a producer that
+// SendSlab parks on a full link). Message order is preserved per link;
+// nothing is dropped.
 //
 // # Delivery under faults
 //
@@ -113,20 +113,6 @@ type Sender interface {
 	Close() error
 }
 
-// SlabGranter is an optional Sender fast path. In-process backends
-// expose the underlying ring's grant/publish cycle so producers can
-// construct messages directly in link memory — the zero-copy path —
-// instead of staging a slab and having SendSlab copy it. Grant returns
-// up to max contiguous writable slots (nil when the link is full);
-// Publish commits the first n of the most recent grant. Granted slots
-// that are never published are simply reused by the next Grant.
-// Senders that cross a process boundary (TCP) do not implement it:
-// their encoder must read a staged slab anyway.
-type SlabGranter interface {
-	Grant(max int) []Msg
-	Publish(n int)
-}
-
 // Link is one named point-to-point edge: the producer end is its
 // Sender, the consumer end RecvSlab.
 type Link struct {
@@ -173,10 +159,10 @@ func (l *Link) SetRecvWaiter(p *ring.Parker) { l.recv.SetConsumerWaiter(p) }
 func (l *Link) Len() int { return l.recv.Len() }
 
 // SetSendWaiter registers the sending goroutine's Parker: the link wakes
-// it whenever the receiver frees space. SendSlab parks on it when the
-// link is full, and so can a SlabGranter caller whose Grant returned
-// nil. Without one, SendSlab makes its own on first need. Over TCP it is
-// a no-op: that sender never spins, it blocks on its buffer pool.
+// it whenever the receiver frees space, and SendSlab parks on it while
+// the link is full. Without one, SendSlab makes its own on first need.
+// Over TCP it is a no-op: that sender never spins, it blocks on its
+// buffer pool.
 func (l *Link) SetSendWaiter(p *ring.Parker) {
 	if l.send != nil {
 		l.send.SetProducerWaiter(p)

@@ -153,10 +153,11 @@
 //     single-producer/single-consumer ring (internal/ring —
 //     power-of-two capacity, cache-line-padded cursors, batched
 //     Grant/Publish and Acquire/Release windows). The ring slots ARE
-//     the tuple arena: the spout constructs messages in granted slots,
-//     no slab is allocated, and the zero-allocation steady state
-//     extends from routing to the whole spout→bolt→reducer path. Acks
-//     are one padded atomic in-flight counter per source.
+//     the tuple arena: the spout stages one reused slab per worker and
+//     SendSlab copies it into the ring, no slab is allocated, and the
+//     zero-allocation steady state extends from routing to the whole
+//     spout→bolt→reducer path. Acks are one padded atomic in-flight
+//     counter per source.
 //   - TransportTCP moves every edge over a real socket (loopback in
 //     the tests and benchmarks) speaking wire format v2: COLUMNAR
 //     length-prefixed frames (per-field columns with varint/zigzag
