@@ -208,33 +208,27 @@ func BenchmarkShardedReduce(b *testing.B) {
 }
 
 // BenchmarkRouteAtScale measures the head-aware schemes' routing cost
-// across deployment sizes, scan vs tournament load index, on the
-// head-dominated workload (z = 2.0, ≈80% of messages in the head) that
-// maximizes argmin pressure. The acceptance shape: W-C/tree ns/op stays
-// roughly flat from n=256 to n=16384 (O(log n) head routing) while
-// W-C/scan grows linearly with n. Theta is pinned in that sweep so the
-// sketch (and the head set) is identical at every n — it varies ONLY
-// the argmin cost, over a head of dozens of keys.
+// across deployment sizes on the head-dominated workload (z = 2.0, ≈80%
+// of messages in the head) that maximizes argmin pressure. The
+// acceptance shape: W-C ns/op stays roughly flat from n=64 to n=16384
+// (the O(1) floor index behind its head path). Theta is pinned in that
+// sweep so the sketch (and the head set) is identical at every n — it
+// varies ONLY the argmin cost, over a head of dozens of keys.
 //
 // The D-C/default cells are the two regimes that sweep never reaches,
-// in the default configuration (θ = 1/(5n), LoadIndexAuto) over 100k
-// keys: z = 0.8, where the head is thousands of keys (|H| ≈ 2.8k,
-// d ≈ 91 at n = 4096) and the cost is FINDOPTIMALCHOICES and the
-// candidate cache, and z = 2.0, where d is in the thousands (≈ 2.5k at
-// n = 4096) and the cost is the argmin over ≈ 1.9k candidates per head
-// message — the persistent candidate tournaments' regime.
+// in the default configuration (θ = 1/(5n)) over 100k keys: z = 0.8,
+// where the head is thousands of keys (|H| ≈ 2.8k, d ≈ 91 at
+// n = 4096) and the cost is FINDOPTIMALCHOICES and the candidate cache,
+// and z = 2.0, where d is in the thousands (≈ 2.5k at n = 4096) and the
+// cost is the argmin over ≈ 1.9k candidates per head message — the
+// persistent candidate tournaments' regime.
 func BenchmarkRouteAtScale(b *testing.B) {
 	for _, algo := range []string{"W-C", "D-C"} {
-		for _, mode := range []struct {
-			name string
-			lidx int
-		}{{"scan", slb.LoadIndexScan}, {"tree", slb.LoadIndexTree}} {
-			for _, n := range []int{64, 256, 1024, 4096, 16384} {
-				b.Run(algo+"/"+mode.name+"/n="+strconv.Itoa(n), func(b *testing.B) {
-					cfg := slb.Config{Workers: n, Seed: 1, Theta: 1.0 / (5 * 2048), LoadIndex: mode.lidx}
-					benchRouteAtScale(b, algo, cfg, benchZ, benchKeys, 50_000)
-				})
-			}
+		for _, n := range []int{64, 256, 1024, 4096, 16384} {
+			b.Run(algo+"/n="+strconv.Itoa(n), func(b *testing.B) {
+				cfg := slb.Config{Workers: n, Seed: 1, Theta: 1.0 / (5 * 2048)}
+				benchRouteAtScale(b, algo, cfg, benchZ, benchKeys, 50_000)
+			})
 		}
 	}
 	for _, n := range []int{4096, 16384} {
@@ -346,16 +340,15 @@ func TestSteadyStateRoutingZeroAllocs(t *testing.T) {
 		}
 		zeroAllocs(algo, p)
 	}
-	// The tournament load-index path (large deployments) upholds the
-	// same contract: warm steady-state routing through the tree — full
-	// argmin tree, candidate subset tournaments, prefix-window cache —
-	// allocates nothing, at both slab sizes.
+	// A large deployment upholds the same contract: warm steady-state
+	// routing through the floor index and the prefix-window candidate
+	// cache allocates nothing, at both slab sizes.
 	for _, algo := range []string{"D-C", "W-C"} {
-		p, err := slb.New(algo, slb.Config{Workers: 1024, Seed: 7, LoadIndex: slb.LoadIndexTree})
+		p, err := slb.New(algo, slb.Config{Workers: 1024, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
-		zeroAllocs(algo+"/tree", p)
+		zeroAllocs(algo+"/n=1024", p)
 	}
 }
 

@@ -97,7 +97,7 @@ func runLenDigest(digs []KeyDigest, i int) int {
 
 // routeTailSeg routes a segment of tail messages of one key: the
 // 2-choice pair is derived once, then two load compares per message
-// (plus the O(log n) load-index repair when the scheme carries one).
+// (plus the O(1) floor-index bump when the scheme carries one).
 func (g *greedy) routeTailSeg(dg KeyDigest, dst []int) {
 	t0 := g.family.BucketDigest(0, dg, g.n)
 	t1 := g.family.BucketDigest(1, dg, g.n)

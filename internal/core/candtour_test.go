@@ -34,35 +34,53 @@ func shortRunStream(msgs int) []string {
 	return keys[:msgs]
 }
 
+// forcedTours builds algo ("D-C" or "Greedy-7") at n workers with
+// candidate tournaments forced onto every head list, beside the plain
+// Algorithm 1 reference for the same config.
+func forcedTours(algo string, n int) (Partitioner, *refScheme) {
+	c := Config{Workers: n, Seed: 42}
+	var p Partitioner
+	var ref *refScheme
+	if algo == "Greedy-7" {
+		p, ref = NewForcedD(c, 7), newRef("Greedy-d", c)
+		ref.forcedD = 7
+	} else {
+		p, ref = NewDChoices(c), newRef(algo, c)
+	}
+	setTourMode(p, 1)
+	return p, ref
+}
+
+// routeMatchesRef routes keys through p in slabs of the given size and
+// fails at the first worker that differs from ref's.
+func routeMatchesRef(t *testing.T, p Partitioner, ref *refScheme, keys []string, slab int) {
+	t.Helper()
+	digs := make([]KeyDigest, slab)
+	dst := make([]int, slab)
+	for i := 0; i < len(keys); i += slab {
+		chunk := keys[i:min(i+slab, len(keys))]
+		p.RouteBatchDigests(chunk, digs, dst)
+		for j, k := range chunk {
+			if want := ref.route(k); dst[j] != want {
+				t.Fatalf("msg %d (key %q): routed to %d, reference %d", i+j, k, dst[j], want)
+			}
+		}
+	}
+}
+
 // TestCandTourShortRunParity pins that the persistent tournament's
-// repair path routes bit-identically to the forced scan on a stream of
-// deliberately short head runs, through the batched API with a slab
-// size that splits runs across batch boundaries. Greedy-7 under
-// LoadIndexTree caches tournaments for every head run (c = 7 < the
-// crossover), so 1–2 message runs exercise the replay path constantly.
+// repair path routes bit-identically to plain Algorithm 1 on a stream
+// of deliberately short head runs, through the batched API with a slab
+// size that splits runs across batch boundaries. With tournaments
+// forced, Greedy-7 caches one for every head run (c = 7), so 1–2
+// message runs exercise the replay path constantly.
 func TestCandTourShortRunParity(t *testing.T) {
 	keys := shortRunStream(30000)
 	for _, algo := range []string{"Greedy-7", "D-C"} {
 		for _, n := range []int{16, 200} {
 			t.Run(fmt.Sprintf("%s/n=%d", algo, n), func(t *testing.T) {
-				scan, tree := scanTreePartitioners(t, algo, n)
-				const slab = 61
-				digs := make([]KeyDigest, slab)
-				dstS := make([]int, slab)
-				dstT := make([]int, slab)
-				for i := 0; i < len(keys); i += slab {
-					end := i + slab
-					if end > len(keys) {
-						end = len(keys)
-					}
-					scan.RouteBatchDigests(keys[i:end], digs, dstS)
-					tree.RouteBatchDigests(keys[i:end], digs, dstT)
-					for j := 0; j < end-i; j++ {
-						if dstS[j] != dstT[j] {
-							t.Fatalf("msg %d (key %q): scan → %d, tree → %d", i+j, keys[i+j], dstS[j], dstT[j])
-						}
-					}
-				}
+				p, ref := forcedTours(algo, n)
+				routeMatchesRef(t, p, ref, keys, 61)
 			})
 		}
 	}
@@ -71,7 +89,7 @@ func TestCandTourShortRunParity(t *testing.T) {
 // TestCandTourLogRollover drives one core far past candTourLogMax
 // increments between runs of a cached head key, forcing generation
 // bumps (replay impossible, entry invalidated) and verifying routing
-// stays bit-exact with the scan through the rebuild.
+// stays bit-exact with plain Algorithm 1 through the rebuild.
 func TestCandTourLogRollover(t *testing.T) {
 	const target = 4 * candTourLogMax
 	keys := make([]string, 0, target+candTourLogMax+512)
@@ -85,24 +103,8 @@ func TestCandTourLogRollover(t *testing.T) {
 			keys = append(keys, fmt.Sprintf("cold-%d", i%911))
 		}
 	}
-	scan, tree := scanTreePartitioners(t, "Greedy-7", 32)
-	const slab = 128
-	digs := make([]KeyDigest, slab)
-	dstS := make([]int, slab)
-	dstT := make([]int, slab)
-	for i := 0; i < len(keys); i += slab {
-		end := i + slab
-		if end > len(keys) {
-			end = len(keys)
-		}
-		scan.RouteBatchDigests(keys[i:end], digs, dstS)
-		tree.RouteBatchDigests(keys[i:end], digs, dstT)
-		for j := 0; j < end-i; j++ {
-			if dstS[j] != dstT[j] {
-				t.Fatalf("msg %d (key %q): scan → %d, tree → %d", i+j, keys[i+j], dstS[j], dstT[j])
-			}
-		}
-	}
+	p, ref := forcedTours("Greedy-7", 32)
+	routeMatchesRef(t, p, ref, keys, 128)
 }
 
 // TestCandTourRepair unit-tests the repair path directly: build a
@@ -111,12 +113,7 @@ func TestCandTourLogRollover(t *testing.T) {
 // and check it against a scan replica of the same load history.
 func TestCandTourRepair(t *testing.T) {
 	const n = 64
-	mk := func() *greedy {
-		g := &greedy{n: n, loads: make([]int64, n), lidx: LoadIndexTree}
-		g.tree = newLoadTree(g.loads)
-		return g
-	}
-	g, ref := mk(), mk()
+	g, ref := newTestGreedy(n, 1), newTestGreedy(n, 1)
 	cand := []int32{3, 17, 5, 40, 9, 22, 31}
 	dg := KeyDigest(0xabcdef0123456789)
 
@@ -177,13 +174,14 @@ func BenchmarkCandTourCosts(b *testing.B) {
 	}
 	cand := perm[:c]
 	mk := func() *greedy {
-		g := &greedy{n: n, loads: make([]int64, n), lidx: LoadIndexTree}
-		for i := range g.loads {
-			g.loads[i] = int64(1 + next(2))
+		loads := make([]int64, n)
+		for i := range loads {
+			loads[i] = int64(1 + next(2))
 		}
 		// One non-candidate holds the floor, so no scan stops early.
-		g.loads[perm[n-1]] = 0
-		g.tree = newLoadTree(g.loads)
+		loads[perm[n-1]] = 0
+		g := newTestGreedy(n, 1)
+		setLoads(g, loads)
 		return g
 	}
 	b.Run("scan/candidate", func(b *testing.B) { // includes one bump per c candidates
@@ -262,11 +260,12 @@ func TestCandTourRepairMatchesRebuild(t *testing.T) {
 			j := next(i + 1)
 			perm[i], perm[j] = perm[j], perm[i]
 		}
-		g := &greedy{n: n, loads: make([]int64, n), lidx: LoadIndexTree}
-		for i := range g.loads {
-			g.loads[i] = int64(next(3))
+		loads := make([]int64, n)
+		for i := range loads {
+			loads[i] = int64(next(3))
 		}
-		g.tree = newLoadTree(g.loads)
+		g := newTestGreedy(n, 1)
+		setLoads(g, loads)
 		g.clog = make([]int32, candTourLogMax)
 		g.tours = make([]candTour, 2)
 		e, fresh := &g.tours[0], &g.tours[1]

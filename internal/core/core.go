@@ -76,7 +76,9 @@ type Partitioner interface {
 	Workers() int
 }
 
-// Config carries the common parameters of Table III.
+// Config carries the common parameters of Table III. Every field changes
+// routing or the sketch; the routing accelerators (the floor index, the
+// candidate cache, the candidate tournaments) are not settings.
 type Config struct {
 	// Workers is n, the number of downstream operator instances.
 	Workers int
@@ -107,15 +109,6 @@ type Config struct {
 	// stream (extension for drifting workloads: bounded adaptation
 	// latency). 0 keeps the paper's insertion-only sketch.
 	SketchWindow uint64
-	// LoadIndex selects the argmin structure behind whole-vector load
-	// scans (the W-Choices head path, D-Choices at d ≥ n) and large
-	// candidate lists: LoadIndexAuto (0, the default) uses the packed
-	// conditional-move scan below the measured crossover (n = 128,
-	// see loadtree.go) and the O(log n) tournament load tree at or
-	// above it; LoadIndexScan forces the scan (requires Workers <
-	// 65536, the packing limit); LoadIndexTree forces the tree.
-	// Routing decisions are bit-identical in every mode.
-	LoadIndex int
 }
 
 // maxAutoSketchCapacity bounds the derived sketch capacity 4·⌈1/θ⌉; a θ
@@ -131,16 +124,6 @@ const maxAutoSketchCapacity = 1 << 28
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		panic("core: Config.Workers must be positive")
-	}
-	if c.LoadIndex < LoadIndexAuto || c.LoadIndex > LoadIndexTree {
-		panic(fmt.Sprintf("core: Config.LoadIndex must be LoadIndexAuto, LoadIndexScan or LoadIndexTree; got %d", c.LoadIndex))
-	}
-	// The packed scan encodes (load << 16 | worker) in one int64, so it
-	// cannot represent ≥ 65536 workers; the tournament tree has no such
-	// limit, and LoadIndexAuto routes every larger n to it. Only a
-	// FORCED scan is rejected.
-	if c.LoadIndex == LoadIndexScan && c.Workers >= 1<<packShift {
-		panic(fmt.Sprintf("core: Config.LoadIndex=LoadIndexScan requires Workers below %d (packed argmin encoding); got %d", 1<<packShift, c.Workers))
 	}
 	if math.IsNaN(c.Theta) || c.Theta < 0 {
 		panic(fmt.Sprintf("core: Config.Theta must be ≥ 0 (0 selects the default 1/(5n)); got %v", c.Theta))
@@ -274,35 +257,35 @@ func (s *ShuffleGrouping) Workers() int { return s.n }
 // greedy holds the state shared by all load-aware schemes: the hash
 // family and this sender's local load vector. Schemes that argmin over
 // the whole vector (W-C's head path, D-C at d ≥ n, ForcedD, Oracle)
-// additionally carry the tournament load index (see loadtree.go) when
-// the worker count warrants it; tree == nil means every argmin is a
-// scan and increments are plain.
+// build the floor index on first use (see index); idx == nil means
+// increments are plain.
 type greedy struct {
 	n      int
 	family *hashing.Family
 	loads  []int64
-	lidx   int8      // Config.LoadIndex (crossover policy for candidate tournaments)
-	tree   *loadTree // full-vector load index, nil below the crossover
+	idx    *floorIndex // least-loaded worker and the floor; nil until index() builds it
 	// Persistent candidate-tournament state (loadtree.go), allocated by
 	// the first head run whose list is long enough for a tournament; from
 	// then on bump appends every load increment to the clog ring so
 	// cached tournaments can be repaired by replay instead of rebuilt.
-	// Whenever clog is on the full-vector tree is attached (an eligible
-	// list needs LoadIndexTree — which forces the tree — or c ≥
-	// crossover ≤ n, which auto-attaches it), so no increment can bypass
-	// bump and stale a cached tournament.
+	// Only D-C and ForcedD route head runs, and both send every
+	// increment through bump.
 	tours     []candTour
 	clog      []int32
 	clogPos   uint64 // increments logged so far
 	tourBytes int
 	tourStamp []int32 // replay scratch, see candTour.repair
 	tourEpoch int32
+	// tourMode overrides the tournament admission policy; only tests set
+	// it. Above 0 every candidate list of two or more routes through a
+	// tournament, below 0 none does, and 0 runs the policy.
+	tourMode int8
 
 	// Plain (single-goroutine, like the partitioner itself) argmin-path
-	// counters, surfaced through RouteStats: messages routed via a
-	// tournament tree (full-vector or candidate-subset) vs a linear
-	// scan (packed full-vector or branchy candidate scan). One int64
-	// increment on paths that cost tens of ns — below measurement noise.
+	// counters, surfaced through RouteStats: messages routed via an index
+	// (the floor index or a candidate tournament) vs a candidate scan.
+	// One int64 increment on paths that cost tens of ns — below
+	// measurement noise.
 	nTreeMin int64
 	nScanMin int64
 	// Candidate tournaments built from scratch and repaired by replay.
@@ -315,30 +298,32 @@ func newGreedy(cfg Config) greedy {
 		n:      cfg.Workers,
 		family: hashing.NewFamily(cfg.Workers, cfg.Seed),
 		loads:  make([]int64, cfg.Workers),
-		lidx:   int8(cfg.LoadIndex),
 	}
 }
 
-// enableLoadIndex attaches the tournament load index when the
-// configuration calls for it; only the schemes that ever argmin over
-// the whole vector call this (PKG, RR, SG and KG never do, so they
-// never pay the per-increment maintenance).
-func (g *greedy) enableLoadIndex(cfg Config) {
-	if cfg.LoadIndex == LoadIndexScan {
-		return
+// index returns the floor index, building it from the live loads on
+// the first call: the first whole-vector argmin, or the first candidate
+// list long enough to scan against the floor. Until then increments
+// carry no upkeep — D-C and ForcedD at d < n with short lists never
+// build it. Only D-C, ForcedD, W-C and Oracle reach this, and they send
+// every increment through bump; PKG and RR, which increment loads
+// directly, never build it.
+func (g *greedy) index() *floorIndex {
+	if g.idx == nil {
+		g.idx = newFloorIndex(g.loads)
 	}
-	if cfg.LoadIndex == LoadIndexTree || g.n >= loadIndexCrossover {
-		g.tree = newLoadTree(g.loads)
-	}
+	return g.idx
 }
 
-// bump accounts one message on worker w, maintaining the load index
-// when present. Every load increment of a tree-carrying scheme must go
-// through here (or replicate the fix), or the index goes stale.
+// bump accounts one message on worker w, maintaining the floor index
+// when present and the increment log once candidate tournaments exist.
+// Every load increment of an indexed scheme must go through here, or
+// the index goes stale.
 func (g *greedy) bump(w int) {
-	g.loads[w]++
-	if g.tree != nil {
-		g.tree.fix(w)
+	l := g.loads[w] + 1
+	g.loads[w] = l
+	if x := g.idx; x != nil {
+		x.bump(w, l)
 	}
 	if g.clog != nil {
 		g.clog[g.clogPos&(candTourLogMax-1)] = int32(w)
@@ -346,61 +331,42 @@ func (g *greedy) bump(w int) {
 	}
 }
 
-// Argmin scans pack (load << packShift) | position into one integer, so
-// a single branchless min (the compiler emits conditional moves) yields
-// both the minimum load and — because position rises monotonically
-// during the scan — the FIRST position attaining it, which is exactly
-// the sequential first-lowest-wins tie-break. Valid while positions fit
-// packShift bits and loads stay below 2⁴⁷ (a per-sender message count no
-// real run approaches). Larger worker counts use the tournament load
-// tree instead (loadtree.go), which packs nothing; withDefaults rejects
-// them only when LoadIndexScan is forced.
-const (
-	packShift = 16
-	packMask  = 1<<packShift - 1
-)
-
-// maxPacked is an identity element for packed argmin accumulators.
-const maxPacked = int64(1)<<62 - 1
-
 // routeCands routes one message among precomputed candidates (a cached,
 // deduplicated candidate list) by the Greedy-d rule: the lowest local
 // load, first lowest winning ("ties broken arbitrarily"). A duplicate
 // worker can never beat its first occurrence, so the deduplicated list
-// decides exactly as the d buckets F_1(k)..F_d(k) would. A plain
-// branchy scan wins here: the data-dependent loads[cand[i]] gathers
-// leave the rarely-taken compare branch well predicted, measurably
-// beating the packed conditional-move variant routeAll uses.
+// decides exactly as the d buckets F_1(k)..F_d(k) would.
 //
-// With the load index attached the scan knows the global minimum load
-// (the tree's root) and stops at the first candidate that attains it:
-// no later candidate can be lower, and every earlier one was higher, so
-// that candidate is the first-lowest. Head keys are routed to keep the
-// loads level, so a candidate at the floor usually turns up well before
-// the end (measured at n = 4096 over route-scale's cells: 41 of 91
-// candidates visited per scan at z = 0.8; at z = 2.0, 331 of 1,874 for
-// the keys that scan — the hottest keys' candidates sit above the floor
-// and go through tournaments instead, see loadtree.go).
+// A list of loadIndexCrossover candidates or more is scanned knowing the
+// global minimum load (the floor index's floor), and the scan stops at
+// the first candidate that attains it: no later candidate can be lower,
+// and every earlier one was higher, so that candidate is the
+// first-lowest. Head keys are routed to keep the loads level, so a
+// candidate at the floor usually turns up well before the end (at
+// n = 4096, z = 2.0, 331 of 1,874 candidates for the keys that scan —
+// the hottest keys' candidates sit above the floor and go through
+// tournaments instead, see loadtree.go). A shorter list takes the plain
+// loop: the floor read and the exit test cost more than the candidates
+// they skip (D-C at n = 64, z = 2.0, 40-candidate lists: 133 ns per
+// message with the exit test, 96 with the plain loop, minimum of eight
+// alternated runs; at n = 4096, z = 0.8, 91-candidate lists: 292
+// against 287, minimum of six; on a 2-vCPU host).
 //
 // It also reports how many candidates the scan visited, which is what
-// the tournament policy weighs a key's scans by. Without the index the
-// loop is the plain scan and nothing else: folding the floor test into
-// one shared loop cost the index-less cells 7% (D-C at n = 64, z = 2.0,
-// where every message is a 40-candidate scan: 76.6 against 60.8 ns per
-// message, four alternated runs, the parent's loop at 69.0).
+// the tournament policy weighs a key's scans by.
 func (g *greedy) routeCands(cand []int32) (best, visited int) {
 	g.nScanMin++
 	loads := g.loads
 	best, visited = int(cand[0]), len(cand)
 	bestLoad := loads[best]
-	if g.tree == nil {
+	if len(cand) < loadIndexCrossover {
 		for _, w32 := range cand[1:] {
 			w := int(w32)
 			if loads[w] < bestLoad {
 				best, bestLoad = w, loads[w]
 			}
 		}
-	} else if floor := loads[g.tree.min()]; bestLoad == floor {
+	} else if floor := loads[g.index().min()]; bestLoad == floor {
 		visited = 1
 	} else {
 		for i, w32 := range cand[1:] {
@@ -418,67 +384,14 @@ func (g *greedy) routeCands(cand []int32) (best, visited int) {
 	return best, visited
 }
 
-// routeAll picks the globally least-loaded worker (W-Choices head path:
-// "there is no need to hash the keys in the head"). With the load index
-// attached this is an O(1) root read plus an O(log n) repair — the
-// sublinear path that keeps head routing flat as n grows into the
-// thousands. Below the crossover (tree == nil) it falls back to the
-// packed scan: unlike routeCands — whose data-dependent gathers favor a
-// plain branchy scan — the contiguous load scan is latency-bound, so
-// four packed (load, index) conditional-move chains measurably beat the
-// branchy argmin there. Both paths implement the same first-lowest-wins
-// tie-break, bit-exactly.
+// routeAll picks the globally least-loaded worker, lowest index on ties
+// (W-Choices head path: "there is no need to hash the keys in the
+// head"): the floor index's read and bump, O(1) amortized at any n.
 func (g *greedy) routeAll() int {
-	if t := g.tree; t != nil {
-		g.nTreeMin++
-		w := t.min()
-		g.bump(w)
-		return w
-	}
-	g.nScanMin++
-	loads := g.loads
-	b0 := loads[0] << packShift
-	b1, b2, b3 := maxPacked, maxPacked, maxPacked
-	i := 1
-	for ; i+3 < len(loads); i += 4 {
-		if p := loads[i]<<packShift | int64(i); p < b0 {
-			b0 = p
-		}
-		if p := loads[i+1]<<packShift | int64(i+1); p < b1 {
-			b1 = p
-		}
-		if p := loads[i+2]<<packShift | int64(i+2); p < b2 {
-			b2 = p
-		}
-		if p := loads[i+3]<<packShift | int64(i+3); p < b3 {
-			b3 = p
-		}
-	}
-	for ; i < len(loads); i++ {
-		if p := loads[i]<<packShift | int64(i); p < b0 {
-			b0 = p
-		}
-	}
-	if b1 < b0 {
-		b0 = b1
-	}
-	if b3 < b2 {
-		b2 = b3
-	}
-	if b2 < b0 {
-		b0 = b2
-	}
-	w := int(b0 & packMask)
-	loads[w]++
+	g.nTreeMin++
+	w := g.index().min()
+	g.bump(w)
 	return w
-}
-
-// Loads exposes a copy of the sender-local load vector (for tests and
-// instrumentation).
-func (g *greedy) Loads() []int64 {
-	out := make([]int64, len(g.loads))
-	copy(out, g.loads)
-	return out
 }
 
 // PKG is Partial Key Grouping: the Greedy-d process with d = 2 for every
@@ -759,7 +672,6 @@ func NewDChoices(cfg Config) *DChoices {
 		cache:      newCandCache(cfg.Workers, 2),
 		lastCands:  make([]int32, 0, candMemoMax),
 	}
-	p.enableLoadIndex(cfg)
 	p.runs, p.unit = p, !p.head.canBatch()
 	return p
 }
@@ -920,7 +832,6 @@ func NewForcedD(cfg Config, d int) *ForcedD {
 		d:      d,
 		cache:  newCandCache(cfg.Workers, d),
 	}
-	p.enableLoadIndex(cfg)
 	p.runs, p.unit = p, !p.head.canBatch()
 	return p
 }
@@ -958,7 +869,6 @@ type WChoices struct {
 func NewWChoices(cfg Config) *WChoices {
 	cfg = cfg.withDefaults()
 	p := &WChoices{greedy: newGreedy(cfg), head: newHeadTracker(cfg)}
-	p.enableLoadIndex(cfg)
 	p.runs, p.unit = p, !p.head.canBatch()
 	return p
 }
@@ -996,7 +906,6 @@ func NewOracle(cfg Config, isHead func(string) bool) *Oracle {
 		panic("core: NewOracle requires a head predicate")
 	}
 	p := &Oracle{greedy: newGreedy(cfg), isHead: isHead}
-	p.enableLoadIndex(cfg)
 	p.runs = p
 	return p
 }

@@ -128,7 +128,9 @@ func TestPKGPrefersLessLoaded(t *testing.T) {
 		}
 	}
 	// Preload c1 heavily.
-	p.loads[c1] = 100
+	loads := make([]int64, 4)
+	loads[c1] = 100
+	setLoads(&p.greedy, loads)
 	if w := routeOne(p, key); w != c2 {
 		t.Fatalf("PKG chose %d, want less-loaded %d", w, c2)
 	}
@@ -140,7 +142,7 @@ func TestGreedyLoadAccounting(t *testing.T) {
 		routeOne(p, fmt.Sprintf("k%d", i%40))
 	}
 	var sum int64
-	for _, l := range p.Loads() {
+	for _, l := range p.loads {
 		sum += l
 	}
 	if sum != 500 {
@@ -246,10 +248,7 @@ func TestWChoicesHeadGoesToLeastLoaded(t *testing.T) {
 	}
 	// Skew local loads, then verify the next hot message lands on the
 	// (unique) least-loaded worker.
-	for w := range p.loads {
-		p.loads[w] = int64(100 * (w + 1))
-	}
-	p.loads[3] = 0
+	setLoads(&p.greedy, []int64{100, 200, 300, 0, 500})
 	if w := routeOne(p, "hot"); w != 3 {
 		t.Fatalf("W-C routed hot key to %d, want least-loaded 3", w)
 	}
@@ -477,20 +476,25 @@ type steadyStateCase struct {
 	cfg   Config
 	algos []string
 	keys  []string
-	warm  int // passes over keys before measuring
+	warm  int  // passes over keys before measuring
+	tours bool // force candidate tournaments onto every head list
 }
 
 // steadyStateCases returns the paper-scale case (n = 50, z = 2.0: a head
 // of dozens) and the at-scale case the solver's allocation-free path
 // exists for: n = 4096 over 100k keys at z = 0.8, a head of ≈ 2.8k keys
 // and d ≈ 91, warmed until the sketch is full so that only steady-state
-// work remains. Each measured window below spans ≥ 8 solves.
+// work remains; and D-C at n = 1024, z = 2.0 with candidate tournaments
+// forced onto every head list, so builds, repairs and leaf toggles run
+// in the measured windows. Each measured window below spans ≥ 8 solves.
 func steadyStateCases() []steadyStateCase {
 	return []steadyStateCase{
 		{"n=50", cfg(50), []string{"PKG", "D-C", "W-C", "RR"},
-			collectKeys(workload.NewZipf(2.0, 2000, 30000, 31)), 1},
+			collectKeys(workload.NewZipf(2.0, 2000, 30000, 31)), 1, false},
 		{"n=4096", cfg(4096), []string{"D-C"},
-			collectKeys(workload.NewZipf(0.8, 100_000, 1<<20, 31)), 2},
+			collectKeys(workload.NewZipf(0.8, 100_000, 1<<20, 31)), 2, false},
+		{"n=1024/tours", cfg(1024), []string{"D-C"},
+			collectKeys(workload.NewZipf(2.0, 10_000, 1<<17, 31)), 2, true},
 	}
 }
 
@@ -505,6 +509,9 @@ func TestSteadyStateRoutingDoesNotAllocate(t *testing.T) {
 			p, err := New(name, tc.cfg)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if tc.tours {
+				setTourMode(p, 1)
 			}
 			keys := tc.keys
 			digs := make([]KeyDigest, 256)
@@ -539,6 +546,9 @@ func TestSteadyStateRoutingDoesNotAllocate(t *testing.T) {
 			}
 			if n := solves() - before; name == "D-C" && n < 16 {
 				t.Errorf("%s/%s: the measured windows held %d solves, want ≥ 8 each", tc.label, name, n)
+			}
+			if st, _ := Stats(p); tc.tours && st.TourRepairs == 0 {
+				t.Errorf("%s/%s: no candidate tournament was repaired: %+v", tc.label, name, st)
 			}
 		}
 	}

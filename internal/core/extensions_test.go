@@ -188,13 +188,8 @@ func TestAllAlgorithmsConserveLocalLoads(t *testing.T) {
 			k := one[0]
 			routeOne(p, k)
 		}
-		type loader interface{ Loads() []int64 }
-		l, ok := p.(loader)
-		if !ok {
-			t.Fatalf("%s does not expose Loads", name)
-		}
 		var sum int64
-		for _, v := range l.Loads() {
+		for _, v := range greedyOf(p).loads {
 			sum += v
 		}
 		if sum != 5000 {

@@ -1,124 +1,141 @@
 package core
 
-// loadtree.go implements the load-index subsystem: a flat-array
-// tournament tree over the sender-local load vector that answers "which
-// worker currently has the lowest load?" in O(1) and absorbs one load
-// increment in O(log n), replacing the O(n) argmin scans that made the
-// W-Choices head path (and large-d D-Choices candidate evaluation)
-// linear in the deployment size. This is what opens the paper's actual
-// operating regime — hundreds to tens of thousands of workers — where
-// "two choices are not enough" and the head of the distribution must be
-// spread over many (W-Choices: all) workers per message.
-//
-// # Tie-breaking is part of the contract
-//
-// The scans route ties to the FIRST position attaining the minimum
-// (routeAll: lowest worker index; routeCands: earliest candidate-list
-// position). The tree's comparison therefore prefers the lower index on
-// equal loads, which makes the root the lexicographic (load, index)
-// minimum — bit-exact with the scans, message for message, for every
-// algorithm. The parity tests pin this: a scan-configured and a
-// tree-configured partitioner produce identical worker sequences on
-// identical streams.
-//
-// # Shape
-//
-// The tree is the standard iterative ("bottom-up segment tree") layout
-// over exactly n leaves: node[n+i] represents worker i, node[k] for
-// k ∈ [1, n) holds the winner (lower (load, index)) of its children
-// node[2k] and node[2k+1], and node[1] is the global argmin. No
-// power-of-two padding is needed — min is associative and commutative,
-// so the bracket's shape cannot change the winner or the tie-break.
-// After loads[w] changes, fixing the path from leaf n+w to the root
-// restores every invariant in ⌈log₂ n⌉ steps.
-//
-// # Crossover
-//
-// Below loadIndexCrossover workers the packed 4-way conditional-move
-// scan in routeAll is faster (it streams the load vector with near-zero
-// branch cost, while the tree pays pointer-chasing and per-increment
-// maintenance), so the index is adaptive: Config.LoadIndexAuto keeps
-// the scan below the crossover and switches to the tree at or above it.
-// The crossover was measured with BenchmarkRouteAtScale and the
-// `scale` experiment's routing table on the W-C head path (see slb.go
-// package docs): scan and tree run neck-and-neck at n = 64 (scan ≈ 8%
-// ahead), and the tree is ≈ 2× faster by n = 256, so 128 is the
-// default switch point. The tree also has no packing limit, which is
-// what lifts the former Workers < 65536 cap: the packed scan encodes
-// (load << 16 | index) in one int64 and cannot represent more workers,
-// while tree nodes store bare worker indices.
-const loadIndexCrossover = 128
-
-// Config.LoadIndex values: how the argmin over the whole load vector
-// (W-Choices' head path, D-Choices at d ≥ n) and over large candidate
-// lists is computed. Routing decisions are bit-identical in all modes;
-// only the cost changes.
-const (
-	// LoadIndexAuto (the default) selects by worker count: the packed
-	// scan below loadIndexCrossover, the tournament tree at or above it.
-	LoadIndexAuto = 0
-	// LoadIndexScan forces the packed conditional-move scan everywhere.
-	// Requires Workers < 65536 (the packing limit); construction panics
-	// otherwise.
-	LoadIndexScan = 1
-	// LoadIndexTree forces the tournament tree (and the candidate
-	// subset tournament) at every worker count.
-	LoadIndexTree = 2
+import (
+	"math"
+	"math/bits"
 )
 
-// loadTree is the tournament (winner) tree over one sender's load
-// vector. It aliases the greedy load slice — it never owns the loads,
-// it only indexes them — so reads are always of live values; callers
-// must fix(w) after every change to loads[w].
-type loadTree struct {
-	n     int
-	loads []int64
-	node  []int32 // 2n nodes; node[1] is the root, node[n+i] leaf i
+// loadtree.go holds the load index: the structure behind every argmin
+// over one sender's whole load vector (W-Choices' head path, D-Choices
+// and ForcedD once d reaches n, Oracle's head path) and the global
+// floor the candidate scans stop at, plus the persistent candidate
+// tournaments that route long head lists (below).
+//
+// # The floor index
+//
+// Loads are this sender's own message counts, and every change to one
+// goes through greedy.bump and adds exactly one. So the workers at the
+// minimum load — the floor — can only leave it, and the (load, index)
+// minimum the scans define (lowest load, lowest worker index on ties)
+// is always the lowest set bit of the floor's member bitmap. The index
+// keeps one bitmap per level for the floorLevels levels from the floor
+// up, as a ring over level mod floorLevels:
+//
+//   - words[i·floorLevels + level mod floorLevels] holds the workers
+//     64i … 64i+63 whose load is that level. Word-major, so the
+//     two words a bump touches are neighbours.
+//   - bump moves one bit up one level. A worker leaving the window's top
+//     level becomes far: it is in no bitmap, and farMin, a lower bound
+//     on the least far load, takes its load.
+//   - min reads the floor's lowest set bit from a word cursor. The floor
+//     level only loses members, so no set bit ever appears below the
+//     cursor and the cursor only moves up: O(1) amortized.
+//   - When the floor level empties, the last worker to leave it went one
+//     level up, so the next level is not empty: the ring advances by
+//     exactly one level and its old floor row, now clear, becomes the
+//     new top. Far workers whose load is that top level re-enter through
+//     one scan of the loads, which runs only when the top reaches farMin
+//     and leaves farMin exact.
+//
+// A scheme builds its index on first use (greedy.index), so D-C and
+// ForcedD at d < n with short candidate lists never pay its upkeep.
+//
+// Invariants: no load is below floor; a worker with load L in
+// [floor, floor+floorLevels) has exactly the bit of row L mod
+// floorLevels set; a worker with a higher load has no bit set and a
+// load of at least farMin; the floor row has no set bit in words below
+// cur. bump and min keep them; rebuild re-establishes them from any
+// load vector in O(n). Any worker count routes.
+// The bitmaps cost n/8 bytes per level, 8n bytes in all.
+const floorLevels = 64
+
+// floorIndex is the floor index over one sender's load vector. It
+// aliases the greedy load slice — it indexes the loads, never owns
+// them — so callers must call bump after every increment of a load,
+// and rebuild after any other change.
+type floorIndex struct {
+	loads  []int64
+	floor  int64    // the window's lowest level: no load is below it
+	cur    int      // floor row words below cur are empty
+	farMin int64    // no worker at or above floor+floorLevels has a lower load
+	words  []uint64 // floorLevels words per 64 workers, word-major
 }
 
-// newLoadTree builds the index over the given load vector (not copied).
-func newLoadTree(loads []int64) *loadTree {
-	t := &loadTree{n: len(loads), loads: loads, node: make([]int32, 2*len(loads))}
-	t.rebuild()
-	return t
+// newFloorIndex builds the index over the given load vector (not
+// copied).
+func newFloorIndex(loads []int64) *floorIndex {
+	x := &floorIndex{loads: loads, words: make([]uint64, (len(loads)+63)/64*floorLevels)}
+	x.rebuild()
+	return x
 }
 
-// winner returns whichever of two worker indices has the lower
-// (load, index) — exactly the scans' first-lowest-wins tie-break.
-func (t *loadTree) winner(a, b int32) int32 {
-	la, lb := t.loads[a], t.loads[b]
-	if lb < la || (lb == la && b < a) {
-		return b
+// rebuild recomputes the index from the current loads in O(n).
+func (x *floorIndex) rebuild() {
+	clear(x.words)
+	x.floor = math.MaxInt64
+	for _, l := range x.loads {
+		x.floor = min(x.floor, l)
 	}
-	return a
-}
-
-// rebuild recomputes every node from the current loads in O(n).
-func (t *loadTree) rebuild() {
-	n := t.n
-	for i := 0; i < n; i++ {
-		t.node[n+i] = int32(i)
-	}
-	for k := n - 1; k >= 1; k-- {
-		t.node[k] = t.winner(t.node[2*k], t.node[2*k+1])
+	x.cur, x.farMin = 0, math.MaxInt64
+	for w, l := range x.loads {
+		if l-x.floor < floorLevels {
+			x.set(w, l)
+		} else {
+			x.farMin = min(x.farMin, l)
+		}
 	}
 }
 
-// min returns the least-loaded worker (lowest index on ties) in O(1).
-func (t *loadTree) min() int {
-	if t.n == 1 {
-		return 0
-	}
-	return int(t.node[1])
+// set puts worker w into the bitmap of level l.
+func (x *floorIndex) set(w int, l int64) {
+	x.words[(w>>6)*floorLevels+int(l&(floorLevels-1))] |= 1 << (w & 63)
 }
 
-// fix restores the tree after loads[w] changed: recompute the winners
-// on the leaf-to-root path, ⌈log₂ n⌉ comparisons. The walk does not
-// early-exit on an unchanged winner index, because an unchanged winner
-// with a changed load still alters every comparison above it.
-func (t *loadTree) fix(w int) {
-	for k := (t.n + w) >> 1; k >= 1; k >>= 1 {
-		t.node[k] = t.winner(t.node[2*k], t.node[2*k+1])
+// bump moves worker w up one level after loads[w] was incremented to l.
+func (x *floorIndex) bump(w int, l int64) {
+	up := l - x.floor
+	if up > floorLevels {
+		return // far already
+	}
+	row, bit := x.words[(w>>6)*floorLevels:][:floorLevels], uint64(1)<<(w&63)
+	row[(l-1)&(floorLevels-1)] &^= bit
+	if up == floorLevels {
+		x.farMin = min(x.farMin, l)
+		return
+	}
+	row[l&(floorLevels-1)] |= bit
+}
+
+// min returns the least-loaded worker, lowest index on ties.
+func (x *floorIndex) min() int {
+	for {
+		row := int(x.floor & (floorLevels - 1))
+		for c := x.cur; c<<6 < len(x.loads); c++ {
+			if b := x.words[c*floorLevels+row]; b != 0 {
+				x.cur = c
+				return c<<6 | bits.TrailingZeros64(b)
+			}
+		}
+		x.advance()
+	}
+}
+
+// advance moves the window up one level once the floor row is empty,
+// re-entering the far workers that reach its new top.
+func (x *floorIndex) advance() {
+	x.floor++
+	x.cur = 0
+	top := x.floor + floorLevels - 1
+	if top < x.farMin {
+		return
+	}
+	x.farMin = math.MaxInt64
+	for w, l := range x.loads {
+		if l == top {
+			x.set(w, l)
+		} else if l > top {
+			x.farMin = min(x.farMin, l)
+		}
 	}
 }
 
@@ -126,7 +143,7 @@ func (t *loadTree) fix(w int) {
 // Candidate subset tournament (head runs)
 //
 // D-Choices with a large d evaluates an argmin over c ≤ d deduplicated
-// candidates per head message; the full-vector tree cannot answer
+// candidates per head message; the floor index cannot answer
 // subset queries, but a key's candidate list is a pure function of its
 // digest — the dedup-prefix property makes the list for d − 1 a prefix
 // of the list for d — so a tournament over it (leaves are list
@@ -172,10 +189,11 @@ func (t *loadTree) fix(w int) {
 // 1/4, 98 as set). A run that has paid candTourBuildScans full
 // scans' worth of visits without being admitted builds anyway and
 // finishes on the tournament — rent-or-buy, for the long run of a key
-// that never recurred. LoadIndexTree applies the tournament to every
-// list of two or more candidates and replays whatever the log still
-// holds, so the reference tests exercise build, repair and toggling
-// throughout.
+// that never recurred. Lists shorter than loadIndexCrossover always
+// scan: there the scan's tight gather loop wins regardless. The tests
+// set greedy.tourMode to apply the tournament to every list of two or
+// more candidates and replay whatever the log still holds, so they
+// exercise build, repair and toggling throughout — or to none.
 //
 // The unit costs are BenchmarkCandTourCosts' (reference host, n = 4096,
 // c = 1,900, near-level loads): scan 0.9 ns per candidate visited;
@@ -191,6 +209,10 @@ func (t *loadTree) fix(w int) {
 // above the floor, and three or four of them hold a tournament at any
 // time; the other ≈ 110 head keys find the floor within 331 candidates
 // on average and do not.
+
+// loadIndexCrossover is the shortest candidate list a tournament routes
+// (see tourSlot).
+const loadIndexCrossover = 128
 
 // Candidate tournament cache shape.
 //
@@ -391,11 +413,10 @@ func (g *greedy) tourStamps(P int) ([]int32, int32) {
 // is built and still within the log's reach: a cold head key must not
 // displace a hot key's tournament (nil: the newcomer goes untracked). It
 // returns nil, too, when lists of c candidates do not route through
-// tournaments at all: scan mode, fewer than two candidates, or — outside
-// LoadIndexTree — below the crossover, where the scan's tight gather
-// loop wins regardless.
+// tournaments at all: below loadIndexCrossover unless tourMode forces
+// them, never below two candidates, and never when tourMode is negative.
 func (g *greedy) tourSlot(dg KeyDigest, c int) *candTour {
-	if c < 2 || g.lidx == LoadIndexScan || (g.lidx != LoadIndexTree && c < loadIndexCrossover) {
+	if c < 2 || g.tourMode < 0 || (g.tourMode == 0 && c < loadIndexCrossover) {
 		return nil
 	}
 	if g.clog == nil {
@@ -469,9 +490,7 @@ func (g *greedy) tourStorage(e *candTour, c int) bool {
 // (true of the candidate cache's lists).
 //
 // Every load increment of a core that has routed an eligible run flows
-// through bump — a scheme that can reach this point with an eligible
-// list always carries the full-vector tree, so routeAll never takes its
-// plain-increment scan path — and is appended to g.clog; a slot's `at`
+// through bump and is appended to g.clog; a slot's `at`
 // is the log position its key was last routed at, which is both the
 // recurrence clock and, for a built tournament, the position it
 // reflects.
@@ -528,7 +547,7 @@ func (g *greedy) tourRoute(e *candTour, dst []int) {
 	if len(dst) == 0 {
 		return
 	}
-	if pos := e.node[1]; g.tree != nil && g.loads[e.list[pos]] == g.loads[g.tree.min()] {
+	if pos := e.node[1]; g.loads[e.list[pos]] == g.loads[g.index().min()] {
 		e.noteScan(int(pos) + 1)
 	} else {
 		e.noteScan(int(e.c))
@@ -537,7 +556,7 @@ func (g *greedy) tourRoute(e *candTour, dst []int) {
 	for m := range dst {
 		pos := e.node[1]
 		w := int(e.list[pos])
-		g.bump(w) // also maintains the full-vector tree and the log
+		g.bump(w) // also maintains the floor index and the log
 		e.climb(g.loads, pos)
 		dst[m] = w
 	}
@@ -554,7 +573,7 @@ func (g *greedy) tourSync(e *candTour, cand []int32) bool {
 		lag = 2 * candTourLogMax
 	}
 	e.gap = uint32((7*uint64(e.gap) + lag) / 8)
-	limit, forced := e.scan/candTourLagDiv, g.lidx == LoadIndexTree
+	limit, forced := e.scan/candTourLagDiv, g.tourMode > 0
 	if e.built && lag <= candTourLogMax && len(cand) <= int(e.leaves) && (forced || e.gap <= limit) {
 		g.nTourRepairs++
 		e.repair(g, cand)

@@ -7,67 +7,137 @@ import (
 	"slb/internal/workload"
 )
 
-// checkTree verifies every structural invariant of a load tree: each
-// internal node holds the winner of its children, and the root equals
-// the linear first-lowest-wins argmin over the loads.
-func checkTree(t *testing.T, lt *loadTree) {
-	t.Helper()
-	n := lt.n
-	for k := n - 1; k >= 1; k-- {
-		if got, want := lt.node[k], lt.winner(lt.node[2*k], lt.node[2*k+1]); got != want {
-			t.Fatalf("node[%d] = %d, want winner(node[%d], node[%d]) = %d", k, got, 2*k, 2*k+1, want)
-		}
-	}
-	best := 0
-	for i := 1; i < n; i++ {
-		if lt.loads[i] < lt.loads[best] {
-			best = i
-		}
-	}
-	if lt.min() != best {
-		t.Fatalf("min() = %d (load %d), scan argmin = %d (load %d)", lt.min(), lt.loads[lt.min()], best, lt.loads[best])
+// newTestGreedy returns a bare n-worker core with its floor index
+// built, in the given tournament mode (greedy.tourMode).
+func newTestGreedy(n int, tourMode int8) *greedy {
+	g := &greedy{n: n, loads: make([]int64, n), tourMode: tourMode}
+	g.index()
+	return g
+}
+
+// setLoads overwrites g's load vector and rebuilds its floor index: the
+// one way a test moves loads other than by routing.
+func setLoads(g *greedy, loads []int64) {
+	copy(g.loads, loads)
+	if g.idx != nil {
+		g.idx.rebuild()
 	}
 }
 
-// TestLoadTreeInvariants drives trees of assorted (non-power-of-two)
-// sizes through random increments, checking every invariant after every
-// fix — the per-increment structural guarantee the routing parity
-// builds on.
-func TestLoadTreeInvariants(t *testing.T) {
+// scanArgmin is the linear first-lowest-wins argmin the index answers.
+func scanArgmin(loads []int64) int {
+	best := 0
+	for i, l := range loads {
+		if l < loads[best] {
+			best = i
+		}
+	}
+	return best
+}
+
+// checkIndex verifies every invariant of a floor index against its
+// loads (see loadtree.go) and that min() is the scan's argmin.
+func checkIndex(t *testing.T, x *floorIndex) {
+	t.Helper()
+	for w, l := range x.loads {
+		if l < x.floor {
+			t.Fatalf("worker %d load %d below the floor %d", w, l, x.floor)
+		}
+		far := l-x.floor >= floorLevels
+		if far && l < x.farMin {
+			t.Fatalf("far worker %d load %d below farMin %d", w, l, x.farMin)
+		}
+		for lv := x.floor; lv < x.floor+floorLevels; lv++ {
+			set := x.words[(w>>6)*floorLevels+int(lv&(floorLevels-1))]&(1<<(w&63)) != 0
+			if set != (lv == l) {
+				t.Fatalf("worker %d (load %d, floor %d): bit at level %d is %v", w, l, x.floor, lv, set)
+			}
+		}
+	}
+	for c := 0; c < x.cur; c++ {
+		if x.words[c*floorLevels+int(x.floor&(floorLevels-1))] != 0 {
+			t.Fatalf("floor row word %d below the cursor %d is not empty", c, x.cur)
+		}
+	}
+	if got, want := x.min(), scanArgmin(x.loads); got != want {
+		t.Fatalf("min() = %d (load %d), scan argmin = %d (load %d)", got, x.loads[got], want, x.loads[want])
+	}
+}
+
+// TestFloorIndexMatchesScan drives indexes of assorted sizes — one
+// bitmap word, exactly one, just over one, several — through random
+// increments and checks min() against the linear scan after every bump.
+// The first half of each run piles onto one hot worker, which leaves
+// the window and becomes far; the second half mostly bumps the argmin,
+// so the floor climbs and far workers re-enter. The "far" start also
+// begins with workers 64 to 100 levels above the floor.
+func TestFloorIndexMatchesScan(t *testing.T) {
 	rng := uint64(0x1234_5678)
 	next := func(n int) int {
 		rng = rng*6364136223846793005 + 1442695040888963407
 		return int((rng >> 33) % uint64(n))
 	}
-	for _, n := range []int{1, 2, 3, 5, 8, 37, 130, 1000} {
-		loads := make([]int64, n)
-		lt := newLoadTree(loads)
-		checkTree(t, lt)
-		for step := 0; step < 2000; step++ {
-			w := next(n)
-			loads[w]++
-			lt.fix(w)
-			checkTree(t, lt)
+	for _, n := range []int{1, 2, 3, 63, 64, 65, 130, 1000} {
+		for _, start := range []string{"zero", "far"} {
+			t.Run(fmt.Sprintf("n=%d/%s", n, start), func(t *testing.T) {
+				loads := make([]int64, n)
+				top := int64(0) // highest starting load
+				if start == "far" {
+					for w := range loads {
+						loads[w] = int64(next(3))
+						if next(8) == 0 {
+							loads[w] = int64(floorLevels + next(37))
+						}
+						top = max(top, loads[w])
+					}
+				}
+				x := newFloorIndex(loads)
+				checkIndex(t, x)
+				hot := next(n)
+				steps := 96*n + 4000
+				for step := 0; step < steps; step++ {
+					var w int
+					switch r := next(4); {
+					case step < steps/2 && r < 2:
+						w = hot
+					case r == 3:
+						w = next(n)
+					default:
+						w = x.min()
+					}
+					loads[w]++
+					x.bump(w, loads[w])
+					if got, want := x.min(), scanArgmin(loads); got != want {
+						t.Fatalf("step %d (bumped %d): min() = %d (load %d), scan argmin = %d (load %d)",
+							step, w, got, loads[got], want, loads[want])
+					}
+					if step%97 == 0 {
+						checkIndex(t, x)
+					}
+				}
+				checkIndex(t, x)
+				if x.floor+floorLevels <= top {
+					t.Fatalf("floor reached only %d: not every far starting load (up to %d) re-entered", x.floor, top)
+				}
+			})
 		}
 	}
 }
 
-// TestLoadTreeTieBreak pins the lower-index-wins tie-break directly:
-// with all-equal loads the root must always be the lowest unloaded
-// index, exactly as the packed scan resolves ties.
-func TestLoadTreeTieBreak(t *testing.T) {
-	const n = 11
+// TestFloorIndexTieBreak pins the lower-index-wins tie-break directly:
+// taking the minimum and bumping it must visit 0, 1, …, n−1 round after
+// round, across bitmap words.
+func TestFloorIndexTieBreak(t *testing.T) {
+	const n = 130
 	loads := make([]int64, n)
-	lt := newLoadTree(loads)
-	// Repeatedly take the min and bump it: the sequence must be
-	// 0,1,...,n-1, 0,1,... — first-lowest-wins round after round.
+	x := newFloorIndex(loads)
 	for round := 0; round < 3; round++ {
 		for want := 0; want < n; want++ {
-			if got := lt.min(); got != want {
+			if got := x.min(); got != want {
 				t.Fatalf("round %d: min() = %d, want %d", round, got, want)
 			}
-			loads[lt.min()]++
-			lt.fix(lt.min())
+			loads[want]++
+			x.bump(want, loads[want])
 		}
 	}
 }
@@ -98,8 +168,9 @@ func TestCandTreeDifferential(t *testing.T) {
 		for i := range loads {
 			loads[i] = int64(next(4))
 		}
-		g1 := greedy{n: n, loads: append([]int64{}, loads...), lidx: LoadIndexScan}
-		g2 := greedy{n: n, loads: append([]int64{}, loads...), lidx: LoadIndexTree}
+		g1, g2 := newTestGreedy(n, -1), newTestGreedy(n, 1)
+		setLoads(g1, loads)
+		setLoads(g2, loads)
 		msgs := 2 + next(20)
 		dst2 := make([]int, msgs)
 		g2.routeHead(KeyDigest(uint64(trial)*0x9e3779b97f4a7c15+1), cand, dst2)
@@ -111,35 +182,38 @@ func TestCandTreeDifferential(t *testing.T) {
 	}
 }
 
-// scanTreePartitioners builds the same algorithm twice: once forced
-// onto the packed scans, once forced onto the tournament tree (and the
-// candidate subset tournament).
+// scanTreePartitioners builds the same algorithm twice: once with every
+// candidate list scanned, once with candidate tournaments forced onto
+// every list (greedy.tourMode).
 func scanTreePartitioners(t *testing.T, algo string, n int) (scan, tree Partitioner) {
 	t.Helper()
-	mk := func(lidx int) Partitioner {
-		c := Config{Workers: n, Seed: 42, LoadIndex: lidx}
-		if algo == "Greedy-7" {
-			return NewForcedD(c, 7)
+	mk := func(tourMode int8) Partitioner {
+		c := Config{Workers: n, Seed: 42}
+		var p Partitioner
+		switch algo {
+		case "Greedy-7":
+			p = NewForcedD(c, 7)
+		case "Oracle":
+			p = NewOracle(c, func(k string) bool { return len(k) < 5 })
+		default:
+			var err error
+			if p, err = New(algo, c); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if algo == "Oracle" {
-			return NewOracle(c, func(k string) bool { return len(k) < 5 })
-		}
-		p, err := New(algo, c)
-		if err != nil {
-			t.Fatal(err)
-		}
+		setTourMode(p, tourMode)
 		return p
 	}
-	return mk(LoadIndexScan), mk(LoadIndexTree)
+	return mk(-1), mk(1)
 }
 
-// TestScanTreeRoutingParity is the satellite regression suite: for
-// every algorithm (including the experimental ForcedD and Oracle),
-// across worker counts spanning both sides of the crossover and a skew
-// sweep, the scan-based and tree-based configurations must produce
-// identical worker sequences — message for message — through BOTH the
-// per-message and the batched API (slabs of a deliberately odd size, so
-// runs split across slab boundaries).
+// TestScanTreeRoutingParity is the candidate path's regression suite:
+// for every algorithm (including the experimental ForcedD and Oracle),
+// across worker counts from one bitmap word to many and a skew sweep,
+// the scan-only and the tournament-only configurations must produce
+// identical worker sequences — message for message — at slabs of one
+// and in batches (slabs of a deliberately odd size, so runs split across
+// slab boundaries).
 func TestScanTreeRoutingParity(t *testing.T) {
 	algos := append(append([]string{}, Names...), "Greedy-7", "Oracle")
 	for _, n := range []int{8, 200, 5000} {
@@ -148,9 +222,7 @@ func TestScanTreeRoutingParity(t *testing.T) {
 			if n == 5000 {
 				m = 20000 // enough traffic for head keys to emerge at scale
 			}
-			gen := workload.NewZipf(z, 2000, m, 7)
-			keys := make([]string, m)
-			keys = keys[:gen.NextBatch(keys)]
+			keys := collectKeys(workload.NewZipf(z, 2000, m, 7))
 			for _, algo := range algos {
 				t.Run(fmt.Sprintf("%s/n=%d/z=%.1f", algo, n, z), func(t *testing.T) {
 					scan, tree := scanTreePartitioners(t, algo, n)
@@ -167,10 +239,7 @@ func TestScanTreeRoutingParity(t *testing.T) {
 					dstS := make([]int, slab)
 					dstT := make([]int, slab)
 					for i := half; i < len(keys); i += slab {
-						end := i + slab
-						if end > len(keys) {
-							end = len(keys)
-						}
+						end := min(i+slab, len(keys))
 						scan.RouteBatchDigests(keys[i:end], digs, dstS)
 						tree.RouteBatchDigests(keys[i:end], digs, dstT)
 						for j := 0; j < end-i; j++ {
@@ -185,32 +254,8 @@ func TestScanTreeRoutingParity(t *testing.T) {
 	}
 }
 
-// TestAutoCrossoverMatchesForcedModes pins that LoadIndexAuto routes
-// identically to both forced modes on either side of the crossover (it
-// is one of them, selected by n).
-func TestAutoCrossoverMatchesForcedModes(t *testing.T) {
-	for _, n := range []int{loadIndexCrossover / 2, loadIndexCrossover, loadIndexCrossover * 2} {
-		gen := workload.NewZipf(1.6, 500, 4000, 3)
-		auto := NewWChoices(Config{Workers: n, Seed: 42})
-		scan := NewWChoices(Config{Workers: n, Seed: 42, LoadIndex: LoadIndexScan})
-		tree := NewWChoices(Config{Workers: n, Seed: 42, LoadIndex: LoadIndexTree})
-		if wantTree := n >= loadIndexCrossover; wantTree != (auto.tree != nil) {
-			t.Fatalf("n=%d: auto tree presence = %v, want %v", n, auto.tree != nil, wantTree)
-		}
-		for one := make([]string, 1); gen.NextBatch(one) == 1; {
-			k := one[0]
-			wa, ws, wt := routeOne(auto, k), routeOne(scan, k), routeOne(tree, k)
-			if wa != ws || wa != wt {
-				t.Fatalf("n=%d key %q: auto %d scan %d tree %d", n, k, wa, ws, wt)
-			}
-		}
-	}
-}
-
-// TestWorkerCapLifted verifies the former hard 65536-worker cap is
-// gone: the tree path constructs and routes far above it, while a
-// FORCED packed scan — which cannot encode that many workers — still
-// panics loudly.
+// TestWorkerCapLifted verifies that nothing caps the worker count:
+// W-Choices constructs and routes far above 65536 workers.
 func TestWorkerCapLifted(t *testing.T) {
 	const big = 1 << 17
 	// Theta is set explicitly so the derived sketch stays small; the
@@ -228,67 +273,78 @@ func TestWorkerCapLifted(t *testing.T) {
 	if len(seen) < 2 {
 		t.Fatalf("routing at n=%d stuck on %d worker(s)", big, len(seen))
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("forced LoadIndexScan above the packing limit did not panic")
-		}
-	}()
-	cfg.LoadIndex = LoadIndexScan
-	NewWChoices(cfg)
 }
 
-// TestGreedyTreeStaysInSync routes a skewed stream through W-Choices
-// and D-Choices with the tree attached and verifies, at several points,
-// that the tree still satisfies its invariants against the live load
-// vector — i.e. every increment in every routing path went through the
-// index.
-func TestGreedyTreeStaysInSync(t *testing.T) {
-	gen := workload.NewZipf(1.8, 300, 12000, 11)
-	keys := make([]string, 0, 12000)
-	for one := make([]string, 1); gen.NextBatch(one) == 1; {
-		k := one[0]
-		keys = append(keys, k)
-	}
-	for _, algo := range []string{"W-C", "D-C", "RR", "PKG"} {
-		p, err := New(algo, Config{Workers: 150, Seed: 5, LoadIndex: LoadIndexTree})
-		if err != nil {
-			t.Fatal(err)
+// TestGreedyIndexStaysInSync builds the floor index of each scheme
+// that can argmin over the whole vector up front, routes a skewed
+// stream, and verifies at several points that the index still satisfies
+// its invariants against the live load vector — i.e. every increment in
+// every routing path went through bump. The schemes that increment
+// loads directly (RR, PKG) must never build one.
+func TestGreedyIndexStaysInSync(t *testing.T) {
+	keys := collectKeys(workload.NewZipf(1.8, 300, 12000, 11))
+	for _, algo := range []string{"W-C", "D-C", "Greedy-7", "RR", "PKG"} {
+		c := Config{Workers: 150, Seed: 5}
+		var p Partitioner
+		if algo == "Greedy-7" {
+			p = NewForcedD(c, 7)
+		} else {
+			var err error
+			if p, err = New(algo, c); err != nil {
+				t.Fatal(err)
+			}
 		}
-		var g *greedy
-		switch q := p.(type) {
-		case *WChoices:
-			g = &q.greedy
-		case *DChoices:
-			g = &q.greedy
-		case *RoundRobin:
-			g = &q.greedy
-		case *PKG:
-			g = &q.greedy
+		g := greedyOf(p)
+		indexed := algo != "RR" && algo != "PKG"
+		if indexed {
+			g.index()
 		}
 		digs := make([]KeyDigest, 64)
 		dst := make([]int, 64)
 		for i := 0; i < len(keys); i += 64 {
-			end := i + 64
-			if end > len(keys) {
-				end = len(keys)
-			}
-			p.RouteBatchDigests(keys[i:end], digs, dst)
-			if g.tree != nil && i%(64*16) == 0 {
-				checkTree(t, g.tree)
+			p.RouteBatchDigests(keys[i:min(i+64, len(keys))], digs, dst)
+			if g.idx != nil && i%(64*16) == 0 {
+				checkIndex(t, g.idx)
 			}
 		}
-		switch algo {
-		case "W-C", "D-C":
-			if g.tree == nil {
-				t.Fatalf("%s: LoadIndexTree did not attach a tree", algo)
-			}
-			checkTree(t, g.tree)
-		case "RR", "PKG":
-			// Schemes that never argmin over the whole vector must not
-			// pay for an index even when the tree is forced.
-			if g.tree != nil {
-				t.Fatalf("%s: unexpectedly carries a load index", algo)
-			}
+		if indexed {
+			checkIndex(t, g.idx)
+		} else if g.idx != nil {
+			t.Fatalf("%s: unexpectedly built a load index", algo)
 		}
 	}
+}
+
+// setTourMode sets the candidate tournament mode (greedy.tourMode) of
+// a scheme that routes candidate lists — D-C or ForcedD — and reports
+// whether p is one.
+func setTourMode(p Partitioner, mode int8) bool {
+	switch q := p.(type) {
+	case *DChoices:
+		q.tourMode = mode
+	case *ForcedD:
+		q.tourMode = mode
+	default:
+		return false
+	}
+	return true
+}
+
+// greedyOf returns the load-aware core inside p.
+func greedyOf(p Partitioner) *greedy {
+	switch q := p.(type) {
+	case *PKG:
+		return &q.greedy
+	case *DChoices:
+		return &q.greedy
+	case *WChoices:
+		return &q.greedy
+	case *RoundRobin:
+		return &q.greedy
+	case *ForcedD:
+		return &q.greedy
+	case *Oracle:
+		return &q.greedy
+	}
+	panic(fmt.Sprintf("%T has no load vector", p))
 }

@@ -20,11 +20,10 @@ import (
 // routing counters. All values are cumulative over the partitioner's
 // lifetime; gauges (sketch occupancy, current d) are instantaneous.
 type RouteStats struct {
-	// TreeMinPicks counts messages whose worker came out of a
-	// tournament structure (the O(log n) full-vector load tree or the
-	// candidate-subset tournament); ScanMinPicks counts messages argmin'd
-	// by a linear scan (the packed full-vector scan or the branchy
-	// candidate scan). Their sum is the number of head-path argmins, not
+	// TreeMinPicks counts messages whose worker came out of an index
+	// (the floor index's least-loaded worker, or a candidate
+	// tournament's root); ScanMinPicks counts messages argmin'd by a
+	// candidate scan. Their sum is the number of head-path argmins, not
 	// total messages: the 2-choice tail path is neither.
 	TreeMinPicks int64
 	ScanMinPicks int64

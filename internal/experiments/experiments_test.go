@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -541,8 +542,8 @@ func TestAggregationShardSweep(t *testing.T) {
 // TestScaleShape pins the large-deployment story end to end at Quick
 // scale: (1) PKG's imbalance grows with n while D-C and W-C stay
 // near-flat — the paper's "two choices are not enough" claim in the
-// regime its title is about; (2) the tournament load index keeps W-C
-// head routing far below the linear scan at the largest n; (3) added
+// regime its title is about; (2) the floor index keeps W-C head routing
+// flat across the sweep; (3) added
 // workers keep raising D-C/W-C throughput after PKG has plateaued.
 func TestScaleShape(t *testing.T) {
 	tabs := mustRun(t, "scale")
@@ -551,13 +552,18 @@ func TestScaleShape(t *testing.T) {
 	}
 	route, imb, thr := tabs[0], tabs[1], tabs[2]
 
-	// (2) Routing cost: at the largest n the W-C scan is linear in n
-	// and the tree logarithmic; require a ≥2x gap (the measured gap is
-	// >10x — the slack absorbs CI timer noise).
-	last := route.Rows[len(route.Rows)-1]
-	wcScan, wcTree := cell(t, last, 1), cell(t, last, 2)
-	if wcScan < 2*wcTree {
-		t.Errorf("scale routing at n=%s: W-C scan %g ns/msg not ≥2x tree %g ns/msg", last[0], wcScan, wcTree)
+	// (2) Routing cost: W-C's head path is O(1) in n, so its ns/msg
+	// must stay within 11x across the sweep (n = 16 … 4096). Ten runs
+	// measured max/min ratios of 1.08–2.11; the bound keeps the old
+	// scan-vs-tree check's 5x slack over the worst of them for CI timer
+	// noise. A linear argmin measured 68x (66 → 4,518 ns/msg).
+	lo, hi := math.Inf(1), 0.0
+	for _, row := range route.Rows {
+		v := cell(t, row, 1)
+		lo, hi = math.Min(lo, v), math.Max(hi, v)
+	}
+	if hi > 11*lo {
+		t.Errorf("scale routing: W-C ranges %g … %g ns/msg across n, want within 11x", lo, hi)
 	}
 
 	// (1) Imbalance. At the moderate z=0.8 two choices still suffice at

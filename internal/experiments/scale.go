@@ -19,10 +19,10 @@ import (
 // workers. The `scale` experiment sweeps n ∈ {16 … 16384} × {KG, PKG,
 // D-C, W-C, SG} and reports three tables:
 //
-//  1. Routing cost (ns/msg) of the head-aware schemes with the argmin
-//     scans versus the O(log n) tournament load index (loadtree.go):
-//     the scan grows linearly with n, the tree stays near-flat — this
-//     is what makes the regime REACHABLE, not just simulable.
+//  1. Routing cost (ns/msg) of the head-aware schemes: W-C's head path
+//     reads the O(1) floor index (core's loadtree.go), so its cost
+//     stays near-flat in n — this is what makes the regime REACHABLE,
+//     not just simulable.
 //  2. Imbalance at scale (the paper's Fig. 1/11 story extended): PKG's
 //     imbalance grows toward p₁/2 − 1/n as n grows, while D-C and
 //     W-C stay near-flat because the head is spread over as many
@@ -117,8 +117,8 @@ func scaleCfg(n int) core.Config {
 // partitioner via the batched hot path and returns the mean cost per
 // message in nanoseconds. The key stream is materialized BEFORE the
 // clock starts, so the table reports routing alone — generation inside
-// the window would be a constant floor that flattens the scan/tree
-// ratio. One sender, exactly as the per-message routing cost is paid
+// the window would be a constant floor that hides how routing grows
+// with n. One sender, exactly as the per-message routing cost is paid
 // in a DSPE source.
 func timeRouting(algo string, cfg core.Config, z float64, m int64) (float64, error) {
 	p, err := core.New(algo, cfg)
@@ -152,38 +152,23 @@ func timeRouting(algo string, cfg core.Config, z float64, m int64) (float64, err
 // ScaleExperiment reproduces the large-deployment regime end to end;
 // registered as `scale` (cluster family).
 func ScaleExperiment(sc Scale) ([]*texttab.Table, error) {
-	// Table 1: routing cost, scan vs tree, for the two schemes whose
-	// head path argmins over candidates (W-C: all n; D-C: d of them).
-	// z = 2.0 puts ≈80% of the stream in the head — the worst case for
-	// a linear argmin, and exactly the regime the paper's schemes
-	// target. The crossover (~n = 128, see core's loadtree.go) is
-	// visible as the sign change of the speedup column.
+	// Table 1: routing cost of the two schemes whose head path argmins
+	// over candidates (W-C: all n; D-C: d of them). z = 2.0 puts ≈80%
+	// of the stream in the head — the worst case for an argmin, and
+	// exactly the regime the paper's schemes target.
 	mRoute := sc.scaleRouteMessages()
 	routeTab := texttab.New(
 		fmt.Sprintf("scale: routing cost (ns/msg), z=2.0, m=%d, 1 source", mRoute),
-		"n", "W-C scan", "W-C tree", "D-C scan", "D-C tree", "W-C scan/tree")
+		"n", "W-C", "D-C")
 	for _, n := range sc.scaleWorkers() {
 		cells := []string{fmt.Sprintf("%d", n)}
-		var wcScan, wcTree float64
 		for _, algo := range []string{"W-C", "D-C"} {
-			for _, lidx := range []int{core.LoadIndexScan, core.LoadIndexTree} {
-				cfg := scaleCfg(n)
-				cfg.LoadIndex = lidx
-				ns, err := timeRouting(algo, cfg, 2.0, mRoute)
-				if err != nil {
-					return nil, err
-				}
-				cells = append(cells, fmt.Sprintf("%.1f", ns))
-				if algo == "W-C" {
-					if lidx == core.LoadIndexScan {
-						wcScan = ns
-					} else {
-						wcTree = ns
-					}
-				}
+			ns, err := timeRouting(algo, scaleCfg(n), 2.0, mRoute)
+			if err != nil {
+				return nil, err
 			}
+			cells = append(cells, fmt.Sprintf("%.1f", ns))
 		}
-		cells = append(cells, fmt.Sprintf("%.2fx", wcScan/wcTree))
 		routeTab.Add(cells...)
 	}
 

@@ -269,7 +269,8 @@
 // spout_parks_total, and with them the partitioner's own ledger
 // (core.RouteRecorder, deltas of core.RouteStats once per routed
 // batch): route_head_msgs_total; route_tree_argmins_total and
-// route_scan_argmins_total (which argmin served each head message);
+// route_scan_argmins_total (whether an index — the floor index or a
+// candidate tournament — or a candidate scan served each head message);
 // route_cand_cache_hits_total / route_cand_cache_misses_total
 // (D-Choices' candidate lists); route_cand_tour_builds_total /
 // route_cand_tour_repairs_total (its persistent candidate tournaments:
@@ -306,18 +307,17 @@
 // # Balancing at scale
 //
 // The paper's title regime — hundreds to tens of thousands of workers —
-// is fully supported. Worker counts are unbounded (the former 65536
-// cap is gone), and the head-aware schemes' argmin over worker loads is
-// backed by an adaptive LOAD INDEX: below a measured crossover of
-// n = 128 it is the packed conditional-move scan (scan and tree run
-// neck-and-neck at n = 64; the scan wins below, the tree clearly above
-// — ≈2x at n = 256), and from the crossover up it is a flat-array
-// tournament tree with O(1) argmin reads and O(log n) updates, with
-// tie-breaking bit-exact to the scans — so W-Choices head routing
-// stays near-flat (≈110–150 ns/msg on the reference machine) from
-// n = 256 to n = 16384 while the scan grows linearly to ≈10 µs/msg
-// (BenchmarkRouteAtScale and the `scale` experiment's routing table;
-// ≈69x at n = 16384).
+// is fully supported. Worker counts are unbounded, and the head-aware
+// schemes' argmin over worker loads is one LOAD INDEX at every n: loads
+// are the sender's own message counts and each change adds one, so the
+// least-loaded worker is always the lowest set bit of the bitmap of
+// workers at the minimum load, and a floor index of per-level bitmaps
+// answers it in O(1) and absorbs each increment in O(1), with
+// tie-breaking bit-exact to a first-lowest-wins scan — so W-Choices
+// head routing stays flat in n: route-scale's W-C cells at z = 2.0 cost
+// 49.5 cpu-ns per message at n = 64 and 46.6 at n = 4096 (medians of
+// ten runs on a 2-vCPU host; see also BenchmarkRouteAtScale and the
+// `scale` experiment's routing table).
 //
 // D-Choices at scale has two regimes, and the route-scale benchmark
 // (bench/) measures both at n = 4096 over 100k keys. At z = 0.8 the head
@@ -334,31 +334,29 @@
 // prefixes of larger ones, so the solver's wobble re-derives nothing).
 // At z = 2.0 a hundred head keys get d ≈ 2.5k — ≈ 1.9k distinct
 // candidates each — and the cost is the argmin per head message. A scan
-// stops at the first candidate at the global minimum load (the load
-// index's root), which most head keys reach within a fraction of their
-// list; the few hottest keys, whose own traffic keeps their candidates
-// above that floor, hold persistent candidate tournaments — O(log c)
-// per message, repaired across runs by replaying the load increments
-// logged since, surviving the solver's wobble by switching leaves on
-// and off — admitted and dropped by the measured cost of their scans
-// against the replay (internal/core/loadtree.go). Measured on the
-// reference host, cpu-ns per message, before → after these mechanisms:
-// D-C.n4096.z0.8 1,822 → 410 and D-C.n4096.z2.0 1,963 → 298, against
-// W-C's 243 and 117 and PKG's 31 and 17 in the same cells; at n = 64
-// D-C costs 89–93 and W-C 77–96. Every routed
-// worker and every solved d is bit-identical to Algorithm 1 run plainly,
-// one message at a time (TestDChoicesMatchesReference). D-C still
+// of 128 candidates or more stops at the first candidate at the global
+// minimum load (the floor index's floor), which most head keys reach
+// within a fraction of their list; the few hottest keys, whose own
+// traffic keeps their candidates above that floor, hold persistent
+// candidate tournaments — O(log c) per message, repaired across runs
+// by replaying the load increments logged since, surviving the
+// solver's wobble by switching leaves on and off — admitted and dropped
+// by the measured cost of their scans against the replay
+// (internal/core/loadtree.go). Measured on the reference host, cpu-ns
+// per message, before → after these mechanisms: D-C.n4096.z0.8
+// 1,822 → 410 and D-C.n4096.z2.0 1,963 → 298, against PKG's 31 and 17
+// in the same cells; at n = 64 D-C costs 89–93. Every routed worker and
+// every solved d is bit-identical to Algorithm 1 run plainly, one
+// message at a time (TestDChoicesMatchesReference). D-C still
 // switches to the W-C strategy at d ≥ n, as the paper prescribes. Past
 // the cache's budget — n = 16384 at the default θ, a head of ≈ 11k keys
 // at d ≈ 350 — derivations dominate again (≈ 2 µs per message,
 // BenchmarkRouteAtScale's D-C/default cells). All of this preserves the
-// zero-allocation steady state, and Config.LoadIndex
-// (LoadIndexAuto/LoadIndexScan/LoadIndexTree) pins the selection for
-// measurement.
+// zero-allocation steady state.
 //
 // The `scale` experiment (cmd/slbstorm) reproduces the large-deployment
 // story end to end at n ∈ {16 … 16384} × {KG, PKG, D-C, W-C, SG}:
-// routing ns/msg scan vs tree, imbalance at scale (PKG grows with n —
+// routing ns/msg per scheme, imbalance at scale (PKG grows with n —
 // e.g. 4.0e-6 → 1.9e-2 at z = 0.8 — while D-C/W-C hold ≈1e-5), and
 // discrete-event throughput (PKG plateaus at its two hot-key workers'
 // drain rate from n = 64 on, D-C/W-C keep the offered rate at every n).
@@ -409,27 +407,9 @@ func RouteBatchDigests(p Partitioner, keys []string, digs []KeyDigest, dst []int
 
 // Config carries the partitioner parameters (Table III of the paper):
 // worker count, hash seed, head threshold θ (default 1/(5n)), solver
-// tolerance ε (default 1e-4), sketch capacity, solve cadence, and the
-// load-index selection (see LoadIndexAuto).
+// tolerance ε (default 1e-4), sketch capacity and solve cadence. Each
+// of them changes routing; how the argmin is computed is not a setting.
 type Config = core.Config
-
-// Config.LoadIndex values: how the head-aware schemes compute the
-// argmin over worker loads (the W-Choices head path routes EVERY head
-// message to the globally least-loaded worker). LoadIndexAuto — the
-// default — uses a packed conditional-move scan below the measured
-// crossover (n = 128) and a flat-array tournament tree (O(1) argmin
-// read, O(log n) update per message) at or above it, which keeps head
-// routing roughly flat in n up to tens of thousands of workers.
-// Routing decisions are bit-identical in every mode; only cost
-// changes. LoadIndexScan forces the scan (requires Workers < 65536 —
-// the packed encoding's limit, which is also why worker counts beyond
-// 65536 are supported only through the tree); LoadIndexTree forces the
-// tree. See the `scale` experiment for measured numbers.
-const (
-	LoadIndexAuto = core.LoadIndexAuto
-	LoadIndexScan = core.LoadIndexScan
-	LoadIndexTree = core.LoadIndexTree
-)
 
 // Algorithms lists the paper's algorithm symbols in presentation order:
 // KG, SG, PKG, D-C, W-C, RR.
