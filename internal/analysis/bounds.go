@@ -274,16 +274,3 @@ func PKGImbalanceLowerBound(p1 float64, n int) float64 {
 	}
 	return b
 }
-
-// MinimalDForImbalance is the empirical-search helper used by Fig. 9's
-// comparison: it returns the smallest d in [2, n] for which measure(d)
-// reports an imbalance no worse than target (with a small relative
-// slack). measure is typically a full simulation run at that d.
-func MinimalDForImbalance(n int, target float64, slack float64, measure func(d int) float64) int {
-	for d := 2; d <= n; d++ {
-		if measure(d) <= target*(1+slack)+1e-12 {
-			return d
-		}
-	}
-	return n
-}

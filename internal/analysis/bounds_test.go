@@ -182,19 +182,6 @@ func TestSolveDFig4Shape(t *testing.T) {
 	}
 }
 
-func TestMinimalDForImbalance(t *testing.T) {
-	// Synthetic measure: imbalance 1/d; target 0.2 → minimal d = 5.
-	got := MinimalDForImbalance(10, 0.2, 0, func(d int) float64 { return 1 / float64(d) })
-	if got != 5 {
-		t.Fatalf("MinimalDForImbalance = %d, want 5", got)
-	}
-	// Unreachable target returns n.
-	got = MinimalDForImbalance(10, 0, 0, func(d int) float64 { return 1 })
-	if got != 10 {
-		t.Fatalf("unreachable target should return n, got %d", got)
-	}
-}
-
 func TestFeasibleDTrivial(t *testing.T) {
 	if !FeasibleD(nil, 1, 10, 2, 0) {
 		t.Fatal("empty head must always be feasible")

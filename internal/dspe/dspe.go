@@ -69,7 +69,6 @@ import (
 
 	"slb/internal/aggregation"
 	"slb/internal/core"
-	"slb/internal/metrics"
 	"slb/internal/stream"
 	"slb/internal/telemetry"
 	"slb/internal/transport"
@@ -220,7 +219,8 @@ type Result struct {
 	Throughput float64
 	// MaxAvgLatency is the maximum per-bolt mean latency.
 	MaxAvgLatency time.Duration
-	// P50/P95/P99 are end-to-end latency percentiles across all tuples.
+	// P50/P95/P99 are end-to-end latency percentiles across the sampled
+	// tuples (one in eight), 0 when no tuple was sampled.
 	P50, P95, P99 time.Duration
 	// Loads is the per-bolt processed-tuple count.
 	Loads []int64
@@ -258,7 +258,7 @@ type Result struct {
 
 // boltStats is written only by the owning bolt goroutine.
 type boltStats struct {
-	lat   *metrics.Quantiles
+	lat   *telemetry.Histogram
 	count int64
 	sum   time.Duration
 }
@@ -292,21 +292,12 @@ func Run(gen stream.Generator, cfg Config) (Result, error) {
 	return res, err
 }
 
-// poolLatency merges the per-bolt latency reservoirs into one pooled
-// estimator with count-proportional weighting (metrics.Quantiles.Merge):
-// a bolt that processed 100× the tuples contributes 100× the mass.
-// The previous implementation re-sampled each bolt's 0.05–0.95 quantile
-// grid with equal weight, which (a) capped the pooled P99 at the largest
-// single-bolt p95 — the tail above p95 was simply discarded — and
-// (b) gave a bolt that processed 50 tuples the same vote as one that
-// processed 50k, so the hot bolt's queueing tail vanished from the
-// pooled percentiles exactly when it mattered.
-func poolLatency(stats []boltStats) *metrics.Quantiles {
-	pooled := metrics.NewQuantiles(1 << 16)
+// poolLatency adds the per-bolt latency histograms into one: a bolt
+// that processed 100× the tuples contributes 100× the mass.
+func poolLatency(stats []boltStats) *telemetry.Histogram {
+	pooled := telemetry.NewHistogram()
 	for w := range stats {
-		if stats[w].count > 0 {
-			pooled.Merge(stats[w].lat)
-		}
+		pooled.Merge(stats[w].lat)
 	}
 	return pooled
 }

@@ -6,8 +6,8 @@ import (
 
 	"slb/internal/aggregation"
 	"slb/internal/core"
-	"slb/internal/metrics"
 	"slb/internal/stream"
+	"slb/internal/telemetry"
 	"slb/internal/workload"
 )
 
@@ -65,6 +65,24 @@ func TestLatencyAtLeastServiceTime(t *testing.T) {
 	}
 	if res.MaxAvgLatency < 200*time.Microsecond {
 		t.Fatalf("max-avg %v below the service time", res.MaxAvgLatency)
+	}
+}
+
+// TestEmptyRunLatencyIsZero: a run that samples no tuple reports 0 for
+// every latency column on both backends, not a value converted from an
+// empty estimator.
+func TestEmptyRunLatencyIsZero(t *testing.T) {
+	for _, b := range backends {
+		t.Run(b.name, func(t *testing.T) {
+			res, err := Run(stream.FromSlice(nil), Config{Workers: 4, Sources: 1, Algorithm: "PKG", Transport: b.sel})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Completed != 0 || res.P50 != 0 || res.P95 != 0 || res.P99 != 0 || res.MaxAvgLatency != 0 {
+				t.Fatalf("completed %d, p50/p95/p99/max-avg = %v/%v/%v/%v, want all 0",
+					res.Completed, res.P50, res.P95, res.P99, res.MaxAvgLatency)
+			}
+		})
 	}
 }
 
@@ -161,39 +179,38 @@ func TestDeterministicRoutingAcrossRuns(t *testing.T) {
 // but its p99 is 100ms). The old pooling re-sampled each bolt's
 // 0.05–0.95 quantile grid with equal weight, so the pooled "P99" (a)
 // could never exceed any single bolt's p95 and (b) weighted the idle
-// bolts as heavily as the hot one — it reports ≈1ms here. The weighted
-// reservoir merge must report the true ≈100ms tail.
+// bolts as heavily as the hot one — it reports ≈1ms here. Adding the
+// bolts' histograms must report the true ≈100ms tail.
 func TestPooledTailLatencyRegression(t *testing.T) {
 	ms := float64(time.Millisecond)
 	stats := make([]boltStats, 10)
-	// Hot bolt: 10k tuples, 96% at 1ms, 4% at 100ms (interleaved so the
-	// reservoir retains both populations at their true proportions).
-	stats[0].lat = metrics.NewQuantiles(1 << 14)
+	// Hot bolt: 10k tuples, 96% at 1ms, 4% at 100ms.
+	stats[0].lat = telemetry.NewHistogram()
 	for i := 0; i < 10_000; i++ {
 		v := 1 * ms
 		if i%25 == 0 { // 4%
 			v = 100 * ms
 		}
-		stats[0].lat.Add(v)
+		stats[0].lat.Observe(v)
 		stats[0].count++
 	}
 	// Nine near-idle bolts: 100 tuples each at 1ms.
 	for w := 1; w < 10; w++ {
-		stats[w].lat = metrics.NewQuantiles(1 << 14)
+		stats[w].lat = telemetry.NewHistogram()
 		for i := 0; i < 100; i++ {
-			stats[w].lat.Add(1 * ms)
+			stats[w].lat.Observe(1 * ms)
 			stats[w].count++
 		}
 	}
 
-	// The old grid pooling, reproduced verbatim: it must fail to see the
-	// tail (this is the regression being pinned — if this starts seeing
-	// 100ms the fixture no longer discriminates).
-	oldPooled := metrics.NewQuantiles(1 << 16)
+	// The old grid pooling, reproduced on the new type: it must fail to
+	// see the tail (this is the regression being pinned — if this starts
+	// seeing 100ms the fixture no longer discriminates).
+	oldPooled := telemetry.NewHistogram()
 	for w := range stats {
 		if stats[w].count > 0 {
 			for _, q := range []float64{0.05, 0.15, 0.25, 0.35, 0.45, 0.55, 0.65, 0.75, 0.85, 0.95} {
-				oldPooled.Add(stats[w].lat.Quantile(q))
+				oldPooled.Observe(stats[w].lat.Quantile(q))
 			}
 		}
 	}

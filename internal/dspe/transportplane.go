@@ -11,6 +11,7 @@ import (
 	"slb/internal/metrics"
 	"slb/internal/ring"
 	"slb/internal/stream"
+	"slb/internal/telemetry"
 	"slb/internal/transport"
 )
 
@@ -42,11 +43,9 @@ const adaptiveWindowMax = 8192
 const partialRingCap = 1024
 
 // latSampleMask subsamples the per-tuple latency instrumentation: one
-// tuple in 8 is clocked at the spout and fed to the bolt's quantile
-// sketch. The percentiles are statistical estimates either way (the
-// sketch subsamples internally past its capacity); clocking every tuple
-// would spend two nanotime reads per message. Loads and Completed still
-// count every tuple.
+// tuple in 8 is clocked at the spout and recorded in the bolt's latency
+// histogram; clocking every tuple would spend two nanotime reads per
+// message. Loads and Completed still count every tuple.
 const latSampleMask = 7
 
 // ringCapFor sizes the spout→bolt links: at least two full in-flight
@@ -310,7 +309,7 @@ func runOnFabric(fabric transport.Transport, src *stream.Source, cfg Config, par
 		go func(w int) {
 			defer bolts.Done()
 			st := &stats[w]
-			st.lat = metrics.NewQuantiles(1 << 14)
+			st.lat = telemetry.NewHistogram()
 			var acc *aggregation.Accumulator
 			var scratch []aggregation.Partial
 			var pendP [][]transport.Msg
@@ -396,7 +395,7 @@ func runOnFabric(fabric transport.Transport, src *stream.Source, cfg Config, par
 						}
 						if m.Emit != 0 {
 							lat := time.Duration(time.Now().UnixNano() - m.Emit)
-							st.lat.Add(float64(lat))
+							st.lat.Observe(float64(lat))
 							st.sum += lat
 							latSampled[w]++
 						}
@@ -613,10 +612,11 @@ func runOnFabric(fabric transport.Transport, src *stream.Source, cfg Config, par
 			}
 		}
 	}
-	pooled := poolLatency(stats)
-	res.P50 = time.Duration(pooled.Quantile(0.50))
-	res.P95 = time.Duration(pooled.Quantile(0.95))
-	res.P99 = time.Duration(pooled.Quantile(0.99))
+	if pooled := poolLatency(stats); pooled.Count() > 0 {
+		res.P50 = time.Duration(pooled.Quantile(0.50))
+		res.P95 = time.Duration(pooled.Quantile(0.95))
+		res.P99 = time.Duration(pooled.Quantile(0.99))
+	}
 	res.Imbalance = metrics.Imbalance(res.Loads)
 	if sec := elapsed.Seconds(); sec > 0 {
 		res.Throughput = float64(res.Completed) / sec

@@ -353,7 +353,7 @@ func mallocsForRun(t *testing.T, m int64) uint64 {
 // TestMemoryTransportAllocsSublinear extends the 0 allocs/op discipline
 // to the whole tuple path: tuples live in link slots and partial tables
 // are recycled, so a longer run must not allocate proportionally more.
-// The per-run fixed cost (links, partitioners, reservoirs, goroutines)
+// The per-run fixed cost (links, partitioners, histograms, goroutines)
 // cancels in the difference; the marginal cost per extra message must
 // be ~0 (the bound leaves slack for per-window bookkeeping rows, which
 // grow with windows, not messages).

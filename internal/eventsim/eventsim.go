@@ -237,7 +237,8 @@ type Result struct {
 	// MaxAvgLatency is the maximum over workers of the per-worker mean
 	// latency (ms): the "max avg" bar of Fig. 14.
 	MaxAvgLatency float64
-	// P50, P95, P99 are latency percentiles across all messages (ms).
+	// P50, P95, P99 are latency percentiles across the measured
+	// messages (ms), 0 when none was measured.
 	P50, P95, P99 float64
 	// Loads is the per-worker processed-message count.
 	Loads []int64
@@ -326,7 +327,6 @@ type worker struct {
 	queue []pendingMsg
 	head  int
 	busy  bool
-	lat   *metrics.Quantiles
 	count int64
 	sum   float64 // latency sum for exact mean
 	// Aggregation state: the worker's partial tables and the simulated
@@ -422,7 +422,7 @@ func Run(gen stream.Generator, cfg Config) (Result, error) {
 
 	workers := make([]*worker, cfg.Workers)
 	for i := range workers {
-		workers[i] = &worker{lat: metrics.NewQuantiles(1 << 15)}
+		workers[i] = &worker{}
 		if cfg.AggWindow > 0 {
 			workers[i].acc = aggregation.NewAccumulatorMerger(i, cfg.AggMerger)
 		}
@@ -491,7 +491,7 @@ func Run(gen stream.Generator, cfg Config) (Result, error) {
 
 	inflight := make([]int, cfg.Sources)
 	blocked := make([]bool, cfg.Sources)
-	pooled := metrics.NewQuantiles(1 << 16)
+	lat := telemetry.NewHistogram() // ns: ms × 1e6
 
 	var (
 		h            eventHeap
@@ -614,11 +614,10 @@ func Run(gen stream.Generator, cfg Config) (Result, error) {
 				measureStart = now
 			}
 			if completed > cfg.MeasureAfter {
-				lat := now - m.emitTime
-				wk.lat.Add(lat)
+				d := now - m.emitTime
 				wk.count++
-				wk.sum += lat
-				pooled.Add(lat)
+				wk.sum += d
+				lat.Observe(d * 1e6)
 				lastDone = now
 			}
 			if cfg.AggWindow > 0 {
@@ -674,9 +673,11 @@ func Run(gen stream.Generator, cfg Config) (Result, error) {
 		Duration:  lastDone - measureStart,
 		Loads:     make([]int64, cfg.Workers),
 		PeakQueue: peakQueue,
-		P50:       pooled.Quantile(0.50),
-		P95:       pooled.Quantile(0.95),
-		P99:       pooled.Quantile(0.99),
+	}
+	if lat.Count() > 0 {
+		res.P50 = lat.Quantile(0.50) / 1e6
+		res.P95 = lat.Quantile(0.95) / 1e6
+		res.P99 = lat.Quantile(0.99) / 1e6
 	}
 	if cfg.AggWindow > 0 {
 		// End of stream: every worker flushes its remaining windows

@@ -167,6 +167,24 @@ func TestLatencyAboveServiceTime(t *testing.T) {
 	}
 }
 
+// TestNothingMeasuredLatencyIsZero: a run whose warm-up covers the
+// whole stream measures no message and reports 0 for every latency
+// column, as an empty stream does.
+func TestNothingMeasuredLatencyIsZero(t *testing.T) {
+	cfg := baseCfg("SG", 4, 2)
+	cfg.Messages = 500
+	cfg.MeasureAfter = 500
+	for _, gen := range []stream.Generator{zipfGen(1.0, 100, 500), stream.FromSlice(nil)} {
+		res, err := Run(gen, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.P50 != 0 || res.P95 != 0 || res.P99 != 0 || res.MaxAvgLatency != 0 {
+			t.Fatalf("p50/p95/p99/max-avg = %v/%v/%v/%v, want all 0", res.P50, res.P95, res.P99, res.MaxAvgLatency)
+		}
+	}
+}
+
 func TestWindowBoundsQueue(t *testing.T) {
 	cfg := baseCfg("KG", 4, 4)
 	cfg.Window = 10

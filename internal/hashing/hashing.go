@@ -148,8 +148,8 @@ func (f *Family) Buckets(dst []int, key string, n int) []int {
 // Bounded reduces a uniform 64-bit value x to [0, n) with Lemire's
 // multiply-shift: the same unbiased-up-to-2⁻⁶⁴ reduction BucketDigest
 // uses, exported for callers that need a bounded draw from their own
-// PRNG output (e.g. reservoir slot selection) without the modulo bias
-// of x % n or a hardware divide.
+// mixed values (e.g. the reduce stage's shard choice) without the
+// modulo bias of x % n or a hardware divide.
 func Bounded(x, n uint64) uint64 {
 	hi, _ := bits.Mul64(x, n)
 	return hi

@@ -11,7 +11,7 @@ func TestHotPathZeroAllocs(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c")
 	g := r.Gauge("g")
-	h := r.Histogram("h", ExpBuckets(1, 2, 16))
+	h := r.Histogram("h")
 	if n := testing.AllocsPerRun(1000, func() {
 		c.Add(3)
 		g.Set(1.5)
@@ -42,8 +42,9 @@ func BenchmarkGaugeSet(b *testing.B) {
 }
 
 func BenchmarkHistogramObserve(b *testing.B) {
-	h := NewRegistry().Histogram("h", ExpBuckets(1, 2, 16))
+	h := NewRegistry().Histogram("h")
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.Observe(float64(i & 1023))
 	}
@@ -54,7 +55,7 @@ func BenchmarkSnapshot(b *testing.B) {
 	for i := 0; i < 32; i++ {
 		r.Counter("c", L("i", string(rune('a'+i)))).Add(int64(i))
 	}
-	h := r.Histogram("h", ExpBuckets(1, 2, 16))
+	h := r.Histogram("h")
 	h.Observe(3)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -1,15 +1,28 @@
 // Package telemetry is the label-aware metric registry every slb engine
-// feeds: lock-free counters, gauges, and fixed-bucket histograms with
-// point-in-time snapshots and text/JSON export.
+// feeds — lock-free counters, gauges and histograms with point-in-time
+// snapshots and text/JSON export — and the repository's one latency
+// instrument.
+//
+// Every Histogram counts into the same fixed log grid: 128 buckets per
+// octave from 1 to 2⁴³ (1 ns to about 2.4 h in nanoseconds) plus an
+// underflow and an overflow bucket. The bucket index comes in O(1) from
+// a value's float bits (exponent plus the top seven mantissa bits), so
+// a quantile read back from the grid is within 2⁻⁷ relative of the
+// exact value; the exact count, minimum and maximum are kept alongside.
+// An octave's 1 KB of counts is allocated on its first observation, so
+// a histogram holds only the octaves it has seen (at most about 44 KB).
+// No layout is chosen at registration, so any two histograms merge by
+// adding buckets: an engine gives each role its own and pools them at
+// the end of a run.
 //
 // Design constraints (pinned by benchmarks in this package and by the
 // instrumented-routing benchmark at the repo root):
 //
 //   - Hot-path updates (Counter.Add, Gauge.Set, Histogram.Observe) are
-//     single atomic operations on pre-registered handles: no locks, no
-//     map lookups, and 0 allocs/op in steady state. All registration
-//     cost (label canonicalisation, map insertion) is paid once, up
-//     front, when the handle is created.
+//     atomic operations on pre-registered handles: no locks, no map
+//     lookups, and 0 allocs/op in steady state. All registration cost
+//     (label canonicalisation, map insertion) is paid once, up front,
+//     when the handle is created.
 //   - Handles are identified by name plus a sorted label set. Asking
 //     the registry for the same (name, labels) pair returns the same
 //     handle, so repeated engine runs accumulate into one series.
@@ -19,14 +32,15 @@
 //     without pausing it. Histograms are read bucket-by-bucket without
 //     a global lock, so a snapshot taken mid-Observe may be torn by a
 //     single in-flight observation — acceptable for monitoring, and
-//     exact once writers quiesce.
+//     exact once writers quiesce. A snapshot lists only a histogram's
+//     non-empty buckets.
 //
 // Metric kinds follow the usual monitoring conventions: counters are
 // monotonically non-decreasing (Snapshot.Delta subtracts a previous
 // snapshot to get per-interval rates), gauges are point-in-time values
 // (optionally computed at snapshot time via GaugeFunc, e.g. a ring
 // queue depth read from ring.SPSC.Len), and histograms count
-// observations into a fixed bucket layout chosen at registration.
+// observations into the log grid.
 package telemetry
 
 import (
@@ -121,65 +135,180 @@ func (g *Gauge) Add(d float64) {
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// Histogram counts observations into a fixed, sorted bucket layout.
-// Bucket i counts observations v <= bounds[i]; one implicit overflow
-// bucket counts the rest. Sum is accumulated via CAS so Mean can be
-// recovered from a snapshot.
-type Histogram struct {
-	bounds  []float64
-	counts  []atomic.Int64 // len(bounds)+1; last = overflow (+Inf)
-	sumBits atomic.Uint64
-	count   atomic.Int64
+// The histogram grid: every Histogram counts into the same fixed
+// log-bucketed layout, so any two merge by adding buckets. Each octave
+// [2ᵉ, 2ᵉ⁺¹) is split into 2^gridSubBits equal buckets, so a bucket's
+// width is at most 2⁻⁷ of its lower edge — the relative error of any
+// value read back from it. The octaves span 2⁰ … 2^gridOctaves, which
+// in nanoseconds is 1 ns to about 2.4 h; one underflow bucket below
+// (values < 1) and one overflow bucket above complete it.
+const (
+	gridSubBits = 7
+	gridOctaves = 43
+	gridBuckets = gridOctaves<<gridSubBits + 2
+)
+
+// bucketOf returns v's bucket in O(1) from its float bits: the
+// exponent and the top gridSubBits mantissa bits are the index.
+func bucketOf(v float64) int {
+	if !(v >= 1) {
+		return 0
+	}
+	if v >= 1<<gridOctaves {
+		return gridBuckets - 1
+	}
+	return int(math.Float64bits(v)>>(52-gridSubBits)) - 1023<<gridSubBits + 1
 }
 
-// Observe records one observation. Linear scan over the (small, fixed)
-// bucket layout plus two atomic ops: 0 allocs.
-func (h *Histogram) Observe(v float64) {
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
+// lowerEdge returns the smallest value bucket i holds (−Inf for the
+// underflow bucket). Bucket i's upper edge is lowerEdge(i+1), +Inf for
+// the overflow bucket.
+func lowerEdge(i int) float64 {
+	if i == 0 {
+		return math.Inf(-1)
 	}
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, next) {
+	return math.Float64frombits(uint64(i-1+1023<<gridSubBits) << (52 - gridSubBits))
+}
+
+// upperEdge returns the bound above bucket i's values.
+func upperEdge(i int) float64 {
+	if i == gridBuckets-1 {
+		return math.Inf(1)
+	}
+	return lowerEdge(i + 1)
+}
+
+// gridPage is one octave of buckets. A histogram allocates a page on
+// the octave's first observation: a run's latencies span a few octaves,
+// so a histogram holds a few KB of counts, not the whole grid.
+type gridPage [1 << gridSubBits]atomic.Int64
+
+// Histogram counts observations into the fixed log grid and keeps
+// their exact minimum and maximum. Create one with NewHistogram or
+// Registry.Histogram. Observe is safe for concurrent use; an engine
+// role that owns one writes it without contention, and Merge pools
+// roles by adding buckets.
+type Histogram struct {
+	under, over atomic.Int64
+	pages       [gridOctaves]atomic.Pointer[gridPage]
+	min, max    atomic.Uint64 // float64 bits
+}
+
+// NewHistogram returns an empty histogram.
+func NewHistogram() *Histogram {
+	h := &Histogram{}
+	h.min.Store(math.Float64bits(math.Inf(1)))
+	h.max.Store(math.Float64bits(math.Inf(-1)))
+	return h
+}
+
+// counter returns bucket i's count, allocating its page on first use.
+func (h *Histogram) counter(i int) *atomic.Int64 {
+	switch i {
+	case 0:
+		return &h.under
+	case gridBuckets - 1:
+		return &h.over
+	}
+	slot := &h.pages[(i-1)>>gridSubBits]
+	p := slot.Load()
+	if p == nil {
+		slot.CompareAndSwap(nil, new(gridPage))
+		p = slot.Load()
+	}
+	return &p[(i-1)&(1<<gridSubBits-1)]
+}
+
+// load returns bucket i's count without allocating.
+func (h *Histogram) load(i int) int64 {
+	switch i {
+	case 0:
+		return h.under.Load()
+	case gridBuckets - 1:
+		return h.over.Load()
+	}
+	if p := h.pages[(i-1)>>gridSubBits].Load(); p != nil {
+		return p[(i-1)&(1<<gridSubBits-1)].Load()
+	}
+	return 0
+}
+
+// Observe records one value: a bucket increment, plus a CAS only when
+// v is a new extreme. NaN and ±Inf are not measurements and are
+// dropped, so the extremes stay finite (and JSON-encodable). 0 allocs
+// once v's octave has been seen.
+func (h *Histogram) Observe(v float64) {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return
+	}
+	// The extremes go first, so a snapshot that sees the count also
+	// sees them.
+	storeMin(&h.min, v)
+	storeMax(&h.max, v)
+	h.counter(bucketOf(v)).Add(1)
+}
+
+// storeMin stores v in x while v is below x's value.
+func storeMin(x *atomic.Uint64, v float64) {
+	for old := x.Load(); v < math.Float64frombits(old); old = x.Load() {
+		if x.CompareAndSwap(old, math.Float64bits(v)) {
 			return
 		}
 	}
 }
 
-// Count returns the number of observations so far.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Sum returns the sum of all observed values so far.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
-
-// LinearBuckets returns n upper bounds start, start+width, ...
-func LinearBuckets(start, width float64, n int) []float64 {
-	if n <= 0 || width <= 0 {
-		panic("telemetry: LinearBuckets needs n > 0 and width > 0")
+// storeMax stores v in x while v is above x's value.
+func storeMax(x *atomic.Uint64, v float64) {
+	for old := x.Load(); v > math.Float64frombits(old); old = x.Load() {
+		if x.CompareAndSwap(old, math.Float64bits(v)) {
+			return
+		}
 	}
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = start + float64(i)*width
-	}
-	return b
 }
 
-// ExpBuckets returns n upper bounds start, start*factor, ...
-func ExpBuckets(start, factor float64, n int) []float64 {
-	if n <= 0 || start <= 0 || factor <= 1 {
-		panic("telemetry: ExpBuckets needs n > 0, start > 0, factor > 1")
+// Merge adds o's buckets and extremes into h. o is not modified.
+func (h *Histogram) Merge(o *Histogram) {
+	storeMin(&h.min, math.Float64frombits(o.min.Load()))
+	storeMax(&h.max, math.Float64frombits(o.max.Load()))
+	for i := 0; i < gridBuckets; i++ {
+		if c := o.load(i); c != 0 {
+			h.counter(i).Add(c)
+		}
 	}
-	b := make([]float64, n)
-	v := start
-	for i := range b {
-		b[i] = v
-		v *= factor
+}
+
+// Count returns the number of observations so far.
+func (h *Histogram) Count() int64 {
+	var n int64
+	for i := 0; i < gridBuckets; i++ {
+		n += h.load(i)
 	}
-	return b
+	return n
+}
+
+// Quantile returns the q-quantile of the observations (see
+// Metric.Quantile), NaN when there are none.
+func (h *Histogram) Quantile(q float64) float64 {
+	var m Metric
+	h.read(&m)
+	return m.Quantile(q)
+}
+
+// read fills m's histogram fields: the non-empty buckets, their total
+// and the extremes (0 when empty). Buckets are read before the
+// extremes, which Observe writes first.
+func (h *Histogram) read(m *Metric) {
+	m.Count, m.Min, m.Max, m.Buckets = 0, 0, 0, nil
+	for i := 0; i < gridBuckets; i++ {
+		if c := h.load(i); c != 0 {
+			m.Buckets = append(m.Buckets, Bucket{UpperBound: upperEdge(i), Count: c})
+			m.Count += c
+		}
+	}
+	if m.Count > 0 {
+		m.Min = math.Float64frombits(h.min.Load())
+		m.Max = math.Float64frombits(h.max.Load())
+	}
 }
 
 type series struct {
@@ -297,33 +426,20 @@ func (r *Registry) GaugeFunc(name string, fn func() float64, labels ...Label) {
 	s.fn = fn
 }
 
-// Histogram returns the histogram for (name, labels) with the given
-// bucket upper bounds (sorted ascending; an overflow bucket is added
-// implicitly). Bounds must match the first registration.
-func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Histogram {
-	if len(bounds) == 0 {
-		panic("telemetry: histogram " + name + " needs at least one bucket bound")
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("telemetry: histogram " + name + " bounds not strictly ascending")
-		}
-	}
+// Histogram returns the histogram for (name, labels), creating it on
+// first use. Every histogram has the same fixed log grid.
+func (r *Registry) Histogram(name string, labels ...Label) *Histogram {
 	s := r.lookup(name, labels, KindHistogram)
 	defer r.mu.Unlock()
 	if s.hist == nil {
-		b := make([]float64, len(bounds))
-		copy(b, bounds)
-		s.hist = &Histogram{bounds: b, counts: make([]atomic.Int64, len(b)+1)}
-	} else if len(s.hist.bounds) != len(bounds) {
-		panic("telemetry: histogram " + name + " re-registered with different bucket layout")
+		s.hist = NewHistogram()
 	}
 	return s.hist
 }
 
-// Bucket is one histogram bucket in a snapshot: the count of
-// observations v <= UpperBound (non-cumulative, per bucket).
-// UpperBound is +Inf for the overflow bucket.
+// Bucket is one non-empty grid bucket in a snapshot: the count of
+// observations below UpperBound and at or above the bucket's lower
+// edge (non-cumulative). UpperBound is +Inf for the overflow bucket.
 type Bucket struct {
 	UpperBound float64 `json:"-"`
 	Count      int64   `json:"count"`
@@ -373,9 +489,11 @@ type Metric struct {
 	// Value holds counter totals (as float64) and gauge values.
 	Value float64 `json:"value"`
 
-	// Histogram-only fields.
-	Sum     float64  `json:"sum,omitempty"`
+	// Histogram-only fields: the observation count, the exact extremes
+	// and the non-empty buckets in ascending order.
 	Count   int64    `json:"count,omitempty"`
+	Min     float64  `json:"min,omitempty"`
+	Max     float64  `json:"max,omitempty"`
 	Buckets []Bucket `json:"buckets,omitempty"`
 }
 
@@ -390,49 +508,43 @@ func (m *Metric) Label(key string) string {
 	return ""
 }
 
-// Quantile estimates the q-quantile (0 <= q <= 1) of a histogram
-// metric by linear interpolation inside the owning bucket, mirroring
-// the usual monitoring-system estimator. The first bucket interpolates
-// from 0; the overflow bucket reports its lower bound (the largest
-// finite upper bound). Returns NaN for empty or non-histogram metrics.
+// Quantile returns the q-quantile (0 <= q <= 1) of a histogram
+// metric: the bucket holding the nearest-rank observation, ⌈q·Count⌉,
+// interpolated by rank inside that bucket and kept within [Min, Max].
+// The result is within 2⁻⁷ relative of the exact nearest-rank value
+// whenever that value lies on the grid; q = 0 and q = 1 return the
+// exact extremes. Returns NaN for empty or non-histogram metrics.
 func (m *Metric) Quantile(q float64) float64 {
-	if len(m.Buckets) == 0 || m.Count == 0 || math.IsNaN(q) {
+	if m.Count == 0 || math.IsNaN(q) {
 		return math.NaN()
 	}
-	if q < 0 {
-		q = 0
+	if q <= 0 {
+		return m.Min
 	}
-	if q > 1 {
-		q = 1
+	if q >= 1 {
+		return m.Max
 	}
-	target := q * float64(m.Count)
-	var cum int64
-	for i, b := range m.Buckets {
-		prev := cum
-		cum += b.Count
-		if float64(cum) < target {
+	rank := math.Ceil(q * float64(m.Count))
+	var below int64
+	for _, b := range m.Buckets {
+		if float64(below+b.Count) < rank {
+			below += b.Count
 			continue
 		}
-		lo := 0.0
-		if i > 0 {
-			lo = m.Buckets[i-1].UpperBound
-		}
-		hi := b.UpperBound
-		if math.IsInf(hi, 1) {
-			// Overflow bucket: no finite upper edge to
-			// interpolate toward.
-			return lo
-		}
-		if b.Count == 0 {
-			return hi
-		}
-		return lo + (hi-lo)*(target-float64(prev))/float64(b.Count)
+		lo := math.Max(bucketFloor(b.UpperBound), m.Min)
+		hi := math.Min(b.UpperBound, m.Max)
+		return lo + (hi-lo)*(rank-float64(below)-0.5)/float64(b.Count)
 	}
-	last := m.Buckets[len(m.Buckets)-1]
-	if math.IsInf(last.UpperBound, 1) && len(m.Buckets) > 1 {
-		return m.Buckets[len(m.Buckets)-2].UpperBound
+	return m.Max
+}
+
+// bucketFloor returns the lower edge of the grid bucket whose upper
+// edge is ub.
+func bucketFloor(ub float64) float64 {
+	if math.IsInf(ub, 1) {
+		return lowerEdge(gridBuckets - 1)
 	}
-	return last.UpperBound
+	return lowerEdge(bucketOf(ub) - 1)
 }
 
 // Snapshot is an immutable point-in-time capture of a registry.
@@ -462,17 +574,7 @@ func (r *Registry) Snapshot() Snapshot {
 				m.Value = s.gauge.Value()
 			}
 		case KindHistogram:
-			h := s.hist
-			m.Sum = h.Sum()
-			m.Count = h.Count()
-			m.Buckets = make([]Bucket, len(h.counts))
-			for i := range h.counts {
-				ub := math.Inf(1)
-				if i < len(h.bounds) {
-					ub = h.bounds[i]
-				}
-				m.Buckets[i] = Bucket{UpperBound: ub, Count: h.counts[i].Load()}
-			}
+			s.hist.read(&m)
 		}
 		snap.Metrics = append(snap.Metrics, m)
 	}
@@ -502,10 +604,10 @@ func (s Snapshot) Value(name string, labels ...Label) float64 {
 	return m.Value
 }
 
-// Delta returns s minus prev: counters and histogram counts/sums are
-// subtracted series-by-series (series absent from prev pass through
-// unchanged), gauges keep their current value. Use it to turn
-// cumulative totals into per-interval rates.
+// Delta returns s minus prev: counters and histogram counts and
+// buckets are subtracted series-by-series (series absent from prev pass
+// through unchanged), gauges and histogram extremes keep their current
+// value. Use it to turn cumulative totals into per-interval rates.
 func (s Snapshot) Delta(prev Snapshot) Snapshot {
 	prevByID := make(map[string]*Metric, len(prev.Metrics))
 	for i := range prev.Metrics {
@@ -515,21 +617,30 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 	out := Snapshot{Metrics: make([]Metric, len(s.Metrics))}
 	for i := range s.Metrics {
 		m := s.Metrics[i]
-		if len(m.Buckets) > 0 {
-			bs := make([]Bucket, len(m.Buckets))
-			copy(bs, m.Buckets)
-			m.Buckets = bs
-		}
+		var pb []Bucket
 		id, _ := seriesID(m.Name, m.Labels)
 		if p, ok := prevByID[id]; ok && m.Kind != KindGauge.String() {
 			m.Value -= p.Value
-			m.Sum -= p.Sum
 			m.Count -= p.Count
-			for j := range m.Buckets {
-				if j < len(p.Buckets) {
-					m.Buckets[j].Count -= p.Buckets[j].Count
+			pb = p.Buckets
+		}
+		if len(m.Buckets) > 0 {
+			// Match prev's buckets by upper bound (both ascending) and
+			// keep the non-empty differences, in a fresh slice.
+			bs := make([]Bucket, 0, len(m.Buckets))
+			j := 0
+			for _, b := range m.Buckets {
+				for j < len(pb) && pb[j].UpperBound < b.UpperBound {
+					j++
+				}
+				if j < len(pb) && pb[j].UpperBound == b.UpperBound {
+					b.Count -= pb[j].Count
+				}
+				if b.Count != 0 {
+					bs = append(bs, b)
 				}
 			}
+			m.Buckets = bs
 		}
 		out.Metrics[i] = m
 	}
@@ -538,7 +649,8 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 
 // WriteText renders the snapshot in a prometheus-flavoured text form:
 // one "name{k=v,...} value" line per series, histograms expanded into
-// _bucket/_sum/_count lines with cumulative le buckets.
+// _bucket lines with cumulative le buckets (non-empty buckets only) and
+// a _count line.
 func (s Snapshot) WriteText(w io.Writer) error {
 	for i := range s.Metrics {
 		m := &s.Metrics[i]
@@ -561,9 +673,8 @@ func (s Snapshot) WriteText(w io.Writer) error {
 				return err
 			}
 		}
-		sumID, _ := seriesID(m.Name+"_sum", m.Labels)
 		cntID, _ := seriesID(m.Name+"_count", m.Labels)
-		if _, err := fmt.Fprintf(w, "%s %v\n%s %d\n", sumID, trimFloat(m.Sum), cntID, m.Count); err != nil {
+		if _, err := fmt.Fprintf(w, "%s %d\n", cntID, m.Count); err != nil {
 			return err
 		}
 	}

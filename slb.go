@@ -256,12 +256,22 @@
 // snapshot's WriteText/WriteJSON renderings. Series are identified by
 // name plus labels; every series carries engine=<name> and
 // algo=<algorithm>, with per-instance labels (spout=, worker=, shard=)
-// where the source is per-goroutine. Counters and histograms are
-// monotonic over a run; Snapshot.Delta(prev) turns two snapshots into
-// interval rates. Results are bit-identical with and without a
-// registry attached — instrumentation rides the existing batch
-// boundaries (the routing hot path keeps its zero-allocation
-// steady state; BenchmarkRouteBatchDigestsInstrumented asserts it).
+// where the source is per-goroutine. Counters are monotonic over a
+// run; Snapshot.Delta(prev) turns two snapshots into interval rates.
+// Results are bit-identical with and without a registry attached —
+// instrumentation rides the existing batch boundaries (the routing hot
+// path keeps its zero-allocation steady state;
+// BenchmarkRouteBatchDigestsInstrumented asserts it).
+//
+// Latency has one instrument, telemetry.Histogram: a fixed log grid of
+// 128 buckets per octave from 1 ns to about 2.4 h, so a percentile is
+// within 2⁻⁷ relative of the exact nearest-rank value, with the exact
+// count, minimum and maximum kept alongside. Each goroutine-runtime
+// bolt records its sampled tuples (one in eight) into its own, the
+// discrete-event engine records every measured completion into one,
+// and the engines pool them by adding buckets at the end of a run to
+// report P50/P95/P99 (0 when nothing was measured). The histograms are
+// run-local: a registry carries no latency series.
 //
 // The goroutine runtime (engine=dspe-memory / engine=dspe-tcp)
 // publishes per spout route_msgs_total, route_ns_total,
