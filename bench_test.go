@@ -16,6 +16,8 @@ import (
 
 	"slb"
 	"slb/internal/experiments"
+	"slb/internal/metrics"
+	"slb/internal/spacesaving"
 )
 
 // benchExperiment runs a registered experiment once per iteration.
@@ -81,7 +83,7 @@ func BenchmarkRoute(b *testing.B) {
 					slb.RouteBatchDigests(p, one, dig, dst)
 					loads[dst[0]]++
 				}
-				b.ReportMetric(slb.Imbalance(loads), "imbalance")
+				b.ReportMetric(metrics.Imbalance(loads), "imbalance")
 			})
 		}
 	}
@@ -354,13 +356,13 @@ func TestSteadyStateRoutingZeroAllocs(t *testing.T) {
 
 // BenchmarkHeavyHitters measures the sketch update path in isolation.
 func BenchmarkHeavyHitters(b *testing.B) {
-	hh := slb.NewHeavyHitters(1000)
+	hh := spacesaving.New(1000)
 	gen := slb.NewZipfStream(1.2, 100_000, int64(b.N)+1, 3)
 	one := make([]string, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		gen.NextBatch(one)
-		hh.Offer(one[0])
+		hh.OfferDigest(slb.DigestKey(one[0]), one[0])
 	}
 }

@@ -191,7 +191,14 @@ func TestCrossEngineShardedMergerParity(t *testing.T) {
 		w int64
 		k string
 	}
-	for _, merger := range []slb.Merger{slb.CountMerger, slb.SumMerger, slb.MinMerger, slb.MaxMerger, slb.DistinctMerger} {
+	for _, b := range []struct {
+		name   string
+		merger slb.Merger
+	}{
+		{"count", slb.CountMerger}, {"sum", slb.SumMerger}, {"min", slb.MinMerger},
+		{"max", slb.MaxMerger}, {"distinct", slb.DistinctMerger},
+	} {
+		merger := b.merger
 		// Ground truth: fold every message's sample through the operator
 		// per (window, key) on a single node.
 		truthVal := make(map[fk]slb.MergeValue)
@@ -213,7 +220,7 @@ func TestCrossEngineShardedMergerParity(t *testing.T) {
 				got := make(map[fk]slb.AggFinal)
 				return got, func(f slb.AggFinal) {
 					if _, dup := got[fk{f.Window, f.Key}]; dup {
-						t.Errorf("%s R=%d: (window %d, key %q) finalized twice", merger.Name(), shards, f.Window, f.Key)
+						t.Errorf("%s R=%d: (window %d, key %q) finalized twice", b.name, shards, f.Window, f.Key)
 					}
 					got[fk{f.Window, f.Key}] = f
 				}
@@ -242,35 +249,35 @@ func TestCrossEngineShardedMergerParity(t *testing.T) {
 			engines["dspe"] = liveFinals
 			if evt.AggReplication != live.AggReplication {
 				t.Errorf("%s R=%d: replication diverges across engines: eventsim %v, dspe %v",
-					merger.Name(), shards, evt.AggReplication, live.AggReplication)
+					b.name, shards, evt.AggReplication, live.AggReplication)
 			}
 			if live.AggTotal != m {
 				t.Errorf("%s R=%d dspe: total %d, want %d",
-					merger.Name(), shards, live.AggTotal, m)
+					b.name, shards, live.AggTotal, m)
 			}
 			if live.Agg.Late != 0 {
 				t.Errorf("%s R=%d dspe: late corrections %d, want 0",
-					merger.Name(), shards, live.Agg.Late)
+					b.name, shards, live.Agg.Late)
 			}
 
 			for engine, finals := range engines {
 				if len(finals) != len(truthCount) {
-					t.Fatalf("%s R=%d %s: %d finals, want %d", merger.Name(), shards, engine, len(finals), len(truthCount))
+					t.Fatalf("%s R=%d %s: %d finals, want %d", b.name, shards, engine, len(finals), len(truthCount))
 				}
 				for id, wantCount := range truthCount {
 					f := finals[id]
 					wantValue := merger.Result(truthVal[id])
 					if f.Count != wantCount || f.Value != wantValue {
 						t.Fatalf("%s R=%d %s: (window %d, key %q) count/value %d/%d, want %d/%d",
-							merger.Name(), shards, engine, id.w, id.k, f.Count, f.Value, wantCount, wantValue)
+							b.name, shards, engine, id.w, id.k, f.Count, f.Value, wantCount, wantValue)
 					}
 				}
 			}
 			if evt.AggTotal != m {
-				t.Errorf("%s R=%d: eventsim total %d, want %d", merger.Name(), shards, evt.AggTotal, m)
+				t.Errorf("%s R=%d: eventsim total %d, want %d", b.name, shards, evt.AggTotal, m)
 			}
 			if evt.Agg.Late != 0 {
-				t.Errorf("%s R=%d: eventsim late corrections %d, want 0", merger.Name(), shards, evt.Agg.Late)
+				t.Errorf("%s R=%d: eventsim late corrections %d, want 0", b.name, shards, evt.Agg.Late)
 			}
 		}
 	}

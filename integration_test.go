@@ -13,19 +13,21 @@ import (
 	"time"
 
 	"slb"
+	"slb/internal/tracefile"
+	"slb/internal/workload"
 )
 
 func TestTraceRoundTripThroughFacade(t *testing.T) {
 	gen := slb.NewZipfStream(1.8, 2000, 30_000, 5)
 	var buf bytes.Buffer
-	n, err := slb.WriteTrace(&buf, gen)
+	n, err := tracefile.Write(&buf, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 30_000 {
 		t.Fatalf("wrote %d", n)
 	}
-	replay, err := slb.TraceFromBytes(buf.Bytes())
+	replay, err := tracefile.NewReplay(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,10 +52,10 @@ func TestTraceRoundTripThroughFacade(t *testing.T) {
 func TestTraceFileRoundTripThroughFacade(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "x.slbt")
 	gen := slb.NewZipfStream(1.2, 500, 5_000, 9)
-	if _, err := slb.WriteTraceFile(path, gen); err != nil {
+	if _, err := tracefile.WriteFile(path, gen); err != nil {
 		t.Fatal(err)
 	}
-	replay, err := slb.OpenTrace(path)
+	replay, err := tracefile.OpenFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +160,7 @@ func TestAllEnginesAgreeOnOrdering(t *testing.T) {
 
 func TestDatasetThroughClusterEngine(t *testing.T) {
 	// A dataset stand-in drives the cluster engine end to end.
-	gen, ok := slb.Dataset("CT", 3)
+	gen, ok := workload.DatasetByName("CT", workload.Default, 3)
 	if !ok {
 		t.Fatal("CT missing")
 	}

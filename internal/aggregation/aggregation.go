@@ -267,15 +267,6 @@ func (p *tablePool) sortedBelow(before int64) []int64 {
 	return p.ws
 }
 
-// entries returns the live entries across open windows.
-func (p *tablePool) entries() int {
-	n := 0
-	for _, t := range p.open {
-		n += t.used
-	}
-	return n
-}
-
 // ---------------------------------------------------------------------------
 // Accumulator (worker side)
 
@@ -309,17 +300,11 @@ func NewAccumulatorMerger(worker int, m Merger) *Accumulator {
 	return &Accumulator{worker: int32(worker), m: m, pool: newTablePool(), highest: -1 << 62}
 }
 
-// Add folds one observation of key into the given window's partial
-// table. dg is the key's CARRIED digest (the one routing computed —
-// callers must not re-digest): the table probe is pure integer work.
-func (a *Accumulator) Add(window int64, dg KeyDigest, key string) {
-	a.AddSample(window, dg, key, 1, 1)
-}
-
 // AddSample folds n observations of the given sample into the window's
 // partial table: the message count grows by n (the completeness
-// currency) and the merger observes (sample, n). dg is the carried
-// digest, as in Add.
+// currency) and the merger observes (sample, n). dg is the key's
+// CARRIED digest (the one routing computed — callers must not
+// re-digest): the table probe is pure integer work.
 func (a *Accumulator) AddSample(window int64, dg KeyDigest, key string, n, sample int64) {
 	if n <= 0 {
 		return
@@ -333,7 +318,7 @@ func (a *Accumulator) AddSample(window int64, dg KeyDigest, key string, n, sampl
 }
 
 // Watermark returns the highest window id observed so far; ok is false
-// before the first Add. Engines flush windows strictly below the
+// before the first AddSample. Engines flush windows strictly below the
 // watermark: with sources emitting window ids non-decreasingly and
 // bounded in-flight reordering, those windows are complete or nearly so
 // (stragglers reopen a window late, costing an extra partial, never
@@ -354,11 +339,6 @@ func (a *Accumulator) FlushBefore(window int64, dst []Partial) []Partial {
 		dst = a.flushOne(w, dst)
 	}
 	return dst
-}
-
-// FlushAll closes every open window (end of stream).
-func (a *Accumulator) FlushAll(dst []Partial) []Partial {
-	return a.FlushBefore(1<<62, dst)
 }
 
 func (a *Accumulator) flushOne(w int64, dst []Partial) []Partial {
@@ -383,10 +363,6 @@ func (a *Accumulator) flushOne(w int64, dst []Partial) []Partial {
 
 // OpenWindows returns the number of windows currently holding partials.
 func (a *Accumulator) OpenWindows() int { return len(a.pool.open) }
-
-// Entries returns the live (window, key) entries across open windows:
-// the worker's current aggregation-state size.
-func (a *Accumulator) Entries() int { return a.pool.entries() }
 
 // Flushed returns the number of partials emitted so far.
 func (a *Accumulator) Flushed() int64 { return a.flushed }

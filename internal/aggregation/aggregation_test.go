@@ -51,7 +51,7 @@ func runTwoPhase(t *testing.T, gen stream.Generator, algo string, workers, sourc
 			// The worker sees a later window: flush everything below it.
 			mergeFlush(acc, window)
 		}
-		acc.Add(window, hashing.Digest(key), key)
+		acc.AddSample(window, hashing.Digest(key), key, 1, 1)
 		idx++
 		src = (src + 1) % sources
 	}
@@ -185,12 +185,12 @@ func TestLateTupleReopensWindow(t *testing.T) {
 	acc := NewAccumulator(0)
 	d := NewDriver(1, 10, 0)
 	dg := hashing.Digest("k")
-	acc.Add(0, dg, "k")
-	acc.Add(0, dg, "k")
+	acc.AddSample(0, dg, "k", 1, 1)
+	acc.AddSample(0, dg, "k", 1, 1)
 	d.Merge(acc.FlushBefore(1, nil), nil) // window 0 closed at the worker
-	acc.Add(0, dg, "k")                   // straggler for window 0
-	acc.Add(1, dg, "k")
-	d.Merge(acc.FlushAll(nil), nil)
+	acc.AddSample(0, dg, "k", 1, 1)       // straggler for window 0
+	acc.AddSample(1, dg, "k", 1, 1)
+	d.Merge(acc.FlushBefore(1<<62, nil), nil)
 	var finals []Final
 	d.Finish(func(f Final) { finals = append(finals, f) })
 	want := map[int64]int64{0: 3, 1: 1}
@@ -216,16 +216,16 @@ func TestTableGrowthAndRecycle(t *testing.T) {
 	for w := int64(0); w < 5; w++ {
 		for i := 0; i < 1_000; i++ {
 			key := fmt.Sprintf("k%d", i)
-			acc.Add(w, hashing.Digest(key), key)
+			acc.AddSample(w, hashing.Digest(key), key, 1, 1)
 		}
-		if acc.Entries() != 1_000 {
-			t.Fatalf("window %d: %d entries, want 1000", w, acc.Entries())
+		if held(&acc.pool) != 1_000 {
+			t.Fatalf("window %d: %d entries, want 1000", w, held(&acc.pool))
 		}
 		ps := acc.FlushBefore(w+1, nil)
 		if len(ps) != 1_000 {
 			t.Fatalf("window %d: flushed %d partials, want 1000", w, len(ps))
 		}
-		if acc.OpenWindows() != 0 || acc.Entries() != 0 {
+		if acc.OpenWindows() != 0 || held(&acc.pool) != 0 {
 			t.Fatalf("window %d: not fully flushed", w)
 		}
 	}
@@ -296,7 +296,7 @@ func BenchmarkAccumulatorWindow(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		w := int64(i)
 		for j := range keys {
-			acc.Add(w, digs[j], keys[j])
+			acc.AddSample(w, digs[j], keys[j], 1, 1)
 		}
 		buf = acc.FlushBefore(w+1, buf[:0])
 		d.Merge(buf, onFinal)

@@ -54,9 +54,6 @@ func (ct *CombineTable) Fold(p *Partial) {
 	ct.in++
 }
 
-// Len returns the live (window, key) entries currently held.
-func (ct *CombineTable) Len() int { return ct.pool.entries() }
-
 // FlushBefore appends every held (window, key) entry of windows below
 // `before` to dst as ONE combined partial each (Worker =
 // CombinedWorker), recycles those windows' tables, and returns the

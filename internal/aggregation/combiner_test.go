@@ -70,9 +70,9 @@ func TestCombineTablePreMergeIsExact(t *testing.T) {
 			for i := range originals {
 				ct.Fold(&originals[i])
 			}
-			if ct.In() != int64(len(originals)) || ct.Out() != 0 || ct.Len() != len(counts) {
+			if ct.In() != int64(len(originals)) || ct.Out() != 0 || held(&ct.pool) != len(counts) {
 				t.Fatalf("after folding %d partials over %d (window, key): In %d, Out %d, Len %d",
-					len(originals), len(counts), ct.In(), ct.Out(), ct.Len())
+					len(originals), len(counts), ct.In(), ct.Out(), held(&ct.pool))
 			}
 			first := ct.FlushBefore(tc.before, nil)
 			for i := range first {
@@ -80,12 +80,12 @@ func TestCombineTablePreMergeIsExact(t *testing.T) {
 					t.Fatalf("FlushBefore(%d) emitted window %d", tc.before, first[i].Window)
 				}
 			}
-			if ct.Out() != int64(len(first)) || ct.Len() != len(counts)-len(first) {
-				t.Fatalf("after the first flush of %d: Out %d, Len %d of %d", len(first), ct.Out(), ct.Len(), len(counts))
+			if ct.Out() != int64(len(first)) || held(&ct.pool) != len(counts)-len(first) {
+				t.Fatalf("after the first flush of %d: Out %d, Len %d of %d", len(first), ct.Out(), held(&ct.pool), len(counts))
 			}
 			combined := ct.FlushAll(first)
-			if ct.Out() != int64(len(combined)) || ct.Len() != 0 || ct.In() != int64(len(originals)) {
-				t.Fatalf("drained: In %d, Out %d (flushed %d), Len %d", ct.In(), ct.Out(), len(combined), ct.Len())
+			if ct.Out() != int64(len(combined)) || held(&ct.pool) != 0 || ct.In() != int64(len(originals)) {
+				t.Fatalf("drained: In %d, Out %d (flushed %d), Len %d", ct.In(), ct.Out(), len(combined), held(&ct.pool))
 			}
 
 			// One combined partial per (window, key), ascending windows,
@@ -145,4 +145,14 @@ func TestCombineTablePreMergeIsExact(t *testing.T) {
 			}
 		})
 	}
+}
+
+// held returns the live (window, key) entries across a pool's open
+// windows.
+func held(p *tablePool) int {
+	n := 0
+	for _, t := range p.open {
+		n += t.used
+	}
+	return n
 }

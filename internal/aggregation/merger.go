@@ -29,8 +29,6 @@ type Value [2]uint64
 // the same for every merger, while the Value is what the application
 // asked to compute (Final.Value).
 type Merger interface {
-	// Name identifies the operator (for tables and diagnostics).
-	Name() string
 	// Observe folds n observations of sample into v (the worker side).
 	// Engines draw the sample per message by stream.Source's sampling
 	// contract (AggValue hook, else recorded value, else 1); the
@@ -70,14 +68,12 @@ var (
 
 type countMerger struct{}
 
-func (countMerger) Name() string                       { return "count" }
 func (countMerger) Observe(v *Value, _ int64, n int64) { v[0] += uint64(n) }
 func (countMerger) Combine(dst *Value, src Value)      { dst[0] += src[0] }
 func (countMerger) Result(v Value) int64               { return int64(v[0]) }
 
 type sumMerger struct{}
 
-func (sumMerger) Name() string { return "sum" }
 func (sumMerger) Observe(v *Value, sample int64, n int64) {
 	v[0] += uint64(sample * n)
 }
@@ -89,12 +85,6 @@ func (sumMerger) Result(v Value) int64          { return int64(v[0]) }
 // Value needs no sentinel initialization.
 type minMaxMerger struct{ min bool }
 
-func (m minMaxMerger) Name() string {
-	if m.min {
-		return "min"
-	}
-	return "max"
-}
 func (m minMaxMerger) better(a, b int64) bool {
 	if m.min {
 		return a < b
@@ -147,8 +137,6 @@ func hllSet(v *Value, i int, x uint64) {
 		v[1] = v[1]&^(uint64(hllRegMask)<<shift) | x<<shift
 	}
 }
-
-func (distinctMerger) Name() string { return "distinct" }
 
 func (distinctMerger) Observe(v *Value, sample int64, _ int64) {
 	// n identical observations add one distinct element, so the batch

@@ -14,14 +14,27 @@ import (
 	"slb/internal/workload"
 )
 
+// builtins names each built-in Merger, for subtests and messages.
+var builtins = []struct {
+	name string
+	m    Merger
+}{
+	{"count", CountMerger},
+	{"sum", SumMerger},
+	{"min", MinMerger},
+	{"max", MaxMerger},
+	{"distinct", DistinctMerger},
+}
+
 // TestMergerAlgebra pins the contract every Merger must satisfy:
 // observing a sample stream split arbitrarily across two states and
 // then Combining equals observing the whole stream into one state —
 // the property that makes per-worker partials mergeable at all.
 func TestMergerAlgebra(t *testing.T) {
 	samples := []int64{5, -3, 5, 12, 0, 7, -3, 99, 12, 1, 5}
-	for _, m := range []Merger{CountMerger, SumMerger, MinMerger, MaxMerger, DistinctMerger} {
-		t.Run(m.Name(), func(t *testing.T) {
+	for _, b := range builtins {
+		m := b.m
+		t.Run(b.name, func(t *testing.T) {
 			for split := 0; split <= len(samples); split++ {
 				var whole, left, right Value
 				for i, s := range samples {
@@ -53,13 +66,14 @@ func TestMergerResults(t *testing.T) {
 		"max":      10,
 		"distinct": 3, // {4, -2, 10}; small-range HLL is exact here
 	}
-	for _, m := range []Merger{CountMerger, SumMerger, MinMerger, MaxMerger, DistinctMerger} {
+	for _, b := range builtins {
+		m := b.m
 		var v Value
 		for _, o := range stream {
 			m.Observe(&v, o.sample, o.n)
 		}
-		if got := m.Result(v); got != want[m.Name()] {
-			t.Errorf("%s: result %d, want %d", m.Name(), got, want[m.Name()])
+		if got := m.Result(v); got != want[b.name] {
+			t.Errorf("%s: result %d, want %d", b.name, got, want[b.name])
 		}
 	}
 }
@@ -193,7 +207,8 @@ func TestShardedDriverMatchesSingle(t *testing.T) {
 		windowSize = 1_500
 	)
 	sample := func(key string, seq int64) int64 { return int64(len(key)) + seq%13 }
-	for _, m := range []Merger{CountMerger, SumMerger, MinMerger, MaxMerger, DistinctMerger} {
+	for _, b := range builtins {
+		m := b.m
 		mk := func() stream.Generator { return workload.NewZipf(1.6, 400, messages, 7) }
 		refFinals, refDrv := runSharded(t, mk(), "W-C", workers, sources, 1, windowSize, m, sample)
 		type fk struct {
@@ -205,7 +220,7 @@ func TestShardedDriverMatchesSingle(t *testing.T) {
 			ref[fk{f.Window, f.Key}] = f
 		}
 		for _, shards := range []int{2, 4, 7} {
-			t.Run(fmt.Sprintf("%s/R=%d", m.Name(), shards), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/R=%d", b.name, shards), func(t *testing.T) {
 				finals, sd := runSharded(t, mk(), "W-C", workers, sources, shards, windowSize, m, sample)
 				if len(finals) != len(ref) {
 					t.Fatalf("%d finals, want %d", len(finals), len(ref))
@@ -448,7 +463,7 @@ func TestZeroShareShardHoldsNoWindowState(t *testing.T) {
 			flush(cw)
 		}
 		p.RouteBatchDigests(one, dig, dst)
-		accs[dst[0]].Add(idx/windowSize, dg, key)
+		accs[dst[0]].AddSample(idx/windowSize, dg, key, 1, 1)
 		held = max(held, len(d.th.rows))
 		for _, s := range d.shards {
 			open = max(open, len(s.pool.open))

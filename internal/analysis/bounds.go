@@ -25,25 +25,18 @@ func BH(n, h, d int) float64 {
 	return nf - nf*math.Pow((nf-1)/nf, float64(h*d))
 }
 
-// FeasibleD reports whether d choices for the head satisfy every prefix
-// constraint of Proposition 4.1:
+// SolveD implements FINDOPTIMALCHOICES: the smallest d that satisfies all
+// the prefix constraints of Proposition 4.1,
 //
 //	Σ_{i≤h} p_i + (b_h/n)^d Σ_{h<i≤|H|} p_i + (b_h/n)^2 Σ_{i>|H|} p_i
-//	    ≤ b_h (1/n + ε)    for all h = 1..|H|
+//	    ≤ b_h (1/n + ε)    for all h = 1..|H|,
 //
-// headProbs must be sorted in non-increasing order; tailMass is the total
-// probability of keys outside the head.
-func FeasibleD(headProbs []float64, tailMass float64, n, d int, eps float64) bool {
-	return FeasibleDPrefix(headProbs, tailMass, n, d, eps, len(headProbs))
-}
-
-// SolveD implements FINDOPTIMALCHOICES: the smallest d that satisfies all
-// the constraints of Proposition 4.1, starting from the simple lower
-// bound d = ⌈p1·n⌉ (we need p1 ≤ d/n) and never below 2. If no d < n is
-// feasible the function returns n, signalling that the caller should
-// switch to the W-Choices strategy.
+// starting from the simple lower bound d = ⌈p1·n⌉ (we need p1 ≤ d/n)
+// and never below 2. If no d < n is feasible the function returns n,
+// signalling that the caller should switch to the W-Choices strategy.
 //
-// headProbs must be sorted in non-increasing order. An empty head yields
+// headProbs must be sorted in non-increasing order; tailMass is the
+// total probability of keys outside the head. An empty head yields
 // d = 2 (everything is tail, plain PKG). It is Solver.SolveD on a fresh
 // Solver; callers that solve repeatedly keep one.
 func SolveD(headProbs []float64, tailMass float64, n int, eps float64) int {
@@ -51,18 +44,10 @@ func SolveD(headProbs []float64, tailMass float64, n int, eps float64) int {
 	return s.SolveD(headProbs, tailMass, n, eps)
 }
 
-// FeasibleDPrefix is FeasibleD restricted to the first maxPrefix
-// constraints (h = 1..maxPrefix). The paper notes the tight constraints
-// are h = 1 and h = |H|; the ablation harness uses this to quantify what
-// checking only h = 1 would cost.
-func FeasibleDPrefix(headProbs []float64, tailMass float64, n, d int, eps float64, maxPrefix int) bool {
-	var s Solver
-	s.reset(n)
-	return s.feasible(headProbs, sum(headProbs), tailMass, d, eps, clampPrefix(maxPrefix, len(headProbs)))
-}
-
 // SolveDPrefix is SolveD with the constraint family truncated to the
-// first maxPrefix prefixes.
+// first maxPrefix prefixes (h = 1..maxPrefix). The paper notes the tight
+// constraints are h = 1 and h = |H|; the ablation harness uses this to
+// quantify what checking only h = 1 would cost.
 func SolveDPrefix(headProbs []float64, tailMass float64, n int, eps float64, maxPrefix int) int {
 	var s Solver
 	return s.solve(headProbs, tailMass, n, eps, maxPrefix)

@@ -51,7 +51,7 @@ func TestBHMatchesMonteCarlo(t *testing.T) {
 		var occupied [20]bool
 		cnt := 0
 		for i := 0; i < h*d; i++ {
-			b := rng.Intn(n)
+			b := int(rng.Uint64() % uint64(n))
 			if !occupied[b] {
 				occupied[b] = true
 				cnt++
@@ -139,11 +139,11 @@ func TestSolveDFeasibleAtSolutionInfeasibleBelow(t *testing.T) {
 		if d >= n {
 			continue // switched to W-C; nothing to check
 		}
-		if !FeasibleD(head, tail, n, d, 1e-4) {
+		if !referenceFeasibleD(head, tail, n, d, 1e-4) {
 			t.Errorf("z=%.1f: returned d=%d infeasible", z, d)
 		}
 		lower := int(math.Ceil(head[0] * float64(n)))
-		if d > lower && d > 2 && FeasibleD(head, tail, n, d-1, 1e-4) {
+		if d > lower && d > 2 && referenceFeasibleD(head, tail, n, d-1, 1e-4) {
 			t.Errorf("z=%.1f: d=%d not minimal, d−1 feasible", z, d)
 		}
 	}
@@ -183,7 +183,7 @@ func TestSolveDFig4Shape(t *testing.T) {
 }
 
 func TestFeasibleDTrivial(t *testing.T) {
-	if !FeasibleD(nil, 1, 10, 2, 0) {
+	if !solverFeasible(nil, 1, 10, 2, 0, 0) {
 		t.Fatal("empty head must always be feasible")
 	}
 }
@@ -267,7 +267,7 @@ func solverHead(shape string, size int, scale float64, rng *workload.RNG) (head 
 	for _, c := range counts {
 		total += c
 	}
-	stream := total + total/3 + uint64(rng.Intn(1000)) // the tail's share
+	stream := total + total/3 + rng.Uint64()%1000 // the tail's share
 	mass := 0.0
 	head = make([]float64, size)
 	for i, c := range counts {
@@ -313,6 +313,15 @@ func TestSolverMatchesReference(t *testing.T) {
 	}
 }
 
+// solverFeasible is the Solver's per-d predicate on a fresh Solver:
+// whether d choices satisfy Proposition 4.1's first maxPrefix prefix
+// constraints.
+func solverFeasible(headProbs []float64, tailMass float64, n, d int, eps float64, maxPrefix int) bool {
+	var s Solver
+	s.reset(n)
+	return s.feasible(headProbs, sum(headProbs), tailMass, d, eps, clampPrefix(maxPrefix, len(headProbs)))
+}
+
 // TestSolverFeasibleMatchesReference pins the per-d predicate too, on
 // the d around the solution where one differing bit would flip it.
 func TestSolverFeasibleMatchesReference(t *testing.T) {
@@ -326,8 +335,8 @@ func TestSolverFeasibleMatchesReference(t *testing.T) {
 					continue
 				}
 				want := referenceFeasibleD(head, tail, n, d, 1e-4)
-				if got := FeasibleD(head, tail, n, d, 1e-4); got != want {
-					t.Fatalf("n=%d %s d=%d: FeasibleD=%v, reference=%v", n, shape, d, got, want)
+				if got := solverFeasible(head, tail, n, d, 1e-4, len(head)); got != want {
+					t.Fatalf("n=%d %s d=%d: Solver feasible=%v, reference=%v", n, shape, d, got, want)
 				}
 			}
 		}

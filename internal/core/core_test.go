@@ -106,8 +106,8 @@ func TestPKGRoutesOnlyToCandidates(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		k := fmt.Sprintf("key%d", i%50)
 		w := routeOne(p, k)
-		c1 := p.family.Bucket(0, k, 20)
-		c2 := p.family.Bucket(1, k, 20)
+		c1 := p.family.BucketDigest(0, Digest(k), 20)
+		c2 := p.family.BucketDigest(1, Digest(k), 20)
 		if w != c1 && w != c2 {
 			t.Fatalf("PKG routed %q to %d, candidates {%d,%d}", k, w, c1, c2)
 		}
@@ -121,8 +121,8 @@ func TestPKGPrefersLessLoaded(t *testing.T) {
 	var c1, c2 int
 	for i := 0; ; i++ {
 		key = fmt.Sprintf("probe%d", i)
-		c1 = p.family.Bucket(0, key, 4)
-		c2 = p.family.Bucket(1, key, 4)
+		c1 = p.family.BucketDigest(0, Digest(key), 4)
+		c2 = p.family.BucketDigest(1, Digest(key), 4)
 		if c1 != c2 {
 			break
 		}
@@ -337,12 +337,13 @@ func TestHeadTrackerMergeSharpensEstimates(t *testing.T) {
 		routeOne(b, fmt.Sprintf("tb%d", i))
 	}
 	before := a.HeadTracker().Sketch().N()
-	a.HeadTracker().Merge(b.HeadTracker().Sketch())
+	// The coordinator's step, as the simulator's MergeEvery takes it.
+	a.HeadTracker().SetSketch(a.HeadTracker().Sketch().Merge(b.HeadTracker().Sketch()))
 	after := a.HeadTracker().Sketch().N()
 	if after != before+b.HeadTracker().Sketch().N() {
 		t.Fatalf("merge did not combine stream lengths: %d → %d", before, after)
 	}
-	c, _, ok := a.HeadTracker().Sketch().Count("hh")
+	c, _, ok := a.HeadTracker().Sketch().CountDigest(Digest("hh"))
 	if !ok || c < 2000 {
 		t.Fatalf("merged estimate for hh = %d, want ≥ 2000", c)
 	}

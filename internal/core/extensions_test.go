@@ -72,8 +72,7 @@ func TestSketchWindowMode(t *testing.T) {
 	if p.HeadTracker().Sketch() != nil {
 		t.Fatal("windowed tracker should not expose a plain sketch")
 	}
-	// Merge and SetSketch must be safe no-ops.
-	p.HeadTracker().Merge(nil)
+	// SetSketch must be a safe no-op.
 	p.HeadTracker().SetSketch(nil)
 	// Routing still works and balances a hot key.
 	counts := make([]int64, 10)
@@ -168,7 +167,7 @@ func TestInstanceDoesNotAffectHashing(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		k := fmt.Sprintf("key%d", i)
 		for h := 0; h < 2; h++ {
-			if a.family.Bucket(h, k, 32) != b.family.Bucket(h, k, 32) {
+			if a.family.BucketDigest(h, Digest(k), 32) != b.family.BucketDigest(h, Digest(k), 32) {
 				t.Fatalf("instance changed hash candidates for %q", k)
 			}
 		}

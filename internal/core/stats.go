@@ -112,19 +112,6 @@ func (p *RoundRobin) RouteStats() RouteStats {
 	return s
 }
 
-// RouteStats implements RouteStatser.
-func (p *ForcedD) RouteStats() RouteStats {
-	s := RouteStats{
-		HeadMsgs:   p.head.headMsgs,
-		CandHits:   p.cache.hits,
-		CandMisses: p.cache.misses,
-		D:          p.d,
-	}
-	p.argminStats(&s)
-	s.SketchLen, s.SketchCap, s.SketchEvictions = p.head.sketchStats()
-	return s
-}
-
 // RouteStats implements RouteStatser (PKG has no sketch or cache; only
 // the argmin-path counters are meaningful, and PKG's 2-choice picks go
 // through neither counted path, so they stay zero).

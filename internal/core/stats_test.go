@@ -68,14 +68,14 @@ func TestRouteStatsDChoices(t *testing.T) {
 func TestRouteStatsInterfaceCoverage(t *testing.T) {
 	cfg := Config{Workers: 8, Seed: 1}
 	for _, p := range []Partitioner{
-		NewDChoices(cfg), NewWChoices(cfg), NewRoundRobin(cfg),
-		NewForcedD(cfg, 4), NewPKG(cfg),
+		NewDChoices(cfg), NewWChoices(cfg), NewRoundRobin(cfg), NewPKG(cfg),
 	} {
 		if _, ok := Stats(p); !ok {
 			t.Fatalf("%T should implement RouteStatser", p)
 		}
 	}
-	for _, p := range []Partitioner{NewKeyGrouping(cfg), NewShuffleGrouping(cfg)} {
+	// ForcedD is a Fig 9 instrument that never runs under telemetry.
+	for _, p := range []Partitioner{NewKeyGrouping(cfg), NewShuffleGrouping(cfg), NewForcedD(cfg, 4)} {
 		if _, ok := Stats(p); ok {
 			t.Fatalf("%T unexpectedly implements RouteStatser", p)
 		}

@@ -143,12 +143,9 @@ type Config struct {
 	LinkJitter float64
 	// LinkSlowOneIn, when positive, gives roughly one in N hops a rare
 	// slow-path transition (a retransmit, a GC pause on the path)
-	// costing LinkSlowPenalty extra ms, selected by the same
-	// deterministic per-hop hash.
+	// costing ten times (LinkDelay + LinkJitter) extra ms, selected by
+	// the same deterministic per-hop hash.
 	LinkSlowOneIn int
-	// LinkSlowPenalty is the slow-path extra delay (ms); 0 with
-	// LinkSlowOneIn > 0 means 10× (LinkDelay + LinkJitter).
-	LinkSlowPenalty float64
 	// LinkOutagePeriod, when positive, gives every worker→reducer link a
 	// periodic outage: once per this many ms the link goes dark for
 	// LinkOutageDuration ms, with a deterministic per-link phase so
@@ -214,9 +211,6 @@ func (c Config) withDefaults() (Config, error) {
 		if c.AggShards <= 0 {
 			c.AggShards = 1
 		}
-		if c.LinkSlowOneIn > 0 && c.LinkSlowPenalty <= 0 {
-			c.LinkSlowPenalty = 10 * (c.LinkDelay + c.LinkJitter)
-		}
 		if c.LinkOutagePeriod > 0 && c.LinkOutageDuration <= 0 {
 			c.LinkOutageDuration = c.LinkOutagePeriod / 10
 		}
@@ -240,9 +234,13 @@ type Result struct {
 	// P50, P95, P99 are latency percentiles across the measured
 	// messages (ms), 0 when none was measured.
 	P50, P95, P99 float64
-	// Loads is the per-worker processed-message count.
+	// Loads is the per-worker count of measured completions: messages
+	// completed after the first MeasureAfter, so sum(Loads) is
+	// Completed − MeasureAfter and the warm-up is left out.
 	Loads []int64
-	// Imbalance is the load imbalance I(m) of the run.
+	// Imbalance is the load imbalance I over Loads: the measured part
+	// of the run, not the whole stream when MeasureAfter > 0 (Figs
+	// 13–14 set it to m/5, so theirs covers the last 80%).
 	Imbalance float64
 	// PeakQueue is the largest backlog observed at any single worker.
 	PeakQueue int

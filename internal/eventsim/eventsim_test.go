@@ -45,6 +45,26 @@ func TestRunCompletesAllMessages(t *testing.T) {
 	}
 }
 
+// TestLoadsCountMeasuredCompletions pins what Loads counts: only the
+// completions after the first MeasureAfter, so the warm-up is left out
+// of Loads and of the Imbalance computed from them.
+func TestLoadsCountMeasuredCompletions(t *testing.T) {
+	cfg := baseCfg("SG", 4, 1)
+	cfg.Messages = 1000
+	cfg.MeasureAfter = 400
+	res, err := Run(zipfGen(1.0, 100, 1000), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum int64
+	for _, l := range res.Loads {
+		sum += l
+	}
+	if res.Completed != 1000 || sum != res.Completed-cfg.MeasureAfter {
+		t.Fatalf("completed %d, loads sum %d; want 1000 and %d", res.Completed, sum, 1000-cfg.MeasureAfter)
+	}
+}
+
 func TestRunValidation(t *testing.T) {
 	if _, err := Run(zipfGen(1, 10, 10), Config{Workers: 0, Sources: 1, Algorithm: "SG", ServiceTime: 1}); err == nil {
 		t.Fatal("expected error for Workers=0")

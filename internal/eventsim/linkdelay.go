@@ -2,6 +2,10 @@ package eventsim
 
 import "math"
 
+// slowPathFactor prices a slow-path hop (Config.LinkSlowOneIn): it
+// costs this many times LinkDelay + LinkJitter on top of its delay.
+const slowPathFactor = 10
+
 // linkDelays is the deterministic per-link delay and outage model for
 // the worker→reducer hop (Config.LinkDelay and Config.LinkOutage*).
 // Each (worker, shard) pair is one link with its own hop counter; a
@@ -45,7 +49,7 @@ func newLinkDelays(cfg Config) *linkDelays {
 		base:    cfg.LinkDelay,
 		jitter:  cfg.LinkJitter,
 		slowIn:  uint64(cfg.LinkSlowOneIn),
-		penalty: cfg.LinkSlowPenalty,
+		penalty: slowPathFactor * (cfg.LinkDelay + cfg.LinkJitter),
 		period:  cfg.LinkOutagePeriod,
 		dur:     cfg.LinkOutageDuration,
 		hops:    make([]uint64, cfg.Workers*cfg.AggShards),

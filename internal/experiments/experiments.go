@@ -101,9 +101,10 @@ func (s Scale) workloadScale() workload.Scale {
 func (s Scale) skews() []float64 {
 	switch s {
 	case Full:
-		return sweep(0.1, 2.0, 0.1)
+		return []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0,
+			1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9, 2.0}
 	case Default:
-		return sweep(0.4, 2.0, 0.2)
+		return []float64{0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0}
 	default:
 		return []float64{0.4, 0.8, 1.2, 1.6, 2.0}
 	}
@@ -124,25 +125,6 @@ func (s Scale) gridWorkers() []int {
 		return []int{10, 50}
 	}
 	return []int{5, 10, 50, 100}
-}
-
-func sweep(from, to, step float64) []float64 {
-	var out []float64
-	for v := from; v <= to+1e-9; v += step {
-		out = append(out, roundTo(v, 4))
-	}
-	return out
-}
-
-func roundTo(v float64, digits int) float64 {
-	scale := 1.0
-	for i := 0; i < digits; i++ {
-		scale *= 10
-	}
-	if v >= 0 {
-		return float64(int64(v*scale+0.5)) / scale
-	}
-	return float64(int64(v*scale-0.5)) / scale
 }
 
 // zfGen builds the standard ZF generator for a skew at this scale.

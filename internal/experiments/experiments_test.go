@@ -10,6 +10,24 @@ import (
 )
 
 // mustRun executes a registered experiment at Quick scale.
+// find returns the first row of tab whose cells at the given column
+// indices equal the given values, or nil.
+func find(tab *texttab.Table, match map[int]string) []string {
+	for _, row := range tab.Rows {
+		ok := true
+		for i, v := range match {
+			if i >= len(row) || row[i] != v {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			return row
+		}
+	}
+	return nil
+}
+
 func mustRun(t *testing.T, name string) []*texttab.Table {
 	t.Helper()
 	e, ok := Lookup(name)
@@ -82,7 +100,7 @@ func TestTable1MatchesPaperP1(t *testing.T) {
 		t.Fatalf("table1 rows = %d, want ≥ 6 (3 datasets + 3 ZF)", len(tab.Rows))
 	}
 	for _, symbol := range []string{"WP", "TW", "CT"} {
-		row := tab.Find(map[int]string{1: symbol})
+		row := find(tab, map[int]string{1: symbol})
 		if row == nil {
 			t.Fatalf("table1 missing %s", symbol)
 		}
@@ -162,7 +180,7 @@ func TestFig7Shape(t *testing.T) {
 	}
 	// W-C at θ ≤ 1/n keeps imbalance low even at n=50, z=2.0.
 	wc := tabs[0]
-	row := wc.Find(map[int]string{0: "50", 1: "2.0"})
+	row := find(wc, map[int]string{0: "50", 1: "2.0"})
 	if row == nil {
 		t.Fatal("fig7 missing n=50 z=2.0 row")
 	}
@@ -214,7 +232,7 @@ func TestFig9Shape(t *testing.T) {
 
 func TestFig10Shape(t *testing.T) {
 	tab := mustRun(t, "fig10")[0]
-	row := tab.Find(map[int]string{0: "50", 1: "2.0"})
+	row := find(tab, map[int]string{0: "50", 1: "2.0"})
 	if row == nil {
 		t.Fatal("fig10 missing n=50 z=2.0")
 	}
@@ -277,9 +295,9 @@ func TestFig13Shape(t *testing.T) {
 func TestFig14Shape(t *testing.T) {
 	tab := mustRun(t, "fig14")[0]
 	for _, z := range []string{"1.7", "2.0"} {
-		kg := tab.Find(map[int]string{0: z, 1: "KG"})
-		pkg := tab.Find(map[int]string{0: z, 1: "PKG"})
-		wc := tab.Find(map[int]string{0: z, 1: "W-C"})
+		kg := find(tab, map[int]string{0: z, 1: "KG"})
+		pkg := find(tab, map[int]string{0: z, 1: "PKG"})
+		wc := find(tab, map[int]string{0: z, 1: "W-C"})
 		if kg == nil || pkg == nil || wc == nil {
 			t.Fatalf("fig14 missing rows for z=%s", z)
 		}
@@ -297,7 +315,7 @@ func TestLiveFig13Ordering(t *testing.T) {
 	}
 	tab := mustRun(t, "live-fig13")[0]
 	get := func(algo string) float64 {
-		row := tab.Find(map[int]string{0: algo})
+		row := find(tab, map[int]string{0: algo})
 		if row == nil {
 			t.Fatalf("live-fig13 missing %s", algo)
 		}
@@ -323,7 +341,7 @@ func TestLiveFig13Ordering(t *testing.T) {
 func TestAblateStragglerHurtsBalancedSchemesMost(t *testing.T) {
 	tab := mustRun(t, "ablate-straggler")[0]
 	slowdown := func(algo string) float64 {
-		row := tab.Find(map[int]string{0: algo})
+		row := find(tab, map[int]string{0: algo})
 		if row == nil {
 			t.Fatalf("missing %s", algo)
 		}
@@ -354,7 +372,7 @@ func TestAblations(t *testing.T) {
 
 func TestAblateSaturationShowsWideGap(t *testing.T) {
 	tab := mustRun(t, "ablate-saturation")[0]
-	row := tab.Find(map[int]string{0: "2.0"})
+	row := find(tab, map[int]string{0: "2.0"})
 	if row == nil {
 		t.Fatal("z=2.0 row missing")
 	}

@@ -13,10 +13,10 @@
 //     avalanche, deriving all d candidate buckets from that single
 //     string scan without rescanning the key.
 //
-// Hash and Bucket remain as thin per-key wrappers (digest-then-mix), so
-// Hash(i, key) == HashDigest(i, Digest(key)) always holds. Bucket
-// reduction uses Lemire's multiply-shift instead of a modulo, avoiding a
-// 64-bit hardware division per candidate. All functions are pure and
+// There is no per-key form: a caller digests once and passes the
+// digest, so no layer can re-scan the key bytes. Bucket reduction uses
+// Lemire's multiply-shift instead of a modulo, avoiding a 64-bit
+// hardware division per candidate. All functions are pure and
 // deterministic, so simulation runs are exactly reproducible.
 package hashing
 
@@ -104,9 +104,6 @@ func NewFamily(size int, seed uint64) *Family {
 	return &Family{mul: mul, add: add}
 }
 
-// Size returns the number of hash functions in the family.
-func (f *Family) Size() int { return len(f.mul) }
-
 // HashDigest returns the 64-bit hash of a pre-computed key digest under
 // family member i, so all members share one string scan.
 func (f *Family) HashDigest(i int, d KeyDigest) uint64 {
@@ -120,29 +117,6 @@ func (f *Family) HashDigest(i int, d KeyDigest) uint64 {
 func (f *Family) BucketDigest(i int, d KeyDigest, n int) int {
 	hi, _ := bits.Mul64(f.HashDigest(i, d), uint64(n))
 	return int(hi)
-}
-
-// Hash returns the 64-bit hash of key under family member i. It is the
-// per-key convenience form of HashDigest: one digest scan, then mix.
-func (f *Family) Hash(i int, key string) uint64 {
-	return f.HashDigest(i, Digest(key))
-}
-
-// Bucket returns family member i's choice of worker for key among n
-// workers, i.e. F_i(key) ∈ [0, n).
-func (f *Family) Bucket(i int, key string, n int) int {
-	return f.BucketDigest(i, Digest(key), n)
-}
-
-// Buckets fills dst with the first len(dst) family members' choices for
-// key among n workers and returns dst. The key is scanned once; each
-// member derives its bucket from the shared digest.
-func (f *Family) Buckets(dst []int, key string, n int) []int {
-	d := Digest(key)
-	for i := range dst {
-		dst[i] = f.BucketDigest(i, d, n)
-	}
-	return dst
 }
 
 // Bounded reduces a uniform 64-bit value x to [0, n) with Lemire's
@@ -182,9 +156,3 @@ func finalize(h uint64) uint64 {
 // exported for callers that need to index hash tables by digest (the
 // digest itself is raw FNV-1a state and has weak low bits).
 func Mix64(d KeyDigest) uint64 { return finalize(uint64(d)) }
-
-// String64 hashes key with an unseeded member; a convenience for callers
-// that need a single stable hash (e.g. key grouping).
-func String64(key string) uint64 {
-	return finalize(uint64(Digest(key)))
-}

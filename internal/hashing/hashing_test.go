@@ -25,9 +25,9 @@ func TestFamilyDeterminism(t *testing.T) {
 	a := NewFamily(8, 42)
 	b := NewFamily(8, 42)
 	keys := []string{"", "a", "key-1", "another key", "\x00\xff"}
-	for i := 0; i < a.Size(); i++ {
+	for i := 0; i < 8; i++ {
 		for _, k := range keys {
-			if a.Hash(i, k) != b.Hash(i, k) {
+			if a.HashDigest(i, Digest(k)) != b.HashDigest(i, Digest(k)) {
 				t.Fatalf("family not deterministic for member %d key %q", i, k)
 			}
 		}
@@ -39,7 +39,7 @@ func TestFamilySeedsDiffer(t *testing.T) {
 	b := NewFamily(4, 2)
 	same := 0
 	for i := 0; i < 4; i++ {
-		if a.Hash(i, "probe") == b.Hash(i, "probe") {
+		if a.HashDigest(i, Digest("probe")) == b.HashDigest(i, Digest("probe")) {
 			same++
 		}
 	}
@@ -57,7 +57,7 @@ func TestFamilyMembersIndependent(t *testing.T) {
 	coll := 0
 	for i := 0; i < keys; i++ {
 		k := fmt.Sprintf("key-%d", i)
-		if f.Bucket(0, k, n) == f.Bucket(1, k, n) {
+		if f.BucketDigest(0, Digest(k), n) == f.BucketDigest(1, Digest(k), n) {
 			coll++
 		}
 	}
@@ -73,7 +73,7 @@ func TestBucketUniformity(t *testing.T) {
 	total := 160000
 	counts := make([]int, n)
 	for i := 0; i < total; i++ {
-		counts[f.Bucket(0, fmt.Sprintf("uniform-%d", i), n)]++
+		counts[f.BucketDigest(0, Digest(fmt.Sprintf("uniform-%d", i)), n)]++
 	}
 	// Chi-squared test with df = 15; 99.9% critical value ≈ 37.7.
 	expected := float64(total) / float64(n)
@@ -87,23 +87,12 @@ func TestBucketUniformity(t *testing.T) {
 	}
 }
 
-func TestBucketsMatchesBucket(t *testing.T) {
-	f := NewFamily(5, 3)
-	dst := make([]int, 5)
-	f.Buckets(dst, "the-key", 23)
-	for i, got := range dst {
-		if want := f.Bucket(i, "the-key", 23); got != want {
-			t.Fatalf("Buckets[%d] = %d, want %d", i, got, want)
-		}
-	}
-}
-
 func TestBucketRangeProperty(t *testing.T) {
 	f := NewFamily(3, 11)
 	prop := func(key string, nRaw uint8) bool {
 		n := int(nRaw%100) + 1
 		for i := 0; i < 3; i++ {
-			b := f.Bucket(i, key, n)
+			b := f.BucketDigest(i, Digest(key), n)
 			if b < 0 || b >= n {
 				return false
 			}
@@ -115,15 +104,6 @@ func TestBucketRangeProperty(t *testing.T) {
 	}
 }
 
-func TestString64Deterministic(t *testing.T) {
-	if String64("abc") != String64("abc") {
-		t.Fatal("String64 not deterministic")
-	}
-	if String64("abc") == String64("abd") {
-		t.Fatal("String64 collided on near-identical keys (vanishingly unlikely)")
-	}
-}
-
 func TestAvalancheLowBits(t *testing.T) {
 	// Sequentially numbered keys must not map to sequential buckets; check
 	// the low-bit quality of the finalizer by ensuring runs are broken up.
@@ -131,7 +111,7 @@ func TestAvalancheLowBits(t *testing.T) {
 	sameAsPrev := 0
 	prev := -1
 	for i := 0; i < 1000; i++ {
-		b := f.Bucket(0, fmt.Sprintf("k%08d", i), 2)
+		b := f.BucketDigest(0, Digest(fmt.Sprintf("k%08d", i)), 2)
 		if b == prev {
 			sameAsPrev++
 		}
@@ -205,32 +185,11 @@ func TestBucketDigestMatchesReference(t *testing.T) {
 		for j := 0; j < 200; j++ {
 			k := fmt.Sprintf("ref-key-%d", j)
 			for _, n := range []int{1, 2, 13, 50, 100} {
-				if got, want := f.Bucket(i, k, n), refBucket(muls[i], adds[i], k, n); got != want {
-					t.Fatalf("member %d key %q n=%d: Bucket = %d, reference %d", i, k, n, got, want)
+				if got, want := f.BucketDigest(i, Digest(k), n), refBucket(muls[i], adds[i], k, n); got != want {
+					t.Fatalf("member %d key %q n=%d: BucketDigest = %d, reference %d", i, k, n, got, want)
 				}
 			}
 		}
-	}
-}
-
-func TestHashEqualsDigestPath(t *testing.T) {
-	// Hash/Bucket are documented as thin wrappers over the digest path;
-	// the two forms must agree for every member, key and worker count.
-	f := NewFamily(6, 77)
-	for i := 0; i < f.Size(); i++ {
-		for j := 0; j < 100; j++ {
-			k := fmt.Sprintf("wrap-%d", j)
-			d := Digest(k)
-			if f.Hash(i, k) != f.HashDigest(i, d) {
-				t.Fatalf("Hash(%d, %q) != HashDigest of Digest", i, k)
-			}
-			if f.Bucket(i, k, 37) != f.BucketDigest(i, d, 37) {
-				t.Fatalf("Bucket(%d, %q) != BucketDigest of Digest", i, k)
-			}
-		}
-	}
-	if String64("abc") != Mix64(Digest("abc")) {
-		t.Fatal("String64 is not the avalanched digest")
 	}
 }
 
@@ -243,7 +202,7 @@ func TestCrossMemberUniformity(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		counts := make([]int, n)
 		for j := 0; j < total; j++ {
-			counts[f.Bucket(i, fmt.Sprintf("cmu-%d", j), n)]++
+			counts[f.BucketDigest(i, Digest(fmt.Sprintf("cmu-%d", j)), n)]++
 		}
 		expected := float64(total) / float64(n)
 		chi2 := 0.0
@@ -291,7 +250,7 @@ func BenchmarkHash(b *testing.B) {
 	f := NewFamily(2, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = f.Hash(i&1, "benchmark-key-with-typical-length")
+		_ = f.HashDigest(i&1, Digest("benchmark-key-with-typical-length"))
 	}
 }
 
@@ -302,6 +261,9 @@ func BenchmarkBucketsViaDigest(b *testing.B) {
 	dst := make([]int, 4)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		f.Buckets(dst, "benchmark-key-with-typical-length", 50)
+		d := Digest("benchmark-key-with-typical-length")
+		for j := range dst {
+			dst[j] = f.BucketDigest(j, d, 50)
+		}
 	}
 }

@@ -12,14 +12,15 @@ import (
 // be monitored.
 func Example() {
 	s := spacesaving.New(3)
+	offer := func(key string) { s.OfferDigest(hashing.Digest(key), key) }
 	for i := 0; i < 60; i++ {
-		s.Offer("hot")
+		offer("hot")
 	}
 	for i := 0; i < 30; i++ {
-		s.Offer("warm")
+		offer("warm")
 	}
 	for i := 0; i < 10; i++ {
-		s.Offer(fmt.Sprintf("cold-%d", i)) // 10 distinct rare keys
+		offer(fmt.Sprintf("cold-%d", i)) // 10 distinct rare keys
 	}
 	for _, e := range s.HeavyHitters(0.2) {
 		fmt.Printf("%s ≥ %d occurrences\n", e.Key, e.Count-e.Err)
@@ -33,14 +34,15 @@ func Example() {
 // distributed heavy-hitters construction the paper's sources can use.
 func ExampleSummary_Merge() {
 	a, b := spacesaving.New(4), spacesaving.New(4)
+	k := hashing.Digest("k")
 	for i := 0; i < 40; i++ {
-		a.Offer("k")
+		a.OfferDigest(k, "k")
 	}
 	for i := 0; i < 25; i++ {
-		b.Offer("k")
+		b.OfferDigest(k, "k")
 	}
 	merged := a.Merge(b)
-	c, _, _ := merged.Count("k")
+	c, _, _ := merged.CountDigest(k)
 	fmt.Println("global estimate:", c)
 	// Output:
 	// global estimate: 65

@@ -139,12 +139,6 @@ func (t *digestTable) del(d hashing.KeyDigest) {
 	t.slots[hole] = nil
 }
 
-func (t *digestTable) reset() {
-	for i := range t.slots {
-		t.slots[i] = nil
-	}
-}
-
 // Summary is a SpaceSaving sketch. The zero value is not usable;
 // construct with New.
 type Summary struct {
@@ -188,11 +182,6 @@ func (s *Summary) Len() int { return s.len }
 // stable skewed stream, and rising when the head drifts — the signal
 // the telemetry layer exports as sketch churn.
 func (s *Summary) Evictions() uint64 { return s.evicted }
-
-// Offer feeds one occurrence of key to the sketch.
-func (s *Summary) Offer(key string) {
-	s.OfferDigest(hashing.Digest(key), key)
-}
 
 // OfferDigest feeds one occurrence of the key identified by digest d,
 // with key retained for reporting if the key becomes monitored. It
@@ -385,29 +374,14 @@ func (s *Summary) unlinkBucket(b *bucket) {
 	}
 }
 
-// Count returns the estimated count and maximum error for key, and whether
-// the key is currently monitored.
-func (s *Summary) Count(key string) (count, err uint64, ok bool) {
-	return s.CountDigest(hashing.Digest(key))
-}
-
-// CountDigest is Count keyed by a pre-computed digest: the hot-path form.
+// CountDigest returns the estimated count and maximum error for the key
+// identified by digest d, and whether the key is currently monitored.
 func (s *Summary) CountDigest(d hashing.KeyDigest) (count, err uint64, ok bool) {
 	c := s.table.get(d)
 	if c == nil {
 		return 0, 0, false
 	}
 	return c.count, c.err, true
-}
-
-// EstFreq returns the estimated relative frequency of key (0 if the key is
-// not monitored or the stream is empty).
-func (s *Summary) EstFreq(key string) float64 {
-	c, _, ok := s.CountDigest(hashing.Digest(key))
-	if !ok || s.n == 0 {
-		return 0
-	}
-	return float64(c) / float64(s.n)
 }
 
 // MinCount returns the smallest monitored count; any unmonitored key's
@@ -435,15 +409,6 @@ func (s *Summary) Entries() []Entry {
 		return out[i].Key < out[j].Key
 	})
 	return out
-}
-
-// Top returns the k entries with the largest estimated counts.
-func (s *Summary) Top(k int) []Entry {
-	e := s.Entries()
-	if k < len(e) {
-		e = e[:k]
-	}
-	return e
 }
 
 // HeavyHitters returns all monitored keys whose estimated frequency is at
@@ -613,22 +578,4 @@ func (s *Summary) Clone() *Summary {
 		out.attachSorted(c, e.count)
 	}
 	return out
-}
-
-// Reset clears the sketch to its freshly-constructed state, retaining
-// the table storage and recycling all bucket nodes.
-func (s *Summary) Reset() {
-	s.table.reset()
-	for b := s.min; b != nil; {
-		next := b.next
-		b.head = nil
-		s.recycle(b)
-		b = next
-	}
-	s.min = nil
-	s.max = nil
-	s.len = 0
-	s.n = 0
-	s.last = nil
-	s.evicted = 0
 }

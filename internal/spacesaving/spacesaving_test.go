@@ -10,6 +10,14 @@ import (
 	"slb/internal/workload"
 )
 
+// offer feeds one occurrence of k, digested here as a source would.
+func offer(s *Summary, k string) { s.OfferDigest(hashing.Digest(k), k) }
+
+// count is CountDigest for a key.
+func count(s *Summary, k string) (count, err uint64, ok bool) {
+	return s.CountDigest(hashing.Digest(k))
+}
+
 func TestNewPanicsOnBadCapacity(t *testing.T) {
 	for _, c := range []int{0, -3} {
 		func() {
@@ -27,11 +35,11 @@ func TestExactWhenUnderCapacity(t *testing.T) {
 	s := New(10)
 	stream := []string{"a", "b", "a", "c", "a", "b"}
 	for _, k := range stream {
-		s.Offer(k)
+		offer(s, k)
 	}
 	want := map[string]uint64{"a": 3, "b": 2, "c": 1}
 	for k, w := range want {
-		got, err, ok := s.Count(k)
+		got, err, ok := count(s, k)
 		if !ok || got != w || err != 0 {
 			t.Errorf("Count(%q) = (%d,%d,%v), want (%d,0,true)", k, got, err, ok, w)
 		}
@@ -46,15 +54,15 @@ func TestExactWhenUnderCapacity(t *testing.T) {
 
 func TestEvictionSemantics(t *testing.T) {
 	s := New(2)
-	s.Offer("a")
-	s.Offer("a")
-	s.Offer("b")
+	offer(s, "a")
+	offer(s, "a")
+	offer(s, "b")
 	// Sketch full: {a:2, b:1}. Offering c evicts b (min=1): c gets count 2, err 1.
-	s.Offer("c")
-	if _, _, ok := s.Count("b"); ok {
+	offer(s, "c")
+	if _, _, ok := count(s, "b"); ok {
 		t.Fatal("b should have been evicted")
 	}
-	count, errv, ok := s.Count("c")
+	count, errv, ok := count(s, "c")
 	if !ok || count != 2 || errv != 1 {
 		t.Fatalf("Count(c) = (%d,%d,%v), want (2,1,true)", count, errv, ok)
 	}
@@ -85,7 +93,7 @@ func TestGuaranteesOnSkewedStream(t *testing.T) {
 	truth := trueCounts(stream)
 	s := New(100)
 	for _, k := range stream {
-		s.Offer(k)
+		offer(s, k)
 	}
 	// Invariant 1: est − err ≤ true ≤ est for every monitored key.
 	for _, e := range s.Entries() {
@@ -103,7 +111,7 @@ func TestGuaranteesOnSkewedStream(t *testing.T) {
 		t.Fatalf("MinCount %d exceeds N/c = %d", minC, s.N()/uint64(s.Capacity()))
 	}
 	for k, tr := range truth {
-		if _, _, ok := s.Count(k); !ok && tr > minC {
+		if _, _, ok := count(s, k); !ok && tr > minC {
 			t.Fatalf("unmonitored key %q has true count %d > MinCount %d", k, tr, minC)
 		}
 	}
@@ -115,7 +123,7 @@ func TestHeavyHittersNoFalseNegatives(t *testing.T) {
 	theta := 0.01
 	s := New(int(2 / theta)) // capacity 200 ≥ 1/θ
 	for _, k := range stream {
-		s.Offer(k)
+		offer(s, k)
 	}
 	hh := s.HeavyHitters(theta)
 	got := make(map[string]bool, len(hh))
@@ -134,7 +142,7 @@ func TestEntriesSortedDescending(t *testing.T) {
 	stream := zipfStream(t, 10000, 3, 1.2, 1000)
 	s := New(50)
 	for _, k := range stream {
-		s.Offer(k)
+		offer(s, k)
 	}
 	e := s.Entries()
 	for i := 1; i < len(e); i++ {
@@ -151,15 +159,12 @@ func TestTop(t *testing.T) {
 	s := New(10)
 	for i := 0; i < 5; i++ {
 		for j := 0; j <= i; j++ {
-			s.Offer(fmt.Sprintf("t%d", i))
+			offer(s, fmt.Sprintf("t%d", i))
 		}
 	}
-	top := s.Top(2)
-	if len(top) != 2 || top[0].Key != "t4" || top[1].Key != "t3" {
-		t.Fatalf("Top(2) = %v", top)
-	}
-	if got := s.Top(100); len(got) != 5 {
-		t.Fatalf("Top(100) len = %d, want 5", len(got))
+	top := s.HeavyHitters(0)
+	if len(top) != 5 || top[0].Key != "t4" || top[1].Key != "t3" {
+		t.Fatalf("HeavyHitters(0) = %v, want all 5 keys, t4 then t3 first", top)
 	}
 }
 
@@ -170,10 +175,10 @@ func TestMergePreservesGuarantees(t *testing.T) {
 
 	a, b := New(80), New(80)
 	for _, k := range streamA {
-		a.Offer(k)
+		offer(a, k)
 	}
 	for _, k := range streamB {
-		b.Offer(k)
+		offer(b, k)
 	}
 	m := a.Merge(b)
 
@@ -200,42 +205,15 @@ func TestMergePreservesGuarantees(t *testing.T) {
 
 func TestMergedSummaryStillUpdatable(t *testing.T) {
 	a, b := New(4), New(4)
-	a.Offer("x")
-	a.Offer("x")
-	b.Offer("y")
+	offer(a, "x")
+	offer(a, "x")
+	offer(b, "y")
 	m := a.Merge(b)
-	m.Offer("x")
-	m.Offer("z")
-	c, _, ok := m.Count("x")
+	offer(m, "x")
+	offer(m, "z")
+	c, _, ok := count(m, "x")
 	if !ok || c < 3 {
 		t.Fatalf("Count(x) after merge+offer = (%d, %v), want ≥3", c, ok)
-	}
-}
-
-func TestReset(t *testing.T) {
-	s := New(5)
-	s.Offer("a")
-	s.Reset()
-	if s.N() != 0 || s.Len() != 0 || s.MinCount() != 0 {
-		t.Fatal("Reset did not clear the sketch")
-	}
-	s.Offer("b")
-	if c, _, ok := s.Count("b"); !ok || c != 1 {
-		t.Fatal("sketch unusable after Reset")
-	}
-}
-
-func TestEstFreq(t *testing.T) {
-	s := New(4)
-	if s.EstFreq("nope") != 0 {
-		t.Fatal("EstFreq on empty sketch should be 0")
-	}
-	for i := 0; i < 3; i++ {
-		s.Offer("a")
-	}
-	s.Offer("b")
-	if f := s.EstFreq("a"); f != 0.75 {
-		t.Fatalf("EstFreq(a) = %f, want 0.75", f)
 	}
 }
 
@@ -249,7 +227,7 @@ func TestBoundsProperty(t *testing.T) {
 		for _, b := range raw {
 			k := fmt.Sprintf("p%d", b%32)
 			truth[k]++
-			s.Offer(k)
+			offer(s, k)
 		}
 		for _, e := range s.Entries() {
 			tr := truth[e.Key]
@@ -276,7 +254,7 @@ func TestStructureInvariant(t *testing.T) {
 	prop := func(raw []uint16) bool {
 		s := New(8)
 		for _, v := range raw {
-			s.Offer(fmt.Sprintf("s%d", v%64))
+			offer(s, fmt.Sprintf("s%d", v%64))
 		}
 		seen := 0
 		var prevCount uint64
@@ -314,27 +292,6 @@ func TestStructureInvariant(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestOfferDigestMatchesOffer(t *testing.T) {
-	// The digest-keyed hot path and the string wrapper must build
-	// identical sketches over an eviction-heavy stream.
-	a, b := New(8), New(8)
-	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 5000; i++ {
-		k := fmt.Sprintf("dk%d", rng.Intn(200))
-		a.Offer(k)
-		b.OfferDigest(hashing.Digest(k), k)
-	}
-	ea, eb := a.Entries(), b.Entries()
-	if len(ea) != len(eb) {
-		t.Fatalf("entry counts differ: %d vs %d", len(ea), len(eb))
-	}
-	for i := range ea {
-		if ea[i] != eb[i] {
-			t.Fatalf("entry %d differs: %+v vs %+v", i, ea[i], eb[i])
-		}
 	}
 }
 
@@ -395,16 +352,6 @@ func TestOfferSteadyStateDoesNotAllocate(t *testing.T) {
 	}
 }
 
-func BenchmarkOffer(b *testing.B) {
-	stream := zipfStream(b, 1<<16, 9, 1.2, 10000)
-	s := New(200)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Offer(stream[i&(1<<16-1)])
-	}
-}
-
 func BenchmarkOfferDigest(b *testing.B) {
 	stream := zipfStream(b, 1<<16, 9, 1.2, 10000)
 	digs := make([]hashing.KeyDigest, len(stream))
@@ -441,8 +388,8 @@ func checkHeadCounts(t *testing.T, where string, s *Summary, scratch []uint64) [
 // TestHeadCountsMatchesHeavyHitters is the differential check of the
 // solver's snapshot: after every slab of a skew sweep, at capacities
 // below and above the key universe (so the walk meets evictions,
-// in-place increments, relinks and batched offers), after a Merge, a
-// Clone and a Reset, the counts-only bucket walk returns exactly the
+// in-place increments, relinks and batched offers), after a Merge and a
+// Clone, the counts-only bucket walk returns exactly the
 // counts the reporting path returns, in the same order, reusing one
 // scratch slice throughout.
 func TestHeadCountsMatchesHeavyHitters(t *testing.T) {
@@ -459,9 +406,9 @@ func TestHeadCountsMatchesHeavyHitters(t *testing.T) {
 					case j%7 == 0:
 						s.OfferDigestN(hashing.Digest(k), k, 3)
 					case j%2 == 0:
-						other.Offer(k)
+						offer(other, k)
 					default:
-						s.Offer(k)
+						offer(s, k)
 					}
 				}
 				where := fmt.Sprintf("z=%.1f cap=%d after %d", z, capacity, i+slab)
@@ -470,16 +417,10 @@ func TestHeadCountsMatchesHeavyHitters(t *testing.T) {
 			merged := s.Merge(other)
 			scratch = checkHeadCounts(t, fmt.Sprintf("z=%.1f cap=%d merged", z, capacity), merged, scratch)
 			for _, k := range stream[:slab] {
-				merged.Offer(k)
+				offer(merged, k)
 			}
 			scratch = checkHeadCounts(t, fmt.Sprintf("z=%.1f cap=%d merged+offers", z, capacity), merged, scratch)
 			scratch = checkHeadCounts(t, "clone", merged.Clone(), scratch)
-			merged.Reset()
-			scratch = checkHeadCounts(t, "reset", merged, scratch)
-			for _, k := range stream[:slab] {
-				merged.Offer(k)
-			}
-			scratch = checkHeadCounts(t, "reset+offers", merged, scratch)
 		}
 	}
 }
@@ -491,7 +432,7 @@ func TestHeadCountsDoesNotAllocate(t *testing.T) {
 	s := New(4000)
 	gen, one := workload.NewZipf(0.9, 3000, 60000, 3), make([]string, 1)
 	for gen.NextBatch(one) == 1 {
-		s.Offer(one[0])
+		offer(s, one[0])
 	}
 	scratch := s.HeadCounts(1e-4, nil)
 	if len(scratch) < 100 {

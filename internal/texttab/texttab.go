@@ -195,21 +195,3 @@ func (t *Table) WriteJSON(path string) error {
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
-
-// Find returns the first row whose cells at the given column indices
-// equal the given values, or nil. A small query helper for tests.
-func (t *Table) Find(match map[int]string) []string {
-	for _, row := range t.Rows {
-		ok := true
-		for i, v := range match {
-			if i >= len(row) || row[i] != v {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return row
-		}
-	}
-	return nil
-}

@@ -131,19 +131,6 @@ func TestWriteCSVBadDir(t *testing.T) {
 	}
 }
 
-func TestFind(t *testing.T) {
-	tab := New("", "algo", "n", "imb")
-	tab.Add("PKG", "50", "0.1")
-	tab.Add("W-C", "50", "0.001")
-	row := tab.Find(map[int]string{0: "W-C", 1: "50"})
-	if row == nil || row[2] != "0.001" {
-		t.Fatalf("Find returned %v", row)
-	}
-	if tab.Find(map[int]string{0: "nope"}) != nil {
-		t.Fatal("Find matched nothing")
-	}
-}
-
 func TestWriteJSON(t *testing.T) {
 	tab := New("perf \"quoted\"", "n", "ns/msg")
 	tab.Add("16", "59.3")

@@ -109,9 +109,6 @@ func NewTCPWithConfig(reg *telemetry.Registry, cfg TCPConfig) (*TCP, error) {
 	return t, nil
 }
 
-// Addr returns the listener address (for tests and diagnostics).
-func (t *TCP) Addr() net.Addr { return t.ln.Addr() }
-
 // Err returns the first hard error of any link (or of the transport
 // itself), if any. Per-link errors are also scoped to their Link — a
 // broken peer never poisons sibling links' sends.

@@ -79,6 +79,3 @@ func (a *Alias) Sample(r *RNG) int {
 	}
 	return int(a.alias[i])
 }
-
-// Len returns the support size.
-func (a *Alias) Len() int { return len(a.prob) }

@@ -61,8 +61,8 @@ func TestCashtagEpochStructure(t *testing.T) {
 	if !ok {
 		t.Fatal("CashtagLike is not a Drift generator")
 	}
-	if d.Epochs() != CashtagEpochs {
-		t.Fatalf("epochs = %d, want %d", d.Epochs(), CashtagEpochs)
+	if epochs(d) != CashtagEpochs {
+		t.Fatalf("epochs = %d, want %d", epochs(d), CashtagEpochs)
 	}
 }
 

@@ -62,9 +62,4 @@ func (d *Drift) Reset() {
 	d.emitted = 0
 }
 
-// Epochs returns the number of drift epochs in the full stream.
-func (d *Drift) Epochs() int64 {
-	return (d.zipf.Len() + d.epochLen - 1) / d.epochLen
-}
-
 var _ stream.Generator = (*Drift)(nil)

@@ -28,18 +28,5 @@ func (r *RNG) Uint64() uint64 {
 	return z
 }
 
-// Float64 returns a uniform float64 in [0, 1) with 53 bits of precision.
-func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
-}
-
-// Intn returns a uniform int in [0, n). It panics if n ≤ 0.
-func (r *RNG) Intn(n int) int {
-	if n <= 0 {
-		panic("workload: Intn with non-positive n")
-	}
-	return int(r.Uint64() % uint64(n))
-}
-
 // Seed resets the generator state.
 func (r *RNG) Seed(seed uint64) { r.state = seed }

@@ -17,25 +17,6 @@ func TestRNGDeterminism(t *testing.T) {
 	}
 }
 
-func TestRNGFloat64Range(t *testing.T) {
-	r := NewRNG(1)
-	for i := 0; i < 10000; i++ {
-		f := r.Float64()
-		if f < 0 || f >= 1 {
-			t.Fatalf("Float64 out of range: %f", f)
-		}
-	}
-}
-
-func TestRNGIntnPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Intn(0) did not panic")
-		}
-	}()
-	NewRNG(1).Intn(0)
-}
-
 func TestAliasMatchesWeights(t *testing.T) {
 	weights := []float64{0.5, 0.3, 0.15, 0.05}
 	a := NewAlias(weights)
@@ -190,8 +171,8 @@ func TestZipfNextRankMatchesNext(t *testing.T) {
 		if !ok {
 			t.Fatalf("NextRank ended at %d of %d", i, len(keys))
 		}
-		if k != b.KeyName(r) {
-			t.Fatalf("key %q != rank name %q", k, b.KeyName(r))
+		if k != b.keys[r] {
+			t.Fatalf("key %q != rank name %q", k, b.keys[r])
 		}
 	}
 	if _, ok := b.NextRank(); ok || len(keys) != 100 {
@@ -232,10 +213,13 @@ func TestDriftRotatesHotKey(t *testing.T) {
 	}
 }
 
+// epochs returns the number of drift epochs in d's full stream.
+func epochs(d *Drift) int64 { return (d.Len() + d.epochLen - 1) / d.epochLen }
+
 func TestDriftResetAndLen(t *testing.T) {
 	d := NewDrift(1.0, 50, 500, 100, 10, 5)
-	if d.Len() != 500 || d.Epochs() != 5 {
-		t.Fatalf("Len=%d Epochs=%d", d.Len(), d.Epochs())
+	if d.Len() != 500 || epochs(d) != 5 {
+		t.Fatalf("Len=%d epochs=%d", d.Len(), epochs(d))
 	}
 	first, again := make([]string, 2), make([]string, 1)
 	d.NextBatch(first)

@@ -139,8 +139,4 @@ func (g *Zipf) Reset() {
 	g.emitted = 0
 }
 
-// KeyName returns the key string for a rank, matching what NextBatch
-// emits.
-func (g *Zipf) KeyName(rank int) string { return g.keys[rank] }
-
 var _ stream.Generator = (*Zipf)(nil)

@@ -69,7 +69,7 @@
 // Each Partitioner instance embodies one sender: load estimates are
 // sender-local (no coordination), exactly as in the paper. To compare
 // algorithms under identical streams, use Simulate with a deterministic
-// Generator from NewZipfStream or the dataset stand-ins.
+// Generator from NewZipfStream or NewDriftStream.
 //
 // # Two-phase aggregation
 //
@@ -230,12 +230,13 @@
 // at Sources = 1, and TCP's stay so under chaos: dspe's parity tests
 // hold both to a single-threaded oracle. The
 // deterministic engine prices the same hop analytically:
-// ClusterConfig.LinkDelay (with LinkJitter and the rare
-// LinkSlowOneIn/LinkSlowPenalty slow path, all hash-derived and
-// bit-reproducible) charges each flushed partial a worker→reducer
-// link delay, so an algorithm's sensitivity to wire latency scales
-// with its replication factor — at 2 ms, W-Choices loses ≈1.6x where
-// KG loses ≈1.05x. ClusterConfig.LinkOutagePeriod/LinkOutageDuration
+// ClusterConfig.LinkDelay (with LinkJitter and the rare LinkSlowOneIn
+// slow path, which costs ten times LinkDelay + LinkJitter; all
+// hash-derived and bit-reproducible) charges each flushed partial a
+// worker→reducer link delay, so an algorithm's sensitivity to wire
+// latency scales with its replication factor — at 2 ms, W-Choices
+// loses ≈1.6x where KG loses ≈1.05x.
+// ClusterConfig.LinkOutagePeriod/LinkOutageDuration
 // add periodic per-link outage windows (staggered by a hash-derived
 // phase): a partial arriving while its link is dark is lost and
 // retransmitted on recovery, charged as a deferred arrival in the
@@ -374,19 +375,13 @@
 package slb
 
 import (
-	"bytes"
-	"io"
-
 	"slb/internal/aggregation"
 	"slb/internal/analysis"
 	"slb/internal/core"
 	"slb/internal/dspe"
 	"slb/internal/eventsim"
-	"slb/internal/metrics"
 	"slb/internal/simulator"
-	"slb/internal/spacesaving"
 	"slb/internal/stream"
-	"slb/internal/tracefile"
 	"slb/internal/workload"
 )
 
@@ -446,9 +441,6 @@ type Stats = stream.Stats
 // CollectStats measures a generator's exact statistics.
 func CollectStats(gen Generator) Stats { return stream.Collect(gen) }
 
-// StreamFromKeys adapts a fixed key slice to a Generator.
-func StreamFromKeys(keys []string) Generator { return stream.FromSlice(keys) }
-
 // NewZipfStream returns a Zipf-distributed stream: exponent z over
 // `keys` distinct keys, `messages` total, deterministic in seed. Any
 // z ≥ 0 is supported (z = 0 is uniform).
@@ -460,38 +452,6 @@ func NewZipfStream(z float64, keys int, messages int64, seed uint64) Generator {
 // messages (concept drift, like the paper's cashtag dataset).
 func NewDriftStream(z float64, keys int, messages, epochLen int64, stride int, seed uint64) Generator {
 	return workload.NewDrift(z, keys, messages, epochLen, stride, seed)
-}
-
-// Dataset returns one of the paper's dataset stand-ins by symbol:
-// "WP" (Wikipedia page visits), "TW" (Twitter words), or "CT" (cashtags
-// with concept drift).
-func Dataset(symbol string, seed uint64) (Generator, bool) {
-	return workload.DatasetByName(symbol, workload.Default, seed)
-}
-
-// ---------------------------------------------------------------------------
-// Traces
-
-// WriteTrace encodes a generator's full stream into the compact binary
-// trace format (see internal/tracefile) and returns the message count.
-func WriteTrace(w io.Writer, gen Generator) (int64, error) {
-	return tracefile.Write(w, gen)
-}
-
-// WriteTraceFile encodes a generator's stream into a new trace file.
-func WriteTraceFile(path string, gen Generator) (int64, error) {
-	return tracefile.WriteFile(path, gen)
-}
-
-// OpenTrace opens a trace file as a replayable Generator that holds the
-// open file; close it via the replay's Close method when done.
-func OpenTrace(path string) (*tracefile.Replay, error) {
-	return tracefile.OpenFile(path)
-}
-
-// TraceFromBytes replays an in-memory trace as a Generator.
-func TraceFromBytes(data []byte) (*tracefile.Replay, error) {
-	return tracefile.NewReplay(bytes.NewReader(data))
 }
 
 // ---------------------------------------------------------------------------
@@ -611,10 +571,6 @@ func AggShardFor(dg KeyDigest, shards int) int { return aggregation.ShardFor(dg,
 // ---------------------------------------------------------------------------
 // Analysis helpers
 
-// Imbalance computes the paper's metric I = max(load) − avg(load) over
-// absolute per-worker loads, as a fraction of the total.
-func Imbalance(loads []int64) float64 { return metrics.Imbalance(loads) }
-
 // SolveD runs FINDOPTIMALCHOICES analytically: the minimal number of
 // choices d for the given head frequencies (sorted non-increasing),
 // tail mass, worker count and tolerance ε. Returns n when the solver
@@ -626,11 +582,3 @@ func SolveD(headProbs []float64, tailMass float64, n int, eps float64) int {
 // ZipfProbs returns the probability vector of a finite Zipf
 // distribution, hottest first.
 func ZipfProbs(z float64, keys int) []float64 { return workload.ZipfProbs(z, keys) }
-
-// HeavyHitterEntry is one monitored key in a heavy-hitter sketch.
-type HeavyHitterEntry = spacesaving.Entry
-
-// NewHeavyHitters returns a standalone SpaceSaving sketch, the building
-// block the partitioners use for online head detection. Capacity c
-// guarantees every key with frequency ≥ 1/c is monitored.
-func NewHeavyHitters(capacity int) *spacesaving.Summary { return spacesaving.New(capacity) }

@@ -6,6 +6,10 @@ import (
 
 	"slb"
 	"slb/internal/core"
+	"slb/internal/metrics"
+	"slb/internal/spacesaving"
+	"slb/internal/stream"
+	"slb/internal/workload"
 )
 
 // routeOne routes one message through p as a slab of one and returns
@@ -60,16 +64,16 @@ func TestFacadeStreams(t *testing.T) {
 	if drift.Len() != 1000 {
 		t.Fatal("drift stream length wrong")
 	}
-	fixed := slb.StreamFromKeys([]string{"a", "b"})
+	fixed := stream.FromSlice([]string{"a", "b"})
 	if slb.CollectStats(fixed).Keys != 2 {
 		t.Fatal("slice stream broken")
 	}
 	for _, symbol := range []string{"WP", "TW", "CT"} {
-		if _, ok := slb.Dataset(symbol, 1); !ok {
+		if _, ok := workload.DatasetByName(symbol, workload.Default, 1); !ok {
 			t.Errorf("Dataset(%q) missing", symbol)
 		}
 	}
-	if _, ok := slb.Dataset("XX", 1); ok {
+	if _, ok := workload.DatasetByName("XX", workload.Default, 1); ok {
 		t.Error("unknown dataset resolved")
 	}
 }
@@ -118,7 +122,7 @@ func TestFacadeTopology(t *testing.T) {
 }
 
 func TestFacadeAnalysis(t *testing.T) {
-	if got := slb.Imbalance([]int64{10, 0}); got != 0.5 {
+	if got := metrics.Imbalance([]int64{10, 0}); got != 0.5 {
 		t.Fatalf("Imbalance = %f", got)
 	}
 	probs := slb.ZipfProbs(2.0, 1000)
@@ -129,10 +133,10 @@ func TestFacadeAnalysis(t *testing.T) {
 	if d < 6 || d > 10 {
 		t.Fatalf("SolveD = %d", d)
 	}
-	hh := slb.NewHeavyHitters(10)
-	hh.Offer("x")
-	if c, _, ok := hh.Count("x"); !ok || c != 1 {
-		t.Fatal("heavy hitter sketch broken through facade")
+	hh := spacesaving.New(10)
+	hh.OfferDigest(slb.DigestKey("x"), "x")
+	if c, _, ok := hh.CountDigest(slb.DigestKey("x")); !ok || c != 1 {
+		t.Fatal("heavy hitter sketch broken on facade digests")
 	}
 }
 
@@ -234,7 +238,7 @@ func TestFacadeBatchAPI(t *testing.T) {
 			t.Fatalf("RouteBatchDigests digest %d = %x, want %x", i, digs[i], slb.DigestKey(keys[i]))
 		}
 	}
-	gen := slb.StreamFromKeys(keys)
+	gen := stream.FromSlice(keys)
 	buf := make([]string, 2)
 	if n := slb.NextBatch(gen, buf); n != 2 || buf[0] != "a" || buf[1] != "b" {
 		t.Fatalf("NextBatch = %d %v", n, buf)

@@ -45,7 +45,7 @@ func TestTruncatedTraceFails(t *testing.T) {
 			gen = stream.WithValues(gen, func(key string, _ int64) int64 { return int64(len(key)) })
 		}
 		var buf bytes.Buffer
-		if _, err := slb.WriteTrace(&buf, gen); err != nil {
+		if _, err := tracefile.Write(&buf, gen); err != nil {
 			t.Fatal(err)
 		}
 		data := buf.Bytes()
@@ -55,8 +55,8 @@ func TestTruncatedTraceFails(t *testing.T) {
 			short bool // the run must fail the short-stream check
 			open  func() (slb.Generator, error)
 		}{
-			{"in memory", false, func() (slb.Generator, error) { return slb.TraceFromBytes(data) }},
-			{"cut in half", true, func() (slb.Generator, error) { return slb.TraceFromBytes(data[:len(data)/2]) }},
+			{"in memory", false, func() (slb.Generator, error) { return tracefile.NewReplay(bytes.NewReader(data)) }},
+			{"cut in half", true, func() (slb.Generator, error) { return tracefile.NewReplay(bytes.NewReader(data[:len(data)/2])) }},
 			{"unseekable", true, func() (slb.Generator, error) {
 				return tracefile.NewReplay(&seekOnce{Reader: bytes.NewReader(data)})
 			}},
@@ -64,7 +64,7 @@ func TestTruncatedTraceFails(t *testing.T) {
 				if err := os.WriteFile(path, data, 0o644); err != nil {
 					return nil, err
 				}
-				g, err := slb.OpenTrace(path)
+				g, err := tracefile.OpenFile(path)
 				if err != nil {
 					return nil, err
 				}
