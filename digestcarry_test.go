@@ -81,12 +81,12 @@ func TestHashOnceDspeRun(t *testing.T) {
 func TestHashOncePipeline(t *testing.T) {
 	const m = 8_000
 	got := countDigests(func() {
-		gen := slb.NewZipfStream(1.6, 300, m, 11)
+		gen := slb.WithValues(slb.NewZipfStream(1.6, 300, m, 11),
+			func(key string, _ int64) int64 { return int64(len(key)%5) + 1 })
 		if _, err := slb.RunTopology(gen, slb.EngineConfig{
 			Workers: 4, Sources: 4, Algorithm: "D-C",
 			Core: slb.Config{Seed: 11}, AggWindow: 500, AggShards: 2,
 			AggMerger: slb.SumMerger,
-			AggValue:  func(key string, _ int64) int64 { return int64(len(key)%5) + 1 },
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -226,22 +226,22 @@ func TestCrossEngineShardedMergerParity(t *testing.T) {
 				}
 			}
 			evtFinals, onEvt := collect()
-			evt, err := slb.SimulateCluster(slb.NewZipfStream(1.8, 400, m, 29), slb.ClusterConfig{
+			evt, err := slb.SimulateCluster(slb.WithValues(slb.NewZipfStream(1.8, 400, m, 29), sample), slb.ClusterConfig{
 				Workers: 8, Sources: 1, Algorithm: "W-C",
 				Core: slb.Config{Seed: 29}, ServiceTime: 1.0,
 				AggWindow: window, AggShards: shards,
-				AggMerger: merger, AggValue: sample, OnFinal: onEvt,
+				AggMerger: merger, OnFinal: onEvt,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			engines := map[string]map[fk]slb.AggFinal{"eventsim": evtFinals}
 			liveFinals, onLive := collect()
-			live, err := slb.RunTopology(slb.NewZipfStream(1.8, 400, m, 29), slb.EngineConfig{
+			live, err := slb.RunTopology(slb.WithValues(slb.NewZipfStream(1.8, 400, m, 29), sample), slb.EngineConfig{
 				Workers: 8, Sources: 1, Algorithm: "W-C",
 				Core: slb.Config{Seed: 29}, ServiceTime: 0,
 				AggWindow: window, AggShards: shards,
-				AggMerger: merger, AggValue: sample, OnFinal: onLive,
+				AggMerger: merger, OnFinal: onLive,
 			})
 			if err != nil {
 				t.Fatal(err)

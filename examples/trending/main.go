@@ -82,7 +82,9 @@ func main() {
 	// shards, so no locking is needed.
 	sums := map[string]int64{}
 	windows := map[int64]bool{}
-	res, err := slb.RunTopology(tags, slb.EngineConfig{
+	// Each event's engagement rides with it as the Sum merger's sample.
+	weighted := slb.WithValues(tags, func(tag string, _ int64) int64 { return engagement(tag) })
+	res, err := slb.RunTopology(weighted, slb.EngineConfig{
 		Workers:   workers,
 		Sources:   spouts,
 		Algorithm: "D-C",
@@ -90,7 +92,6 @@ func main() {
 		AggWindow: window,
 		AggShards: shards,
 		AggMerger: slb.SumMerger,
-		AggValue:  func(tag string, _ int64) int64 { return engagement(tag) },
 		OnFinal: func(f slb.AggFinal) {
 			sums[f.Key] += f.Value
 			windows[f.Window] = true

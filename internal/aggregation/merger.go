@@ -31,7 +31,7 @@ type Value [2]uint64
 type Merger interface {
 	// Observe folds n observations of sample into v (the worker side).
 	// Engines draw the sample per message by stream.Source's sampling
-	// contract (AggValue hook, else recorded value, else 1); the
+	// contract (the generator's recorded value, else 1); the
 	// batched form folds n identical observations in one call.
 	Observe(v *Value, sample int64, n int64)
 	// Combine folds src into dst (the reducer side, merging partials

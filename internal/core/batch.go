@@ -3,8 +3,7 @@ package core
 // batch.go holds what every scheme's one routing body is driven by: the
 // router, which gives each scheme Partitioner's one routing call,
 // RouteBatchDigests, over its body, the run helpers the head-tracking
-// bodies share, and the candidate cache behind D-Choices' and ForcedD's
-// head lists.
+// bodies share, and the candidate cache behind D-Choices' head lists.
 //
 // A body routes a run — consecutive messages of one key, identified by
 // the digest the router filled in — and pays its per-message costs
@@ -138,9 +137,7 @@ var (
 	_ Partitioner = (*ShuffleGrouping)(nil)
 	_ Partitioner = (*PKG)(nil)
 	_ Partitioner = (*DChoices)(nil)
-	_ Partitioner = (*WChoices)(nil)
 	_ Partitioner = (*RoundRobin)(nil)
-	_ Partitioner = (*ForcedD)(nil)
 	_ Partitioner = (*Oracle)(nil)
 )
 
@@ -274,7 +271,7 @@ type candCache struct {
 
 // newCandCache returns a cache for n workers whose entries fit
 // derivations at d (D-Choices starts at 2 and re-fits after each solve;
-// ForcedD's d is fixed).
+// a pinned d never changes).
 func newCandCache(n, d int) candCache {
 	cc := candCache{n: n, mark: make([]int32, n)}
 	cc.resize(candCacheSets(n), candStride(d, n))

@@ -4,6 +4,9 @@
 // reproduced paper — D-Choices, W-Choices and the Round-Robin head
 // baseline — which detect the head of the key distribution online with a
 // SpaceSaving sketch and give hot keys d ≥ 2 choices (Algorithm 1).
+// W-Choices is D-Choices with d pinned at n (NewWChoices), and the
+// Fig. 9 instrument is D-Choices with d pinned anywhere in [2, n]
+// (NewForcedD): one type, one routing body.
 //
 // A Partitioner instance embodies the state of ONE source (sender): load
 // estimates are local to the sender, exactly as in the paper ("the load
@@ -256,9 +259,9 @@ func (s *ShuffleGrouping) Workers() int { return s.n }
 
 // greedy holds the state shared by all load-aware schemes: the hash
 // family and this sender's local load vector. Schemes that argmin over
-// the whole vector (W-C's head path, D-C at d ≥ n, ForcedD, Oracle)
-// build the floor index on first use (see index); idx == nil means
-// increments are plain.
+// the whole vector (D-C at d ≥ n, which W-C is, and Oracle) build the
+// floor index on first use (see index); idx == nil means increments are
+// plain.
 type greedy struct {
 	n      int
 	family *hashing.Family
@@ -268,8 +271,8 @@ type greedy struct {
 	// the first head run whose list is long enough for a tournament; from
 	// then on bump appends every load increment to the clog ring so
 	// cached tournaments can be repaired by replay instead of rebuilt.
-	// Only D-C and ForcedD route head runs, and both send every
-	// increment through bump.
+	// Only D-C routes head lists, and it sends every increment through
+	// bump.
 	tours     []candTour
 	clog      []int32
 	clogPos   uint64 // increments logged so far
@@ -304,10 +307,10 @@ func newGreedy(cfg Config) greedy {
 // index returns the floor index, building it from the live loads on
 // the first call: the first whole-vector argmin, or the first candidate
 // list long enough to scan against the floor. Until then increments
-// carry no upkeep — D-C and ForcedD at d < n with short lists never
-// build it. Only D-C, ForcedD, W-C and Oracle reach this, and they send
-// every increment through bump; PKG and RR, which increment loads
-// directly, never build it.
+// carry no upkeep — D-C at d < n with short lists never builds it.
+// Only D-C (W-C included) and Oracle reach this, and they send every
+// increment through bump; PKG and RR, which increment loads directly,
+// never build it.
 func (g *greedy) index() *floorIndex {
 	if g.idx == nil {
 		g.idx = newFloorIndex(g.loads)
@@ -626,6 +629,11 @@ func (h *HeadTracker) SetSketch(s *spacesaving.Summary) {
 // DChoices gives head keys the minimal d ≥ 2 choices that satisfies
 // Proposition 4.1, and tail keys 2 choices. When the solver concludes
 // d ≥ n it degenerates to the W-Choices strategy, as prescribed.
+//
+// W-Choices and the Fig. 9 instrument are the same Greedy-d process
+// with d pinned at construction (NewWChoices, NewForcedD): a pinned
+// scheme never runs FINDOPTIMALCHOICES, so every run takes the path a
+// run with no solve inside it takes.
 type DChoices struct {
 	greedy
 	router
@@ -634,6 +642,7 @@ type DChoices struct {
 	solveEvery int
 
 	d          int    // current number of choices for the head
+	pinned     bool   // d is fixed at construction; the solver never runs
 	solved     bool   // whether d has ever been computed
 	lastSolveN uint64 // sketch N at the last solve
 	solves     int64  // FINDOPTIMALCHOICES runs (instrumentation)
@@ -652,15 +661,40 @@ type DChoices struct {
 }
 
 // NewDChoices returns a D-C partitioner.
-func NewDChoices(cfg Config) *DChoices {
+func NewDChoices(cfg Config) *DChoices { return newDChoices(cfg, 0) }
+
+// NewWChoices returns a W-C partitioner (Algorithm 1 with W-CHOICES):
+// D-C with d pinned at n, so head messages go to the globally
+// least-loaded worker ("there is no need to hash the keys in the head").
+func NewWChoices(cfg Config) *DChoices { return newDChoices(cfg, cfg.Workers) }
+
+// NewForcedD returns D-C with exactly d choices for head keys, d
+// clamped to [2, n]: the experimental instrument behind Fig. 9, which
+// sweeps d to find the empirical minimum that matches W-Choices'
+// imbalance independently of the analytic solver. d = n is W-C.
+func NewForcedD(cfg Config, d int) *DChoices { return newDChoices(cfg, max(d, 2)) }
+
+// newDChoices builds D-C, with d pinned at min(pin, n) when pin > 0.
+func newDChoices(cfg Config, pin int) *DChoices {
 	cfg = cfg.withDefaults()
+	d := 2
+	if pin > 0 {
+		d = min(pin, cfg.Workers)
+	}
+	// The cache is strided for the d it starts at; at d ≥ n head keys
+	// take routeAll and never look candidates up, so it stays minimal.
+	cacheD := d
+	if d >= cfg.Workers {
+		cacheD = 2
+	}
 	p := &DChoices{
 		greedy:     newGreedy(cfg),
 		head:       newHeadTracker(cfg),
 		eps:        cfg.Epsilon,
 		solveEvery: cfg.SolveEvery,
-		d:          2,
-		cache:      newCandCache(cfg.Workers, 2),
+		d:          d,
+		pinned:     pin > 0,
+		cache:      newCandCache(cfg.Workers, cacheD),
 		lastCands:  make([]int32, 0, candMemoMax),
 	}
 	p.runs, p.unit = p, !p.head.canBatch()
@@ -704,45 +738,56 @@ func (p *DChoices) headCands(dg KeyDigest) []int32 {
 // over the key's cached deduplicated candidate list, or over all
 // workers once d ≥ n (the switch to the W-Choices strategy).
 //
-// The whole run is offered to the sketch in one operation unless a
-// re-solve may fall inside it (or none has happened yet): the solver
-// must then read exactly the sketch message-at-a-time routing would
-// leave, so only the first offer is made up front and the rest are
-// deferred until a solve or the run's end. The head messages are routed
-// in chunks split at the solve points, where d may change; a run offered
-// whole is one chunk and takes its list through the hot-key memo. The
-// solve test reads the stream length the first offer left, which a
-// rotating sliding window can shrink — its runs are one message long.
+// A run with no solve due inside it — every run of a pinned scheme —
+// is offered to the sketch whole and routed as one tail prefix and one
+// head suffix, whose list comes through the hot-key memo. A run that
+// straddles a solve (or precedes the first) takes routeSolveRun. So
+// does every run over a sliding window: its offer can rotate a
+// generation out and shrink the stream length, so the solve test must
+// read the length the offer left, and its runs are one message long.
 func (p *DChoices) routeRun(dg KeyDigest, key string, dst []int) {
-	r, n := len(dst), p.head.observed()
-	bulk := !p.solveDue(n+1) && !p.solveDue(n+uint64(r))
-	offered := 1
-	if bulk {
-		offered = r
+	if !p.pinned {
+		if n := p.head.observed(); p.head.win != nil || p.solveDue(n+1) || p.solveDue(n+uint64(len(dst))) {
+			p.routeSolveRun(dg, key, dst)
+			return
+		}
 	}
-	c0, n0 := p.head.observeRun(dg, key, offered)
+	switch head := p.routeTail(&p.head, dg, key, dst); {
+	case len(head) == 0:
+	case p.d >= p.n:
+		p.routeAllSeg(head)
+	default:
+		p.routeHead(dg, p.headCands(dg), head)
+	}
+}
+
+// routeSolveRun routes a run a solve may fall inside. The solver must
+// read exactly the sketch message-at-a-time routing would leave, so
+// only the first offer is made up front and the rest are deferred until
+// a solve or the run's end; the head messages are routed in chunks
+// split at the solve points, where d may change.
+func (p *DChoices) routeSolveRun(dg KeyDigest, key string, dst []int) {
+	r := len(dst)
+	c0, n0 := p.head.observeRun(dg, key, 1)
 	cross := p.head.headCrossing(c0, n0, r)
 	if cross > 0 {
 		p.routeTailSeg(dg, dst[:cross])
 	}
 	p.head.noteHead(r - cross)
+	offered := 1
 	for m := cross; m < r; {
 		if p.solveDue(n0 + uint64(m)) {
 			p.head.offerRest(dg, key, uint64(m+1-offered))
 			offered = m + 1
 			p.findOptimalChoices()
 		}
-		t := r - m
-		if !bulk {
-			for t = 1; m+t < r && !p.solveDue(n0+uint64(m+t)); t++ {
-			}
+		t := 1
+		for m+t < r && !p.solveDue(n0+uint64(m+t)) {
+			t++
 		}
-		switch seg := dst[m : m+t]; {
-		case p.d >= p.n:
+		if seg := dst[m : m+t]; p.d >= p.n {
 			p.routeAllSeg(seg)
-		case bulk:
-			p.routeHead(dg, p.headCands(dg), seg)
-		default:
+		} else {
 			p.routeHead(dg, p.cache.lookup(dg, p.d, p.family), seg)
 		}
 		m += t
@@ -789,7 +834,8 @@ func (p *DChoices) solveDue(n uint64) bool {
 	return !p.solved || n-p.lastSolveN >= uint64(p.solveEvery)
 }
 
-// D returns the current number of choices for head keys (instrumentation).
+// D returns the current number of choices for head keys: the pinned d,
+// or the last solve's (instrumentation).
 func (p *DChoices) D() int { return p.d }
 
 // HeadTracker exposes the sender's sketch state for distributed merging.
@@ -797,89 +843,6 @@ func (p *DChoices) HeadTracker() *HeadTracker { return &p.head }
 
 // Workers implements Partitioner.
 func (p *DChoices) Workers() int { return p.n }
-
-// ForcedD is the Greedy-d scheme with an externally fixed number of
-// choices for head keys (tail keys keep 2). It is the experimental
-// instrument behind Fig. 9: sweeping d from 2 to n to find the empirical
-// minimum that matches W-Choices' imbalance, independently of the
-// analytic solver.
-type ForcedD struct {
-	greedy
-	router
-	head  HeadTracker
-	d     int
-	cache candCache // memoized head-key candidate lists
-}
-
-// NewForcedD returns a Greedy-d partitioner with exactly d choices for
-// head keys. d is clamped to [2, n]; d = n uses the W-Choices fast path.
-func NewForcedD(cfg Config, d int) *ForcedD {
-	cfg = cfg.withDefaults()
-	if d < 2 {
-		d = 2
-	}
-	if d > cfg.Workers {
-		d = cfg.Workers
-	}
-	p := &ForcedD{
-		greedy: newGreedy(cfg),
-		head:   newHeadTracker(cfg),
-		d:      d,
-		cache:  newCandCache(cfg.Workers, d),
-	}
-	p.runs, p.unit = p, !p.head.canBatch()
-	return p
-}
-
-// routeRun is ForcedD's routing body: D-C's with the forced d, so the
-// whole run is offered at once.
-func (p *ForcedD) routeRun(dg KeyDigest, key string, dst []int) {
-	switch head := p.routeTail(&p.head, dg, key, dst); {
-	case len(head) == 0:
-	case p.d == p.n:
-		p.routeAllSeg(head)
-	default:
-		p.routeHead(dg, p.cache.lookup(dg, p.d, p.family), head)
-	}
-}
-
-// D returns the forced number of choices.
-func (p *ForcedD) D() int { return p.d }
-
-// Workers implements Partitioner.
-func (p *ForcedD) Workers() int { return p.n }
-
-// ---------------------------------------------------------------------------
-// W-Choices
-
-// WChoices routes head keys to the globally least-loaded worker (all n
-// choices) and tail keys with 2 choices.
-type WChoices struct {
-	greedy
-	router
-	head HeadTracker
-}
-
-// NewWChoices returns a W-C partitioner.
-func NewWChoices(cfg Config) *WChoices {
-	cfg = cfg.withDefaults()
-	p := &WChoices{greedy: newGreedy(cfg), head: newHeadTracker(cfg)}
-	p.runs, p.unit = p, !p.head.canBatch()
-	return p
-}
-
-// routeRun is W-C's routing body (Algorithm 1 with W-CHOICES): no
-// solver reads the sketch, so the whole run is offered at once, and its
-// head messages go to the globally least-loaded worker.
-func (p *WChoices) routeRun(dg KeyDigest, key string, dst []int) {
-	p.routeAllSeg(p.routeTail(&p.head, dg, key, dst))
-}
-
-// HeadTracker exposes the sender's sketch state for distributed merging.
-func (p *WChoices) HeadTracker() *HeadTracker { return &p.head }
-
-// Workers implements Partitioner.
-func (p *WChoices) Workers() int { return p.n }
 
 // Oracle is W-Choices with ground-truth head knowledge instead of the
 // online sketch: the caller supplies the head membership predicate.

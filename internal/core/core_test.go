@@ -27,7 +27,7 @@ func TestNewByName(t *testing.T) {
 		"SG":  (*ShuffleGrouping)(nil),
 		"PKG": (*PKG)(nil),
 		"D-C": (*DChoices)(nil),
-		"W-C": (*WChoices)(nil),
+		"W-C": (*DChoices)(nil),
 		"RR":  (*RoundRobin)(nil),
 	}
 	if len(schemes) != len(Names) {

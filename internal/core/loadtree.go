@@ -6,8 +6,8 @@ import (
 )
 
 // loadtree.go holds the load index: the structure behind every argmin
-// over one sender's whole load vector (W-Choices' head path, D-Choices
-// and ForcedD once d reaches n, Oracle's head path) and the global
+// over one sender's whole load vector (D-Choices' head path once d
+// reaches n — always, for W-Choices — and Oracle's) and the global
 // floor the candidate scans stop at, plus the persistent candidate
 // tournaments that route long head lists (below).
 //
@@ -37,8 +37,8 @@ import (
 //     one scan of the loads, which runs only when the top reaches farMin
 //     and leaves farMin exact.
 //
-// A scheme builds its index on first use (greedy.index), so D-C and
-// ForcedD at d < n with short candidate lists never pay its upkeep.
+// A scheme builds its index on first use (greedy.index), so D-C at
+// d < n with short candidate lists never pays its upkeep.
 //
 // Invariants: no load is below floor; a worker with load L in
 // [floor, floor+floorLevels) has exactly the bit of row L mod

@@ -208,7 +208,7 @@ func scanTreePartitioners(t *testing.T, algo string, n int) (scan, tree Partitio
 }
 
 // TestScanTreeRoutingParity is the candidate path's regression suite:
-// for every algorithm (including the experimental ForcedD and Oracle),
+// for every algorithm (including the experimental Greedy-7 and Oracle),
 // across worker counts from one bitmap word to many and a skew sweep,
 // the scan-only and the tournament-only configurations must produce
 // identical worker sequences — message for message — at slabs of one
@@ -316,18 +316,14 @@ func TestGreedyIndexStaysInSync(t *testing.T) {
 }
 
 // setTourMode sets the candidate tournament mode (greedy.tourMode) of
-// a scheme that routes candidate lists — D-C or ForcedD — and reports
-// whether p is one.
+// a scheme that routes candidate lists — D-C, pinned or not — and
+// reports whether p is one.
 func setTourMode(p Partitioner, mode int8) bool {
-	switch q := p.(type) {
-	case *DChoices:
+	q, ok := p.(*DChoices)
+	if ok {
 		q.tourMode = mode
-	case *ForcedD:
-		q.tourMode = mode
-	default:
-		return false
 	}
-	return true
+	return ok
 }
 
 // greedyOf returns the load-aware core inside p.
@@ -337,11 +333,7 @@ func greedyOf(p Partitioner) *greedy {
 		return &q.greedy
 	case *DChoices:
 		return &q.greedy
-	case *WChoices:
-		return &q.greedy
 	case *RoundRobin:
-		return &q.greedy
-	case *ForcedD:
 		return &q.greedy
 	case *Oracle:
 		return &q.greedy

@@ -221,8 +221,9 @@ func (r *refScheme) route(key string) int {
 	return best
 }
 
-// refSchemes names the eight schemes and builds each from a config: the
-// registry's six plus the two experimental instruments.
+// refSchemes names the schemes and builds each from a config: the
+// registry's six plus the experimental instruments, Greedy-d pinned at
+// 5 and at n, and Oracle.
 var refSchemes = []struct {
 	name string
 	mk   func(Config) (Partitioner, *refScheme)
@@ -237,6 +238,11 @@ var refSchemes = []struct {
 		r := newRef("Greedy-d", c)
 		r.forcedD = 5
 		return NewForcedD(c, 5), r
+	}},
+	{"Greedy-n", func(c Config) (Partitioner, *refScheme) {
+		r := newRef("Greedy-d", c)
+		r.forcedD = c.Workers
+		return NewForcedD(c, c.Workers), r
 	}},
 	{"Oracle", func(c Config) (Partitioner, *refScheme) {
 		isHead := func(k string) bool { return k == "k0" || k == "k1" }

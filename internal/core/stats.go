@@ -52,16 +52,17 @@ type RouteStats struct {
 
 	// Solver state (D-Choices only): FINDOPTIMALCHOICES runs, the head
 	// cardinality |H| the last run solved over, and the current head
-	// choice count d. All 0 for schemes without a solver (ForcedD reports
-	// its fixed d).
+	// choice count d. A pinned d (W-C, ForcedD) reports that d with no
+	// solves and |H| 0; schemes without d report 0.
 	Solves   int64
 	HeadSize int
 	D        int
 }
 
 // RouteStatser is implemented by partitioners that expose routing path
-// counters. The head-tracking schemes (D-C, W-C, RR, ForcedD) and PKG
-// implement it; KG and SG have no load-aware state worth reporting.
+// counters. The head-tracking schemes (D-C — W-C and ForcedD too — and
+// RR) and PKG implement it; KG and SG have no load-aware state worth
+// reporting.
 type RouteStatser interface {
 	RouteStats() RouteStats
 }
@@ -91,14 +92,6 @@ func (p *DChoices) RouteStats() RouteStats {
 		HeadSize:   p.headSize,
 		D:          p.d,
 	}
-	p.argminStats(&s)
-	s.SketchLen, s.SketchCap, s.SketchEvictions = p.head.sketchStats()
-	return s
-}
-
-// RouteStats implements RouteStatser.
-func (p *WChoices) RouteStats() RouteStats {
-	s := RouteStats{HeadMsgs: p.head.headMsgs}
 	p.argminStats(&s)
 	s.SketchLen, s.SketchCap, s.SketchEvictions = p.head.sketchStats()
 	return s

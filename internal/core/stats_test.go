@@ -68,16 +68,47 @@ func TestRouteStatsDChoices(t *testing.T) {
 func TestRouteStatsInterfaceCoverage(t *testing.T) {
 	cfg := Config{Workers: 8, Seed: 1}
 	for _, p := range []Partitioner{
-		NewDChoices(cfg), NewWChoices(cfg), NewRoundRobin(cfg), NewPKG(cfg),
+		NewDChoices(cfg), NewWChoices(cfg), NewForcedD(cfg, 4), NewRoundRobin(cfg), NewPKG(cfg),
 	} {
 		if _, ok := Stats(p); !ok {
 			t.Fatalf("%T should implement RouteStatser", p)
 		}
 	}
-	// ForcedD is a Fig 9 instrument that never runs under telemetry.
-	for _, p := range []Partitioner{NewKeyGrouping(cfg), NewShuffleGrouping(cfg), NewForcedD(cfg, 4)} {
+	for _, p := range []Partitioner{NewKeyGrouping(cfg), NewShuffleGrouping(cfg)} {
 		if _, ok := Stats(p); ok {
 			t.Fatalf("%T unexpectedly implements RouteStatser", p)
+		}
+	}
+}
+
+// TestRouteStatsPinnedD checks that W-C and ForcedD, D-C with d pinned
+// at construction, report that d and never run the solver, however many
+// head messages they route.
+func TestRouteStatsPinnedD(t *testing.T) {
+	cfg := Config{Workers: 8, Seed: 42}
+	keys := skewedKeys(20000)
+	digs := make([]KeyDigest, len(keys))
+	dst := make([]int, len(keys))
+	for _, tc := range []struct {
+		name string
+		p    *DChoices
+		d    int
+	}{
+		{"W-C", NewWChoices(cfg), 8},
+		{"ForcedD(4)", NewForcedD(cfg, 4), 4},
+		{"ForcedD(99)", NewForcedD(cfg, 99), 8},
+	} {
+		tc.p.RouteBatchDigests(keys, digs, dst)
+		s, ok := Stats(tc.p)
+		if !ok {
+			t.Fatalf("%s: no RouteStats", tc.name)
+		}
+		if s.HeadMsgs == 0 {
+			t.Fatalf("%s: expected head messages on a hot-key stream", tc.name)
+		}
+		if s.D != tc.d || s.Solves != 0 || s.HeadSize != 0 {
+			t.Fatalf("%s: (D, Solves, HeadSize) = (%d, %d, %d), want (%d, 0, 0)",
+				tc.name, s.D, s.Solves, s.HeadSize, tc.d)
 		}
 	}
 }

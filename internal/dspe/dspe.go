@@ -117,13 +117,11 @@ type Config struct {
 	AggShards int
 	// AggMerger selects the merge operator applied per (window, key):
 	// aggregation.CountMerger (the default, nil), SumMerger, MinMerger,
-	// MaxMerger, DistinctMerger, or any custom Merger.
+	// MaxMerger, DistinctMerger, or any custom Merger. Each message's
+	// sample is the generator's recorded value, else 1 (the sampling
+	// contract, documented on stream.Source; stream.WithValues derives
+	// one).
 	AggMerger aggregation.Merger
-	// AggValue derives the 64-bit sample the merger observes for each
-	// message; seq is the message's global emission index. nil falls
-	// back to the generator's recorded payload values, then to the
-	// constant 1 (the sampling contract, documented on stream.Source).
-	AggValue func(key string, seq int64) int64
 	// AggMergeCost, when positive, simulates a per-partial merge cost at
 	// the reducer shards (slept or spun per Config.Spin, batched per
 	// slab), so wall-clock runs can reproduce the reducer-bound regime
@@ -281,7 +279,7 @@ func Run(gen stream.Generator, cfg Config) (Result, error) {
 		parts[i] = p
 	}
 
-	src := stream.NewSource(gen, cfg.Messages, cfg.AggValue)
+	src := stream.NewSource(gen, cfg.Messages)
 	fabric, err := openFabric(cfg)
 	if err != nil {
 		return Result{}, err

@@ -112,7 +112,7 @@ func TestTransportPlaneLeaksNoGoroutine(t *testing.T) {
 				t.Fatal(err)
 			}
 			gen := zipfGen(1.2, 250, 200_000)
-			_, err = runOnFabric(fabric, stream.NewSource(gen, 200_000, nil), cfg, parts)
+			_, err = runOnFabric(fabric, stream.NewSource(gen, 200_000), cfg, parts)
 			fabric.Close()
 			if err == nil {
 				t.Fatal("run over links severed with reconnection disabled reported no error")

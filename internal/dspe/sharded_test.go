@@ -7,6 +7,7 @@ import (
 
 	"slb/internal/aggregation"
 	"slb/internal/core"
+	"slb/internal/stream"
 	"slb/internal/workload"
 )
 
@@ -89,11 +90,11 @@ func TestShardedAggregationExact(t *testing.T) {
 	for _, shards := range []int{2, 4} {
 		got := map[fk]aggregation.Final{}
 		var mu sync.Mutex
-		res, err := Run(workload.NewZipf(1.6, 300, m, 31), Config{
+		res, err := Run(stream.WithValues(workload.NewZipf(1.6, 300, m, 31), sample), Config{
 			Workers: 8, Sources: 3, Algorithm: "D-C",
 			Core: core.Config{Seed: 31}, ServiceTime: 0,
 			AggWindow: window, AggShards: shards,
-			AggMerger: aggregation.SumMerger, AggValue: sample,
+			AggMerger: aggregation.SumMerger,
 			OnFinal: func(f aggregation.Final) {
 				// OnFinal is serialized by the engine; the mutex only
 				// pairs this goroutine's writes with the post-Run reads.

@@ -30,9 +30,9 @@
 // selects the operator (count by default; sum/min/max/distinct built
 // in) and each message's merged sample is resolved by the sampling
 // contract of stream.Source, which the event loop draws its input
-// through — the Config.AggValue hook, else the generator's recorded
-// payload values (e.g. a version-2 tracefile replay), else the
-// constant 1.
+// through — the generator's recorded payload values (a version-2
+// tracefile replay, or a stream.WithValues wrapper), else the constant
+// 1.
 //
 // Workers flush on watermark progress, not only on their own traffic:
 // when the global emission sequence enters a new window, idle workers
@@ -162,15 +162,12 @@ type Config struct {
 	LinkOutageDuration float64
 	// AggMerger selects the merge operator applied per (window, key):
 	// aggregation.CountMerger (the default, nil), SumMerger, MinMerger,
-	// MaxMerger, DistinctMerger, or any custom Merger.
+	// MaxMerger, DistinctMerger, or any custom Merger. Each message's
+	// sample — the addend for sum, the comparand for min/max, the
+	// element for distinct — is the generator's recorded value, else 1
+	// (the sampling contract, documented on stream.Source;
+	// stream.WithValues derives one).
 	AggMerger aggregation.Merger
-	// AggValue derives the 64-bit sample the merger observes for each
-	// message: the addend for sum, the comparand for min/max, the
-	// element for distinct. seq is the message's global emission index.
-	// nil falls back to the generator's recorded payload values, then to
-	// the constant 1 (the sampling contract, documented on
-	// stream.Source).
-	AggValue func(key string, seq int64) int64
 	// OnFinal, when set (and AggWindow > 0), receives every merged final
 	// the reducer emits, in deterministic order.
 	OnFinal func(aggregation.Final)
@@ -316,7 +313,7 @@ type pendingMsg struct {
 	// Aggregation fields (populated only when Config.AggWindow > 0).
 	window int64
 	dig    hashing.KeyDigest
-	val    int64 // the merger's sample (see Config.AggValue)
+	val    int64 // the merger's sample (see stream.Source)
 	key    string
 }
 
@@ -405,7 +402,7 @@ func Run(gen stream.Generator, cfg Config) (Result, error) {
 		parts[i] = p
 	}
 
-	src := stream.NewSource(gen, cfg.Messages, cfg.AggValue)
+	src := stream.NewSource(gen, cfg.Messages)
 	limit := src.Planned()
 	tel := newSimTelemetry(cfg, parts)
 	// The event loop consumes one message per emit event from a cursor

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"slb/internal/aggregation"
+	"slb/internal/stream"
 )
 
 // shardedCfg is the PR-3 saturating configuration (W-Choices, small
@@ -110,13 +111,12 @@ func TestShardedMergerSemantics(t *testing.T) {
 	totals := map[string]int64{}
 	cfg := shardedCfg("W-C", 4)
 	cfg.AggMerger = aggregation.MaxMerger
-	cfg.AggValue = sample
 	cfg.OnFinal = func(f aggregation.Final) {
 		if f.Value > totals[f.Key] {
 			totals[f.Key] = f.Value
 		}
 	}
-	res, err := Run(zipfGen(1.8, 200, m), cfg)
+	res, err := Run(stream.WithValues(zipfGen(1.8, 200, m), sample), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

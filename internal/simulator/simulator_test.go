@@ -155,6 +155,10 @@ func TestFinalDExposedForDC(t *testing.T) {
 	if res.FinalD < 2 {
 		t.Fatalf("FinalD = %d, want ≥ 2", res.FinalD)
 	}
+	res, _ = Run(zipfGen(2.0, 1000, 50000), "W-C", core.Config{Workers: 10, Seed: 5}, Options{})
+	if res.FinalD != 10 {
+		t.Fatalf("FinalD for W-C = %d, want n = 10", res.FinalD)
+	}
 	res, _ = Run(zipfGen(2.0, 1000, 50000), "PKG", core.Config{Workers: 10, Seed: 5}, Options{})
 	if res.FinalD != 0 {
 		t.Fatalf("FinalD for PKG = %d, want 0", res.FinalD)

@@ -93,11 +93,14 @@ type valueFunc struct {
 }
 
 // WithValues wraps gen so each key carries the payload fn(key, seq),
-// where seq is the message's position in the stream (0-based). The
-// wrapper implements ValueBatchGenerator, so writing it through
-// tracefile.Write produces a version-2 trace whose replay supplies the
-// derived values as recorded data — the bridge from synthetic payload
-// models to the record-once/replay-bit-identically workflow.
+// where seq is the message's position in the stream (0-based). It is
+// the one way to derive a per-message sample: the engines draw through
+// Source, which reads the wrapper's values as recorded data, and a
+// wrapper over a recorded replay overrides the replay's values. Writing
+// it through tracefile.Write produces a version-2 trace whose replay
+// supplies the derived values as recorded data — the bridge from
+// synthetic payload models to the record-once/replay-bit-identically
+// workflow.
 func WithValues(gen Generator, fn func(key string, seq int64) int64) ValueBatchGenerator {
 	return &valueFunc{Generator: gen, fn: fn}
 }
@@ -137,18 +140,14 @@ func (g *valueFunc) Reset() {
 // ids; Err reports a stream that ended short of the plan.
 //
 // Draw also resolves each message's payload sample, the value a
-// windowed merger observes. The sampling contract, in precedence
-// order:
-//
-//  1. the run's value hook, when set (an explicit per-run override —
-//     the engines' Config.AggValue; it sees the key and the message's
-//     global emission sequence);
-//  2. the generator's recorded values, when Values(gen) is non-nil;
-//  3. the constant 1, making every sum-like merge a count.
+// windowed merger observes. The sampling contract: the generator's
+// recorded values when Values(gen) is non-nil — a version-2 trace
+// replay, or a WithValues wrapper, whose stream position equals the
+// global emission sequence because NewSource resets the generator —
+// else the constant 1, making every sum-like merge a count.
 type Source struct {
 	gen     Generator
-	rec     ValueBatchGenerator // recorded values; nil under a hook
-	value   func(key string, seq int64) int64
+	rec     ValueBatchGenerator // recorded values; nil when there are none
 	planned int64
 
 	mu    sync.Mutex
@@ -156,19 +155,14 @@ type Source struct {
 }
 
 // NewSource resets gen and plans one run of min(gen.Len(), limit)
-// messages; limit ≤ 0 means gen.Len(). value is the run's sampling hook
-// (nil for none; see Source).
-func NewSource(gen Generator, limit int64, value func(key string, seq int64) int64) *Source {
+// messages; limit ≤ 0 means gen.Len().
+func NewSource(gen Generator, limit int64) *Source {
 	gen.Reset()
 	planned := gen.Len()
 	if limit > 0 && limit < planned {
 		planned = limit
 	}
-	s := &Source{gen: gen, value: value, planned: planned}
-	if value == nil {
-		s.rec = Values(gen)
-	}
-	return s
+	return &Source{gen: gen, rec: Values(gen), planned: planned}
 }
 
 // Planned returns the number of messages the run draws when the stream
@@ -179,8 +173,7 @@ func (s *Source) Planned() int64 { return s.planned }
 // drawn — and returns how many it drew and the global sequence number
 // of keys[0]; n == 0 means the run's stream is drained. When vals is
 // non-nil (len(vals) ≥ len(keys)) it is filled in lockstep by the
-// sampling contract; the hook runs outside the lock. Safe for
-// concurrent use.
+// sampling contract. Safe for concurrent use.
 func (s *Source) Draw(keys []string, vals []int64) (n int, base int64) {
 	s.mu.Lock()
 	base = s.drawn
@@ -197,11 +190,8 @@ func (s *Source) Draw(keys []string, vals []int64) (n int, base int64) {
 	}
 	s.mu.Unlock()
 	if vals != nil && s.rec == nil {
-		for i := 0; i < n; i++ {
+		for i := range vals[:n] {
 			vals[i] = 1
-			if s.value != nil {
-				vals[i] = s.value(keys[i], base+int64(i))
-			}
 		}
 	}
 	return n, base

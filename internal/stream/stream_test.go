@@ -184,25 +184,25 @@ func drainSource(src *Source, slab int) ([]string, []int64) {
 	}
 }
 
-// TestSourceSamplingPrecedence pins the sampling contract: the hook
-// wins over recorded values, recorded values win over the constant 1.
+// TestSourceSamplingPrecedence pins the sampling contract: recorded
+// values win over the constant 1, and a WithValues wrapper over a
+// recorded stream overrides its values.
 func TestSourceSamplingPrecedence(t *testing.T) {
 	keys := []string{"a", "bb", "a", "ccc", "dddd"}
 	recorded := func(key string, seq int64) int64 { return 1000 + seq }
-	hook := func(key string, seq int64) int64 { return int64(len(key))*10 + seq }
+	derive := func(key string, seq int64) int64 { return int64(len(key))*10 + seq }
 	for _, tc := range []struct {
 		name string
 		gen  Generator
-		hook func(string, int64) int64
 		want []int64
 	}{
-		{"hook over recorded", WithValues(FromSlice(keys), recorded), hook, []int64{10, 21, 12, 33, 44}},
-		{"hook over plain", FromSlice(keys), hook, []int64{10, 21, 12, 33, 44}},
-		{"recorded", WithValues(FromSlice(keys), recorded), nil, []int64{1000, 1001, 1002, 1003, 1004}},
-		{"constant 1", FromSlice(keys), nil, []int64{1, 1, 1, 1, 1}},
+		{"wrapper over recorded", WithValues(WithValues(FromSlice(keys), recorded), derive), []int64{10, 21, 12, 33, 44}},
+		{"wrapper over plain", WithValues(FromSlice(keys), derive), []int64{10, 21, 12, 33, 44}},
+		{"recorded", WithValues(FromSlice(keys), recorded), []int64{1000, 1001, 1002, 1003, 1004}},
+		{"constant 1", FromSlice(keys), []int64{1, 1, 1, 1, 1}},
 	} {
 		for _, slab := range []int{1, 2, 8} {
-			gotK, gotV := drainSource(NewSource(tc.gen, 0, tc.hook), slab)
+			gotK, gotV := drainSource(NewSource(tc.gen, 0), slab)
 			if len(gotK) != len(keys) {
 				t.Fatalf("%s slab=%d: drew %d messages, want %d", tc.name, slab, len(gotK), len(keys))
 			}
@@ -214,8 +214,8 @@ func TestSourceSamplingPrecedence(t *testing.T) {
 			}
 		}
 	}
-	// A keys-only draw never calls the hook.
-	src := NewSource(FromSlice(keys), 0, func(string, int64) int64 { panic("hook called on a keys-only draw") })
+	// A keys-only draw never derives a value.
+	src := NewSource(WithValues(FromSlice(keys), func(string, int64) int64 { panic("value derived on a keys-only draw") }), 0)
 	if n, _ := src.Draw(make([]string, 8), nil); n != len(keys) {
 		t.Fatalf("keys-only draw = %d", n)
 	}
@@ -228,7 +228,7 @@ func TestSourceLimitAndShortStream(t *testing.T) {
 	for _, tc := range []struct {
 		limit, planned int64
 	}{{0, 7}, {-1, 7}, {3, 3}, {7, 7}, {100, 7}} {
-		src := NewSource(FromSlice(keys), tc.limit, nil)
+		src := NewSource(FromSlice(keys), tc.limit)
 		if src.Planned() != tc.planned {
 			t.Fatalf("limit %d: Planned = %d, want %d", tc.limit, src.Planned(), tc.planned)
 		}
@@ -246,11 +246,11 @@ func TestSourceLimitAndShortStream(t *testing.T) {
 	// NewSource resets: a half-drained generator plans its whole Len.
 	g := FromSlice(keys)
 	g.NextBatch(make([]string, 4))
-	if gotK, _ := drainSource(NewSource(g, 0, nil), 3); len(gotK) != len(keys) || gotK[0] != "a" {
+	if gotK, _ := drainSource(NewSource(g, 0), 3); len(gotK) != len(keys) || gotK[0] != "a" {
 		t.Fatalf("NewSource did not rewind: %v", gotK)
 	}
 	// Len promises more than the stream holds: the run is short.
-	src := NewSource(short{FromSlice(keys)}, 0, nil)
+	src := NewSource(short{FromSlice(keys)}, 0)
 	drainSource(src, 4)
 	if err := src.Err(); err == nil || !strings.Contains(err.Error(), "7 of the 9") {
 		t.Fatalf("short stream: Err = %v, want 7 of the 9 planned", err)
@@ -265,7 +265,7 @@ func (s short) Len() int64 { return s.SliceGenerator.Len() + 2 }
 // TestSourceConcurrentDrawsTile: S goroutines drawing one source
 // concurrently get slabs whose (base, n) ranges tile [0, planned) with
 // no gap or overlap, and each position's key and value equal a
-// sequential drain's — for recorded values and for the hook alike.
+// sequential drain's — for recorded and derived values alike.
 func TestSourceConcurrentDrawsTile(t *testing.T) {
 	const S, m, limit = 8, 5000, 4321
 	keys := make([]string, m)
@@ -273,17 +273,16 @@ func TestSourceConcurrentDrawsTile(t *testing.T) {
 		keys[i] = string(rune('a' + i%23))
 	}
 	recorded := func(key string, seq int64) int64 { return seq * seq }
-	hook := func(key string, seq int64) int64 { return int64(key[0]) - seq }
+	derive := func(key string, seq int64) int64 { return int64(key[0]) - seq }
 	for _, tc := range []struct {
 		name string
 		mk   func() Generator
-		hook func(string, int64) int64
 	}{
-		{"recorded", func() Generator { return WithValues(FromSlice(keys), recorded) }, nil},
-		{"hook", func() Generator { return FromSlice(keys) }, hook},
+		{"recorded", func() Generator { return WithValues(FromSlice(keys), recorded) }},
+		{"derived", func() Generator { return WithValues(FromSlice(keys), derive) }},
 	} {
-		wantK, wantV := drainSource(NewSource(tc.mk(), limit, tc.hook), 512)
-		src := NewSource(tc.mk(), limit, tc.hook)
+		wantK, wantV := drainSource(NewSource(tc.mk(), limit), 512)
+		src := NewSource(tc.mk(), limit)
 		gotK, gotV := make([]string, limit), make([]int64, limit)
 		covered := make([]int32, limit)
 		var wg sync.WaitGroup

@@ -34,30 +34,36 @@ func record(t *testing.T, m int64) func() *Replay {
 }
 
 // TestReplayFeedsEventsimMerger pins the sampling contract end to end
-// on the deterministic engine: a version-2 replay with no AggValue hook
-// merges the RECORDED values, producing exactly the finals a hook
-// computing the same function would — and not the constant-1 fallback.
+// on the deterministic engine: a bare version-2 replay merges the
+// RECORDED values, producing exactly the finals a stream.WithValues
+// wrapper over the replay computing the same function would — the
+// wrapper overrides the recorded values — and not the constant-1
+// fallback.
 func TestReplayFeedsEventsimMerger(t *testing.T) {
 	const m = 10000
 	replay := record(t, m)
-	run := func(hook func(string, int64) int64) []aggregation.Final {
+	run := func(fn func(string, int64) int64) []aggregation.Final {
 		var finals []aggregation.Final
 		cfg := eventsim.Config{
 			Workers: 6, Sources: 3, Algorithm: "W-C",
 			Core: core.Config{Seed: 17}, ServiceTime: 1.0,
 			AggWindow: 500, AggShards: 2,
-			AggMerger: aggregation.SumMerger, AggValue: hook,
-			OnFinal: func(f aggregation.Final) { finals = append(finals, f) },
+			AggMerger: aggregation.SumMerger,
+			OnFinal:   func(f aggregation.Final) { finals = append(finals, f) },
 		}
-		if _, err := eventsim.Run(replay(), cfg); err != nil {
+		var gen stream.Generator = replay()
+		if fn != nil {
+			gen = stream.WithValues(gen, fn)
+		}
+		if _, err := eventsim.Run(gen, cfg); err != nil {
 			t.Fatal(err)
 		}
 		return finals
 	}
 	recorded := run(nil)
-	hooked := run(traceVals) // the function the trace recorded
-	if !reflect.DeepEqual(recorded, hooked) {
-		t.Fatal("recorded-value replay disagrees with the equivalent AggValue hook")
+	wrapped := run(traceVals) // the function the trace recorded
+	if !reflect.DeepEqual(recorded, wrapped) {
+		t.Fatal("recorded-value replay disagrees with the equivalent WithValues wrapper")
 	}
 	var countSum, valueSum int64
 	for _, f := range recorded {

@@ -230,8 +230,8 @@ func TestRoundTripProperty(t *testing.T) {
 }
 
 // traceVals derives a deterministic, sign-varying payload from key and
-// sequence — the kind of sample AggValue hooks used to compute at
-// replay time and version-2 traces now record.
+// sequence — the kind of sample a stream.WithValues wrapper derives and
+// a version-2 trace records.
 func traceVals(key string, seq int64) int64 {
 	v := int64(len(key))*37 + seq%101
 	if seq%3 == 0 {

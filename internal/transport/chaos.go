@@ -1,7 +1,5 @@
 package transport
 
-import "time"
-
 // ChaosConfig is the TCP backend's deterministic fault schedule
 // (TCPConfig.Chaos): the verdict on a link's n-th sender-side buffer
 // write is a pure function of (Seed, link name, n), so the same seed
@@ -22,10 +20,6 @@ type ChaosConfig struct {
 	// schedule guarantees every link with enough traffic is severed. 0
 	// disables severs.
 	SeverEvery int
-	// AcceptDelay stalls the accept side of every reconnect (the serve
-	// goroutine sleeps before replaying), widening the outage window the
-	// sender's redial backoff must ride out. 0 disables.
-	AcceptDelay time.Duration
 }
 
 // chaos verdicts for one buffer write.

@@ -16,7 +16,6 @@ func faultTuning() TCPConfig {
 		RedialBackoff:  100 * time.Microsecond,
 		MaxReconnects:  1 << 16,
 		RedialAttempts: 20,
-		Seed:           7,
 	}
 }
 

@@ -22,7 +22,8 @@ type TCPConfig struct {
 	MaxReconnects int
 	// RedialAttempts bounds the dial tries of ONE reconnect episode;
 	// between tries the sender sleeps a jittered exponential backoff
-	// starting at RedialBackoff (doubling per try, capped at 64×).
+	// starting at RedialBackoff (doubling per try, capped at 64×); the
+	// jitter sequence is seeded by the link name alone.
 	// Exhausting the attempts is a hard link error. 0 means 10.
 	RedialAttempts int
 	// RedialBackoff is the initial redial backoff; 0 means 1ms.
@@ -33,16 +34,6 @@ type TCPConfig struct {
 	// produces no sequence gap at the receiver, so only this timer can
 	// detect it. 0 means 250ms.
 	ResendTimeout time.Duration
-	// RetainedBufs is the resend window in coalescing buffers: the
-	// sender retains every written-but-unacked buffer for
-	// retransmission and SendSlab backpressures once all of them are
-	// retained. 0 means 16: at most ≈512 KB per link, reached only
-	// when buffers fill to the coalescing threshold (a busy writer or
-	// lagging acks); an idle link hands over smaller buffers, and only
-	// while at least half the pool is free.
-	RetainedBufs int
-	// Seed derandomizes the redial jitter; 0 means 1.
-	Seed uint64
 	// Chaos, when non-nil, subjects every link's buffer writes to the
 	// deterministic fault schedule (ChaosConfig). nil is the fault-free
 	// wire.
@@ -62,12 +53,6 @@ func (c TCPConfig) withDefaults() TCPConfig {
 	if c.ResendTimeout <= 0 {
 		c.ResendTimeout = 250 * time.Millisecond
 	}
-	if c.RetainedBufs < 2 {
-		c.RetainedBufs = 16
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
 	if c.Chaos != nil && c.Chaos.Seed == 0 {
 		ch := *c.Chaos
 		ch.Seed = 1
@@ -75,6 +60,15 @@ func (c TCPConfig) withDefaults() TCPConfig {
 	}
 	return c
 }
+
+// retainedBufs is the resend window in coalescing buffers: the sender
+// retains every written-but-unacked buffer for retransmission and
+// SendSlab backpressures once all of them are retained. 16 buffers are
+// at most ≈512 KB per link, reached only when buffers fill to the
+// coalescing threshold (a busy writer or lagging acks); an idle link
+// hands over smaller buffers, and only while at least half the pool is
+// free.
+const retainedBufs = 16
 
 // sendBuf is one coalescing buffer staged between the encoder and the
 // writer. b holds fully enveloped data records — uvarint(seq)

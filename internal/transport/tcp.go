@@ -296,9 +296,6 @@ func (t *TCP) serve(conn net.Conn) {
 		t.fail(fmt.Errorf("transport: connection for unknown link %q", nameBuf))
 		return
 	}
-	if ch := t.cfg.Chaos; ch != nil && firstSeq > 1 {
-		time.Sleep(ch.AcceptDelay)
-	}
 	// One connection at a time replays into the link state: a
 	// reconnect's serve waits here until the previous connection's
 	// serve observes its closed socket and returns.
@@ -532,16 +529,16 @@ func newTCPSender(t *TCP, name string, st *linkStats, rs *tcpRecvState, lerr *at
 		stats: st,
 		rs:    rs,
 		cur:   &sendBuf{b: make([]byte, 0, coalesceBytes+coalesceBytes/4)},
-		out:   make(chan *sendBuf, t.cfg.RetainedBufs),
-		free:  make(chan *sendBuf, t.cfg.RetainedBufs),
+		out:   make(chan *sendBuf, retainedBufs),
+		free:  make(chan *sendBuf, retainedBufs),
 		done:  make(chan struct{}),
 		lerr:  lerr,
 		wake:  make(chan struct{}, 1),
-		rng:   mix64(t.cfg.Seed ^ link),
+		rng:   mix64(link),
 		link:  link,
 	}
 	s.nextSeq = 1
-	for i := 0; i < t.cfg.RetainedBufs-1; i++ {
+	for i := 0; i < retainedBufs-1; i++ {
 		s.free <- &sendBuf{b: make([]byte, 0, coalesceBytes+coalesceBytes/4)}
 	}
 	return s
@@ -573,11 +570,7 @@ func (s *tcpSender) dialHello() (net.Conn, error) {
 // schedule the unsynchronized replay can repeat the exact write
 // pattern that killed the last connection, livelocking the link.
 func (s *tcpSender) readHandshakeAck(conn net.Conn) (uint64, error) {
-	d := s.cfg.ResendTimeout
-	if ch := s.cfg.Chaos; ch != nil {
-		d += ch.AcceptDelay
-	}
-	conn.SetReadDeadline(time.Now().Add(d))
+	conn.SetReadDeadline(time.Now().Add(s.cfg.ResendTimeout))
 	var rec [8]byte
 	if _, err := io.ReadFull(conn, rec[:]); err != nil {
 		return 0, err

@@ -47,14 +47,14 @@
 // The TCP backend keeps that contract when connections die. Every
 // coalescing buffer carries a sequence number; the receiver streams
 // cumulative acks back and the sender retains a bounded window of
-// unacked buffers (TCPConfig.RetainedBufs). When a connection is lost
-// — write error, receiver-detected sequence gap, or ack timeout
-// (TCPConfig.ResendTimeout) — the sender redials under jittered
-// exponential backoff (TCPConfig.RedialBackoff, RedialAttempts,
-// MaxReconnects), resets the codec's dictionary epoch (a fresh
-// connection always starts a fresh epoch: the documented resync point
-// that makes mid-stream loss unable to desynchronize the
-// dictionaries), reads the resync handshake — each accepted connection
+// unacked buffers (16 per link, ≈512 KB at most). When a connection is
+// lost — write error, receiver-detected sequence gap, or ack timeout
+// (TCPConfig.ResendTimeout) — the sender redials under exponential
+// backoff with a jitter seeded by the link name
+// (TCPConfig.RedialBackoff, RedialAttempts, MaxReconnects), resets the
+// codec's dictionary epoch (a fresh connection always starts a fresh
+// epoch: the documented resync point that makes mid-stream loss unable
+// to desynchronize the dictionaries), reads the resync handshake — each accepted connection
 // opens with the receiver's current cumulative ack, before any data —
 // and replays only what that mark says is still undelivered. The wire
 // is therefore at-least-once; the receiver's sequence state, which
@@ -62,8 +62,8 @@
 // edge, so the link as a whole delivers every message exactly once, in
 // order. With MaxReconnects < 0 a lost connection is a hard error on
 // that link (Link.Err) — never silent loss. TCPConfig.Chaos subjects
-// the wire to a deterministic fault schedule (seeded drops, periodic
-// severs, accept delays) for tests and soaks, counted per link in
+// the wire to a deterministic fault schedule (seeded drops and periodic
+// severs) for tests and soaks, counted per link in
 // transport_chaos_writes_total, transport_chaos_drops_total and
 // transport_chaos_severs_total; the memory backend, lossless by
 // construction, has no fault model. The recovery machinery reports

@@ -19,8 +19,10 @@
 //     and routes to the less loaded — enough only while p1 ≤ 2/n.
 //   - D-Choices and W-Choices — this paper's contribution — detect the
 //     hot keys online with a SpaceSaving sketch and give only those keys
-//     more than two choices: W-Choices all n workers, D-Choices the
-//     minimal d from an analytic feasibility bound (Proposition 4.1).
+//     more than two choices: D-Choices the minimal d from an analytic
+//     feasibility bound (Proposition 4.1), W-Choices all n workers. Both
+//     are one Greedy-d scheme: W-Choices is D-Choices with d pinned at
+//     n, so New("W-C") builds the same type as New("D-C").
 //
 // # Quick start
 //
@@ -91,9 +93,11 @@
 // approximate-distinct DistinctMerger built in, custom operators
 // welcome) rides inside the partial tables as a fixed 128-bit state,
 // so non-count aggregations keep the zero-allocation steady state.
-// Select it with AggMerger and derive each message's merged sample
-// with AggValue on either engine; message COUNTS are tracked alongside
-// regardless, because they drive the completeness-based window close.
+// Select it with AggMerger on either engine. Each message's merged
+// sample is its generator's recorded value — a version-2 trace replay,
+// or a stream wrapped by WithValues — else 1 (the sampling contract);
+// message COUNTS are tracked alongside regardless, because they drive
+// the completeness-based window close.
 //
 // The reduce stage itself is sharded and modeled, not free
 // bookkeeping. AggShards (both engines) splits it into R independent
@@ -192,7 +196,7 @@
 // dying at ANY byte boundary with exactness intact. Every coalescing
 // buffer carries a sequence number and the receiver streams back
 // cumulative acks; the sender retains a bounded window of unacked
-// buffers (TCPConfig.RetainedBufs) and, when a connection dies — a
+// buffers (16 per link) and, when a connection dies — a
 // write error, a receiver-detected sequence gap, or an ack timeout
 // (TCPConfig.ResendTimeout) — redials under jittered exponential
 // backoff (TCPConfig.RedialBackoff/RedialAttempts, episodes capped by
@@ -210,8 +214,8 @@
 // severed and ≥1% of frames dropped). With reconnection disabled
 // (MaxReconnects < 0) a lost connection is a hard per-link error —
 // never silent loss. TCPConfig.Chaos puts the TCP links under a
-// deterministic fault schedule (ChaosConfig: seeded frame drops,
-// periodic connection severs, accept delays; EngineConfig.Chaos, which
+// deterministic fault schedule (ChaosConfig: seeded frame drops and
+// periodic connection severs; EngineConfig.Chaos, which
 // the memory backend rejects) and counts each link's judged writes,
 // drops and severs (transport_chaos_writes_total,
 // transport_chaos_drops_total, transport_chaos_severs_total); the
@@ -288,9 +292,11 @@
 // builds far above the number of hot keys mean they are churning);
 // sketch_entries, sketch_capacity and sketch_evictions_total; and the
 // solver's state — solver_runs_total, solver_head_size (|H| at the last
-// FINDOPTIMALCHOICES run) and solver_d. Per worker a queue_depth gauge (tuples delivered
-// to the bolt's links and not yet received) plus bolt_msgs_total,
-// acquire_stall_ns_total and bolt_parks_total; bolt_partials_total;
+// FINDOPTIMALCHOICES run) and solver_d (W-Choices, whose d is pinned,
+// reads n there and runs no solve). Per worker a queue_depth gauge
+// (tuples delivered to the bolt's links and not yet received) plus
+// bolt_msgs_total, acquire_stall_ns_total and bolt_parks_total;
+// bolt_partials_total;
 // and per reducer shard shard_parks_total, reduce_partials_total,
 // reduce_busy_ns_total, the reduce_open_windows /
 // reduce_live_entries occupancy gauges and the reduce_replication
@@ -441,6 +447,14 @@ type Stats = stream.Stats
 // CollectStats measures a generator's exact statistics.
 func CollectStats(gen Generator) Stats { return stream.Collect(gen) }
 
+// WithValues wraps gen so each message carries the sample fn(key, seq),
+// seq its 0-based position in the stream: the one way to give the
+// engines' AggMerger a sample other than a recorded trace's values or
+// the constant 1.
+func WithValues(gen Generator, fn func(key string, seq int64) int64) Generator {
+	return stream.WithValues(gen, fn)
+}
+
 // NewZipfStream returns a Zipf-distributed stream: exponent z over
 // `keys` distinct keys, `messages` total, deterministic in seed. Any
 // z ≥ 0 is supported (z = 0 is uniform).
@@ -536,7 +550,7 @@ type AggStats = aggregation.ReducerStats
 // a commutative, associative fold over per-message samples, observed
 // incrementally at the workers and combined across workers' partials
 // at the reduce stage. Select one via EngineConfig.AggMerger /
-// ClusterConfig.AggMerger, with AggValue deriving each message's
+// ClusterConfig.AggMerger, with WithValues deriving each message's
 // sample.
 type Merger = aggregation.Merger
 
@@ -550,7 +564,7 @@ var (
 	// CountMerger counts messages (the default everywhere a Merger is
 	// not given): Final.Value equals Final.Count.
 	CountMerger = aggregation.CountMerger
-	// SumMerger sums each message's AggValue sample.
+	// SumMerger sums each message's sample (see WithValues).
 	SumMerger = aggregation.SumMerger
 	// MinMerger keeps the smallest sample.
 	MinMerger = aggregation.MinMerger

@@ -31,7 +31,7 @@ func TestFacadeConstructors(t *testing.T) {
 		"SG":  (*core.ShuffleGrouping)(nil),
 		"PKG": (*core.PKG)(nil),
 		"D-C": (*core.DChoices)(nil),
-		"W-C": (*core.WChoices)(nil),
+		"W-C": (*core.DChoices)(nil),
 		"RR":  (*core.RoundRobin)(nil),
 	}
 	if len(schemes) != len(slb.Algorithms) {
