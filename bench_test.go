@@ -223,7 +223,7 @@ func BenchmarkShardedReduce(b *testing.B) {
 // n = 4096) and the cost is FINDOPTIMALCHOICES and the candidate cache,
 // and z = 2.0, where d is in the thousands (≈ 2.5k at n = 4096) and the
 // cost is the argmin over ≈ 1.9k candidates per head message — the
-// persistent candidate tournaments' regime.
+// level cursors' regime.
 func BenchmarkRouteAtScale(b *testing.B) {
 	for _, algo := range []string{"W-C", "D-C"} {
 		for _, n := range []int{64, 256, 1024, 4096, 16384} {

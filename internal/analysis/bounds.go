@@ -61,10 +61,12 @@ func SolveDPrefix(headProbs []float64, tailMass float64, n int, eps float64, max
 // θ = 1/(5n), n = 4096 (2.3 ms per solve measured on a 2,816-key head).
 // The Solver keeps those two vectors for the few d it last found worth
 // evaluating in depth, extended lazily to the longest prefix evaluated,
-// so a repeat solve is |H| multiply-adds. The vectors are filled by the
-// same BH and math.Pow calls a direct evaluation makes, so every
-// comparison sees the same bits and the solved d is identical; after
-// warm-up a solve allocates nothing.
+// so a repeat solve is |H| multiply-adds. The vectors are filled by a
+// recurrence with no math.Pow per entry (dTable.extend); a prefix whose
+// approximate margin is too thin for the recurrence's error is
+// re-evaluated with BH and math.Pow exactly as a direct evaluation does
+// (Solver.feasible), so every comparison decides as the direct one and
+// the solved d is identical. After warm-up a solve allocates nothing.
 //
 // The zero value is ready to use. A Solver is bound to one n at a time
 // (a different n discards the tables) and is not safe for concurrent
@@ -72,8 +74,11 @@ func SolveDPrefix(headProbs []float64, tailMass float64, n int, eps float64, max
 // evaluated.
 type Solver struct {
 	n    int
+	band float64 // relative margin below which a table entry is not trusted
 	tick uint64
 	tabs [solverTables]dTable
+
+	exact int64 // prefixes re-evaluated exactly (instrumentation for tests)
 }
 
 // solverTables is how many d keep a table: the solved d wobbles by ±1–2
@@ -89,23 +94,61 @@ const (
 	solverProbe  = 4
 )
 
-// dTable is the data-independent part of the constraints for one d:
-// bh[h-1] = BH(n, h, d) and pd[h-1] = (bh[h-1]/n)^d.
+// dTable is the data-independent part of the constraints for one d,
+// to within the error bound below: bh[h-1] ≈ BH(n, h, d) and
+// pd[h-1] ≈ (bh[h-1]/n)^d.
 type dTable struct {
 	d    int
 	used uint64
+	step float64 // ((n−1)/n)^d
+	r    float64 // ((n−1)/n)^(h·d) at h = len(bh)
 	bh   []float64
 	pd   []float64
 }
 
-// extend fills the table up to prefix h.
+// extend fills the table up to prefix h by recurrence: with
+// q = (n−1)/n, r_h = q^(h·d) = r_{h−1}·q^d, so b_h = n − n·r_h costs one
+// multiply, q^d being one math.Pow per table; and (b_h/n)^d is binary
+// powering (powInt).
+//
+// The error bound, with u = 2⁻⁵³ and x = h·d/n. math.Pow with an
+// integer exponent k is itself binary powering, within 4k·u relative.
+// So r_h, a product of h such powers at k = d, and BH's math.Pow at
+// k = h·d are each within 5h·d·u of q^(h·d), and 9h·d·u of each other.
+// n − n·r cancels: b_h inherits that relative difference times
+// r/(1−r) ≤ 1/(eˣ−1), so it is within 9h·d·u/(eˣ−1) + u ≤ 10n·u of BH's.
+// Raising b_h/n to the d-th power multiplies the relative difference by
+// d ≤ n, and the two powerings round within 4d·u each: pd is within
+// (10n + 10)·d·u ≤ 20n²·u of the direct value. The constraint's two
+// sides are sums of positive terms built from these, so each is within
+// E = 32n²·u of its direct value, relative. Solver.feasible trusts a
+// comparison only when the sides differ by more than band = 128·E of
+// the right-hand side; inside the band the prefix is evaluated exactly.
 func (t *dTable) extend(n, h int) {
 	nf := float64(n)
-	for k := len(t.bh) + 1; k <= h; k++ {
-		bh := BH(n, k, t.d)
-		t.bh = append(t.bh, bh)
-		t.pd = append(t.pd, math.Pow(bh/nf, float64(t.d)))
+	if len(t.bh) == 0 {
+		t.step, t.r = math.Pow((nf-1)/nf, float64(t.d)), 1
 	}
+	for k := len(t.bh) + 1; k <= h; k++ {
+		t.r *= t.step
+		bh := nf - nf*t.r
+		t.bh = append(t.bh, bh)
+		t.pd = append(t.pd, powInt(bh/nf, t.d))
+	}
+}
+
+// powInt returns x^k for k ≥ 0 by binary powering, in the order
+// math.Pow multiplies for an integer exponent: wherever no intermediate
+// value leaves the normal range it returns math.Pow's bits.
+func powInt(x float64, k int) float64 {
+	r := 1.0
+	for ; k > 0; k >>= 1 {
+		if k&1 == 1 {
+			r *= x
+		}
+		x *= x
+	}
+	return r
 }
 
 func (s *Solver) reset(n int) {
@@ -116,6 +159,7 @@ func (s *Solver) reset(n int) {
 		return
 	}
 	s.n = n
+	s.band = 128 * 32 * float64(n) * float64(n) * 0x1p-53
 	for i := range s.tabs {
 		t := &s.tabs[i]
 		t.d, t.used, t.bh, t.pd = 0, 0, t.bh[:0], t.pd[:0]
@@ -170,22 +214,18 @@ func (s *Solver) solve(headProbs []float64, tailMass float64, n int, eps float64
 
 // feasible checks the first upTo prefix constraints for d. headMass is
 // the sum of headProbs in slice order (hoisted: it does not depend on d).
+// A prefix read from a table whose two sides come within the band of
+// the table's error bound (see dTable.extend) is decided by the direct
+// evaluation instead.
 func (s *Solver) feasible(headProbs []float64, headMass, tailMass float64, d int, eps float64, upTo int) bool {
 	nf := float64(s.n)
-	violated := func(prefix, bh, pd float64) bool {
-		ratio := bh / nf
-		lhs := prefix + pd*(headMass-prefix) + ratio*ratio*tailMass
-		rhs := bh * (1/nf + eps)
-		return lhs > rhs
-	}
 	prefix := 0.0
 	h := 1
 	t := s.table(d, false)
 	if t == nil {
 		for ; h <= upTo && h <= solverProbe; h++ {
 			prefix += headProbs[h-1]
-			bh := BH(s.n, h, d)
-			if violated(prefix, bh, math.Pow(bh/nf, float64(d))) {
+			if lhs, rhs := s.directSides(h, d, prefix, headMass, tailMass, eps); lhs > rhs {
 				return false
 			}
 		}
@@ -199,11 +239,30 @@ func (s *Solver) feasible(headProbs []float64, headMass, tailMass float64, d int
 			t.extend(s.n, h)
 		}
 		prefix += headProbs[h-1]
-		if violated(prefix, t.bh[h-1], t.pd[h-1]) {
+		lhs, rhs := sides(nf, t.bh[h-1], t.pd[h-1], prefix, headMass, tailMass, eps)
+		if math.Abs(lhs-rhs) <= s.band*rhs {
+			s.exact++
+			lhs, rhs = s.directSides(h, d, prefix, headMass, tailMass, eps)
+		}
+		if lhs > rhs {
 			return false
 		}
 	}
 	return true
+}
+
+// sides returns the left- and right-hand sides of a prefix constraint
+// of Proposition 4.1 given b_h and (b_h/n)^d.
+func sides(nf, bh, pd, prefix, headMass, tailMass, eps float64) (lhs, rhs float64) {
+	ratio := bh / nf
+	return prefix + pd*(headMass-prefix) + ratio*ratio*tailMass, bh * (1/nf + eps)
+}
+
+// directSides evaluates prefix constraint h for d with BH and math.Pow.
+func (s *Solver) directSides(h, d int, prefix, headMass, tailMass, eps float64) (lhs, rhs float64) {
+	nf := float64(s.n)
+	bh := BH(s.n, h, d)
+	return sides(nf, bh, math.Pow(bh/nf, float64(d)), prefix, headMass, tailMass, eps)
 }
 
 func sum(xs []float64) float64 {

@@ -365,3 +365,93 @@ func TestSolverSteadyStateDoesNotAllocate(t *testing.T) {
 		t.Fatalf("warm Solver.SolveD allocates %.2f allocs/solve, want 0", avg)
 	}
 }
+
+// TestSolverExactFallback builds a prefix constraint that is tight to
+// the last bit — the tail mass is solved for so that its two sides
+// meet, with every earlier prefix slack — and checks that the Solver
+// does not decide it from its recurrence-filled table but re-evaluates
+// it with BH and math.Pow, and then decides exactly as the direct
+// evaluation does. A slack prefix is decided from the table.
+func TestSolverExactFallback(t *testing.T) {
+	const n, d, h, eps = 64, 9, 6, 1e-4
+	head := []float64{0.1, 0.09, 0.08, 0.07, 0.06, 0.05, 0.04, 0.03}
+	headMass := sum(head)
+	prefix := sum(head[:h])
+	bh := BH(n, h, d)
+	ratio := bh / n
+	pd := math.Pow(ratio, d)
+	rhs := bh * (1.0/n + eps)
+	tight := (rhs - prefix - pd*(headMass-prefix)) / (ratio * ratio)
+	if tight <= 0 || tight >= 1 {
+		t.Fatalf("no tail mass makes prefix %d tight: %g", h, tight)
+	}
+	var s Solver
+	s.reset(n)
+	s.table(d, true) // the table path from the first prefix on
+	for _, tc := range []struct {
+		tail  float64
+		exact bool
+	}{
+		{tight, true},
+		{math.Nextafter(tight, 1), true},
+		{math.Nextafter(tight, 0), true},
+		{tight / 2, false},
+	} {
+		// The direct evaluation of prefixes 1..h, as the reference makes it.
+		want, p := true, 0.0
+		for k := 1; k <= h; k++ {
+			p += head[k-1]
+			b := BH(n, k, d)
+			r := b / n
+			if p+math.Pow(r, d)*(headMass-p)+r*r*tc.tail > b*(1.0/n+eps) {
+				want = false
+			}
+		}
+		before := s.exact
+		if got := s.feasible(head, headMass, tc.tail, d, eps, h); got != want {
+			t.Fatalf("tail %g: feasible = %v, direct evaluation %v", tc.tail, got, want)
+		}
+		if ran := s.exact > before; ran != tc.exact {
+			t.Fatalf("tail %g: exact evaluation ran = %v, want %v", tc.tail, ran, tc.exact)
+		}
+	}
+	for dd := d - 2; dd <= d+2; dd++ {
+		if got, want := solverFeasible(head, tight, n, dd, eps, len(head)), referenceFeasibleD(head, tight, n, dd, eps); got != want {
+			t.Fatalf("d=%d at the tight tail: Solver feasible=%v, reference=%v", dd, got, want)
+		}
+	}
+}
+
+// FuzzSolverMatchesReference draws a head (shape, |H| ≤ 12,000, a nudge
+// of the hottest key), n ∈ [2, 16384] and ε, and requires one Solver's
+// d, and its per-d predicate for the d around it, to equal the
+// reference's; a second draw on the same Solver reuses its tables.
+func FuzzSolverMatchesReference(f *testing.F) {
+	f.Add(uint64(1), uint16(600), uint16(64), uint8(0), uint8(0), uint8(100))
+	f.Add(uint64(2), uint16(2816), uint16(4096), uint8(1), uint8(1), uint8(101))
+	f.Add(uint64(3), uint16(40), uint16(16384), uint8(2), uint8(2), uint8(99))
+	f.Add(uint64(4), uint16(1), uint16(2), uint8(0), uint8(0), uint8(100))
+	shapes := []string{"zipf", "plateau", "flat"}
+	f.Fuzz(func(t *testing.T, seed uint64, size, nRaw uint16, epsRaw, shapeRaw, scaleRaw uint8) {
+		n := 2 + int(nRaw)%16383
+		eps := []float64{1e-4, 1e-3, 1e-2, 1e-5}[epsRaw%4]
+		shape := shapes[int(shapeRaw)%len(shapes)]
+		scale := 0.9 + float64(scaleRaw)/1000
+		rng := workload.NewRNG(seed)
+		var s Solver
+		for draw := 0; draw < 2; draw++ {
+			head, tail := solverHead(shape, int(size)%12001, scale, rng)
+			want := referenceSolveD(head, tail, n, eps)
+			if got := s.SolveD(head, tail, n, eps); got != want {
+				t.Fatalf("n=%d eps=%g %s |H|=%d draw %d: Solver d=%d, reference d=%d", n, eps, shape, len(head), draw, got, want)
+			}
+			for d := max(want-2, 1); d <= want+2; d++ {
+				got := s.feasible(head, sum(head), tail, d, eps, len(head))
+				if ref := referenceFeasibleD(head, tail, n, d, eps); got != ref {
+					t.Fatalf("n=%d eps=%g %s |H|=%d d=%d: Solver feasible=%v, reference=%v", n, eps, shape, len(head), d, got, ref)
+				}
+			}
+			scale += 0.004
+		}
+	})
+}

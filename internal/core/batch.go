@@ -3,7 +3,8 @@ package core
 // batch.go holds what every scheme's one routing body is driven by: the
 // router, which gives each scheme Partitioner's one routing call,
 // RouteBatchDigests, over its body, the run helpers the head-tracking
-// bodies share, and the candidate cache behind D-Choices' head lists.
+// bodies share, and the candidate cache behind D-Choices' head lists and
+// their level cursors.
 //
 // A body routes a run — consecutive messages of one key, identified by
 // the digest the router filled in — and pays its per-message costs
@@ -240,7 +241,9 @@ func candDWindow(dhi int32) int32 {
 // stale: a lookup validates both. Deriving a head key's d candidates is
 // d hash mixes — the single largest per-message cost for D-Choices when
 // the solver picks a large d — and with the cache routing pays it once
-// per (head key, d window) instead of once per run.
+// per (head key, d window) instead of once per run. Each entry also
+// carries the key's level cursor (loadtree.go), which a derivation or a
+// re-layout resets.
 type candCache struct {
 	n      int
 	stride int // int32s reserved per entry; every lookup's d + candDSlack(d) (capped at n) fits
@@ -251,7 +254,8 @@ type candCache struct {
 	dups   []uint64    // bit k set: bucket dhi−1−k repeated an earlier worker
 	used   []uint32    // LRU stamps, one per entry
 	tick   uint32
-	cands  []int32 // flat [sets·candWays][stride]
+	cands  []int32       // flat [sets·candWays][stride]
+	curs   []levelCursor // one per entry
 	// Dedup stamps: mark[w] == epoch means worker w is already in the
 	// list being built. An epoch bump invalidates every mark in O(1),
 	// making a miss O(d) instead of the O(d²) a membership scan costs —
@@ -262,9 +266,7 @@ type candCache struct {
 
 	// Hit/miss counters over lookup calls (one lookup serves a run's
 	// head messages, or a chunk of them between solves, so these count
-	// runs, not messages); surfaced via RouteStats. The hot-key memo in
-	// DChoices.headCands short-circuits most lookups for the dominant
-	// key — memo hits never reach the cache.
+	// runs, not messages); surfaced via RouteStats.
 	hits   int64
 	misses int64
 }
@@ -290,6 +292,7 @@ func (cc *candCache) resize(sets, stride int) {
 	cc.dups = make([]uint64, entries)
 	cc.used = make([]uint32, entries)
 	cc.cands = make([]int32, entries*stride)
+	cc.curs = make([]levelCursor, entries)
 	cc.tick = 0
 }
 
@@ -322,16 +325,17 @@ func (cc *candCache) fit(heads, d int) {
 	}
 }
 
-// lookup returns the candidate list for (dg, d), deriving and caching
-// it on miss (into the set's least-recently-used way). The stored list
-// is deduplicated preserving first-occurrence order, which routes
+// lookup returns the candidate list for (dg, d) and the entry's level
+// cursor, deriving and caching the list on miss (into the set's
+// least-recently-used way, with a fresh cursor). The stored list is
+// deduplicated preserving first-occurrence order, which routes
 // identically: a duplicate worker can never beat its first occurrence
 // (same load, later position), so dropping it changes neither the
 // argmin nor the tie-break — while shortening the scan the router pays
-// per message (at d near n, hash collisions make the list noticeably
-// shorter than d). A hit serves any d within the entry's derivation
-// window as the recorded dedup prefix (see candDWindow).
-func (cc *candCache) lookup(dg KeyDigest, d int, f *hashing.Family) []int32 {
+// (at d near n, hash collisions make the list noticeably shorter than
+// d). A hit serves any d within the entry's derivation window as the
+// recorded dedup prefix (see candDWindow).
+func (cc *candCache) lookup(dg KeyDigest, d int, f *hashing.Family) ([]int32, *levelCursor) {
 	cc.tick++
 	if cc.tick == 0 { // wrapped: old stamps would invert the LRU order
 		for i := range cc.used {
@@ -347,7 +351,7 @@ func (cc *candCache) lookup(dg KeyDigest, d int, f *hashing.Family) []int32 {
 		if cc.digs[w] == dg && int32(d) <= hi && int32(d) > hi-candDWindow(hi) {
 			cc.used[w] = cc.tick
 			cc.hits++
-			return cc.cands[w*cc.stride : w*cc.stride+cc.prefixLen(w, d)]
+			return cc.cands[w*cc.stride : w*cc.stride+cc.prefixLen(w, d)], &cc.curs[w]
 		}
 		if cc.used[w] < cc.used[victim] {
 			victim = w
@@ -385,7 +389,8 @@ func (cc *candCache) lookup(dg KeyDigest, d int, f *hashing.Family) []int32 {
 	cc.lens[victim] = int32(len(c))
 	cc.dups[victim] = dups
 	cc.used[victim] = cc.tick
-	return cc.cands[victim*cc.stride : victim*cc.stride+cc.prefixLen(victim, d)]
+	cc.curs[victim] = levelCursor{}
+	return cc.cands[victim*cc.stride : victim*cc.stride+cc.prefixLen(victim, d)], &cc.curs[victim]
 }
 
 // prefixLen returns the dedup length at d of entry w's derivation, for

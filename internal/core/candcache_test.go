@@ -42,7 +42,8 @@ func TestCandCacheEnsureHeadCapacity(t *testing.T) {
 	derive := func() [][]int32 {
 		out := make([][]int32, len(probes))
 		for i, pr := range probes {
-			out[i] = append([]int32(nil), cc.lookup(pr.dg, pr.d, f)...)
+			cand, _ := cc.lookup(pr.dg, pr.d, f)
+			out[i] = append([]int32(nil), cand...)
 		}
 		return out
 	}
@@ -199,7 +200,7 @@ func TestCandCacheWindowServesExactPrefixes(t *testing.T) {
 					t.Fatalf("n=%d d0=%d: window %d", n, d0, w)
 				}
 				for d := top; d > top-int(candDWindow(int32(top))) && d >= 1; d-- {
-					got := cc.lookup(dg, d, f)
+					got, _ := cc.lookup(dg, d, f)
 					var want []int32
 					seen := map[int32]bool{}
 					for i := 0; i < d; i++ {
@@ -221,6 +222,37 @@ func TestCandCacheWindowServesExactPrefixes(t *testing.T) {
 					t.Fatalf("n=%d d0=%d: %d lookups inside the window re-derived", n, d0, cc.misses-misses)
 				}
 			}
+		}
+	}
+}
+
+// TestForcedDFitsCacheToHead checks that a pinned d < n fits its
+// candidate cache to the observed head as a solving D-C does: on a
+// Zipf stream whose head outgrows the static 32 entries, ForcedD at
+// D-C's own d must miss at most twice as often as D-C, where it used to
+// keep the static entries and re-derive on most head runs. Routing is
+// unaffected (TestRoutingMatchesReference covers Greedy-d).
+func TestForcedDFitsCacheToHead(t *testing.T) {
+	msgs := int64(1 << 20)
+	if testing.Short() || raceEnabled {
+		msgs = 1 << 18
+	}
+	for _, tc := range []struct {
+		z float64
+		d int
+	}{{1.2, 25}, {0.8, 4}} {
+		keys := collectKeys(workload.NewZipf(tc.z, 10_000, msgs, 42))
+		c := Config{Workers: 100, Seed: 42}
+		dc, forced := NewDChoices(c), NewForcedD(c, tc.d)
+		digs := make([]KeyDigest, 256)
+		dst := make([]int, 256)
+		for i := 0; i < len(keys); i += 256 {
+			dc.RouteBatchDigests(keys[i:i+256], digs, dst)
+			forced.RouteBatchDigests(keys[i:i+256], digs, dst)
+		}
+		ds, fs := dc.RouteStats(), forced.RouteStats()
+		if fs.CandMisses > 2*ds.CandMisses {
+			t.Errorf("z=%.1f: ForcedD(%d) missed %d candidate lookups, D-C (d = %d) %d", tc.z, tc.d, fs.CandMisses, ds.D, ds.CandMisses)
 		}
 	}
 }

@@ -81,7 +81,7 @@ type Partitioner interface {
 
 // Config carries the common parameters of Table III. Every field changes
 // routing or the sketch; the routing accelerators (the floor index, the
-// candidate cache, the candidate tournaments) are not settings.
+// candidate cache and its level cursors) are not settings.
 type Config struct {
 	// Workers is n, the number of downstream operator instances.
 	Workers int
@@ -260,40 +260,23 @@ func (s *ShuffleGrouping) Workers() int { return s.n }
 // greedy holds the state shared by all load-aware schemes: the hash
 // family and this sender's local load vector. Schemes that argmin over
 // the whole vector (D-C at d ≥ n, which W-C is, and Oracle) build the
-// floor index on first use (see index); idx == nil means increments are
-// plain.
+// floor index on first use (see index); while indexed is false,
+// increments are plain.
 type greedy struct {
-	n      int
-	family *hashing.Family
-	loads  []int64
-	idx    *floorIndex // least-loaded worker and the floor; nil until index() builds it
-	// Persistent candidate-tournament state (loadtree.go), allocated by
-	// the first head run whose list is long enough for a tournament; from
-	// then on bump appends every load increment to the clog ring so
-	// cached tournaments can be repaired by replay instead of rebuilt.
-	// Only D-C routes head lists, and it sends every increment through
-	// bump.
-	tours     []candTour
-	clog      []int32
-	clogPos   uint64 // increments logged so far
-	tourBytes int
-	tourStamp []int32 // replay scratch, see candTour.repair
-	tourEpoch int32
-	// tourMode overrides the tournament admission policy; only tests set
-	// it. Above 0 every candidate list of two or more routes through a
-	// tournament, below 0 none does, and 0 runs the policy.
-	tourMode int8
+	n       int
+	family  *hashing.Family
+	loads   []int64
+	idx     floorIndex // least-loaded worker; maintained only while indexed
+	indexed bool
 
 	// Plain (single-goroutine, like the partitioner itself) argmin-path
-	// counters, surfaced through RouteStats: messages routed via an index
-	// (the floor index or a candidate tournament) vs a candidate scan.
-	// One int64 increment on paths that cost tens of ns — below
-	// measurement noise.
+	// counters, surfaced through RouteStats: messages routed via the
+	// floor index vs over a candidate list. One int64 increment on paths
+	// that cost tens of ns — below measurement noise. nPasses counts the
+	// level cursor's passes (see routeHead).
 	nTreeMin int64
 	nScanMin int64
-	// Candidate tournaments built from scratch and repaired by replay.
-	nTourBuilds  int64
-	nTourRepairs int64
+	nPasses  int64
 }
 
 func newGreedy(cfg Config) greedy {
@@ -305,86 +288,29 @@ func newGreedy(cfg Config) greedy {
 }
 
 // index returns the floor index, building it from the live loads on
-// the first call: the first whole-vector argmin, or the first candidate
-// list long enough to scan against the floor. Until then increments
-// carry no upkeep — D-C at d < n with short lists never builds it.
-// Only D-C (W-C included) and Oracle reach this, and they send every
-// increment through bump; PKG and RR, which increment loads directly,
-// never build it.
+// the first whole-vector argmin after construction or after a release
+// (D-C releases it when a solve takes d below n, so a build happens at
+// most once per solve). Until then increments carry no upkeep. Only D-C
+// (W-C included) and Oracle reach this, and they send every increment
+// through bump; PKG and RR, which increment loads directly, never build
+// it.
 func (g *greedy) index() *floorIndex {
-	if g.idx == nil {
-		g.idx = newFloorIndex(g.loads)
+	if !g.indexed {
+		g.idx.build(g.loads)
+		g.indexed = true
 	}
-	return g.idx
+	return &g.idx
 }
 
 // bump accounts one message on worker w, maintaining the floor index
-// when present and the increment log once candidate tournaments exist.
-// Every load increment of an indexed scheme must go through here, or
-// the index goes stale.
+// while there is one. Every load increment of an indexed scheme must go
+// through here, or the index goes stale.
 func (g *greedy) bump(w int) {
 	l := g.loads[w] + 1
 	g.loads[w] = l
-	if x := g.idx; x != nil {
-		x.bump(w, l)
+	if g.indexed {
+		g.idx.bump(w, l)
 	}
-	if g.clog != nil {
-		g.clog[g.clogPos&(candTourLogMax-1)] = int32(w)
-		g.clogPos++
-	}
-}
-
-// routeCands routes one message among precomputed candidates (a cached,
-// deduplicated candidate list) by the Greedy-d rule: the lowest local
-// load, first lowest winning ("ties broken arbitrarily"). A duplicate
-// worker can never beat its first occurrence, so the deduplicated list
-// decides exactly as the d buckets F_1(k)..F_d(k) would.
-//
-// A list of loadIndexCrossover candidates or more is scanned knowing the
-// global minimum load (the floor index's floor), and the scan stops at
-// the first candidate that attains it: no later candidate can be lower,
-// and every earlier one was higher, so that candidate is the
-// first-lowest. Head keys are routed to keep the loads level, so a
-// candidate at the floor usually turns up well before the end (at
-// n = 4096, z = 2.0, 331 of 1,874 candidates for the keys that scan —
-// the hottest keys' candidates sit above the floor and go through
-// tournaments instead, see loadtree.go). A shorter list takes the plain
-// loop: the floor read and the exit test cost more than the candidates
-// they skip (D-C at n = 64, z = 2.0, 40-candidate lists: 133 ns per
-// message with the exit test, 96 with the plain loop, minimum of eight
-// alternated runs; at n = 4096, z = 0.8, 91-candidate lists: 292
-// against 287, minimum of six; on a 2-vCPU host).
-//
-// It also reports how many candidates the scan visited, which is what
-// the tournament policy weighs a key's scans by.
-func (g *greedy) routeCands(cand []int32) (best, visited int) {
-	g.nScanMin++
-	loads := g.loads
-	best, visited = int(cand[0]), len(cand)
-	bestLoad := loads[best]
-	if len(cand) < loadIndexCrossover {
-		for _, w32 := range cand[1:] {
-			w := int(w32)
-			if loads[w] < bestLoad {
-				best, bestLoad = w, loads[w]
-			}
-		}
-	} else if floor := loads[g.index().min()]; bestLoad == floor {
-		visited = 1
-	} else {
-		for i, w32 := range cand[1:] {
-			w := int(w32)
-			if loads[w] < bestLoad {
-				best, bestLoad = w, loads[w]
-				if bestLoad == floor {
-					visited = i + 2
-					break
-				}
-			}
-		}
-	}
-	g.bump(best)
-	return best, visited
 }
 
 // routeAll picks the globally least-loaded worker, lowest index on ties
@@ -649,15 +575,7 @@ type DChoices struct {
 	headSize   int    // |H| at the last solve (instrumentation)
 	solver     analysis.Solver
 
-	cache candCache // memoized head-key candidate lists
-
-	// Hot-key memo: a private copy of the last candidate list a whole
-	// run used, so the dominant key of a skewed stream revalidates with
-	// two compares instead of a cache probe. The copy is immune to
-	// cache-slot overwrites by colliding keys.
-	lastDig   KeyDigest
-	lastD     int32
-	lastCands []int32
+	cache candCache // memoized head-key candidate lists and their level cursors
 }
 
 // NewDChoices returns a D-C partitioner.
@@ -695,41 +613,9 @@ func newDChoices(cfg Config, pin int) *DChoices {
 		d:          d,
 		pinned:     pin > 0,
 		cache:      newCandCache(cfg.Workers, cacheD),
-		lastCands:  make([]int32, 0, candMemoMax),
 	}
 	p.runs, p.unit = p, !p.head.canBatch()
 	return p
-}
-
-// candMemoMax bounds the hot-key memo: memoizing means COPYING the
-// list (that is what makes it immune to cache-slot overwrites by
-// colliding keys), and once the solver picks d in the hundreds the
-// per-switch copy costs more than the cache probe it saves — under an
-// i.i.d. Zipf stream runs are short (expected 1/(1−p₁) messages), so
-// the memo switches constantly. Large lists are served straight from
-// the shared cache instead. Bypassing the memo moved no route-scale
-// D-C cell beyond its own quartile spread over ten alternated 20 s
-// pairs on a 2-vCPU host: D-C.n4096.z2.0 read 2.36M msgs/s with it and
-// 2.37M without (higher without in 4 of 10), and the aggregate 9.77M
-// and 9.75M. Removing it would also move the benchmark's exact-repeat
-// candidate-cache hit ratio, since the lookups it absorbs would reach
-// the cache.
-const candMemoMax = 64
-
-// headCands returns the candidate list for a head key, through the
-// hot-key memo and the shared cache.
-func (p *DChoices) headCands(dg KeyDigest) []int32 {
-	if p.lastDig == dg && p.lastD == int32(p.d) {
-		return p.lastCands
-	}
-	c := p.cache.lookup(dg, p.d, p.family)
-	if len(c) > candMemoMax {
-		return c
-	}
-	p.lastDig = dg
-	p.lastD = int32(p.d)
-	p.lastCands = append(p.lastCands[:0], c...)
-	return p.lastCands
 }
 
 // routeRun is D-C's routing body (Algorithm 1 with D-CHOICES) for a run
@@ -740,25 +626,41 @@ func (p *DChoices) headCands(dg KeyDigest) []int32 {
 //
 // A run with no solve due inside it — every run of a pinned scheme —
 // is offered to the sketch whole and routed as one tail prefix and one
-// head suffix, whose list comes through the hot-key memo. A run that
-// straddles a solve (or precedes the first) takes routeSolveRun. So
-// does every run over a sliding window: its offer can rotate a
-// generation out and shrink the stream length, so the solve test must
-// read the length the offer left, and its runs are one message long.
+// head suffix, whose list and cursor come from the candidate cache. A
+// run that straddles a solve (or precedes the first) takes
+// routeSolveRun. So does every run over a sliding window: its offer can
+// rotate a generation out and shrink the stream length, so the solve
+// test must read the length the offer left, and its runs are one
+// message long. A pinned d < n re-fits the cache on the solve cadence
+// instead (fitPinned).
 func (p *DChoices) routeRun(dg KeyDigest, key string, dst []int) {
-	if !p.pinned {
-		if n := p.head.observed(); p.head.win != nil || p.solveDue(n+1) || p.solveDue(n+uint64(len(dst))) {
+	if n := p.head.observed(); !p.pinned {
+		if p.head.win != nil || p.solveDue(n+1) || p.solveDue(n+uint64(len(dst))) {
 			p.routeSolveRun(dg, key, dst)
 			return
 		}
+	} else if p.d < p.n && (n < p.lastSolveN || n-p.lastSolveN >= uint64(p.solveEvery)) {
+		p.fitPinned(n)
 	}
 	switch head := p.routeTail(&p.head, dg, key, dst); {
 	case len(head) == 0:
 	case p.d >= p.n:
 		p.routeAllSeg(head)
 	default:
-		p.routeHead(dg, p.headCands(dg), head)
+		cand, cur := p.cache.lookup(dg, p.d, p.family)
+		p.routeHead(cur, cand, head)
 	}
+}
+
+// fitPinned fits the candidate cache of a pinned d < n to the head the
+// sketch observes at stream length n, as a solve would, without solving:
+// the static 32 or 64 entries miss on most runs of a head larger than
+// that, and every miss drops the key's level cursor. lastSolveN marks
+// the fit; a sliding window's shrinking length re-fits at once.
+func (p *DChoices) fitPinned(n uint64) {
+	head, _ := p.head.headSnapshot()
+	p.cache.fit(len(head), p.d)
+	p.lastSolveN = n
 }
 
 // routeSolveRun routes a run a solve may fall inside. The solver must
@@ -788,7 +690,8 @@ func (p *DChoices) routeSolveRun(dg KeyDigest, key string, dst []int) {
 		if seg := dst[m : m+t]; p.d >= p.n {
 			p.routeAllSeg(seg)
 		} else {
-			p.routeHead(dg, p.cache.lookup(dg, p.d, p.family), seg)
+			cand, cur := p.cache.lookup(dg, p.d, p.family)
+			p.routeHead(cur, cand, seg)
 		}
 		m += t
 	}
@@ -801,8 +704,9 @@ func (p *DChoices) routeSolveRun(dg KeyDigest, key string, dst []int) {
 // few dozen keys at the paper's scales but 2,816 at n = 4096, z = 0.8,
 // where an Entry snapshot and 2·|H| math.Pow cost 2.3 ms per solve —
 // 2.2 µs per message at the default cadence; the counts-only snapshot
-// and the solver's memoised tables (analysis.Solver) make it |H|
-// multiply-adds with no allocation.
+// and the solver's memoised tables (analysis.Solver, filled by
+// recurrence rather than math.Pow) make it |H| multiply-adds with no
+// allocation.
 func (p *DChoices) findOptimalChoices() int {
 	n := p.head.observed()
 	if p.solved && n-p.lastSolveN < uint64(p.solveEvery) {
@@ -819,8 +723,11 @@ func (p *DChoices) findOptimalChoices() int {
 		// Fit the candidate cache to the head the sketch actually
 		// observes and the d just solved: the snapshot is in hand and the
 		// solve cadence makes the (rare) re-layout free. At d ≥ n head
-		// keys take routeAll and never look candidates up.
+		// keys take routeAll and never look candidates up. Below n
+		// nothing reads the floor index, so it is released rather than
+		// kept up by every bump; the next routeAll rebuilds it.
 		p.cache.fit(len(head), p.d)
+		p.indexed = false
 	}
 	p.solved = true
 	p.lastSolveN = n

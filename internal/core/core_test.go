@@ -473,28 +473,29 @@ func TestRouteBatchPanicsOnShortDst(t *testing.T) {
 // stream, a config, and how long to warm up. The solver runs at its
 // default cadence inside every measured window.
 type steadyStateCase struct {
-	label string
-	cfg   Config
-	algos []string
-	keys  []string
-	warm  int  // passes over keys before measuring
-	tours bool // force candidate tournaments onto every head list
+	label  string
+	cfg    Config
+	algos  []string
+	keys   []string
+	warm   int  // passes over keys before measuring
+	resume bool // head picks must mostly resume a level cursor
 }
 
 // steadyStateCases returns the paper-scale case (n = 50, z = 2.0: a head
 // of dozens) and the at-scale case the solver's allocation-free path
 // exists for: n = 4096 over 100k keys at z = 0.8, a head of ≈ 2.8k keys
 // and d ≈ 91, warmed until the sketch is full so that only steady-state
-// work remains; and D-C at n = 1024, z = 2.0 with candidate tournaments
-// forced onto every head list, so builds, repairs and leaf toggles run
-// in the measured windows. Each measured window below spans ≥ 8 solves.
+// work remains; and D-C at n = 1024, z = 2.0, where d is in the hundreds
+// and the hot keys' level cursors resume, pass and follow the solver's
+// wobble in the measured windows. Each measured window below spans ≥ 8
+// solves.
 func steadyStateCases() []steadyStateCase {
 	return []steadyStateCase{
 		{"n=50", cfg(50), []string{"PKG", "D-C", "W-C", "RR"},
 			collectKeys(workload.NewZipf(2.0, 2000, 30000, 31)), 1, false},
 		{"n=4096", cfg(4096), []string{"D-C"},
 			collectKeys(workload.NewZipf(0.8, 100_000, 1<<20, 31)), 2, false},
-		{"n=1024/tours", cfg(1024), []string{"D-C"},
+		{"n=1024/z=2.0", cfg(1024), []string{"D-C"},
 			collectKeys(workload.NewZipf(2.0, 10_000, 1<<17, 31)), 2, true},
 	}
 }
@@ -510,9 +511,6 @@ func TestSteadyStateRoutingDoesNotAllocate(t *testing.T) {
 			p, err := New(name, tc.cfg)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if tc.tours {
-				setTourMode(p, 1)
 			}
 			keys := tc.keys
 			digs := make([]KeyDigest, 256)
@@ -548,8 +546,8 @@ func TestSteadyStateRoutingDoesNotAllocate(t *testing.T) {
 			if n := solves() - before; name == "D-C" && n < 16 {
 				t.Errorf("%s/%s: the measured windows held %d solves, want ≥ 8 each", tc.label, name, n)
 			}
-			if st, _ := Stats(p); tc.tours && st.TourRepairs == 0 {
-				t.Errorf("%s/%s: no candidate tournament was repaired: %+v", tc.label, name, st)
+			if st, _ := Stats(p); tc.resume && 8*greedyOf(p).nPasses > st.ScanMinPicks {
+				t.Errorf("%s/%s: %d cursor passes for %d head picks: the cursor did not resume", tc.label, name, greedyOf(p).nPasses, st.ScanMinPicks)
 			}
 		}
 	}

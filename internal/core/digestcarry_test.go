@@ -112,9 +112,6 @@ func TestSteadyStateDigestRoutingDoesNotAllocate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tc.tours {
-				setTourMode(p, 1)
-			}
 			keys := tc.keys
 			digs := make([]KeyDigest, 256)
 			dst := make([]int, 256)

@@ -8,18 +8,25 @@ import (
 )
 
 // newTestGreedy returns a bare n-worker core with its floor index
-// built, in the given tournament mode (greedy.tourMode).
-func newTestGreedy(n int, tourMode int8) *greedy {
-	g := &greedy{n: n, loads: make([]int64, n), tourMode: tourMode}
+// built.
+func newTestGreedy(n int) *greedy {
+	g := &greedy{n: n, loads: make([]int64, n)}
 	g.index()
 	return g
+}
+
+// newFloorIndex returns an index built over loads (not copied).
+func newFloorIndex(loads []int64) *floorIndex {
+	x := &floorIndex{}
+	x.build(loads)
+	return x
 }
 
 // setLoads overwrites g's load vector and rebuilds its floor index: the
 // one way a test moves loads other than by routing.
 func setLoads(g *greedy, loads []int64) {
 	copy(g.loads, loads)
-	if g.idx != nil {
+	if g.indexed {
 		g.idx.rebuild()
 	}
 }
@@ -142,75 +149,35 @@ func TestFloorIndexTieBreak(t *testing.T) {
 	}
 }
 
-// TestCandTreeDifferential fuzzes the candidate subset tournament
-// against the routeCands scan on random loads, candidate lists and
-// message counts: every routed worker must match, which pins the
-// earlier-position tie-break end to end.
-func TestCandTreeDifferential(t *testing.T) {
-	rng := uint64(99)
-	next := func(n int) int {
-		rng = rng*6364136223846793005 + 1442695040888963407
-		return int((rng >> 33) % uint64(n))
-	}
-	for trial := 0; trial < 500; trial++ {
-		n := 2 + next(12)
-		c := 2 + next(n-1)
-		perm := make([]int32, n)
-		for i := range perm {
-			perm[i] = int32(i)
-		}
-		for i := n - 1; i > 0; i-- {
-			j := next(i + 1)
-			perm[i], perm[j] = perm[j], perm[i]
-		}
-		cand := perm[:c]
-		loads := make([]int64, n)
-		for i := range loads {
-			loads[i] = int64(next(4))
-		}
-		g1, g2 := newTestGreedy(n, -1), newTestGreedy(n, 1)
-		setLoads(g1, loads)
-		setLoads(g2, loads)
-		msgs := 2 + next(20)
-		dst2 := make([]int, msgs)
-		g2.routeHead(KeyDigest(uint64(trial)*0x9e3779b97f4a7c15+1), cand, dst2)
-		for m := 0; m < msgs; m++ {
-			if w1, _ := g1.routeCands(cand); w1 != dst2[m] {
-				t.Fatalf("trial %d msg %d: scan %d tree %d (cand=%v loads=%v)", trial, m, w1, dst2[m], cand, loads)
-			}
-		}
-	}
-}
-
-// scanTreePartitioners builds the same algorithm twice: once with every
-// candidate list scanned, once with candidate tournaments forced onto
-// every list (greedy.tourMode).
+// scanTreePartitioners builds the same algorithm twice, to route one
+// stream side by side: "scan" forgets every level cursor after each
+// routing call (forgetCursors), so each call's first message of a head
+// key is a plain scan of its list, and "tree" keeps them, as production
+// does.
 func scanTreePartitioners(t *testing.T, algo string, n int) (scan, tree Partitioner) {
 	t.Helper()
-	mk := func(tourMode int8) Partitioner {
+	mk := func() Partitioner {
 		c := Config{Workers: n, Seed: 42}
-		var p Partitioner
 		switch algo {
 		case "Greedy-7":
-			p = NewForcedD(c, 7)
+			return NewForcedD(c, 7)
 		case "Oracle":
-			p = NewOracle(c, func(k string) bool { return len(k) < 5 })
-		default:
-			var err error
-			if p, err = New(algo, c); err != nil {
-				t.Fatal(err)
-			}
+			return NewOracle(c, func(k string) bool { return len(k) < 5 })
 		}
-		setTourMode(p, tourMode)
+		p, err := New(algo, c)
+		if err != nil {
+			t.Fatal(err)
+		}
 		return p
 	}
-	return mk(-1), mk(1)
+	return mk(), mk()
 }
 
 // TestScanTreeRoutingParity is the candidate path's regression suite:
 // for every algorithm (including the experimental Greedy-7 and Oracle),
 // across worker counts from one bitmap word to many and a skew sweep,
-// the scan-only and the tournament-only configurations must produce
+// the configuration that forgets its level cursors after every call
+// and the one that keeps them (scanTreePartitioners) must produce
 // identical worker sequences — message for message — at slabs of one
 // and in batches (slabs of a deliberately odd size, so runs split across
 // slab boundaries).
@@ -230,6 +197,7 @@ func TestScanTreeRoutingParity(t *testing.T) {
 					half := len(keys) / 2
 					for i, k := range keys[:half] {
 						ws, wt := routeOne(scan, k), routeOne(tree, k)
+						forgetCursors(scan)
 						if ws != wt {
 							t.Fatalf("msg %d (key %q): scan → %d, tree → %d", i, k, ws, wt)
 						}
@@ -241,6 +209,7 @@ func TestScanTreeRoutingParity(t *testing.T) {
 					for i := half; i < len(keys); i += slab {
 						end := min(i+slab, len(keys))
 						scan.RouteBatchDigests(keys[i:end], digs, dstS)
+						forgetCursors(scan)
 						tree.RouteBatchDigests(keys[i:end], digs, dstT)
 						for j := 0; j < end-i; j++ {
 							if dstS[j] != dstT[j] {
@@ -277,10 +246,12 @@ func TestWorkerCapLifted(t *testing.T) {
 
 // TestGreedyIndexStaysInSync builds the floor index of each scheme
 // that can argmin over the whole vector up front, routes a skewed
-// stream, and verifies at several points that the index still satisfies
-// its invariants against the live load vector — i.e. every increment in
-// every routing path went through bump. The schemes that increment
-// loads directly (RR, PKG) must never build one.
+// stream, and verifies at several points that the index, while it is
+// held, still satisfies its invariants against the live load vector —
+// i.e. every increment in every routing path went through bump. The
+// pinned schemes hold it throughout; D-C releases it whenever a solve
+// takes d below n (TestDChoicesReleasesFloorIndex). The schemes that
+// increment loads directly (RR, PKG) must never build one.
 func TestGreedyIndexStaysInSync(t *testing.T) {
 	keys := collectKeys(workload.NewZipf(1.8, 300, 12000, 11))
 	for _, algo := range []string{"W-C", "D-C", "Greedy-7", "RR", "PKG"} {
@@ -303,25 +274,29 @@ func TestGreedyIndexStaysInSync(t *testing.T) {
 		dst := make([]int, 64)
 		for i := 0; i < len(keys); i += 64 {
 			p.RouteBatchDigests(keys[i:min(i+64, len(keys))], digs, dst)
-			if g.idx != nil && i%(64*16) == 0 {
-				checkIndex(t, g.idx)
+			if g.indexed && i%(64*16) == 0 {
+				checkIndex(t, &g.idx)
 			}
 		}
-		if indexed {
-			checkIndex(t, g.idx)
-		} else if g.idx != nil {
-			t.Fatalf("%s: unexpectedly built a load index", algo)
+		switch {
+		case g.indexed:
+			checkIndex(t, &g.idx)
+			if !indexed {
+				t.Fatalf("%s: unexpectedly built a load index", algo)
+			}
+		case indexed && algo != "D-C":
+			t.Fatalf("%s: released its load index", algo)
 		}
 	}
 }
 
-// setTourMode sets the candidate tournament mode (greedy.tourMode) of
-// a scheme that routes candidate lists — D-C, pinned or not — and
-// reports whether p is one.
-func setTourMode(p Partitioner, mode int8) bool {
+// forgetCursors resets every level cursor of a scheme that routes
+// candidate lists — D-C, pinned or not — so that the next message of
+// each head key takes a full pass, and reports whether p is one.
+func forgetCursors(p Partitioner) bool {
 	q, ok := p.(*DChoices)
 	if ok {
-		q.tourMode = mode
+		clear(q.cache.curs)
 	}
 	return ok
 }
@@ -339,4 +314,62 @@ func greedyOf(p Partitioner) *greedy {
 		return &q.greedy
 	}
 	panic(fmt.Sprintf("%T has no load vector", p))
+}
+
+// TestDChoicesReleasesFloorIndex drives a D-C whose solved d crosses n
+// in both directions — a stream dominated by one key, then a flat one,
+// then the hot key again — and checks that it routes as plain
+// Algorithm 1 throughout, holds no floor index whenever d < n, and holds
+// a valid one whenever its head messages argmin over all n workers.
+func TestDChoicesReleasesFloorIndex(t *testing.T) {
+	const n = 10
+	c := Config{Workers: n, Seed: 3, SolveEvery: 64}
+	var keys []string
+	rng := uint64(5)
+	next := func(m int) int {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		return int((rng >> 33) % uint64(m))
+	}
+	for i := 0; i < 4000; i++ { // hot: d ≥ n
+		if next(20) == 0 {
+			keys = append(keys, fmt.Sprintf("cold-%d", next(50)))
+		} else {
+			keys = append(keys, "hot")
+		}
+	}
+	for i := 0; i < 30000; i++ { // flat: d < n
+		keys = append(keys, fmt.Sprintf("flat-%d", next(200)))
+	}
+	for i := 0; i < 400000; i++ { // hot again: d ≥ n
+		keys = append(keys, "hot")
+	}
+	p, ref := NewDChoices(c), newRef("D-C", c)
+	digs := make([]KeyDigest, 64)
+	dst := make([]int, 64)
+	var crossings []bool // d ≥ n, at each change
+	for i := 0; i < len(keys); i += 64 {
+		chunk := keys[i:min(i+64, len(keys))]
+		p.RouteBatchDigests(chunk, digs, dst)
+		for j, k := range chunk {
+			if want := ref.route(k); dst[j] != want {
+				t.Fatalf("message %d (%q): routed to %d, reference %d", i+j, k, dst[j], want)
+			}
+		}
+		all := p.d >= p.n
+		if len(crossings) == 0 || crossings[len(crossings)-1] != all {
+			crossings = append(crossings, all)
+		}
+		switch {
+		case !all && p.indexed:
+			t.Fatalf("after message %d: d = %d < n and the floor index is still held", i+len(chunk), p.d)
+		case p.indexed:
+			checkIndex(t, &p.idx)
+		}
+	}
+	if len(crossings) < 3 || !crossings[0] {
+		t.Fatalf("d ≥ n at each change of side: %v; want true, false, …, true", crossings)
+	}
+	if !crossings[len(crossings)-1] || !p.indexed {
+		t.Fatalf("the stream ended with d = %d (indexed %v); want d ≥ n on a rebuilt index", p.d, p.indexed)
+	}
 }

@@ -14,7 +14,7 @@ import (
 
 // refScheme is Algorithm 1 as the paper states it, one message at a
 // time, for all eight schemes, with none of the production path's
-// machinery: no runs, no candidate cache, no tournaments, no load index,
+// machinery: no runs, no candidate cache, no level cursors, no load index,
 // and FINDOPTIMALCHOICES exactly as it ran before the counts-only
 // snapshot and the memoised solver — a HeavyHitters Entry snapshot, a
 // sort, and two math.Pow per head key per candidate d. It shares only
@@ -265,10 +265,9 @@ func registered(name string) func(Config) (Partitioner, *refScheme) {
 // TestRoutingMatchesReference is the differential check of every
 // scheme's one routing body against plain Algorithm 1, with the stream
 // cut into slabs of each size in {1, 3, 64, 997} and — on one instance —
-// at the repeating sequence of those sizes, plus slabs of 64 with
-// candidate tournaments forced onto every head list: every worker must
-// equal the reference's, and every digest handed back must be the
-// key's. The configs put head crossings inside runs (high θ), solver
+// at the repeating sequence of those sizes, plus slabs of 64 with every
+// level cursor forgotten after each slab: every worker must equal the
+// reference's, and every digest handed back must be the key's. The configs put head crossings inside runs (high θ), solver
 // re-solves inside hot-key runs (tight solver), the two sketch modes
 // that route every run at length 1 (windowed, θ above
 // maxMonotoneTheta), and the floor index across several bitmap words
@@ -288,8 +287,8 @@ func TestRoutingMatchesReference(t *testing.T) {
 	keys := collectKeys(workload.NewZipf(2.0, 400, 20000, 17))
 	sizes := []int{1, 3, 64, 997}
 	// Each arm is the sequence of slab sizes it cuts the stream at,
-	// repeated: one size, or all of them in turn. The last arm forces
-	// candidate tournaments.
+	// repeated: one size, or all of them in turn. The last arm forgets
+	// the level cursors after every slab.
 	arms := [][]int{{1}, {3}, {64}, {997}, sizes, {64}}
 	for _, cc := range configs {
 		for _, sc := range refSchemes {
@@ -302,9 +301,10 @@ func TestRoutingMatchesReference(t *testing.T) {
 				for a, cuts := range arms {
 					arm := fmt.Sprintf("slabs %v", cuts)
 					p, _ := sc.mk(cc.cfg)
-					if a == len(arms)-1 {
-						arm += ", tournaments forced"
-						if !setTourMode(p, 1) {
+					forget := a == len(arms)-1
+					if forget {
+						arm += ", cursors forgotten"
+						if !forgetCursors(p) {
 							continue
 						}
 					}
@@ -314,6 +314,9 @@ func TestRoutingMatchesReference(t *testing.T) {
 						chunk := keys[i:min(i+cuts[c%len(cuts)], len(keys))]
 						clear(digs)
 						p.RouteBatchDigests(chunk, digs, dst)
+						if forget {
+							forgetCursors(p)
+						}
 						for j, k := range chunk {
 							if dst[j] != want[i+j] {
 								t.Fatalf("%s: message %d (%q) routed to %d, reference %d",
@@ -335,20 +338,21 @@ func TestRoutingMatchesReference(t *testing.T) {
 // TestDChoicesMatchesReference is the end-to-end differential check of
 // this package's D-Choices accelerators at the scale they exist for:
 // n = 4096 over 100k keys, where the head is thousands of keys at
-// z = 0.8 and d is in the thousands at z = 2.0. Every worker and every
-// (solve count, d) pair — sampled after each 256-message slab, four per
-// solve period — must equal the reference's, through the batched entry
-// point in all three candidate modes (scan: no tournaments; tree: a
-// tournament for every head key; auto: the admission policy) and
-// through slabs of one. z = 2.0 puts solve boundaries inside long
-// runs of the hot key, where the batch path defers sketch offers around
-// the solve.
+// z = 0.8 and d is in the thousands at z = 2.0. Every worker and the
+// (solve count, d) pair after every slab must equal the reference's,
+// through four arms: "scan/batch" forgets every level cursor after each
+// 256-message slab, so each slab's first message of a key scans its
+// whole list; "tree/batch" keeps them, as production does; "auto/batch"
+// keeps them and cuts the stream at the repeating sizes 1, 3, 64, 997;
+// "auto/route" routes slabs of one. z = 2.0 puts solve boundaries inside
+// long runs of the hot key, where the batch path defers sketch offers
+// around the solve, and there the kept cursors must resume: far fewer
+// passes than head picks.
 func TestDChoicesMatchesReference(t *testing.T) {
 	msgs, seeds := int64(256<<10), []uint64{7, 8, 9}
 	if testing.Short() || raceEnabled {
 		msgs, seeds = 64<<10, seeds[:1]
 	}
-	const slab = 256
 	type solveState struct {
 		solves int64
 		d      int
@@ -359,47 +363,43 @@ func TestDChoicesMatchesReference(t *testing.T) {
 			cfg := Config{Workers: 4096, Seed: 7}
 			ref := newRef("D-C", cfg)
 			want := make([]int32, len(keys))
-			var wantSolves []solveState
+			wantSolves := make([]solveState, len(keys)) // after each message
 			for i, k := range keys {
 				want[i] = int32(ref.route(k))
-				if (i+1)%slab == 0 {
-					wantSolves = append(wantSolves, solveState{ref.solves, ref.d})
-				}
+				wantSolves[i] = solveState{ref.solves, ref.d}
 			}
 			for _, mode := range []struct {
-				name     string
-				tourMode int8
-				batch    bool
+				name   string
+				cuts   []int
+				forget bool
 			}{
-				{"scan/batch", -1, true},
-				{"tree/batch", 1, true},
-				{"auto/batch", 0, true},
-				{"auto/route", 0, false},
+				{"scan/batch", []int{256}, true},
+				{"tree/batch", []int{256}, false},
+				{"auto/batch", []int{1, 3, 64, 997}, false},
+				{"auto/route", []int{1}, false},
 			} {
 				t.Run(fmt.Sprintf("z=%.1f/seed=%d/%s", z, seed, mode.name), func(t *testing.T) {
 					p := NewDChoices(cfg)
-					p.tourMode = mode.tourMode
-					digs := make([]KeyDigest, slab)
-					dst := make([]int, slab)
-					for i := 0; i+slab <= len(keys); i += slab {
-						if mode.batch {
-							p.RouteBatchDigests(keys[i:i+slab], digs, dst)
-						} else {
-							for j := range dst {
-								p.RouteBatchDigests(keys[i+j:i+j+1], digs[j:], dst[j:])
+					digs := make([]KeyDigest, 997)
+					dst := make([]int, 997)
+					for i, c := 0, 0; i < len(keys); c++ {
+						chunk := keys[i:min(i+mode.cuts[c%len(mode.cuts)], len(keys))]
+						p.RouteBatchDigests(chunk, digs, dst)
+						if mode.forget {
+							forgetCursors(p)
+						}
+						for j := range chunk {
+							if int32(dst[j]) != want[i+j] {
+								t.Fatalf("message %d (%q): routed to %d, reference %d", i+j, keys[i+j], dst[j], want[i+j])
 							}
 						}
-						for j, w := range dst {
-							if int32(w) != want[i+j] {
-								t.Fatalf("message %d (%q): routed to %d, reference %d", i+j, keys[i+j], w, want[i+j])
-							}
-						}
-						if got := (solveState{p.solves, p.d}); got != wantSolves[i/slab] {
-							t.Fatalf("after message %d: (solves, d) = %+v, reference %+v", i+slab, got, wantSolves[i/slab])
+						i += len(chunk)
+						if got := (solveState{p.solves, p.d}); got != wantSolves[i-1] {
+							t.Fatalf("after message %d: (solves, d) = %+v, reference %+v", i, got, wantSolves[i-1])
 						}
 					}
-					if st := p.RouteStats(); mode.name == "auto/batch" && z == 2.0 && st.TourRepairs == 0 {
-						t.Fatalf("the admission policy at z = 2.0 never repaired a tournament: %+v", st)
+					if st := p.RouteStats(); !mode.forget && z == 2.0 && 8*p.nPasses > st.ScanMinPicks {
+						t.Fatalf("%d cursor passes for %d head picks at z = 2.0: the cursor did not resume", p.nPasses, st.ScanMinPicks)
 					}
 				})
 			}

@@ -20,11 +20,12 @@ import (
 // routing counters. All values are cumulative over the partitioner's
 // lifetime; gauges (sketch occupancy, current d) are instantaneous.
 type RouteStats struct {
-	// TreeMinPicks counts messages whose worker came out of an index
-	// (the floor index's least-loaded worker, or a candidate
-	// tournament's root); ScanMinPicks counts messages argmin'd by a
-	// candidate scan. Their sum is the number of head-path argmins, not
-	// total messages: the 2-choice tail path is neither.
+	// TreeMinPicks counts messages whose worker came out of the floor
+	// index (the least-loaded of all n: D-C at d ≥ n, W-C, Oracle);
+	// ScanMinPicks counts messages argmin'd over a head key's candidate
+	// list (D-C at d < n, by the level cursor). Their sum is the number
+	// of head-path argmins, not total messages: the 2-choice tail path is
+	// neither.
 	TreeMinPicks int64
 	ScanMinPicks int64
 
@@ -32,8 +33,8 @@ type RouteStats struct {
 	HeadMsgs int64
 
 	// CandHits / CandMisses count head-candidate cache lookups that hit
-	// or re-derived (one lookup serves a whole run; the hot-key memo
-	// absorbs most hits before they reach the cache).
+	// or re-derived. Every head run at d < n makes one lookup (a run
+	// that straddles a solve, one per chunk between solves).
 	CandHits   int64
 	CandMisses int64
 
@@ -42,13 +43,6 @@ type RouteStats struct {
 	SketchLen       int
 	SketchCap       int
 	SketchEvictions uint64
-
-	// TourBuilds / TourRepairs count head runs that built a candidate
-	// tournament from scratch and runs that repaired a cached one by
-	// replaying the load increments since its last use (loadtree.go).
-	// Builds well above the number of hot keys mean the cache is churning.
-	TourBuilds  int64
-	TourRepairs int64
 
 	// Solver state (D-Choices only): FINDOPTIMALCHOICES runs, the head
 	// cardinality |H| the last run solved over, and the current head
@@ -78,8 +72,6 @@ func Stats(p Partitioner) (RouteStats, bool) {
 func (g *greedy) argminStats(s *RouteStats) {
 	s.TreeMinPicks = g.nTreeMin
 	s.ScanMinPicks = g.nScanMin
-	s.TourBuilds = g.nTourBuilds
-	s.TourRepairs = g.nTourRepairs
 }
 
 // RouteStats implements RouteStatser.
@@ -121,19 +113,18 @@ func (p *PKG) RouteStats() RouteStats {
 // telemetry registry: batch timing (ns and messages, from which ns/msg
 // follows) plus the RouteStats deltas since the previous publish. One
 // RecordBatch call per routed slab keeps the whole cost — a time.Now
-// pair at the call site and ~15 atomic adds here — amortized over
+// pair at the call site and ~13 atomic adds here — amortized over
 // hundreds of messages, which is how the instrumented batch path stays
 // within 3% of the uninstrumented one (pinned by
 // BenchmarkRouteBatchDigestsInstrumented at the repo root).
 type RouteRecorder struct {
-	ns, msgs, batches       *telemetry.Counter
-	treeMin, scanMin        *telemetry.Counter
-	headMsgs                *telemetry.Counter
-	candHits, candMiss      *telemetry.Counter
-	tourBuilds, tourRepairs *telemetry.Counter
-	sketchEvict, solves     *telemetry.Counter
-	sketchLen, sketchCap    *telemetry.Gauge
-	solverD, solverHead     *telemetry.Gauge
+	ns, msgs, batches    *telemetry.Counter
+	treeMin, scanMin     *telemetry.Counter
+	headMsgs             *telemetry.Counter
+	candHits, candMiss   *telemetry.Counter
+	sketchEvict, solves  *telemetry.Counter
+	sketchLen, sketchCap *telemetry.Gauge
+	solverD, solverHead  *telemetry.Gauge
 
 	last RouteStats
 }
@@ -156,8 +147,6 @@ func NewRouteRecorder(reg *telemetry.Registry, labels ...telemetry.Label) *Route
 		headMsgs:    reg.Counter("route_head_msgs_total", labels...),
 		candHits:    reg.Counter("route_cand_cache_hits_total", labels...),
 		candMiss:    reg.Counter("route_cand_cache_misses_total", labels...),
-		tourBuilds:  reg.Counter("route_cand_tour_builds_total", labels...),
-		tourRepairs: reg.Counter("route_cand_tour_repairs_total", labels...),
 		sketchEvict: reg.Counter("sketch_evictions_total", labels...),
 		solves:      reg.Counter("solver_runs_total", labels...),
 		sketchLen:   reg.Gauge("sketch_entries", labels...),
@@ -186,8 +175,6 @@ func (r *RouteRecorder) RecordBatch(p Partitioner, n int, elapsed time.Duration)
 	r.headMsgs.Add(s.HeadMsgs - r.last.HeadMsgs)
 	r.candHits.Add(s.CandHits - r.last.CandHits)
 	r.candMiss.Add(s.CandMisses - r.last.CandMisses)
-	r.tourBuilds.Add(s.TourBuilds - r.last.TourBuilds)
-	r.tourRepairs.Add(s.TourRepairs - r.last.TourRepairs)
 	r.sketchEvict.Add(int64(s.SketchEvictions - r.last.SketchEvictions))
 	r.solves.Add(s.Solves - r.last.Solves)
 	r.sketchLen.SetInt(int64(s.SketchLen))

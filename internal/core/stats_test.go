@@ -173,8 +173,9 @@ func TestRouteRecorderPublishesDeltas(t *testing.T) {
 		t.Fatalf("solver_d = %v, partitioner has %d", v, s.D)
 	}
 
-	// The tournament counters are registered for every D-C run and move
-	// with the partitioner's when lists are long enough to have any.
+	// At n = 4096, z = 2.0 head keys route over candidate lists of
+	// hundreds: every pick is a scan pick, published as such, and the
+	// level cursors resume far more often than they pass.
 	big := NewDChoices(Config{Workers: 4096, Seed: 42})
 	bigLabels := []telemetry.Label{telemetry.L("algo", "D-C"), telemetry.L("engine", "test-4096")}
 	bigRec := NewRouteRecorder(reg, bigLabels...)
@@ -184,14 +185,14 @@ func TestRouteRecorderPublishesDeltas(t *testing.T) {
 		bigRec.RecordBatch(big, 256, time.Microsecond)
 	}
 	snap, bs := reg.Snapshot(), big.RouteStats()
-	if bs.TourBuilds == 0 || bs.TourRepairs == 0 {
-		t.Fatalf("n = 4096, z = 2.0 built %d and repaired %d tournaments", bs.TourBuilds, bs.TourRepairs)
+	if bs.ScanMinPicks == 0 || 8*big.nPasses > bs.ScanMinPicks {
+		t.Fatalf("n = 4096, z = 2.0: %d cursor passes for %d scan picks", big.nPasses, bs.ScanMinPicks)
 	}
-	if v := snap.Value("route_cand_tour_builds_total", bigLabels...); v != float64(bs.TourBuilds) {
-		t.Fatalf("route_cand_tour_builds_total = %v, partitioner has %d", v, bs.TourBuilds)
+	if v := snap.Value("route_scan_argmins_total", bigLabels...); v != float64(bs.ScanMinPicks) {
+		t.Fatalf("route_scan_argmins_total = %v, partitioner has %d", v, bs.ScanMinPicks)
 	}
-	if v := snap.Value("route_cand_tour_repairs_total", bigLabels...); v != float64(bs.TourRepairs) {
-		t.Fatalf("route_cand_tour_repairs_total = %v, partitioner has %d", v, bs.TourRepairs)
+	if v := snap.Value("route_cand_cache_hits_total", bigLabels...); v != float64(bs.CandHits) {
+		t.Fatalf("route_cand_cache_hits_total = %v, partitioner has %d", v, bs.CandHits)
 	}
 
 	// Nil recorder is a no-op (engines with telemetry off).

@@ -284,12 +284,10 @@
 // spout_parks_total, and with them the partitioner's own ledger
 // (core.RouteRecorder, deltas of core.RouteStats once per routed
 // batch): route_head_msgs_total; route_tree_argmins_total and
-// route_scan_argmins_total (whether an index — the floor index or a
-// candidate tournament — or a candidate scan served each head message);
+// route_scan_argmins_total (whether the floor index — an argmin over all
+// n workers — or a head key's candidate list served each head message);
 // route_cand_cache_hits_total / route_cand_cache_misses_total
-// (D-Choices' candidate lists); route_cand_tour_builds_total /
-// route_cand_tour_repairs_total (its persistent candidate tournaments:
-// builds far above the number of hot keys mean they are churning);
+// (D-Choices' candidate lists, one lookup per head run);
 // sketch_entries, sketch_capacity and sketch_evictions_total; and the
 // solver's state — solver_runs_total, solver_head_size (|H| at the last
 // FINDOPTIMALCHOICES run) and solver_d (W-Choices, whose d is pinned,
@@ -343,33 +341,35 @@
 // solver reads counts straight off the sketch's buckets and keeps the
 // data-independent half of Proposition 4.1's constraints — b_h and
 // (b_h/n)^d — per recently used d (analysis.Solver), so a re-solve is
-// |H| multiply-adds instead of 2·|H| math.Pow and allocates nothing; the
-// set-associative candidate cache reserves d, not n, workers per entry,
-// so its 4 MiB hold the whole head, and one derivation serves a window
-// of d that widens with d — 4 values at the paper's scales, 64 once d
-// is in the thousands (deduplicated candidate lists for smaller d are
-// prefixes of larger ones, so the solver's wobble re-derives nothing).
-// At z = 2.0 a hundred head keys get d ≈ 2.5k — ≈ 1.9k distinct
-// candidates each — and the cost is the argmin per head message. A scan
-// of 128 candidates or more stops at the first candidate at the global
-// minimum load (the floor index's floor), which most head keys reach
-// within a fraction of their list; the few hottest keys, whose own
-// traffic keeps their candidates above that floor, hold persistent
-// candidate tournaments — O(log c) per message, repaired across runs
-// by replaying the load increments logged since, surviving the
-// solver's wobble by switching leaves on and off — admitted and dropped
-// by the measured cost of their scans against the replay
-// (internal/core/loadtree.go). Measured on the reference host, cpu-ns
-// per message, before → after these mechanisms: D-C.n4096.z0.8
-// 1,822 → 410 and D-C.n4096.z2.0 1,963 → 298, against PKG's 31 and 17
-// in the same cells; at n = 64 D-C costs 89–93. Every routed worker and
-// every solved d is bit-identical to Algorithm 1 run plainly, one
-// message at a time (TestDChoicesMatchesReference). D-C still
-// switches to the W-C strategy at d ≥ n, as the paper prescribes. Past
-// the cache's budget — n = 16384 at the default θ, a head of ≈ 11k keys
-// at d ≈ 350 — derivations dominate again (≈ 2 µs per message,
-// BenchmarkRouteAtScale's D-C/default cells). All of this preserves the
-// zero-allocation steady state.
+// |H| multiply-adds and allocates nothing. A table for a new d costs no
+// math.Pow per entry: b_h follows from b_{h−1} by one multiply and
+// (b_h/n)^d is binary powering, and a prefix whose margin falls inside
+// the recurrence's error bound is re-evaluated exactly, so every solved
+// d is unchanged. The set-associative candidate cache reserves d, not
+// n, workers per entry, so its 4 MiB hold the whole head, and one
+// derivation serves a window of d that widens with d — 4 values at the
+// paper's scales, 64 once d is in the thousands (deduplicated candidate
+// lists for smaller d are prefixes of larger ones, so the solver's
+// wobble re-derives nothing). At z = 2.0 a hundred head keys get
+// d ≈ 2.5k — ≈ 1.9k distinct candidates each — and the cost is the
+// argmin per head message. Each cache entry carries the key's level
+// cursor: where the first-lowest scan of its list stopped and at which
+// load (internal/core/loadtree.go). Loads only rise, so the next message
+// resumes there, and on near-level loads the cursor sweeps the list
+// about once per level its candidates climb instead of once per message.
+// route-scale msgs/s per cell, medians of ten alternated 20 s pairs on a
+// 2-vCPU host, with candidate tournaments and a hot-key memo before →
+// with the cursor: D-C.n64.z2.0 6.0M → 11.3M, D-C.n4096.z2.0
+// 2.4M → 5.1M, D-C.n4096.z0.8 1.67M → 1.81M (p99 per 256-message call
+// 1.04 → 0.37 ms, the solver's tables); D-C.n64.z0.8, PKG and W-C flat.
+// Every routed worker and every solved d is bit-identical to
+// Algorithm 1 run plainly, one message at a time
+// (TestDChoicesMatchesReference). D-C still switches to the W-C strategy
+// at d ≥ n, as the paper prescribes. Past the cache's budget — n = 16384
+// at the default θ, a head of ≈ 11k keys at d ≈ 350 — derivations
+// dominate again (≈ 2 µs per message, BenchmarkRouteAtScale's
+// D-C/default cells). All of this preserves the zero-allocation steady
+// state.
 //
 // The `scale` experiment (cmd/slbstorm) reproduces the large-deployment
 // story end to end at n ∈ {16 … 16384} × {KG, PKG, D-C, W-C, SG}:
