@@ -85,7 +85,14 @@ type Config struct {
 	// Core carries seed/θ/ε; Workers is filled in from this config.
 	Core core.Config
 	// ServiceTime is the simulated per-message processing cost at a bolt
-	// (the paper uses 1 ms). Zero means no artificial delay.
+	// (the paper uses 1 ms). Each bolt pays it once per data tuple, before
+	// the tuple's latency stamp and its ack, on a service clock that owes
+	// ServiceTime per tuple and waits only for what earlier waits have
+	// not already paid, so a timer that returns late is credited rather
+	// than charged again: after every tuple the bolt has paid at least
+	// its tuples × ServiceTime, and paid − owed never exceeds one wait's
+	// overshoot. Zero means no artificial delay, and the clock is never
+	// read.
 	ServiceTime time.Duration
 	// Window is the per-spout in-flight cap (max spout pending); 0 means
 	// 100, and over TransportTCP a window left at 0 grows adaptively (see
@@ -99,8 +106,11 @@ type Config struct {
 	Batch int
 	// Messages caps the emitted messages; 0 means the generator length.
 	Messages int64
-	// Spin selects busy-wait instead of time.Sleep for the service time:
-	// more faithful CPU saturation, but burns host CPU. Tests keep it off.
+	// Spin selects busy-wait instead of time.Sleep for the service clock
+	// of bolts (ServiceTime) and reducer shards (AggMergeCost): more
+	// faithful CPU saturation and an overshoot of one clock read instead
+	// of one timer slip, but it burns host CPU. The payment rule is the
+	// same either way. Tests keep it off.
 	Spin bool
 	// AggWindow, when positive, turns the topology into a two-phase
 	// windowed aggregation: every bolt keeps per-key partial aggregates
@@ -123,10 +133,14 @@ type Config struct {
 	// one).
 	AggMerger aggregation.Merger
 	// AggMergeCost, when positive, simulates a per-partial merge cost at
-	// the reducer shards (slept or spun per Config.Spin, batched per
-	// slab), so wall-clock runs can reproduce the reducer-bound regime
-	// the discrete-event engine models with its AggMergeCost — and show
-	// sharding move the saturation point. Zero adds no artificial cost.
+	// the reducer shards, so wall-clock runs can reproduce the
+	// reducer-bound regime the discrete-event engine models with its
+	// AggMergeCost — and show sharding move the saturation point. A shard
+	// pays AggMergeCost × len(slab) once per merged slab, on the same
+	// service clock as the bolts (ServiceTime): it waits, slept or spun
+	// per Config.Spin, only for what earlier oversleep has not covered,
+	// so paid ≥ owed after every slab and paid − owed never exceeds one
+	// wait's overshoot. Zero adds no artificial cost and no clock read.
 	AggMergeCost time.Duration
 	// OnFinal, when set (and AggWindow > 0), receives every merged final
 	// from the reduce stage, on a reducer shard's goroutine. Calls are
@@ -217,8 +231,10 @@ type Result struct {
 	Throughput float64
 	// MaxAvgLatency is the maximum per-bolt mean latency.
 	MaxAvgLatency time.Duration
-	// P50/P95/P99 are end-to-end latency percentiles across the sampled
-	// tuples (one in eight), 0 when no tuple was sampled.
+	// P50/P95/P99 are latency percentiles over one tuple in eight: the
+	// interval from spout emit to the end of the tuple's paid service at
+	// its bolt (Config.ServiceTime on the bolt's service clock), stamped
+	// before the ack. 0 when no tuple was sampled.
 	P50, P95, P99 time.Duration
 	// Loads is the per-bolt processed-tuple count.
 	Loads []int64
@@ -252,6 +268,9 @@ type Result struct {
 	// pre-merges partials between bolt and reducer, so it always equals
 	// Agg.Partials, which the reducers count as they merge.
 	AggBoltPartials int64
+	// servicePaid is each bolt's service clock reading at the end of the
+	// run: the measured time it spent paying ServiceTime.
+	servicePaid []time.Duration
 }
 
 // boltStats is written only by the owning bolt goroutine.
@@ -300,16 +319,44 @@ func poolLatency(stats []boltStats) *telemetry.Histogram {
 	return pooled
 }
 
-// simulateWork burns the configured service time.
-func simulateWork(d time.Duration, spin bool) {
-	if d <= 0 {
-		return
-	}
-	if !spin {
-		time.Sleep(d)
-		return
-	}
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
+// serviceClock is one goroutine's simulated-cost ledger: a bolt pays
+// Config.ServiceTime per data tuple, a reducer shard AggMergeCost per
+// merged partial. pay(d) adds d to owed and waits only while owed is
+// ahead of paid, for the difference, crediting the wait's measured
+// duration to paid. A timer returns late (on a 2-vCPU Linux VM a 1 ms
+// sleep took about 1.14 ms and a 100 µs sleep about 1 ms), so a bare
+// sleep per tuple would charge service plus oversleep; the clock lets
+// that overshoot cover the next payments instead. Hence paid ≥ owed
+// after every pay, and paid − owed never exceeds one wait's overshoot:
+// the goroutine serves the cost it is configured for, never less, and
+// never more than one timer slip ahead.
+type serviceClock struct {
+	owed, paid time.Duration
+	// wait blocks for at least d and returns the measured duration.
+	wait func(d time.Duration) time.Duration
+}
+
+// newServiceClock returns a clock whose waits sleep, or busy-wait when
+// spin is set: more faithful CPU saturation, and an overshoot of one
+// clock read rather than one timer slip.
+func newServiceClock(spin bool) serviceClock {
+	return serviceClock{wait: func(d time.Duration) time.Duration {
+		t0 := time.Now()
+		if !spin {
+			time.Sleep(d)
+		}
+		for {
+			if e := time.Since(t0); e >= d {
+				return e
+			}
+		}
+	}}
+}
+
+// pay charges d of simulated service.
+func (c *serviceClock) pay(d time.Duration) {
+	c.owed += d
+	if c.owed > c.paid {
+		c.paid += c.wait(c.owed - c.paid)
 	}
 }

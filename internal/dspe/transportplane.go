@@ -225,20 +225,13 @@ func runOnFabric(fabric transport.Transport, src *stream.Source, cfg Config, par
 			go func(r int) {
 				defer reduceWG.Done()
 				onFinal, deliver := fan.shard()
-				// The simulated merge cost is paid as a DEBT settled in
-				// ≥ 1 ms chunks, with each settlement's measured oversleep
-				// credited back: per-slab sleeps would bottom out at the
-				// timer floor and charge every shard the slab COUNT (which
-				// sharding does not reduce — each bolt flush sends one slab
-				// per shard) instead of the partial count (which it does).
-				var debt time.Duration
-				settle := func(threshold time.Duration) {
-					if debt > threshold {
-						s0 := time.Now()
-						simulateWork(debt, cfg.Spin)
-						debt -= time.Since(s0)
-					}
-				}
+				// The simulated merge cost is paid per slab on the shard's
+				// service clock, net of earlier oversleep: a bare sleep per
+				// slab would bottom out at the timer floor and charge every
+				// shard the slab COUNT (which sharding does not reduce —
+				// each bolt flush sends one slab per shard) instead of the
+				// partial count (which it does).
+				svc := newServiceClock(cfg.Spin)
 				buf := make([]transport.Msg, 256)
 				slab := make([]aggregation.Partial, 0, 256)
 				drained := make([]bool, cfg.Workers)
@@ -274,8 +267,7 @@ func runOnFabric(fabric transport.Transport, src *stream.Source, cfg Config, par
 						}
 						t0 := time.Now()
 						if cfg.AggMergeCost > 0 {
-							debt += cfg.AggMergeCost * time.Duration(len(slab))
-							settle(time.Millisecond)
+							svc.pay(cfg.AggMergeCost * time.Duration(len(slab)))
 						}
 						sd.MergeShard(r, slab, onFinal)
 						deliver()
@@ -290,7 +282,6 @@ func runOnFabric(fabric transport.Transport, src *stream.Source, cfg Config, par
 					}
 				}
 				t0 := time.Now()
-				settle(0)
 				sd.FinishShard(r, onFinal)
 				deliver()
 				d := time.Since(t0)
@@ -303,6 +294,7 @@ func runOnFabric(fabric transport.Transport, src *stream.Source, cfg Config, par
 	stats := make([]boltStats, cfg.Workers)
 	latSampled := make([]int64, cfg.Workers)
 	boltPartials := make([]int64, cfg.Workers)
+	servicePaid := make([]time.Duration, cfg.Workers)
 	var bolts sync.WaitGroup
 	for w := 0; w < cfg.Workers; w++ {
 		bolts.Add(1)
@@ -310,6 +302,7 @@ func runOnFabric(fabric transport.Transport, src *stream.Source, cfg Config, par
 			defer bolts.Done()
 			st := &stats[w]
 			st.lat = telemetry.NewHistogram()
+			svc := newServiceClock(cfg.Spin)
 			var acc *aggregation.Accumulator
 			var scratch []aggregation.Partial
 			var pendP [][]transport.Msg
@@ -381,7 +374,9 @@ func runOnFabric(fabric transport.Transport, src *stream.Source, cfg Config, par
 							}
 							continue
 						}
-						simulateWork(cfg.ServiceTime, cfg.Spin)
+						if cfg.ServiceTime > 0 {
+							svc.pay(cfg.ServiceTime)
+						}
 						if acc != nil {
 							if wm, ok := acc.Watermark(); ok && m.Window > wm {
 								// Watermark advance: flush with one window of
@@ -421,6 +416,7 @@ func runOnFabric(fabric transport.Transport, src *stream.Source, cfg Config, par
 					park.Idle()
 				}
 			}
+			servicePaid[w] = svc.paid
 			if acc != nil {
 				flushClosed(1 << 62)
 				boltPartials[w] = acc.Flushed()
@@ -581,9 +577,10 @@ func runOnFabric(fabric transport.Transport, src *stream.Source, cfg Config, par
 	}
 
 	res := Result{
-		Algorithm: cfg.Algorithm,
-		Elapsed:   elapsed,
-		Loads:     make([]int64, cfg.Workers),
+		Algorithm:   cfg.Algorithm,
+		Elapsed:     elapsed,
+		Loads:       make([]int64, cfg.Workers),
+		servicePaid: servicePaid,
 	}
 	if agg {
 		res.Agg = sd.Stats()

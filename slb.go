@@ -272,11 +272,14 @@
 // 128 buckets per octave from 1 ns to about 2.4 h, so a percentile is
 // within 2⁻⁷ relative of the exact nearest-rank value, with the exact
 // count, minimum and maximum kept alongside. Each goroutine-runtime
-// bolt records its sampled tuples (one in eight) into its own, the
-// discrete-event engine records every measured completion into one,
-// and the engines pool them by adding buckets at the end of a run to
-// report P50/P95/P99 (0 when nothing was measured). The histograms are
-// run-local: a registry carries no latency series.
+// bolt records its sampled tuples (one in eight) into its own; the
+// interval is from spout emit to the end of the tuple's paid service at
+// its bolt (EngineConfig.ServiceTime, paid net of earlier timer
+// oversleep), taken before the tuple is acked. The discrete-event
+// engine records every measured completion (emit to service end) into
+// one, and the engines pool them by adding buckets at the end of a run
+// to report P50/P95/P99 (0 when nothing was measured). The histograms
+// are run-local: a registry carries no latency series.
 //
 // The goroutine runtime (engine=dspe-memory / engine=dspe-tcp)
 // publishes per spout route_msgs_total, route_ns_total,
