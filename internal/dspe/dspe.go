@@ -337,8 +337,7 @@ type serviceClock struct {
 }
 
 // newServiceClock returns a clock whose waits sleep, or busy-wait when
-// spin is set: more faithful CPU saturation, and an overshoot of one
-// clock read rather than one timer slip.
+// spin is set (Config.Spin).
 func newServiceClock(spin bool) serviceClock {
 	return serviceClock{wait: func(d time.Duration) time.Duration {
 		t0 := time.Now()

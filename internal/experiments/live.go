@@ -26,39 +26,71 @@ func (s Scale) liveMessages() int64 {
 	}
 }
 
+// The live cluster cell: n bolts fed by s spouts, each spout holding at
+// most liveWindow tuples in flight.
+const (
+	liveWorkers = 16
+	liveSources = 8
+	liveWindow  = 64
+)
+
+// liveCell runs one cell on the goroutine runtime (internal/dspe) and
+// the same cell on the discrete-event engine, the model: same stream,
+// partitioner seed, n, s, ack window and per-tuple service time. The
+// model's spouts emit every ServiceTime/20 (eventsim's default), well
+// faster than a worker serves, as the live spouts do; it measures the
+// whole run, as the live engine does.
+func liveCell(algo string, z float64, service time.Duration, m int64) (dspe.Result, eventsim.Result, error) {
+	live, err := dspe.Run(workload.NewZipf(z, ZFKeys, m, Seed), dspe.Config{
+		Workers:     liveWorkers,
+		Sources:     liveSources,
+		Algorithm:   algo,
+		Core:        core.Config{Seed: Seed, Epsilon: Epsilon},
+		ServiceTime: service,
+		Window:      liveWindow,
+	})
+	if err != nil {
+		return dspe.Result{}, eventsim.Result{}, err
+	}
+	model, err := eventsim.Run(workload.NewZipf(z, ZFKeys, m, Seed), eventsim.Config{
+		Workers:     liveWorkers,
+		Sources:     liveSources,
+		Algorithm:   algo,
+		Core:        core.Config{Seed: Seed, Epsilon: Epsilon},
+		ServiceTime: float64(service) / float64(time.Millisecond),
+		Window:      liveWindow,
+		Messages:    m,
+	})
+	return live, model, err
+}
+
 // LiveFig13 runs the Fig 13 comparison on the concurrent goroutine
 // runtime (internal/dspe) instead of the discrete-event engine: real
 // channels, real clock, real contention. Numbers vary with the host,
 // but the ordering (KG < PKG < D-C ≈ W-C ≈ SG) must match both the
 // paper and the deterministic engine. Scaled down relative to the
-// paper (n=16, 1 ms/msg) so a run takes seconds.
+// paper (n=16, 1 ms/msg) so a run takes seconds. Beside each live row
+// stand the model's throughput and p99 for the same cell and the
+// live/model throughput ratio; column 1 is the live throughput.
 func LiveFig13(sc Scale) ([]*texttab.Table, error) {
-	const (
-		n, s = 16, 8
-		z    = 2.0
-	)
+	const z = 2.0
 	m := sc.liveMessages()
 	t := texttab.New(fmt.Sprintf(
-		"Live Fig 13 (goroutine runtime): throughput (events/s), n=%d, s=%d, z=%.1f, m=%d",
-		n, s, z, m),
-		"Algorithm", "Throughput(ev/s)", "p99(ms)", "Imbalance")
+		"Live Fig 13 (goroutine runtime) against the model (eventsim): throughput (events/s), n=%d, s=%d, z=%.1f, m=%d",
+		liveWorkers, liveSources, z, m),
+		"Algorithm", "Throughput(ev/s)", "p99(ms)", "Imbalance", "Model(ev/s)", "Model p99(ms)", "Live/Model")
 	for _, algo := range clusterAlgos {
-		gen := workload.NewZipf(z, ZFKeys, m, Seed)
-		res, err := dspe.Run(gen, dspe.Config{
-			Workers:     n,
-			Sources:     s,
-			Algorithm:   algo,
-			Core:        core.Config{Seed: Seed, Epsilon: Epsilon},
-			ServiceTime: time.Millisecond,
-			Window:      64,
-		})
+		live, model, err := liveCell(algo, z, time.Millisecond, m)
 		if err != nil {
 			return nil, err
 		}
 		t.Add(algo,
-			fmt.Sprintf("%.0f", res.Throughput),
-			fmt.Sprintf("%.2f", float64(res.P99)/float64(time.Millisecond)),
-			fmtImb(res.Imbalance))
+			fmt.Sprintf("%.0f", live.Throughput),
+			fmt.Sprintf("%.2f", float64(live.P99)/float64(time.Millisecond)),
+			fmtImb(live.Imbalance),
+			fmt.Sprintf("%.0f", model.Throughput),
+			fmt.Sprintf("%.2f", model.P99),
+			fmt.Sprintf("%.3f", live.Throughput/model.Throughput))
 	}
 	return []*texttab.Table{t}, nil
 }

@@ -366,6 +366,38 @@ func BenchmarkOfferDigest(b *testing.B) {
 	}
 }
 
+// BenchmarkOfferZipf offers a z = 0.8 digest stream over 10⁵ keys to
+// the sketch at the capacities core derives by default (4·⌈1/θ⌉ with
+// θ = 1/(5n)) for n = 8, 64 and 4096 workers. At z = 0.8 most offers at
+// the two small capacities are misses that evict, so the benchmark
+// times the miss path; it reports ns/offer and evictions/offer, the
+// sketch warmed by one pass over the stream first.
+func BenchmarkOfferZipf(b *testing.B) {
+	const n = 1 << 20
+	keys := make([]string, n)
+	workload.NewZipf(0.8, 100_000, n, 42).NextBatch(keys)
+	digs := make([]hashing.KeyDigest, n)
+	for i, k := range keys {
+		digs[i] = hashing.Digest(k)
+	}
+	for _, capacity := range []int{164, 1284, 81924} {
+		b.Run(fmt.Sprintf("cap=%d", capacity), func(b *testing.B) {
+			s := New(capacity)
+			for i := range keys {
+				s.OfferDigest(digs[i], keys[i])
+			}
+			ev0 := s.Evictions()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.OfferDigest(digs[i&(n-1)], keys[i&(n-1)])
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/offer")
+			b.ReportMetric(float64(s.Evictions()-ev0)/float64(b.N), "evictions/offer")
+		})
+	}
+}
+
 // checkHeadCounts requires HeadCounts(θ) to equal the counts of
 // HeavyHitters(θ) element for element, for a sweep of θ.
 func checkHeadCounts(t *testing.T, where string, s *Summary, scratch []uint64) []uint64 {
